@@ -169,7 +169,7 @@ void BM_TcpReceiveFastPath(benchmark::State& state) {
 
     state.PauseTiming();
     fx.server->PopData();
-    fx.b_sched.Poll();  // acker
+    fx.b_sched.Poll();  // the timer wheel sends B's pending ack
     fx.a_eth.PollOnce();
     fx.a_sched.Poll();
     (void)eth;

@@ -12,7 +12,8 @@
 #      splice_chaos_test);
 #   3. the lint label (demilint over the tree — including the concurrency rules:
 #      shard-local reachability, shared mutable statics, atomic-ordering justification,
-#      lock-free fastpath regions — its fixture selftest, and check_docs);
+#      lock-free fastpath regions — the metric and doc-link checks against the docs, and
+#      its fixture selftest);
 #   4. clang-tidy, when installed (skips gracefully otherwise; concurrency-* findings are
 #      errors);
 #   5. the sanitizer sweep (ASan, UBSan, TSan over the threaded suites incl. the splice and
@@ -36,7 +37,7 @@ cmake --build "$BDIR" -j "$JOBS"
 echo "=== [2/5] test suite ==="
 (cd "$BDIR" && ctest -LE lint --output-on-failure -j "$JOBS")
 
-echo "=== [3/5] lint (demilint + fixtures + check_docs) ==="
+echo "=== [3/5] lint (demilint + fixtures) ==="
 (cd "$BDIR" && ctest -L lint --output-on-failure)
 
 echo "=== [4/5] clang-tidy ==="

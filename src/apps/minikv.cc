@@ -35,6 +35,12 @@ uint16_t GetLe16(const uint8_t* p) {
   std::memcpy(&v, p, 2);
   return v;
 }
+// A default-constructed view's data() is null; memcpy from null is undefined even for 0 bytes.
+void PutBytes(uint8_t* p, std::string_view bytes) {
+  if (!bytes.empty()) {
+    std::memcpy(p, bytes.data(), bytes.size());
+  }
+}
 
 }  // namespace
 
@@ -49,8 +55,8 @@ size_t KvEncodeRequest(KvOp op, std::string_view key, std::string_view value, ui
   out[4] = static_cast<uint8_t>(op);
   PutLe16(out + 5, static_cast<uint16_t>(key.size()));
   PutLe32(out + 7, static_cast<uint32_t>(value.size()));
-  std::memcpy(out + 11, key.data(), key.size());
-  std::memcpy(out + 11 + key.size(), value.data(), value.size());
+  PutBytes(out + 11, key);
+  PutBytes(out + 11 + key.size(), value);
   return total;
 }
 
@@ -63,7 +69,7 @@ size_t KvEncodeResponse(KvStatus status, std::string_view value, uint8_t* out, s
   PutLe32(out, static_cast<uint32_t>(frame));
   out[4] = static_cast<uint8_t>(status);
   PutLe32(out + 5, static_cast<uint32_t>(value.size()));
-  std::memcpy(out + 9, value.data(), value.size());
+  PutBytes(out + 9, value);
   return total;
 }
 

@@ -7,112 +7,68 @@ void LibOS::InitObservability() {
   tokens_.SetTracer(&tracer_);
 
   const Scheduler::Stats& ss = sched_.stats();
-  metrics_.RegisterCallback("sched.polls", "sched", "polls", "Scheduler Poll() rounds",
-                            [&ss] { return ss.polls; });
-  metrics_.RegisterCallback("sched.resumptions", "sched", "resumes",
-                            "Fiber resumptions across all polls", [&ss] { return ss.resumptions; });
-  metrics_.RegisterCallback("sched.fibers_spawned", "sched", "fibers", "Fibers spawned",
-                            [&ss] { return ss.fibers_spawned; });
-  metrics_.RegisterCallback("sched.fibers_completed", "sched", "fibers",
-                            "Fibers run to completion", [&ss] { return ss.fibers_completed; });
-  metrics_.RegisterCallback("sched.timer_fires", "sched", "timers", "Timer deadlines fired",
-                            [&ss] { return ss.timer_fires; });
-  metrics_.RegisterCallback("sched.stale_wakes", "sched", "wakes",
-                            "Ready bits found on dead/recycled fiber slots",
-                            [&ss] { return ss.stale_wakes; });
-  metrics_.RegisterCallback("sched.blocks_scanned", "sched", "blocks",
-                            "Waker blocks scanned with a ready bit set",
-                            [&ss] { return ss.blocks_scanned; });
-  metrics_.RegisterCallback("sched.blocks_skipped", "sched", "blocks",
-                            "Waker blocks skipped as all-clear (the tzcnt fast path)",
-                            [&ss] { return ss.blocks_skipped; });
-  metrics_.RegisterCallback("sched.yields", "sched", "yields", "co_await Yield{} suspensions",
-                            [&ss] { return ss.yields; });
-  metrics_.RegisterCallback("sched.fiber_blocks", "sched", "blocks",
-                            "Suspensions into blocking awaitables (Event/Sleep)",
-                            [&ss] { return ss.fiber_blocks; });
-  metrics_.RegisterCallback("sched.live_fibers", "sched", "fibers", "Currently live fibers",
-                            [this] { return sched_.NumLiveFibers(); });
-  metrics_.RegisterCallback("sched.runnable", "sched", "fibers",
-                            "Run-queue depth (fibers with their ready bit set)",
-                            [this] { return sched_.NumRunnable(); });
+  metrics_.RegisterCounter("sched.polls", "polls", [&ss] { return ss.polls; });
+  metrics_.RegisterCounter("sched.resumptions", "resumes", [&ss] { return ss.resumptions; });
+  metrics_.RegisterCounter("sched.fibers_spawned", "fibers", [&ss] { return ss.fibers_spawned; });
+  metrics_.RegisterCounter("sched.fibers_completed", "fibers",
+                           [&ss] { return ss.fibers_completed; });
+  metrics_.RegisterCounter("sched.timer_fires", "timers", [&ss] { return ss.timer_fires; });
+  metrics_.RegisterCounter("sched.stale_wakes", "wakes", [&ss] { return ss.stale_wakes; });
+  metrics_.RegisterCounter("sched.blocks_scanned", "blocks", [&ss] { return ss.blocks_scanned; });
+  metrics_.RegisterCounter("sched.blocks_skipped", "blocks", [&ss] { return ss.blocks_skipped; });
+  metrics_.RegisterCounter("sched.yields", "yields", [&ss] { return ss.yields; });
+  metrics_.RegisterCounter("sched.fiber_blocks", "blocks", [&ss] { return ss.fiber_blocks; });
+  metrics_.RegisterGauge("sched.live_fibers", "fibers", [this] { return sched_.NumLiveFibers(); });
+  metrics_.RegisterGauge("sched.runnable", "fibers", [this] { return sched_.NumRunnable(); });
 
   const TimerWheel& wheel = sched_.timer_wheel();
-  metrics_.RegisterCallback("timerwheel.armed", "timerwheel", "timers",
-                            "Timers currently armed", [&wheel] { return wheel.armed(); });
-  metrics_.RegisterCallback("timerwheel.arms", "timerwheel", "timers",
-                            "Successful Arm() calls", [&wheel] { return wheel.stats().arms; });
-  metrics_.RegisterCallback("timerwheel.fires", "timerwheel", "timers",
-                            "Timer callbacks invoked", [&wheel] { return wheel.stats().fires; });
-  metrics_.RegisterCallback("timerwheel.cancels", "timerwheel", "timers",
-                            "Cancels that removed a pending timer",
-                            [&wheel] { return wheel.stats().cancels; });
-  metrics_.RegisterCallback("timerwheel.cascades", "timerwheel", "timers",
-                            "Entries re-filed from a higher wheel level toward level 0",
-                            [&wheel] { return wheel.stats().cascades; });
+  metrics_.RegisterGauge("timerwheel.armed", "timers", [&wheel] { return wheel.armed(); });
+  metrics_.RegisterCounter("timerwheel.arms", "timers", [&wheel] { return wheel.stats().arms; });
+  metrics_.RegisterCounter("timerwheel.fires", "timers", [&wheel] { return wheel.stats().fires; });
+  metrics_.RegisterCounter("timerwheel.cancels", "timers",
+                           [&wheel] { return wheel.stats().cancels; });
+  metrics_.RegisterCounter("timerwheel.cascades", "timers",
+                           [&wheel] { return wheel.stats().cascades; });
 
-  metrics_.RegisterCallback("heap.superblocks", "heap", "blocks", "Live superblocks",
-                            [this] { return alloc_.GetStats().superblocks; });
-  metrics_.RegisterCallback("heap.live_objects", "heap", "objects",
-                            "App-owned or libOS-referenced objects",
-                            [this] { return alloc_.GetStats().live_objects; });
-  metrics_.RegisterCallback("heap.deferred_frees", "heap", "objects",
-                            "Objects freed by the app but pinned by a libOS reference (UAF)",
-                            [this] { return alloc_.GetStats().deferred_frees; });
-  metrics_.RegisterCallback("heap.registered_blocks", "heap", "blocks",
-                            "DMA-registered superblocks",
-                            [this] { return alloc_.GetStats().registered_blocks; });
-  metrics_.RegisterCallback("heap.overflow_refs", "heap", "refs",
-                            "Side-table refcount entries",
-                            [this] { return alloc_.GetStats().overflow_refs; });
-  metrics_.RegisterCallback("heap.bytes_reserved", "heap", "bytes", "Bytes reserved from the OS",
-                            [this] { return alloc_.GetStats().bytes_reserved; });
+  metrics_.RegisterGauge("heap.superblocks", "blocks",
+                         [this] { return alloc_.GetStats().superblocks; });
+  metrics_.RegisterGauge("heap.live_objects", "objects",
+                         [this] { return alloc_.GetStats().live_objects; });
+  metrics_.RegisterGauge("heap.deferred_frees", "objects",
+                         [this] { return alloc_.GetStats().deferred_frees; });
+  metrics_.RegisterGauge("heap.registered_blocks", "blocks",
+                         [this] { return alloc_.GetStats().registered_blocks; });
+  metrics_.RegisterGauge("heap.overflow_refs", "refs",
+                         [this] { return alloc_.GetStats().overflow_refs; });
+  metrics_.RegisterGauge("heap.bytes_reserved", "bytes",
+                         [this] { return alloc_.GetStats().bytes_reserved; });
 
-  wait_calls_ = &metrics_.RegisterCounter("core.wait_calls", "core", "calls",
-                                          "wait/wait_any/wait_all invocations");
-  wait_poll_rounds_ = &metrics_.RegisterCounter(
-      "core.wait_poll_rounds", "core", "rounds",
-      "Scheduler rounds run while blocked in a wait_* call");
-  wait_ns_ = &metrics_.RegisterHistogram("core.wait_ns", "core", "ns",
-                                         "Latency of completed wait_* calls");
-  metrics_.RegisterCallback("core.tokens_pending", "core", "tokens",
-                            "Issued qtokens not yet completed",
-                            [this] { return tokens_.NumPending(); });
+  wait_calls_ = &metrics_.RegisterCounter("core.wait_calls", "calls");
+  wait_poll_rounds_ = &metrics_.RegisterCounter("core.wait_poll_rounds", "rounds");
+  wait_ns_ = &metrics_.RegisterHistogram("core.wait_ns", "ns");
+  metrics_.RegisterGauge("core.tokens_pending", "tokens", [this] { return tokens_.NumPending(); });
 
-  metrics_.RegisterCallback("tenant.registered", "tenant", "tenants",
-                            "Isolation domains registered on this libOS",
-                            [this] { return tenants_.NumRegistered(); });
-  metrics_.RegisterCallback("tenant.accept_admitted", "tenant", "connections",
-                            "Accept-admission slots charged across all tenants",
-                            [this] { return tenants_.TotalAcceptAdmitted(); });
-  metrics_.RegisterCallback("tenant.accept_shed", "tenant", "connections",
-                            "Handshakes shed at a tenant's accept-admission limit",
-                            [this] { return tenants_.TotalAcceptShed(); });
-  metrics_.RegisterCallback("tenant.op_shed", "tenant", "ops",
-                            "Push/pop submissions shed at a tenant's inflight watermark",
-                            [this] { return tenants_.TotalOpShed(); });
-  metrics_.RegisterCallback("tenant.mem_denials", "tenant", "allocations",
-                            "DMA-heap allocations denied over a tenant memory budget",
-                            [this] { return alloc_.TenantDenials(); });
-  metrics_.RegisterCallback("tenant.mem_used_bytes", "tenant", "bytes",
-                            "DMA-heap bytes currently charged to registered tenants",
-                            [this] { return static_cast<uint64_t>(alloc_.TenantBytesUsed()); });
+  metrics_.RegisterGauge("tenant.registered", "tenants",
+                         [this] { return tenants_.NumRegistered(); });
+  metrics_.RegisterCounter("tenant.accept_admitted", "connections",
+                           [this] { return tenants_.TotalAcceptAdmitted(); });
+  metrics_.RegisterCounter("tenant.accept_shed", "connections",
+                           [this] { return tenants_.TotalAcceptShed(); });
+  metrics_.RegisterCounter("tenant.op_shed", "ops", [this] { return tenants_.TotalOpShed(); });
+  metrics_.RegisterCounter("tenant.mem_denials", "allocations",
+                           [this] { return alloc_.TenantDenials(); });
+  metrics_.RegisterGauge("tenant.mem_used_bytes", "bytes",
+                         [this] { return static_cast<uint64_t>(alloc_.TenantBytesUsed()); });
 
-  metrics_.RegisterCallback("qtoken.lifecycle_violations", "qtoken", "violations",
-                            "Stale-token misuses classified by the lifecycle checker "
-                            "(double-wait, harvest-after-drop, complete-after-free)",
-                            [this] { return tokens_.lifecycle_violations(); });
-  Gauge& demisan = metrics_.RegisterGauge(
-      "demisan.enabled", "demisan", "bool",
-      "1 when the DemiSan ownership/affinity sanitizer (DEMI_OWNERSHIP_CHECKS) is compiled in");
+  metrics_.RegisterCounter("qtoken.lifecycle_violations", "violations",
+                           [this] { return tokens_.lifecycle_violations(); });
+  Gauge& demisan = metrics_.RegisterGauge("demisan.enabled", "bool");
 #if defined(DEMI_OWNERSHIP_CHECKS)
   demisan.Set(1);
 #else
   demisan.Set(0);
 #endif
-  numa_gauge_ = &metrics_.RegisterGauge(
-      "pool.numa_node", "pool", "node",
-      "NUMA node the shard's DMA heap is first-touch placed on (-1 = unplaced/unknown)");
+  numa_gauge_ = &metrics_.RegisterGauge("pool.numa_node", "node");
   numa_gauge_->Set(-1);
 }
 
@@ -124,26 +80,20 @@ Status LibOS::RegisterTenant(TenantId tenant, const TenantConfig& config) {
   tenants_.Register(tenant, config);
   alloc_.SetTenantBudget(tenant, config.mem_budget_bytes);
   if (fresh) {
-    // Per-tenant labelled gauges. The {tenant=N} suffix keeps them out of the fixed metric
+    // Per-tenant labelled metrics. The {tenant=N} suffix keeps them out of the fixed metric
     // namespace (docs/OBSERVABILITY.md documents the families once, not per id).
     const std::string label = "{tenant=" + std::to_string(tenant) + "}";
-    metrics_.RegisterCallback("tenant.mem_used" + label, "tenant", "bytes",
-                              "DMA-heap bytes charged to this tenant", [this, tenant] {
-                                return static_cast<uint64_t>(
-                                    alloc_.GetTenantMemStats(tenant).used_bytes);
-                              });
-    metrics_.RegisterCallback("tenant.mem_denials" + label, "tenant", "allocations",
-                              "Allocations denied over this tenant's memory budget",
-                              [this, tenant] { return alloc_.GetTenantMemStats(tenant).denials; });
-    metrics_.RegisterCallback("tenant.accept_shed" + label, "tenant", "connections",
-                              "Handshakes shed at this tenant's accept-admission limit",
-                              [this, tenant] { return tenants_.GetStats(tenant).accept_shed; });
-    metrics_.RegisterCallback("tenant.op_shed" + label, "tenant", "ops",
-                              "Submissions shed at this tenant's inflight watermark",
-                              [this, tenant] { return tenants_.GetStats(tenant).op_shed; });
-    metrics_.RegisterCallback("tenant.inflight_qtokens" + label, "tenant", "tokens",
-                              "Qtokens this tenant currently has in flight",
-                              [this, tenant] { return tokens_.InflightForTenant(tenant); });
+    metrics_.RegisterGauge("tenant.mem_used" + label, "bytes", [this, tenant] {
+      return static_cast<uint64_t>(alloc_.GetTenantMemStats(tenant).used_bytes);
+    });
+    metrics_.RegisterCounter("tenant.mem_denials" + label, "allocations",
+                             [this, tenant] { return alloc_.GetTenantMemStats(tenant).denials; });
+    metrics_.RegisterCounter("tenant.accept_shed" + label, "connections",
+                             [this, tenant] { return tenants_.GetStats(tenant).accept_shed; });
+    metrics_.RegisterCounter("tenant.op_shed" + label, "ops",
+                             [this, tenant] { return tenants_.GetStats(tenant).op_shed; });
+    metrics_.RegisterGauge("tenant.inflight_qtokens" + label, "tokens",
+                           [this, tenant] { return tokens_.InflightForTenant(tenant); });
   }
   OnTenantRegistered(tenant, config);
   return Status::kOk;
@@ -221,21 +171,14 @@ Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
         return r;
       }
     }
+    // Checked after the scan, so a token completed by the round that crossed the deadline is
+    // still returned above.
+    if (deadline != 0 && clock_.Now() >= deadline) {
+      return Status::kTimedOut;
+    }
     sched_.Poll();
     RunExternalPump();
     wait_poll_rounds_->Inc();
-    if (deadline != 0 && clock_.Now() >= deadline) {
-      for (size_t k = 0; k < qts.size(); k++) {
-        const size_t i = (rot + k) % qts.size();
-        if (tokens_.IsDone(qts[i])) {
-          if (index_out != nullptr) {
-            *index_out = i;
-          }
-          return tokens_.Take(qts[i]);
-        }
-      }
-      return Status::kTimedOut;
-    }
   }
   // demilint: end-fastpath
 }

@@ -66,10 +66,9 @@ void ShardGroup::WorkerMain(size_t shard_id) {
   for (const auto& [ip, mac] : options_.static_arp) {
     os->ethernet().arp().Insert(ip, mac);
   }
-  os->metrics().RegisterGauge("shard.id", "shard", "index", "This worker's shard index")
-      .Set(static_cast<int64_t>(shard_id));
+  os->metrics().RegisterGauge("shard.id", "index").Set(static_cast<int64_t>(shard_id));
   os->metrics()
-      .RegisterGauge("shard.workers", "shard", "count", "Workers in this shard group")
+      .RegisterGauge("shard.workers", "count")
       .Set(static_cast<int64_t>(options_.num_workers));
   {
     std::unique_lock<std::mutex> lock(init_mu_);
@@ -120,7 +119,7 @@ void ShardGroup::Join() {
 std::string ShardGroup::ExportMetricsText() const {
   // Annotated control-domain exemption (docs/STATIC_ANALYSIS.md): scraping metrics reads
   // shard-owned instruments from the spawning thread. Counters/gauges are relaxed atomics and
-  // callback-backed stats tolerate staleness, so this cross-domain read is deliberate.
+  // accessor-sampled stats tolerate staleness, so this cross-domain read is deliberate.
   [[maybe_unused]] AffinityExemptScope metrics_scrape;
   std::ostringstream out;
   for (size_t i = 0; i < shards_.size(); i++) {

@@ -318,28 +318,16 @@ void FaultInjector::RegisterMetrics(MetricsRegistry& registry) {
       return stats_.*field;
     };
   };
-  registry.RegisterCallback("faults.frames_corrupted", "faults", "frames",
-                            "Frames with injected bit flips", stat(&Stats::frames_corrupted));
-  registry.RegisterCallback("faults.frames_dropped", "faults", "frames",
-                            "Frames swallowed by injected flaps/partitions",
-                            stat(&Stats::frames_dropped));
-  registry.RegisterCallback("faults.link_flaps", "faults", "events",
-                            "Injected whole-link down/up flaps", stat(&Stats::link_flaps));
-  registry.RegisterCallback("faults.partitions", "faults", "events",
-                            "Injected pairwise partition windows", stat(&Stats::partitions));
-  registry.RegisterCallback("faults.disk_io_errors", "faults", "ops",
-                            "Disk ops completed with an injected I/O error",
-                            stat(&Stats::disk_io_errors));
-  registry.RegisterCallback("faults.disk_delays", "faults", "ops",
-                            "Disk ops with an injected latency spike", stat(&Stats::disk_delays));
-  registry.RegisterCallback("faults.disk_torn_writes", "faults", "ops",
-                            "Writes torn at an injected crash point",
-                            stat(&Stats::disk_torn_writes));
-  registry.RegisterCallback("faults.alloc_failures", "faults", "allocs",
-                            "Pool allocations failed by injection", stat(&Stats::alloc_failures));
-  registry.RegisterCallback("faults.tenant_frames_dropped", "faults", "frames",
-                            "Frames swallowed by tenant-scoped drop targeting",
-                            stat(&Stats::tenant_frames_dropped));
+  registry.RegisterCounter("faults.frames_corrupted", "frames", stat(&Stats::frames_corrupted));
+  registry.RegisterCounter("faults.frames_dropped", "frames", stat(&Stats::frames_dropped));
+  registry.RegisterCounter("faults.link_flaps", "events", stat(&Stats::link_flaps));
+  registry.RegisterCounter("faults.partitions", "events", stat(&Stats::partitions));
+  registry.RegisterCounter("faults.disk_io_errors", "ops", stat(&Stats::disk_io_errors));
+  registry.RegisterCounter("faults.disk_delays", "ops", stat(&Stats::disk_delays));
+  registry.RegisterCounter("faults.disk_torn_writes", "ops", stat(&Stats::disk_torn_writes));
+  registry.RegisterCounter("faults.alloc_failures", "allocs", stat(&Stats::alloc_failures));
+  registry.RegisterCounter("faults.tenant_frames_dropped", "frames",
+                           stat(&Stats::tenant_frames_dropped));
 }
 
 }  // namespace demi

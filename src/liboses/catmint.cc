@@ -49,22 +49,16 @@ Catmint::Catmint(SimNetwork& network, const Config& config, Clock& clock)
     free_slots_.push_back(i);
   }
   PostRecvBuffers();
-  metrics_.RegisterCallback("catmint.msgs_sent", "catmint", "msgs", "Messages sent",
-                            [this] { return stats_.msgs_sent; });
-  metrics_.RegisterCallback("catmint.msgs_received", "catmint", "msgs", "Messages received",
-                            [this] { return stats_.msgs_received; });
-  metrics_.RegisterCallback("catmint.credit_updates_sent", "catmint", "writes",
-                            "One-sided credit-counter updates written to peers",
-                            [this] { return stats_.credit_updates_sent; });
-  metrics_.RegisterCallback("catmint.sends_blocked_on_credits", "catmint", "sends",
-                            "Sends that blocked waiting for peer credits",
-                            [this] { return stats_.sends_blocked_on_credits; });
-  metrics_.RegisterCallback("catmint.connects_rejected", "catmint", "conns",
-                            "Inbound connects rejected (no listener or full backlog)",
-                            [this] { return stats_.connects_rejected; });
-  metrics_.RegisterCallback("catmint.posted_recvs", "catmint", "buffers",
-                            "Receive buffers currently posted to the device",
-                            [this] { return posted_recvs_; });
+  metrics_.RegisterCounter("catmint.msgs_sent", "msgs", [this] { return stats_.msgs_sent; });
+  metrics_.RegisterCounter("catmint.msgs_received", "msgs",
+                           [this] { return stats_.msgs_received; });
+  metrics_.RegisterCounter("catmint.credit_updates_sent", "writes",
+                           [this] { return stats_.credit_updates_sent; });
+  metrics_.RegisterCounter("catmint.sends_blocked_on_credits", "sends",
+                           [this] { return stats_.sends_blocked_on_credits; });
+  metrics_.RegisterCounter("catmint.connects_rejected", "conns",
+                           [this] { return stats_.connects_rejected; });
+  metrics_.RegisterGauge("catmint.posted_recvs", "buffers", [this] { return posted_recvs_; });
   if (config.disk != nullptr) {
     storage_ = std::make_unique<StorageQueueEngine>(*config.disk, sched_, alloc_, tokens_);
     config.disk->RegisterMetrics(metrics_);

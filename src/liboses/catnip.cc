@@ -23,24 +23,17 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
   // Per-queue NIC view: each shard's registry reports only its own RSS queue pair, so an
   // aggregated rollup (ShardGroup::AggregateSnapshot) sums to the whole NIC.
   const size_t qid = config.queue_id;
-  metrics_.RegisterGauge("nic.queue_id", "nic", "index", "RSS queue pair this shard polls")
-      .Set(static_cast<int64_t>(qid));
-  metrics_.RegisterCallback("nic.queue_rx_frames", "nic", "frames",
-                            "Frames received on this shard's rx queue",
-                            [this, qid] { return nic_.queue_stats(qid).rx_frames; });
-  metrics_.RegisterCallback("nic.queue_rx_bytes", "nic", "bytes",
-                            "Bytes received on this shard's rx queue",
-                            [this, qid] { return nic_.queue_stats(qid).rx_bytes; });
-  metrics_.RegisterCallback("nic.queue_tx_frames", "nic", "frames",
-                            "Frames transmitted on this shard's tx queue",
-                            [this, qid] { return nic_.queue_stats(qid).tx_frames; });
-  metrics_.RegisterCallback("nic.queue_tx_bytes", "nic", "bytes",
-                            "Bytes transmitted on this shard's tx queue",
-                            [this, qid] { return nic_.queue_stats(qid).tx_bytes; });
-  metrics_.RegisterCallback(
-      "net.port_lock_contention", "net", "events",
-      "Fabric deliveries that found an rx-queue lock held by another core",
-      [this] { return nic_.network().GetStats().port_lock_contention; });
+  metrics_.RegisterGauge("nic.queue_id", "index").Set(static_cast<int64_t>(qid));
+  metrics_.RegisterCounter("nic.queue_rx_frames", "frames",
+                           [this, qid] { return nic_.queue_stats(qid).rx_frames; });
+  metrics_.RegisterCounter("nic.queue_rx_bytes", "bytes",
+                           [this, qid] { return nic_.queue_stats(qid).rx_bytes; });
+  metrics_.RegisterCounter("nic.queue_tx_frames", "frames",
+                           [this, qid] { return nic_.queue_stats(qid).tx_frames; });
+  metrics_.RegisterCounter("nic.queue_tx_bytes", "bytes",
+                           [this, qid] { return nic_.queue_stats(qid).tx_bytes; });
+  metrics_.RegisterCounter("net.port_lock_contention", "events",
+                           [this] { return nic_.network().GetStats().port_lock_contention; });
   eth_.SetTracer(&tracer_);
   udp_.RegisterMetrics(metrics_);
   tcp_.SetObservability(&metrics_, &tracer_);
@@ -66,21 +59,12 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
                      static_cast<unsigned long long>(storage_->log().tail()));
     }
     storage_->log().RegisterMetrics(metrics_);
-    metrics_.RegisterCallback("splice.ops", "splice", "ops",
-                              "Completed splice operations",
-                              [this] { return splice_stats_.ops; });
-    metrics_.RegisterCallback("splice.active", "splice", "ops",
-                              "Splice operations currently running",
-                              [this] { return splice_stats_.active; });
-    metrics_.RegisterCallback("splice.bytes", "splice", "bytes",
-                              "Payload bytes moved end to end by splices",
-                              [this] { return splice_stats_.bytes; });
-    metrics_.RegisterCallback("splice.records", "splice", "records",
-                              "Log records written or read on behalf of splices",
-                              [this] { return splice_stats_.records; });
-    metrics_.RegisterCallback("splice.bounce_bytes", "splice", "bytes",
-                              "Payload bytes the log had to flatten instead of gather-DMA",
-                              [this] { return storage_->log().stats().bounce_bytes; });
+    metrics_.RegisterCounter("splice.ops", "ops", [this] { return splice_stats_.ops; });
+    metrics_.RegisterGauge("splice.active", "ops", [this] { return splice_stats_.active; });
+    metrics_.RegisterCounter("splice.bytes", "bytes", [this] { return splice_stats_.bytes; });
+    metrics_.RegisterCounter("splice.records", "records", [this] { return splice_stats_.records; });
+    metrics_.RegisterCounter("splice.bounce_bytes", "bytes",
+                             [this] { return storage_->log().stats().bounce_bytes; });
   }
   sched_.Spawn(FastPathFiber());
 }

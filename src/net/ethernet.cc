@@ -19,49 +19,32 @@ EthernetLayer::EthernetLayer(SimNic& nic, Ipv4Addr local_ip, bool checksum_offlo
       rx_frames_(rx_burst_frames == 0 ? 1 : rx_burst_frames) {}
 
 void EthernetLayer::RegisterMetrics(MetricsRegistry& registry) {
-  registry.RegisterCallback("eth.ipv4_rx", "eth", "packets", "IPv4 packets received for us",
-                            [this] { return stats_.ipv4_rx; });
-  registry.RegisterCallback("eth.ipv4_tx", "eth", "packets", "IPv4 packets transmitted",
-                            [this] { return stats_.ipv4_tx; });
-  registry.RegisterCallback("eth.arp_requests_sent", "eth", "packets", "ARP requests sent",
-                            [this] { return stats_.arp_requests_sent; });
-  registry.RegisterCallback("eth.arp_replies_sent", "eth", "packets", "ARP replies sent",
-                            [this] { return stats_.arp_replies_sent; });
-  registry.RegisterCallback("eth.pending_dropped", "eth", "packets",
-                            "Packets dropped while waiting on ARP resolution",
-                            [this] { return stats_.pending_dropped; });
-  registry.RegisterCallback("eth.parse_errors", "eth", "frames", "Unparseable received frames",
-                            [this] { return stats_.parse_errors; });
-  registry.RegisterCallback("eth.no_receiver", "eth", "packets",
-                            "IPv4 packets with no registered protocol receiver",
-                            [this] { return stats_.no_receiver; });
-  registry.RegisterCallback("eth.rx_bursts", "eth", "bursts",
-                            "PollOnce calls that returned at least one frame",
-                            [this] { return stats_.rx_bursts; });
-  registry.RegisterCallback("eth.rx_burst_frames", "eth", "frames",
-                            "Frames delivered through RX bursts",
-                            [this] { return stats_.rx_burst_frames; });
-  registry.RegisterCallback("eth.tx_errors", "eth", "frames",
-                            "Frame transmit failures absorbed (upper layers recover)",
-                            [this] { return stats_.tx_errors; });
-  registry.RegisterCallback("nic.tx_sched_inline", "nic", "frames",
-                            "Frames admitted on the zero-copy TX fast path",
-                            [this] { return tx_sched_.stats().inline_frames; });
-  registry.RegisterCallback("nic.tx_sched_enqueued", "nic", "frames",
-                            "Frames throttled behind a tenant token bucket",
-                            [this] { return tx_sched_.stats().enqueued_frames; });
-  registry.RegisterCallback("nic.tx_sched_drained", "nic", "frames",
-                            "Throttled frames sent by the weighted-DRR drain",
-                            [this] { return tx_sched_.stats().drained_frames; });
-  registry.RegisterCallback("nic.tx_sched_drops", "nic", "frames",
-                            "Frames tail-dropped at a tenant's TX queue cap",
-                            [this] { return tx_sched_.stats().dropped_frames; });
-  registry.RegisterCallback("nic.tx_sched_rounds", "nic", "rounds",
-                            "Deficit-round-robin scan rounds over backlogged tenants",
-                            [this] { return tx_sched_.stats().drr_rounds; });
-  registry.RegisterCallback("nic.tx_sched_backlog", "nic", "frames",
-                            "Frames currently queued across all tenant TX queues",
-                            [this] { return tx_sched_.backlog_frames(); });
+  registry.RegisterCounter("eth.ipv4_rx", "packets", [this] { return stats_.ipv4_rx; });
+  registry.RegisterCounter("eth.ipv4_tx", "packets", [this] { return stats_.ipv4_tx; });
+  registry.RegisterCounter("eth.arp_requests_sent", "packets",
+                           [this] { return stats_.arp_requests_sent; });
+  registry.RegisterCounter("eth.arp_replies_sent", "packets",
+                           [this] { return stats_.arp_replies_sent; });
+  registry.RegisterCounter("eth.pending_dropped", "packets",
+                           [this] { return stats_.pending_dropped; });
+  registry.RegisterCounter("eth.parse_errors", "frames", [this] { return stats_.parse_errors; });
+  registry.RegisterCounter("eth.no_receiver", "packets", [this] { return stats_.no_receiver; });
+  registry.RegisterCounter("eth.rx_bursts", "bursts", [this] { return stats_.rx_bursts; });
+  registry.RegisterCounter("eth.rx_burst_frames", "frames",
+                           [this] { return stats_.rx_burst_frames; });
+  registry.RegisterCounter("eth.tx_errors", "frames", [this] { return stats_.tx_errors; });
+  registry.RegisterCounter("nic.tx_sched_inline", "frames",
+                           [this] { return tx_sched_.stats().inline_frames; });
+  registry.RegisterCounter("nic.tx_sched_enqueued", "frames",
+                           [this] { return tx_sched_.stats().enqueued_frames; });
+  registry.RegisterCounter("nic.tx_sched_drained", "frames",
+                           [this] { return tx_sched_.stats().drained_frames; });
+  registry.RegisterCounter("nic.tx_sched_drops", "frames",
+                           [this] { return tx_sched_.stats().dropped_frames; });
+  registry.RegisterCounter("nic.tx_sched_rounds", "rounds",
+                           [this] { return tx_sched_.stats().drr_rounds; });
+  registry.RegisterGauge("nic.tx_sched_backlog", "frames",
+                         [this] { return tx_sched_.backlog_frames(); });
 }
 
 void EthernetLayer::RegisterReceiver(IpProto proto, Ipv4Receiver* receiver) {

@@ -610,17 +610,6 @@ void TcpConnection::TrySend(TimeNs now) {
 // --- Ack scheduling --------------------------------------------------------------
 
 void TcpConnection::ScheduleAck() {
-  const TcpConfig& cfg = stack_.config();
-  if (!cfg.delayed_acks && cfg.ack_delay > 0) {
-    // Legacy fixed-delay coalescing ablation: every ack waits exactly ack_delay.
-    if (hot_.ack_needed) {
-      return;
-    }
-    hot_.ack_needed = true;
-    hot_.ack_immediate = false;
-    ArmAckTimer(stack_.clock().Now() + cfg.ack_delay);
-    return;
-  }
   if (hot_.ack_needed && hot_.ack_immediate) {
     return;  // already scheduled urgently
   }
@@ -644,7 +633,7 @@ void TcpConnection::ScheduleAck() {
 
 void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   if (!stack_.config().delayed_acks) {
-    ScheduleAck();  // ablation: legacy ack-per-segment (plus the fixed ack_delay, if set)
+    ScheduleAck();  // ablation: ack every segment
     return;
   }
   if (hot_.ack_needed) {
@@ -1398,67 +1387,41 @@ void TcpStack::SetObservability(MetricsRegistry* registry, Tracer* tracer) {
     return;
   }
   MetricsRegistry& reg = *registry;
-  reg.RegisterCallback("tcp.segments_rx", "tcp", "segments", "Segments received by the stack",
-                       [this] { return stats_.segments_rx; });
-  reg.RegisterCallback("tcp.segments_tx", "tcp", "segments", "Segments transmitted",
-                       [this] { return stats_.segments_tx; });
-  reg.RegisterCallback("tcp.rst_sent", "tcp", "segments", "RSTs sent",
-                       [this] { return stats_.rst_sent; });
-  reg.RegisterCallback("tcp.no_connection", "tcp", "segments",
-                       "Segments for no known connection or listener",
-                       [this] { return stats_.no_connection; });
-  reg.RegisterCallback("tcp.parse_errors", "tcp", "segments", "Unparseable segments",
-                       [this] { return stats_.parse_errors; });
-  reg.RegisterCallback("tcp.rx_checksum_drops", "tcp", "segments",
-                       "Segments dropped: software checksum verification failed",
-                       [this] { return stats_.rx_checksum_drops; });
-  reg.RegisterCallback("tcp.rx_alloc_drops", "tcp", "segments",
-                       "Segment payloads dropped on heap exhaustion (recovered by retransmit)",
-                       [this] { return stats_.rx_alloc_drops; });
-  reg.RegisterCallback("tcp.tx_errors", "tcp", "segments",
-                       "Segment transmit failures absorbed (recovered by retransmit)",
-                       [this] { return stats_.tx_errors; });
-  reg.RegisterCallback("tcp.conns_opened", "tcp", "conns", "Connections opened",
-                       [this] { return stats_.conns_opened; });
-  reg.RegisterCallback("tcp.conns_reaped", "tcp", "conns", "Closed connections reaped",
-                       [this] { return stats_.conns_reaped; });
-  reg.RegisterCallback("tcp.connections", "tcp", "conns", "Current connection table size",
-                       [this] { return conns_.size(); });
-  reg.RegisterCallback("tcp.flows", "tcp", "conns", "Live flow-table entries",
-                       [this] { return conns_.size(); });
-  reg.RegisterCallback("tcp.syn_cookies_sent", "tcp", "segments",
-                       "Stateless SYN-ACKs sent with a cookie ISS",
-                       [this] { return stats_.syn_cookies_sent; });
-  reg.RegisterCallback("tcp.syn_cookies_validated", "tcp", "conns",
-                       "Connections established from a validated SYN cookie",
-                       [this] { return stats_.syn_cookies_validated; });
-  reg.RegisterCallback("tcp.tcb_bytes", "tcp", "bytes",
-                       "Bytes reserved by the TCB slab and flow table",
-                       [this] { return TcbBytesReserved(); });
-  reg.RegisterCallback("tcp.bytes_sent", "tcp", "bytes", "Payload bytes sent (all conns)",
-                       [this] { return AggregateConnStats().bytes_sent; });
-  reg.RegisterCallback("tcp.bytes_received", "tcp", "bytes",
-                       "Payload bytes received (all conns)",
-                       [this] { return AggregateConnStats().bytes_received; });
-  reg.RegisterCallback("tcp.retransmits", "tcp", "segments", "RTO + handshake retransmissions",
-                       [this] { return AggregateConnStats().retransmits; });
-  reg.RegisterCallback("tcp.fast_retransmits", "tcp", "segments",
-                       "Fast retransmits (3 duplicate acks)",
-                       [this] { return AggregateConnStats().fast_retransmits; });
-  reg.RegisterCallback("tcp.out_of_order", "tcp", "segments",
-                       "Segments arriving out of order (reassembly queue)",
-                       [this] { return AggregateConnStats().out_of_order; });
-  reg.RegisterCallback("tcp.dup_acks", "tcp", "acks", "Duplicate acks seen",
-                       [this] { return AggregateConnStats().dup_acks_seen; });
-  reg.RegisterCallback("tcp.paws_drops", "tcp", "segments",
-                       "Segments rejected by PAWS (RFC 7323)",
-                       [this] { return AggregateConnStats().paws_drops; });
-  reg.RegisterCallback("tcp.coalesced_segments", "tcp", "segments",
-                       "Data segments sent carrying more than one gathered buffer slice",
-                       [this] { return AggregateConnStats().coalesced_segments; });
-  reg.RegisterCallback("tcp.delayed_acks", "tcp", "acks",
-                       "Pure acks held to the delayed-ack timer before sending",
-                       [this] { return AggregateConnStats().delayed_acks; });
+  reg.RegisterCounter("tcp.segments_rx", "segments", [this] { return stats_.segments_rx; });
+  reg.RegisterCounter("tcp.segments_tx", "segments", [this] { return stats_.segments_tx; });
+  reg.RegisterCounter("tcp.rst_sent", "segments", [this] { return stats_.rst_sent; });
+  reg.RegisterCounter("tcp.no_connection", "segments", [this] { return stats_.no_connection; });
+  reg.RegisterCounter("tcp.parse_errors", "segments", [this] { return stats_.parse_errors; });
+  reg.RegisterCounter("tcp.rx_checksum_drops", "segments",
+                      [this] { return stats_.rx_checksum_drops; });
+  reg.RegisterCounter("tcp.rx_alloc_drops", "segments", [this] { return stats_.rx_alloc_drops; });
+  reg.RegisterCounter("tcp.tx_errors", "segments", [this] { return stats_.tx_errors; });
+  reg.RegisterCounter("tcp.conns_opened", "conns", [this] { return stats_.conns_opened; });
+  reg.RegisterCounter("tcp.conns_reaped", "conns", [this] { return stats_.conns_reaped; });
+  reg.RegisterGauge("tcp.connections", "conns", [this] { return conns_.size(); });
+  reg.RegisterCounter("tcp.syn_cookies_sent", "segments",
+                      [this] { return stats_.syn_cookies_sent; });
+  reg.RegisterCounter("tcp.syn_cookies_validated", "conns",
+                      [this] { return stats_.syn_cookies_validated; });
+  reg.RegisterGauge("tcp.tcb_bytes", "bytes", [this] { return TcbBytesReserved(); });
+  reg.RegisterCounter("tcp.bytes_sent", "bytes",
+                      [this] { return AggregateConnStats().bytes_sent; });
+  reg.RegisterCounter("tcp.bytes_received", "bytes",
+                      [this] { return AggregateConnStats().bytes_received; });
+  reg.RegisterCounter("tcp.retransmits", "segments",
+                      [this] { return AggregateConnStats().retransmits; });
+  reg.RegisterCounter("tcp.fast_retransmits", "segments",
+                      [this] { return AggregateConnStats().fast_retransmits; });
+  reg.RegisterCounter("tcp.out_of_order", "segments",
+                      [this] { return AggregateConnStats().out_of_order; });
+  reg.RegisterCounter("tcp.dup_acks", "acks",
+                      [this] { return AggregateConnStats().dup_acks_seen; });
+  reg.RegisterCounter("tcp.paws_drops", "segments",
+                      [this] { return AggregateConnStats().paws_drops; });
+  reg.RegisterCounter("tcp.coalesced_segments", "segments",
+                      [this] { return AggregateConnStats().coalesced_segments; });
+  reg.RegisterCounter("tcp.delayed_acks", "acks",
+                      [this] { return AggregateConnStats().delayed_acks; });
 }
 
 }  // namespace demi

@@ -72,10 +72,6 @@ struct TcpConfig {
   size_t recv_buffer_bytes = 1 << 20;
   uint8_t window_scale = 7;  // advertise 2^7 scaling (RFC 7323)
 
-  // Legacy fixed ack delay: 0 = ack on the next acker-fiber run (one scheduler round,
-  // near-immediate). Only consulted when `delayed_acks` below is off (the ablation knob).
-  DurationNs ack_delay = 0;
-
   // RFC 1122 delayed/coalesced acks: hold a pure ack for up to `delayed_ack_timeout`, ack
   // immediately after every `ack_every_segments`-th full-sized segment, and ack immediately on
   // out-of-order or window-recovery events. The default timeout is 500 µs — the µs-fabric

@@ -9,27 +9,17 @@ UdpStack::UdpStack(EthernetLayer& eth, PoolAllocator& alloc) : eth_(eth), alloc_
 }
 
 void UdpStack::RegisterMetrics(MetricsRegistry& registry) {
-  registry.RegisterCallback("udp.tx_datagrams", "udp", "datagrams", "Datagrams sent",
-                            [this] { return stats_.tx_datagrams; });
-  registry.RegisterCallback("udp.rx_datagrams", "udp", "datagrams", "Datagrams delivered",
-                            [this] { return stats_.rx_datagrams; });
-  registry.RegisterCallback("udp.rx_no_socket", "udp", "datagrams",
-                            "Datagrams dropped: no socket bound to the port",
-                            [this] { return stats_.rx_no_socket; });
-  registry.RegisterCallback("udp.rx_queue_drops", "udp", "datagrams",
-                            "Datagrams dropped: per-socket receive queue full",
-                            [this] { return stats_.rx_queue_drops; });
-  registry.RegisterCallback("udp.parse_errors", "udp", "datagrams",
-                            "Unparseable datagrams",
-                            [this] { return stats_.parse_errors; });
-  registry.RegisterCallback("udp.rx_checksum_drops", "udp", "datagrams",
-                            "Datagrams dropped: software checksum verification failed",
-                            [this] { return stats_.rx_checksum_drops; });
-  registry.RegisterCallback("udp.rx_alloc_drops", "udp", "datagrams",
-                            "Datagrams dropped: DMA heap exhausted while landing the payload",
-                            [this] { return stats_.rx_alloc_drops; });
-  registry.RegisterCallback("udp.sockets", "udp", "sockets", "Currently bound sockets",
-                            [this] { return sockets_.size(); });
+  registry.RegisterCounter("udp.tx_datagrams", "datagrams", [this] { return stats_.tx_datagrams; });
+  registry.RegisterCounter("udp.rx_datagrams", "datagrams", [this] { return stats_.rx_datagrams; });
+  registry.RegisterCounter("udp.rx_no_socket", "datagrams", [this] { return stats_.rx_no_socket; });
+  registry.RegisterCounter("udp.rx_queue_drops", "datagrams",
+                           [this] { return stats_.rx_queue_drops; });
+  registry.RegisterCounter("udp.parse_errors", "datagrams", [this] { return stats_.parse_errors; });
+  registry.RegisterCounter("udp.rx_checksum_drops", "datagrams",
+                           [this] { return stats_.rx_checksum_drops; });
+  registry.RegisterCounter("udp.rx_alloc_drops", "datagrams",
+                           [this] { return stats_.rx_alloc_drops; });
+  registry.RegisterGauge("udp.sockets", "sockets", [this] { return sockets_.size(); });
 }
 
 Result<UdpStack::Socket*> UdpStack::Bind(uint16_t port) {

@@ -46,6 +46,9 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+// "tcp" for "tcp.retransmits" and for the labelled "tcp.x{tenant=2}".
+std::string_view ComponentOf(std::string_view name) { return name.substr(0, name.find('.')); }
+
 }  // namespace
 
 const char* MetricTypeName(MetricType type) {
@@ -54,16 +57,13 @@ const char* MetricTypeName(MetricType type) {
       return "counter";
     case MetricType::kGauge:
       return "gauge";
-    case MetricType::kCallback:
-      return "counter";  // callbacks sample a component counter; same semantics for consumers
     case MetricType::kHistogram:
       return "histogram";
   }
   return "unknown";
 }
 
-MetricsRegistry::Entry& MetricsRegistry::Intern(std::string name, std::string component,
-                                                std::string unit, std::string help,
+MetricsRegistry::Entry& MetricsRegistry::Intern(std::string name, std::string unit,
                                                 MetricType type) {
   auto it = index_.find(name);
   if (it != index_.end()) {
@@ -73,86 +73,53 @@ MetricsRegistry::Entry& MetricsRegistry::Intern(std::string name, std::string co
   }
   auto entry = std::make_unique<Entry>();
   entry->name = std::move(name);
-  entry->component = std::move(component);
   entry->unit = std::move(unit);
-  entry->help = std::move(help);
   entry->type = type;
   entries_.push_back(std::move(entry));
   index_[entries_.back()->name] = entries_.size() - 1;
   return *entries_.back();
 }
 
-Counter& MetricsRegistry::RegisterCounter(std::string name, std::string component,
-                                          std::string unit, std::string help) {
-  Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kCounter);
+Counter& MetricsRegistry::RegisterCounter(std::string name, std::string unit) {
+  Entry& e = Intern(std::move(name), std::move(unit), MetricType::kCounter);
   if (!e.counter) {
     e.counter = std::make_unique<Counter>();
   }
   return *e.counter;
 }
 
-Gauge& MetricsRegistry::RegisterGauge(std::string name, std::string component, std::string unit,
-                                      std::string help) {
-  Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kGauge);
+Gauge& MetricsRegistry::RegisterGauge(std::string name, std::string unit) {
+  Entry& e = Intern(std::move(name), std::move(unit), MetricType::kGauge);
   if (!e.gauge) {
     e.gauge = std::make_unique<Gauge>();
   }
   return *e.gauge;
 }
 
-Histogram& MetricsRegistry::RegisterHistogram(std::string name, std::string component,
-                                              std::string unit, std::string help) {
-  Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kHistogram);
+Histogram& MetricsRegistry::RegisterHistogram(std::string name, std::string unit) {
+  Entry& e = Intern(std::move(name), std::move(unit), MetricType::kHistogram);
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>();
   }
   return *e.histogram;
 }
 
-void MetricsRegistry::RegisterCallback(std::string name, std::string component, std::string unit,
-                                       std::string help, std::function<uint64_t()> fn) {
-  Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kCallback);
-  e.callback = std::move(fn);
+void MetricsRegistry::RegisterCounter(std::string name, std::string unit,
+                                      std::function<uint64_t()> fn) {
+  Intern(std::move(name), std::move(unit), MetricType::kCounter).sample = std::move(fn);
 }
 
-bool MetricsRegistry::Unregister(std::string_view name) {
-  auto it = index_.find(std::string(name));
-  if (it == index_.end()) {
-    return false;
-  }
-  const size_t slot = it->second;
-  index_.erase(it);
-  // Swap-erase, then fix the moved entry's index.
-  if (slot != entries_.size() - 1) {
-    entries_[slot] = std::move(entries_.back());
-    index_[entries_[slot]->name] = slot;
-  }
-  entries_.pop_back();
-  return true;
-}
-
-size_t MetricsRegistry::UnregisterComponent(std::string_view component) {
-  std::vector<std::string> names;
-  for (const auto& e : entries_) {
-    if (e->component == component) {
-      names.push_back(e->name);
-    }
-  }
-  for (const std::string& n : names) {
-    Unregister(n);
-  }
-  return names.size();
+void MetricsRegistry::RegisterGauge(std::string name, std::string unit,
+                                    std::function<uint64_t()> fn) {
+  Intern(std::move(name), std::move(unit), MetricType::kGauge).sample = std::move(fn);
 }
 
 size_t MetricsRegistry::NumComponents() const {
   std::vector<std::string_view> seen;
   for (const auto& e : entries_) {
-    if (std::find(seen.begin(), seen.end(), e->component) == seen.end()) {
-      seen.push_back(e->component);
+    const std::string_view component = ComponentOf(e->name);
+    if (std::find(seen.begin(), seen.end(), component) == seen.end()) {
+      seen.push_back(component);
     }
   }
   return seen.size();
@@ -164,18 +131,15 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
   for (const auto& e : entries_) {
     Sample s;
     s.name = e->name;
-    s.component = e->component;
+    s.component = ComponentOf(e->name);
     s.unit = e->unit;
     s.type = e->type;
     switch (e->type) {
       case MetricType::kCounter:
-        s.value = static_cast<int64_t>(e->counter->Value());
+        s.value = static_cast<int64_t>(e->sample ? e->sample() : e->counter->Value());
         break;
       case MetricType::kGauge:
-        s.value = e->gauge->Value();
-        break;
-      case MetricType::kCallback:
-        s.value = e->callback ? static_cast<int64_t>(e->callback()) : 0;
+        s.value = e->sample ? static_cast<int64_t>(e->sample()) : e->gauge->Value();
         break;
       case MetricType::kHistogram: {
         const Histogram& h = *e->histogram;

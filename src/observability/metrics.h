@@ -2,14 +2,16 @@
 //
 // The paper's evaluation (§7) lives and dies on nanosecond-granularity datapath counters —
 // wait latency, scheduler poll behaviour, retransmits. Components keep their existing plain
-// `Stats` structs on the hot path (a plain increment, zero new cost) and *register* them here
-// as callback gauges sampled only at snapshot time; metrics that no component owned before
+// `Stats` structs on the hot path (a plain increment, zero new cost) and *register* an accessor
+// for each field here, sampled only at snapshot time; metrics that no component owned before
 // (wait latency histograms, registry-owned counters) are allocated by the registry itself.
 // Counters and gauges are lock-free (relaxed atomics) so a snapshot taken from another thread
 // never blocks the datapath.
 //
-// Names are dotted `component.metric` strings (see docs/OBSERVABILITY.md for the full
-// reference); snapshots export as aligned text or JSON.
+// A metric is declared by one call carrying its name, kind, unit and accessor. Names are dotted
+// `component.metric` strings and the component is the part before the first dot. What each
+// metric means lives only in docs/OBSERVABILITY.md, whose table demilint checks against these
+// calls. Snapshots export as aligned text or JSON.
 
 #ifndef SRC_OBSERVABILITY_METRICS_H_
 #define SRC_OBSERVABILITY_METRICS_H_
@@ -27,7 +29,8 @@
 
 namespace demi {
 
-enum class MetricType : uint8_t { kCounter, kGauge, kCallback, kHistogram };
+// A value that can go down is a gauge; a counter only ever grows.
+enum class MetricType : uint8_t { kCounter, kGauge, kHistogram };
 
 const char* MetricTypeName(MetricType type);
 
@@ -85,28 +88,26 @@ class MetricsRegistry {
     uint64_t max = 0;
   };
 
-  MetricsRegistry() = default;
+  // Room for a libOS's whole metric set (~130), so registration neither regrows the slot
+  // vector and the index nor leaves their freed arrays as holes between a libOS's large
+  // buffers; the holes made a libOS rebuilt in the same process slower to set up.
+  MetricsRegistry() {
+    entries_.reserve(256);
+    index_.reserve(256);
+  }
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Registration is idempotent per name: re-registering an existing name of the same type
-  // returns the existing instrument (callbacks are replaced). References stay valid for the
+  // returns the existing instrument (accessors are replaced). References stay valid for the
   // registry's lifetime. Not for the hot path — register at construction time.
-  Counter& RegisterCounter(std::string name, std::string component, std::string unit,
-                           std::string help);
-  Gauge& RegisterGauge(std::string name, std::string component, std::string unit,
-                       std::string help);
-  Histogram& RegisterHistogram(std::string name, std::string component, std::string unit,
-                               std::string help);
-  // Samples `fn()` at snapshot time: how pre-existing component `Stats` structs are retrofitted
-  // without touching their increment sites.
-  void RegisterCallback(std::string name, std::string component, std::string unit,
-                        std::string help, std::function<uint64_t()> fn);
-
-  // Drops a metric (component being torn down before the registry). Returns false if absent.
-  bool Unregister(std::string_view name);
-  // Drops every metric registered under `component`; returns how many were removed.
-  size_t UnregisterComponent(std::string_view component);
+  Counter& RegisterCounter(std::string name, std::string unit);
+  Gauge& RegisterGauge(std::string name, std::string unit);
+  Histogram& RegisterHistogram(std::string name, std::string unit);
+  // Samples `fn()` at snapshot time: how component `Stats` structs are exported without
+  // touching their increment sites.
+  void RegisterCounter(std::string name, std::string unit, std::function<uint64_t()> fn);
+  void RegisterGauge(std::string name, std::string unit, std::function<uint64_t()> fn);
 
   bool Has(std::string_view name) const { return index_.count(std::string(name)) > 0; }
   size_t NumMetrics() const { return entries_.size(); }
@@ -123,18 +124,16 @@ class MetricsRegistry {
  private:
   struct Entry {
     std::string name;
-    std::string component;
     std::string unit;
-    std::string help;
     MetricType type;
+    // A registry-owned instrument, or `sample` for a sampled counter or gauge.
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<uint64_t()> callback;
+    std::function<uint64_t()> sample;
   };
 
-  Entry& Intern(std::string name, std::string component, std::string unit, std::string help,
-                MetricType type);
+  Entry& Intern(std::string name, std::string unit, MetricType type);
 
   std::vector<std::unique_ptr<Entry>> entries_;
   std::unordered_map<std::string, size_t> index_;  // name -> entries_ slot

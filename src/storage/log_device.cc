@@ -29,26 +29,14 @@ uint64_t GetU64(const uint8_t* src) {
 }  // namespace
 
 void LogDevice::RegisterMetrics(MetricsRegistry& registry) {
-  registry.RegisterCallback("log.io_retries", "log", "ops",
-                            "Transient device errors absorbed by backoff+retry",
-                            [this] { return stats_.io_retries; });
-  registry.RegisterCallback("log.io_terminal_errors", "log", "ops",
-                            "Appends/reads failed after the retry budget was spent",
-                            [this] { return stats_.io_terminal_errors; });
-  registry.RegisterCallback("log.sg_appends", "log", "ops",
-                            "Scatter-gather (splice) records appended",
-                            [this] { return stats_.sg_appends; });
-  registry.RegisterCallback("log.pad_bytes", "log", "bytes",
-                            "Alignment pad bytes written around scatter-gather records",
-                            [this] { return stats_.pad_bytes; });
-  registry.RegisterCallback("log.epoch", "log", "count",
-                            "Allocation epoch stamped into this partition's latest record",
-                            [this] { return stats_.last_epoch; });
-  registry.RegisterGauge("log.partition_id", "log", "index",
-                         "This shard's log partition (and device completion queue)")
-      .Set(static_cast<int64_t>(part_.id));
-  registry.RegisterGauge("log.partition_blocks", "log", "count",
-                         "Blocks owned by this shard's log partition")
+  registry.RegisterCounter("log.io_retries", "ops", [this] { return stats_.io_retries; });
+  registry.RegisterCounter("log.io_terminal_errors", "ops",
+                           [this] { return stats_.io_terminal_errors; });
+  registry.RegisterCounter("log.sg_appends", "ops", [this] { return stats_.sg_appends; });
+  registry.RegisterCounter("log.pad_bytes", "bytes", [this] { return stats_.pad_bytes; });
+  registry.RegisterCounter("log.epoch", "count", [this] { return stats_.last_epoch; });
+  registry.RegisterGauge("log.partition_id", "index").Set(static_cast<int64_t>(part_.id));
+  registry.RegisterGauge("log.partition_blocks", "count")
       .Set(static_cast<int64_t>(part_bytes_ / block_size_));
 }
 

@@ -44,25 +44,19 @@ void SimBlockDevice::SetFaultInjector(FaultInjector* faults) {
 }
 
 void SimBlockDevice::RegisterMetrics(MetricsRegistry& registry) {
-  registry.RegisterCallback("blockdev.reads", "blockdev", "ops", "Read operations submitted",
-                            [this] { return GetStats().reads; });
-  registry.RegisterCallback("blockdev.writes", "blockdev", "ops", "Write operations submitted",
-                            [this] { return GetStats().writes; });
-  registry.RegisterCallback("blockdev.bytes_read", "blockdev", "bytes", "Bytes read",
-                            [this] { return GetStats().bytes_read; });
-  registry.RegisterCallback("blockdev.bytes_written", "blockdev", "bytes", "Bytes written",
-                            [this] { return GetStats().bytes_written; });
-  registry.RegisterCallback("blockdev.queue_full_rejections", "blockdev", "ops",
-                            "Submissions rejected because the queue was full",
-                            [this] { return GetStats().queue_full_rejections; });
-  registry.RegisterCallback("blockdev.pending", "blockdev", "ops",
-                            "Operations submitted and not yet completed", [this] {
-                              std::lock_guard<std::mutex> lock(mu_);
-                              return pending_.size();
-                            });
-  registry.RegisterCallback("blockdev.io_errors", "blockdev", "ops",
-                            "Completions delivered with an error status",
-                            [this] { return GetStats().io_errors; });
+  registry.RegisterCounter("blockdev.reads", "ops", [this] { return GetStats().reads; });
+  registry.RegisterCounter("blockdev.writes", "ops", [this] { return GetStats().writes; });
+  registry.RegisterCounter("blockdev.bytes_read", "bytes",
+                           [this] { return GetStats().bytes_read; });
+  registry.RegisterCounter("blockdev.bytes_written", "bytes",
+                           [this] { return GetStats().bytes_written; });
+  registry.RegisterCounter("blockdev.queue_full_rejections", "ops",
+                           [this] { return GetStats().queue_full_rejections; });
+  registry.RegisterGauge("blockdev.pending", "ops", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pending_.size();
+  });
+  registry.RegisterCounter("blockdev.io_errors", "ops", [this] { return GetStats().io_errors; });
 }
 
 TimeNs SimBlockDevice::CompletionTimeFor(size_t bytes, bool is_read) {

@@ -291,6 +291,16 @@ TEST(MiniKvTest, ProtocolEncodingRoundTrip) {
   EXPECT_EQ(resp.status, KvStatus::kOk);
   EXPECT_EQ(resp.value, "resp");
 
+  // Empty default-constructed views (null data()) encode as zero-length fields.
+  const size_t g = KvEncodeRequest(KvOp::kGet, "key1", std::string_view{}, buf, sizeof(buf));
+  ASSERT_TRUE(KvParseRequest({buf + 4, g - 4}, &req));
+  EXPECT_EQ(req.key, "key1");
+  EXPECT_TRUE(req.value.empty());
+  const size_t e = KvEncodeResponse(KvStatus::kNotFound, std::string_view{}, buf, sizeof(buf));
+  ASSERT_TRUE(KvParseResponse({buf + 4, e - 4}, &resp));
+  EXPECT_EQ(resp.status, KvStatus::kNotFound);
+  EXPECT_TRUE(resp.value.empty());
+
   // Malformed frames are rejected, not crashed on.
   EXPECT_FALSE(KvParseRequest({buf, 3}, &req));
   uint8_t bad[16] = {99};

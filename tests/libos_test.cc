@@ -277,6 +277,53 @@ TEST_F(CatnipPairTest, WaitAnyHarvestDrainsBurst) {
   EXPECT_EQ(server_.WaitAnyHarvest(pops, &empty, nullptr, 2 * kMillisecond), 0u);
 }
 
+uint64_t WaitNsCount(const LibOS& os) {
+  for (const auto& s : os.metrics().Snapshot()) {
+    if (s.name == "core.wait_ns") {
+      return s.count;
+    }
+  }
+  return 0;
+}
+
+// A token that completes in the poll round that crosses the deadline comes back through the
+// normal completion path: WaitAny returns it and records its latency in core.wait_ns.
+TEST(CatnipWaitTest, WaitAnyReturnsTokenCompletedAsDeadlinePasses) {
+  VirtualClock clock;
+  SimNetwork net(LinkConfig{}, 7);
+  Catnip::Config cfg{MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr};
+  Catnip os(net, cfg, clock);
+  auto mq = os.MemoryQueue();
+  ASSERT_TRUE(mq.ok());
+  auto pop = os.Pop(*mq);
+  ASSERT_TRUE(pop.ok());
+  // The pump pushes in the first round; the pop completes on a later scheduler poll, and the
+  // pump round right after that poll steps the clock past the deadline.
+  QToken push = kInvalidQToken;
+  bool crossed = false;
+  os.SetExternalPump([&] {
+    if (push == kInvalidQToken) {
+      auto qt = os.Push(*mq, MakeSga(os, "late"));
+      ASSERT_TRUE(qt.ok());
+      push = *qt;
+    } else if (!crossed && os.IsDone(*pop)) {
+      clock.Advance(kSecond);
+      crossed = true;
+    }
+  });
+  const uint64_t waits_before = WaitNsCount(os);
+  QToken qts[1] = {*pop};
+  size_t index = 99;
+  auto r = os.WaitAny(qts, &index, kMillisecond);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(crossed);
+  EXPECT_EQ(index, 0u);
+  EXPECT_EQ(SgaToString(os, r->sga), "late");
+  EXPECT_EQ(WaitNsCount(os), waits_before + 1);
+  os.SetExternalPump(nullptr);
+  EXPECT_TRUE(os.Wait(push).ok());
+}
+
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {
   EXPECT_EQ(server_.Push(999, Sgarray{}).error(), Status::kBadQueueDescriptor);
   EXPECT_EQ(server_.Pop(999).error(), Status::kBadQueueDescriptor);

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,11 +51,10 @@ namespace {
 
 TEST(MetricsRegistry, RegisterAndSnapshot) {
   MetricsRegistry reg;
-  Counter& c = reg.RegisterCounter("tcp.segments_rx", "tcp", "segments", "received segments");
-  Gauge& g = reg.RegisterGauge("sched.runnable", "sched", "fibers", "runnable fibers");
+  Counter& c = reg.RegisterCounter("tcp.segments_rx", "segments");
+  Gauge& g = reg.RegisterGauge("sched.runnable", "fibers");
   uint64_t sampled = 7;
-  reg.RegisterCallback("eth.ipv4_rx", "eth", "packets", "ipv4 packets received",
-                       [&] { return sampled; });
+  reg.RegisterCounter("eth.ipv4_rx", "packets", [&] { return sampled; });
 
   c.Inc();
   c.Inc(41);
@@ -76,42 +77,62 @@ TEST(MetricsRegistry, RegisterAndSnapshot) {
   EXPECT_EQ(samples[2].type, MetricType::kCounter);
   EXPECT_EQ(samples[2].unit, "segments");
 
-  // The callback is sampled at snapshot time, not registration time.
+  // The accessor is sampled at snapshot time, not registration time.
   sampled = 100;
   EXPECT_EQ(reg.Snapshot()[0].value, 100);
 }
 
 TEST(MetricsRegistry, RegistrationIsIdempotentPerName) {
   MetricsRegistry reg;
-  Counter& a = reg.RegisterCounter("core.wait_calls", "core", "calls", "wait calls");
+  Counter& a = reg.RegisterCounter("core.wait_calls", "calls");
   a.Inc(5);
-  Counter& b = reg.RegisterCounter("core.wait_calls", "core", "calls", "wait calls");
+  Counter& b = reg.RegisterCounter("core.wait_calls", "calls");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(b.Value(), 5u);
   EXPECT_EQ(reg.NumMetrics(), 1u);
 }
 
-TEST(MetricsRegistry, UnregisterAndUnregisterComponent) {
+// A sampled metric exports the kind it was declared with: a level is a gauge, not a counter.
+// The component is the name's dotted prefix, labels included.
+TEST(MetricsRegistry, SampledMetricsExportTheirDeclaredKind) {
   MetricsRegistry reg;
-  reg.RegisterCounter("a.one", "a", "u", "h");
-  reg.RegisterCounter("a.two", "a", "u", "h");
-  reg.RegisterCounter("b.one", "b", "u", "h");
+  uint64_t live = 3;
+  reg.RegisterGauge("tcp.connections", "conns", [&] { return live; });
+  reg.RegisterCounter("tenant.op_shed{tenant=2}", "ops", [] { return uint64_t{9}; });
 
-  EXPECT_TRUE(reg.Unregister("a.one"));
-  EXPECT_FALSE(reg.Unregister("a.one"));
-  EXPECT_EQ(reg.NumMetrics(), 2u);
+  const std::string json = reg.ExportJson();
+  EXPECT_NE(json.find(R"("name":"tcp.connections","component":"tcp","type":"gauge")"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("component":"tenant","type":"counter")"), std::string::npos) << json;
 
-  EXPECT_EQ(reg.UnregisterComponent("a"), 1u);
-  EXPECT_EQ(reg.NumMetrics(), 1u);
-  EXPECT_TRUE(reg.Has("b.one"));
-  EXPECT_EQ(reg.NumComponents(), 1u);
+  // ExportText prints one "<name> <type> <value> <unit>" line per metric.
+  std::map<std::string, std::string> text_kind;
+  std::istringstream text(reg.ExportText());
+  for (std::string line; std::getline(text, line);) {
+    std::istringstream fields(line);
+    std::string name, type;
+    fields >> name >> type;
+    text_kind[name] = type;
+  }
+  EXPECT_EQ(text_kind["tcp.connections"], "gauge");
+  EXPECT_EQ(text_kind["tenant.op_shed{tenant=2}"], "counter");
+
+  const auto samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].component, "tcp");
+  EXPECT_EQ(samples[0].type, MetricType::kGauge);
+  EXPECT_EQ(samples[0].value, 3);
+  EXPECT_EQ(samples[1].component, "tenant");
+  EXPECT_EQ(samples[1].type, MetricType::kCounter);
+  EXPECT_EQ(reg.NumComponents(), 2u);
 }
 
 TEST(MetricsRegistry, TextAndJsonExportContainEveryMetric) {
   MetricsRegistry reg;
-  reg.RegisterCounter("tcp.retransmits", "tcp", "segments", "retransmitted segments").Inc(3);
-  reg.RegisterGauge("heap.live_objects", "heap", "objects", "live DMA objects").Set(12);
-  reg.RegisterHistogram("core.wait_ns", "core", "ns", "wait latency").Record(1000);
+  reg.RegisterCounter("tcp.retransmits", "segments").Inc(3);
+  reg.RegisterGauge("heap.live_objects", "objects").Set(12);
+  reg.RegisterHistogram("core.wait_ns", "ns").Record(1000);
 
   const std::string text = reg.ExportText();
   EXPECT_NE(text.find("tcp.retransmits"), std::string::npos);
@@ -136,7 +157,7 @@ TEST(MetricsRegistry, TextAndJsonExportContainEveryMetric) {
 // HDR-bucketed math the benchmarks report.
 TEST(MetricsRegistry, HistogramPercentilesMatchCommonHistogram) {
   MetricsRegistry reg;
-  Histogram& h = reg.RegisterHistogram("core.wait_ns", "core", "ns", "wait latency");
+  Histogram& h = reg.RegisterHistogram("core.wait_ns", "ns");
   Histogram reference;
   for (uint64_t v = 1; v <= 10000; v++) {
     h.Record(v);

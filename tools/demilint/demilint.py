@@ -30,9 +30,13 @@ invariants the compiler cannot see:
                      makes the ordering sufficient — "it compiles" is not a memory model.
   nodiscard-status   every Status-returning declaration in a src/ header carries
                      [[nodiscard]]; Result<T> must be class-level [[nodiscard]].
-  metric-name-drift  the set of metric names registered in src/ equals the set documented
-                     in docs/OBSERVABILITY.md (both directions; subsumes check_docs.sh's
-                     docs->src direction).
+  metric-drift       every metric registered in src/ appears in the docs/OBSERVABILITY.md
+                     reference table with the same (name, kind, unit), and every table row
+                     is registered so (both directions).
+  doc-links          markdown links in the repo's .md files resolve, and backticked repo
+                     paths in README.md, DESIGN.md, EXPERIMENTS.md and docs/ name a file, a
+                     directory or a file stem that exists (CHANGES.md and ROADMAP.md record
+                     history and plans, so their backticks are not checked).
   trace-name-drift   trace event names in src/observability/trace.cc equal the documented
                      tracer event schema.
   header-guard       src/**/*.h guards follow SRC_PATH_TO_FILE_H_.
@@ -52,9 +56,10 @@ Region and suppression directives (in source comments):
 
 Usage:
   demilint.py --root REPO_ROOT        lint the tree (exit 1 on violations)
-  demilint.py --selftest              run the rules over tools/demilint/fixtures and
-                                      verify every seeded violation is caught (exit 1
-                                      on a miss or an unexpected diagnostic)
+  demilint.py --selftest              run the rules over tools/demilint/fixtures (and the
+                                      miniature repo in fixtures/repo/) and verify every
+                                      seeded violation is caught (exit 1 on a miss or an
+                                      unexpected diagnostic)
 """
 
 import argparse
@@ -72,7 +77,7 @@ WORKER_END = re.compile(r"//\s*demilint:\s*end-worker-context\s*$")
 SHARD_LOCAL = re.compile(r"//\s*demilint:\s*shard-local\s*$")
 ATOMIC_JUSTIFY = re.compile(r"//\s*demilint:\s*atomic\(")
 ALLOW = re.compile(r"//\s*demilint:\s*allow\(([a-z-]+)\)")
-EXPECT = re.compile(r"//\s*demilint-expect:\s*([a-z-]+)")
+EXPECT = re.compile(r"(?://|<!--)\s*demilint-expect:\s*([a-z-]+)")
 
 # fastpath-abort: aborting constructs. DEMI_DCHECK is fine (debug-only); the negative
 # lookbehind keeps DEMI_CHECK from matching inside it.
@@ -122,13 +127,22 @@ RE_MEMORY_ORDER = re.compile(r"std::memory_order_(?:relaxed|consume|acquire|rele
 # nodiscard-status: a Status-returning declaration/definition line in a header.
 RE_STATUS_DECL = re.compile(r"^\s*(?:virtual\s+|static\s+|inline\s+|constexpr\s+)*Status\s+\w+\s*\(")
 
+# metric-drift: a registration is Register<Kind>("name" [+ label], "unit", ...) — the kind is
+# in the method name, and a labelled family (`"tenant.mem_used" + label`) is checked once.
 RE_METRIC_REG = re.compile(
-    r"Register(?:Counter|Gauge|Histogram|Callback)\s*\(\s*\"([a-z0-9_.]+)\"", re.S
-)
+    r'Register(Counter|Gauge|Histogram)\s*\(\s*"([a-z0-9_.]+)"(?:\s*\+\s*\w+)?\s*,\s*"([^"]*)"')
 RE_TRACE_NAME = re.compile(r"return\s+\"([a-z0-9_]+)\"\s*;")
-RE_DOC_METRIC = re.compile(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)`", re.M)
+# A reference-table row: | `name` | kind | unit | meaning |
+RE_DOC_METRIC = re.compile(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \| (\w+) \| ([^|]*?) \|", re.M)
 RE_DOC_TRACE = re.compile(r"^\| `([a-z0-9_]+)` \|", re.M)
 RE_INCLUDE_Q = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+
+# doc-links: markdown link targets, and inline code spans that may hold repo paths.
+RE_MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+RE_CODE_SPAN = re.compile(r"`([^`]+)`")
+RE_BRACES = re.compile(r"\{([^{}]*)\}")
+# Backticked paths are checked only in the documents that describe the tree as it is.
+PATH_CHECKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/")
 
 # Directories whose files are the shared-nothing datapath: mutable static state here is a
 # cross-shard race by construction. `src/fixtures/` is the selftest namespace — fixture
@@ -378,34 +392,123 @@ def lint_file(path, rel, text, shard_local_names=None):
     return diags
 
 
-def lint_repo_consistency(root):
-    """Cross-file rules: metric and trace-event name drift between src/ and the docs."""
-    diags = []
-    doc_path = os.path.join(root, "docs", "OBSERVABILITY.md")
+def line_of(text, offset):
+    return text[:offset].count("\n") + 1
+
+
+def lint_metrics(root):
+    """metric-drift: the (name, kind, unit) registered in src/ against the docs table."""
     try:
-        with open(doc_path, encoding="utf-8") as f:
+        with open(os.path.join(root, "docs", "OBSERVABILITY.md"), encoding="utf-8") as f:
             doc = f.read()
     except OSError:
-        return [Diagnostic("docs/OBSERVABILITY.md", 1, "metric-name-drift",
+        return [Diagnostic("docs/OBSERVABILITY.md", 1, "metric-drift",
                            "docs/OBSERVABILITY.md is missing")]
+    documented = {}
+    for m in RE_DOC_METRIC.finditer(doc):
+        documented.setdefault(m.group(1), (m.group(2), m.group(3), line_of(doc, m.start())))
+    registered = {}
+    for _, rel, text in iter_sources(root):
+        for m in RE_METRIC_REG.finditer(text):
+            registered.setdefault(m.group(2), (m.group(1).lower(), m.group(3), rel,
+                                               line_of(text, m.start())))
 
-    doc_metrics = set(RE_DOC_METRIC.findall(doc))
+    def kind_unit(entry):
+        return f"{entry[0]} in {entry[1]}"
+
+    diags = []
+    for name in sorted(registered.keys() | documented.keys()):
+        code, row = registered.get(name), documented.get(name)
+        if code and row and code[:2] == row[:2]:
+            continue
+        if code:
+            other = f"documented as {kind_unit(row)}" if row else "not documented"
+            diags.append(Diagnostic(code[2], code[3], "metric-drift",
+                                    f"metric `{name}` registered as {kind_unit(code)} but {other}"))
+        if row:
+            other = f"registered as {kind_unit(code)}" if code else "never registered in src/"
+            diags.append(Diagnostic("docs/OBSERVABILITY.md", row[2], "metric-drift",
+                                    f"metric `{name}` documented as {kind_unit(row)} but {other}"))
+    return diags
+
+
+def is_generated_dir(name):
+    """Hidden trees (.git, .bench_build) and build trees hold no documentation of the repo."""
+    return name.startswith((".", "build", "cmake-build"))
+
+
+def iter_markdown(root):
+    for dirpath, dirs, files in os.walk(root):
+        rel_dir = os.path.relpath(dirpath, root).replace(os.sep, "/")
+        dirs[:] = sorted(d for d in dirs if not is_generated_dir(d)
+                         and f"{rel_dir}/{d}" != "tools/demilint/fixtures")
+        for name in sorted(files):
+            if name.endswith(".md"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as f:
+                    yield rel, f.read()
+
+
+def expand_braces(word):
+    """`src/x.{h,cc}` -> [`src/x.h`, `src/x.cc`]."""
+    m = RE_BRACES.search(word)
+    if not m:
+        return [word]
+    return [w for alt in m.group(1).split(",")
+            for w in expand_braces(word[:m.start()] + alt + word[m.end():])]
+
+
+def repo_path_exists(root, path):
+    full = os.path.join(root, path)
+    if os.path.exists(full):
+        return True
+    parent, stem = os.path.split(full.rstrip("/"))
+    return os.path.isdir(parent) and any(os.path.splitext(n)[0] == stem
+                                         for n in os.listdir(parent))
+
+
+def lint_doc_links(root):
+    """doc-links: markdown links resolve; backticked repo paths in the descriptive docs exist."""
+    top_dirs = {d for d in os.listdir(root)
+                if os.path.isdir(os.path.join(root, d)) and not is_generated_dir(d)}
+    diags = []
+    for rel, text in iter_markdown(root):
+        md_dir = os.path.dirname(rel)
+        check_paths = rel.startswith(PATH_CHECKED_DOCS)
+        for idx, line in enumerate(text.splitlines(), start=1):
+            for m in RE_MD_LINK.finditer(line):
+                target = m.group(1)
+                if target.startswith(("http://", "https://", "mailto:", "#")):
+                    continue
+                path = target.split("#", 1)[0]
+                resolved = path.lstrip("/") if path.startswith("/") else \
+                    os.path.normpath(os.path.join(md_dir, path))
+                if path and not os.path.exists(os.path.join(root, resolved)):
+                    diags.append(Diagnostic(rel, idx, "doc-links", f"broken link -> {target}"))
+            if not check_paths:
+                continue
+            for span in RE_CODE_SPAN.findall(line):
+                for word in span.split():
+                    if "/" not in word or word.split("/", 1)[0] not in top_dirs or "*" in word:
+                        continue  # not a repo path, or a glob
+                    for path in expand_braces(word):
+                        if not repo_path_exists(root, path):
+                            diags.append(Diagnostic(rel, idx, "doc-links",
+                                                    f"backticked path `{path}` does not exist"))
+    return diags
+
+
+def lint_repo_consistency(root):
+    """Cross-file rules: metric and trace-event drift between src/ and the docs, doc links."""
+    diags = lint_metrics(root) + lint_doc_links(root)
+    try:
+        with open(os.path.join(root, "docs", "OBSERVABILITY.md"), encoding="utf-8") as f:
+            doc = f.read()
+    except OSError:
+        doc = ""
     # Trace names: first backticked cell of schema rows, dotless (metric rows all have dots).
     doc_traces = {n for n in RE_DOC_TRACE.findall(doc) if "." not in n}
-
-    code_metrics = {}
-    for path, rel, text in iter_sources(root):
-        for m in RE_METRIC_REG.finditer(text):
-            code_metrics.setdefault(m.group(1), (rel, text[: m.start()].count("\n") + 1))
-
-    for name in sorted(set(code_metrics) - doc_metrics):
-        rel, line = code_metrics[name]
-        diags.append(Diagnostic(rel, line, "metric-name-drift",
-                                f"metric `{name}` registered but not documented in "
-                                "docs/OBSERVABILITY.md"))
-    for name in sorted(doc_metrics - set(code_metrics)):
-        diags.append(Diagnostic("docs/OBSERVABILITY.md", 1, "metric-name-drift",
-                                f"metric `{name}` documented but never registered in src/"))
 
     trace_cc = os.path.join(root, "src", "observability", "trace.cc")
     try:
@@ -494,16 +597,26 @@ def run_selftest():
             print(f"selftest EXTRA: {name}:{extra[0]} unexpected [{extra[1]}]")
             failed = True
 
-    # Drift rules, exercised against an embedded miniature repo state.
-    doc = "| `tcp.good` | counter |\n| `packet_tx` | a | b | c |\n"
-    code_names = set(RE_METRIC_REG.findall('RegisterCounter(\n    "tcp.good", x); '
-                                           'RegisterCallback("tcp.rogue", y)'))
-    if code_names != {"tcp.good", "tcp.rogue"}:
-        print("selftest MISS: metric regex must span newlines and find both names")
+    # metric-drift and doc-links, exercised against the miniature repo in fixtures/repo/:
+    # every file there marks its seeded violations with `demilint-expect: rule`.
+    repo = os.path.join(fixtures, "repo")
+    expected = set()
+    for dirpath, _, files in os.walk(repo):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, repo).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                for idx, line in enumerate(f.read().splitlines(), start=1):
+                    for m in EXPECT.finditer(line):
+                        expected.add((rel, idx, m.group(1)))
+    got = {(d.path, d.line, d.rule) for d in lint_metrics(repo) + lint_doc_links(repo)}
+    for miss in sorted(expected - got):
+        print(f"selftest MISS: repo/{miss[0]}:{miss[1]} expected [{miss[2]}] not reported")
         failed = True
-    if set(RE_DOC_METRIC.findall(doc)) != {"tcp.good"}:
-        print("selftest MISS: doc metric parsing")
+    for extra in sorted(got - expected):
+        print(f"selftest EXTRA: repo/{extra[0]}:{extra[1]} unexpected [{extra[2]}]")
         failed = True
+    doc = "| `packet_tx` | a | b | c |\n"
     if {n for n in RE_DOC_TRACE.findall(doc) if "." not in n} != {"packet_tx"}:
         print("selftest MISS: doc trace parsing")
         failed = True
