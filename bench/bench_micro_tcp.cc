@@ -131,9 +131,39 @@ void BM_TcpInOrderSegmentRound(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpInOrderSegmentRound);
 
-// Isolates the receiver's fast path: hand-crafted in-order segments fed straight into
-// OnIpv4Packet — the '53 ns per packet' quantity (parse + state machine + ready-queue append +
-// app wake), without the sender's costs.
+// One receive-fast-path step: the client pushes its next in-order 64 B segment, the frame is
+// captured off B's NIC before B's stack sees it, `deliver` hands it to B's TCP stack, and then
+// B's data is popped and its ack flows back. While waiting for the frame the loop keeps B's
+// scheduler (the delayed-ack timer) and A's stack running: without B's acks the client's
+// window closes and the frame never comes.
+template <typename Deliver>
+void ReceiveNextSegment(TcpFixture& fx, Deliver&& deliver) {
+  void* p = fx.a_alloc.Alloc(64);
+  (void)fx.client->Push(Buffer::FromApp(fx.a_alloc, p, 64));  // lossless sim link; benches measure the success path
+  fx.a_alloc.Free(p);
+  WireFrame frames[4];
+  for (;;) {
+    fx.clock.Advance(100);
+    if (fx.b_nic.RxBurst(frames) > 0) {
+      break;
+    }
+    fx.b_sched.Poll();
+    fx.a_eth.PollOnce();
+    fx.a_sched.Poll();
+  }
+  // The NIC offloads checksums (none are written), so parse without verification.
+  auto iph = Ipv4Header::Parse(std::span<const uint8_t>(frames[0]).subspan(14), false);
+  auto l4 = std::span<const uint8_t>(frames[0]).subspan(14 + 20, iph->total_length - 20);
+  deliver(*iph, l4);
+  fx.server->PopData();
+  fx.b_sched.Poll();  // the timer wheel sends B's pending ack
+  fx.a_eth.PollOnce();
+  fx.a_sched.Poll();
+}
+
+// Isolates the receiver's fast path: in-order segments produced by the client's real stack
+// fed straight into OnIpv4Packet — the '53 ns per packet' quantity (parse + state machine +
+// ready-queue append + app wake), without the sender's costs.
 void BM_TcpReceiveFastPath(benchmark::State& state) {
   TcpFixture fx;
   {
@@ -147,32 +177,13 @@ void BM_TcpReceiveFastPath(benchmark::State& state) {
     fx.server->PopData();
   }
   for (auto _ : state) {
-    // Produce the next in-order segment with the client's real stack, capture the frame off
-    // the wire, and time ONLY the receiver's processing of it.
+    // Time ONLY the receiver's processing of the captured segment.
     state.PauseTiming();
-    void* p = fx.a_alloc.Alloc(64);
-    (void)fx.client->Push(Buffer::FromApp(fx.a_alloc, p, 64));  // lossless sim link; benches measure the success path
-    fx.a_alloc.Free(p);
-    WireFrame frames[4];
-    size_t n = 0;
-    while (n == 0) {
-      fx.clock.Advance(100);
-      n = fx.b_nic.RxBurst(frames);
-    }
-    auto eth = EthernetHeader::Parse(frames[0]);
-    // The NIC offloads checksums (none are written), so parse without verification.
-    auto iph = Ipv4Header::Parse(std::span<const uint8_t>(frames[0]).subspan(14), false);
-    auto l4 = std::span<const uint8_t>(frames[0]).subspan(14 + 20, iph->total_length - 20);
-    state.ResumeTiming();
-
-    fx.b_tcp.OnIpv4Packet(*iph, l4);  // <-- the timed fast path
-
-    state.PauseTiming();
-    fx.server->PopData();
-    fx.b_sched.Poll();  // the timer wheel sends B's pending ack
-    fx.a_eth.PollOnce();
-    fx.a_sched.Poll();
-    (void)eth;
+    ReceiveNextSegment(fx, [&](const Ipv4Header& ip, std::span<const uint8_t> l4) {
+      state.ResumeTiming();
+      fx.b_tcp.OnIpv4Packet(ip, l4);  // <-- the timed fast path
+      state.PauseTiming();
+    });
     state.ResumeTiming();
   }
   state.SetLabel("receiver OnIpv4Packet only (paper: ~53ns/pkt)");
@@ -263,6 +274,24 @@ BENCHMARK(BM_TcpSmallMsgBurst)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 // machine-to-machine variance doesn't flake CI while order-of-magnitude datapath regressions
 // (e.g. an accidental O(n) scan per segment) are caught.
 int RunQuickPerfSmoke() {
+  // First, BM_TcpReceiveFastPath's capture step must keep going past the point where the
+  // client's window closes unless B's delayed acks flow (a few hundred 64 B segments); a hang
+  // here is caught by the ctest TIMEOUT. No latency floor applies.
+  constexpr int kCaptureSegments = 1000;
+  TcpFixture capture;
+  for (int i = 0; i < kCaptureSegments; i++) {
+    ReceiveNextSegment(capture, [&capture](const Ipv4Header& ip, std::span<const uint8_t> l4) {
+      capture.b_tcp.OnIpv4Packet(ip, l4);
+    });
+  }
+  const uint64_t captured = capture.server->conn_stats().bytes_received / 64;
+  std::printf("perf-smoke: captured %llu receive-fast-path segments\n",
+              static_cast<unsigned long long>(captured));
+  if (captured != kCaptureSegments) {
+    std::fprintf(stderr, "perf-smoke FAILED: captured %llu of %d segments\n",
+                 static_cast<unsigned long long>(captured), kCaptureSegments);
+    return 1;
+  }
   // ~1/3 of the rate observed on the reference dev container (1.5M segs/s, debug build, one
   // 2.1 GHz core — see EXPERIMENTS.md); the gate is floor/2, so only a >6x slowdown trips it.
   constexpr double kSegmentsPerSecFloor = 500000.0;

@@ -155,6 +155,43 @@ void StartShardedEchoServer(ShardGroup& group, const EchoServerOptions& options,
   });
 }
 
+Result<QResult> PopStream::Next(DurationNs timeout) {
+  QToken qt = carried_;
+  carried_ = kInvalidQToken;
+  if (qt == kInvalidQToken) {
+    auto pop = os_.Pop(qd_);
+    if (!pop.ok()) {
+      return pop.error();
+    }
+    qt = *pop;
+  }
+  auto r = os_.Wait(qt, timeout);
+  if (!r.ok() && r.error() == Status::kTimedOut) {
+    carried_ = qt;  // still queued: the next reply belongs to it
+  }
+  return r;
+}
+
+bool PopStream::Probe(const std::function<bool()>& send_probe) {
+  for (int probe = 0; probe < 200; probe++) {
+    if (!send_probe()) {
+      continue;
+    }
+    auto r = Next(20 * kMillisecond);
+    if (!r.ok() || r->status != Status::kOk) {
+      continue;
+    }
+    os_.FreeSga(r->sga);
+    // Drain duplicate replies; the pop left waiting when they run out carries into the caller.
+    for (auto extra = Next(2 * kMillisecond); extra.ok() && extra->status == Status::kOk;
+         extra = Next(2 * kMillisecond)) {
+      os_.FreeSga(extra->sga);
+    }
+    return true;
+  }
+  return false;
+}
+
 EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
   EchoClientResult result;
   auto sock = os.Socket(options.type);
@@ -165,63 +202,15 @@ EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
   DEMI_CHECK_MSG(conn_r.ok() && conn_r->status == Status::kOk, "echo client: connect failed");
 
   Clock& clock = os.clock();
-  // A pop whose wait timed out is NOT abandoned: its coroutine stays queued on the socket and
-  // will consume the next datagram. Carry the token forward and re-wait it, or the stolen
-  // datagram makes the next pop time out too (a one-shot error that metrics show as
-  // "every datagram delivered, one qtoken never redeemed").
-  QToken carry_pop = kInvalidQToken;
-  auto next_pop = [&]() -> Result<QToken> {
-    if (carry_pop == kInvalidQToken) {
-      return os.Pop(*sock);
-    }
-    const QToken qt = carry_pop;
-    carry_pop = kInvalidQToken;
-    return qt;
-  };
+  PopStream replies(os, *sock);
   if (options.type == SocketType::kDatagram) {
-    // Datagrams are fire-and-forget: probe until the server answers, so a not-yet-bound server
-    // or a startup drop doesn't wedge the measured closed loop.
-    bool ready = false;
-    for (int probe = 0; probe < 200 && !ready; probe++) {
+    const bool ready = replies.Probe([&] {
       void* p = os.DmaMalloc(options.message_size);
       std::memset(p, 0, options.message_size);
       auto push = os.Push(*sock, Sgarray::Of(p, static_cast<uint32_t>(options.message_size)));
       os.DmaFree(p);
-      if (!push.ok()) {
-        continue;
-      }
-      auto pop = next_pop();
-      if (!pop.ok()) {
-        continue;
-      }
-      auto pr = os.Wait(*pop, 20 * kMillisecond);
-      if (!pr.ok() && pr.error() == Status::kTimedOut) {
-        carry_pop = *pop;
-        continue;
-      }
-      if (pr.ok() && pr->status == Status::kOk) {
-        os.FreeSga(pr->sga);
-        ready = true;
-        // Drain any duplicate probe echoes (extra probes sent while the server was binding).
-        for (;;) {
-          auto extra = next_pop();
-          if (!extra.ok()) {
-            break;
-          }
-          auto er = os.Wait(*extra, 2 * kMillisecond);
-          if (!er.ok()) {
-            if (er.error() == Status::kTimedOut) {
-              carry_pop = *extra;  // nothing more in flight; first measured pop reuses this
-            }
-            break;
-          }
-          if (er->status != Status::kOk) {
-            break;
-          }
-          os.FreeSga(er->sga);
-        }
-      }
-    }
+      return push.ok();
+    });
     DEMI_CHECK_MSG(ready, "echo client: UDP server unreachable");
   }
   for (uint64_t i = 0; i < options.warmup + options.iterations; i++) {
@@ -244,16 +233,8 @@ EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
     size_t received = 0;
     bool failed = false;
     while (received < options.message_size && !failed) {
-      auto pop_qt = next_pop();
-      if (!pop_qt.ok()) {
-        failed = true;
-        break;
-      }
-      auto pop_r = os.Wait(*pop_qt, 5 * kSecond);
+      auto pop_r = replies.Next(5 * kSecond);
       if (!pop_r.ok() || pop_r->status != Status::kOk) {
-        if (!pop_r.ok() && pop_r.error() == Status::kTimedOut) {
-          carry_pop = *pop_qt;  // keep the queued pop: the next reply belongs to it
-        }
         failed = true;
         break;
       }

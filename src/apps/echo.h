@@ -9,6 +9,7 @@
 #define SRC_APPS_ECHO_H_
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,28 @@ struct EchoClientOptions {
 struct EchoClientResult {
   Histogram rtt;  // nanoseconds per echo round trip
   uint64_t errors = 0;
+};
+
+// Successive pops on one queue that never abandon a pop. A pop whose wait timed out is NOT
+// cancelled: its coroutine stays queued on the socket and will consume the next datagram, so
+// Next() re-waits that token instead of popping again (otherwise the stolen datagram makes the
+// next pop time out too — "every datagram delivered, one qtoken never redeemed").
+class PopStream {
+ public:
+  PopStream(LibOS& os, QueueDesc qd) : os_(os), qd_(qd) {}
+
+  // Waits up to `timeout` for the next pop result on the queue.
+  Result<QResult> Next(DurationNs timeout);
+
+  // Datagrams are fire-and-forget: calls `send_probe` (false = not sent) until a reply pops,
+  // then drains duplicate replies to extra probes, so a not-yet-bound peer or a startup drop
+  // cannot wedge a measured closed loop. Returns false if 200 probes went unanswered.
+  bool Probe(const std::function<bool()>& send_probe);
+
+ private:
+  LibOS& os_;
+  QueueDesc qd_;
+  QToken carried_ = kInvalidQToken;
 };
 
 // Closed-loop echo client: push + wait + pop + wait, recording RTTs.

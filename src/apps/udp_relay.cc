@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/apps/echo.h"
 #include "src/common/logging.h"
 
 namespace demi {
@@ -157,47 +158,21 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
   void* pkt = os.DmaMalloc(options.packet_size);
   std::memset(pkt, 0x5C, options.packet_size);
   Clock& clock = os.clock();
+  PopStream relayed(os, *rx);
+  auto send = [&] {
+    return os.PushTo(*tx, Sgarray::Of(pkt, static_cast<uint32_t>(options.packet_size)),
+                     options.relay);
+  };
   // Probe until the relay forwards (it may still be binding).
-  bool ready = false;
-  for (int probe = 0; probe < 200 && !ready; probe++) {
-    auto push = os.PushTo(*tx, Sgarray::Of(pkt, static_cast<uint32_t>(options.packet_size)),
-                          options.relay);
-    if (!push.ok()) {
-      continue;
-    }
-    auto pop = os.Pop(*rx);
-    if (!pop.ok()) {
-      continue;
-    }
-    auto r = os.Wait(*pop, 20 * kMillisecond);
-    if (r.ok() && r->status == Status::kOk) {
-      os.FreeSga(r->sga);
-      ready = true;
-      for (;;) {
-        auto extra = os.Pop(*rx);
-        if (!extra.ok()) {
-          break;
-        }
-        auto er = os.Wait(*extra, 2 * kMillisecond);
-        if (!er.ok() || er->status != Status::kOk) {
-          break;
-        }
-        os.FreeSga(er->sga);
-      }
-    }
-  }
+  const bool ready = relayed.Probe([&] { return send().ok(); });
   DEMI_CHECK_MSG(ready, "relay load generator: relay unreachable");
   for (uint64_t i = 0; i < options.warmup + options.packets; i++) {
     const TimeNs start = clock.Now();
-    auto push = os.PushTo(*tx, Sgarray::Of(pkt, static_cast<uint32_t>(options.packet_size)),
-                          options.relay);
-    if (!push.ok()) {
+    if (!send().ok()) {
       result.lost++;
       continue;
     }
-    auto pop = os.Pop(*rx);
-    DEMI_CHECK(pop.ok());
-    auto r = os.Wait(*pop, 200 * kMillisecond);
+    auto r = relayed.Next(200 * kMillisecond);
     if (!r.ok() || r->status != Status::kOk) {
       result.lost++;
       continue;

@@ -142,39 +142,35 @@ Result<QResult> LibOS::Wait(QToken qt, DurationNs timeout) {
   // demilint: end-fastpath
 }
 
-Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
-                               DurationNs timeout) {
+template <typename OnDone>
+bool LibOS::WaitAnyLoop(std::span<const QToken> qts, DurationNs timeout, OnDone&& on_done) {
   // demilint: fastpath
-  for (QToken qt : qts) {
-    if (!tokens_.IsValid(qt)) {
-      return Status::kBadQToken;
-    }
-  }
   wait_calls_->Inc();
   const TimeNs start = clock_.Now();
   const TimeNs deadline = timeout == 0 ? 0 : start + timeout;
   // Fairness: rotate where the scan starts so that when several tokens are done at once, a
-  // perpetually-busy low index cannot starve the others across repeated WaitAny calls.
+  // perpetually-busy low index cannot starve the others across repeated calls (callers that
+  // consume only a prefix of a harvest would otherwise favor low indices forever).
   const size_t rot = qts.empty() ? 0 : wait_any_rr_++ % qts.size();
   for (;;) {
+    bool claimed = false;
     for (size_t k = 0; k < qts.size(); k++) {
       const size_t i = (rot + k) % qts.size();
       if (tokens_.IsDone(qts[i])) {
-        if (index_out != nullptr) {
-          *index_out = i;
+        claimed = true;
+        if (on_done(i)) {
+          break;
         }
-        auto r = tokens_.Take(qts[i]);
-        wait_ns_->Record(clock_.Now() - start);
-        if (r.ok()) {
-          tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
-        }
-        return r;
       }
     }
+    if (claimed) {
+      wait_ns_->Record(clock_.Now() - start);
+      return true;
+    }
     // Checked after the scan, so a token completed by the round that crossed the deadline is
-    // still returned above.
+    // still claimed above.
     if (deadline != 0 && clock_.Now() >= deadline) {
-      return Status::kTimedOut;
+      return false;
     }
     sched_.Poll();
     RunExternalPump();
@@ -183,46 +179,46 @@ Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
   // demilint: end-fastpath
 }
 
+Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
+                               DurationNs timeout) {
+  // demilint: fastpath
+  for (QToken qt : qts) {
+    if (!tokens_.IsValid(qt)) {
+      return Status::kBadQToken;
+    }
+  }
+  Result<QResult> result = Status::kTimedOut;
+  WaitAnyLoop(qts, timeout, [&](size_t i) {
+    if (index_out != nullptr) {
+      *index_out = i;
+    }
+    result = tokens_.Take(qts[i]);
+    tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(result->qd), qts[i]);
+    return true;  // one token per call
+  });
+  return result;
+  // demilint: end-fastpath
+}
+
 size_t LibOS::WaitAnyHarvest(std::span<const QToken> qts, std::vector<QResult>* events,
                              std::vector<size_t>* indices, DurationNs timeout) {
   // demilint: fastpath
-  wait_calls_->Inc();
-  const TimeNs start = clock_.Now();
-  const TimeNs deadline = timeout == 0 ? 0 : start + timeout;
-  // Harvest order rotates like WaitAny: callers that only consume a prefix of `events` would
-  // otherwise favor low indices forever.
-  const size_t rot = qts.empty() ? 0 : wait_any_rr_++ % qts.size();
-  for (;;) {
-    size_t harvested = 0;
-    for (size_t k = 0; k < qts.size(); k++) {
-      const size_t i = (rot + k) % qts.size();
-      if (tokens_.IsDone(qts[i])) {
-        auto r = tokens_.Take(qts[i]);
-        if (r.ok()) {
-          tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
-          if (events != nullptr) {
-            // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
-            events->push_back(*r);
-          }
-          if (indices != nullptr) {
-            // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
-            indices->push_back(i);
-          }
-          harvested++;
-        }
-      }
+  size_t harvested = 0;
+  WaitAnyLoop(qts, timeout, [&](size_t i) {
+    auto r = tokens_.Take(qts[i]);
+    tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
+    if (events != nullptr) {
+      // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
+      events->push_back(*r);
     }
-    if (harvested > 0) {
-      wait_ns_->Record(clock_.Now() - start);
-      return harvested;
+    if (indices != nullptr) {
+      // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
+      indices->push_back(i);
     }
-    sched_.Poll();
-    RunExternalPump();
-    wait_poll_rounds_->Inc();
-    if (deadline != 0 && clock_.Now() >= deadline) {
-      return 0;
-    }
-  }
+    harvested++;
+    return false;  // keep scanning: harvest every done token
+  });
+  return harvested;
   // demilint: end-fastpath
 }
 

@@ -212,6 +212,13 @@ class LibOS {
   Counter* wait_poll_rounds_ = nullptr;
   Histogram* wait_ns_ = nullptr;
   Gauge* numa_gauge_ = nullptr;  // pool.numa_node; set by BindShardAffinity
+  // The one wait_any loop behind WaitAny and WaitAnyHarvest: each round scans `qts` from a
+  // rotating start and calls `on_done(i)` for every done token, whose Take therefore cannot
+  // fail (returning true stops the round); returns true after the first round that found one,
+  // false once the timeout passes (0 = never).
+  template <typename OnDone>
+  bool WaitAnyLoop(std::span<const QToken> qts, DurationNs timeout, OnDone&& on_done);
+
   // Rotating scan start for WaitAny/WaitAnyHarvest: scanning from index 0 every call lets a
   // busy low-index qtoken shadow completions on higher indices indefinitely.
   size_t wait_any_rr_ = 0;

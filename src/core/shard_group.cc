@@ -12,19 +12,15 @@ ShardGroup::ShardGroup(SimNetwork& network, Clock& clock, const Options& options
     : network_(network),
       clock_(clock),
       options_(options),
-      nic_(network, options.base.mac, clock,
-           options.num_workers == 0 ? 1 : options.num_workers) {
-  if (options_.num_workers == 0) {
-    options_.num_workers = 1;
-  }
-  if (options_.base.disk != nullptr && options_.num_workers > 1) {
+      nic_(network, options.base.mac, clock, std::max<size_t>(options.num_workers, 1)) {
+  if (options_.base.disk != nullptr && num_workers() > 1) {
     // Partition the shared log device: each shard gets one contiguous block range and one
     // device completion queue; a shared epoch orders records across partitions so recovery
     // stitches them back into one history (docs/STORAGE.md).
-    plog_ = std::make_unique<PartitionedLog>(*options_.base.disk, options_.num_workers);
+    plog_ = std::make_unique<PartitionedLog>(*options_.base.disk, num_workers());
     plog_->RecoverAll();
   }
-  shards_.resize(options_.num_workers);
+  shards_.resize(num_workers());
 }
 
 ShardGroup::~ShardGroup() {
@@ -38,14 +34,14 @@ ShardGroup::~ShardGroup() {
 void ShardGroup::Start(WorkerFn fn) {
   DEMI_CHECK_MSG(threads_.empty(), "ShardGroup::Start called twice");
   fn_ = std::move(fn);
-  threads_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; i++) {
+  threads_.reserve(num_workers());
+  for (size_t i = 0; i < num_workers(); i++) {
     threads_.emplace_back([this, i] { WorkerMain(i); });
   }
   // Wait until every shard is constructed (sockets can be created, ARP is warm) so callers can
   // start clients immediately; worker bodies also only run once all listeners can exist.
   std::unique_lock<std::mutex> lock(init_mu_);
-  init_cv_.wait(lock, [this] { return ready_ == options_.num_workers; });
+  init_cv_.wait(lock, [this] { return ready_ == num_workers(); });
 }
 // demilint: end-control-plane
 
@@ -53,23 +49,15 @@ void ShardGroup::Start(WorkerFn fn) {
 // `shard_id`'s state, and only that shard's slot (demilint flags shards_[anything-else]).
 // demilint: worker-context
 void ShardGroup::WorkerMain(size_t shard_id) {
-  Catnip::Config cfg = options_.base;
-  cfg.num_workers = options_.num_workers;
-  cfg.queue_id = shard_id;
-  cfg.shared_nic = &nic_;
-  if (plog_ != nullptr) {
-    cfg.disk_partition = plog_->partition(shard_id);
-    cfg.log_epoch = &plog_->epoch();
-    cfg.recover_log = true;  // RecoverAll already scanned; this rebuilds the shard's tail cache
-  }
-  auto os = std::make_unique<Catnip>(network_, cfg, clock_);
+  std::unique_ptr<Catnip> os(new Catnip(network_, options_.base, clock_,
+                                        Catnip::ShardWiring{&nic_, shard_id, plog_.get()}));
   for (const auto& [ip, mac] : options_.static_arp) {
     os->ethernet().arp().Insert(ip, mac);
   }
   os->metrics().RegisterGauge("shard.id", "index").Set(static_cast<int64_t>(shard_id));
   os->metrics()
       .RegisterGauge("shard.workers", "count")
-      .Set(static_cast<int64_t>(options_.num_workers));
+      .Set(static_cast<int64_t>(num_workers()));
   {
     std::unique_lock<std::mutex> lock(init_mu_);
     shards_[shard_id] = std::move(os);
@@ -77,7 +65,7 @@ void ShardGroup::WorkerMain(size_t shard_id) {
     init_cv_.notify_all();
     // All-constructed barrier: no worker serves until every listener can be bound, so RSS
     // never steers a SYN at a shard that does not exist yet.
-    init_cv_.wait(lock, [this] { return ready_ == options_.num_workers; });
+    init_cv_.wait(lock, [this] { return ready_ == num_workers(); });
   }
   // DemiSan: tag the shard's heap, qtoken table and TCP state with this thread. From here to
   // the matching unbind, any other thread touching them aborts with a two-thread diagnostic.

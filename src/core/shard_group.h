@@ -40,12 +40,12 @@ class ShardGroup {
  public:
   struct Options {
     size_t num_workers = 1;
-    // Per-shard Catnip template: mac/ip/tcp/checksum/rx_burst are shared by all shards;
-    // num_workers, queue_id, shared_nic and (with storage) disk_partition/log_epoch are
-    // overwritten per shard. With base.disk set and num_workers > 1, the group partitions the
-    // log device: each shard's Cattree engine owns one contiguous block range and one device
-    // completion queue, with record epochs drawn from a shared counter so recovery can stitch
-    // the partitions back into one ordered history (docs/STORAGE.md).
+    // Catnip config shared by all shards; each shard is also wired to the group's NIC queue
+    // and (with storage) log partition of its own index. With base.disk set and
+    // num_workers > 1, the group partitions the log device: each shard's Cattree engine owns
+    // one contiguous block range and one device completion queue, with record epochs drawn
+    // from a shared counter so recovery can stitch the partitions back into one ordered
+    // history (docs/STORAGE.md).
     Catnip::Config base;
     // Static ARP entries installed on every shard before its worker runs. Required for
     // num_workers > 1: RSS steers ARP (non-IPv4) to queue 0 only, so shards run with a warm
@@ -78,7 +78,7 @@ class ShardGroup {
   // until RequestStop(). This is the shard datapath loop (demilint fastpath).
   void ServeLoop(Catnip& os, const std::function<void()>& pump);
 
-  size_t num_workers() const { return options_.num_workers; }
+  size_t num_workers() const { return nic_.num_queues(); }  // one RSS queue pair each
   std::atomic<bool>& stop_flag() { return stop_; }
   SimNic& nic() { return nic_; }
   // Valid between Start() and destruction. Shard i is owned by worker thread i; cross-thread

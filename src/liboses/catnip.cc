@@ -3,26 +3,26 @@
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/storage/partitioned_log.h"
 
 namespace demi {
 
 Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
+    : Catnip(network, config, clock, ShardWiring{}) {}
+
+Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock, const ShardWiring& shard)
     : LibOS("catnip", clock, NullDmaRegistrar::Global()),
-      owned_nic_(config.shared_nic != nullptr
-                     ? nullptr
-                     : std::make_unique<SimNic>(network, config.mac, clock,
-                                                config.num_workers == 0 ? 1
-                                                                        : config.num_workers)),
-      nic_(config.shared_nic != nullptr ? *config.shared_nic : *owned_nic_),
-      eth_(nic_, config.ip, config.checksum_offload, config.rx_burst_frames, config.queue_id),
+      owned_nic_(shard.nic != nullptr ? nullptr
+                                      : std::make_unique<SimNic>(network, config.mac, clock)),
+      nic_(shard.nic != nullptr ? *shard.nic : *owned_nic_),
+      eth_(nic_, config.ip, config.checksum_offload, config.rx_burst_frames, shard.queue_id),
       udp_(eth_, alloc_),
       tcp_(eth_, sched_, alloc_, clock, config.tcp) {
   alloc_.SetRegistrar(nic_.registrar());
-  reap_interval_ = config.reap_interval;
   eth_.RegisterMetrics(metrics_);
   // Per-queue NIC view: each shard's registry reports only its own RSS queue pair, so an
   // aggregated rollup (ShardGroup::AggregateSnapshot) sums to the whole NIC.
-  const size_t qid = config.queue_id;
+  const size_t qid = shard.queue_id;
   metrics_.RegisterGauge("nic.queue_id", "index").Set(static_cast<int64_t>(qid));
   metrics_.RegisterCounter("nic.queue_rx_frames", "frames",
                            [this, qid] { return nic_.queue_stats(qid).rx_frames; });
@@ -39,19 +39,22 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
   tcp_.SetObservability(&metrics_, &tracer_);
   tcp_.SetTenantTable(&tenants_);
   if (config.disk != nullptr) {
-    storage_ = std::make_unique<StorageQueueEngine>(*config.disk, sched_, alloc_, tokens_,
-                                                   config.disk_partition, config.log_epoch);
-    if (config.log_epoch == nullptr) {
-      // Sole owner of the device: attach tracer and register the device-wide counters. In the
-      // partitioned layout the device is shared across worker threads; its tracer ring is not
-      // thread-safe and ShardGroup registers device metrics through shard 0's view instead.
+    PartitionedLog* plog = shard.plog;
+    storage_ = std::make_unique<StorageQueueEngine>(
+        *config.disk, sched_, alloc_, tokens_,
+        plog != nullptr ? plog->partition(shard.queue_id) : LogPartition{},
+        plog != nullptr ? &plog->epoch() : nullptr);
+    if (plog == nullptr) {
+      // Sole owner of the device: attach tracer and register the device-wide counters.
       disk_ = config.disk;
       disk_->RegisterMetrics(metrics_);
       disk_->SetTracer(&tracer_);
     } else {
+      // Partitioned: the device is shared across worker threads; its tracer ring is not
+      // thread-safe and ShardGroup's rollup counts the device metrics from shard 0 only.
       config.disk->RegisterMetrics(metrics_);
-    }
-    if (config.recover_log) {
+      // PartitionedLog::RecoverAll already scanned the media; this rebuilds the partition's
+      // head/tail (the restart/recovery path).
       const Status rs = storage_->log().Recover();
       DEMI_CHECK_MSG(rs == Status::kOk, "log partition recovery failed");
       DEMI_LOG_DEBUG("catnip: recovered log partition %u, tail=%llu",
@@ -127,7 +130,6 @@ bool Catnip::ShedOp(TenantId tenant) {
 }
 
 Task<void> Catnip::FastPathFiber() {
-  const uint32_t reap_interval = reap_interval_ == 0 ? 1024 : reap_interval_;
   uint32_t iterations = 0;
   while (!shutdown_) {
     eth_.PollOnce();
@@ -151,7 +153,7 @@ Task<void> Catnip::FastPathFiber() {
       FinishClose(qd, it->second);
       queues_.erase(it);
     }
-    if (++iterations % reap_interval == 0) {
+    if (++iterations % kReapInterval == 0) {
       tcp_.Reap();
     }
     co_await Scheduler::Yield{};

@@ -25,6 +25,8 @@
 
 namespace demi {
 
+class PartitionedLog;
+
 class Catnip final : public LibOS {
  public:
   struct Config {
@@ -39,26 +41,6 @@ class Catnip final : public LibOS {
     // Frames the fast path drains from the NIC per scheduler round (DPDK rx_burst nb_pkts);
     // 1 reproduces the pre-batching frame-per-poll datapath for ablation.
     size_t rx_burst_frames = EthernetLayer::kDefaultRxBurst;
-    // Reap closed TCP state every N fast-path iterations.
-    uint32_t reap_interval = 1024;
-    // --- Sharding (paper §7 multi-worker mode; see src/core/shard_group.h) ---
-    // Total shared-nothing workers the NIC splits flows across: the owned NIC is created with
-    // this many RSS queue pairs. 1 (the default) is the classic single-threaded libOS.
-    size_t num_workers = 1;
-    // The RSS queue pair this instance polls and transmits on; each worker owns exactly one.
-    size_t queue_id = 0;
-    // When set, this instance attaches to an existing multi-queue NIC instead of creating its
-    // own — how ShardGroup gives every worker the same port. The NIC must outlive the libOS.
-    SimNic* shared_nic = nullptr;
-    // --- Storage partitioning (multi-worker Catnip×Cattree; docs/STORAGE.md) ---
-    // The log partition this shard's storage engine owns. The default is the whole device (the
-    // classic single-worker layout); ShardGroup assigns each worker its PartitionedLog range.
-    LogPartition disk_partition{};
-    // Allocation epoch shared across every partition of `disk` (owned by PartitionedLog). When
-    // set, the device is multi-owner: this instance must not attach its tracer to it.
-    std::atomic<uint64_t>* log_epoch = nullptr;
-    // Rebuild the log's head/tail from the media at construction (the restart/recovery path).
-    bool recover_log = false;
   };
 
   Catnip(SimNetwork& network, const Config& config, Clock& clock);
@@ -110,6 +92,26 @@ class Catnip final : public LibOS {
   StorageQueueEngine* storage() { return storage_.get(); }
 
  private:
+  // ShardGroup (src/core/shard_group.h, paper §7 multi-worker mode) builds each worker's
+  // shard through the ShardWiring constructor below.
+  friend class ShardGroup;
+
+  // How one shard attaches to the resources its ShardGroup shares. A standalone Catnip uses
+  // the default: it owns a single-queue NIC and the whole disk.
+  struct ShardWiring {
+    // The shared multi-queue NIC (must outlive the libOS) and the RSS queue pair this shard
+    // polls and transmits on; null = own a single-queue NIC.
+    SimNic* nic = nullptr;
+    size_t queue_id = 0;
+    // With a disk: this shard's Cattree engine owns partition `queue_id` of the log and draws
+    // record epochs from the shared counter; null = own the whole device.
+    PartitionedLog* plog = nullptr;
+  };
+  Catnip(SimNetwork& network, const Config& config, Clock& clock, const ShardWiring& shard);
+
+  // Reap closed TCP state every kReapInterval fast-path iterations.
+  static constexpr uint32_t kReapInterval = 1024;
+
   struct MemChannel {
     std::deque<Buffer> items;
     Event readable;
@@ -206,7 +208,7 @@ class Catnip final : public LibOS {
   // Completes a TCP pop from ready data (fast path and coroutine tail share this).
   void CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn);
 
-  std::unique_ptr<SimNic> owned_nic_;  // null when Config::shared_nic is used
+  std::unique_ptr<SimNic> owned_nic_;  // null when ShardWiring::nic is used
   SimNic& nic_;
   EthernetLayer eth_;
   UdpStack udp_;
@@ -215,7 +217,6 @@ class Catnip final : public LibOS {
   SimBlockDevice* disk_ = nullptr;  // external device: tracer detached at destruction
   std::unordered_map<QueueDesc, QueueState> queues_;
   std::deque<QueueDesc> deferred_close_;
-  uint32_t reap_interval_ = 1024;
   bool shutdown_ = false;
   SpliceStats splice_stats_;
 };

@@ -235,7 +235,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         return;
       }
       hot_.hs_attempts++;
-      if (hot_.hs_attempts > cfg.max_syn_retries) {
+      if (hot_.hs_attempts > kTcpMaxSynRetries) {
         EnterClosed(Status::kTimedOut);
         return;
       }
@@ -255,7 +255,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         return;
       }
       hot_.hs_attempts++;
-      if (hot_.hs_attempts > cfg.max_syn_retries) {
+      if (hot_.hs_attempts > kTcpMaxSynRetries) {
         EnterClosed(Status::kTimedOut);
         return;
       }
@@ -641,7 +641,7 @@ void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   }
   hot_.ack_needed = true;
   hot_.ack_immediate = false;
-  ArmAckTimer(now + DelayedAckTimeout());
+  ArmAckTimer(now + kTcpDelayedAckTimeout);
 }
 
 void TcpConnection::SendPureAck() {
@@ -652,11 +652,6 @@ void TcpConnection::SendPureAck() {
   if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false) != Status::kOk) {
     stack_.CountTxError();  // a lost pure ack is recovered by the peer's retransmit
   }
-}
-
-DurationNs TcpConnection::DelayedAckTimeout() const {
-  // RFC 1122 4.2.3.2 hard cap: never hold an ack longer than 500 ms, whatever the config says.
-  return std::min<DurationNs>(stack_.config().delayed_ack_timeout, 500 * kMillisecond);
 }
 
 // --- Segment RX ------------------------------------------------------------------
@@ -876,7 +871,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
   // Ack policy (RFC 1122 4.2.3.2, RFC 5681 §4.2): in-order sub-threshold data may ride a
   // delayed ack; everything ambiguous or urgent — duplicates (the peer is retransmitting),
   // out-of-order arrivals (dup-ack drives fast retransmit), gap fills, FIN advancement, and
-  // every `ack_every_segments`-th full-sized segment — acks immediately.
+  // every kTcpAckEverySegments-th full-sized segment — acks immediately.
   bool immediate = false;
 
   if (hdr.flags.fin) {
@@ -928,7 +923,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
         if (hot_.full_segs_since_ack < 255) {
           hot_.full_segs_since_ack++;
         }
-        if (hot_.full_segs_since_ack >= stack_.config().ack_every_segments) {
+        if (hot_.full_segs_since_ack >= kTcpAckEverySegments) {
           immediate = true;
         }
       }
@@ -1032,7 +1027,7 @@ void TcpConnection::OnOurFinAcked(TimeNs /*now*/) {
 void TcpConnection::EnterTimeWait() {
   hot_.state = TcpState::kTimeWait;
   CancelStateTimer();  // a pending persist (if any) is moot now
-  ArmStateTimer(StateTimerKind::kTimeWait, stack_.clock().Now() + stack_.config().time_wait);
+  ArmStateTimer(StateTimerKind::kTimeWait, stack_.clock().Now() + kTcpTimeWait);
 }
 
 void TcpConnection::EnterClosed(Status error) {
@@ -1313,7 +1308,7 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
         return;
       }
       if (listener->ready_.size() + listener->syn_rcvd_count_ >= listener->backlog_ ||
-          conns_.size() >= config_.max_syn_backlog + 1024) {
+          conns_.size() >= kTcpMaxSynBacklog + 1024) {
         return;  // backlog full: drop the SYN, client retries
       }
       if (tenants_ != nullptr && !tenants_->TryAdmitAccept(listener->tenant())) {

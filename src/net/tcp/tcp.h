@@ -74,7 +74,7 @@ class RttEstimator {
 
  private:
   DurationNs Clamp(DurationNs v) const {
-    return std::min(std::max(v, config_.min_rto), config_.max_rto);
+    return std::min(std::max(v, config_.min_rto), kTcpMaxRto);
   }
   const TcpConfig& config_;
   DurationNs srtt_ = 0;
@@ -287,7 +287,6 @@ class TcpConnection {
   void ScheduleAck();                   // urgent: goes out at burst end or the next poll
   void ScheduleDelayedAck(TimeNs now);  // coalescing: arm (or keep) the delayed-ack deadline
   void SendPureAck();
-  DurationNs DelayedAckTimeout() const;
   uint32_t NowTsval() const;
   void StampTimestamps(TcpHeader* hdr) const;
   void EnterTimeWait();

@@ -59,27 +59,31 @@ constexpr std::string_view TcpStateName(TcpState s) {
 
 enum class CongestionAlgorithm : uint8_t { kCubic, kNewReno, kFixedWindow };
 
+// Fixed protocol constants. The simulated fabric runs at µs RTTs, so the RFC timers are scaled
+// down accordingly (the classical 200 ms RTO floor would stall every loss for an eternity).
+inline constexpr DurationNs kTcpMaxRto = 4 * kSecond;
+inline constexpr int kTcpMaxSynRetries = 6;
+// RFC 1122 delayed/coalesced acks: hold a pure ack for up to kTcpDelayedAckTimeout (the
+// µs-fabric scaling of the RFC's 500 ms cap) and ack immediately after every
+// kTcpAckEverySegments-th full-sized segment and on out-of-order or window-recovery events.
+inline constexpr DurationNs kTcpDelayedAckTimeout = 500 * kMicrosecond;
+inline constexpr uint32_t kTcpAckEverySegments = 2;
+// TIME_WAIT hold (2*MSL); short because the simulated fabric's MSL is tiny.
+inline constexpr DurationNs kTcpTimeWait = 10 * kMillisecond;
+inline constexpr size_t kTcpMaxSynBacklog = 128;
+
 struct TcpConfig {
-  // Retransmission (RFC 6298 with datacenter-friendly floors; the simulated fabric runs at µs
-  // RTTs, so the classical 200 ms floor would stall every loss for an eternity).
+  // Retransmission (RFC 6298 with datacenter-friendly floors; see the constants above).
   DurationNs initial_rto = 10 * kMillisecond;
   DurationNs min_rto = 1 * kMillisecond;
-  DurationNs max_rto = 4 * kSecond;
-  int max_syn_retries = 6;
   int max_retransmits = 15;
 
   // Receive buffering / flow control.
   size_t recv_buffer_bytes = 1 << 20;
   uint8_t window_scale = 7;  // advertise 2^7 scaling (RFC 7323)
 
-  // RFC 1122 delayed/coalesced acks: hold a pure ack for up to `delayed_ack_timeout`, ack
-  // immediately after every `ack_every_segments`-th full-sized segment, and ack immediately on
-  // out-of-order or window-recovery events. The default timeout is 500 µs — the µs-fabric
-  // scaling of RFC 1122's 500 ms cap (same reasoning as the RTO floors above); values are
-  // clamped to the RFC's hard 500 ms cap.
+  // RFC 1122 delayed acks (see kTcpDelayedAckTimeout); off = ack every segment (ablation).
   bool delayed_acks = true;
-  DurationNs delayed_ack_timeout = 500 * kMicrosecond;
-  uint32_t ack_every_segments = 2;
 
   // Coalesce queued sub-MSS buffer views into full-MSS wire segments (zero-copy gather; each
   // segment carries multiple Buffer slices). Off = one segment per Push (the pre-batching
@@ -93,11 +97,6 @@ struct TcpConfig {
 
   CongestionAlgorithm congestion = CongestionAlgorithm::kCubic;
   size_t fixed_window_bytes = 1 << 20;  // used by kFixedWindow (ablation)
-
-  // TIME_WAIT hold (2*MSL); short by default because the simulated fabric's MSL is tiny.
-  DurationNs time_wait = 10 * kMillisecond;
-
-  size_t max_syn_backlog = 128;
 
   // Stateless SYN cookies (docs/SCALING.md §2): listeners answer SYNs without allocating any
   // connection state; the TCB materializes only when the third ACK returns a valid cookie.

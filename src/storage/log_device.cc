@@ -117,10 +117,13 @@ Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
   co_return wait.status;
 }
 
-Task<Status> LogDevice::SubmitWriteAndWait(uint64_t lba, std::span<const uint8_t> data) {
+Task<Status> LogDevice::SubmitAndWait(bool is_read, uint64_t lba,
+                                      std::span<const uint8_t> data,
+                                      std::span<const std::span<const uint8_t>> iov,
+                                      std::span<uint8_t> out) {
   DurationNs backoff = retry_.initial_backoff;
   for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/false, lba, data, {}, {});
+    const Status s = co_await SubmitOnceAndWait(is_read, lba, data, iov, out);
     if (s != Status::kIoError) {
       co_return s;  // success, or a non-retryable submission error
     }
@@ -130,42 +133,7 @@ Task<Status> LogDevice::SubmitWriteAndWait(uint64_t lba, std::span<const uint8_t
     }
     stats_.io_retries++;
     co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, retry_.max_backoff);
-  }
-}
-
-Task<Status> LogDevice::SubmitWritevAndWait(uint64_t lba,
-                                            std::span<const std::span<const uint8_t>> iov) {
-  DurationNs backoff = retry_.initial_backoff;
-  for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/false, lba, {}, iov, {});
-    if (s != Status::kIoError) {
-      co_return s;
-    }
-    if (attempt >= retry_.max_retries) {
-      stats_.io_terminal_errors++;
-      co_return s;
-    }
-    stats_.io_retries++;
-    co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, retry_.max_backoff);
-  }
-}
-
-Task<Status> LogDevice::SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out) {
-  DurationNs backoff = retry_.initial_backoff;
-  for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/true, lba, {}, {}, out);
-    if (s != Status::kIoError) {
-      co_return s;
-    }
-    if (attempt >= retry_.max_retries) {
-      stats_.io_terminal_errors++;
-      co_return s;
-    }
-    stats_.io_retries++;
-    co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, retry_.max_backoff);
+    backoff = std::min<DurationNs>(backoff * 2, kMaxRetryBackoff);
   }
 }
 
@@ -196,7 +164,7 @@ Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
   std::memcpy(io.data() + in_block_off, hdr.data(), kHeaderSize);
   std::memcpy(io.data() + in_block_off + kHeaderSize, payload.data(), payload.size());
 
-  const Status s = co_await SubmitWriteAndWait(DeviceLba(tail_), io);
+  const Status s = co_await SubmitAndWait(/*is_read=*/false, DeviceLba(tail_), io, {}, {});
   if (s != Status::kOk) {
     ReleaseAppendLock();
     co_return s;
@@ -286,7 +254,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
   }
 
   const uint64_t first_byte = gap1 > 0 ? tail_ - tail_ % block_size_ : tail_;
-  const Status s = co_await SubmitWritevAndWait(DeviceLba(first_byte), iov);
+  const Status s = co_await SubmitAndWait(/*is_read=*/false, DeviceLba(first_byte), {}, iov, {});
   if (s != Status::kOk) {
     ReleaseAppendLock();
     co_return s;
@@ -314,7 +282,8 @@ Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
     hdr_blocks = std::min<size_t>(hdr_blocks,
                                   static_cast<size_t>(part_.num_blocks - first_block));
     std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitReadAndWait(part_.first_block + first_block, hdr_io);
+    Status s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + first_block, {}, {},
+                                       hdr_io);
     if (s != Status::kOk) {
       co_return s;
     }
@@ -355,7 +324,7 @@ Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
       std::memcpy(result.payload.data(), hdr_io.data() + in_off + kHeaderSize, len);
     } else {
       std::vector<uint8_t> io((span_last - span_first + 1) * block_size_);
-      s = co_await SubmitReadAndWait(part_.first_block + span_first, io);
+      s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + span_first, {}, {}, io);
       if (s != Status::kOk) {
         co_return s;
       }
@@ -382,7 +351,8 @@ Task<Result<LogDevice::ZcReadResult>> LogDevice::ReadZc(uint64_t cursor, PoolAll
     hdr_blocks = std::min<size_t>(hdr_blocks,
                                   static_cast<size_t>(part_.num_blocks - first_block));
     std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitReadAndWait(part_.first_block + first_block, hdr_io);
+    Status s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + first_block, {}, {},
+                                       hdr_io);
     if (s != Status::kOk) {
       co_return s;
     }
@@ -421,8 +391,8 @@ Task<Result<LogDevice::ZcReadResult>> LogDevice::ReadZc(uint64_t cursor, PoolAll
     if (!buf.valid()) {
       co_return Status::kNoMemory;
     }
-    s = co_await SubmitReadAndWait(part_.first_block + span_first,
-                                   {buf.mutable_data(), span_bytes});
+    s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + span_first, {}, {},
+                               {buf.mutable_data(), span_bytes});
     if (s != Status::kOk) {
       co_return s;
     }

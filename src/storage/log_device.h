@@ -115,14 +115,15 @@ class LogDevice {
   static uint64_t ScanPartition(const SimBlockDevice& device, const LogPartition& partition,
                                 std::vector<RecordInfo>* out);
 
-  // Bounded exponential backoff applied to transient device I/O errors (injected faults, flaky
-  // media). After 1 + max_retries failed attempts the last error becomes terminal and
-  // propagates to the caller — and from there through Cattree to the waiting qtoken.
+  // Bounded exponential backoff (doubling, capped at kMaxRetryBackoff) applied to transient
+  // device I/O errors (injected faults, flaky media). After 1 + max_retries failed attempts the
+  // last error becomes terminal and propagates to the caller — and from there through Cattree
+  // to the waiting qtoken.
   struct RetryPolicy {
     uint32_t max_retries = 6;
     DurationNs initial_backoff = 10 * kMicrosecond;
-    DurationNs max_backoff = 1 * kMillisecond;
   };
+  static constexpr DurationNs kMaxRetryBackoff = 1 * kMillisecond;
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
@@ -156,15 +157,15 @@ class LogDevice {
   };
 
   // One submission attempt: retries while the device queue is full, then awaits the completion
-  // and returns its status.
+  // and returns its status. A read fills `out`; a write gathers `iov` if non-empty, else `data`.
   Task<Status> SubmitOnceAndWait(bool is_read, uint64_t lba, std::span<const uint8_t> data,
                                  std::span<const std::span<const uint8_t>> iov,
                                  std::span<uint8_t> out);
-  // Issues a device op with transient-error retry per retry_policy(); returns the terminal
+  // SubmitOnceAndWait with transient-error retry per retry_policy(); returns the terminal
   // status once the op succeeds or the budget is spent.
-  Task<Status> SubmitWriteAndWait(uint64_t lba, std::span<const uint8_t> data);
-  Task<Status> SubmitWritevAndWait(uint64_t lba, std::span<const std::span<const uint8_t>> iov);
-  Task<Status> SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out);
+  Task<Status> SubmitAndWait(bool is_read, uint64_t lba, std::span<const uint8_t> data,
+                             std::span<const std::span<const uint8_t>> iov,
+                             std::span<uint8_t> out);
   Task<void> AcquireAppendLock();
   void ReleaseAppendLock();
   // Composes the 24-byte record header for `payload_len` bytes with `crc`, stamping a fresh

@@ -61,13 +61,10 @@ void SimBlockDevice::RegisterMetrics(MetricsRegistry& registry) {
 
 TimeNs SimBlockDevice::CompletionTimeFor(size_t bytes, bool is_read) {
   const TimeNs now = clock_.Now();
-  DurationNs transfer = 0;
-  if (config_.bandwidth_bytes_per_sec != 0) {
-    transfer = static_cast<DurationNs>(bytes) * kSecond / config_.bandwidth_bytes_per_sec;
-  }
+  const DurationNs transfer = static_cast<DurationNs>(bytes) * kSecond / kBandwidthBytesPerSec;
   // The device processes one transfer at a time (single media channel model).
   device_free_at_ = std::max<TimeNs>(device_free_at_, now) + transfer;
-  return device_free_at_ + (is_read ? config_.read_latency : config_.write_latency);
+  return device_free_at_ + (is_read ? kReadLatency : kWriteLatency);
 }
 
 Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total_bytes) {
@@ -78,7 +75,7 @@ Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total
   if (lba + nblocks > config_.num_blocks) {
     return Status::kInvalidArgument;
   }
-  if (pending_.size() >= config_.queue_depth) {
+  if (pending_.size() >= kQueueDepth) {
     stats_.queue_full_rejections++;
     return Status::kQueueFull;
   }
@@ -151,7 +148,7 @@ Status SimBlockDevice::SubmitRead(uint64_t lba, std::span<uint8_t> out, uint64_t
   if (lba + nblocks > config_.num_blocks) {
     return Status::kInvalidArgument;
   }
-  if (pending_.size() >= config_.queue_depth) {
+  if (pending_.size() >= kQueueDepth) {
     stats_.queue_full_rejections++;
     return Status::kQueueFull;
   }

@@ -1,8 +1,8 @@
 // SimBlockDevice: the simulated NVMe/SPDK substrate.
 //
 // Substitution for an Intel Optane SSD driven through SPDK (DESIGN.md §2): an asynchronous,
-// block-addressed submit/poll interface with a configurable latency model (default tuned to the
-// paper's 3D-XPoint device: ~10 µs writes). Cattree drives this exactly as it would drive SPDK:
+// block-addressed submit/poll interface with a fixed latency model tuned to the paper's
+// 3D-XPoint device (~10 µs writes). Cattree drives this exactly as it would drive SPDK:
 // submit, yield, poll completions from the fast-path coroutine.
 //
 // Multi-queue: like an NVMe controller, the device exposes N completion queues
@@ -35,11 +35,14 @@ class SimBlockDevice {
   struct Config {
     size_t block_size = 4096;
     size_t num_blocks = 16384;  // 64 MB
-    DurationNs read_latency = 7 * kMicrosecond;
-    DurationNs write_latency = 10 * kMicrosecond;
-    uint64_t bandwidth_bytes_per_sec = 2'000'000'000ULL;  // 2 GB/s; 0 = infinite
-    size_t queue_depth = 64;
   };
+
+  // Latency model: per-op latency after a single-channel transfer at kBandwidthBytesPerSec.
+  static constexpr DurationNs kReadLatency = 7 * kMicrosecond;
+  static constexpr DurationNs kWriteLatency = 10 * kMicrosecond;
+  static constexpr uint64_t kBandwidthBytesPerSec = 2'000'000'000ULL;  // 2 GB/s
+  // Ops in flight across all queues before submits return kQueueFull.
+  static constexpr size_t kQueueDepth = 64;
 
   struct Completion {
     uint64_t cookie;

@@ -12,7 +12,8 @@
 //
 // Environment knobs (see docs/FAULTS.md):
 //   DEMI_FAULT_SEED=<n>          replay exactly one seed
-//   DEMI_CHAOS_SEEDS=<n>         number of seeds to soak (default 20)
+//   DEMI_CHAOS_SEEDS=<n>         number of seeds to soak (default 20; 5 for the real-time
+//                                multi-shard scenario)
 //   DEMI_CHAOS_RETRY_BUDGET=<n>  override the storage retry budget (0 demonstrates the
 //                                broken-build mode: terminal disk errors surface and the
 //                                offending seed is printed for replay)
@@ -39,29 +40,12 @@
 #include "src/net/headers.h"
 #include "src/netsim/sim_network.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/chaos_seeds.h"
 
 namespace demi {
 namespace {
 
 // --- Seed selection ---
-
-std::vector<uint64_t> SeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 20;
-  if (const char* c = std::getenv("DEMI_CHAOS_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
 
 std::string ReplayHint(uint64_t seed) {
   return "seed " + std::to_string(seed) +
@@ -395,7 +379,7 @@ void RunTcpEchoScenario(uint64_t seed, EchoFingerprint* out) {
 }
 
 TEST(ChaosSoakTest, TcpEchoSurvivesSeededChaos) {
-  for (uint64_t seed : SeedList()) {
+  for (uint64_t seed : ChaosSeeds(20)) {
     SCOPED_TRACE(ReplayHint(seed));
     RunTcpEchoScenario(seed, nullptr);
     if (::testing::Test::HasFatalFailure()) {
@@ -653,7 +637,7 @@ void RunMiniKvScenario(uint64_t seed) {
 }
 
 TEST(ChaosSoakTest, MiniKvPersistenceSurvivesSeededChaos) {
-  for (uint64_t seed : SeedList()) {
+  for (uint64_t seed : ChaosSeeds(20)) {
     SCOPED_TRACE(ReplayHint(seed));
     RunMiniKvScenario(seed);
     if (::testing::Test::HasFatalFailure()) {
@@ -1027,24 +1011,6 @@ TEST(ChaosSoakTest, SynFloodWithCookiesAllocatesNothingAndServiceSurvives) {
 // graceful recovery — every corrupted segment is caught by the software checksums and healed
 // by retransmission, never by aborting.
 
-std::vector<uint64_t> ShardSeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 5;  // real-time scenarios: keep the default soak short
-  if (const char* c = std::getenv("DEMI_CHAOS_SHARD_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
-
 FaultPlan ShardPlanForSeed(uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 0x54A8D);
   FaultPlan p;
@@ -1189,7 +1155,7 @@ void RunShardedEchoChaosScenario(uint64_t seed, uint64_t* corrupted_total,
 TEST(ChaosSoakTest, ShardedEchoSurvivesSeededChaos) {
   uint64_t corrupted = 0;
   uint64_t caught = 0;
-  for (uint64_t seed : ShardSeedList()) {
+  for (uint64_t seed : ChaosSeeds(5)) {  // real time: keep the default soak short
     SCOPED_TRACE("sharded " + ReplayHint(seed));
     RunShardedEchoChaosScenario(seed, &corrupted, &caught);
     if (::testing::Test::HasFatalFailure()) {

@@ -287,41 +287,53 @@ uint64_t WaitNsCount(const LibOS& os) {
 }
 
 // A token that completes in the poll round that crosses the deadline comes back through the
-// normal completion path: WaitAny returns it and records its latency in core.wait_ns.
+// normal completion path: WaitAny and WaitAnyHarvest both return it and record its latency in
+// core.wait_ns.
 TEST(CatnipWaitTest, WaitAnyReturnsTokenCompletedAsDeadlinePasses) {
-  VirtualClock clock;
-  SimNetwork net(LinkConfig{}, 7);
-  Catnip::Config cfg{MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr};
-  Catnip os(net, cfg, clock);
-  auto mq = os.MemoryQueue();
-  ASSERT_TRUE(mq.ok());
-  auto pop = os.Pop(*mq);
-  ASSERT_TRUE(pop.ok());
-  // The pump pushes in the first round; the pop completes on a later scheduler poll, and the
-  // pump round right after that poll steps the clock past the deadline.
-  QToken push = kInvalidQToken;
-  bool crossed = false;
-  os.SetExternalPump([&] {
-    if (push == kInvalidQToken) {
-      auto qt = os.Push(*mq, MakeSga(os, "late"));
-      ASSERT_TRUE(qt.ok());
-      push = *qt;
-    } else if (!crossed && os.IsDone(*pop)) {
-      clock.Advance(kSecond);
-      crossed = true;
+  for (const bool harvest : {false, true}) {
+    SCOPED_TRACE(harvest ? "WaitAnyHarvest" : "WaitAny");
+    VirtualClock clock;
+    SimNetwork net(LinkConfig{}, 7);
+    Catnip::Config cfg{MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr};
+    Catnip os(net, cfg, clock);
+    auto mq = os.MemoryQueue();
+    ASSERT_TRUE(mq.ok());
+    auto pop = os.Pop(*mq);
+    ASSERT_TRUE(pop.ok());
+    // The pump pushes in the first round; the pop completes on a later scheduler poll, and the
+    // pump round right after that poll steps the clock past the deadline.
+    QToken push = kInvalidQToken;
+    bool crossed = false;
+    os.SetExternalPump([&] {
+      if (push == kInvalidQToken) {
+        auto qt = os.Push(*mq, MakeSga(os, "late"));
+        ASSERT_TRUE(qt.ok());
+        push = *qt;
+      } else if (!crossed && os.IsDone(*pop)) {
+        clock.Advance(kSecond);
+        crossed = true;
+      }
+    });
+    const uint64_t waits_before = WaitNsCount(os);
+    QToken qts[1] = {*pop};
+    std::vector<QResult> events;
+    std::vector<size_t> indices;
+    if (harvest) {
+      ASSERT_EQ(os.WaitAnyHarvest(qts, &events, &indices, kMillisecond), 1u);
+    } else {
+      size_t index = 99;
+      auto r = os.WaitAny(qts, &index, kMillisecond);
+      ASSERT_TRUE(r.ok());
+      events.push_back(*r);
+      indices.push_back(index);
     }
-  });
-  const uint64_t waits_before = WaitNsCount(os);
-  QToken qts[1] = {*pop};
-  size_t index = 99;
-  auto r = os.WaitAny(qts, &index, kMillisecond);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(crossed);
-  EXPECT_EQ(index, 0u);
-  EXPECT_EQ(SgaToString(os, r->sga), "late");
-  EXPECT_EQ(WaitNsCount(os), waits_before + 1);
-  os.SetExternalPump(nullptr);
-  EXPECT_TRUE(os.Wait(push).ok());
+    EXPECT_TRUE(crossed);
+    EXPECT_EQ(indices[0], 0u);
+    EXPECT_EQ(SgaToString(os, events[0].sga), "late");
+    EXPECT_EQ(WaitNsCount(os), waits_before + 1);
+    os.SetExternalPump(nullptr);
+    EXPECT_TRUE(os.Wait(push).ok());
+  }
 }
 
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {

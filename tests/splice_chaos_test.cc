@@ -24,27 +24,10 @@
 #include "src/liboses/catnip.h"
 #include "src/netsim/sim_network.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/chaos_seeds.h"
 
 namespace demi {
 namespace {
-
-std::vector<uint64_t> SeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 20;
-  if (const char* c = std::getenv("DEMI_CHAOS_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
 
 std::string ReplayHint(uint64_t seed) {
   return "seed " + std::to_string(seed) +
@@ -274,7 +257,7 @@ void RunRelaySeed(uint64_t seed) {
 }
 
 TEST(SpliceChaosSoak, RelayIsByteExactUnderFaults) {
-  for (const uint64_t seed : SeedList()) {
+  for (const uint64_t seed : ChaosSeeds(20)) {
     RunRelaySeed(seed);
     if (::testing::Test::HasFatalFailure()) {
       return;

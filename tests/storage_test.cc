@@ -45,7 +45,7 @@ TEST_F(BlockDeviceTest, WriteLatencyModelHolds) {
   std::vector<uint8_t> data(4096, 1);
   ASSERT_EQ(dev_.SubmitWrite(0, data, 1), Status::kOk);
   const TimeNs expected = dev_.NextCompletionTime();
-  // write_latency (10us) + transfer (4096B @ 2GB/s ~ 2us)
+  // kWriteLatency (10us) + transfer (4096B @ 2GB/s ~ 2us)
   EXPECT_GE(expected, 10 * kMicrosecond);
   EXPECT_LE(expected, 15 * kMicrosecond);
 }
@@ -64,14 +64,14 @@ TEST_F(BlockDeviceTest, QueueDepthEnforced) {
   std::vector<uint8_t> data(4096, 1);
   Status s = Status::kOk;
   size_t accepted = 0;
-  for (size_t i = 0; i < dev_.config().queue_depth + 10; i++) {
+  for (size_t i = 0; i < SimBlockDevice::kQueueDepth + 10; i++) {
     s = dev_.SubmitWrite(0, data, i);
     if (s == Status::kOk) {
       accepted++;
     }
   }
   EXPECT_EQ(s, Status::kQueueFull);
-  EXPECT_EQ(accepted, dev_.config().queue_depth);
+  EXPECT_EQ(accepted, SimBlockDevice::kQueueDepth);
   EXPECT_GT(dev_.GetStats().queue_full_rejections, 0u);
 }
 

@@ -242,7 +242,7 @@ TEST_F(TcpBatchingTest, DelayedAckFiresAtConfiguredCap) {
   const TimeNs delivered_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
   const DurationNs ack_wait = clock_.Now() - delivered_at;
-  const DurationNs cap = TcpConfig{}.delayed_ack_timeout;
+  const DurationNs cap = kTcpDelayedAckTimeout;
   EXPECT_GE(ack_wait, cap / 2) << "ack left before the delay timer";
   EXPECT_LE(ack_wait, 4 * cap) << "ack took far longer than the delay cap";
   EXPECT_GE(server->conn_stats().delayed_acks, 1u);
@@ -251,13 +251,13 @@ TEST_F(TcpBatchingTest, DelayedAckFiresAtConfiguredCap) {
 TEST_F(TcpBatchingTest, AckEveryNthFullSegmentIsImmediate) {
   auto [client, server] = EstablishPair();
   // Exactly two full-MSS segments in order: the second must trigger an immediate ack
-  // (default ack_every_segments = 2) covering both, rather than waiting out the delay timer.
+  // (kTcpAckEverySegments = 2) covering both, rather than waiting out the delay timer.
   const size_t bytes = 2 * client->effective_mss();
   PushString(a_, client, std::string(bytes, 'x'));
   ASSERT_TRUE(RunUntil([&] { return server->conn_stats().bytes_received >= bytes; }));
   const TimeNs delivered_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
-  EXPECT_LT(clock_.Now() - delivered_at, TcpConfig{}.delayed_ack_timeout / 2)
+  EXPECT_LT(clock_.Now() - delivered_at, kTcpDelayedAckTimeout / 2)
       << "segment-count ack should not have waited for the delay timer";
   (void)DrainString(server, bytes);
 }
@@ -284,7 +284,7 @@ TEST_F(TcpBatchingTest, OutOfOrderSegmentAcksImmediately) {
   const TimeNs sent_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return server->conn_stats().out_of_order > 0; }));
   ASSERT_TRUE(RunUntil([&] { return client->conn_stats().dup_acks_seen > 0; }));
-  EXPECT_LT(clock_.Now() - sent_at, TcpConfig{}.delayed_ack_timeout)
+  EXPECT_LT(clock_.Now() - sent_at, kTcpDelayedAckTimeout)
       << "out-of-order dup-ack was delayed";
   // The stream still completes byte-exactly once the hole is retransmitted.
   EXPECT_EQ(DrainString(server, 36), "lost-segment-one" "arrives-out-of-order");

@@ -30,6 +30,7 @@
 #include "src/liboses/catnip.h"
 #include "src/net/headers.h"
 #include "src/netsim/sim_network.h"
+#include "tests/chaos_seeds.h"
 
 namespace demi {
 namespace {
@@ -41,24 +42,6 @@ constexpr uint16_t kFlooderPort = 9200;
 constexpr int kVictimRounds = 40;
 constexpr size_t kFloodMsgBytes = 2048;
 constexpr int kFloodWindow = 4;  // junk messages the flooding client keeps outstanding
-
-std::vector<uint64_t> SeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 20;
-  if (const char* c = std::getenv("DEMI_CHAOS_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
 
 std::string ReplayHint(uint64_t seed) {
   return "seed " + std::to_string(seed) +
@@ -404,7 +387,7 @@ Outcome RunNoisyNeighborScenario(uint64_t seed, const Watchdog& dog) {
 }
 
 TEST(TenantChaosSoak, VictimSurvivesNoisyNeighborAcrossSeeds) {
-  for (uint64_t seed : SeedList()) {
+  for (uint64_t seed : ChaosSeeds(20)) {
     Watchdog dog(30);
     SCOPED_TRACE(ReplayHint(seed));
     Outcome out = RunNoisyNeighborScenario(seed, dog);
@@ -423,7 +406,7 @@ TEST(TenantChaosSoak, VictimSurvivesNoisyNeighborAcrossSeeds) {
 }
 
 TEST(TenantChaosSoak, SameSeedReplaysToIdenticalOutcome) {
-  const uint64_t seed = SeedList().front();
+  const uint64_t seed = ChaosSeeds(20).front();
   Watchdog dog1(30);
   Outcome a = RunNoisyNeighborScenario(seed, dog1);
   Watchdog dog2(30);
