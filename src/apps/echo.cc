@@ -86,13 +86,19 @@ void EchoServerApp::HandlePop(size_t index, QResult& r) {
                                : os_.PushTo(qd, r.sga, r.remote);
   os_.FreeSga(r.sga);
   if (push_qt.ok() && !os_.IsDone(*push_qt)) {
-    // Slow path (e.g., Catnap short write): finish before re-arming to preserve order.
-    auto push_r = os_.Wait(*push_qt);
-    (void)push_r;
-  } else if (push_qt.ok()) {
-    auto push_r = os_.TryTake(*push_qt);
-    (void)push_r;
+    // Slow path (Catnap short write, Catmint out of credits): the push takes its pop's slot and
+    // Pump re-arms the pop once it completes, which keeps replies in order. Waiting here could
+    // deadlock: in duet mode the peer that unblocks the push runs only between pumps.
+    tokens_[index] = *push_qt;
+    return;
   }
+  if (push_qt.ok()) {
+    (void)os_.TryTake(*push_qt);
+  }
+  RearmPop(index, qd);
+}
+
+void EchoServerApp::RearmPop(size_t index, QueueDesc qd) {
   auto pop_qt = os_.Pop(qd);
   if (pop_qt.ok()) {
     tokens_[index] = *pop_qt;
@@ -120,6 +126,8 @@ size_t EchoServerApp::Pump() {
       } else if (result->opcode == OpCode::kPop) {
         HandlePop(i, *result);
         served++;
+      } else if (result->opcode == OpCode::kPush) {
+        RearmPop(i, result->qd);  // a slow-path echo push finished
       }
       progress = true;
       break;  // token list mutated; rescan

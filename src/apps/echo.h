@@ -54,6 +54,8 @@ class EchoServerApp {
  private:
   void HandleAccept(size_t index, QResult& r);
   void HandlePop(size_t index, QResult& r);
+  // Replaces tokens_[index] with a fresh pop on `qd`, or drops the connection.
+  void RearmPop(size_t index, QueueDesc qd);
 
   LibOS& os_;
   EchoServerOptions options_;

@@ -730,7 +730,7 @@ Task<void> Catnip::SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
   uint64_t total = 0;
   uint64_t records = 0;
   for (;;) {
-    auto result = co_await storage_->log().ReadZc(cursor, alloc_);
+    auto result = co_await storage_->log().Read(cursor, alloc_);
     if (!result.ok()) {
       if (result.error() != Status::kEndOfFile) {
         status = result.error();  // reaching the tail is the clean end of the splice

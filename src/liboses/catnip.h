@@ -140,7 +140,7 @@ class Catnip final : public LibOS {
   };
 
   // Batch sizing: bytes stay under the largest pooled size class even after MSS rounding and
-  // block alignment (so the reverse ReadZc span allocation recycles, keeping the heap flat)
+  // block alignment (so the reverse Read span allocation recycles, keeping the heap flat)
   // and slices stay under the device SGL limit (so AppendSg never has to flatten —
   // splice.bounce_bytes == 0 on the happy path). 48 kB also amortizes the device's per-op
   // write latency enough that the append pipeline outruns a 10 Gbps wire.

@@ -51,7 +51,7 @@ class StorageQueueEngine {
 
   // Reads the record at *cursor; completes `qt` with an app-owned sga and advances the cursor.
   Task<void> PopOp(QToken qt, uint64_t* cursor) {
-    auto result = co_await log_.Read(*cursor);
+    auto result = co_await log_.Read(*cursor, alloc_);
     QResult qr;
     if (!result.ok()) {
       qr.status = result.error();
@@ -59,6 +59,8 @@ class StorageQueueEngine {
       co_return;
     }
     *cursor = result->next_cursor;
+    // The read's view shares its allocation with header and block bytes, and the app frees
+    // what it pops, so the payload is copied once into a whole allocation of its own.
     Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
     if (!buf.valid()) {
       qr.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
@@ -94,12 +96,14 @@ class StorageQueueEngine {
   }
 
   Task<void> PushOpPinned(QToken qt, std::vector<Buffer> pinned) {
-    // Flatten into the record image (models the controller's DMA gather from the ring).
-    std::vector<uint8_t> record;
+    // The pinned segments go to the log as one slice list; Append copies them once, straight
+    // into the block image the device writes.
+    std::vector<std::span<const uint8_t>> slices;
+    slices.reserve(pinned.size());
     for (const Buffer& b : pinned) {
-      record.insert(record.end(), b.data(), b.data() + b.size());
+      slices.emplace_back(b.data(), b.size());
     }
-    auto result = co_await log_.Append(record);
+    auto result = co_await log_.Append(slices);
     QResult qr;
     qr.status = result.error();
     tokens_.Complete(qt, qr);

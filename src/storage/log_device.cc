@@ -11,19 +11,99 @@ namespace demi {
 
 namespace {
 
+constexpr uint32_t kRecordMagic = 0x4C4F4752;  // "LOGR"
+constexpr uint32_t kPadMagic = 0x4C4F4750;     // "LOGP"
+constexpr size_t kAlign = 8;
+constexpr size_t kPadHeaderSize = 8;
+constexpr size_t kHeaderCrcBytes = 20;  // the header CRC covers every header byte before it
+
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) & ~(a - 1); }
 
-void PutU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
-void PutU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
-uint32_t GetU32(const uint8_t* src) {
-  uint32_t v = 0;
+template <typename T>
+void Put(uint8_t* dst, T v) {
+  std::memcpy(dst, &v, sizeof(v));
+}
+template <typename T>
+T Get(const uint8_t* src) {
+  T v = 0;
   std::memcpy(&v, src, sizeof(v));
   return v;
 }
-uint64_t GetU64(const uint8_t* src) {
-  uint64_t v = 0;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
+
+void PutPad(uint8_t* dst, uint64_t skip) {
+  Put<uint32_t>(dst, kPadMagic);
+  Put<uint32_t>(dst + 4, static_cast<uint32_t>(skip));
+}
+
+// One unit of the log's byte stream, decoded from the bytes at a cursor.
+struct Unit {
+  enum Kind { kPad, kRecord, kCorrupt };
+  Kind kind = kCorrupt;
+  uint64_t next = 0;  // cursor of the following unit
+  uint32_t len = 0;   // record payload bytes
+  uint64_t epoch = 0;
+  uint32_t payload_crc = 0;
+};
+
+// The one decoder of the record format: classifies the `bytes` at `cursor` as a pad marker, a
+// record whose header CRC verifies, or corrupt. Neither unit may extend past `limit` (the tail
+// online, the partition capacity in recovery). The payload CRC is the caller's to check.
+Unit DecodeUnit(std::span<const uint8_t> bytes, uint64_t cursor, uint64_t limit) {
+  Unit u;
+  if (bytes.size() < kPadHeaderSize) {
+    return u;
+  }
+  const uint32_t magic = Get<uint32_t>(bytes.data());
+  if (magic == kPadMagic) {
+    const uint32_t skip = Get<uint32_t>(bytes.data() + 4);
+    if (skip >= kPadHeaderSize && skip % kAlign == 0 && cursor + skip <= limit) {
+      u.kind = Unit::kPad;
+      u.next = cursor + skip;
+    }
+    return u;
+  }
+  if (magic != kRecordMagic || bytes.size() < LogDevice::kHeaderSize ||
+      Crc32(bytes.data(), kHeaderCrcBytes) != Get<uint32_t>(bytes.data() + kHeaderCrcBytes)) {
+    return u;  // not a unit, cut off, or a torn header
+  }
+  u.len = Get<uint32_t>(bytes.data() + 4);
+  u.next = cursor + AlignUp(LogDevice::kHeaderSize + u.len, kAlign);
+  if (u.next <= limit) {
+    u.kind = Unit::kRecord;
+    u.epoch = Get<uint64_t>(bytes.data() + 8);
+    u.payload_crc = Get<uint32_t>(bytes.data() + 16);
+  }
+  return u;
+}
+
+// Length and CRC of the payload `slices` concatenate to: the prologue both appends share.
+struct PayloadSummary {
+  uint32_t len = 0;
+  uint32_t crc = 0;
+};
+Result<PayloadSummary> Summarize(std::span<const std::span<const uint8_t>> slices) {
+  uint64_t len = 0;
+  uint32_t crc = 0;
+  for (const auto& s : slices) {
+    len += s.size();
+    crc = Crc32(s.data(), s.size(), crc);
+  }
+  if (len > UINT32_MAX) {
+    return Status::kMessageTooLong;
+  }
+  return PayloadSummary{static_cast<uint32_t>(len), crc};
+}
+
+// Resolves the "num_blocks = 0 means to the end of the device" default and checks the range.
+LogPartition Resolve(LogPartition part, const SimBlockDevice& device) {
+  const uint64_t device_blocks = device.config().num_blocks;
+  DEMI_CHECK_MSG(part.first_block <= device_blocks, "log partition starts past the device");
+  if (part.num_blocks == 0) {
+    part.num_blocks = device_blocks - part.first_block;
+  }
+  DEMI_CHECK_MSG(part.first_block + part.num_blocks <= device_blocks,
+                 "log partition exceeds the device");
+  return part;
 }
 
 }  // namespace
@@ -45,16 +125,9 @@ LogDevice::LogDevice(SimBlockDevice& device, Scheduler& scheduler, const LogPart
     : device_(device),
       scheduler_(scheduler),
       block_size_(device.config().block_size),
-      part_(partition),
+      part_(Resolve(partition, device)),
+      part_bytes_(part_.num_blocks * block_size_),
       epoch_(epoch != nullptr ? epoch : &local_epoch_) {
-  const uint64_t device_blocks = device.config().num_blocks;
-  DEMI_CHECK_MSG(part_.first_block <= device_blocks, "log partition starts past the device");
-  if (part_.num_blocks == 0) {
-    part_.num_blocks = device_blocks - part_.first_block;
-  }
-  DEMI_CHECK_MSG(part_.first_block + part_.num_blocks <= device_blocks,
-                 "log partition exceeds the device");
-  part_bytes_ = part_.num_blocks * block_size_;
   tail_block_cache_.assign(block_size_, 0);
 }
 
@@ -70,37 +143,31 @@ void LogDevice::ReleaseAppendLock() {
   append_lock_released_.Notify();
 }
 
-std::vector<uint8_t> LogDevice::MakeHeader(uint32_t payload_len, uint32_t payload_crc) {
+std::array<uint8_t, LogDevice::kHeaderSize> LogDevice::MakeHeader(uint32_t payload_len,
+                                                                  uint32_t payload_crc) {
   // demilint: atomic(relaxed is sufficient: the single modification order of the shared
   // epoch makes every draw unique across shards, and one shard's draws are monotonic
   // because its own RMWs are ordered. The record carrying this epoch travels through the
   // shard's own partition, never through the counter — see docs/STORAGE.md audit)
   const uint64_t epoch = epoch_->fetch_add(1, std::memory_order_relaxed);
   stats_.last_epoch = epoch;
-  std::vector<uint8_t> hdr(kHeaderSize, 0);
-  PutU32(hdr.data(), kRecordMagic);
-  PutU32(hdr.data() + 4, payload_len);
-  PutU64(hdr.data() + 8, epoch);
-  PutU32(hdr.data() + 16, payload_crc);
-  PutU32(hdr.data() + 20, Crc32(hdr.data(), 20));
+  std::array<uint8_t, kHeaderSize> hdr{};
+  Put<uint32_t>(hdr.data(), kRecordMagic);
+  Put<uint32_t>(hdr.data() + 4, payload_len);
+  Put<uint64_t>(hdr.data() + 8, epoch);
+  Put<uint32_t>(hdr.data() + 16, payload_crc);
+  Put<uint32_t>(hdr.data() + kHeaderCrcBytes, Crc32(hdr.data(), kHeaderCrcBytes));
   return hdr;
 }
 
-Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
-                                          std::span<const uint8_t> data,
-                                          std::span<const std::span<const uint8_t>> iov,
-                                          std::span<uint8_t> out) {
+Task<Status> LogDevice::SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                          std::span<const std::span<const uint8_t>> write_from) {
   IoWait wait;
   const uint64_t cookie = next_cookie_++;
   for (;;) {
-    Status s;
-    if (is_read) {
-      s = device_.SubmitRead(lba, out, cookie, part_.id);
-    } else if (!iov.empty()) {
-      s = device_.SubmitWritev(lba, iov, cookie, part_.id);
-    } else {
-      s = device_.SubmitWrite(lba, data, cookie, part_.id);
-    }
+    const Status s = read_into.empty()
+                         ? device_.SubmitWritev(lba, write_from, cookie, part_.id)
+                         : device_.SubmitRead(lba, read_into, cookie, part_.id);
     if (s == Status::kOk) {
       break;
     }
@@ -117,13 +184,11 @@ Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
   co_return wait.status;
 }
 
-Task<Status> LogDevice::SubmitAndWait(bool is_read, uint64_t lba,
-                                      std::span<const uint8_t> data,
-                                      std::span<const std::span<const uint8_t>> iov,
-                                      std::span<uint8_t> out) {
+Task<Status> LogDevice::SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                      std::span<const std::span<const uint8_t>> write_from) {
   DurationNs backoff = retry_.initial_backoff;
   for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(is_read, lba, data, iov, out);
+    const Status s = co_await SubmitOnceAndWait(lba, read_into, write_from);
     if (s != Status::kIoError) {
       co_return s;  // success, or a non-retryable submission error
     }
@@ -137,12 +202,15 @@ Task<Status> LogDevice::SubmitAndWait(bool is_read, uint64_t lba,
   }
 }
 
-Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
+Task<Result<uint64_t>> LogDevice::Append(std::span<const std::span<const uint8_t>> slices) {
+  const Result<PayloadSummary> payload = Summarize(slices);
+  if (!payload.ok()) {
+    co_return payload.error();
+  }
   co_await AcquireAppendLock();
   // RAII is awkward across co_return paths here; release explicitly on every exit.
   const uint64_t record_offset = tail_;
-  const uint64_t record_bytes = AlignUp(kHeaderSize + payload.size(), kAlign);
-  const uint64_t new_tail = tail_ + record_bytes;
+  const uint64_t new_tail = tail_ + AlignUp(kHeaderSize + payload->len, kAlign);
   if (new_tail > part_bytes_) {
     ReleaseAppendLock();
     co_return Status::kNoBufferSpace;
@@ -153,18 +221,22 @@ Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
   // after the device acknowledges the write — a retried or terminally failed attempt must not
   // leave phantom bytes in the next append's block image.
   const uint64_t first_block = tail_ / block_size_;
-  const uint64_t last_block = (new_tail - 1) / block_size_;
-  const size_t nblocks = static_cast<size_t>(last_block - first_block + 1);
+  const size_t nblocks = static_cast<size_t>((new_tail - 1) / block_size_ - first_block + 1);
   std::vector<uint8_t> io(nblocks * block_size_, 0);
   std::memcpy(io.data(), tail_block_cache_.data(), block_size_);
+  uint8_t* dst = io.data() + (tail_ - first_block * block_size_);
+  const auto hdr = MakeHeader(payload->len, payload->crc);
+  std::memcpy(dst, hdr.data(), kHeaderSize);
+  dst += kHeaderSize;
+  for (const auto& s : slices) {
+    if (!s.empty()) {
+      std::memcpy(dst, s.data(), s.size());
+      dst += s.size();
+    }
+  }
 
-  const size_t in_block_off = static_cast<size_t>(tail_ - first_block * block_size_);
-  const std::vector<uint8_t> hdr =
-      MakeHeader(static_cast<uint32_t>(payload.size()), Crc32(payload.data(), payload.size()));
-  std::memcpy(io.data() + in_block_off, hdr.data(), kHeaderSize);
-  std::memcpy(io.data() + in_block_off + kHeaderSize, payload.data(), payload.size());
-
-  const Status s = co_await SubmitAndWait(/*is_read=*/false, DeviceLba(tail_), io, {}, {});
+  const std::span<const uint8_t> image[] = {io};
+  const Status s = co_await SubmitAndWait(DeviceLba(tail_), {}, image);
   if (s != Status::kOk) {
     ReleaseAppendLock();
     co_return s;
@@ -178,18 +250,12 @@ Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
 }
 
 Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8_t>> slices) {
+  const Result<PayloadSummary> payload = Summarize(slices);
+  if (!payload.ok()) {
+    co_return payload.error();
+  }
+  const uint32_t payload_len = payload->len;
   co_await AcquireAppendLock();
-  uint64_t payload_len64 = 0;
-  uint32_t payload_crc = 0;
-  for (const auto& s : slices) {
-    payload_len64 += s.size();
-    payload_crc = Crc32(s.data(), s.size(), payload_crc);
-  }
-  if (payload_len64 > UINT32_MAX) {
-    ReleaseAppendLock();
-    co_return Status::kMessageTooLong;
-  }
-  const uint32_t payload_len = static_cast<uint32_t>(payload_len64);
 
   // Block-align the record: a leading pad marker fills the current tail block (its image comes
   // from the cache, never from payload), and a trailing pad fills out the last block, so after
@@ -205,7 +271,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
     co_return Status::kNoBufferSpace;
   }
 
-  const std::vector<uint8_t> hdr = MakeHeader(payload_len, payload_crc);
+  const auto hdr = MakeHeader(payload_len, payload->crc);
 
   std::vector<std::span<const uint8_t>> iov;
   iov.reserve(slices.size() + 3);
@@ -215,8 +281,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
     lead = tail_block_cache_;
     const size_t in_off = static_cast<size_t>(tail_ % block_size_);
     std::fill(lead.begin() + in_off, lead.end(), 0);
-    PutU32(lead.data() + in_off, kPadMagic);
-    PutU32(lead.data() + in_off + 4, static_cast<uint32_t>(gap1));
+    PutPad(lead.data() + in_off, gap1);
     iov.emplace_back(lead.data(), lead.size());
   }
   iov.emplace_back(hdr.data(), hdr.size());
@@ -245,16 +310,14 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
                                                    payload_len),
                                0);
   if (gap2 > 0) {
-    const size_t pad_at = static_cast<size_t>(rec_aligned - kHeaderSize - payload_len);
-    PutU32(trailer.data() + pad_at, kPadMagic);
-    PutU32(trailer.data() + pad_at + 4, static_cast<uint32_t>(gap2));
+    PutPad(trailer.data() + (rec_aligned - kHeaderSize - payload_len), gap2);
   }
   if (!trailer.empty()) {
     iov.emplace_back(trailer.data(), trailer.size());
   }
 
   const uint64_t first_byte = gap1 > 0 ? tail_ - tail_ % block_size_ : tail_;
-  const Status s = co_await SubmitAndWait(/*is_read=*/false, DeviceLba(first_byte), {}, iov, {});
+  const Status s = co_await SubmitAndWait(DeviceLba(first_byte), {}, iov);
   if (s != Status::kOk) {
     ReleaseAppendLock();
     co_return s;
@@ -268,7 +331,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
   co_return record_off;
 }
 
-Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
+Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor, PoolAllocator& alloc) {
   for (;;) {
     if (cursor < head_) {
       co_return Status::kInvalidArgument;
@@ -276,134 +339,50 @@ Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
     if (cursor >= tail_) {
       co_return Status::kEndOfFile;
     }
-    // Read the block(s) holding the header; it can straddle a block boundary.
+    // Read the block(s) holding the header (it can straddle a block boundary) into pool
+    // memory; a payload that ends inside them is served from this one read.
     const uint64_t first_block = cursor / block_size_;
-    size_t hdr_blocks = (cursor % block_size_) + kHeaderSize > block_size_ ? 2 : 1;
-    hdr_blocks = std::min<size_t>(hdr_blocks,
-                                  static_cast<size_t>(part_.num_blocks - first_block));
-    std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + first_block, {}, {},
-                                       hdr_io);
+    const uint64_t end_block =
+        std::min((cursor + kHeaderSize - 1) / block_size_ + 1, part_.num_blocks);
+    Buffer io = Buffer::TryAllocate(alloc, (end_block - first_block) * block_size_);
+    if (!io.valid()) {
+      co_return Status::kNoMemory;
+    }
+    Status s = co_await SubmitAndWait(DeviceLba(cursor), {io.mutable_data(), io.size()}, {});
     if (s != Status::kOk) {
       co_return s;
     }
-    const size_t in_off = static_cast<size_t>(cursor - first_block * block_size_);
-    const uint32_t magic = GetU32(hdr_io.data() + in_off);
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr_io.data() + in_off + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > tail_) {
-        co_return Status::kProtocolError;
-      }
-      cursor += skip;
-      continue;  // alignment filler between records
-    }
-    if (magic != kRecordMagic || hdr_io.size() - in_off < kHeaderSize) {
+    const size_t in_off = static_cast<size_t>(cursor % block_size_);
+    const Unit unit = DecodeUnit({io.data() + in_off, io.size() - in_off}, cursor, tail_);
+    if (unit.kind == Unit::kCorrupt) {
       co_return Status::kProtocolError;
     }
-    const uint32_t len = GetU32(hdr_io.data() + in_off + 4);
-    const uint32_t stored_hdr_crc = GetU32(hdr_io.data() + in_off + 20);
-    if (Crc32(hdr_io.data() + in_off, 20) != stored_hdr_crc) {
-      co_return Status::kProtocolError;
+    if (unit.kind == Unit::kPad) {
+      cursor = unit.next;  // alignment filler between records
+      continue;
     }
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > tail_) {
-      co_return Status::kProtocolError;
-    }
-
-    ReadResult result;
-    result.payload.resize(len);
-    result.next_cursor = cursor + record_bytes;
-    const uint32_t stored_payload_crc = GetU32(hdr_io.data() + in_off + 16);
 
     const uint64_t payload_start = cursor + kHeaderSize;
-    const uint64_t payload_end = payload_start + len;
-    const uint64_t span_first = payload_start / block_size_;
-    const uint64_t span_last = len == 0 ? span_first : (payload_end - 1) / block_size_;
-    if (span_last < first_block + hdr_blocks) {
-      // Entire payload was already covered by the header read.
-      std::memcpy(result.payload.data(), hdr_io.data() + in_off + kHeaderSize, len);
-    } else {
-      std::vector<uint8_t> io((span_last - span_first + 1) * block_size_);
-      s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + span_first, {}, {}, io);
+    size_t view_off = in_off + kHeaderSize;
+    if (payload_start + unit.len > end_block * block_size_) {
+      // One pool allocation covers every block the payload touches; the device DMAs into it
+      // and the returned view slices the payload out of it — no host-side payload copy.
+      const uint64_t span_first = payload_start / block_size_;
+      const uint64_t span_last = (payload_start + unit.len - 1) / block_size_;
+      io = Buffer::TryAllocate(alloc, (span_last - span_first + 1) * block_size_);
+      if (!io.valid()) {
+        co_return Status::kNoMemory;
+      }
+      s = co_await SubmitAndWait(DeviceLba(payload_start), {io.mutable_data(), io.size()}, {});
       if (s != Status::kOk) {
         co_return s;
       }
-      std::memcpy(result.payload.data(), io.data() + (payload_start - span_first * block_size_),
-                  len);
+      view_off = static_cast<size_t>(payload_start % block_size_);
     }
-    if (Crc32(result.payload.data(), result.payload.size()) != stored_payload_crc) {
+    if (Crc32(io.data() + view_off, unit.len) != unit.payload_crc) {
       co_return Status::kProtocolError;
     }
-    co_return result;
-  }
-}
-
-Task<Result<LogDevice::ZcReadResult>> LogDevice::ReadZc(uint64_t cursor, PoolAllocator& alloc) {
-  for (;;) {
-    if (cursor < head_) {
-      co_return Status::kInvalidArgument;
-    }
-    if (cursor >= tail_) {
-      co_return Status::kEndOfFile;
-    }
-    const uint64_t first_block = cursor / block_size_;
-    size_t hdr_blocks = (cursor % block_size_) + kHeaderSize > block_size_ ? 2 : 1;
-    hdr_blocks = std::min<size_t>(hdr_blocks,
-                                  static_cast<size_t>(part_.num_blocks - first_block));
-    std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + first_block, {}, {},
-                                       hdr_io);
-    if (s != Status::kOk) {
-      co_return s;
-    }
-    const size_t in_off = static_cast<size_t>(cursor - first_block * block_size_);
-    const uint32_t magic = GetU32(hdr_io.data() + in_off);
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr_io.data() + in_off + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > tail_) {
-        co_return Status::kProtocolError;
-      }
-      cursor += skip;
-      continue;
-    }
-    if (magic != kRecordMagic || hdr_io.size() - in_off < kHeaderSize) {
-      co_return Status::kProtocolError;
-    }
-    const uint32_t len = GetU32(hdr_io.data() + in_off + 4);
-    const uint32_t stored_payload_crc = GetU32(hdr_io.data() + in_off + 16);
-    const uint32_t stored_hdr_crc = GetU32(hdr_io.data() + in_off + 20);
-    if (Crc32(hdr_io.data() + in_off, 20) != stored_hdr_crc) {
-      co_return Status::kProtocolError;
-    }
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > tail_) {
-      co_return Status::kProtocolError;
-    }
-
-    // One pool allocation covers every block the payload touches; the device DMAs into it and
-    // the returned view slices the payload out of it — no host-side payload copy.
-    const uint64_t payload_start = cursor + kHeaderSize;
-    const uint64_t span_first = payload_start / block_size_;
-    const uint64_t span_last =
-        len == 0 ? span_first : (payload_start + len - 1) / block_size_;
-    const size_t span_bytes = static_cast<size_t>((span_last - span_first + 1) * block_size_);
-    Buffer buf = Buffer::TryAllocate(alloc, span_bytes);
-    if (!buf.valid()) {
-      co_return Status::kNoMemory;
-    }
-    s = co_await SubmitAndWait(/*is_read=*/true, part_.first_block + span_first, {}, {},
-                               {buf.mutable_data(), span_bytes});
-    if (s != Status::kOk) {
-      co_return s;
-    }
-    const size_t view_off = static_cast<size_t>(payload_start - span_first * block_size_);
-    if (Crc32(buf.data() + view_off, len) != stored_payload_crc) {
-      co_return Status::kProtocolError;
-    }
-    ZcReadResult result;
-    result.payload = buf.Slice(view_off, len);
-    result.next_cursor = cursor + record_bytes;
-    co_return result;
+    co_return ReadResult{io.Slice(view_off, unit.len), unit.next};
   }
 }
 
@@ -440,73 +419,59 @@ void LogDevice::PollDevice() {
 uint64_t LogDevice::ScanPartition(const SimBlockDevice& device, const LogPartition& partition,
                                   std::vector<RecordInfo>* out) {
   const size_t block_size = device.config().block_size;
-  LogPartition part = partition;
-  if (part.num_blocks == 0) {
-    part.num_blocks = device.config().num_blocks - part.first_block;
-  }
+  const LogPartition part = Resolve(partition, device);
   const uint64_t base = part.first_block * block_size;
   const uint64_t cap = part.num_blocks * block_size;
   uint64_t cursor = 0;
   uint64_t last_epoch = 0;
-  std::vector<uint8_t> hdr(kHeaderSize);
+  std::array<uint8_t, kHeaderSize> hdr{};
   std::vector<uint8_t> payload;
-  while (cursor + kPadHeaderSize <= cap) {
+  while (cursor < cap) {
     const size_t avail = static_cast<size_t>(std::min<uint64_t>(kHeaderSize, cap - cursor));
     device.RawRead(base + cursor, {hdr.data(), avail});
-    const uint32_t magic = GetU32(hdr.data());
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr.data() + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > cap) {
-        break;
-      }
-      cursor += skip;
+    const Unit unit = DecodeUnit({hdr.data(), avail}, cursor, cap);
+    if (unit.kind == Unit::kPad) {
+      cursor = unit.next;
       continue;
     }
-    if (magic != kRecordMagic || avail < kHeaderSize) {
-      break;
+    if (unit.kind == Unit::kCorrupt || unit.epoch <= last_epoch) {
+      break;  // torn or out of bounds, or epoch monotonicity broken (stale data)
     }
-    if (Crc32(hdr.data(), 20) != GetU32(hdr.data() + 20)) {
-      break;  // torn header
-    }
-    const uint32_t len = GetU32(hdr.data() + 4);
-    const uint64_t epoch = GetU64(hdr.data() + 8);
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > cap || epoch <= last_epoch) {
-      break;  // out of bounds, or epoch monotonicity broken (stale/torn data)
-    }
-    payload.resize(len);
-    if (len > 0) {
+    payload.resize(unit.len);
+    if (unit.len > 0) {
       device.RawRead(base + cursor + kHeaderSize, payload);
     }
-    if (Crc32(payload.data(), payload.size()) != GetU32(hdr.data() + 16)) {
+    if (Crc32(payload.data(), payload.size()) != unit.payload_crc) {
       break;  // torn payload: the record never became durable
     }
     if (out != nullptr) {
-      out->push_back(RecordInfo{cursor, len, epoch});
+      out->push_back(RecordInfo{cursor, unit.len, unit.epoch});
     }
-    last_epoch = epoch;
-    cursor += record_bytes;
+    last_epoch = unit.epoch;
+    cursor = unit.next;
   }
   return cursor;
+}
+
+void LogDevice::SeedEpochPast(std::atomic<uint64_t>& epoch, uint64_t max_epoch) {
+  // demilint: atomic(recovery is synchronous — before workers spawn or after they join, with
+  // no concurrent appenders — so nothing races this seed; the relaxed CAS only has to win the
+  // modification order when several partitions recover in turn)
+  uint64_t cur = epoch.load(std::memory_order_relaxed);
+  while (cur <= max_epoch &&
+         !epoch.compare_exchange_weak(  // demilint: atomic(see load above)
+             cur, max_epoch + 1, std::memory_order_relaxed)) {
+  }
 }
 
 Status LogDevice::Recover() {
   head_ = 0;
   std::vector<RecordInfo> records;
   tail_ = ScanPartition(device_, part_, &records);
-  // The shared epoch must move past every recovered record so post-recovery appends keep the
-  // per-partition strict ordering. (PartitionedLog::RecoverAll does this across partitions;
-  // this covers the standalone whole-device log.)
-  uint64_t max_epoch = records.empty() ? 0 : records.back().epoch;
-  stats_.last_epoch = max_epoch;
-  // demilint: atomic(recovery is synchronous — no concurrent appenders — so the relaxed
-  // CAS only has to win the modification order when several partitions recover in turn)
-  uint64_t cur = epoch_->load(std::memory_order_relaxed);
-  // demilint: atomic(see load above)
-  while (cur <= max_epoch &&
-         !epoch_->compare_exchange_weak(  // demilint: atomic(see load above)
-             cur, max_epoch + 1, std::memory_order_relaxed)) {
-  }
+  // PartitionedLog::RecoverAll seeds the shared epoch across partitions; this covers the
+  // standalone whole-device log.
+  stats_.last_epoch = records.empty() ? 0 : records.back().epoch;
+  SeedEpochPast(*epoch_, stats_.last_epoch);
   // Rebuild the tail-block cache from media.
   std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
   const uint64_t tail_block = tail_ / block_size_;

@@ -20,6 +20,7 @@
 #ifndef SRC_STORAGE_LOG_DEVICE_H_
 #define SRC_STORAGE_LOG_DEVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -53,36 +54,31 @@ class LogDevice {
   LogDevice(SimBlockDevice& device, Scheduler& scheduler, const LogPartition& partition = {},
             std::atomic<uint64_t>* epoch = nullptr);
 
+  // One record read off the log: its payload as a Buffer view over pool memory the device
+  // DMAed into, and the cursor of the unit after it.
   struct ReadResult {
-    std::vector<uint8_t> payload;
-    uint64_t next_cursor;
-  };
-
-  // Zero-copy read: the payload is a view into one pool allocation covering the record's
-  // blocks — no payload memcpy between the device and the consumer (e.g. a TCP push).
-  struct ZcReadResult {
     Buffer payload;
     uint64_t next_cursor = 0;
   };
 
-  // Appends one record; resumes when the write is durable on the device. Returns the record's
-  // byte offset. Appends from multiple coroutines are serialized internally.
-  Task<Result<uint64_t>> Append(std::span<const uint8_t> payload);
+  // Appends one record whose payload is the concatenation of `slices`, packed right after the
+  // previous record: the slices are copied once, into the block image that also carries the
+  // partial tail block. Resumes when the write is durable; returns the record's byte offset.
+  // Appends from multiple coroutines are serialized internally.
+  Task<Result<uint64_t>> Append(std::span<const std::span<const uint8_t>> slices);
 
-  // Scatter-gather append: one record whose payload is the concatenation of `slices`, written
-  // via the device's gather DMA — the payload bytes are never copied host-side. The record is
-  // placed on a block boundary (pad markers fill the gaps) so the tail-block cache never needs
-  // payload bytes. Slices must stay valid until the task completes (the awaiting splice op
-  // holds the Buffer references). Returns the record's byte offset.
+  // As Append, but written via the device's gather DMA — the payload bytes are never copied
+  // host-side. The record is placed on a block boundary (pad markers fill the gaps) so the
+  // tail-block cache never needs payload bytes. Slices must stay valid until the task
+  // completes (the awaiting splice op holds the Buffer references).
   Task<Result<uint64_t>> AppendSg(std::span<const std::span<const uint8_t>> slices);
 
   // Reads the record at `cursor` (skipping pad markers); fails with kEndOfFile at the tail,
-  // kProtocolError on a corrupt header/CRC, kInvalidArgument below the GC head.
-  Task<Result<ReadResult>> Read(uint64_t cursor);
-
-  // As Read, but the payload comes back as a Buffer view over a single pool allocation the
-  // device DMAed into (disk→NIC splice path). kNoMemory when the heap can't cover the span.
-  Task<Result<ZcReadResult>> ReadZc(uint64_t cursor, PoolAllocator& alloc);
+  // kProtocolError on a corrupt unit or CRC, kInvalidArgument below the GC head and kNoMemory
+  // when `alloc` can't cover the read. A payload inside the block(s) holding its header comes
+  // back as a slice of that one read; a longer one as a view over a single allocation spanning
+  // its blocks (the disk→NIC splice path pushes it without a copy).
+  Task<Result<ReadResult>> Read(uint64_t cursor, PoolAllocator& alloc);
 
   // Logical garbage collection: records below `offset` become unreadable.
   [[nodiscard]] Status Truncate(uint64_t offset);
@@ -114,6 +110,9 @@ class LogDevice {
   // records to `out` (may be null) and returns the rebuilt tail offset.
   static uint64_t ScanPartition(const SimBlockDevice& device, const LogPartition& partition,
                                 std::vector<RecordInfo>* out);
+  // Moves `epoch` past `max_epoch`, the largest recovered epoch, so appends after recovery keep
+  // every partition's epochs strictly increasing. Recovery only: nothing may append meanwhile.
+  static void SeedEpochPast(std::atomic<uint64_t>& epoch, uint64_t max_epoch);
 
   // Bounded exponential backoff (doubling, capped at kMaxRetryBackoff) applied to transient
   // device I/O errors (injected faults, flaky media). After 1 + max_retries failed attempts the
@@ -145,11 +144,6 @@ class LogDevice {
   static constexpr size_t kHeaderSize = 24;
 
  private:
-  static constexpr uint32_t kRecordMagic = 0x4C4F4752;  // "LOGR"
-  static constexpr uint32_t kPadMagic = 0x4C4F4750;     // "LOGP"
-  static constexpr size_t kAlign = 8;
-  static constexpr size_t kPadHeaderSize = 8;
-
   struct IoWait {
     bool done = false;
     Status status = Status::kOk;  // completion status from the device
@@ -157,20 +151,20 @@ class LogDevice {
   };
 
   // One submission attempt: retries while the device queue is full, then awaits the completion
-  // and returns its status. A read fills `out`; a write gathers `iov` if non-empty, else `data`.
-  Task<Status> SubmitOnceAndWait(bool is_read, uint64_t lba, std::span<const uint8_t> data,
-                                 std::span<const std::span<const uint8_t>> iov,
-                                 std::span<uint8_t> out);
+  // and returns its status. A read fills `read_into`; a write (`read_into` empty) gathers
+  // `write_from`.
+  Task<Status> SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                 std::span<const std::span<const uint8_t>> write_from);
   // SubmitOnceAndWait with transient-error retry per retry_policy(); returns the terminal
   // status once the op succeeds or the budget is spent.
-  Task<Status> SubmitAndWait(bool is_read, uint64_t lba, std::span<const uint8_t> data,
-                             std::span<const std::span<const uint8_t>> iov,
-                             std::span<uint8_t> out);
+  Task<Status> SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                             std::span<const std::span<const uint8_t>> write_from);
   Task<void> AcquireAppendLock();
   void ReleaseAppendLock();
   // Composes the 24-byte record header for `payload_len` bytes with `crc`, stamping a fresh
-  // epoch. Must run under the append lock so per-partition epochs stay strictly increasing.
-  std::vector<uint8_t> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
+  // epoch: the only code that writes a header. Must run under the append lock so
+  // per-partition epochs stay strictly increasing.
+  std::array<uint8_t, kHeaderSize> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
   uint64_t DeviceLba(uint64_t byte_offset) const {
     return part_.first_block + byte_offset / block_size_;
   }

@@ -38,14 +38,7 @@ void PartitionedLog::RecoverAll(std::vector<StitchedRecord>* out) {
       }
     }
   }
-  // demilint: atomic(recovery is synchronous — before workers spawn or after they join —
-  // so nothing races this seed; relaxed CAS only has to win the modification order)
-  uint64_t cur = epoch_.load(std::memory_order_relaxed);
-  // demilint: atomic(see load above; CAS loop seeds the epoch past the recovered maximum)
-  while (cur <= max_epoch &&
-         !epoch_.compare_exchange_weak(  // demilint: atomic(see load above)
-             cur, max_epoch + 1, std::memory_order_relaxed)) {
-  }
+  LogDevice::SeedEpochPast(epoch_, max_epoch);
   if (out != nullptr) {
     // Epochs are globally unique (one shared counter), so this is a total order: the global
     // append sequence stitched back together across partitions.

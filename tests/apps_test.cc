@@ -6,7 +6,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/apps/echo.h"
 #include "src/apps/minikv.h"
@@ -117,6 +120,67 @@ TEST(EchoAppTest, CatmintEchoThreaded) {
   }
   EXPECT_EQ(result.errors, 0u);
   EXPECT_EQ(result.rtt.count(), 500u);
+}
+
+// The server's reply push runs out of Catmint credits because the client has popped nothing
+// yet. Pump must park that push and return instead of waiting on it: the client is only
+// driven between pumps, so a wait inside Pump never ends.
+TEST(EchoAppTest, CatmintServerPumpNeverBlocksOnCredits) {
+  MonotonicClock clock;
+  SimNetwork net(LinkConfig{}, 5);
+  Catmint::Config scfg{kServerMac, kServerIp};
+  Catmint::Config ccfg{kClientMac, kClientIp};
+  scfg.send_window_msgs = 2;
+  ccfg.send_window_msgs = 2;
+  Catmint server(net, scfg, clock);
+  Catmint client(net, ccfg, clock);
+  server.AddPeer(kClientIp, kClientMac);
+  client.AddPeer(kServerIp, kServerMac);
+  EchoServerApp app(server, EchoServerOptions{{kServerIp, 9004}, SocketType::kStream});
+  auto drive = [&] {
+    client.PollOnce();
+    server.PollOnce();
+    app.Pump();
+  };
+  auto wait = [&](QToken qt) {
+    for (int i = 0; i < 2'000'000 && !client.IsDone(qt); i++) {
+      drive();
+    }
+    auto r = client.TryTake(qt);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? *r : QResult{};
+  };
+
+  auto sock = client.Socket(SocketType::kStream);
+  ASSERT_TRUE(sock.ok());
+  auto connect = client.Connect(*sock, {kServerIp, 9004});
+  ASSERT_TRUE(connect.ok());
+  ASSERT_EQ(wait(*connect).status, Status::kOk);
+
+  const std::vector<std::string> messages = {"first", "second", "third"};
+  for (const std::string& m : messages) {
+    void* buf = client.DmaMalloc(m.size());
+    std::memcpy(buf, m.data(), m.size());
+    ASSERT_TRUE(client.Push(*sock, Sgarray::Of(buf, static_cast<uint32_t>(m.size()))).ok());
+    client.DmaFree(buf);
+  }
+  for (int i = 0; i < 2'000'000 && app.stats().requests < messages.size(); i++) {
+    drive();
+  }
+  ASSERT_EQ(app.stats().requests, messages.size());
+
+  std::string replies;
+  while (replies.size() < 16) {
+    auto pop = client.Pop(*sock);
+    ASSERT_TRUE(pop.ok());
+    QResult r = wait(*pop);
+    ASSERT_EQ(r.status, Status::kOk);
+    for (uint32_t i = 0; i < r.sga.num_segs; i++) {
+      replies.append(static_cast<const char*>(r.sga.segs[i].buf), r.sga.segs[i].len);
+    }
+    client.FreeSga(r.sga);
+  }
+  EXPECT_EQ(replies, "firstsecondthird");
 }
 
 TEST(EchoAppTest, CatnapEchoOverLoopback) {

@@ -1,0 +1,57 @@
+// The virtual-clock loop the log tests drive LogDevice coroutines with: poll the logs' device
+// completions and the scheduler, then jump the clock to the next device completion or timer
+// deadline (a retry backoff), until the caller's condition holds.
+
+#ifndef TESTS_LOG_DRIVER_H_
+#define TESTS_LOG_DRIVER_H_
+
+#include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
+#include <string>
+
+#include "src/common/clock.h"
+#include "src/runtime/scheduler.h"
+#include "src/storage/log_device.h"
+#include "src/storage/sim_block_device.h"
+
+namespace demi {
+
+// Returns whether `done()` held within the step budget.
+template <typename Done>
+bool DriveLogs(VirtualClock& clock, Scheduler& sched, const SimBlockDevice& dev,
+               std::initializer_list<LogDevice*> logs, Done done) {
+  for (int step = 0; step < 100000; step++) {
+    for (LogDevice* log : logs) {
+      log->PollDevice();
+    }
+    sched.Poll();
+    if (done()) {
+      return true;
+    }
+    TimeNs next = dev.NextCompletionTime();
+    const TimeNs timer = sched.NextTimerDeadline();
+    if (timer != 0 && (next == 0 || timer < next)) {
+      next = timer;
+    }
+    if (next > clock.Now()) {
+      clock.SetTime(next);
+    }
+  }
+  return done();
+}
+
+inline std::span<const uint8_t> Bytes(const std::string& s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+// `payload` as the one-slice list LogDevice::Append takes. Pass the result as a temporary in
+// the co_await expression so it lives until the append completes.
+inline std::array<std::span<const uint8_t>, 1> OneSlice(const std::string& payload) {
+  return {Bytes(payload)};
+}
+
+}  // namespace demi
+
+#endif  // TESTS_LOG_DRIVER_H_

@@ -18,6 +18,7 @@
 #include "src/common/random.h"
 #include "src/netsim/pcap_writer.h"
 #include "src/storage/log_device.h"
+#include "tests/log_driver.h"
 
 #include <unistd.h>
 
@@ -62,19 +63,11 @@ TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
   auto append = [&](const std::string& payload) {
     bool done = false;
     sched.Spawn([](LogDevice* dst, std::string p, bool* done_out) -> Task<void> {
-      auto r = co_await dst->Append(
-          {reinterpret_cast<const uint8_t*>(p.data()), p.size()});
+      auto r = co_await dst->Append(OneSlice(p));
       EXPECT_TRUE(r.ok());
       *done_out = true;
     }(&log, payload, &done));
-    while (!done) {
-      log.PollDevice();
-      sched.Poll();
-      const TimeNs next = dev.NextCompletionTime();
-      if (!done && next > clock.Now()) {
-        clock.SetTime(next);
-      }
-    }
+    ASSERT_TRUE(DriveLogs(clock, sched, dev, {&log}, [&] { return done; }));
   };
   append("good-one");
   append("good-two");

@@ -2,21 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/crc32.h"
+#include "src/memory/pool_allocator.h"
 #include "src/runtime/scheduler.h"
 #include "src/storage/log_device.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/log_driver.h"
 
 namespace demi {
 namespace {
 
-std::span<const uint8_t> Bytes(const std::string& s) {
-  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
-}
+std::string Str(const Buffer& b) { return {reinterpret_cast<const char*>(b.data()), b.size()}; }
 
 class BlockDeviceTest : public ::testing::Test {
  protected:
@@ -98,17 +100,8 @@ class LogDeviceTest : public ::testing::Test {
 
   // Runs the scheduler until `done` while advancing the virtual clock to device completions.
   void RunUntil(const bool& done) {
-    for (int guard = 0; guard < 100000 && !done; guard++) {
-      log_.PollDevice();
-      sched_.Poll();
-      if (!done && log_.HasPendingIo()) {
-        const TimeNs next = dev_.NextCompletionTime();
-        if (next > clock_.Now()) {
-          clock_.SetTime(next);
-        }
-      }
-    }
-    ASSERT_TRUE(done) << "log operation did not finish";
+    ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return done; }))
+        << "log operation did not finish";
   }
 
   uint64_t AppendSync(const std::string& payload, Status* status_out = nullptr) {
@@ -116,7 +109,7 @@ class LogDeviceTest : public ::testing::Test {
     uint64_t offset = UINT64_MAX;
     sched_.Spawn([](LogDevice* log, std::string data, bool* done_out, uint64_t* offset_out,
                     Status* st) -> Task<void> {
-      auto r = co_await log->Append(Bytes(data));
+      auto r = co_await log->Append(OneSlice(data));
       if (st != nullptr) {
         *st = r.error();
       }
@@ -129,30 +122,53 @@ class LogDeviceTest : public ::testing::Test {
     return offset;
   }
 
-  Result<LogDevice::ReadResult> ReadSync(uint64_t cursor) {
+  // Reads the record at `cursor` of `log` (the fixture's by default).
+  Result<LogDevice::ReadResult> ReadSync(uint64_t cursor, LogDevice* log = nullptr) {
+    log = log != nullptr ? log : &log_;
     bool done = false;
     Result<LogDevice::ReadResult> result = Status::kInternal;
-    sched_.Spawn([](LogDevice* log, uint64_t at, bool* done_out,
+    sched_.Spawn([](LogDevice* l, PoolAllocator* alloc, uint64_t at, bool* done_out,
                     Result<LogDevice::ReadResult>* out) -> Task<void> {
-      *out = co_await log->Read(at);
+      *out = co_await l->Read(at, *alloc);
       *done_out = true;
-    }(&log_, cursor, &done, &result));
-    RunUntil(done);
+    }(log, &alloc_, cursor, &done, &result));
+    EXPECT_TRUE(DriveLogs(clock_, sched_, dev_, {log}, [&] { return done; }))
+        << "log operation did not finish";
     return result;
+  }
+
+  // Overwrites media bytes behind the log's back (a torn or corrupted write): `bytes` go at
+  // `offset`, which must leave them inside one block.
+  void PatchMedia(uint64_t offset, const std::vector<uint8_t>& bytes) {
+    const size_t bs = dev_.config().block_size;
+    std::vector<uint8_t> block(bs);
+    dev_.RawRead(offset / bs * bs, block);
+    std::memcpy(block.data() + offset % bs, bytes.data(), bytes.size());
+    ASSERT_EQ(dev_.SubmitWrite(offset / bs, block, /*cookie=*/999), Status::kOk);
+    clock_.Advance(kSecond);
+    SimBlockDevice::Completion comps[4];
+    ASSERT_EQ(dev_.PollCompletions(comps), 1u);
   }
 
   VirtualClock clock_;
   SimBlockDevice dev_;
   Scheduler sched_;
   LogDevice log_;
+  PoolAllocator alloc_;
 };
+
+std::vector<uint8_t> U32s(std::initializer_list<uint32_t> words) {
+  std::vector<uint8_t> out(words.size() * 4);
+  std::memcpy(out.data(), std::data(words), out.size());
+  return out;
+}
 
 TEST_F(LogDeviceTest, AppendThenReadBack) {
   const uint64_t off = AppendSync("hello log");
   EXPECT_EQ(off, 0u);
   auto r = ReadSync(off);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(r->payload.begin(), r->payload.end()), "hello log");
+  EXPECT_EQ(Str(r->payload), "hello log");
 }
 
 TEST_F(LogDeviceTest, SequentialRecordsChainViaCursor) {
@@ -164,7 +180,7 @@ TEST_F(LogDeviceTest, SequentialRecordsChainViaCursor) {
   for (int i = 0; i < 3; i++) {
     auto r = ReadSync(cursor);
     ASSERT_TRUE(r.ok());
-    seen.emplace_back(r->payload.begin(), r->payload.end());
+    seen.push_back(Str(r->payload));
     cursor = r->next_cursor;
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"first", "second record", "third"}));
@@ -181,7 +197,7 @@ TEST_F(LogDeviceTest, RecordsSpanningBlocksRoundTrip) {
   const uint64_t off = AppendSync(big);
   auto r = ReadSync(off);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(r->payload.begin(), r->payload.end()), big);
+  EXPECT_EQ(Str(r->payload), big);
 }
 
 TEST_F(LogDeviceTest, TruncateGarbageCollects) {
@@ -191,7 +207,7 @@ TEST_F(LogDeviceTest, TruncateGarbageCollects) {
   EXPECT_EQ(ReadSync(0).error(), Status::kInvalidArgument);
   auto r = ReadSync(second);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(std::string(r->payload.begin(), r->payload.end()), "new");
+  EXPECT_EQ(Str(r->payload), "new");
 }
 
 TEST_F(LogDeviceTest, TruncateBeyondTailRejected) {
@@ -209,26 +225,9 @@ TEST_F(LogDeviceTest, RecoveryRebuildsTailFromMedia) {
   EXPECT_EQ(recovered.tail(), tail_before);
 
   // The recovered log reads the same records.
-  bool done = false;
-  std::string first;
-  sched_.Spawn([](LogDevice* log, bool* done_out, std::string* out) -> Task<void> {
-    auto r = co_await log->Read(0);
-    EXPECT_TRUE(r.ok());
-    out->assign(r->payload.begin(), r->payload.end());
-    *done_out = true;
-  }(&recovered, &done, &first));
-  for (int guard = 0; guard < 100000 && !done; guard++) {
-    recovered.PollDevice();
-    sched_.Poll();
-    if (!done) {
-      const TimeNs next = dev_.NextCompletionTime();
-      if (next > clock_.Now()) {
-        clock_.SetTime(next);
-      }
-    }
-  }
-  ASSERT_TRUE(done);
-  EXPECT_EQ(first, "persisted-one");
+  auto r = ReadSync(0, &recovered);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(Str(r->payload), "persisted-one");
 }
 
 TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
@@ -238,45 +237,19 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
 
   bool done = false;
   sched_.Spawn([](LogDevice* log, bool* done_out) -> Task<void> {
-    auto r = co_await log->Append(Bytes("after-crash"));
+    auto r = co_await log->Append(OneSlice("after-crash"));
     EXPECT_TRUE(r.ok());
     *done_out = true;
   }(&recovered, &done));
-  for (int guard = 0; guard < 100000 && !done; guard++) {
-    recovered.PollDevice();
-    sched_.Poll();
-    if (!done) {
-      const TimeNs next = dev_.NextCompletionTime();
-      if (next > clock_.Now()) {
-        clock_.SetTime(next);
-      }
-    }
-  }
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&recovered}, [&] { return done; }));
 
   uint64_t cursor = 0;
   std::vector<std::string> seen;
   for (int i = 0; i < 2; i++) {
-    bool rdone = false;
-    sched_.Spawn([](LogDevice* log, uint64_t at, bool* done_out,
-                    std::vector<std::string>* seen_out, uint64_t* next) -> Task<void> {
-      auto r = co_await log->Read(at);
-      EXPECT_TRUE(r.ok());
-      seen_out->emplace_back(r->payload.begin(), r->payload.end());
-      *next = r->next_cursor;
-      *done_out = true;
-    }(&recovered, cursor, &rdone, &seen, &cursor));
-    for (int guard = 0; guard < 100000 && !rdone; guard++) {
-      recovered.PollDevice();
-      sched_.Poll();
-      if (!rdone) {
-        const TimeNs next = dev_.NextCompletionTime();
-        if (next > clock_.Now()) {
-          clock_.SetTime(next);
-        }
-      }
-    }
-    ASSERT_TRUE(rdone);
+    auto r = ReadSync(cursor, &recovered);
+    EXPECT_TRUE(r.ok());
+    seen.push_back(Str(r->payload));
+    cursor = r->next_cursor;
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"before-crash", "after-crash"}));
 }
@@ -288,21 +261,12 @@ TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
   for (int i = 0; i < kAppenders; i++) {
     sched_.Spawn([](LogDevice* log, int id, int* finished_out) -> Task<void> {
       std::string payload = "appender-" + std::to_string(id);
-      auto r = co_await log->Append(
-          std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(payload.data()),
-                                   payload.size()));
+      auto r = co_await log->Append(OneSlice(payload));
       EXPECT_TRUE(r.ok());
       (*finished_out)++;
     }(&log_, i, &finished));
   }
-  for (int guard = 0; guard < 100000 && finished < kAppenders; guard++) {
-    log_.PollDevice();
-    sched_.Poll();
-    const TimeNs next = dev_.NextCompletionTime();
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    }
-  }
+  DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return finished == kAppenders; });
   ASSERT_EQ(finished, kAppenders);
 
   // All records readable, each exactly once.
@@ -311,7 +275,7 @@ TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
   for (int i = 0; i < kAppenders; i++) {
     auto r = ReadSync(cursor);
     ASSERT_TRUE(r.ok());
-    seen.emplace_back(r->payload.begin(), r->payload.end());
+    seen.push_back(Str(r->payload));
     cursor = r->next_cursor;
   }
   std::sort(seen.begin(), seen.end());
@@ -332,6 +296,82 @@ TEST_F(LogDeviceTest, FillsToCapacityThenRejects) {
   }
   EXPECT_EQ(st, Status::kNoBufferSpace);
   EXPECT_GT(appended, 0);
+}
+
+// The online reader and recovery share one decoder, so every corrupt unit must stop both at
+// the same offset: Read fails with kProtocolError and ScanPartition ends the log there. Each
+// case corrupts the middle of three records, then restores it.
+TEST_F(LogDeviceTest, CorruptUnitsStopReaderAndRecoveryAlike) {
+  constexpr uint32_t kRecordMagic = 0x4C4F4752;
+  constexpr uint32_t kPadMagic = 0x4C4F4750;
+  constexpr uint32_t kHuge = 0x7FFFFFF8;  // 8-aligned and far past the 64 MB partition
+  // A record header whose header CRC verifies but whose length runs past the partition.
+  std::vector<uint8_t> long_header = U32s({kRecordMagic, kHuge, 2, 0, 0});
+  const uint32_t header_crc = Crc32(long_header.data(), long_header.size());
+  long_header.resize(long_header.size() + 4);
+  std::memcpy(long_header.data() + 20, &header_crc, 4);
+  struct Case {
+    const char* name;
+    uint64_t at;  // offset within the victim record
+    std::vector<uint8_t> bytes;
+  };
+  const std::vector<Case> cases = {
+      {"bad header CRC", 8, {0xFF}},  // the epoch changes under the header CRC
+      {"bad payload CRC", LogDevice::kHeaderSize, {'X'}},
+      {"pad skip not a multiple of 8", 0, U32s({kPadMagic, 12})},
+      {"pad skip past the tail", 0, U32s({kPadMagic, kHuge})},
+      {"record past the tail", 0, long_header},
+  };
+  AppendSync("intact");
+  const uint64_t victim = AppendSync("victim-payload");
+  AppendSync("after");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> original(c.bytes.size());
+    dev_.RawRead(victim + c.at, original);
+    PatchMedia(victim + c.at, c.bytes);
+
+    auto first = ReadSync(0);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->next_cursor, victim);
+    EXPECT_EQ(ReadSync(victim).error(), Status::kProtocolError);
+    EXPECT_EQ(LogDevice::ScanPartition(dev_, log_.partition(), nullptr), victim);
+
+    PatchMedia(victim + c.at, original);
+    EXPECT_TRUE(ReadSync(victim).ok());
+  }
+}
+
+// FNV-1a over the media. A CRC-32 would not do: a record header followed by its own CRC-32
+// contributes nothing to a CRC-32 taken over both, so a changed epoch or magic would not show.
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325u;
+  for (const uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3u;
+  }
+  return h;
+}
+
+// Pins the bytes a fixed append sequence leaves on the media, so a change to the record codec
+// or to either placement (packed or block-aligned) cannot pass unnoticed.
+TEST_F(LogDeviceTest, MediaFormatIsPinned) {
+  AppendSync("packed-one");
+  bool done = false;
+  sched_.Spawn([](LogDevice* log, bool* done_out) -> Task<void> {
+    const std::string a = "gathered-";
+    const std::string b = "slices";
+    const std::array<std::span<const uint8_t>, 2> slices = {Bytes(a), Bytes(b)};
+    EXPECT_TRUE((co_await log->AppendSg(slices)).ok());
+    *done_out = true;
+  }(&log_, &done));
+  RunUntil(done);
+  AppendSync("packed-two");
+  AppendSync("");
+
+  ASSERT_EQ(log_.tail(), 8256u);  // 40 B, pad to 4096, 40 B, pad to 8192, 40 B, 24 B
+  std::vector<uint8_t> media(log_.tail());
+  dev_.RawRead(0, media);
+  EXPECT_EQ(Fnv1a(media), 0x21D743D751316BD8u);
 }
 
 }  // namespace
