@@ -1,5 +1,6 @@
 #include "src/runtime/timer_wheel.h"
 
+#include "src/common/bitops.h"
 #include "src/common/logging.h"
 
 namespace demi {
@@ -142,21 +143,35 @@ bool TimerWheel::Cancel(TimerId id) {
 }
 
 int TimerWheel::FirstOccupiedSlot(int level) const {
+  // demilint: fastpath
   // Circular scan in firing order. L0 starts at the cursor slot itself (due / sub-tick-future
   // entries live there); L1+ start one past the cursor and check the cursor slot last, because
   // an L1+ entry in the cursor slot always belongs to the *next* rotation of that level.
+  // Word-wise: the bits at or above `start` in its word, the other words in circular order, then
+  // the bits below `start` in its word.
   const auto cur_slot = static_cast<uint32_t>((cur_tick_ >> (kLevelBits * level)) & kSlotMask);
-  const uint32_t start = level == 0 ? cur_slot : cur_slot + 1;
-  for (uint32_t d = 0; d < kSlotsPerLevel; d++) {
-    const uint32_t slot = (start + d) & kSlotMask;
-    if ((occupancy_[level][slot >> 6] & (1ULL << (slot & 63))) != 0) {
-      return static_cast<int>(slot);
+  const uint32_t start = (level == 0 ? cur_slot : cur_slot + 1) & kSlotMask;
+  const uint32_t first_word = start >> 6;
+  const uint64_t at_or_above = ~0ULL << (start & 63);
+  for (uint32_t i = 0; i <= kOccupancyWords; i++) {
+    const uint32_t word = (first_word + i) % kOccupancyWords;
+    uint64_t bits = occupancy_[level][word];
+    if (i == 0) {
+      bits &= at_or_above;
+    } else if (i == kOccupancyWords) {
+      bits &= ~at_or_above;
+    }
+    const int bit = LowestSetBit(bits);
+    if (bit >= 0) {
+      return static_cast<int>(word * 64) + bit;
     }
   }
   return -1;
+  // demilint: end-fastpath
 }
 
 uint64_t TimerWheel::EarliestTickLowerBound() const {
+  // demilint: fastpath
   uint64_t best = UINT64_MAX;
   for (int level = 0; level < kLevels; level++) {
     const int slot = FirstOccupiedSlot(level);
@@ -181,6 +196,7 @@ uint64_t TimerWheel::EarliestTickLowerBound() const {
     best = tick < best ? tick : best;
   }
   return best;
+  // demilint: end-fastpath
 }
 
 TimeNs TimerWheel::NextDeadline() const {
@@ -207,6 +223,7 @@ TimeNs TimerWheel::NextDeadline() const {
 }
 
 size_t TimerWheel::FireCurrentSlot(TimeNs now) {
+  // demilint: fastpath
   const auto slot = static_cast<uint32_t>(cur_tick_ & kSlotMask);
   size_t fired = 0;
   for (;;) {
@@ -249,9 +266,11 @@ size_t TimerWheel::FireCurrentSlot(TimeNs now) {
     }
     // Loop: a callback may have armed an already-due timer into this slot.
   }
+  // demilint: end-fastpath
 }
 
 void TimerWheel::CascadeTo(uint64_t from_tick) {
+  // demilint: fastpath
   // Only destination slots need re-filing: Advance() jumps to a lower bound of the earliest
   // pending tick, so every slot skipped over was empty.
   for (int level = kLevels - 1; level >= 1; level--) {
@@ -281,6 +300,7 @@ void TimerWheel::CascadeTo(uint64_t from_tick) {
     }
     idx = next;
   }
+  // demilint: end-fastpath
 }
 
 size_t TimerWheel::Advance(TimeNs now) {

@@ -12,9 +12,10 @@
 //   - Arm/Cancel are O(1): entries are pooled (index-linked doubly-linked slot lists, no
 //     per-timer allocation after pool warm-up) and ids carry a generation counter so a stale
 //     cancel of a recycled entry is a safe no-op.
-//   - Advance(now) is O(events), not O(ticks): per-level occupancy bitmaps give the earliest
-//     occupied slot, and the cursor teleports between occupied ticks. Virtual-clock tests jump
-//     tens of seconds in one step; nothing iterates 10M empty ticks.
+//   - Advance(now) is O(events), not O(ticks): per-level occupancy bitmaps, scanned a 64-bit
+//     word at a time, give the earliest occupied slot, and the cursor teleports between
+//     occupied ticks. Virtual-clock tests jump tens of seconds in one step; nothing iterates
+//     10M empty ticks.
 //   - Timers never fire early. The tick quantizes *placement*, not the deadline: each entry
 //     keeps its exact nanosecond deadline, NextDeadline() reports it exactly (stepped-mode
 //     tests advance a VirtualClock to precisely that instant), and a sub-tick-future entry
@@ -91,6 +92,7 @@ class TimerWheel {  // demilint: shard-local
   static constexpr int kLevels = 4;
   static constexpr uint32_t kSlotsPerLevel = 1u << kLevelBits;
   static constexpr uint32_t kSlotMask = kSlotsPerLevel - 1;
+  static constexpr uint32_t kOccupancyWords = kSlotsPerLevel / 64;
   // Where an entry is filed when not in a wheel slot.
   static constexpr uint8_t kLevelFiring = 0xFF;    // detached into the current firing batch
   static constexpr uint8_t kLevelOverflow = 0xFE;  // deadline beyond the wheel horizon
@@ -135,7 +137,7 @@ class TimerWheel {  // demilint: shard-local
 
   uint64_t cur_tick_ = 0;
   uint32_t heads_[kLevels][kSlotsPerLevel];  // kNil-filled by the constructor
-  uint64_t occupancy_[kLevels][kSlotsPerLevel / 64] = {};
+  uint64_t occupancy_[kLevels][kOccupancyWords] = {};
 
   uint32_t firing_head_ = kNil;
   uint32_t overflow_head_ = kNil;

@@ -1,6 +1,7 @@
 // Unit tests for the hierarchical timing wheel (src/runtime/timer_wheel.h): exact deadlines,
 // never-early firing, cascade boundaries at every level, cancel/re-arm races from inside
-// callbacks, long sleeps through the overflow list, and a randomized oracle sweep.
+// callbacks, long sleeps through the overflow list, a randomized oracle sweep, and a small-step
+// oracle at poll granularity with the occupancy scan's circular edge cases.
 
 #include "src/runtime/timer_wheel.h"
 
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -297,6 +299,144 @@ TEST(TimerWheel, RandomizedOracleSweep) {
   }
   EXPECT_EQ(log.args.size(), live);
   EXPECT_EQ(wheel.stats().fires, live);
+}
+
+// Small-step oracle shaped like TCP timer use: per connection, a delayed ack (~500 us), an RTO
+// (~1 ms), a TIME_WAIT (~10 ms) and a backed-off RTO (~100 ms, level 2), armed, cancelled and
+// re-armed at random while the clock moves 1-3 ticks per step, the way a poll loop drives the
+// wheel. Touch rates are set so every kind both fires and is cancelled. The run crosses five
+// level-2 window boundaries (and so completes five level-1 rotations). After every step the
+// fired set and NextDeadline() must match a reference model.
+TEST(TimerWheel, SmallStepOracleTcpShaped) {
+  std::mt19937_64 rng(0x7CB5u);
+  TimerWheel wheel;
+  FireLog log;
+
+  struct Kind {
+    DurationNs base;
+    uint64_t touch_one_in;  // per step, one connection's timer of this kind is touched
+  };
+  constexpr Kind kKinds[] = {{500 * kMicrosecond, 32},
+                             {1 * kMillisecond, 64},
+                             {10 * kMillisecond, 512},
+                             {100 * kMillisecond, 4096}};
+  constexpr size_t kNumKinds = std::size(kKinds);
+  constexpr size_t kConns = 16;
+  struct Timer {
+    TimeNs deadline = 0;  // 0: not armed
+    TimerId id = kInvalidTimerId;
+  };
+  std::vector<Timer> timers(kConns * kNumKinds);  // tag = index, kind = tag % kNumKinds
+
+  std::uniform_int_distribution<size_t> pick_conn(0, kConns - 1);
+  std::uniform_int_distribution<DurationNs> jitter(0, 50 * kMicrosecond);
+  std::uniform_int_distribution<DurationNs> step(1 * kTick, 3 * kTick);
+  std::bernoulli_distribution rearm(0.7);  // otherwise a plain cancel
+
+  size_t fired[kNumKinds] = {};
+  size_t cancelled[kNumKinds] = {};
+  const TimeNs end = 5 * 65536 * kTick + 1000 * kTick;
+  TimeNs now = 0;
+  while (now < end) {
+    for (size_t kind = 0; kind < kNumKinds; kind++) {
+      if (rng() % kKinds[kind].touch_one_in != 0) {
+        continue;
+      }
+      const size_t tag = pick_conn(rng) * kNumKinds + kind;
+      Timer& t = timers[tag];
+      if (t.deadline != 0) {
+        ASSERT_TRUE(wheel.Cancel(t.id));
+        cancelled[kind]++;
+        t = Timer{};
+      }
+      if (rearm(rng)) {
+        t.deadline = now + kKinds[kind].base + jitter(rng);
+        t.id = wheel.Arm(t.deadline, &FireLog::Record, &log, tag);
+      }
+    }
+    now += step(rng);
+    log.args.clear();
+    wheel.Advance(now);
+
+    std::vector<uint64_t> want;
+    TimeNs ref_next = 0;
+    for (size_t tag = 0; tag < timers.size(); tag++) {
+      Timer& t = timers[tag];
+      if (t.deadline == 0) {
+        continue;
+      }
+      if (t.deadline <= now) {
+        want.push_back(tag);
+        fired[tag % kNumKinds]++;
+        t = Timer{};  // consume from the reference model
+      } else if (ref_next == 0 || t.deadline < ref_next) {
+        ref_next = t.deadline;
+      }
+    }
+    std::vector<uint64_t> got = log.args;
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "at now=" << now;
+    ASSERT_EQ(wheel.NextDeadline(), ref_next) << "at now=" << now;
+  }
+  for (size_t kind = 0; kind < kNumKinds; kind++) {
+    EXPECT_GT(fired[kind], 0u) << "kind " << kind;
+    EXPECT_GT(cancelled[kind], 0u) << "kind " << kind;
+  }
+  EXPECT_GT(wheel.stats().cascades, 0u);
+}
+
+// Arms one timer at `deadline` with the cursor at `start`, then steps the clock by `step` and
+// expects no early fire, an exact NextDeadline() throughout, and one fire at the deadline.
+void ExpectFiresExactlyAt(TimeNs start, TimeNs deadline, DurationNs step) {
+  TimerWheel wheel;
+  FireLog log;
+  wheel.Advance(start);
+  wheel.Arm(deadline, &FireLog::Record, &log, 1);
+  for (TimeNs now = start; now < deadline; now += step) {
+    ASSERT_EQ(wheel.NextDeadline(), deadline) << "at now=" << now;
+    ASSERT_EQ(wheel.Advance(now), 0u) << "early fire at now=" << now;
+  }
+  EXPECT_EQ(wheel.Advance(deadline - 1), 0u);
+  EXPECT_EQ(wheel.Advance(deadline), 1u);
+  EXPECT_EQ(log.args.size(), 1u);
+  EXPECT_EQ(wheel.NextDeadline(), 0u);
+}
+
+// The occupancy scan is circular from a start slot in the middle of a 64-slot word; the only
+// occupied slot lies below the start in that same word, so the scan finds it only on its
+// wrap-around.
+TEST(TimerWheel, OccupancyScanWrapsWithinStartWord) {
+  for (const DurationNs step : {DurationNs{3 * kTick}, DurationNs{1 << 30}}) {
+    // L0: cursor slot 40, timer 246 ticks ahead in slot 30.
+    ExpectFiresExactlyAt(40 * kTick, (40 + 246) * kTick + 17, step);
+    // L1: cursor in L1 slot 40 (the scan starts at 41), timer in L1 slot 30 of the next
+    // rotation.
+    ExpectFiresExactlyAt((40 * 256 + 5) * kTick, ((256 + 30) * 256 + 7) * kTick + 17, step);
+  }
+}
+
+// The only occupied L1 slot is the cursor's own slot: its entry belongs to the next rotation,
+// one 256-slot lap ahead, and must neither fire early nor be skipped. With a nearer L1 slot
+// also occupied, that one comes first.
+TEST(TimerWheel, OnlyOccupiedL1SlotIsCursorSlot) {
+  const TimeNs start = (40 * 256 + 5) * kTick;
+  const TimeNs next_lap = ((256 + 40) * 256) * kTick + 17;
+  for (const DurationNs step : {DurationNs{3 * kTick}, DurationNs{1 << 30}}) {
+    ExpectFiresExactlyAt(start, next_lap, step);
+  }
+
+  TimerWheel wheel;
+  FireLog log;
+  wheel.Advance(start);
+  wheel.Arm(next_lap, &FireLog::Record, &log, 1);
+  const TimeNs nearer = (42 * 256 + 3) * kTick;  // L1 slot 42, this lap
+  wheel.Arm(nearer, &FireLog::Record, &log, 2);
+  EXPECT_EQ(wheel.NextDeadline(), nearer);
+  EXPECT_EQ(wheel.Advance(nearer), 1u);
+  ASSERT_EQ(log.args, std::vector<uint64_t>{2});
+  EXPECT_EQ(wheel.NextDeadline(), next_lap);
+  EXPECT_EQ(wheel.Advance(next_lap - 1), 0u);
+  EXPECT_EQ(wheel.Advance(next_lap), 1u);
 }
 
 // Scheduler integration: sleeps ride the wheel with unchanged PollUntil/VirtualClock
