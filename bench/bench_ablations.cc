@@ -27,7 +27,7 @@ void ChecksumOffloadAblation() {
     server.ethernet().arp().Insert(kClientIp, kClientMac);
     client.ethernet().arp().Insert(kServerIp, kServerMac);
     auto r = DuetEcho({server, client, {kServerIp, 6001}, SocketType::kStream}, 1024, kIters);
-    PrintLatencyRow(offload ? "  offloaded (device)" : "  software checksums", r.rtt,
+    PrintLatencyRow(offload ? "  offloaded (device)" : "  software checksums", r.latency,
                     offload ? "DPDK-style TX/RX offload" : "RFC 1071 in software, both sides");
   }
 }
@@ -44,8 +44,8 @@ void DelayedAckAblation() {
         pair.client->tcp().stats().segments_tx + pair.server->tcp().stats().segments_tx;
     char note[64];
     std::snprintf(note, sizeof(note), "%.2f segments/echo",
-                  static_cast<double>(segments) / static_cast<double>(r.rtt.count()));
-    PrintLatencyRow(delayed ? "  delayed_acks=on" : "  delayed_acks=off", r.rtt, note);
+                  static_cast<double>(segments) / static_cast<double>(r.latency.count()));
+    PrintLatencyRow(delayed ? "  delayed_acks=on" : "  delayed_acks=off", r.latency, note);
   }
 }
 
@@ -62,7 +62,7 @@ void CatmintCreditAblation() {
     Catmint client(net, ccfg, clock);
     server.AddPeer(kClientIp, kClientMac);
     client.AddPeer(kServerIp, kServerMac);
-    auto r = DuetWindowedEcho({server, client, {kServerIp, 6003}}, 64, 16, kIters);
+    auto r = DuetEcho({server, client, {kServerIp, 6003}}, 64, kIters, 16);
     char name[48];
     std::snprintf(name, sizeof(name), "  credits=%zu", credits);
     PrintThroughputRow(name, r.OpsPerSec() / 1e3, "kops/s",

@@ -2,10 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
-
-#include "src/common/logging.h"
 
 namespace demi {
 namespace bench {
@@ -16,7 +14,8 @@ uint16_t UniquePort() {
   return next++;
 }
 
-EchoClientResult DuetEcho(const EchoSetup& setup, size_t message_size, uint64_t iterations) {
+LoadResult DuetEcho(const EchoSetup& setup, size_t message_size, uint64_t iterations,
+                    size_t window) {
   EchoServerOptions sopts{setup.server_addr, setup.type};
   sopts.log_to_disk = setup.log_to_disk;
   EchoServerApp app(setup.server_os, sopts);
@@ -24,79 +23,14 @@ EchoClientResult DuetEcho(const EchoSetup& setup, size_t message_size, uint64_t 
     setup.server_os.PollOnce();
     app.Pump();
   });
-
-  EchoClientOptions copts;
-  copts.server = setup.server_addr;
-  copts.type = setup.type;
-  copts.message_size = message_size;
-  copts.iterations = iterations;
-  copts.warmup = std::min<uint64_t>(iterations / 10 + 1, 200);
-  auto result = RunEchoClient(setup.client_os, copts);
-  setup.client_os.SetExternalPump(nullptr);
-  return result;
-}
-
-WindowedEchoResult DuetWindowedEcho(const EchoSetup& setup, size_t message_size, size_t window,
-                                    uint64_t ops) {
-  WindowedEchoResult result;
-  EchoServerOptions sopts{setup.server_addr, setup.type};
-  EchoServerApp app(setup.server_os, sopts);
-  LibOS& os = setup.client_os;
-  os.SetExternalPump([&] {
-    setup.server_os.PollOnce();
-    app.Pump();
-  });
-
-  auto sock = os.Socket(setup.type);
-  DEMI_CHECK(sock.ok());
-  auto connect_qt = os.Connect(*sock, setup.server_addr);
-  DEMI_CHECK(connect_qt.ok());
-  auto conn_r = os.Wait(*connect_qt, 5 * kSecond);
-  DEMI_CHECK(conn_r.ok() && conn_r->status == Status::kOk);
-
-  Clock& clock = os.clock();
-  std::deque<TimeNs> send_times;  // FIFO: replies come back in order on a stream
-  uint64_t sent = 0;
-  uint64_t completed = 0;
-  size_t partial_bytes = 0;
-  const TimeNs start = clock.Now();
-
-  auto send_one = [&] {
-    void* buf = os.DmaMalloc(message_size);
-    std::memset(buf, static_cast<int>(sent & 0xFF), message_size);
-    auto push = os.Push(*sock, Sgarray::Of(buf, static_cast<uint32_t>(message_size)));
-    os.DmaFree(buf);
-    DEMI_CHECK(push.ok());
-    send_times.push_back(clock.Now());
-    sent++;
-  };
-
-  while (completed < ops) {
-    while (sent < ops && sent - completed < window) {
-      send_one();
-    }
-    auto pop = os.Pop(*sock);
-    DEMI_CHECK(pop.ok());
-    auto r = os.Wait(*pop, 10 * kSecond);
-    if (!r.ok() || r->status != Status::kOk) {
-      break;
-    }
-    partial_bytes += r->sga.TotalBytes();
-    os.FreeSga(r->sga);
-    // A stream may coalesce or split replies; count completions by whole messages.
-    while (partial_bytes >= message_size) {
-      partial_bytes -= message_size;
-      completed++;
-      if (!send_times.empty()) {
-        result.latency.Record(clock.Now() - send_times.front());
-        send_times.pop_front();
-      }
-    }
+  LoadResult result;
+  {
+    PdpixTransport link(setup.client_os, setup.type, {setup.server_addr});
+    EchoCodec echo(message_size);
+    result = RunLoad(link, echo,
+                     {iterations, std::min<uint64_t>(iterations / 10 + 1, 200), window});
   }
-  result.completed = completed;
-  result.elapsed = clock.Now() - start;
-  os.Close(*sock);
-  os.SetExternalPump(nullptr);
+  setup.client_os.SetExternalPump(nullptr);
   return result;
 }
 

@@ -13,12 +13,11 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "src/apps/echo.h"
+#include "src/apps/load_driver.h"
 #include "src/common/histogram.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
@@ -104,23 +103,11 @@ struct EchoSetup {
   bool log_to_disk = false;
 };
 
-// Runs an EchoServerApp on server_os, wires the duet pump, and measures a closed-loop client.
-EchoClientResult DuetEcho(const EchoSetup& setup, size_t message_size, uint64_t iterations);
-
-// Pipelined (windowed) echo for throughput-vs-latency sweeps: keeps `window` messages in
-// flight for `ops` round trips.
-struct WindowedEchoResult {
-  uint64_t completed = 0;
-  DurationNs elapsed = 0;
-  Histogram latency;
-  double OpsPerSec() const {
-    return elapsed == 0 ? 0
-                        : static_cast<double>(completed) * static_cast<double>(kSecond) /
-                              static_cast<double>(elapsed);
-  }
-};
-WindowedEchoResult DuetWindowedEcho(const EchoSetup& setup, size_t message_size, size_t window,
-                                    uint64_t ops);
+// Runs an EchoServerApp on server_os, wires the duet pump, and measures a closed-loop echo
+// client that keeps `window` messages in flight (1 = unloaded RTTs; more = the
+// throughput-vs-latency sweeps).
+LoadResult DuetEcho(const EchoSetup& setup, size_t message_size, uint64_t iterations,
+                    size_t window = 1);
 
 // --- Observability dumps ---
 

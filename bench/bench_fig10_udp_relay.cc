@@ -35,13 +35,12 @@ Histogram KernelRelay(bool batched) {
   });
   while (!up) {
   }
-  RelayLoadOptions load;
-  load.relay = relay_addr;
-  load.sink_bind = sink_addr;
-  load.packet_size = kPacketSize;
-  load.packets = kPackets;
-  load.warmup = 200;
-  auto result = RunPosixRelayLoadGenerator(load);
+  LoadResult result;
+  {
+    PosixTransport link(SocketType::kDatagram, {relay_addr}, sink_addr);
+    EchoCodec packets(kPacketSize);
+    result = RunLoad(link, packets, {kPackets, 200});
+  }
   stop = true;
   relay.join();
   return result.latency;
@@ -71,13 +70,9 @@ void Main() {
       relay_os.PollOnce();
       relay.Pump();
     });
-    RelayLoadOptions load;
-    load.relay = relay_addr;
-    load.sink_bind = sink_addr;
-    load.packet_size = kPacketSize;
-    load.packets = kPackets;
-    load.warmup = 200;
-    auto result = RunRelayLoadGenerator(gen_os, load);
+    PdpixTransport link(gen_os, SocketType::kDatagram, {relay_addr}, sink_addr);
+    EchoCodec packets(kPacketSize);
+    auto result = RunLoad(link, packets, {kPackets, 200});
     PrintLatencyRow("Catnip (PDPIX relay)", result.latency, "zero-copy forward, no syscalls");
   }
 
@@ -91,13 +86,9 @@ void Main() {
       pair.server->PollOnce();
       relay.Pump();
     });
-    RelayLoadOptions load;
-    load.relay = relay_addr;
-    load.sink_bind = sink_addr;
-    load.packet_size = kPacketSize;
-    load.packets = kPackets / 2;
-    load.warmup = 100;
-    auto result = RunRelayLoadGenerator(*pair.client, load);
+    PdpixTransport link(*pair.client, SocketType::kDatagram, {relay_addr}, sink_addr);
+    EchoCodec packets(kPacketSize);
+    auto result = RunLoad(link, packets, {kPackets / 2, 100});
     PrintLatencyRow("Catnap (PDPIX relay)", result.latency, "same app, kernel datapath");
   }
 }

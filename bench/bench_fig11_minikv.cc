@@ -24,15 +24,10 @@ constexpr size_t kValueSize = 64;
 constexpr uint64_t kNumKeys = 10000;
 constexpr size_t kPipeline = 16;
 
-KvBenchOptions ClientOpts(SocketAddress server, bool sets) {
-  KvBenchOptions o;
-  o.server = server;
-  o.num_keys = kNumKeys;
-  o.value_size = kValueSize;
-  o.operations = sets ? kOps : kOps;
-  o.pipeline = kPipeline;
-  o.do_sets = sets;
-  return o;
+// Pipelined closed-loop SETs (or GETs) of uniform keys, in kops/s.
+double Kops(Transport& link, bool sets, uint64_t ops = kOps) {
+  KvCodec kv({.num_keys = kNumKeys, .value_size = kValueSize, .do_sets = sets});
+  return RunLoad(link, kv, {.operations = ops, .window = kPipeline}).OpsPerSec() / 1e3;
 }
 
 struct Row {
@@ -59,16 +54,14 @@ Row PosixRow() {
     });
     while (!up) {
     }
-    if (persist == 0) {
-      auto sets = RunPosixKvBenchClient(ClientOpts(addr, true));
-      auto gets = RunPosixKvBenchClient(ClientOpts(addr, false));
-      row.set_kops = sets.OpsPerSec() / 1e3;
-      row.get_kops = gets.OpsPerSec() / 1e3;
-    } else {
-      KvBenchOptions o = ClientOpts(addr, true);
-      o.operations = kOps / 10;  // fsync per SET on a real fs is slow; bound the run
-      auto sets = RunPosixKvBenchClient(o);
-      row.persist_set_kops = sets.OpsPerSec() / 1e3;
+    {
+      PosixTransport link(SocketType::kStream, {addr});
+      if (persist == 0) {
+        row.set_kops = Kops(link, true);
+        row.get_kops = Kops(link, false);
+      } else {
+        row.persist_set_kops = Kops(link, true, kOps / 10);  // real-fs fsync per SET is slow
+      }
     }
     stop = true;
     server.join();
@@ -88,10 +81,11 @@ Row DuetRow(LibOS& server_os, LibOS& client_os, SocketAddress addr, bool has_sto
       server_os.PollOnce();
       app.Pump();
     });
-    auto sets = RunKvBenchClient(client_os, ClientOpts(addr, true));
-    auto gets = RunKvBenchClient(client_os, ClientOpts(addr, false));
-    row.set_kops = sets.OpsPerSec() / 1e3;
-    row.get_kops = gets.OpsPerSec() / 1e3;
+    {
+      PdpixTransport link(client_os, SocketType::kStream, {addr});
+      row.set_kops = Kops(link, true);
+      row.get_kops = Kops(link, false);
+    }
     client_os.SetExternalPump(nullptr);
   }
   if (has_storage) {
@@ -105,10 +99,10 @@ Row DuetRow(LibOS& server_os, LibOS& client_os, SocketAddress addr, bool has_sto
       server_os.PollOnce();
       app.Pump();
     });
-    KvBenchOptions o = ClientOpts(paddr, true);
-    o.operations = persist_ops;
-    auto sets = RunKvBenchClient(client_os, o);
-    row.persist_set_kops = sets.OpsPerSec() / 1e3;
+    {
+      PdpixTransport link(client_os, SocketType::kStream, {paddr});
+      row.persist_set_kops = Kops(link, true, persist_ops);
+    }
     client_os.SetExternalPump(nullptr);
   }
   return row;

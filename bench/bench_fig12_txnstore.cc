@@ -21,15 +21,10 @@ namespace {
 constexpr uint64_t kTxns = 3000;
 constexpr int kReplicas = 3;
 
-YcsbOptions BaseOptions(std::vector<SocketAddress> replicas) {
-  YcsbOptions o;
-  o.replicas = std::move(replicas);
-  o.write_quorum = 2;
-  o.num_keys = 10000;
-  o.key_size = 64;
-  o.value_size = 700;
-  o.transactions = kTxns;
-  return o;
+// kTxns YCSB-F transactions (quorum 2, 10k keys, 64 B keys, 700 B values) over `link`.
+Histogram Ycsb(Transport& link) {
+  YcsbCodec ycsb({.write_quorum = 2, .num_keys = 10000, .key_size = 64, .value_size = 700});
+  return RunLoad(link, ycsb, {.operations = kTxns}).latency;
 }
 
 Histogram PosixYcsb() {
@@ -42,12 +37,16 @@ Histogram PosixYcsb() {
   for (int i = 0; i < kReplicas; i++) {
     replicas.emplace_back([&, i] { RunPosixMiniKvServer(MiniKvOptions{addrs[i]}, stop); });
   }
-  auto result = RunPosixYcsbFClient(BaseOptions(addrs));
+  Histogram latency;
+  {
+    PosixTransport link(SocketType::kStream, addrs);
+    latency = Ycsb(link);
+  }
   stop = true;
   for (auto& t : replicas) {
     t.join();
   }
-  return result.txn_latency;
+  return latency;
 }
 
 // Duet YCSB over three same-libOS replicas; Factory builds replica i / the client.
@@ -70,9 +69,13 @@ Histogram DuetYcsb(MakeReplica&& make_replica, MakeClient&& make_client, uint16_
       apps[i]->Pump();
     }
   });
-  auto result = RunYcsbFClient(*client, BaseOptions(addrs));
+  Histogram latency;
+  {
+    PdpixTransport link(*client, SocketType::kStream, addrs);
+    latency = Ycsb(link);
+  }
   client->SetExternalPump(nullptr);
-  return result.txn_latency;
+  return latency;
 }
 
 }  // namespace
@@ -148,16 +151,12 @@ void Main() {
     for (int i = 0; i < kReplicas; i++) {
       replicas.push_back(std::make_unique<RawRdmaKvReplicaApp>(net, macs[i], clock));
     }
-    RawRdmaYcsbOptions opts;
-    opts.replicas = {macs[0], macs[1], macs[2]};
-    opts.num_keys = 10000;
-    opts.transactions = kTxns;
-    auto result = RunRawRdmaYcsbFClient(net, MacAddr{0xEF}, clock, opts, [&] {
+    RawRdmaTransport link(net, MacAddr{0xEF}, clock, {macs[0], macs[1], macs[2]}, [&] {
       for (auto& r : replicas) {
         r->PollOnce();
       }
     });
-    PrintLatencyRow("custom raw-RDMA (TxnStore's)", result.txn_latency,
+    PrintLatencyRow("custom raw-RDMA (TxnStore's)", Ycsb(link),
                     "1 QP/conn, copy in+out, no pipelining");
   }
 }

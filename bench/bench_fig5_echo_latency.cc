@@ -30,15 +30,15 @@ Histogram PosixEchoRtt() {
   });
   while (!up) {
   }
-  EchoClientOptions copts;
-  copts.server = addr;
-  copts.message_size = kMsgSize;
-  copts.iterations = kIters / 4;  // the kernel path is slow; keep the run bounded
-  copts.warmup = 200;
-  auto result = RunPosixEchoClient(copts);
+  LoadResult result;
+  {
+    PosixTransport link(SocketType::kStream, {addr});
+    EchoCodec echo(kMsgSize);
+    result = RunLoad(link, echo, {kIters / 4, 200});  // the kernel path is slow; keep it bounded
+  }
   stop = true;
   server.join();
-  return result.rtt;
+  return result.latency;
 }
 
 // testpmd-equivalent: raw L2 frames through the fabric, no stack, no OS services.
@@ -162,18 +162,18 @@ void Main() {
     CatnapPair pair;
     const SocketAddress addr = Loopback(UniquePort());
     auto r = DuetEcho({*pair.server, *pair.client, addr, SocketType::kStream}, kMsgSize, kIters / 4);
-    PrintLatencyRow("Catnap (POSIX libOS)", r.rtt, "polls read(), no epoll sleep");
+    PrintLatencyRow("Catnap (POSIX libOS)", r.latency, "polls read(), no epoll sleep");
   }
   {
     CatmintPair pair;
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5201}}, kMsgSize, kIters);
-    PrintLatencyRow("Catmint (RDMA libOS)", r.rtt, "device does the transport");
+    PrintLatencyRow("Catmint (RDMA libOS)", r.latency, "device does the transport");
   }
   {
     CatnipPair pair;
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5202}, SocketType::kDatagram},
                       kMsgSize, kIters);
-    PrintLatencyRow("Catnip UDP (DPDK libOS)", r.rtt, "userspace UDP stack");
+    PrintLatencyRow("Catnip UDP (DPDK libOS)", r.latency, "userspace UDP stack");
   }
   // Observability demo: record a scheduler/packet trace on the TCP client for its run, then
   // dump its metrics registry after the table (docs/OBSERVABILITY.md walks through reading
@@ -184,11 +184,11 @@ void Main() {
     auto r = DuetEcho({*tcp_pair.server, *tcp_pair.client, {kServerIp, 5203},
                        SocketType::kStream},
                       kMsgSize, kIters);
-    const double per_io_ns = (r.rtt.Mean() - raw_nic.Mean()) / 4.0;
+    const double per_io_ns = (r.latency.Mean() - raw_nic.Mean()) / 4.0;
     char note[96];
     std::snprintf(note, sizeof(note), "userspace TCP; Demikernel overhead ~%.0f ns per I/O",
                   per_io_ns);
-    PrintLatencyRow("Catnip TCP (DPDK libOS)", r.rtt, note);
+    PrintLatencyRow("Catnip TCP (DPDK libOS)", r.latency, note);
   }
   PrintLatencyRow("MiniRpc (eRPC-like)", MiniRpcRtt(), "specialized, not portable");
   PrintLatencyRow("raw SimNic (testpmd-like)", raw_nic, "no stack, L2 forward");

@@ -26,21 +26,21 @@ void RunEnvironment(const char* env_name, const LinkConfig& link, bool rdma_nati
     const SocketAddress addr = Loopback(UniquePort());
     auto r = DuetEcho({*pair.server, *pair.client, addr, SocketType::kStream}, kMsgSize,
                       kIters / 4);
-    PrintLatencyRow("  Catnap", r.rtt, "kernel loopback: environment-independent");
+    PrintLatencyRow("  Catnap", r.latency, "kernel loopback: environment-independent");
   }
   {
     // The paper: Azure does not virtualize RDMA — Catmint runs bare-metal Infiniband even in
     // the VM rows. Model that by keeping the RDMA fabric native when rdma_native is set.
     CatmintPair pair(rdma_native ? LinkConfig{} : link);
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5301}}, kMsgSize, kIters);
-    PrintLatencyRow("  Catmint", r.rtt,
+    PrintLatencyRow("  Catmint", r.latency,
                     rdma_native ? "RDMA not virtualized (bare-metal path)" : "");
   }
   {
     CatnipPair pair(link);
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5302}, SocketType::kStream},
                       kMsgSize, kIters);
-    PrintLatencyRow("  Catnip TCP", r.rtt, "same binary, different fabric");
+    PrintLatencyRow("  Catnip TCP", r.latency, "same binary, different fabric");
   }
 }
 

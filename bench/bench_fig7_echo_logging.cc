@@ -37,16 +37,16 @@ Histogram PosixLoggingEchoRtt() {
   });
   while (!up) {
   }
-  EchoClientOptions copts;
-  copts.server = addr;
-  copts.message_size = kMsgSize;
-  copts.iterations = kIters / 2;
-  copts.warmup = 50;
-  auto result = RunPosixEchoClient(copts);
+  LoadResult result;
+  {
+    PosixTransport link(SocketType::kStream, {addr});
+    EchoCodec echo(kMsgSize);
+    result = RunLoad(link, echo, {kIters / 2, 50});
+  }
   stop = true;
   server.join();
   ::unlink(path);
-  return result.rtt;
+  return result.latency;
 }
 
 Histogram CatnapLoggingEchoRtt() {
@@ -63,14 +63,14 @@ Histogram CatnapLoggingEchoRtt() {
     pair.server->PollOnce();
     app.Pump();
   });
-  EchoClientOptions copts;
-  copts.server = addr;
-  copts.message_size = kMsgSize;
-  copts.iterations = kIters / 2;
-  copts.warmup = 50;
-  auto result = RunEchoClient(*pair.client, copts);
+  LoadResult result;
+  {
+    PdpixTransport link(*pair.client, SocketType::kStream, {addr});
+    EchoCodec echo(kMsgSize);
+    result = RunLoad(link, echo, {kIters / 2, 50});
+  }
   ::unlink(path);
-  return result.rtt;
+  return result.latency;
 }
 
 }  // namespace
@@ -90,7 +90,7 @@ void Main() {
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5401}, SocketType::kStream,
                        /*log_to_disk=*/true},
                       kMsgSize, kIters);
-    PrintLatencyRow("Catnip(TCP) x Cattree", r.rtt, "NIC->app->SPDK run-to-completion");
+    PrintLatencyRow("Catnip(TCP) x Cattree", r.latency, "NIC->app->SPDK run-to-completion");
   }
   {
     MonotonicClock clock;
@@ -99,7 +99,7 @@ void Main() {
     auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5402}, SocketType::kStream,
                        /*log_to_disk=*/true},
                       kMsgSize, kIters);
-    PrintLatencyRow("Catmint x Cattree", r.rtt, "RDMA->app->SPDK run-to-completion");
+    PrintLatencyRow("Catmint x Cattree", r.latency, "RDMA->app->SPDK run-to-completion");
   }
   std::printf("(simulated NVMe floor: ~12 us per durable 4 kB write)\n");
 }

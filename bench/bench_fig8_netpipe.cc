@@ -138,7 +138,7 @@ void Main() {
       CatnipPair pair;
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5501}, SocketType::kStream},
                         size, iters);
-      catnip_tcp = ToGbps(size * 2, static_cast<DurationNs>(r.rtt.Mean()));
+      catnip_tcp = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     double catnip_nocc = 0;
     {
@@ -147,7 +147,7 @@ void Main() {
       CatnipPair pair(LinkConfig{}, nullptr, tcp);
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5502}, SocketType::kStream},
                         size, iters);
-      catnip_nocc = ToGbps(size * 2, static_cast<DurationNs>(r.rtt.Mean()));
+      catnip_nocc = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     double catnip_nobatch = 0;
     {
@@ -157,7 +157,7 @@ void Main() {
       CatnipPair pair(LinkConfig{}, nullptr, tcp, /*rx_burst_frames=*/1);
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5505}, SocketType::kStream},
                         size, iters);
-      catnip_nobatch = ToGbps(size * 2, static_cast<DurationNs>(r.rtt.Mean()));
+      catnip_nobatch = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     double catnip_udp = 0;
     if (size <= 1400) {  // our UDP does not implement IP fragmentation (like the paper's stack
@@ -165,13 +165,13 @@ void Main() {
       CatnipPair pair;
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5503}, SocketType::kDatagram},
                         size, iters);
-      catnip_udp = ToGbps(size * 2, static_cast<DurationNs>(r.rtt.Mean()));
+      catnip_udp = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     double catmint = 0;
     {
       CatmintPair pair(LinkConfig{}, nullptr, /*max_msg=*/512 * 1024);
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5504}}, size, iters);
-      catmint = ToGbps(size * 2, static_cast<DurationNs>(r.rtt.Mean()));
+      catmint = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     std::printf("%-10zu %12.2f %12.2f %12.2f %12s %12.2f %14.2f %16.2f\n", size, raw_nic,
                 raw_rdma, catnip_tcp,

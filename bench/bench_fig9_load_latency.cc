@@ -7,6 +7,8 @@
 // the flat-then-hockey-stick curve with MiniRpc (specialized) peaking above the portable
 // libOSes by a modest factor.
 
+#include <functional>
+
 #include "bench/bench_common.h"
 #include "src/apps/minirpc.h"
 
@@ -18,7 +20,7 @@ constexpr size_t kMsgSize = 64;
 const size_t kWindows[] = {1, 2, 4, 8, 16, 32, 64};
 constexpr uint64_t kOps = 20000;
 
-void Series(const char* name, const std::function<WindowedEchoResult(size_t)>& run) {
+void Series(const char* name, const std::function<LoadResult(size_t)>& run) {
   std::printf("\n%s:\n", name);
   std::printf("  %8s %14s %12s %12s\n", "window", "kops/s", "mean(us)", "p99(us)");
   for (size_t w : kWindows) {
@@ -37,20 +39,19 @@ void Main() {
 
   Series("Catnip TCP", [](size_t w) {
     CatnipPair pair;
-    return DuetWindowedEcho({*pair.server, *pair.client, {kServerIp, 5601}, SocketType::kStream},
-                            kMsgSize, w, kOps);
+    return DuetEcho({*pair.server, *pair.client, {kServerIp, 5601}, SocketType::kStream}, kMsgSize,
+                    kOps, w);
   });
 
   Series("Catnip UDP", [](size_t w) {
     CatnipPair pair;
-    return DuetWindowedEcho(
-        {*pair.server, *pair.client, {kServerIp, 5602}, SocketType::kDatagram}, kMsgSize, w,
-        kOps);
+    return DuetEcho({*pair.server, *pair.client, {kServerIp, 5602}, SocketType::kDatagram},
+                    kMsgSize, kOps, w);
   });
 
   Series("Catmint", [](size_t w) {
     CatmintPair pair;
-    return DuetWindowedEcho({*pair.server, *pair.client, {kServerIp, 5603}}, kMsgSize, w, kOps);
+    return DuetEcho({*pair.server, *pair.client, {kServerIp, 5603}}, kMsgSize, kOps, w);
   });
 
   Series("MiniRpc (eRPC-like)", [](size_t w) {
@@ -63,14 +64,12 @@ void Main() {
                          });
     MiniRpcClient client(net, kClientMac, kServerMac, clock);
     client.SetPump([&] { server.PollOnce(); });
-    WindowedEchoResult out;
+    LoadResult out;
     const TimeNs start = clock.Now();
     // Fixed op count to match the PDPIX runs: run windows until kOps complete.
-    uint64_t done = 0;
-    while (done < kOps) {
-      done += client.RunClosedLoopWindow(kMsgSize, w, 10 * kMillisecond, &out.latency);
+    while (out.latency.count() < kOps) {
+      client.RunClosedLoopWindow(kMsgSize, w, 10 * kMillisecond, &out.latency);
     }
-    out.completed = done;
     out.elapsed = clock.Now() - start;
     return out;
   });

@@ -182,14 +182,10 @@ ScalingPoint RunKvScaling(size_t workers, uint64_t ops_per_client) {
   for (size_t i = 0; i < workers; i++) {
     clients.emplace_back([&, i] {
       auto os = MakeClient(net, clock, i);
-      KvBenchOptions opts;
-      opts.server = server_addr;
-      opts.num_keys = 1024;
-      opts.value_size = kMsgSize;
-      opts.operations = ops_per_client;
-      opts.pipeline = kWindow;
-      opts.seed = 1 + i;
-      completed[i] = RunKvBenchClient(*os, opts).completed;
+      PdpixTransport link(*os, SocketType::kStream, {server_addr});
+      KvCodec kv({.num_keys = 1024, .value_size = kMsgSize, .seed = 1 + i});
+      completed[i] =
+          RunLoad(link, kv, {.operations = ops_per_client, .window = kWindow}).latency.count();
     });
   }
   for (auto& t : clients) {

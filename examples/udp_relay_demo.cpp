@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "src/apps/load_driver.h"
 #include "src/apps/udp_relay.h"
 #include "src/liboses/catnip.h"
 
@@ -26,17 +27,14 @@ int main() {
     relay.Pump();
   });
 
-  RelayLoadOptions load;
-  load.relay = relay_addr;
-  load.sink_bind = sink_addr;
-  load.packet_size = 172;  // a typical audio RTP packet
-  load.packets = 20000;
-  load.warmup = 500;
-  auto result = RunRelayLoadGenerator(gen_os, load);
+  // The generator's socket is the sink: bound to the relay's target, connected to the relay.
+  PdpixTransport link(gen_os, SocketType::kDatagram, {relay_addr}, sink_addr);
+  EchoCodec packets(172);  // a typical audio RTP packet
+  auto result = RunLoad(link, packets, {.operations = 20000, .warmup = 500});
 
   std::printf("relayed %llu packets (%llu lost)\n",
               static_cast<unsigned long long>(relay.stats().forwarded),
-              static_cast<unsigned long long>(result.lost));
+              static_cast<unsigned long long>(result.errors));
   std::printf("generator->relay->sink latency: mean %.2f us, p99 %.2f us\n",
               result.latency.Mean() / 1e3, static_cast<double>(result.latency.P99()) / 1e3);
   return 0;

@@ -9,8 +9,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-
-#include <cstring>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -163,104 +161,6 @@ void StartShardedEchoServer(ShardGroup& group, const EchoServerOptions& options,
   });
 }
 
-Result<QResult> PopStream::Next(DurationNs timeout) {
-  QToken qt = carried_;
-  carried_ = kInvalidQToken;
-  if (qt == kInvalidQToken) {
-    auto pop = os_.Pop(qd_);
-    if (!pop.ok()) {
-      return pop.error();
-    }
-    qt = *pop;
-  }
-  auto r = os_.Wait(qt, timeout);
-  if (!r.ok() && r.error() == Status::kTimedOut) {
-    carried_ = qt;  // still queued: the next reply belongs to it
-  }
-  return r;
-}
-
-bool PopStream::Probe(const std::function<bool()>& send_probe) {
-  for (int probe = 0; probe < 200; probe++) {
-    if (!send_probe()) {
-      continue;
-    }
-    auto r = Next(20 * kMillisecond);
-    if (!r.ok() || r->status != Status::kOk) {
-      continue;
-    }
-    os_.FreeSga(r->sga);
-    // Drain duplicate replies; the pop left waiting when they run out carries into the caller.
-    for (auto extra = Next(2 * kMillisecond); extra.ok() && extra->status == Status::kOk;
-         extra = Next(2 * kMillisecond)) {
-      os_.FreeSga(extra->sga);
-    }
-    return true;
-  }
-  return false;
-}
-
-EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
-  EchoClientResult result;
-  auto sock = os.Socket(options.type);
-  DEMI_CHECK(sock.ok());
-  auto connect_qt = os.Connect(*sock, options.server);
-  DEMI_CHECK(connect_qt.ok());
-  auto conn_r = os.Wait(*connect_qt, 5 * kSecond);
-  DEMI_CHECK_MSG(conn_r.ok() && conn_r->status == Status::kOk, "echo client: connect failed");
-
-  Clock& clock = os.clock();
-  PopStream replies(os, *sock);
-  if (options.type == SocketType::kDatagram) {
-    const bool ready = replies.Probe([&] {
-      void* p = os.DmaMalloc(options.message_size);
-      std::memset(p, 0, options.message_size);
-      auto push = os.Push(*sock, Sgarray::Of(p, static_cast<uint32_t>(options.message_size)));
-      os.DmaFree(p);
-      return push.ok();
-    });
-    DEMI_CHECK_MSG(ready, "echo client: UDP server unreachable");
-  }
-  for (uint64_t i = 0; i < options.warmup + options.iterations; i++) {
-    void* buf = os.DmaMalloc(options.message_size);
-    std::memset(buf, static_cast<int>(i & 0xFF), options.message_size);
-    const TimeNs start = clock.Now();
-    auto push_qt = os.Push(*sock, Sgarray::Of(buf, static_cast<uint32_t>(options.message_size)));
-    if (!push_qt.ok()) {
-      result.errors++;
-      os.DmaFree(buf);
-      continue;
-    }
-    auto push_r = os.Wait(*push_qt, 5 * kSecond);
-    os.DmaFree(buf);  // UAF protection: safe immediately after push
-    if (!push_r.ok() || push_r->status != Status::kOk) {
-      result.errors++;
-      continue;
-    }
-    // Pop until the full message came back (TCP may deliver in pieces).
-    size_t received = 0;
-    bool failed = false;
-    while (received < options.message_size && !failed) {
-      auto pop_r = replies.Next(5 * kSecond);
-      if (!pop_r.ok() || pop_r->status != Status::kOk) {
-        failed = true;
-        break;
-      }
-      received += pop_r->sga.TotalBytes();
-      os.FreeSga(pop_r->sga);
-    }
-    if (failed) {
-      result.errors++;
-      continue;
-    }
-    if (i >= options.warmup) {
-      result.rtt.Record(clock.Now() - start);
-    }
-  }
-  os.Close(*sock);
-  return result;
-}
-
 // --- POSIX variants (kernel path baseline) ---
 
 namespace {
@@ -379,58 +279,6 @@ void RunPosixEchoServer(const EchoServerOptions& options, std::atomic<bool>& sto
   if (stats != nullptr) {
     *stats = local_stats;
   }
-}
-
-EchoClientResult RunPosixEchoClient(const EchoClientOptions& options) {
-  EchoClientResult result;
-  const int type = options.type == SocketType::kStream ? SOCK_STREAM : SOCK_DGRAM;
-  const int fd = ::socket(AF_INET, type, 0);
-  DEMI_CHECK(fd >= 0);
-  sockaddr_in sa = ToSockaddr(options.server);
-  // Retry connect briefly: the server thread may still be binding.
-  int rc = -1;
-  for (int attempt = 0; attempt < 200; attempt++) {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-    if (rc == 0) {
-      break;
-    }
-    ::usleep(5000);
-  }
-  DEMI_CHECK_MSG(rc == 0, "posix echo client: connect failed");
-  if (options.type == SocketType::kStream) {
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  std::vector<uint8_t> buf(options.message_size);
-  MonotonicClock clock;
-  for (uint64_t i = 0; i < options.warmup + options.iterations; i++) {
-    std::memset(buf.data(), static_cast<int>(i & 0xFF), buf.size());
-    const TimeNs start = clock.Now();
-    if (::write(fd, buf.data(), buf.size()) != static_cast<ssize_t>(buf.size())) {
-      result.errors++;
-      continue;
-    }
-    size_t received = 0;
-    bool failed = false;
-    while (received < options.message_size) {
-      const ssize_t n = ::read(fd, buf.data(), buf.size());
-      if (n <= 0) {
-        failed = true;
-        break;
-      }
-      received += static_cast<size_t>(n);
-    }
-    if (failed) {
-      result.errors++;
-      continue;
-    }
-    if (i >= options.warmup) {
-      result.rtt.Record(clock.Now() - start);
-    }
-  }
-  ::close(fd);
-  return result;
 }
 
 }  // namespace demi

@@ -1,19 +1,18 @@
-// Echo server and client (paper §7.2): the microbenchmark application for Figures 5-9.
+// Echo server (paper §7.2): the microbenchmark application for Figures 5-9. Its clients are
+// the load driver's EchoCodec (src/apps/load_driver.h).
 //
-// The PDPIX variants are libOS-agnostic — the same code runs over Catnap, Catnip (UDP or TCP)
-// and Catmint, which is the portability claim of the paper. The server optionally logs every
-// message to a storage queue before replying (Figure 7's configuration). POSIX variants provide
-// the kernel baseline and the Table 3 LoC comparison.
+// The PDPIX server is libOS-agnostic — the same code runs over Catnap, Catnip (UDP or TCP)
+// and Catmint, which is the portability claim of the paper. It optionally logs every message
+// to a storage queue before replying (Figure 7's configuration). The POSIX server provides the
+// kernel baseline and the Table 3 LoC comparison.
 
 #ifndef SRC_APPS_ECHO_H_
 #define SRC_APPS_ECHO_H_
 
 #include <atomic>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/core/libos.h"
 
 namespace demi {
@@ -76,49 +75,10 @@ void RunEchoServer(LibOS& os, const EchoServerOptions& options, std::atomic<bool
 void StartShardedEchoServer(ShardGroup& group, const EchoServerOptions& options,
                             std::vector<EchoServerStats>* per_shard = nullptr);
 
-struct EchoClientOptions {
-  SocketAddress server;
-  SocketType type = SocketType::kStream;
-  size_t message_size = 64;
-  uint64_t iterations = 10000;
-  uint64_t warmup = 100;
-};
-
-struct EchoClientResult {
-  Histogram rtt;  // nanoseconds per echo round trip
-  uint64_t errors = 0;
-};
-
-// Successive pops on one queue that never abandon a pop. A pop whose wait timed out is NOT
-// cancelled: its coroutine stays queued on the socket and will consume the next datagram, so
-// Next() re-waits that token instead of popping again (otherwise the stolen datagram makes the
-// next pop time out too — "every datagram delivered, one qtoken never redeemed").
-class PopStream {
- public:
-  PopStream(LibOS& os, QueueDesc qd) : os_(os), qd_(qd) {}
-
-  // Waits up to `timeout` for the next pop result on the queue.
-  Result<QResult> Next(DurationNs timeout);
-
-  // Datagrams are fire-and-forget: calls `send_probe` (false = not sent) until a reply pops,
-  // then drains duplicate replies to extra probes, so a not-yet-bound peer or a startup drop
-  // cannot wedge a measured closed loop. Returns false if 200 probes went unanswered.
-  bool Probe(const std::function<bool()>& send_probe);
-
- private:
-  LibOS& os_;
-  QueueDesc qd_;
-  QToken carried_ = kInvalidQToken;
-};
-
-// Closed-loop echo client: push + wait + pop + wait, recording RTTs.
-EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options);
-
-// POSIX (kernel sockets, blocking) echo pair: the "Linux" baseline of Figures 5/7 and the
-// POSIX row of Table 3. Returns like their PDPIX counterparts.
+// POSIX (kernel sockets, blocking) echo server: the "Linux" baseline of Figures 5/7 and the
+// POSIX row of Table 3. Returns like its PDPIX counterpart.
 void RunPosixEchoServer(const EchoServerOptions& options, std::atomic<bool>& stop,
                         EchoServerStats* stats = nullptr);
-EchoClientResult RunPosixEchoClient(const EchoClientOptions& options);
 
 }  // namespace demi
 

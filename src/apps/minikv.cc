@@ -10,10 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
 
 #include "src/common/logging.h"
-#include "src/common/random.h"
 #include "src/core/shard_group.h"
 
 namespace demi {
@@ -391,76 +389,6 @@ void StartShardedMiniKvServer(ShardGroup& group, const MiniKvOptions& options,
   });
 }
 
-KvBenchResult RunKvBenchClient(LibOS& os, const KvBenchOptions& options) {
-  KvBenchResult result;
-  auto sock = os.Socket(SocketType::kStream);
-  DEMI_CHECK(sock.ok());
-  auto connect_qt = os.Connect(*sock, options.server);
-  DEMI_CHECK(connect_qt.ok());
-  auto conn_r = os.Wait(*connect_qt, 5 * kSecond);
-  DEMI_CHECK_MSG(conn_r.ok() && conn_r->status == Status::kOk, "kv bench: connect failed");
-
-  Rng rng(options.seed);
-  std::string value(options.value_size, 'v');
-  std::vector<uint8_t> acc;
-  std::deque<TimeNs> send_times;
-  uint64_t sent = 0;
-  uint64_t received = 0;
-  Clock& clock = os.clock();
-  const TimeNs start = clock.Now();
-
-  auto send_one = [&]() {
-    const uint64_t k = rng.NextBounded(options.num_keys);
-    char key[32];
-    const int klen = std::snprintf(key, sizeof(key), "key:%012llu",
-                                   static_cast<unsigned long long>(k));
-    uint8_t buf[4096];
-    const size_t n =
-        options.do_sets
-            ? KvEncodeRequest(KvOp::kSet, std::string_view(key, klen), value, buf, sizeof(buf))
-            : KvEncodeRequest(KvOp::kGet, std::string_view(key, klen), "", buf, sizeof(buf));
-    DEMI_CHECK(n > 0);
-    void* out = os.DmaMalloc(n);
-    std::memcpy(out, buf, n);
-    auto push = os.Push(*sock, Sgarray::Of(out, static_cast<uint32_t>(n)));
-    os.DmaFree(out);
-    DEMI_CHECK(push.ok());
-    send_times.push_back(clock.Now());
-    sent++;
-  };
-
-  while (received < options.operations) {
-    while (sent < options.operations && sent - received < options.pipeline) {
-      send_one();
-    }
-    auto pop = os.Pop(*sock);
-    DEMI_CHECK(pop.ok());
-    auto r = os.Wait(*pop, 10 * kSecond);
-    if (!r.ok() || r->status != Status::kOk) {
-      break;
-    }
-    for (uint32_t i = 0; i < r->sga.num_segs; i++) {
-      const uint8_t* p = static_cast<const uint8_t*>(r->sga.segs[i].buf);
-      acc.insert(acc.end(), p, p + r->sga.segs[i].len);
-    }
-    os.FreeSga(r->sga);
-    DrainFrames(acc, [&](std::span<const uint8_t> frame) {
-      KvResponseView resp;
-      if (KvParseResponse(frame, &resp)) {
-        received++;
-        if (!send_times.empty()) {
-          result.latency.Record(clock.Now() - send_times.front());
-          send_times.pop_front();
-        }
-      }
-    });
-  }
-  result.completed = received;
-  result.elapsed = clock.Now() - start;
-  os.Close(*sock);
-  return result;
-}
-
 // --- POSIX variants ---
 
 namespace {
@@ -608,73 +536,6 @@ void RunPosixMiniKvServer(const MiniKvOptions& options, std::atomic<bool>& stop,
   if (stats != nullptr) {
     *stats = local;
   }
-}
-
-KvBenchResult RunPosixKvBenchClient(const KvBenchOptions& options) {
-  KvBenchResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DEMI_CHECK(fd >= 0);
-  sockaddr_in sa = KvSockaddr(options.server);
-  int rc = -1;
-  for (int attempt = 0; attempt < 200; attempt++) {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-    if (rc == 0) {
-      break;
-    }
-    ::usleep(5000);
-  }
-  DEMI_CHECK_MSG(rc == 0, "posix kv bench: connect failed");
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  Rng rng(options.seed);
-  std::string value(options.value_size, 'v');
-  std::vector<uint8_t> acc;
-  std::deque<TimeNs> send_times;
-  std::vector<uint8_t> rx(64 * 1024);
-  uint64_t sent = 0;
-  uint64_t received = 0;
-  MonotonicClock clock;
-  const TimeNs start = clock.Now();
-
-  while (received < options.operations) {
-    while (sent < options.operations && sent - received < options.pipeline) {
-      const uint64_t k = rng.NextBounded(options.num_keys);
-      char key[32];
-      const int klen = std::snprintf(key, sizeof(key), "key:%012llu",
-                                     static_cast<unsigned long long>(k));
-      uint8_t buf[4096];
-      const size_t n = options.do_sets
-                           ? KvEncodeRequest(KvOp::kSet, std::string_view(key, klen), value, buf,
-                                             sizeof(buf))
-                           : KvEncodeRequest(KvOp::kGet, std::string_view(key, klen), "", buf,
-                                             sizeof(buf));
-      if (!WriteAll(fd, buf, n)) {
-        break;
-      }
-      send_times.push_back(clock.Now());
-      sent++;
-    }
-    const ssize_t n = ::read(fd, rx.data(), rx.size());
-    if (n <= 0) {
-      break;
-    }
-    acc.insert(acc.end(), rx.data(), rx.data() + n);
-    DrainFrames(acc, [&](std::span<const uint8_t> frame) {
-      KvResponseView resp;
-      if (KvParseResponse(frame, &resp)) {
-        received++;
-        if (!send_times.empty()) {
-          result.latency.Record(clock.Now() - send_times.front());
-          send_times.pop_front();
-        }
-      }
-    });
-  }
-  result.completed = received;
-  result.elapsed = clock.Now() - start;
-  ::close(fd);
-  return result;
 }
 
 }  // namespace demi

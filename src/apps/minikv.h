@@ -4,7 +4,8 @@
 // values stored in the DMA-capable heap and served zero-copy (Redis's keys/values are immutable
 // — no update in place — so UAF protection alone makes zero-copy GETs/SETs safe, §4.1), and an
 // optional append-only file: every SET is pushed to a storage queue and fsync'd before the
-// reply, the Figure 11 persistence configuration.
+// reply, the Figure 11 persistence configuration. Its benchmark client (the redis-benchmark
+// equivalent) is the load driver's KvCodec (src/apps/load_driver.h).
 //
 // Wire protocol (length-framed so it runs over byte streams and message transports alike):
 //   request  := [u32 frame_len][u8 op][u16 klen][u32 vlen][key][value]
@@ -19,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/core/libos.h"
 
 namespace demi {
@@ -92,35 +92,6 @@ void StartShardedMiniKvServer(ShardGroup& group, const MiniKvOptions& options,
 // POSIX MiniKv server (select-based event loop): the "unmodified Redis on Linux" stand-in.
 void RunPosixMiniKvServer(const MiniKvOptions& options, std::atomic<bool>& stop,
                           MiniKvStats* stats = nullptr);
-
-// --- Benchmark client (redis-benchmark equivalent) ---
-
-struct KvBenchOptions {
-  SocketAddress server;
-  uint64_t num_keys = 100'000;
-  size_t value_size = 64;
-  uint64_t operations = 100'000;
-  size_t pipeline = 16;  // requests kept in flight
-  bool do_sets = true;   // false = GET-only run (after preloading)
-  uint64_t seed = 1;
-};
-
-struct KvBenchResult {
-  uint64_t completed = 0;
-  DurationNs elapsed = 0;
-  Histogram latency;
-  double OpsPerSec() const {
-    return elapsed == 0 ? 0.0
-                        : static_cast<double>(completed) * static_cast<double>(kSecond) /
-                              static_cast<double>(elapsed);
-  }
-};
-
-// Pipelined closed-loop KV benchmark over a Demikernel libOS.
-KvBenchResult RunKvBenchClient(LibOS& os, const KvBenchOptions& options);
-
-// Pipelined closed-loop KV benchmark over a blocking POSIX socket.
-KvBenchResult RunPosixKvBenchClient(const KvBenchOptions& options);
 
 }  // namespace demi
 

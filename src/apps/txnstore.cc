@@ -1,314 +1,11 @@
 #include "src/apps/txnstore.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
-#include <deque>
 #include <unordered_map>
 
 #include "src/common/logging.h"
-#include "src/common/random.h"
 
 namespace demi {
-
-namespace {
-
-uint32_t ReadLe32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-std::string MakeKey(uint64_t id, size_t key_size) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "user%016llx", static_cast<unsigned long long>(id));
-  std::string key(buf, static_cast<size_t>(n));
-  key.resize(key_size, 'k');
-  return key;
-}
-
-}  // namespace
-
-// --- PDPIX YCSB client ---
-
-YcsbResult RunYcsbFClient(LibOS& os, const YcsbOptions& options) {
-  YcsbResult result;
-  const size_t n_replicas = options.replicas.size();
-  DEMI_CHECK(n_replicas >= 1 && options.write_quorum <= n_replicas);
-
-  struct Replica {
-    QueueDesc qd = kInvalidQd;
-    std::vector<uint8_t> acc;
-    uint64_t sent = 0;
-    uint64_t recvd = 0;
-    QToken pop = kInvalidQToken;
-    std::string last_value;
-  };
-  std::vector<Replica> reps(n_replicas);
-
-  // Connect to all replicas.
-  for (size_t i = 0; i < n_replicas; i++) {
-    auto sock = os.Socket(SocketType::kStream);
-    DEMI_CHECK(sock.ok());
-    auto qt = os.Connect(*sock, options.replicas[i]);
-    DEMI_CHECK(qt.ok());
-    auto r = os.Wait(*qt, 5 * kSecond);
-    DEMI_CHECK_MSG(r.ok() && r->status == Status::kOk, "ycsb: connect to replica failed");
-    reps[i].qd = *sock;
-  }
-
-  auto send_frame = [&](Replica& rep, const uint8_t* data, size_t len) {
-    void* buf = os.DmaMalloc(len);
-    std::memcpy(buf, data, len);
-    auto qt = os.Push(rep.qd, Sgarray::Of(buf, static_cast<uint32_t>(len)));
-    os.DmaFree(buf);
-    DEMI_CHECK(qt.ok());
-    rep.sent++;
-  };
-
-  // Drains one pop completion for replica i into its accumulator + response counter.
-  auto arm_pop = [&](Replica& rep) {
-    auto qt = os.Pop(rep.qd);
-    DEMI_CHECK(qt.ok());
-    rep.pop = *qt;
-  };
-  for (auto& rep : reps) {
-    arm_pop(rep);
-  }
-
-  auto pump = [&](DurationNs timeout) -> bool {
-    std::vector<QToken> qts;
-    std::vector<size_t> owners;
-    for (size_t i = 0; i < n_replicas; i++) {
-      qts.push_back(reps[i].pop);
-      owners.push_back(i);
-    }
-    size_t index = 0;
-    auto r = os.WaitAny(qts, &index, timeout);
-    if (!r.ok() || r->status != Status::kOk) {
-      return false;
-    }
-    Replica& rep = reps[owners[index]];
-    for (uint32_t s = 0; s < r->sga.num_segs; s++) {
-      const uint8_t* p = static_cast<const uint8_t*>(r->sga.segs[s].buf);
-      rep.acc.insert(rep.acc.end(), p, p + r->sga.segs[s].len);
-    }
-    os.FreeSga(r->sga);
-    // Extract completed response frames.
-    size_t off = 0;
-    while (rep.acc.size() - off >= 4) {
-      const uint32_t frame_len = ReadLe32(rep.acc.data() + off);
-      if (rep.acc.size() - off - 4 < frame_len) {
-        break;
-      }
-      KvResponseView resp;
-      if (KvParseResponse({rep.acc.data() + off + 4, frame_len}, &resp)) {
-        rep.recvd++;
-        rep.last_value.assign(resp.value);
-      }
-      off += 4 + frame_len;
-    }
-    if (off > 0) {
-      rep.acc.erase(rep.acc.begin(), rep.acc.begin() + static_cast<long>(off));
-    }
-    arm_pop(rep);
-    return true;
-  };
-
-  ZipfGenerator zipf(options.num_keys, options.zipf_theta, options.seed);
-  Rng rng(options.seed * 31 + 1);
-  std::string value(options.value_size, 'v');
-  uint8_t frame[4096];
-  Clock& clock = os.clock();
-  const TimeNs start = clock.Now();
-
-  for (uint64_t t = 0; t < options.transactions; t++) {
-    const TimeNs txn_start = clock.Now();
-    const std::string key = MakeKey(zipf.Next(), options.key_size);
-
-    // Read phase: GET from one replica.
-    const size_t reader = rng.NextBounded(n_replicas);
-    const size_t get_len = KvEncodeRequest(KvOp::kGet, key, "", frame, sizeof(frame));
-    send_frame(reps[reader], frame, get_len);
-    while (reps[reader].recvd < reps[reader].sent) {
-      if (!pump(5 * kSecond)) {
-        result.elapsed = clock.Now() - start;
-        return result;
-      }
-    }
-
-    // Modify + write phase: PUT to all replicas, wait for the write quorum.
-    value[t % options.value_size] = static_cast<char>('a' + (t % 26));
-    const size_t put_len = KvEncodeRequest(KvOp::kSet, key, value, frame, sizeof(frame));
-    for (auto& rep : reps) {
-      send_frame(rep, frame, put_len);
-    }
-    auto acked = [&]() {
-      size_t n = 0;
-      for (const auto& rep : reps) {
-        if (rep.recvd >= rep.sent) {
-          n++;
-        }
-      }
-      return n;
-    };
-    while (acked() < options.write_quorum) {
-      if (!pump(5 * kSecond)) {
-        result.elapsed = clock.Now() - start;
-        return result;
-      }
-    }
-    result.committed++;
-    result.txn_latency.Record(clock.Now() - txn_start);
-  }
-  // Drain stragglers so replicas aren't left with queued bytes mid-frame.
-  const TimeNs drain_until = clock.Now() + 50 * kMillisecond;
-  auto all_drained = [&]() {
-    for (const auto& rep : reps) {
-      if (rep.recvd < rep.sent) {
-        return false;
-      }
-    }
-    return true;
-  };
-  while (!all_drained() && clock.Now() < drain_until) {
-    pump(10 * kMillisecond);
-  }
-  result.elapsed = clock.Now() - start;
-  for (auto& rep : reps) {
-    os.Close(rep.qd);
-  }
-  return result;
-}
-
-// --- POSIX YCSB client ---
-
-namespace {
-
-sockaddr_in TxnSockaddr(SocketAddress addr) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(addr.ip.value);
-  sa.sin_port = htons(addr.port);
-  return sa;
-}
-
-bool TxnWriteAll(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
-    if (n <= 0) {
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Reads exactly one response frame from a blocking socket.
-bool ReadFrame(int fd, std::vector<uint8_t>& acc, std::string* value_out) {
-  uint8_t rx[16 * 1024];
-  for (;;) {
-    if (acc.size() >= 4) {
-      const uint32_t frame_len = ReadLe32(acc.data());
-      if (acc.size() >= 4 + frame_len) {
-        KvResponseView resp;
-        if (KvParseResponse({acc.data() + 4, frame_len}, &resp) && value_out != nullptr) {
-          value_out->assign(resp.value);
-        }
-        acc.erase(acc.begin(), acc.begin() + 4 + frame_len);
-        return true;
-      }
-    }
-    const ssize_t n = ::read(fd, rx, sizeof(rx));
-    if (n <= 0) {
-      return false;
-    }
-    acc.insert(acc.end(), rx, rx + n);
-  }
-}
-
-}  // namespace
-
-YcsbResult RunPosixYcsbFClient(const YcsbOptions& options) {
-  YcsbResult result;
-  const size_t n_replicas = options.replicas.size();
-  struct Replica {
-    int fd = -1;
-    std::vector<uint8_t> acc;
-  };
-  std::vector<Replica> reps(n_replicas);
-  for (size_t i = 0; i < n_replicas; i++) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    DEMI_CHECK(fd >= 0);
-    sockaddr_in sa = TxnSockaddr(options.replicas[i]);
-    int rc = -1;
-    for (int attempt = 0; attempt < 200; attempt++) {
-      rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-      if (rc == 0) {
-        break;
-      }
-      ::usleep(5000);
-    }
-    DEMI_CHECK(rc == 0);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    reps[i].fd = fd;
-  }
-
-  ZipfGenerator zipf(options.num_keys, options.zipf_theta, options.seed);
-  Rng rng(options.seed * 31 + 1);
-  std::string value(options.value_size, 'v');
-  uint8_t frame[4096];
-  MonotonicClock clock;
-  const TimeNs start = clock.Now();
-
-  for (uint64_t t = 0; t < options.transactions; t++) {
-    const TimeNs txn_start = clock.Now();
-    const std::string key = MakeKey(zipf.Next(), options.key_size);
-    const size_t reader = rng.NextBounded(n_replicas);
-    const size_t get_len = KvEncodeRequest(KvOp::kGet, key, "", frame, sizeof(frame));
-    if (!TxnWriteAll(reps[reader].fd, frame, get_len) ||
-        !ReadFrame(reps[reader].fd, reps[reader].acc, nullptr)) {
-      break;
-    }
-    value[t % options.value_size] = static_cast<char>('a' + (t % 26));
-    const size_t put_len = KvEncodeRequest(KvOp::kSet, key, value, frame, sizeof(frame));
-    for (auto& rep : reps) {
-      if (!TxnWriteAll(rep.fd, frame, put_len)) {
-        break;
-      }
-    }
-    // Quorum wait: collect responses replica by replica (blocking), stopping at the quorum;
-    // remaining responses are drained before the next transaction reuses the connection.
-    size_t acked = 0;
-    for (auto& rep : reps) {
-      if (ReadFrame(rep.fd, rep.acc, nullptr)) {
-        acked++;
-      }
-      if (acked >= options.write_quorum) {
-        break;
-      }
-    }
-    // Drain the rest (weak consistency: we don't wait for them before committing, but the
-    // framing requires consuming them; they have already arrived or will by the next read).
-    for (size_t i = acked; i < n_replicas; i++) {
-      ReadFrame(reps[i].fd, reps[i].acc, nullptr);
-    }
-    result.committed++;
-    result.txn_latency.Record(clock.Now() - txn_start);
-  }
-  result.elapsed = clock.Now() - start;
-  for (auto& rep : reps) {
-    ::close(rep.fd);
-  }
-  return result;
-}
 
 // --- Custom raw-RDMA KV (the naive TxnStore-RDMA baseline) ---
 
@@ -403,84 +100,72 @@ void RunRawRdmaKvReplica(SimNetwork& network, MacAddr mac, Clock& clock,
   }
 }
 
-YcsbResult RunRawRdmaYcsbFClient(SimNetwork& network, MacAddr mac, Clock& clock,
-                                 const RawRdmaYcsbOptions& options,
-                                 const std::function<void()>& pump) {
-  YcsbResult result;
-  SimRdmaDevice device(network, mac, clock);
-  auto qp = device.CreateQp(kRawKvQp);
+RawRdmaTransport::RawRdmaTransport(SimNetwork& network, MacAddr mac, Clock& clock,
+                                   std::vector<MacAddr> replicas, std::function<void()> pump)
+    : Transport(SocketType::kStream),
+      device_(network, mac, clock),
+      mac_(mac),
+      clock_(clock),
+      replicas_(std::move(replicas)),
+      pump_(std::move(pump)),
+      recv_bufs_(kRawKvRecvDepth, std::vector<uint8_t>(kRawKvBufSize)),
+      tx_buf_(kRawKvBufSize) {
+  auto qp = device_.CreateQp(kRawKvQp);
   DEMI_CHECK(qp.ok());
-  std::vector<std::vector<uint8_t>> recv_bufs(kRawKvRecvDepth,
-                                              std::vector<uint8_t>(kRawKvBufSize));
-  for (size_t i = 0; i < recv_bufs.size(); i++) {
-    device.RegisterMemory(recv_bufs[i].data(), recv_bufs[i].size());
-    DEMI_CHECK(device.PostRecv(kRawKvQp, recv_bufs[i].data(), kRawKvBufSize, i) == Status::kOk);
+  for (size_t i = 0; i < recv_bufs_.size(); i++) {
+    device_.RegisterMemory(recv_bufs_[i].data(), recv_bufs_[i].size());
+    DEMI_CHECK(device_.PostRecv(kRawKvQp, recv_bufs_[i].data(), kRawKvBufSize, i) == Status::kOk);
   }
-  std::vector<uint8_t> tx_buf(kRawKvBufSize);
-  device.RegisterMemory(tx_buf.data(), tx_buf.size());
+  device_.RegisterMemory(tx_buf_.data(), tx_buf_.size());
+}
 
-  uint64_t next_req = 1;
+bool RawRdmaTransport::Send(size_t peer, std::span<const uint8_t> bytes) {
+  // Copy in: the request frame without its length prefix, behind the transport header.
+  RawKvHeader hdr{next_req_++, mac_.value, static_cast<uint32_t>(bytes.size() - 4)};
+  std::memcpy(tx_buf_.data(), &hdr, sizeof(hdr));
+  std::memcpy(tx_buf_.data() + sizeof(hdr), bytes.data() + 4, bytes.size() - 4);
+  std::span<const uint8_t> seg(tx_buf_.data(), sizeof(hdr) + bytes.size() - 4);
+  (void)device_.PostSend(kRawKvQp, replicas_[peer], kRawKvQp, {&seg, 1}, 0);  // deadline below
+  const TimeNs deadline = clock_.Now() + timeout();
   RdmaCompletion comps[16];
-
-  // Sends one request and blocks for its response; reposts consumed buffers.
-  auto call = [&](MacAddr replica, const uint8_t* frame, size_t frame_total) -> bool {
-    RawKvHeader hdr{next_req++, mac.value, static_cast<uint32_t>(frame_total - 4)};
-    std::memcpy(tx_buf.data(), &hdr, sizeof(hdr));
-    std::memcpy(tx_buf.data() + sizeof(hdr), frame + 4, frame_total - 4);  // copy-in
-    std::span<const uint8_t> seg(tx_buf.data(), sizeof(hdr) + frame_total - 4);
-    (void)device.PostSend(kRawKvQp, replica, kRawKvQp, {&seg, 1}, 0);  // deadline below retries
-    const TimeNs deadline = clock.Now() + 5 * kSecond;
-    while (clock.Now() < deadline) {
-      if (pump) {
-        pump();
-      }
-      const size_t n = device.PollCq(comps);
-      for (size_t i = 0; i < n; i++) {
-        if (comps[i].type != RdmaCompletion::Type::kRecv) {
-          continue;
-        }
-        RawKvHeader rh;
-        std::memcpy(&rh, recv_bufs[comps[i].wr_id].data(), sizeof(rh));
-        DEMI_CHECK(device.PostRecv(kRawKvQp, recv_bufs[comps[i].wr_id].data(), kRawKvBufSize,
-                                   comps[i].wr_id) == Status::kOk);
-        if (rh.req_id == hdr.req_id) {
-          return true;
-        }
-      }
+  while (clock_.Now() < deadline) {
+    if (pump_) {
+      pump_();
     }
-    return false;
-  };
-
-  ZipfGenerator zipf(options.num_keys, options.zipf_theta, options.seed);
-  Rng rng(options.seed * 31 + 1);
-  std::string value(options.value_size, 'v');
-  uint8_t frame[4096];
-  const TimeNs start = clock.Now();
-  for (uint64_t t = 0; t < options.transactions; t++) {
-    const TimeNs txn_start = clock.Now();
-    const std::string key = MakeKey(zipf.Next(), options.key_size);
-    const size_t reader = rng.NextBounded(options.replicas.size());
-    const size_t get_len = KvEncodeRequest(KvOp::kGet, key, "", frame, sizeof(frame));
-    if (!call(options.replicas[reader], frame, get_len)) {
-      break;
-    }
-    value[t % options.value_size] = static_cast<char>('a' + (t % 26));
-    const size_t put_len = KvEncodeRequest(KvOp::kSet, key, value, frame, sizeof(frame));
-    // Synchronous replication replica-by-replica up to the quorum, then the rest (this
-    // transport has no connection-level pipelining — one of its inefficiencies).
-    size_t acked = 0;
-    for (MacAddr replica : options.replicas) {
-      if (call(replica, frame, put_len)) {
-        acked++;
+    const size_t n = device_.PollCq(comps);
+    for (size_t i = 0; i < n; i++) {
+      if (comps[i].type != RdmaCompletion::Type::kRecv) {
+        continue;
       }
-    }
-    if (acked >= options.write_quorum) {
-      result.committed++;
-      result.txn_latency.Record(clock.Now() - txn_start);
+      const std::vector<uint8_t>& rbuf = recv_bufs_[comps[i].wr_id];
+      RawKvHeader rh;
+      std::memcpy(&rh, rbuf.data(), sizeof(rh));
+      const bool ours = rh.req_id == hdr.req_id;  // else a late reply to a timed-out call
+      if (ours) {
+        // Copy out, restoring the length prefix the codec frames replies by.
+        std::vector<uint8_t> frame(4 + rh.frame_len);
+        std::memcpy(frame.data(), &rh.frame_len, 4);
+        std::memcpy(frame.data() + 4, rbuf.data() + sizeof(rh), rh.frame_len);
+        responses_.emplace_back(peer, std::move(frame));
+      }
+      DEMI_CHECK(device_.PostRecv(kRawKvQp, recv_bufs_[comps[i].wr_id].data(), kRawKvBufSize,
+                                  comps[i].wr_id) == Status::kOk);
+      if (ours) {
+        return true;
+      }
     }
   }
-  result.elapsed = clock.Now() - start;
-  return result;
+  return false;
+}
+
+std::optional<size_t> RawRdmaTransport::Receive(DurationNs, Inbox& inbox) {
+  if (responses_.empty()) {
+    return std::nullopt;  // every call already returned: nothing is in flight
+  }
+  auto [peer, frame] = std::move(responses_.front());
+  responses_.pop_front();
+  inbox[peer].insert(inbox[peer].end(), frame.begin(), frame.end());
+  return peer;
 }
 
 }  // namespace demi

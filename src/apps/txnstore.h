@@ -1,5 +1,6 @@
 // TxnStore substitute (DESIGN.md §2, Figure 12): a replicated, transactional key-value store
-// driven by a YCSB-T workload-F client (read-modify-write transactions).
+// driven by a YCSB-T workload-F client (read-modify-write transactions; YcsbCodec in
+// src/apps/load_driver.h).
 //
 // Reproduces the paper's §7.6 setup: the weakly consistent quorum-write protocol — every GET
 // reads one replica, every PUT replicates to all three and waits for a write quorum — with
@@ -14,39 +15,16 @@
 #define SRC_APPS_TXNSTORE_H_
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/apps/load_driver.h"
 #include "src/apps/minikv.h"
-#include "src/common/histogram.h"
-#include "src/core/libos.h"
 #include "src/netsim/sim_rdma.h"
 
 namespace demi {
-
-struct YcsbOptions {
-  std::vector<SocketAddress> replicas;  // typically 3
-  size_t write_quorum = 2;
-  uint64_t num_keys = 10'000;
-  size_t key_size = 64;
-  size_t value_size = 700;
-  uint64_t transactions = 10'000;
-  double zipf_theta = 0.99;
-  uint64_t seed = 7;
-};
-
-struct YcsbResult {
-  uint64_t committed = 0;
-  Histogram txn_latency;  // full read-modify-write transaction latency
-  DurationNs elapsed = 0;
-};
-
-// Runs YCSB-T workload F (read-modify-write) against the replicas over a Demikernel libOS.
-YcsbResult RunYcsbFClient(LibOS& os, const YcsbOptions& options);
-
-// POSIX variant of the same client (kernel TCP baseline).
-YcsbResult RunPosixYcsbFClient(const YcsbOptions& options);
 
 // --- Custom raw-RDMA KV transport (the paper's TxnStore-RDMA baseline) ---
 
@@ -67,21 +45,31 @@ class RawRdmaKvReplicaApp {
 void RunRawRdmaKvReplica(SimNetwork& network, MacAddr mac, Clock& clock,
                          std::atomic<bool>& stop);
 
-struct RawRdmaYcsbOptions {
-  std::vector<MacAddr> replicas;
-  size_t write_quorum = 2;
-  uint64_t num_keys = 10'000;
-  size_t key_size = 64;
-  size_t value_size = 700;
-  uint64_t transactions = 10'000;
-  double zipf_theta = 0.99;
-  uint64_t seed = 7;
-};
+// The client side of the same baseline, as a load-driver transport: one QP, and every Send is a
+// whole call — copy the request in, post it, poll until its response arrives (running `pump`
+// between polls, for co-located replicas), copy the response out. So a YCSB SET fan-out goes
+// to the replicas one call at a time, with no pipelining.
+class RawRdmaTransport final : public Transport {
+ public:
+  RawRdmaTransport(SimNetwork& network, MacAddr mac, Clock& clock, std::vector<MacAddr> replicas,
+                   std::function<void()> pump = {});
 
-// `pump` (optional) runs co-located replicas between polls (single-thread duet benchmarking).
-YcsbResult RunRawRdmaYcsbFClient(SimNetwork& network, MacAddr mac, Clock& clock,
-                                 const RawRdmaYcsbOptions& options,
-                                 const std::function<void()>& pump = {});
+  size_t peers() const override { return replicas_.size(); }
+  Clock& clock() override { return clock_; }
+  bool Send(size_t peer, std::span<const uint8_t> bytes) override;
+  std::optional<size_t> Receive(DurationNs timeout, Inbox& inbox) override;
+
+ private:
+  SimRdmaDevice device_;
+  MacAddr mac_;
+  Clock& clock_;
+  std::vector<MacAddr> replicas_;
+  std::function<void()> pump_;
+  std::vector<std::vector<uint8_t>> recv_bufs_;
+  std::vector<uint8_t> tx_buf_;
+  uint64_t next_req_ = 1;
+  std::deque<std::pair<size_t, std::vector<uint8_t>>> responses_;  // copied out, oldest first
+};
 
 }  // namespace demi
 

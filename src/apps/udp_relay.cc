@@ -9,7 +9,6 @@
 #include <cstring>
 #include <vector>
 
-#include "src/apps/echo.h"
 #include "src/common/logging.h"
 
 namespace demi {
@@ -146,78 +145,6 @@ void RunBatchedPosixUdpRelay(const RelayOptions& options, std::atomic<bool>& sto
   if (stats != nullptr) {
     *stats = local;
   }
-}
-
-RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options) {
-  RelayLoadResult result;
-  auto tx = os.Socket(SocketType::kDatagram);
-  auto rx = os.Socket(SocketType::kDatagram);
-  DEMI_CHECK(tx.ok() && rx.ok());
-  DEMI_CHECK(os.Bind(*rx, options.sink_bind) == Status::kOk);
-
-  void* pkt = os.DmaMalloc(options.packet_size);
-  std::memset(pkt, 0x5C, options.packet_size);
-  Clock& clock = os.clock();
-  PopStream relayed(os, *rx);
-  auto send = [&] {
-    return os.PushTo(*tx, Sgarray::Of(pkt, static_cast<uint32_t>(options.packet_size)),
-                     options.relay);
-  };
-  // Probe until the relay forwards (it may still be binding).
-  const bool ready = relayed.Probe([&] { return send().ok(); });
-  DEMI_CHECK_MSG(ready, "relay load generator: relay unreachable");
-  for (uint64_t i = 0; i < options.warmup + options.packets; i++) {
-    const TimeNs start = clock.Now();
-    if (!send().ok()) {
-      result.lost++;
-      continue;
-    }
-    auto r = relayed.Next(200 * kMillisecond);
-    if (!r.ok() || r->status != Status::kOk) {
-      result.lost++;
-      continue;
-    }
-    os.FreeSga(r->sga);
-    if (i >= options.warmup) {
-      result.latency.Record(clock.Now() - start);
-    }
-  }
-  os.DmaFree(pkt);
-  os.Close(*tx);
-  os.Close(*rx);
-  return result;
-}
-
-RelayLoadResult RunPosixRelayLoadGenerator(const RelayLoadOptions& options) {
-  RelayLoadResult result;
-  const int tx_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  const int rx_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  DEMI_CHECK(tx_fd >= 0 && rx_fd >= 0);
-  sockaddr_in sink = RelaySockaddr(options.sink_bind);
-  DEMI_CHECK(::bind(rx_fd, reinterpret_cast<sockaddr*>(&sink), sizeof(sink)) == 0);
-  timeval tv{0, 200'000};  // 200 ms loss timeout
-  ::setsockopt(rx_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in relay = RelaySockaddr(options.relay);
-
-  std::vector<uint8_t> pkt(options.packet_size, 0x5C);
-  std::vector<uint8_t> rx(options.packet_size + 64);
-  MonotonicClock clock;
-  for (uint64_t i = 0; i < options.warmup + options.packets; i++) {
-    const TimeNs start = clock.Now();
-    ::sendto(tx_fd, pkt.data(), pkt.size(), 0, reinterpret_cast<sockaddr*>(&relay),
-             sizeof(relay));
-    const ssize_t n = ::recvfrom(rx_fd, rx.data(), rx.size(), 0, nullptr, nullptr);
-    if (n <= 0) {
-      result.lost++;
-      continue;
-    }
-    if (i >= options.warmup) {
-      result.latency.Record(clock.Now() - start);
-    }
-  }
-  ::close(tx_fd);
-  ::close(rx_fd);
-  return result;
 }
 
 }  // namespace demi

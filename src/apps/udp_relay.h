@@ -6,13 +6,16 @@
 // recvfrom/sendto relay ("Linux"), and a batched recvmmsg/sendmmsg relay standing in for the
 // io_uring variant (liburing is not available offline; batched msg syscalls capture the same
 // "fewer kernel crossings per packet" effect — see DESIGN.md §2).
+//
+// The traffic generator is the load driver's EchoCodec over a datagram transport whose socket
+// is bound to the relay's target (src/apps/load_driver.h), so it is also the sink, as in §7.4's
+// methodology.
 
 #ifndef SRC_APPS_UDP_RELAY_H_
 #define SRC_APPS_UDP_RELAY_H_
 
 #include <atomic>
 
-#include "src/common/histogram.h"
 #include "src/core/libos.h"
 
 namespace demi {
@@ -48,30 +51,6 @@ void RunPosixUdpRelay(const RelayOptions& options, std::atomic<bool>& stop,
                       RelayStats* stats = nullptr);
 void RunBatchedPosixUdpRelay(const RelayOptions& options, std::atomic<bool>& stop,
                              RelayStats* stats = nullptr);
-
-// Traffic generator + sink: sends datagrams to the relay and measures generator->relay->sink
-// latency (the sink is a second socket owned by the generator, as in §7.4's methodology).
-struct RelayLoadOptions {
-  SocketAddress relay;
-  SocketAddress sink_bind;  // where relayed packets land (the relay's target)
-  size_t packet_size = 64;
-  uint64_t packets = 10'000;
-  uint64_t warmup = 100;
-};
-
-struct RelayLoadResult {
-  Histogram latency;
-  uint64_t lost = 0;
-};
-
-// POSIX traffic generator (the paper uses a non-kernel-bypass Linux generator). Usable when
-// the relay runs on the kernel path (POSIX/Catnap over loopback).
-RelayLoadResult RunPosixRelayLoadGenerator(const RelayLoadOptions& options);
-
-// PDPIX traffic generator for relays running on the simulated fabric (Catnip): sends to the
-// relay from one socket and receives the relayed packets on a second socket bound to the
-// relay's target address.
-RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options);
 
 }  // namespace demi
 

@@ -3,15 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/apps/echo.h"
+#include "src/apps/load_driver.h"
 #include "src/apps/minikv.h"
 #include "src/apps/minirpc.h"
 #include "src/apps/txnstore.h"
@@ -49,19 +55,15 @@ TEST(EchoAppTest, CatnipTcpEchoThreaded) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  EchoClientOptions copts;
-  copts.server = {kServerIp, 9000};
-  copts.type = SocketType::kStream;
-  copts.message_size = 64;
-  copts.iterations = 500;
-  copts.warmup = 50;
-  auto result = RunEchoClient(client, copts);
+  PdpixTransport link(client, SocketType::kStream, {{kServerIp, 9000}});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 500, .warmup = 50});
   stop = true;
   server_thread.join();
 
   EXPECT_EQ(result.errors, 0u);
-  EXPECT_EQ(result.rtt.count(), 500u);
-  EXPECT_GT(result.rtt.Mean(), 0.0);
+  EXPECT_EQ(result.latency.count(), 500u);
+  EXPECT_GT(result.latency.Mean(), 0.0);
   EXPECT_GE(sstats.requests, 500u);
   EXPECT_EQ(sstats.connections, 1u);
 }
@@ -77,20 +79,16 @@ TEST(EchoAppTest, CatnipUdpEchoThreaded) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  EchoClientOptions copts;
-  copts.server = {kServerIp, 9001};
-  copts.type = SocketType::kDatagram;
-  copts.message_size = 64;
-  copts.iterations = 500;
-  copts.warmup = 50;
-  auto result = RunEchoClient(client, copts);
+  PdpixTransport link(client, SocketType::kDatagram, {{kServerIp, 9001}});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 500, .warmup = 50});
   stop = true;
   server_thread.join();
   if (result.errors != 0) {
     std::fputs(client.metrics().ExportText().c_str(), stderr);
   }
   EXPECT_EQ(result.errors, 0u);
-  EXPECT_EQ(result.rtt.count(), 500u);
+  EXPECT_EQ(result.latency.count(), 500u);
 }
 
 TEST(EchoAppTest, CatmintEchoThreaded) {
@@ -107,19 +105,16 @@ TEST(EchoAppTest, CatmintEchoThreaded) {
   ::usleep(20'000);  // let the server register its listener before connecting
   Catmint client(net, Catmint::Config{kClientMac, kClientIp}, clock);
   client.AddPeer(kServerIp, kServerMac);
-  EchoClientOptions copts;
-  copts.server = {kServerIp, 9002};
-  copts.message_size = 64;
-  copts.iterations = 500;
-  copts.warmup = 50;
-  auto result = RunEchoClient(client, copts);
+  PdpixTransport link(client, SocketType::kStream, {{kServerIp, 9002}});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 500, .warmup = 50});
   stop = true;
   server_thread.join();
   if (result.errors != 0) {
     std::fputs(client.metrics().ExportText().c_str(), stderr);
   }
   EXPECT_EQ(result.errors, 0u);
-  EXPECT_EQ(result.rtt.count(), 500u);
+  EXPECT_EQ(result.latency.count(), 500u);
 }
 
 // The server's reply push runs out of Catmint credits because the client has popped nothing
@@ -195,16 +190,13 @@ TEST(EchoAppTest, CatnapEchoOverLoopback) {
   });
   ::usleep(20'000);
   Catnap client(clock);
-  EchoClientOptions copts;
-  copts.server = addr;
-  copts.message_size = 64;
-  copts.iterations = 200;
-  copts.warmup = 20;
-  auto result = RunEchoClient(client, copts);
+  PdpixTransport link(client, SocketType::kStream, {addr});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 200, .warmup = 20});
   stop = true;
   server_thread.join();
   EXPECT_EQ(result.errors, 0u);
-  EXPECT_EQ(result.rtt.count(), 200u);
+  EXPECT_EQ(result.latency.count(), 200u);
 }
 
 TEST(EchoAppTest, PosixEchoBaseline) {
@@ -214,16 +206,13 @@ TEST(EchoAppTest, PosixEchoBaseline) {
   std::thread server_thread(
       [&] { RunPosixEchoServer(EchoServerOptions{addr, SocketType::kStream}, stop, nullptr); });
   ::usleep(20'000);
-  EchoClientOptions copts;
-  copts.server = addr;
-  copts.message_size = 64;
-  copts.iterations = 200;
-  copts.warmup = 20;
-  auto result = RunPosixEchoClient(copts);
+  PosixTransport link(SocketType::kStream, {addr});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 200, .warmup = 20});
   stop = true;
   server_thread.join();
   EXPECT_EQ(result.errors, 0u);
-  EXPECT_EQ(result.rtt.count(), 200u);
+  EXPECT_EQ(result.latency.count(), 200u);
 }
 
 TEST(EchoAppTest, CatnipCattreeEchoWithLogging) {
@@ -243,12 +232,9 @@ TEST(EchoAppTest, CatnipCattreeEchoWithLogging) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  EchoClientOptions copts;
-  copts.server = {kServerIp, 9003};
-  copts.message_size = 64;
-  copts.iterations = 200;
-  copts.warmup = 20;
-  auto result = RunEchoClient(client, copts);
+  PdpixTransport link(client, SocketType::kStream, {{kServerIp, 9003}});
+  EchoCodec echo(64);
+  auto result = RunLoad(link, echo, {.operations = 200, .warmup = 20});
   stop = true;
   server_thread.join();
   EXPECT_EQ(result.errors, 0u);
@@ -267,20 +253,17 @@ TEST(MiniKvTest, SetGetDelOverCatnip) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  // SET workload.
-  KvBenchOptions bopts;
-  bopts.server = {kServerIp, 9100};
-  bopts.num_keys = 100;
-  bopts.value_size = 64;
-  bopts.operations = 1000;
-  bopts.pipeline = 8;
-  bopts.do_sets = true;
-  auto set_result = RunKvBenchClient(client, bopts);
-  EXPECT_EQ(set_result.completed, 1000u);
-  // GET workload over the same keyspace: everything should hit.
-  bopts.do_sets = false;
-  auto get_result = RunKvBenchClient(client, bopts);
-  EXPECT_EQ(get_result.completed, 1000u);
+  {
+    PdpixTransport link(client, SocketType::kStream, {{kServerIp, 9100}});
+    // SET workload.
+    KvCodec sets({.num_keys = 100, .value_size = 64, .do_sets = true});
+    auto set_result = RunLoad(link, sets, {.operations = 1000, .window = 8});
+    EXPECT_EQ(set_result.latency.count(), 1000u);
+    // GET workload over the same keyspace: everything should hit.
+    KvCodec gets({.num_keys = 100, .value_size = 64, .do_sets = false});
+    auto get_result = RunLoad(link, gets, {.operations = 1000, .window = 8});
+    EXPECT_EQ(get_result.latency.count(), 1000u);
+  }
   stop = true;
   server_thread.join();
   EXPECT_EQ(kv_stats.sets, 1000u);
@@ -305,17 +288,12 @@ TEST(MiniKvTest, PersistentSetsOverCatnipCattree) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  KvBenchOptions bopts;
-  bopts.server = {kServerIp, 9101};
-  bopts.num_keys = 50;
-  bopts.value_size = 64;
-  bopts.operations = 300;
-  bopts.pipeline = 4;
-  bopts.do_sets = true;
-  auto result = RunKvBenchClient(client, bopts);
+  PdpixTransport link(client, SocketType::kStream, {{kServerIp, 9101}});
+  KvCodec kv({.num_keys = 50, .value_size = 64, .do_sets = true});
+  auto result = RunLoad(link, kv, {.operations = 300, .window = 4});
   stop = true;
   server_thread.join();
-  EXPECT_EQ(result.completed, 300u);
+  EXPECT_EQ(result.latency.count(), 300u);
   EXPECT_EQ(kv_stats.sets, 300u);
 }
 
@@ -326,16 +304,15 @@ TEST(MiniKvTest, PosixServerAndClient) {
   MiniKvStats kv_stats;
   std::thread server_thread([&] { RunPosixMiniKvServer(MiniKvOptions{addr}, stop, &kv_stats); });
   ::usleep(20'000);
-  KvBenchOptions bopts;
-  bopts.server = addr;
-  bopts.num_keys = 100;
-  bopts.operations = 500;
-  bopts.pipeline = 8;
-  bopts.do_sets = true;
-  auto result = RunPosixKvBenchClient(bopts);
+  LoadResult result;
+  {
+    PosixTransport link(SocketType::kStream, {addr});
+    KvCodec kv({.num_keys = 100, .do_sets = true});
+    result = RunLoad(link, kv, {.operations = 500, .window = 8});
+  }
   stop = true;
   server_thread.join();
-  EXPECT_EQ(result.completed, 500u);
+  EXPECT_EQ(result.latency.count(), 500u);
   EXPECT_EQ(kv_stats.sets, 500u);
 }
 
@@ -387,19 +364,23 @@ TEST(TxnStoreTest, YcsbFOverCatnipThreeReplicas) {
   }
 
   Catnip client(net, Catnip::Config{kClientMac, Ipv4Addr::FromOctets(10, 6, 0, 9), TcpConfig{}, nullptr}, clock);
-  YcsbOptions opts;
-  opts.replicas = {{replica_ips[0], 9200}, {replica_ips[1], 9200}, {replica_ips[2], 9200}};
-  opts.num_keys = 100;
-  opts.transactions = 300;
-  opts.value_size = 700;
-  auto result = RunYcsbFClient(client, opts);
+  LoadResult result;
+  {
+    // Closes while the replicas still run, so each answers the close and the pops armed on the
+    // quiet connections complete.
+    PdpixTransport link(
+        client, SocketType::kStream,
+        {{replica_ips[0], 9200}, {replica_ips[1], 9200}, {replica_ips[2], 9200}});
+    YcsbCodec ycsb({.num_keys = 100, .value_size = 700});
+    result = RunLoad(link, ycsb, {.operations = 300});
+  }
   stop = true;
   for (auto& t : replicas) {
     t.join();
   }
-  EXPECT_EQ(result.committed, 300u);
-  EXPECT_EQ(result.txn_latency.count(), 300u);
-  EXPECT_GT(result.txn_latency.P99(), result.txn_latency.P50() / 2);
+  EXPECT_EQ(result.errors, 0u);
+  EXPECT_EQ(result.latency.count(), 300u);
+  EXPECT_GT(result.latency.P99(), result.latency.P50() / 2);
 }
 
 TEST(TxnStoreTest, RawRdmaKvYcsb) {
@@ -413,16 +394,15 @@ TEST(TxnStoreTest, RawRdmaKvYcsb) {
         [&, i] { RunRawRdmaKvReplica(net, replica_macs[i], clock, stop); });
   }
   ::usleep(20'000);
-  RawRdmaYcsbOptions opts;
-  opts.replicas = {replica_macs[0], replica_macs[1], replica_macs[2]};
-  opts.num_keys = 100;
-  opts.transactions = 200;
-  auto result = RunRawRdmaYcsbFClient(net, MacAddr{0x79}, clock, opts);
+  RawRdmaTransport link(net, MacAddr{0x79}, clock,
+                        {replica_macs[0], replica_macs[1], replica_macs[2]});
+  YcsbCodec ycsb({.num_keys = 100});
+  auto result = RunLoad(link, ycsb, {.operations = 200});
   stop = true;
   for (auto& t : replicas) {
     t.join();
   }
-  EXPECT_EQ(result.committed, 200u);
+  EXPECT_EQ(result.latency.count(), 200u);
 }
 
 TEST(UdpRelayTest, CatnipRelayForwards) {
@@ -439,15 +419,12 @@ TEST(UdpRelayTest, CatnipRelayForwards) {
   });
 
   Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
-  RelayLoadOptions lopts;
-  lopts.relay = relay_addr;
-  lopts.sink_bind = sink_addr;
-  lopts.packets = 500;
-  lopts.warmup = 50;
-  auto result = RunRelayLoadGenerator(client, lopts);
+  PdpixTransport link(client, SocketType::kDatagram, {relay_addr}, sink_addr);
+  EchoCodec packets(64);
+  auto result = RunLoad(link, packets, {.operations = 500, .warmup = 50});
   stop = true;
   relay_thread.join();
-  EXPECT_EQ(result.lost, 0u);
+  EXPECT_EQ(result.errors, 0u);
   EXPECT_EQ(result.latency.count(), 500u);
   EXPECT_GE(rstats.forwarded, 550u);
 }
@@ -467,17 +444,157 @@ TEST(UdpRelayTest, PosixRelayVariants) {
       }
     });
     ::usleep(20'000);
-    RelayLoadOptions lopts;
-    lopts.relay = relay_addr;
-    lopts.sink_bind = sink_addr;
-    lopts.packets = 200;
-    lopts.warmup = 20;
-    auto result = RunPosixRelayLoadGenerator(lopts);
+    LoadResult result;
+    {
+      PosixTransport link(SocketType::kDatagram, {relay_addr}, sink_addr);
+      EchoCodec packets(64);
+      result = RunLoad(link, packets, {.operations = 200, .warmup = 20});
+    }
     stop = true;
     relay_thread.join();
     EXPECT_EQ(result.latency.count(), 200u) << "variant " << variant;
-    EXPECT_LT(result.lost, 5u) << "variant " << variant;
+    EXPECT_LT(result.errors, 5u) << "variant " << variant;
   }
+}
+
+// Runs one load over `link`, then destroys the transport and checks that every qtoken the run
+// issued was redeemed.
+void ExpectNoTokenLeft(const char* what, LibOS& client, std::unique_ptr<Transport> link,
+                       RequestCodec& codec, const LoadOptions& options) {
+  EXPECT_EQ(RunLoad(*link, codec, options).errors, 0u) << what;
+  link.reset();
+  EXPECT_EQ(client.tokens().InflightForTenant(kDefaultTenant), 0u) << what;
+}
+
+TEST(LoadDriverTest, PdpixRunsLeaveNoTokenInFlight) {
+  MonotonicClock clock;
+  SimNetwork net(LinkConfig{}, 11);
+  Catnip server(net, Catnip::Config{kServerMac, kServerIp, TcpConfig{}, nullptr}, clock);
+  Catnip client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock);
+  server.ethernet().arp().Insert(kClientIp, kClientMac);
+  client.ethernet().arp().Insert(kServerIp, kServerMac);
+  const SocketAddress tcp_echo{kServerIp, 9400};
+  const SocketAddress udp_echo{kServerIp, 9401};
+  const SocketAddress relay{kServerIp, 9402};
+  const SocketAddress sink{kClientIp, 9403};
+  const std::vector<SocketAddress> kv = {{kServerIp, 9404}, {kServerIp, 9405}, {kServerIp, 9406}};
+  EchoServerApp tcp_app(server, {tcp_echo, SocketType::kStream});
+  EchoServerApp udp_app(server, {udp_echo, SocketType::kDatagram});
+  UdpRelayApp relay_app(server, {relay, sink});
+  std::vector<std::unique_ptr<MiniKvServerApp>> kv_apps;
+  for (const SocketAddress& addr : kv) {
+    kv_apps.push_back(std::make_unique<MiniKvServerApp>(server, MiniKvOptions{addr}));
+  }
+  client.SetExternalPump([&] {
+    server.PollOnce();
+    tcp_app.Pump();
+    udp_app.Pump();
+    relay_app.Pump();
+    for (auto& app : kv_apps) {
+      app->Pump();
+    }
+  });
+  auto link = [&](SocketType type, std::vector<SocketAddress> peers,
+                  std::optional<SocketAddress> local = std::nullopt) {
+    return std::make_unique<PdpixTransport>(client, type, std::move(peers), local);
+  };
+
+  EchoCodec echo(64);
+  ExpectNoTokenLeft("tcp echo", client, link(SocketType::kStream, {tcp_echo}), echo,
+                    {.operations = 500, .warmup = 50});
+  ExpectNoTokenLeft("udp echo", client, link(SocketType::kDatagram, {udp_echo}), echo,
+                    {.operations = 500, .warmup = 50});
+  ExpectNoTokenLeft("windowed echo", client, link(SocketType::kStream, {tcp_echo}), echo,
+                    {.operations = 2000, .window = 16});
+  KvCodec sets({.num_keys = 100});
+  ExpectNoTokenLeft("kv", client, link(SocketType::kStream, {kv[0]}), sets,
+                    {.operations = 2000, .window = 16});
+  YcsbCodec ycsb({.num_keys = 100});
+  ExpectNoTokenLeft("ycsb", client, link(SocketType::kStream, kv), ycsb, {.operations = 200});
+  ExpectNoTokenLeft("relay", client, link(SocketType::kDatagram, {relay}, sink), echo,
+                    {.operations = 500, .warmup = 50});
+  client.SetExternalPump(nullptr);
+}
+
+// Answers like MiniKv replicas, at once and in send order: every GET with kOk, and replica i's
+// SETs with set_status[i].
+class ScriptedReplicas final : public Transport {
+ public:
+  explicit ScriptedReplicas(std::vector<KvStatus> set_status)
+      : Transport(SocketType::kStream), set_status_(std::move(set_status)) {}
+  size_t peers() const override { return set_status_.size(); }
+  Clock& clock() override { return clock_; }
+  bool Send(size_t peer, std::span<const uint8_t> bytes) override {
+    KvRequestView req;
+    EXPECT_TRUE(KvParseRequest(bytes.subspan(4), &req));
+    uint8_t frame[16];
+    const size_t n = KvEncodeResponse(req.op == KvOp::kSet ? set_status_[peer] : KvStatus::kOk,
+                                      "", frame, sizeof(frame));
+    replies_.emplace_back(peer, std::vector<uint8_t>(frame, frame + n));
+    return true;
+  }
+  std::optional<size_t> Receive(DurationNs, Inbox& inbox) override {
+    if (replies_.empty()) {
+      return std::nullopt;
+    }
+    auto [peer, frame] = replies_.front();
+    replies_.pop_front();
+    inbox[peer].insert(inbox[peer].end(), frame.begin(), frame.end());
+    return peer;
+  }
+
+ private:
+  std::vector<KvStatus> set_status_;
+  MonotonicClock clock_;
+  std::deque<std::pair<size_t, std::vector<uint8_t>>> replies_;
+};
+
+// A transaction commits once write_quorum replicas answered its SET with kOk. An error reply
+// (MiniKv's failed AOF append) is not an ack, and the reply after the quorum is consumed
+// before the next transaction reads that connection.
+TEST(LoadDriverTest, YcsbCommitsOnAWriteQuorumOfOkReplies) {
+  {
+    ScriptedReplicas replicas({KvStatus::kOk, KvStatus::kOk, KvStatus::kError});
+    YcsbCodec ycsb({.write_quorum = 2, .num_keys = 10});
+    const LoadResult r = RunLoad(replicas, ycsb, {.operations = 100});
+    EXPECT_EQ(r.latency.count(), 100u);
+    EXPECT_EQ(r.errors, 0u);
+  }
+  {
+    ScriptedReplicas replicas({KvStatus::kOk, KvStatus::kError, KvStatus::kError});
+    YcsbCodec ycsb({.write_quorum = 2, .num_keys = 10});
+    const LoadResult r = RunLoad(replicas, ycsb, {.operations = 100});
+    EXPECT_EQ(r.latency.count(), 0u);
+    EXPECT_EQ(r.errors, 100u);
+  }
+}
+
+// A kernel peer that accepts the connection and never answers must not hang the client: the
+// POSIX transport waits with poll(), and a silent stream ends the run with every operation
+// counted as an error.
+TEST(LoadDriverTest, PosixClientGivesUpOnSilentPeer) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), len), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  LoadResult result;
+  {
+    PosixTransport link(SocketType::kStream,
+                        {{Ipv4Addr::FromOctets(127, 0, 0, 1), ntohs(sa.sin_port)}});
+    const int silent = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(silent, 0);
+    EchoCodec echo(64);
+    result = RunLoad(link, echo, {.operations = 10, .warmup = 2});
+    ::close(silent);
+  }
+  ::close(listener);
+  EXPECT_EQ(result.latency.count(), 0u);
+  EXPECT_EQ(result.errors, 12u);
 }
 
 TEST(MiniRpcTest, CallAndWindowedLoad) {

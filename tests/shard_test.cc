@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/apps/echo.h"
+#include "src/apps/load_driver.h"
 #include "src/apps/minikv.h"
 #include "src/common/clock.h"
 #include "src/core/shard_group.h"
@@ -150,16 +151,11 @@ TEST(ShardGroupTest, ShardedMiniKvServesSetsAndGets) {
   uint64_t completed = 0;
   for (size_t c = 0; c < 2; c++) {
     auto client = MakeClient(net, clock, c);
-    KvBenchOptions opts;
-    opts.server = server_addr;
-    opts.num_keys = 32;
-    opts.value_size = 32;
-    opts.operations = 300;
-    opts.pipeline = 4;
-    opts.seed = 100 + c;
-    KvBenchResult r = RunKvBenchClient(*client, opts);
-    EXPECT_EQ(r.completed, opts.operations);
-    completed += r.completed;
+    PdpixTransport link(*client, SocketType::kStream, {server_addr});
+    KvCodec kv({.num_keys = 32, .value_size = 32, .seed = 100 + c});
+    LoadResult r = RunLoad(link, kv, {.operations = 300, .window = 4});
+    EXPECT_EQ(r.latency.count(), 300u);
+    completed += r.latency.count();
   }
 
   group.RequestStop();
