@@ -5,12 +5,18 @@
 // with checksum, the full in-order receive fast path (frame -> eth -> ip -> tcp -> ready queue
 // -> app wake), and the inline push-transmit path, all on a VirtualClock so only CPU work is
 // timed (no simulated wire latency is attributed to the stack).
+//
+// Rows that time one call inside an iteration with untimed setup bracket that call with a
+// steady_clock pair and report it through UseManualTime: google-benchmark's PauseTiming/
+// ResumeTiming costs hundreds of ns per pair, more than the call itself. Two control rows
+// show what each bracket adds: an empty pause/resume pair, and an empty steady_clock pair.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/common/clock.h"
 #include "src/net/ethernet.h"
@@ -20,6 +26,10 @@
 
 namespace demi {
 namespace {
+
+double Seconds(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
 
 void BM_TcpHeaderSerialize(benchmark::State& state) {
   const Ipv4Addr src = Ipv4Addr::FromOctets(1, 1, 1, 1);
@@ -178,19 +188,17 @@ void BM_TcpReceiveFastPath(benchmark::State& state) {
   }
   for (auto _ : state) {
     // Time ONLY the receiver's processing of the captured segment.
-    state.PauseTiming();
     ReceiveNextSegment(fx, [&](const Ipv4Header& ip, std::span<const uint8_t> l4) {
-      state.ResumeTiming();
+      const auto t0 = std::chrono::steady_clock::now();
       fx.b_tcp.OnIpv4Packet(ip, l4);  // <-- the timed fast path
-      state.PauseTiming();
+      state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
     });
-    state.ResumeTiming();
   }
   state.SetLabel("receiver OnIpv4Packet only (paper: ~53ns/pkt)");
 }
 // Fixed iteration count: the timed section is tens of ns but each iteration's untimed segment
 // production costs microseconds, so min_time-driven runs would take hours.
-BENCHMARK(BM_TcpReceiveFastPath)->Iterations(20000);
+BENCHMARK(BM_TcpReceiveFastPath)->Iterations(20000)->UseManualTime();
 
 // Inline transmit: the cost of Push carving+sending one MSS-sized segment (error-free path).
 void BM_TcpInlinePush(benchmark::State& state) {
@@ -198,9 +206,11 @@ void BM_TcpInlinePush(benchmark::State& state) {
   for (auto _ : state) {
     const uint64_t target = fx.server->conn_stats().bytes_received + 1400;
     void* p = fx.a_alloc.Alloc(1400);
-    (void)fx.client->Push(Buffer::FromApp(fx.a_alloc, p, 1400));  // lossless sim link; benches measure the success path
+    Buffer buf = Buffer::FromApp(fx.a_alloc, p, 1400);
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)fx.client->Push(std::move(buf));  // lossless sim link; benches measure the success path
+    state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
     fx.a_alloc.Free(p);
-    state.PauseTiming();
     while (fx.server->conn_stats().bytes_received < target) {
       fx.Step();
     }
@@ -211,11 +221,30 @@ void BM_TcpInlinePush(benchmark::State& state) {
     for (int i = 0; i < 4; i++) {
       fx.Step();
     }
-    state.ResumeTiming();
   }
   state.SetLabel("inline run-to-completion push, 1400B");
 }
-BENCHMARK(BM_TcpInlinePush);
+BENCHMARK(BM_TcpInlinePush)->UseManualTime();
+
+// Control: what one empty PauseTiming/ResumeTiming pair adds to an iteration.
+void BM_PauseResumeControl(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    state.ResumeTiming();
+  }
+  state.SetLabel("empty pause/resume pair");
+}
+BENCHMARK(BM_PauseResumeControl);
+
+// Control: the floor of a manually timed row, one empty steady_clock pair.
+void BM_ClockPairControl(benchmark::State& state) {
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
+  }
+  state.SetLabel("empty steady_clock pair");
+}
+BENCHMARK(BM_ClockPairControl)->UseManualTime();
 
 // Sustained sub-MSS sender under backlog: 64 pushes of 512 B against a window pinned below
 // the burst, so the send window binds and a queue of sub-MSS views forms — the case the

@@ -133,11 +133,13 @@ Task<void> Catnip::FastPathFiber() {
   uint32_t iterations = 0;
   while (!shutdown_) {
     eth_.PollOnce();
+    // Complete the pops this burst (or a timer fired this poll) made ready.
+    ServeReadableQueues();
     if (storage_ != nullptr) {
       // Catnip×Cattree: round-robin the fast path between NIC and disk completions (§5.5).
       storage_->Poll();
     }
-    // Deferred queue teardown: objects owning events are freed only once no blocked op
+    // Deferred queue teardown: objects owning events are freed only once no blocked accept
     // coroutine can still touch them.
     while (!deferred_close_.empty()) {
       const QueueDesc qd = deferred_close_.front();
@@ -192,6 +194,8 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
     }
     udp_.Close(q->udp);
     q->udp = *sock;
+    q->pop_hook_armed = false;  // the hook went with the old socket: re-arm on the new one
+    ServePops(qd, *q);
     return Status::kOk;
   }
   if (q->kind != QKind::kTcpUnbound) {
@@ -456,22 +460,6 @@ Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
 
 // --- Pop ---
 
-void Catnip::CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn) {
-  QResult r;
-  r.status = Status::kOk;
-  r.remote = conn.remote();
-  // Drain up to a full scatter-gather array per pop: cuts per-segment qtoken/coroutine costs
-  // for bulk streams while staying one op per message for request/response traffic.
-  while (r.sga.num_segs < kSgaMaxSegments && conn.HasReadyData()) {
-    auto data = conn.PopData();
-    DEMI_CHECK(data.has_value());
-    const uint32_t len = static_cast<uint32_t>(data->size());
-    r.sga.segs[r.sga.num_segs++] = {data->ReleaseToApp(), len};
-  }
-  DEMI_CHECK(r.sga.num_segs > 0);
-  CompleteToken(qt, r);
-}
-
 Result<QToken> Catnip::Pop(QueueDesc qd) {
   QueueState* q = Find(qd);
   if (q == nullptr || q->closing) {
@@ -481,27 +469,12 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
     return Status::kQueueFull;  // over the tenant's inflight watermark: shed at submission
   }
   switch (q->kind) {
-    case QKind::kTcpConn: {
+    case QKind::kTcpConn:
+    case QKind::kUdp:
+    case QKind::kMemory: {
       const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      if (q->conn->HasReadyData()) {
-        CompleteTcpPop(qt, qd, *q->conn);  // fast path: data already waiting
-      } else {
-        sched_.Spawn(PopTcpOp(qd, qt, q->conn));
-      }
-      return qt;
-    }
-    case QKind::kUdp: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      if (q->udp->HasData()) {
-        auto d = q->udp->PopDatagram();
-        QResult r;
-        r.status = Status::kOk;
-        r.remote = d->src;
-        r.sga = BufferToAppSga(std::move(d->payload));
-        CompleteToken(qt, r);
-      } else {
-        sched_.Spawn(PopUdpOp(qd, qt));
-      }
+      q->pending_pops.push_back(qt);
+      ServePops(qd, *q);  // completes it inline when data is already waiting
       return qt;
     }
     case QKind::kFile: {
@@ -512,85 +485,115 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
       sched_.Spawn(storage_->PopOp(qt, &q->file_cursor));
       return qt;
     }
-    case QKind::kMemory: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      sched_.Spawn(PopMemOp(qd, qt, q->mem));
-      return qt;
-    }
     default:
       return Status::kNotConnected;
   }
 }
 
-Task<void> Catnip::PopTcpOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn) {
-  for (;;) {
-    if (conn->HasReadyData()) {
-      CompleteTcpPop(qt, qd, *conn);
-      co_return;
+std::optional<QResult> Catnip::NextPopResult(QueueState& q) {
+  // demilint: fastpath
+  QResult r;
+  switch (q.kind) {
+    case QKind::kTcpConn: {
+      TcpConnection& conn = *q.conn;
+      if (q.closing) {
+        r.status = Status::kCancelled;
+        return r;
+      }
+      r.remote = conn.remote();
+      if (conn.HasReadyData()) {
+        // Drain up to a full scatter-gather array per pop: cuts per-segment qtoken costs for
+        // bulk streams while staying one op per message for request/response traffic.
+        while (r.sga.num_segs < kSgaMaxSegments && conn.HasReadyData()) {
+          std::optional<Buffer> data = conn.PopData();
+          const uint32_t len = static_cast<uint32_t>(data->size());
+          r.sga.segs[r.sga.num_segs++] = {data->ReleaseToApp(), len};
+        }
+        return r;
+      }
+      if (conn.EndOfStream()) {
+        r.status = Status::kEndOfFile;
+        return r;
+      }
+      if (conn.state() == TcpState::kClosed) {
+        r.status = conn.error() == Status::kOk ? Status::kEndOfFile : conn.error();
+        return r;
+      }
+      return std::nullopt;
     }
-    if (conn->EndOfStream()) {
-      QResult r;
-      r.status = Status::kEndOfFile;
-      r.remote = conn->remote();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (conn->state() == TcpState::kClosed) {
-      QResult r;
-      r.status = conn->error() == Status::kOk ? Status::kEndOfFile : conn->error();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await conn->readable().Wait();
-  }
-}
-
-Task<void> Catnip::PopUdpOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kUdp) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (q->udp->HasData()) {
-      auto d = q->udp->PopDatagram();
-      QResult r;
-      r.status = Status::kOk;
+    case QKind::kUdp: {
+      if (q.closing) {
+        r.status = Status::kCancelled;
+        return r;
+      }
+      std::optional<UdpStack::Datagram> d = q.udp->PopDatagram();
+      if (!d.has_value()) {
+        return std::nullopt;
+      }
       r.remote = d->src;
       r.sga = BufferToAppSga(std::move(d->payload));
-      CompleteToken(qt, r);
-      co_return;
+      return r;
     }
-    q->waiters++;
-    co_await q->udp->readable().Wait();
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters--;
+    case QKind::kMemory: {
+      if (!q.mem->items.empty()) {
+        r.sga = BufferToAppSga(std::move(q.mem->items.front()));
+        q.mem->items.pop_front();
+        return r;
+      }
+      if (q.closing) {
+        r.status = Status::kEndOfFile;
+        return r;
+      }
+      return std::nullopt;
     }
+    default:
+      return std::nullopt;  // no other kind queues pops here
   }
+  // demilint: end-fastpath
 }
 
-Task<void> Catnip::PopMemOp(QueueDesc qd, QToken qt, std::shared_ptr<MemChannel> mem) {
-  for (;;) {
-    if (!mem->items.empty()) {
-      Buffer buf = std::move(mem->items.front());
-      mem->items.pop_front();
-      QResult r;
-      r.status = Status::kOk;
-      r.sga = BufferToAppSga(std::move(buf));
-      CompleteToken(qt, r);
-      co_return;
+void Catnip::ServePops(QueueDesc qd, QueueState& q) {
+  // demilint: fastpath
+  size_t served = 0;
+  for (; served < q.pending_pops.size(); served++) {
+    std::optional<QResult> r = NextPopResult(q);
+    if (!r.has_value()) {
+      break;
     }
-    if (mem->closed) {
-      QResult r;
-      r.status = Status::kEndOfFile;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await mem->readable.Wait();
+    CompleteToken(q.pending_pops[served], std::move(*r));
   }
+  q.pending_pops.erase(q.pending_pops.begin(),
+                       q.pending_pops.begin() + static_cast<ptrdiff_t>(served));
+  if (q.pending_pops.empty() || q.pop_hook_armed) {
+    return;
+  }
+  Event& readable = q.kind == QKind::kTcpConn ? q.conn->readable()
+                    : q.kind == QKind::kUdp   ? q.udp->readable()
+                                              : q.mem->readable;
+  readable.OnNotify(&Catnip::OnQueueReadable, &readable_queues_, static_cast<uint64_t>(qd));
+  q.pop_hook_armed = true;
+  // demilint: end-fastpath
+}
+
+void Catnip::OnQueueReadable(void* ctx, uint64_t qd) {
+  // demilint: fastpath
+  // demilint: allow(fastpath-alloc) one entry per armed hook; clear() keeps the capacity
+  static_cast<std::vector<QueueDesc>*>(ctx)->push_back(static_cast<QueueDesc>(qd));
+  // demilint: end-fastpath
+}
+
+void Catnip::ServeReadableQueues() {
+  // demilint: fastpath
+  for (size_t i = 0; i < readable_queues_.size(); i++) {
+    const QueueDesc qd = readable_queues_[i];
+    QueueState* q = Find(qd);
+    if (q != nullptr) {  // null: closed and torn down since the hook fired
+      q->pop_hook_armed = false;
+      ServePops(qd, *q);
+    }
+  }
+  readable_queues_.clear();
+  // demilint: end-fastpath
 }
 
 // --- Splice (docs/STORAGE.md) ---
@@ -806,7 +809,7 @@ Result<QueueDesc> Catnip::MemoryQueue() {
   const QueueDesc qd = NewQd();
   QueueState q;
   q.kind = QKind::kMemory;
-  q.mem = std::make_shared<MemChannel>();
+  q.mem = std::make_unique<MemChannel>();
   queues_[qd] = std::move(q);
   return qd;
 }
@@ -824,21 +827,16 @@ Status Catnip::Close(QueueDesc qd) {
       // Like POSIX close(): teardown proceeds whatever the connection's fate, so a close on an
       // already-reset connection (which reports the stored error) is not surfaced to the app.
       (void)q->conn->Close();
-      q->conn->readable().Notify();
       break;
     case QKind::kTcpListener:
       q->listener->acceptable().Notify();
       break;
-    case QKind::kUdp:
-      q->udp->readable().Notify();
-      break;
-    case QKind::kMemory:
-      q->mem->closed = true;
-      q->mem->readable.Notify();
-      break;
     default:
       break;
   }
+  // Pending pops complete now: TCP and UDP with kCancelled, a memory queue with its remaining
+  // items and then kEndOfFile.
+  ServePops(qd, *q);
   // Teardown of event-owning objects is deferred to the fast path once no blocked coroutine
   // can still reference them.
   deferred_close_.push_back(qd);

@@ -2,8 +2,16 @@
 //
 // Implements PDPIX over the full userspace UDP/TCP stacks. A single fast-path coroutine polls
 // the NIC (and, when a disk is attached, the storage completion queue — the Catnip×Cattree
-// round-robin split of §5.5); pop/accept/connect allocate blocked coroutines only when the
-// data isn't already available, and push transmits inline run-to-completion.
+// round-robin split of §5.5); push transmits inline run-to-completion, and accept/connect
+// allocate blocked coroutines only when the connection isn't already there.
+//
+// A network or memory pop never gets a coroutine. Pop completes inline when data is already
+// queued; otherwise its qtoken joins a FIFO on the queue and the queue hooks its socket's or
+// connection's readable Event. The hook only records the queue. The fast path serves recorded
+// queues right after draining the NIC, so the frame that makes a pop ready completes it in
+// the same poll, oldest pop first. A memory queue works the same way on its channel's Event.
+// Close completes a TCP or UDP queue's pending pops with kCancelled before it returns; a memory
+// queue's pending pops get its remaining items, then kEndOfFile.
 //
 // Constructing with a SimBlockDevice yields the integrated Catnip×Cattree libOS: network
 // sockets and storage queues share one scheduler and one DMA heap, enabling the paper's
@@ -14,7 +22,9 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/core/libos.h"
 #include "src/liboses/storage_queue_engine.h"
@@ -115,7 +125,6 @@ class Catnip final : public LibOS {
   struct MemChannel {
     std::deque<Buffer> items;
     Event readable;
-    bool closed = false;
   };
 
   // One in-flight unit of a TCP→disk splice: the popped views travel to the log untouched.
@@ -170,7 +179,11 @@ class Catnip final : public LibOS {
     QKind kind = QKind::kTcpUnbound;
     bool closing = false;
     TenantId tenant = kDefaultTenant;
-    int waiters = 0;  // blocked op coroutines touching events owned by this queue
+    int waiters = 0;  // blocked accept coroutines touching the listener's event
+    // Pops waiting for data, oldest first; `pop_hook_armed` while a readable hook is registered
+    // on the socket's, connection's or memory channel's event.
+    std::vector<QToken> pending_pops;
+    bool pop_hook_armed = false;
     SocketAddress bound{};
     bool has_bound = false;
     TcpListener* listener = nullptr;
@@ -179,7 +192,7 @@ class Catnip final : public LibOS {
     SocketAddress udp_default_remote{};
     bool udp_connected = false;
     uint64_t file_cursor = 0;
-    std::shared_ptr<MemChannel> mem;
+    std::unique_ptr<MemChannel> mem;
   };
 
   QueueState* Find(QueueDesc qd);
@@ -195,9 +208,6 @@ class Catnip final : public LibOS {
   Task<void> FastPathFiber();
   Task<void> AcceptOp(QueueDesc qd, QToken qt);
   Task<void> ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn);
-  Task<void> PopTcpOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn);
-  Task<void> PopUdpOp(QueueDesc qd, QToken qt);
-  Task<void> PopMemOp(QueueDesc qd, QToken qt, std::shared_ptr<MemChannel> mem);
   Task<void> SpliceNetToDiskOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn,
                                std::shared_ptr<SpliceState> st);
@@ -205,9 +215,19 @@ class Catnip final : public LibOS {
   Task<void> SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn, uint64_t cursor);
 
-  // Completes a TCP pop from ready data (fast path and coroutine tail share this).
-  void CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn);
+  // Pops: the result for `q`'s oldest pending pop, or nullopt while it must keep waiting.
+  std::optional<QResult> NextPopResult(QueueState& q);
+  // Completes `q`'s pending pops, oldest first, as far as NextPopResult allows; arms the
+  // readable hook for the rest.
+  void ServePops(QueueDesc qd, QueueState& q);
+  // Serves every queue whose readable hook fired since the last call.
+  void ServeReadableQueues();
+  // The readable hook: `ctx` is readable_queues_, `arg` the queue descriptor.
+  static void OnQueueReadable(void* ctx, uint64_t qd);
 
+  // Queues whose readable hook fired. Declared before the stacks: TcpStack's destructor aborts
+  // its connections, which notifies their readable events into this list.
+  std::vector<QueueDesc> readable_queues_;
   std::unique_ptr<SimNic> owned_nic_;  // null when ShardWiring::nic is used
   SimNic& nic_;
   EthernetLayer eth_;

@@ -1,8 +1,11 @@
-// Blocking primitives built on Wakers.
+// Blocking primitives built on one-shot callbacks.
 //
 // Event follows the paper's design: a blocked coroutine stashes a pointer to its readiness flag
 // with the event source; whoever triggers the event (e.g., the fast-path coroutine receiving a
 // packet for that TCP connection) sets the stashed bit, making the coroutine runnable again.
+// A waiter is the `(callback, ctx, arg)` triple the timer wheel also stores: a fiber waits as
+// Scheduler::WakeWordCb on its ready word, and a libOS can hook a plain callback instead of
+// spawning a fiber (Catnip records the queue whose pending pops the event may satisfy).
 // All waits are edge-triggered and may wake spuriously; callers always loop over a predicate.
 
 #ifndef SRC_RUNTIME_EVENT_H_
@@ -13,21 +16,35 @@
 
 #include "src/common/logging.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/timer_wheel.h"
 
 namespace demi {
 
 class Event {
  public:
+  using Callback = TimerWheel::Callback;
+
   Event() = default;
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  // Wakes every fiber currently waiting. Cheap when nobody waits (the common fast-path case).
+  // Runs and drops every registered waiter. Cheap when nobody waits (the common fast-path
+  // case). A callback must not register on, or notify, this same event.
   void Notify() {
-    for (const Waker& w : waiters_) {
-      w.Wake();
+    // demilint: fastpath
+    for (const Waiter& w : waiters_) {
+      w.cb(w.ctx, w.arg);
     }
     waiters_.clear();
+    // demilint: end-fastpath
+  }
+
+  // Registers `cb(ctx, arg)` to run once, at the next Notify().
+  void OnNotify(Callback cb, void* ctx, uint64_t arg) {
+    // demilint: fastpath
+    // demilint: allow(fastpath-alloc) Notify's clear() keeps the capacity, so this grows only when more waiters than ever before wait at once
+    waiters_.push_back(Waiter{cb, ctx, arg});
+    // demilint: end-fastpath
   }
 
   bool HasWaiters() const { return !waiters_.empty(); }
@@ -40,7 +57,7 @@ class Event {
       Scheduler* s = Scheduler::Current();
       DEMI_CHECK(s != nullptr);
       s->SetResumePointForAwait(h);
-      event->waiters_.push_back(s->CurrentWaker());
+      event->OnWake(s->CurrentWaker());
     }
     void await_resume() const noexcept {}
   };
@@ -56,7 +73,7 @@ class Event {
     void await_suspend(std::coroutine_handle<> h) noexcept {
       sched->SetResumePointForAwait(h);
       Waker w = sched->CurrentWaker();
-      event->waiters_.push_back(w);
+      event->OnWake(w);
       sched->AddTimer(deadline, w);
     }
     void await_resume() const noexcept {}
@@ -66,7 +83,15 @@ class Event {
   }
 
  private:
-  std::vector<Waker> waiters_;
+  struct Waiter {
+    Callback cb;
+    void* ctx;
+    uint64_t arg;
+  };
+
+  void OnWake(const Waker& w) { OnNotify(&Scheduler::WakeWordCb, w.word_, w.mask_); }
+
+  std::vector<Waiter> waiters_;
 };
 
 }  // namespace demi

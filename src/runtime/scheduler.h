@@ -49,7 +49,8 @@ class Waker {
   bool valid() const { return word_ != nullptr; }
 
  private:
-  friend class Scheduler;  // timer-wheel entries store the raw word/mask pair
+  friend class Scheduler;  // timer-wheel and Event waiters store the raw word/mask pair
+  friend class Event;
 
   uint64_t* word_ = nullptr;
   uint64_t mask_ = 0;
@@ -225,7 +226,8 @@ class Scheduler {  // demilint: shard-local
   std::vector<FiberId> free_slots_;
   size_t live_fibers_ = 0;
 
-  // Wake-a-fiber timer callback: `ctx` is the waker block word, `arg` the ready-bit mask.
+  // Wake-a-fiber timer and Event callback: `ctx` is the waker block word, `arg` the ready-bit
+  // mask.
   static void WakeWordCb(void* ctx, uint64_t arg) { *static_cast<uint64_t*>(ctx) |= arg; }
 
   TimerWheel wheel_;

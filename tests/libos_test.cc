@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -74,6 +75,18 @@ class CatnipPairTest : public ::testing::Test {
   }
 
   std::vector<LibOS*> World() { return {&server_, &client_}; }
+
+  // Opens a TCP connection to `port`; returns {server connection qd, client qd}.
+  std::pair<QueueDesc, QueueDesc> ConnectTcp(uint16_t port) {
+    auto sqd = server_.Socket(SocketType::kStream);
+    EXPECT_EQ(server_.Bind(*sqd, {server_.local_ip(), port}), Status::kOk);
+    EXPECT_EQ(server_.Listen(*sqd, 4), Status::kOk);
+    auto acc = server_.Accept(*sqd);
+    auto cqd = client_.Socket(SocketType::kStream);
+    auto conn = client_.Connect(*cqd, {server_.local_ip(), port});
+    EXPECT_EQ(WaitStepped(client_, *conn, World()).status, Status::kOk);
+    return {WaitStepped(server_, *acc, World()).new_qd, *cqd};
+  }
 
   MonotonicClock clock_;
   SimNetwork net_;
@@ -160,6 +173,132 @@ TEST_F(CatnipPairTest, PopCompletesWithEofOnPeerClose) {
   ASSERT_EQ(client_.Close(*cqd), Status::kOk);
   QResult r = WaitStepped(server_, *pop_qt, World());
   EXPECT_EQ(r.status, Status::kEndOfFile);
+}
+
+// Close completes a pending TCP or UDP pop at once with kCancelled: it does not wait for the
+// peer's FIN, so the server is never polled after the handshake.
+TEST_F(CatnipPairTest, CloseCancelsPendingPopsWithoutPeerTraffic) {
+  const QueueDesc cqd = ConnectTcp(7002).second;
+  auto tcp_pop = client_.Pop(cqd);
+  ASSERT_TRUE(tcp_pop.ok());
+  client_.PollOnce();
+  ASSERT_FALSE(client_.IsDone(*tcp_pop));
+  ASSERT_EQ(client_.Close(cqd), Status::kOk);
+  ASSERT_TRUE(client_.IsDone(*tcp_pop));
+  EXPECT_EQ(client_.TryTake(*tcp_pop)->status, Status::kCancelled);
+
+  auto uqd = client_.Socket(SocketType::kDatagram);
+  ASSERT_TRUE(uqd.ok());
+  auto udp_pop = client_.Pop(*uqd);
+  ASSERT_TRUE(udp_pop.ok());
+  ASSERT_EQ(client_.Close(*uqd), Status::kOk);
+  ASSERT_TRUE(client_.IsDone(*udp_pop));
+  EXPECT_EQ(client_.TryTake(*udp_pop)->status, Status::kCancelled);
+}
+
+// A memory queue's pending pops get the items pushed before Close, then kEndOfFile.
+TEST_F(CatnipPairTest, CloseDrainsMemoryQueueThenEof) {
+  auto mq = server_.MemoryQueue();
+  ASSERT_TRUE(mq.ok());
+  auto first = server_.Pop(*mq);
+  auto second = server_.Pop(*mq);
+  auto push = server_.Push(*mq, MakeSga(server_, "last"));
+  ASSERT_TRUE(push.ok());
+  ASSERT_EQ(server_.Close(*mq), Status::kOk);
+  auto r1 = server_.TryTake(*first);
+  ASSERT_TRUE(r1.ok());
+  EXPECT_EQ(SgaToString(server_, r1->sga), "last");
+  EXPECT_EQ(server_.TryTake(*second)->status, Status::kEndOfFile);
+  EXPECT_TRUE(server_.TryTake(*push).ok());
+}
+
+// Polls `os` alone until one poll moves `progress()`, i.e. drains the frame under test.
+template <typename Progress>
+bool PollUntilProgress(LibOS& os, Progress&& progress) {
+  const uint64_t before = progress();
+  for (int i = 0; i < 2'000'000; i++) {
+    os.PollOnce();
+    if (progress() != before) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The poll that receives the segment completes the waiting pop: no second poll is needed.
+TEST_F(CatnipPairTest, TcpPopCompletesInThePollThatDrainsTheFrame) {
+  const auto [sconn, cqd] = ConnectTcp(7003);
+  auto pop = server_.Pop(sconn);
+  ASSERT_TRUE(pop.ok());
+  server_.PollOnce();
+  ASSERT_FALSE(server_.IsDone(*pop));
+  auto push = client_.Push(cqd, MakeSga(client_, "same poll"));
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(PollUntilProgress(
+      server_, [this] { return server_.tcp().AggregateConnStats().bytes_received; }));
+  ASSERT_TRUE(server_.IsDone(*pop));
+  auto r = server_.TryTake(*pop);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(SgaToString(server_, r->sga), "same poll");
+}
+
+TEST_F(CatnipPairTest, UdpPopCompletesInThePollThatDrainsTheFrame) {
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 5354}), Status::kOk);
+  auto pop = server_.Pop(*sqd);
+  ASSERT_TRUE(pop.ok());
+  server_.PollOnce();
+  ASSERT_FALSE(server_.IsDone(*pop));
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  auto push = client_.PushTo(*cqd, MakeSga(client_, "same poll"), {server_.local_ip(), 5354});
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(PollUntilProgress(server_, [this] { return server_.udp().stats().rx_datagrams; }));
+  ASSERT_TRUE(server_.IsDone(*pop));
+  auto r = server_.TryTake(*pop);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(SgaToString(server_, r->sga), "same poll");
+}
+
+// A pop armed on the ephemeral socket still completes after Bind moves the queue to a new
+// port: the readable hook is re-armed on the new socket.
+TEST_F(CatnipPairTest, PendingUdpPopSurvivesRebind) {
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  auto pop = server_.Pop(*sqd);
+  ASSERT_TRUE(pop.ok());
+  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 5356}), Status::kOk);
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  auto push = client_.PushTo(*cqd, MakeSga(client_, "rebound"), {server_.local_ip(), 5356});
+  ASSERT_TRUE(push.ok());
+  QResult r = WaitStepped(server_, *pop, World());
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "rebound");
+}
+
+// Pending pops complete oldest first: two datagrams drained in one burst go to the two pops
+// in the order they were armed.
+TEST_F(CatnipPairTest, PendingUdpPopsCompleteInFifoOrder) {
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 5355}), Status::kOk);
+  auto first = server_.Pop(*sqd);
+  auto second = server_.Pop(*sqd);
+  server_.PollOnce();
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  for (const char* msg : {"one", "two"}) {
+    ASSERT_TRUE(client_.PushTo(*cqd, MakeSga(client_, msg), {server_.local_ip(), 5355}).ok());
+  }
+  // Let both frames cross the 1 us link before the server polls, so one burst drains both.
+  const TimeNs arrived = clock_.Now() + 50 * kMicrosecond;
+  while (clock_.Now() < arrived) {
+  }
+  const uint64_t frames_before = server_.ethernet().stats().rx_burst_frames;
+  server_.PollOnce();
+  ASSERT_EQ(server_.ethernet().stats().rx_burst_frames, frames_before + 2);
+  auto r1 = server_.TryTake(*first);
+  auto r2 = server_.TryTake(*second);
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(SgaToString(server_, r1->sga), "one");
+  EXPECT_EQ(SgaToString(server_, r2->sga), "two");
 }
 
 TEST_F(CatnipPairTest, WaitAnyWakesOnReadyToken) {
