@@ -11,6 +11,7 @@
 #define SRC_CORE_LIBOS_H_
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/memory/pool_allocator.h"
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
+#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
 
 namespace demi {
@@ -180,6 +182,76 @@ class LibOS {
   // Completes a qtoken inline (fast path) or from a coroutine.
   void CompleteToken(QToken qt, QResult result) { tokens_.Complete(qt, std::move(result)); }
 
+  // --- Waiting for a device event (§5.2, §5.4) ---
+  // An operation that must wait (a pop with no data, an accept with no connection, a connect
+  // still handshaking) is a qtoken in a FIFO on its queue, not a coroutine. The queue hooks
+  // the Event its oldest operation waits on; the hook only records the queue, and the libOS's
+  // fast path calls ServeHookedQueues right after draining its device, so the event that makes
+  // an operation ready completes it in the same poll, oldest first.
+  //
+  // A libOS `OS` using this declares `friend class LibOS` and gives its queue state `Q` a
+  // `PendingOps pending` member and these private members:
+  //   Q* Find(QueueDesc qd);                               null once the queue closed
+  //   std::optional<QResult> NextResult(Q& q, OpCode op);  op's result, nullopt while it waits
+  //   Event& WaitEvent(Q& q, OpCode op);                    the event op waits on
+  struct PendingOp {
+    QToken qt;
+    OpCode op;
+  };
+  struct PendingOps {
+    std::vector<PendingOp> ops;  // oldest first
+    bool hook_armed = false;     // a hook is registered on the oldest op's event
+  };
+
+  // Allocates `op`'s qtoken on queue `qd` and queues it; it completes here if `q` is ready.
+  template <typename OS, typename Q>
+  QToken SubmitPending(OS& os, QueueDesc qd, Q& q, OpCode op, TenantId tenant = kDefaultTenant) {
+    const QToken qt = tokens_.Allocate(op, qd, tenant);
+    q.pending.ops.push_back(PendingOp{qt, op});
+    ServePending(os, qd, q);
+    return qt;
+  }
+
+  // Completes `q`'s ops oldest first while NextResult yields a result, then hooks the
+  // WaitEvent of the oldest op left, unless a hook is already armed.
+  template <typename OS, typename Q>
+  void ServePending(OS& os, QueueDesc qd, Q& q) {
+    // demilint: fastpath
+    std::vector<PendingOp>& ops = q.pending.ops;
+    size_t served = 0;
+    for (; served < ops.size(); served++) {
+      std::optional<QResult> r = os.NextResult(q, ops[served].op);
+      if (!r.has_value()) {
+        break;
+      }
+      CompleteToken(ops[served].qt, std::move(*r));
+    }
+    ops.erase(ops.begin(), ops.begin() + static_cast<ptrdiff_t>(served));
+    if (ops.empty() || q.pending.hook_armed) {
+      return;
+    }
+    os.WaitEvent(q, ops.front().op)
+        .OnNotify(&LibOS::OnQueueHooked, &hooked_queues_, static_cast<uint64_t>(qd));
+    q.pending.hook_armed = true;
+    // demilint: end-fastpath
+  }
+
+  // Serves every queue whose hook fired since the last call, skipping queues closed since.
+  template <typename OS>
+  void ServeHookedQueues(OS& os) {
+    // demilint: fastpath
+    for (size_t i = 0; i < hooked_queues_.size(); i++) {
+      const QueueDesc qd = hooked_queues_[i];
+      auto* q = os.Find(qd);
+      if (q != nullptr) {
+        q->pending.hook_armed = false;  // the hook is one-shot: it fired
+        ServePending(os, qd, *q);
+      }
+    }
+    hooked_queues_.clear();
+    // demilint: end-fastpath
+  }
+
   void RunExternalPump() {
     if (external_pump_) {
       external_pump_();
@@ -198,12 +270,23 @@ class LibOS {
   QTokenTable tokens_;
   TenantTable tenants_;
   QueueDesc next_qd_ = 3;  // 0..2 reserved out of POSIX habit
+  // Queues whose hook fired (see ServePending). A base member, so it outlives every event a
+  // concrete libOS owns: TcpStack's destructor, for one, notifies its connections' events.
+  std::vector<QueueDesc> hooked_queues_;
 
   // Hook for concrete libOSes to propagate a freshly registered tenant's limits into their
   // datapath (e.g. Catnip configures the NIC TX scheduler's token bucket and DRR weight).
   virtual void OnTenantRegistered(TenantId /*tenant*/, const TenantConfig& /*config*/) {}
 
  private:
+  // The hook ServePending registers: `ctx` is hooked_queues_, `arg` the queue descriptor.
+  static void OnQueueHooked(void* ctx, uint64_t qd) {
+    // demilint: fastpath
+    // demilint: allow(fastpath-alloc) one entry per armed hook; clear() keeps the capacity
+    static_cast<std::vector<QueueDesc>*>(ctx)->push_back(static_cast<QueueDesc>(qd));
+    // demilint: end-fastpath
+  }
+
   // Registers the common instruments (sched.*, heap.*, core.*) and wires the tracer into the
   // scheduler and qtoken table; concrete libOSes register their stacks on top.
   void InitObservability();

@@ -152,6 +152,15 @@ void Catmint::TrySendBlocked(Connection& conn) {
   }
 }
 
+void Catmint::FailBlockedSends(Connection& conn) {
+  for (const PendingSend& ps : conn.blocked_sends) {
+    QResult r;
+    r.status = conn.error == Status::kOk ? Status::kCancelled : conn.error;
+    tokens_.Complete(ps.qt, r);
+  }
+  conn.blocked_sends.clear();
+}
+
 void Catmint::PublishConsumed(Connection& conn) {
   if (conn.local_consumed == conn.last_reported_consumed || conn.peer_ctr_addr == 0) {
     return;
@@ -191,8 +200,7 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
   switch (hdr.type) {
     case kMsgConnect: {
       auto lit = listeners_.find(hdr.port);
-      if (lit == listeners_.end() || lit->second->closing ||
-          lit->second->pending.size() >= lit->second->backlog) {
+      if (lit == listeners_.end() || lit->second->pending.size() >= lit->second->backlog) {
         stats_.connects_rejected++;
         SendControl(kMsgReject, comp.src_mac, 0, hdr.src_conn, hdr.port, nullptr);
         break;
@@ -203,7 +211,6 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
       conn->peer_ctr_rkey = hdr.ctr_rkey;
       conn->peer_addr = SocketAddress{Ipv4Addr{0}, hdr.port};
       conn->state = Connection::State::kEstablished;
-      sched_.Spawn(SendFiber(conn));
       SendControl(kMsgAccept, comp.src_mac, conn->id, hdr.src_conn, hdr.port, conn.get());
       lit->second->pending.push_back(conn);
       lit->second->acceptable.Notify();
@@ -220,7 +227,6 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
       conn.peer_ctr_rkey = hdr.ctr_rkey;
       conn.state = Connection::State::kEstablished;
       conn.established.Notify();
-      conn.send_window.Notify();
       break;
     }
     case kMsgReject: {
@@ -228,10 +234,12 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
       if (it == conns_.end()) {
         break;
       }
-      it->second->state = Connection::State::kClosed;
-      it->second->error = Status::kConnectionRefused;
-      it->second->established.Notify();
-      it->second->readable.Notify();
+      Connection& conn = *it->second;
+      conn.state = Connection::State::kClosed;
+      conn.error = Status::kConnectionRefused;
+      FailBlockedSends(conn);
+      conn.established.Notify();
+      conn.readable.Notify();
       break;
     }
     case kMsgData: {
@@ -267,23 +275,21 @@ Task<void> Catmint::FastPathFiber() {
   RdmaCompletion comps[32];
   while (!shutdown_) {
     const size_t n = device_.PollCq(comps);
-    bool got_recv = false;
     for (size_t i = 0; i < n; i++) {
       if (comps[i].type == RdmaCompletion::Type::kRecv) {
         HandleMessage(comps[i]);
         free_slots_.push_back(comps[i].wr_id);
         posted_recvs_--;
-        got_recv = true;
       }
     }
-    (void)got_recv;
+    // Complete the accepts, connects and pops these messages made ready.
+    ServeHookedQueues(*this);
     // Credit updates arrive as one-sided writes, which by design raise no completion; the
-    // sender learns about them only by reading its counter. Poll the counters of connections
-    // with blocked sends and unblock their send fibers when credits returned.
+    // sender learns about them only by reading its counter. Send the blocked pushes that
+    // returned credits (or a just-established connection) now allow.
     for (auto& [id, conn] : conns_) {
-      if (!conn->blocked_sends.empty() && conn->state == Connection::State::kEstablished &&
-          CreditsAvailable(*conn) > 0) {
-        conn->send_window.Notify();
+      if (!conn->blocked_sends.empty()) {
+        TrySendBlocked(*conn);
       }
     }
     // Flow control: unblock the repost fiber when the pool runs low (paper §6.2).
@@ -292,19 +298,6 @@ Task<void> Catmint::FastPathFiber() {
     }
     if (storage_ != nullptr) {
       storage_->Poll();
-    }
-    while (!deferred_close_.empty()) {
-      const QueueDesc qd = deferred_close_.front();
-      auto it = queues_.find(qd);
-      if (it == queues_.end()) {
-        deferred_close_.pop_front();
-        continue;
-      }
-      if (it->second.waiters_guard > 0) {
-        break;
-      }
-      deferred_close_.pop_front();
-      queues_.erase(it);
     }
     co_await Scheduler::Yield{};
   }
@@ -321,20 +314,6 @@ Task<void> Catmint::FlowControlFiber() {
   }
 }
 
-Task<void> Catmint::SendFiber(std::shared_ptr<Connection> conn) {
-  while (conn->state != Connection::State::kClosed) {
-    TrySendBlocked(*conn);
-    co_await conn->send_window.Wait();
-  }
-  // Fail any sends still blocked at close.
-  while (!conn->blocked_sends.empty()) {
-    QResult r;
-    r.status = conn->error == Status::kOk ? Status::kCancelled : conn->error;
-    tokens_.Complete(conn->blocked_sends.front().qt, r);
-    conn->blocked_sends.pop_front();
-  }
-}
-
 // --- PDPIX surface ---
 
 Result<QueueDesc> Catmint::Socket(SocketType type) {
@@ -348,7 +327,7 @@ Result<QueueDesc> Catmint::Socket(SocketType type) {
 
 Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound) {
+  if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
   q->bound_port = local.port;
@@ -358,7 +337,7 @@ Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
 
 Status Catmint::Listen(QueueDesc qd, int backlog) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound || !q->has_bound) {
+  if (q == nullptr || q->kind != QKind::kUnbound || !q->has_bound) {
     return Status::kInvalidArgument;
   }
   if (listeners_.count(q->bound_port) > 0) {
@@ -383,45 +362,15 @@ QueueDesc Catmint::InstallConnQueue(std::shared_ptr<Connection> conn) {
 
 Result<QToken> Catmint::Accept(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kListener) {
+  if (q == nullptr || q->kind != QKind::kListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd);
-  sched_.Spawn(AcceptOp(qd, qt));
-  return qt;
-}
-
-Task<void> Catmint::AcceptOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kListener) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (!q->listener->pending.empty()) {
-      auto conn = std::move(q->listener->pending.front());
-      q->listener->pending.pop_front();
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = conn->peer_addr;
-      r.new_qd = InstallConnQueue(std::move(conn));
-      CompleteToken(qt, r);
-      co_return;
-    }
-    q->waiters_guard++;
-    co_await q->listener->acceptable.Wait();
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters_guard--;
-    }
-  }
+  return SubmitPending(*this, qd, *q, OpCode::kAccept);
 }
 
 Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound) {
+  if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
   auto dir = directory_.find(remote.ip.value);
@@ -432,26 +381,13 @@ Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
   conn->peer_addr = remote;
   q->kind = QKind::kConn;
   q->conn = conn;
-  sched_.Spawn(SendFiber(conn));
   SendControl(kMsgConnect, conn->peer_mac, conn->id, 0, remote.port, conn.get());
-  const QToken qt = tokens_.Allocate(OpCode::kConnect, qd);
-  sched_.Spawn(ConnectOp(qt, conn));
-  return qt;
-}
-
-Task<void> Catmint::ConnectOp(QToken qt, std::shared_ptr<Connection> conn) {
-  while (conn->state == Connection::State::kConnecting) {
-    co_await conn->established.Wait();
-  }
-  QResult r;
-  r.status = conn->state == Connection::State::kEstablished ? Status::kOk : conn->error;
-  r.remote = conn->peer_addr;
-  CompleteToken(qt, r);
+  return SubmitPending(*this, qd, *q, OpCode::kConnect);
 }
 
 Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kFile) {
@@ -473,23 +409,28 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
     return conn.error == Status::kOk ? Status::kNotConnected : conn.error;
   }
 
+  const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
   // One message per push. Single-segment pushes ride zero-copy; multi-segment gathers flatten.
   Buffer data;
   if (sga.num_segs == 1) {
-    data = Buffer::FromApp(alloc_, sga.segs[0].buf, sga.segs[0].len);
-    if (data.size() >= PoolAllocator::kZeroCopyThreshold) {
+    data = Buffer::TryFromApp(alloc_, sga.segs[0].buf, sga.segs[0].len);
+    if (data.valid() && data.size() >= PoolAllocator::kZeroCopyThreshold) {
       data.Rkey();
     }
   } else {
-    data = Buffer::Allocate(alloc_, sga.TotalBytes());
+    data = Buffer::TryAllocate(alloc_, sga.TotalBytes());
     size_t off = 0;
-    for (uint32_t i = 0; i < sga.num_segs; i++) {
+    for (uint32_t i = 0; i < sga.num_segs && data.valid(); i++) {
       std::memcpy(data.mutable_data() + off, sga.segs[i].buf, sga.segs[i].len);
       off += sga.segs[i].len;
     }
   }
-
-  const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
+  if (!data.valid()) {
+    QResult r;
+    r.status = Status::kNoMemory;  // heap exhausted: ENOMEM via the qtoken
+    CompleteToken(qt, r);
+    return qt;
+  }
   if (conn.state == Connection::State::kEstablished && conn.blocked_sends.empty() &&
       CreditsAvailable(conn) > 0) {
     // Fast path: send inline.
@@ -498,7 +439,7 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
     CompleteToken(qt, r);
     return qt;
   }
-  // Slow path: out of credits (or still connecting); the send fiber drains us later.
+  // Out of credits (or still connecting): the fast path's credit scan sends it later.
   stats_.sends_blocked_on_credits++;
   conn.blocked_sends.push_back(PendingSend{std::move(data), qt});
   return qt;
@@ -506,7 +447,7 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
 
 Result<QToken> Catmint::Pop(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kFile) {
@@ -514,53 +455,66 @@ Result<QToken> Catmint::Pop(QueueDesc qd) {
       return Status::kNotSupported;
     }
     const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-    sched_.Spawn(storage_->PopOp(qt, &q->file_cursor));
+    storage_->Pop(q->file, qt);
     return qt;
   }
   if (q->kind != QKind::kConn) {
     return Status::kNotConnected;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  if (!q->conn->rx.empty()) {
-    // Fast path: message already here.
-    Connection& conn = *q->conn;
-    Buffer data = std::move(conn.rx.front());
+  return SubmitPending(*this, qd, *q, OpCode::kPop);
+}
+
+// --- Waiting ops (LibOS::PendingOps) ---
+
+std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
+  // demilint: fastpath
+  QResult r;
+  if (q.closing) {
+    r.status = Status::kCancelled;
+    return r;
+  }
+  if (op == OpCode::kAccept) {
+    Listener& listener = *q.listener;
+    if (listener.pending.empty()) {
+      return std::nullopt;
+    }
+    std::shared_ptr<Connection> conn = std::move(listener.pending.front());
+    listener.pending.pop_front();
+    r.remote = conn->peer_addr;
+    r.new_qd = InstallConnQueue(std::move(conn));
+    return r;
+  }
+  Connection& conn = *q.conn;
+  r.remote = conn.peer_addr;
+  if (op == OpCode::kConnect) {
+    if (conn.state == Connection::State::kConnecting) {
+      return std::nullopt;
+    }
+    r.status = conn.state == Connection::State::kEstablished ? Status::kOk : conn.error;
+    return r;
+  }
+  if (!conn.rx.empty()) {
+    r.sga = BufferToAppSga(std::move(conn.rx.front()));
     conn.rx.pop_front();
     conn.local_consumed++;
     need_repost_.Notify();  // let the flow fiber publish the credit
-    QResult r;
-    r.status = Status::kOk;
-    r.remote = conn.peer_addr;
-    r.sga = BufferToAppSga(std::move(data));
-    CompleteToken(qt, r);
-    return qt;
+    return r;
   }
-  sched_.Spawn(PopOp(qd, qt, q->conn));
-  return qt;
+  if (conn.remote_closed || conn.state == Connection::State::kClosed) {
+    r.status = conn.error == Status::kOk ? Status::kEndOfFile : conn.error;
+    return r;
+  }
+  return std::nullopt;
+  // demilint: end-fastpath
 }
 
-Task<void> Catmint::PopOp(QueueDesc qd, QToken qt, std::shared_ptr<Connection> conn) {
-  for (;;) {
-    if (!conn->rx.empty()) {
-      Buffer data = std::move(conn->rx.front());
-      conn->rx.pop_front();
-      conn->local_consumed++;
-      need_repost_.Notify();
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = conn->peer_addr;
-      r.sga = BufferToAppSga(std::move(data));
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (conn->remote_closed || conn->state == Connection::State::kClosed) {
-      QResult r;
-      r.status = conn->error == Status::kOk ? Status::kEndOfFile : conn->error;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await conn->readable.Wait();
+Event& Catmint::WaitEvent(QueueState& q, OpCode op) {
+  // demilint: fastpath
+  if (op == OpCode::kAccept) {
+    return q.listener->acceptable;
   }
+  return op == OpCode::kConnect ? q.conn->established : q.conn->readable;
+  // demilint: end-fastpath
 }
 
 Result<QueueDesc> Catmint::Open(std::string_view path) {
@@ -570,22 +524,22 @@ Result<QueueDesc> Catmint::Open(std::string_view path) {
   const QueueDesc qd = next_qd_++;
   QueueState q;
   q.kind = QKind::kFile;
-  q.file_cursor = storage_->log().head();
+  q.file = storage_->OpenFile();
   queues_[qd] = std::move(q);
   return qd;
 }
 
 Status Catmint::Seek(QueueDesc qd, uint64_t offset) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
+  if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
-  return storage_->Seek(&q->file_cursor, offset);
+  return storage_->Seek(*q->file, offset);
 }
 
 Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
+  if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
   return storage_->Truncate(offset);
@@ -593,10 +547,13 @@ Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
 
 Status Catmint::Close(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
+  // Pending accepts, connects and pops complete with kCancelled now. Nothing else refers to the
+  // queue afterwards, so it is torn down here.
   q->closing = true;
+  ServePending(*this, qd, *q);
   switch (q->kind) {
     case QKind::kConn: {
       Connection& conn = *q->conn;
@@ -604,21 +561,20 @@ Status Catmint::Close(QueueDesc qd) {
         SendControl(kMsgClose, conn.peer_mac, conn.id, conn.peer_conn, 0, nullptr);
       }
       conn.state = Connection::State::kClosed;
-      conn.readable.Notify();
-      conn.established.Notify();
-      conn.send_window.Notify();
+      FailBlockedSends(conn);
       conns_.erase(conn.id);
       break;
     }
     case QKind::kListener:
       listeners_.erase(q->listener->port);
-      q->listener->closing = true;
-      q->listener->acceptable.Notify();
+      break;
+    case QKind::kFile:
+      storage_->Close(*q->file);
       break;
     default:
       break;
   }
-  deferred_close_.push_back(qd);
+  queues_.erase(qd);
   return Status::kOk;
 }
 

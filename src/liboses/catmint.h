@@ -5,8 +5,20 @@
 // (one QP per connection was unaffordably slow, §6.2) and adds message-based credit flow
 // control. The receiver advances the sender's window by *one-sided RDMA writes* into the
 // sender's registered credit counter, exactly as the paper describes; a flow-control fiber per
-// device keeps receive buffers posted, and the fast path unblocks per-connection send fibers
-// when credits or sends arrive.
+// device keeps receive buffers posted and publishes consumption.
+//
+// No PDPIX op gets a coroutine. A push sends inline while it has credits; otherwise it waits in
+// its connection's blocked-send queue, and the fast path's per-poll credit scan sends it once
+// the peer's one-sided write returns credits. Accept, connect and pop complete inline when
+// their queue is ready; otherwise the qtoken joins the queue's FIFO (LibOS::PendingOps) and the
+// queue hooks the listener's `acceptable`, or the connection's `established` or `readable`
+// Event. The fast path serves hooked queues right after draining the completion queue, so the
+// message that makes an op ready completes it in the same poll, oldest op first.
+//
+// Close completes the queue's pending accepts, connects and pops, and the connection's
+// blocked pushes, with kCancelled, then tears the queue down before it returns; a peer's
+// close still reads as kEndOfFile. A file queue's pops not yet reading complete with
+// kCancelled; one whose read is in flight still gets its record (StorageQueueEngine::Close).
 //
 // Constructing with a SimBlockDevice yields the integrated Catmint×Cattree libOS.
 
@@ -15,6 +27,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "src/core/libos.h"
@@ -68,6 +81,9 @@ class Catmint final : public LibOS {
   const Stats& stats() const { return stats_; }
 
  private:
+  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  friend class LibOS;
+
   static constexpr uint32_t kWellKnownQp = 1;
 
   struct Connection;
@@ -76,7 +92,6 @@ class Catmint final : public LibOS {
     size_t backlog = 64;
     std::deque<std::shared_ptr<Connection>> pending;
     Event acceptable;
-    bool closing = false;
   };
 
   struct PendingSend {
@@ -107,20 +122,19 @@ class Catmint final : public LibOS {
     std::deque<Buffer> rx;
     Event readable;
     Event established;
-    Event send_window;  // notified when credits may have changed
   };
 
   enum class QKind : uint8_t { kUnbound, kListener, kConn, kFile };
 
   struct QueueState {
     QKind kind = QKind::kUnbound;
-    bool closing = false;
-    int waiters_guard = 0;  // blocked coroutines touching queue-owned events
+    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
+    PendingOps pending;    // accepts, connects and pops waiting for an event
     uint16_t bound_port = 0;
     bool has_bound = false;
     std::unique_ptr<Listener> listener;
     std::shared_ptr<Connection> conn;
-    uint64_t file_cursor = 0;
+    std::shared_ptr<StorageQueueEngine::File> file;
   };
 
   QueueState* Find(QueueDesc qd);
@@ -129,6 +143,9 @@ class Catmint final : public LibOS {
                    uint16_t port, const Connection* conn);
   [[nodiscard]] Status SendData(Connection& conn, const Buffer& data);
   void TrySendBlocked(Connection& conn);
+  // Completes the pushes still waiting for credits: kCancelled on a local close, the
+  // connection's error otherwise.
+  void FailBlockedSends(Connection& conn);
   void PublishConsumed(Connection& conn);
   void HandleMessage(const RdmaCompletion& comp);
   void PostRecvBuffers();
@@ -136,10 +153,11 @@ class Catmint final : public LibOS {
 
   Task<void> FastPathFiber();
   Task<void> FlowControlFiber();
-  Task<void> AcceptOp(QueueDesc qd, QToken qt);
-  Task<void> PopOp(QueueDesc qd, QToken qt, std::shared_ptr<Connection> conn);
-  Task<void> ConnectOp(QToken qt, std::shared_ptr<Connection> conn);
-  Task<void> SendFiber(std::shared_ptr<Connection> conn);
+
+  // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
+  // waiting on WaitEvent(q, op).
+  std::optional<QResult> NextResult(QueueState& q, OpCode op);
+  Event& WaitEvent(QueueState& q, OpCode op);
 
   QueueDesc InstallConnQueue(std::shared_ptr<Connection> conn);
 
@@ -163,7 +181,6 @@ class Catmint final : public LibOS {
 
   std::unique_ptr<StorageQueueEngine> storage_;
   std::unordered_map<QueueDesc, QueueState> queues_;
-  std::deque<QueueDesc> deferred_close_;
   bool shutdown_ = false;
   Stats stats_;
 };

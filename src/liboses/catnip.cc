@@ -98,7 +98,7 @@ void Catnip::OnTenantRegistered(TenantId tenant, const TenantConfig& config) {
 
 Status Catnip::SetQueueTenant(QueueDesc qd, TenantId tenant) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   q->tenant = tenant;
@@ -133,27 +133,11 @@ Task<void> Catnip::FastPathFiber() {
   uint32_t iterations = 0;
   while (!shutdown_) {
     eth_.PollOnce();
-    // Complete the pops this burst (or a timer fired this poll) made ready.
-    ServeReadableQueues();
+    // Complete the ops this burst (or a timer fired this poll) made ready.
+    ServeHookedQueues(*this);
     if (storage_ != nullptr) {
       // Catnip×Cattree: round-robin the fast path between NIC and disk completions (§5.5).
       storage_->Poll();
-    }
-    // Deferred queue teardown: objects owning events are freed only once no blocked accept
-    // coroutine can still touch them.
-    while (!deferred_close_.empty()) {
-      const QueueDesc qd = deferred_close_.front();
-      auto it = queues_.find(qd);
-      if (it == queues_.end()) {
-        deferred_close_.pop_front();
-        continue;
-      }
-      if (it->second.waiters > 0) {
-        break;  // retry next iteration
-      }
-      deferred_close_.pop_front();
-      FinishClose(qd, it->second);
-      queues_.erase(it);
     }
     if (++iterations % kReapInterval == 0) {
       tcp_.Reap();
@@ -183,7 +167,7 @@ Result<QueueDesc> Catnip::Socket(SocketType type) {
 
 Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kUdp) {
@@ -194,8 +178,8 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
     }
     udp_.Close(q->udp);
     q->udp = *sock;
-    q->pop_hook_armed = false;  // the hook went with the old socket: re-arm on the new one
-    ServePops(qd, *q);
+    q->pending.hook_armed = false;  // the hook went with the old socket: re-arm on the new one
+    ServePending(*this, qd, *q);
     return Status::kOk;
   }
   if (q->kind != QKind::kTcpUnbound) {
@@ -208,7 +192,7 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
 
 Status Catnip::Listen(QueueDesc qd, int backlog) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind != QKind::kTcpUnbound || !q->has_bound) {
@@ -236,55 +220,15 @@ QueueDesc Catnip::InstallConnQueue(std::shared_ptr<TcpConnection> conn) {
 
 Result<QToken> Catnip::Accept(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kTcpListener) {
+  if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd, q->tenant);
-  if (q->listener->HasPending()) {
-    // Fast path: connection already established.
-    auto conn = q->listener->Accept();
-    QResult r;
-    r.status = Status::kOk;
-    r.new_qd = InstallConnQueue(conn);
-    r.remote = conn->remote();
-    CompleteToken(qt, r);
-    return qt;
-  }
-  sched_.Spawn(AcceptOp(qd, qt));
-  return qt;
-}
-
-Task<void> Catnip::AcceptOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kTcpListener) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (q->listener->HasPending()) {
-      auto conn = q->listener->Accept();
-      QResult r;
-      r.status = Status::kOk;
-      r.new_qd = InstallConnQueue(conn);
-      r.remote = conn->remote();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    q->waiters++;
-    co_await q->listener->acceptable().Wait();
-    // Re-find: the map may have rehashed or the queue may be closing.
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters--;
-    }
-  }
+  return SubmitPending(*this, qd, *q, OpCode::kAccept, q->tenant);
 }
 
 Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kUdp) {
@@ -308,28 +252,14 @@ Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
   q->kind = QKind::kTcpConn;
   q->conn = *conn;
   q->conn->set_tenant(q->tenant);  // active opens charge the socket's tenant
-  const QToken qt = tokens_.Allocate(OpCode::kConnect, qd, q->tenant);
-  sched_.Spawn(ConnectOp(qd, qt, *conn));
-  return qt;
-}
-
-Task<void> Catnip::ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn) {
-  while (conn->state() != TcpState::kEstablished && conn->state() != TcpState::kClosed) {
-    co_await conn->established_event().Wait();
-  }
-  QResult r;
-  r.status = conn->state() == TcpState::kEstablished ? Status::kOk : conn->error();
-  if (r.status == Status::kOk) {
-    r.remote = conn->remote();
-  }
-  CompleteToken(qt, r);
+  return SubmitPending(*this, qd, *q, OpCode::kConnect, q->tenant);
 }
 
 // --- Push ---
 
 Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (ShedOp(q->tenant)) {
@@ -406,7 +336,7 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
 
 Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind != QKind::kUdp) {
@@ -462,7 +392,7 @@ Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
 
 Result<QToken> Catnip::Pop(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (ShedOp(q->tenant)) {
@@ -471,18 +401,14 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
   switch (q->kind) {
     case QKind::kTcpConn:
     case QKind::kUdp:
-    case QKind::kMemory: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      q->pending_pops.push_back(qt);
-      ServePops(qd, *q);  // completes it inline when data is already waiting
-      return qt;
-    }
+    case QKind::kMemory:
+      return SubmitPending(*this, qd, *q, OpCode::kPop, q->tenant);
     case QKind::kFile: {
       if (storage_ == nullptr) {
         return Status::kNotSupported;
       }
       const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      sched_.Spawn(storage_->PopOp(qt, &q->file_cursor));
+      storage_->Pop(q->file, qt);
       return qt;
     }
     default:
@@ -490,16 +416,39 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
   }
 }
 
-std::optional<QResult> Catnip::NextPopResult(QueueState& q) {
+// --- Waiting ops (LibOS::PendingOps) ---
+
+std::optional<QResult> Catnip::NextResult(QueueState& q, OpCode op) {
   // demilint: fastpath
   QResult r;
+  if (q.closing && q.kind != QKind::kMemory) {
+    r.status = Status::kCancelled;
+    return r;
+  }
+  if (op == OpCode::kAccept) {
+    std::shared_ptr<TcpConnection> conn = q.listener->Accept();
+    if (conn == nullptr) {
+      return std::nullopt;
+    }
+    r.remote = conn->remote();
+    r.new_qd = InstallConnQueue(std::move(conn));
+    return r;
+  }
+  if (op == OpCode::kConnect) {
+    const TcpState state = q.conn->state();
+    if (state == TcpState::kEstablished) {
+      r.remote = q.conn->remote();
+      return r;
+    }
+    if (state == TcpState::kClosed) {
+      r.status = q.conn->error();
+      return r;
+    }
+    return std::nullopt;
+  }
   switch (q.kind) {
     case QKind::kTcpConn: {
       TcpConnection& conn = *q.conn;
-      if (q.closing) {
-        r.status = Status::kCancelled;
-        return r;
-      }
       r.remote = conn.remote();
       if (conn.HasReadyData()) {
         // Drain up to a full scatter-gather array per pop: cuts per-segment qtoken costs for
@@ -522,10 +471,6 @@ std::optional<QResult> Catnip::NextPopResult(QueueState& q) {
       return std::nullopt;
     }
     case QKind::kUdp: {
-      if (q.closing) {
-        r.status = Status::kCancelled;
-        return r;
-      }
       std::optional<UdpStack::Datagram> d = q.udp->PopDatagram();
       if (!d.has_value()) {
         return std::nullopt;
@@ -547,52 +492,22 @@ std::optional<QResult> Catnip::NextPopResult(QueueState& q) {
       return std::nullopt;
     }
     default:
-      return std::nullopt;  // no other kind queues pops here
+      return std::nullopt;  // no other kind queues ops here
   }
   // demilint: end-fastpath
 }
 
-void Catnip::ServePops(QueueDesc qd, QueueState& q) {
+Event& Catnip::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
-  size_t served = 0;
-  for (; served < q.pending_pops.size(); served++) {
-    std::optional<QResult> r = NextPopResult(q);
-    if (!r.has_value()) {
-      break;
-    }
-    CompleteToken(q.pending_pops[served], std::move(*r));
+  if (op == OpCode::kAccept) {
+    return q.listener->acceptable();
   }
-  q.pending_pops.erase(q.pending_pops.begin(),
-                       q.pending_pops.begin() + static_cast<ptrdiff_t>(served));
-  if (q.pending_pops.empty() || q.pop_hook_armed) {
-    return;
+  if (op == OpCode::kConnect) {
+    return q.conn->established_event();
   }
-  Event& readable = q.kind == QKind::kTcpConn ? q.conn->readable()
-                    : q.kind == QKind::kUdp   ? q.udp->readable()
-                                              : q.mem->readable;
-  readable.OnNotify(&Catnip::OnQueueReadable, &readable_queues_, static_cast<uint64_t>(qd));
-  q.pop_hook_armed = true;
-  // demilint: end-fastpath
-}
-
-void Catnip::OnQueueReadable(void* ctx, uint64_t qd) {
-  // demilint: fastpath
-  // demilint: allow(fastpath-alloc) one entry per armed hook; clear() keeps the capacity
-  static_cast<std::vector<QueueDesc>*>(ctx)->push_back(static_cast<QueueDesc>(qd));
-  // demilint: end-fastpath
-}
-
-void Catnip::ServeReadableQueues() {
-  // demilint: fastpath
-  for (size_t i = 0; i < readable_queues_.size(); i++) {
-    const QueueDesc qd = readable_queues_[i];
-    QueueState* q = Find(qd);
-    if (q != nullptr) {  // null: closed and torn down since the hook fired
-      q->pop_hook_armed = false;
-      ServePops(qd, *q);
-    }
-  }
-  readable_queues_.clear();
+  return q.kind == QKind::kTcpConn ? q.conn->readable()
+         : q.kind == QKind::kUdp   ? q.udp->readable()
+                                   : q.mem->readable;
   // demilint: end-fastpath
 }
 
@@ -601,7 +516,7 @@ void Catnip::ServeReadableQueues() {
 Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
   QueueState* src = Find(src_qd);
   QueueState* dst = Find(dst_qd);
-  if (src == nullptr || src->closing || dst == nullptr || dst->closing) {
+  if (src == nullptr || dst == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (storage_ == nullptr) {
@@ -625,7 +540,7 @@ Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
     tracer_.Record(TraceEventType::kSpliceStart, static_cast<uint32_t>(src_qd),
                    static_cast<uint64_t>(dst_qd));
     splice_stats_.active++;
-    sched_.Spawn(SpliceDiskToNetOp(src_qd, qt, dst->conn, src->file_cursor));
+    sched_.Spawn(SpliceDiskToNetOp(src_qd, qt, dst->conn, src->file->cursor));
     return qt;
   }
   return Status::kNotSupported;  // only (TCP connection, file) pairs can splice
@@ -762,7 +677,7 @@ Task<void> Catnip::SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
   }
   QueueState* q = Find(src_qd);
   if (q != nullptr && q->kind == QKind::kFile) {
-    q->file_cursor = cursor;  // the next pop/splice on this queue resumes where we stopped
+    q->file->cursor = cursor;  // the next pop/splice on this queue resumes where we stopped
   }
   splice_stats_.ops++;
   splice_stats_.active--;
@@ -784,22 +699,22 @@ Result<QueueDesc> Catnip::Open(std::string_view path) {
   const QueueDesc qd = NewQd();
   QueueState q;
   q.kind = QKind::kFile;
-  q.file_cursor = storage_->log().head();
+  q.file = storage_->OpenFile();
   queues_[qd] = std::move(q);
   return qd;
 }
 
 Status Catnip::Seek(QueueDesc qd, uint64_t offset) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
+  if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
-  return storage_->Seek(&q->file_cursor, offset);
+  return storage_->Seek(*q->file, offset);
 }
 
 Status Catnip::Truncate(QueueDesc qd, uint64_t offset) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
+  if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
   return storage_->Truncate(offset);
@@ -818,45 +733,35 @@ Result<QueueDesc> Catnip::MemoryQueue() {
 
 Status Catnip::Close(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
+  // Pending ops complete now: a memory queue's pops with its remaining items and then
+  // kEndOfFile, every other op with kCancelled. Nothing else refers to the queue afterwards,
+  // so it is torn down here.
   q->closing = true;
+  ServePending(*this, qd, *q);
   switch (q->kind) {
     case QKind::kTcpConn:
       // Like POSIX close(): teardown proceeds whatever the connection's fate, so a close on an
       // already-reset connection (which reports the stored error) is not surfaced to the app.
       (void)q->conn->Close();
+      q->conn->ReleaseByApp();
       break;
     case QKind::kTcpListener:
-      q->listener->acceptable().Notify();
-      break;
-    default:
-      break;
-  }
-  // Pending pops complete now: TCP and UDP with kCancelled, a memory queue with its remaining
-  // items and then kEndOfFile.
-  ServePops(qd, *q);
-  // Teardown of event-owning objects is deferred to the fast path once no blocked coroutine
-  // can still reference them.
-  deferred_close_.push_back(qd);
-  return Status::kOk;
-}
-
-void Catnip::FinishClose(QueueDesc qd, QueueState& q) {
-  switch (q.kind) {
-    case QKind::kTcpConn:
-      q.conn->ReleaseByApp();
-      break;
-    case QKind::kTcpListener:
-      tcp_.CloseListener(q.listener);
+      tcp_.CloseListener(q->listener);
       break;
     case QKind::kUdp:
-      udp_.Close(q.udp);
+      udp_.Close(q->udp);
+      break;
+    case QKind::kFile:
+      storage_->Close(*q->file);
       break;
     default:
       break;
   }
+  queues_.erase(qd);
+  return Status::kOk;
 }
 
 }  // namespace demi

@@ -2,16 +2,20 @@
 //
 // Implements PDPIX over the full userspace UDP/TCP stacks. A single fast-path coroutine polls
 // the NIC (and, when a disk is attached, the storage completion queue — the Catnip×Cattree
-// round-robin split of §5.5); push transmits inline run-to-completion, and accept/connect
-// allocate blocked coroutines only when the connection isn't already there.
+// round-robin split of §5.5); push transmits inline run-to-completion.
 //
-// A network or memory pop never gets a coroutine. Pop completes inline when data is already
-// queued; otherwise its qtoken joins a FIFO on the queue and the queue hooks its socket's or
-// connection's readable Event. The hook only records the queue. The fast path serves recorded
-// queues right after draining the NIC, so the frame that makes a pop ready completes it in
-// the same poll, oldest pop first. A memory queue works the same way on its channel's Event.
-// Close completes a TCP or UDP queue's pending pops with kCancelled before it returns; a memory
-// queue's pending pops get its remaining items, then kEndOfFile.
+// Accept, connect and network or memory pops never get a coroutine. Each completes inline when
+// its queue is already ready; otherwise its qtoken joins the queue's FIFO (LibOS::PendingOps)
+// and the queue hooks the Event its oldest op waits on: the listener's acceptable(), the
+// connection's established_event(), or the socket's, connection's or memory channel's
+// readable Event. The hook only records the queue. The fast path serves recorded queues right
+// after draining the NIC, so the frame that makes an op ready (a segment, a datagram, the
+// handshake's final ACK) completes it in the same poll, oldest op first.
+//
+// Close completes every pending accept, connect and TCP or UDP pop with kCancelled, and a
+// memory queue's pending pops with its remaining items and then kEndOfFile, then tears the
+// queue down before it returns. A file queue's pops not yet reading complete with kCancelled;
+// one whose read is in flight still gets its record (StorageQueueEngine::Close).
 //
 // Constructing with a SimBlockDevice yields the integrated Catnip×Cattree libOS: network
 // sockets and storage queues share one scheduler and one DMA heap, enabling the paper's
@@ -105,6 +109,8 @@ class Catnip final : public LibOS {
   // ShardGroup (src/core/shard_group.h, paper §7 multi-worker mode) builds each worker's
   // shard through the ShardWiring constructor below.
   friend class ShardGroup;
+  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  friend class LibOS;
 
   // How one shard attaches to the resources its ShardGroup shares. A standalone Catnip uses
   // the default: it owns a single-queue NIC and the whole disk.
@@ -177,13 +183,9 @@ class Catnip final : public LibOS {
 
   struct QueueState {
     QKind kind = QKind::kTcpUnbound;
-    bool closing = false;
+    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
     TenantId tenant = kDefaultTenant;
-    int waiters = 0;  // blocked accept coroutines touching the listener's event
-    // Pops waiting for data, oldest first; `pop_hook_armed` while a readable hook is registered
-    // on the socket's, connection's or memory channel's event.
-    std::vector<QToken> pending_pops;
-    bool pop_hook_armed = false;
+    PendingOps pending;  // accepts, connects and pops waiting for an event
     SocketAddress bound{};
     bool has_bound = false;
     TcpListener* listener = nullptr;
@@ -191,7 +193,7 @@ class Catnip final : public LibOS {
     UdpStack::Socket* udp = nullptr;
     SocketAddress udp_default_remote{};
     bool udp_connected = false;
-    uint64_t file_cursor = 0;
+    std::shared_ptr<StorageQueueEngine::File> file;
     std::unique_ptr<MemChannel> mem;
   };
 
@@ -202,12 +204,9 @@ class Catnip final : public LibOS {
   bool ShedOp(TenantId tenant);
   void OnTenantRegistered(TenantId tenant, const TenantConfig& config) override;
   QueueDesc InstallConnQueue(std::shared_ptr<TcpConnection> conn);
-  void FinishClose(QueueDesc qd, QueueState& q);
 
   // Op coroutines.
   Task<void> FastPathFiber();
-  Task<void> AcceptOp(QueueDesc qd, QToken qt);
-  Task<void> ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn);
   Task<void> SpliceNetToDiskOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn,
                                std::shared_ptr<SpliceState> st);
@@ -215,19 +214,11 @@ class Catnip final : public LibOS {
   Task<void> SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn, uint64_t cursor);
 
-  // Pops: the result for `q`'s oldest pending pop, or nullopt while it must keep waiting.
-  std::optional<QResult> NextPopResult(QueueState& q);
-  // Completes `q`'s pending pops, oldest first, as far as NextPopResult allows; arms the
-  // readable hook for the rest.
-  void ServePops(QueueDesc qd, QueueState& q);
-  // Serves every queue whose readable hook fired since the last call.
-  void ServeReadableQueues();
-  // The readable hook: `ctx` is readable_queues_, `arg` the queue descriptor.
-  static void OnQueueReadable(void* ctx, uint64_t qd);
+  // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
+  // waiting on WaitEvent(q, op).
+  std::optional<QResult> NextResult(QueueState& q, OpCode op);
+  Event& WaitEvent(QueueState& q, OpCode op);
 
-  // Queues whose readable hook fired. Declared before the stacks: TcpStack's destructor aborts
-  // its connections, which notifies their readable events into this list.
-  std::vector<QueueDesc> readable_queues_;
   std::unique_ptr<SimNic> owned_nic_;  // null when ShardWiring::nic is used
   SimNic& nic_;
   EthernetLayer eth_;
@@ -236,7 +227,6 @@ class Catnip final : public LibOS {
   std::unique_ptr<StorageQueueEngine> storage_;
   SimBlockDevice* disk_ = nullptr;  // external device: tracer detached at destruction
   std::unordered_map<QueueDesc, QueueState> queues_;
-  std::deque<QueueDesc> deferred_close_;
   bool shutdown_ = false;
   SpliceStats splice_stats_;
 };

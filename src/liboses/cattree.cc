@@ -30,7 +30,7 @@ Task<void> Cattree::FastPathFiber() {
 
 Result<QueueDesc> Cattree::Open(std::string_view path) {
   const QueueDesc qd = next_qd_++;
-  queues_[qd] = QueueState{storage_.log().head()};
+  queues_[qd] = storage_.OpenFile();
   return qd;
 }
 
@@ -39,7 +39,7 @@ Status Cattree::Seek(QueueDesc qd, uint64_t offset) {
   if (it == queues_.end()) {
     return Status::kBadQueueDescriptor;
   }
-  return storage_.Seek(&it->second.cursor, offset);
+  return storage_.Seek(*it->second, offset);
 }
 
 Status Cattree::Truncate(QueueDesc qd, uint64_t offset) {
@@ -50,7 +50,13 @@ Status Cattree::Truncate(QueueDesc qd, uint64_t offset) {
 }
 
 Status Cattree::Close(QueueDesc qd) {
-  return queues_.erase(qd) > 0 ? Status::kOk : Status::kBadQueueDescriptor;
+  auto it = queues_.find(qd);
+  if (it == queues_.end()) {
+    return Status::kBadQueueDescriptor;
+  }
+  storage_.Close(*it->second);
+  queues_.erase(it);
+  return Status::kOk;
 }
 
 Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
@@ -68,7 +74,7 @@ Result<QToken> Cattree::Pop(QueueDesc qd) {
     return Status::kBadQueueDescriptor;
   }
   const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  sched_.Spawn(storage_.PopOp(qt, &it->second.cursor));
+  storage_.Pop(it->second, qt);
   return qt;
 }
 

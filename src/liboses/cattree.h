@@ -6,6 +6,7 @@
 #ifndef SRC_LIBOSES_CATTREE_H_
 #define SRC_LIBOSES_CATTREE_H_
 
+#include <memory>
 #include <unordered_map>
 
 #include "src/core/libos.h"
@@ -34,15 +35,11 @@ class Cattree final : public LibOS {
   StorageQueueEngine& storage() { return storage_; }
 
  private:
-  struct QueueState {
-    uint64_t cursor = 0;
-  };
-
   Task<void> FastPathFiber();
 
   StorageQueueEngine storage_;
   SimBlockDevice* disk_;  // external device: tracer detached at destruction
-  std::unordered_map<QueueDesc, QueueState> queues_;
+  std::unordered_map<QueueDesc, std::shared_ptr<StorageQueueEngine::File>> queues_;
   bool shutdown_ = false;
 };
 

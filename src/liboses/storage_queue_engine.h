@@ -2,13 +2,16 @@
 // Cattree libOS and the integrated network×storage libOSes (Catnip×Cattree, Catmint×Cattree).
 //
 // Maps PDPIX queues onto the abstract log: each open() returns a queue with its own read
-// cursor; push appends records (durable on completion), pop reads the record at the cursor,
-// seek/truncate move the cursor and garbage-collect.
+// cursor; push appends records (durable on completion), pops read successive records at the
+// cursor one read at a time, seek/truncate move the cursor and garbage-collect.
 
 #ifndef SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 #define SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/core/libos.h"
@@ -24,13 +27,12 @@ class StorageQueueEngine {
   StorageQueueEngine(SimBlockDevice& disk, Scheduler& sched, PoolAllocator& alloc,
                      QTokenTable& tokens, const LogPartition& partition = {},
                      std::atomic<uint64_t>* epoch = nullptr)
-      : log_(disk, sched, partition, epoch), alloc_(alloc), tokens_(tokens) {}
+      : log_(disk, sched, partition, epoch), sched_(sched), alloc_(alloc), tokens_(tokens) {}
 
   LogDevice& log() { return log_; }
   void Poll() { log_.PollDevice(); }
-  bool HasPendingIo() const { return log_.HasPendingIo(); }
 
-  // Spawnable op coroutines; the libOS owns qtoken allocation and queue bookkeeping.
+  // The libOS owns qtoken allocation and queue bookkeeping.
 
   // Appends the sga as one record; completes `qt` when durable. The application's buffers are
   // pinned HERE, synchronously at push time — a coroutine body only runs at its first resume,
@@ -49,37 +51,47 @@ class StorageQueueEngine {
     return PushOpPinned(qt, std::move(pinned));  // parameters move into the frame immediately
   }
 
-  // Reads the record at *cursor; completes `qt` with an app-owned sga and advances the cursor.
-  Task<void> PopOp(QToken qt, uint64_t* cursor) {
-    auto result = co_await log_.Read(*cursor, alloc_);
-    QResult qr;
-    if (!result.ok()) {
-      qr.status = result.error();
-      tokens_.Complete(qt, qr);
-      co_return;
-    }
-    *cursor = result->next_cursor;
-    // The read's view shares its allocation with header and block bytes, and the app frees
-    // what it pops, so the payload is copied once into a whole allocation of its own.
-    Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
-    if (!buf.valid()) {
-      qr.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
-      tokens_.Complete(qt, qr);       // caller may Seek back and re-pop once memory frees up
-      co_return;
-    }
-    if (!result->payload.empty()) {
-      std::memcpy(buf.mutable_data(), result->payload.data(), result->payload.size());
-    }
-    qr.status = Status::kOk;
-    qr.sga = BufferToAppSga(std::move(buf));
-    tokens_.Complete(qt, qr);
+  // One open file queue: its read cursor and its pops, oldest first. The libOS's queue and the
+  // read fiber share it, so a Close with a read in flight frees nothing the read still touches.
+  struct File {
+    uint64_t cursor = 0;
+    std::deque<QToken> pops;
+    bool reading = false;  // a read fiber is serving `pops`; the front one's read is in flight
+  };
+
+  std::shared_ptr<File> OpenFile() {
+    auto file = std::make_shared<File>();
+    file->cursor = log_.head();
+    return file;
   }
 
-  [[nodiscard]] Status Seek(uint64_t* cursor, uint64_t offset) {
+  // Queues a pop. One read at a time serves a file's pops, oldest first, each from the cursor
+  // the previous read left, so pops issued back to back return successive records.
+  void Pop(const std::shared_ptr<File>& file, QToken qt) {
+    file->pops.push_back(qt);
+    if (!file->reading) {
+      file->reading = true;
+      sched_.Spawn(ReadFiber(file));
+    }
+  }
+
+  // The queue is closing: its pops complete with kCancelled now, except one whose read is in
+  // flight, which still completes with that read's record.
+  void Close(File& file) {
+    const size_t keep = std::min<size_t>(file.reading ? 1 : 0, file.pops.size());
+    for (size_t i = keep; i < file.pops.size(); i++) {
+      QResult qr;
+      qr.status = Status::kCancelled;
+      tokens_.Complete(file.pops[i], qr);
+    }
+    file.pops.resize(keep);
+  }
+
+  [[nodiscard]] Status Seek(File& file, uint64_t offset) {
     if (offset < log_.head() || offset > log_.tail()) {
       return Status::kInvalidArgument;
     }
-    *cursor = offset;
+    file.cursor = offset;
     return Status::kOk;
   }
 
@@ -109,7 +121,39 @@ class StorageQueueEngine {
     tokens_.Complete(qt, qr);
   }
 
+  // Serves `file`'s pops in turn: reads the record at the cursor, completes the oldest pop with
+  // an app-owned copy of its payload and advances the cursor; exits once no pop is left.
+  Task<void> ReadFiber(std::shared_ptr<File> file) {
+    while (!file->pops.empty()) {
+      auto result = co_await log_.Read(file->cursor, alloc_);
+      const QToken qt = file->pops.front();
+      file->pops.pop_front();
+      QResult qr;
+      if (!result.ok()) {
+        qr.status = result.error();
+        tokens_.Complete(qt, qr);
+        continue;
+      }
+      file->cursor = result->next_cursor;
+      // The read's view shares its allocation with header and block bytes, and the app frees
+      // what it pops, so the payload is copied once into a whole allocation of its own.
+      Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
+      if (!buf.valid()) {
+        qr.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
+        tokens_.Complete(qt, qr);       // caller may Seek back and re-pop once memory frees up
+        continue;
+      }
+      if (!result->payload.empty()) {
+        std::memcpy(buf.mutable_data(), result->payload.data(), result->payload.size());
+      }
+      qr.sga = BufferToAppSga(std::move(buf));
+      tokens_.Complete(qt, qr);
+    }
+    file->reading = false;
+  }
+
   LogDevice log_;
+  Scheduler& sched_;
   PoolAllocator& alloc_;
   QTokenTable& tokens_;
 };

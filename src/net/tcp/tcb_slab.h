@@ -58,6 +58,9 @@ class TcbSlab {  // demilint: shard-local
   struct State {
     std::vector<std::unique_ptr<uint8_t[]>> chunks;
     void* free_head = nullptr;  // intrusive: first 8 bytes of a free slot point to the next
+    // Slots of the newest chunk handed out so far. A chunk is neither zeroed nor threaded onto
+    // the freelist up front, so its pages are touched only as connections claim its slots.
+    size_t carved = kSlotsPerChunk;
     size_t live = 0;
     uint64_t allocs = 0;
     uint64_t oversize = 0;
@@ -65,18 +68,16 @@ class TcbSlab {  // demilint: shard-local
 
     void* AllocSlot() {
       affinity.Check("TcbSlab::AllocSlot");
-      if (free_head == nullptr) {
-        auto chunk = std::make_unique<uint8_t[]>(kSlotsPerChunk * kSlotBytes);
-        uint8_t* base = chunk.get();
-        for (size_t i = kSlotsPerChunk; i-- > 0;) {
-          void* slot = base + i * kSlotBytes;
-          *static_cast<void**>(slot) = free_head;
-          free_head = slot;
-        }
-        chunks.push_back(std::move(chunk));
-      }
       void* slot = free_head;
-      free_head = *static_cast<void**>(slot);
+      if (slot != nullptr) {
+        free_head = *static_cast<void**>(slot);
+      } else {
+        if (carved == kSlotsPerChunk) {
+          chunks.push_back(std::make_unique_for_overwrite<uint8_t[]>(kSlotsPerChunk * kSlotBytes));
+          carved = 0;
+        }
+        slot = chunks.back().get() + carved++ * kSlotBytes;
+      }
       live++;
       allocs++;
       return slot;

@@ -5,7 +5,8 @@
 // packet for that TCP connection) sets the stashed bit, making the coroutine runnable again.
 // A waiter is the `(callback, ctx, arg)` triple the timer wheel also stores: a fiber waits as
 // Scheduler::WakeWordCb on its ready word, and a libOS can hook a plain callback instead of
-// spawning a fiber (Catnip records the queue whose pending pops the event may satisfy).
+// spawning a fiber (Catnip and Catmint record the queue whose pending ops the event may satisfy;
+// see LibOS::ServePending).
 // All waits are edge-triggered and may wake spuriously; callers always loop over a predicate.
 
 #ifndef SRC_RUNTIME_EVENT_H_
@@ -62,25 +63,6 @@ class Event {
     void await_resume() const noexcept {}
   };
   WaitAwaitable Wait() { return WaitAwaitable{this}; }
-
-  // co_await event.WaitWithTimeout(sched, deadline): wakes on Notify() or at `deadline`,
-  // whichever comes first. The caller distinguishes the cases by re-checking its predicate.
-  struct WaitTimeoutAwaitable {
-    Event* event;
-    Scheduler* sched;
-    TimeNs deadline;
-    bool await_ready() const noexcept { return sched->Now() >= deadline; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      sched->SetResumePointForAwait(h);
-      Waker w = sched->CurrentWaker();
-      event->OnWake(w);
-      sched->AddTimer(deadline, w);
-    }
-    void await_resume() const noexcept {}
-  };
-  WaitTimeoutAwaitable WaitWithTimeout(Scheduler& sched, TimeNs deadline) {
-    return WaitTimeoutAwaitable{this, &sched, deadline};
-  }
 
  private:
   struct Waiter {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 
 namespace demi {
@@ -170,6 +171,70 @@ TEST_F(CatmintTest, CloseWithBlockedSendsCancelsThem) {
   EXPECT_GT(ok, 0);
   EXPECT_GT(cancelled, 0);
   EXPECT_EQ(ok + cancelled, 200);
+}
+
+// Close completes a pending accept with kCancelled before it returns.
+TEST_F(CatmintTest, CloseCancelsPendingAccept) {
+  auto sqd = server_->Socket(SocketType::kStream);
+  ASSERT_EQ(server_->Bind(*sqd, {server_->local_ip(), 910}), Status::kOk);
+  ASSERT_EQ(server_->Listen(*sqd, 4), Status::kOk);
+  auto acc = server_->Accept(*sqd);
+  ASSERT_TRUE(acc.ok());
+  server_->PollOnce();
+  ASSERT_FALSE(server_->IsDone(*acc));
+  ASSERT_EQ(server_->Close(*sqd), Status::kOk);
+  ASSERT_TRUE(server_->IsDone(*acc));
+  EXPECT_EQ(server_->TryTake(*acc)->status, Status::kCancelled);
+}
+
+// Local Close completes a pending pop with kCancelled before it returns: the peer never
+// sends anything and is not polled.
+TEST_F(CatmintTest, CloseCancelsPendingPopWithoutPeerTraffic) {
+  auto [cqd, sqd] = Establish(920);
+  auto pop = client_->Pop(cqd);
+  ASSERT_TRUE(pop.ok());
+  client_->PollOnce();
+  ASSERT_FALSE(client_->IsDone(*pop));
+  ASSERT_EQ(client_->Close(cqd), Status::kOk);
+  ASSERT_TRUE(client_->IsDone(*pop));
+  EXPECT_EQ(client_->TryTake(*pop)->status, Status::kCancelled);
+}
+
+// An exhausted heap fails the push with kNoMemory instead of aborting; once the heap heals,
+// the same push is echoed end to end.
+TEST_F(CatmintTest, PushFailsWithNoMemoryAndRecovers) {
+  auto [cqd, sqd] = Establish(930);
+  FaultInjector faults;
+  FaultPlan all_allocs_fail;
+  all_allocs_fail.seed = 42;
+  all_allocs_fail.alloc_fail = 1.0;
+  client_->allocator().SetFaultInjector(&faults);
+  faults.Arm(all_allocs_fail);
+  // Not heap memory: the push must copy it, and that allocation fails.
+  std::string msg = "hello";
+  const Sgarray sga = Sgarray::Of(msg.data(), static_cast<uint32_t>(msg.size()));
+  auto push = client_->Push(cqd, sga);
+  faults.Disarm();
+  client_->allocator().SetFaultInjector(nullptr);
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(WaitBoth(*client_, *push).status, Status::kNoMemory);
+  EXPECT_GT(faults.GetStats().alloc_failures, 0u);
+
+  auto retry = client_->Push(cqd, sga);
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(WaitBoth(*client_, *retry).status, Status::kOk);
+  auto pop = server_->Pop(sqd);
+  ASSERT_TRUE(pop.ok());
+  QResult req = WaitBoth(*server_, *pop);
+  ASSERT_EQ(req.status, Status::kOk);
+  auto echo = server_->Push(sqd, req.sga);
+  ASSERT_TRUE(echo.ok());
+  server_->FreeSga(req.sga);
+  auto reply = client_->Pop(cqd);
+  ASSERT_TRUE(reply.ok());
+  QResult r = WaitBoth(*client_, *reply);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(TakeString(*client_, r), msg);
 }
 
 TEST_F(CatmintTest, ListenerBacklogRejectsOverflow) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -240,6 +241,40 @@ TEST_F(CatnipPairTest, TcpPopCompletesInThePollThatDrainsTheFrame) {
   auto r = server_.TryTake(*pop);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(SgaToString(server_, r->sga), "same poll");
+}
+
+// Close completes a pending accept with kCancelled before it returns, not on a later poll.
+TEST_F(CatnipPairTest, CloseCancelsPendingAccept) {
+  auto sqd = server_.Socket(SocketType::kStream);
+  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 7004}), Status::kOk);
+  ASSERT_EQ(server_.Listen(*sqd, 4), Status::kOk);
+  auto acc = server_.Accept(*sqd);
+  ASSERT_TRUE(acc.ok());
+  server_.PollOnce();
+  ASSERT_FALSE(server_.IsDone(*acc));
+  ASSERT_EQ(server_.Close(*sqd), Status::kOk);
+  ASSERT_TRUE(server_.IsDone(*acc));
+  EXPECT_EQ(server_.TryTake(*acc)->status, Status::kCancelled);
+}
+
+// An accept armed before the client connects completes in the server poll that drains the
+// handshake's final ACK: no second poll is needed.
+TEST_F(CatnipPairTest, AcceptCompletesInThePollThatDrainsTheFinalAck) {
+  auto sqd = server_.Socket(SocketType::kStream);
+  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 7005}), Status::kOk);
+  ASSERT_EQ(server_.Listen(*sqd, 4), Status::kOk);
+  auto acc = server_.Accept(*sqd);
+  ASSERT_TRUE(acc.ok());
+  server_.PollOnce();
+  auto cqd = client_.Socket(SocketType::kStream);
+  auto conn = client_.Connect(*cqd, {server_.local_ip(), 7005});
+  ASSERT_TRUE(conn.ok());
+  // The client's connect completes on the SYN-ACK; its final ACK is then still on the wire.
+  EXPECT_EQ(WaitStepped(client_, *conn, World()).status, Status::kOk);
+  ASSERT_FALSE(server_.IsDone(*acc));
+  ASSERT_TRUE(PollUntilProgress(server_, [this] { return server_.tcp().stats().segments_rx; }));
+  ASSERT_TRUE(server_.IsDone(*acc));
+  EXPECT_EQ(server_.TryTake(*acc)->status, Status::kOk);
 }
 
 TEST_F(CatnipPairTest, UdpPopCompletesInThePollThatDrainsTheFrame) {
@@ -902,6 +937,102 @@ TEST(CattreeTest, TruncateGarbageCollects) {
   EXPECT_EQ(SgaToString(os, sga), "new");
   EXPECT_EQ(os.Seek(*qd2, 0), Status::kInvalidArgument);  // below GC head
 }
+
+// --- Storage pops on every libOS that embeds the Cattree engine ---
+
+struct StorageLibOs {
+  const char* name;
+  std::unique_ptr<LibOS> (*make)(SimNetwork& net, SimBlockDevice& disk, Clock& clock);
+};
+
+void PrintTo(const StorageLibOs& os, std::ostream* out) { *out << os.name; }
+
+std::unique_ptr<LibOS> MakeCattree(SimNetwork&, SimBlockDevice& disk, Clock& clock) {
+  return std::make_unique<Cattree>(disk, clock);
+}
+
+std::unique_ptr<LibOS> MakeCatnipCattree(SimNetwork& net, SimBlockDevice& disk, Clock& clock) {
+  Catnip::Config cfg{MacAddr{31}, Ipv4Addr::FromOctets(10, 0, 3, 1), TcpConfig{}, nullptr};
+  cfg.disk = &disk;
+  return std::make_unique<Catnip>(net, cfg, clock);
+}
+
+std::unique_ptr<LibOS> MakeCatmintCattree(SimNetwork& net, SimBlockDevice& disk, Clock& clock) {
+  Catmint::Config cfg;
+  cfg.mac = MacAddr{32};
+  cfg.ip = Ipv4Addr::FromOctets(10, 0, 3, 2);
+  cfg.disk = &disk;
+  return std::make_unique<Catmint>(net, cfg, clock);
+}
+
+class StoragePopTest : public ::testing::TestWithParam<StorageLibOs> {
+ protected:
+  StoragePopTest()
+      : net_(LinkConfig{}, 29),
+        disk_(SimBlockDevice::Config{}, clock_),
+        os_(GetParam().make(net_, disk_, clock_)) {}
+
+  // Opens a file queue holding `records`, each pushed and durable.
+  QueueDesc OpenWith(const std::vector<std::string>& records) {
+    auto qd = os_->Open("log");
+    EXPECT_TRUE(qd.ok());
+    for (const std::string& rec : records) {
+      auto push = os_->Push(*qd, MakeSga(*os_, rec));
+      EXPECT_TRUE(push.ok());
+      EXPECT_EQ(os_->Wait(*push, kSecond)->status, Status::kOk);
+    }
+    return *qd;
+  }
+
+  MonotonicClock clock_;
+  SimNetwork net_;
+  SimBlockDevice disk_;
+  std::unique_ptr<LibOS> os_;
+};
+
+// Pops issued back to back read successive records, oldest pop first.
+TEST_P(StoragePopTest, PipelinedPopsReadSuccessiveRecords) {
+  const QueueDesc qd = OpenWith({"rec-0", "rec-1", "rec-2"});
+  std::vector<QToken> pops;
+  for (int i = 0; i < 3; i++) {
+    auto pop = os_->Pop(qd);
+    ASSERT_TRUE(pop.ok());
+    pops.push_back(*pop);
+  }
+  std::vector<QResult> results;
+  ASSERT_EQ(os_->WaitAll(pops, &results, kSecond), Status::kOk);
+  std::vector<std::string> seen;
+  for (QResult& r : results) {
+    ASSERT_EQ(r.status, Status::kOk);
+    seen.push_back(SgaToString(*os_, r.sga));
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"rec-0", "rec-1", "rec-2"}));
+}
+
+// Close with a read in flight: the pop still completes, with its record or kCancelled, and
+// nothing touches the closed queue's freed state (checked under -DDEMI_SANITIZE=address).
+TEST_P(StoragePopTest, CloseWithPopInFlightCompletesThePop) {
+  const QueueDesc qd = OpenWith({"rec-0"});
+  auto pop = os_->Pop(qd);
+  ASSERT_TRUE(pop.ok());
+  os_->PollOnce();
+  ASSERT_EQ(os_->Close(qd), Status::kOk);
+  auto r = os_->Wait(*pop, kSecond);
+  ASSERT_TRUE(r.ok());
+  if (r->status == Status::kOk) {
+    EXPECT_EQ(SgaToString(*os_, r->sga), "rec-0");
+  } else {
+    EXPECT_EQ(r->status, Status::kCancelled);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, StoragePopTest,
+                         ::testing::Values(StorageLibOs{"Cattree", &MakeCattree},
+                                           StorageLibOs{"CatnipCattree", &MakeCatnipCattree},
+                                           StorageLibOs{"CatmintCattree", &MakeCatmintCattree}),
+                         [](const ::testing::TestParamInfo<StorageLibOs>& p) {
+                           return std::string(p.param.name);
+                         });
 
 }  // namespace
 }  // namespace demi

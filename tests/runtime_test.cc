@@ -193,23 +193,6 @@ TEST(SchedulerTest, PollUntilClampsClockStepAtTimeout) {
   EXPECT_LT(clock.Now(), 20 * kMillisecond);
 }
 
-TEST(SchedulerTest, WaitWithTimeoutFiresOnTimer) {
-  VirtualClock clock;
-  Scheduler sched(clock);
-  Event event;
-  int wakes = 0;
-  sched.Spawn([](Scheduler* s, Event* e, int* out) -> Task<void> {
-    co_await e->WaitWithTimeout(*s, 500);
-    (*out)++;
-    co_return;
-  }(&sched, &event, &wakes));
-  sched.Poll();
-  EXPECT_EQ(wakes, 0);
-  clock.Advance(500);
-  sched.Poll();
-  EXPECT_EQ(wakes, 1);
-}
-
 TEST(SchedulerTest, ManyFibersWakerBlocksScale) {
   // Exercise multiple waker blocks (> 64 fibers) with selective wakes.
   VirtualClock clock;
