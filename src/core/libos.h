@@ -187,7 +187,10 @@ class LibOS {
   // still handshaking) is a qtoken in a FIFO on its queue, not a coroutine. The queue hooks
   // the Event its oldest operation waits on; the hook only records the queue, and the libOS's
   // fast path calls ServeHookedQueues right after draining its device, so the event that makes
-  // an operation ready completes it in the same poll, oldest first.
+  // an operation ready completes it in the same poll, oldest first. Catnap has no device
+  // events: every waiting queue hooks one event that its fast path notifies each poll, so each
+  // retries its oldest operation once per poll. Every network libOS (Catnip, Catmint, Catnap)
+  // waits this way.
   //
   // A libOS `OS` using this declares `friend class LibOS` and gives its queue state `Q` a
   // `PendingOps pending` member and these private members:

@@ -52,12 +52,28 @@ SocketAddress FromSockaddr(const sockaddr_in& sa) {
 
 uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~uint64_t{7}; }
 
+// Sends one datagram to `to`, or to the connected peer when `to` is null.
+[[nodiscard]] Status SendDatagram(int fd, const Sgarray& sga, sockaddr_in* to) {
+  iovec iov[kSgaMaxSegments];
+  for (uint32_t i = 0; i < sga.num_segs; i++) {
+    iov[i] = {sga.segs[i].buf, sga.segs[i].len};
+  }
+  msghdr msg{};
+  msg.msg_name = to;
+  msg.msg_namelen = to == nullptr ? 0 : sizeof(*to);
+  msg.msg_iov = iov;
+  msg.msg_iovlen = sga.num_segs;
+  return ::sendmsg(fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk;
+}
+
 }  // namespace
 
-Catnap::Catnap(Clock& clock) : LibOS("catnap", clock, NullDmaRegistrar::Global()) {}
+Catnap::Catnap(Clock& clock) : LibOS("catnap", clock, NullDmaRegistrar::Global()) {
+  sched_.Spawn(FastPathFiber());
+}
 
 Catnap::~Catnap() {
-  sched_.Shutdown();  // release fiber-held pinned buffers while the heap is alive
+  sched_.Shutdown();
   for (auto& [qd, q] : queues_) {
     if (q.fd >= 0) {
       ::close(q.fd);
@@ -68,6 +84,14 @@ Catnap::~Catnap() {
 Catnap::QueueState* Catnap::Find(QueueDesc qd) {
   auto it = queues_.find(qd);
   return it == queues_.end() ? nullptr : &it->second;
+}
+
+QToken Catnap::CompleteNow(QueueDesc qd, OpCode op, Status status) {
+  const QToken qt = tokens_.Allocate(op, qd);
+  QResult r;
+  r.status = status;
+  CompleteToken(qt, r);
+  return qt;
 }
 
 QueueDesc Catnap::InstallFd(int fd, QKind kind, SocketType type) {
@@ -124,43 +148,7 @@ Result<QToken> Catnap::Accept(QueueDesc qd) {
   if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd);
-  sched_.Spawn(AcceptOp(qd, qt, q->fd));
-  return qt;
-}
-
-Task<void> Catnap::AcceptOp(QueueDesc qd, QToken qt, int fd) {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    const int conn_fd =
-        ::accept4(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len, SOCK_NONBLOCK);
-    if (conn_fd >= 0) {
-      const int one = 1;
-      ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      QResult r;
-      r.status = Status::kOk;
-      r.new_qd = InstallFd(conn_fd, QKind::kTcp, SocketType::kStream);
-      queues_[r.new_qd].connected = true;
-      r.remote = FromSockaddr(peer);
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
-      co_return;
-    }
-    // Polling accept: yield and retry (Catnap's polling design).
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-  }
+  return SubmitPending(*this, qd, *q, OpCode::kAccept);
 }
 
 Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
@@ -168,63 +156,14 @@ Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kConnect, qd);
+  // A UDP connect, or a TCP one that needs no handshake, has a peer at once, so NextResult
+  // completes it inside SubmitPending; an in-progress TCP connect waits.
   sockaddr_in sa = ToSockaddr(remote);
-  const int rc = ::connect(q->fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
-  if (rc == 0 || q->kind == QKind::kUdp) {
-    q->connected = true;
-    QResult r;
-    r.status = Status::kOk;
-    r.remote = remote;
-    CompleteToken(qt, r);
-    return qt;
+  if (::connect(q->fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 &&
+      errno != EINPROGRESS) {
+    return CompleteNow(qd, OpCode::kConnect, ErrnoToStatus(errno));
   }
-  if (errno != EINPROGRESS) {
-    QResult r;
-    r.status = ErrnoToStatus(errno);
-    CompleteToken(qt, r);
-    return qt;
-  }
-  sched_.Spawn(ConnectOp(qd, qt, q->fd));
-  return qt;
-}
-
-Task<void> Catnap::ConnectOp(QueueDesc qd, QToken qt, int fd) {
-  for (;;) {
-    // A second connect on an in-progress socket reports the outcome.
-    sockaddr_in sa{};
-    socklen_t len = sizeof(sa);
-    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&sa), &len) == 0) {
-      QueueState* q = Find(qd);
-      if (q != nullptr) {
-        q->connected = true;
-      }
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = FromSockaddr(sa);
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (errno == ENOTCONN) {
-      // Still in progress, or failed: check SO_ERROR.
-      int so_error = 0;
-      socklen_t err_len = sizeof(so_error);
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &err_len);
-      if (so_error != 0) {
-        QResult r;
-        r.status = ErrnoToStatus(so_error);
-        CompleteToken(qt, r);
-        co_return;
-      }
-    }
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-  }
+  return SubmitPending(*this, qd, *q, OpCode::kConnect);
 }
 
 Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
@@ -234,7 +173,6 @@ Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
   }
   if (q->kind == QKind::kFile) {
     // Append one framed record, then fsync for durability (the paper's logging setup).
-    const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
     const size_t payload = sga.TotalBytes();
     std::vector<uint8_t> rec(AlignUp8(kFileHeaderSize + payload), 0);
     const uint32_t magic = kFileRecordMagic;
@@ -246,107 +184,79 @@ Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
       std::memcpy(rec.data() + off, sga.segs[i].buf, sga.segs[i].len);
       off += sga.segs[i].len;
     }
-    QResult r;
     const ssize_t n = ::write(q->fd, rec.data(), rec.size());
-    if (n != static_cast<ssize_t>(rec.size()) || ::fsync(q->fd) != 0) {
-      r.status = ErrnoToStatus(errno);
-    } else {
-      r.status = Status::kOk;
-    }
-    CompleteToken(qt, r);
-    return qt;
+    return CompleteNow(qd, OpCode::kPush,
+                       n != static_cast<ssize_t>(rec.size()) || ::fsync(q->fd) != 0
+                           ? ErrnoToStatus(errno)
+                           : Status::kOk);
   }
   if (q->kind == QKind::kUdp) {
     if (!q->connected) {
       return Status::kNotConnected;
     }
-    const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
+    return CompleteNow(qd, OpCode::kPush, SendDatagram(q->fd, sga, nullptr));
+  }
+  // TCP: write inline while no earlier push is unsent, so the stream keeps submission order.
+  UnsentPush push;
+  if (q->unsent.empty()) {
     iovec iov[kSgaMaxSegments];
     for (uint32_t i = 0; i < sga.num_segs; i++) {
       iov[i] = {sga.segs[i].buf, sga.segs[i].len};
     }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = sga.num_segs;
-    QResult r;
-    r.status = ::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk;
-    CompleteToken(qt, r);
-    return qt;
+    const ssize_t n = ::writev(q->fd, iov, static_cast<int>(sga.num_segs));
+    if (n == static_cast<ssize_t>(sga.TotalBytes()) ||
+        (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return CompleteNow(qd, OpCode::kPush, n < 0 ? ErrnoToStatus(errno) : Status::kOk);
+    }
+    push.written = n < 0 ? 0 : static_cast<size_t>(n);
   }
-  // TCP: try an inline gather write; finish leftovers in a coroutine on short writes.
+  // The fast path writes the rest. Pin the app's buffers: references to heap memory, copies of
+  // foreign or small memory.
+  push.pinned.reserve(sga.num_segs);
+  for (uint32_t i = 0; i < sga.num_segs; i++) {
+    push.pinned.push_back(Buffer::TryFromApp(alloc_, sga.segs[i].buf, sga.segs[i].len));
+    if (!push.pinned.back().valid()) {
+      return CompleteNow(qd, OpCode::kPush, Status::kNoMemory);  // heap exhausted: ENOMEM
+    }
+  }
+  if (q->unsent.empty()) {
+    unsent_queues_.push_back(qd);
+  }
   const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-  iovec iov[kSgaMaxSegments];
-  for (uint32_t i = 0; i < sga.num_segs; i++) {
-    iov[i] = {sga.segs[i].buf, sga.segs[i].len};
-  }
-  const ssize_t n = ::writev(q->fd, iov, static_cast<int>(sga.num_segs));
-  const size_t total = sga.TotalBytes();
-  if (n == static_cast<ssize_t>(total)) {
-    QResult r;
-    r.status = Status::kOk;
-    CompleteToken(qt, r);
-    return qt;
-  }
-  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-    QResult r;
-    r.status = ErrnoToStatus(errno);
-    CompleteToken(qt, r);
-    return qt;
-  }
-  // Pin the application buffers for the remainder of the write: PDPIX lets the app free
-  // immediately after push (UAF protection), so the coroutine must hold references (or copies
-  // for foreign/small memory) rather than raw pointers.
-  std::vector<Buffer> pinned;
-  pinned.reserve(sga.num_segs);
-  for (uint32_t i = 0; i < sga.num_segs; i++) {
-    pinned.push_back(Buffer::FromApp(alloc_, sga.segs[i].buf, sga.segs[i].len));
-  }
-  sched_.Spawn(PushSocketOp(qd, qt, q->fd, std::move(pinned), n < 0 ? 0 : static_cast<size_t>(n)));
+  push.qt = qt;
+  q->unsent.push_back(std::move(push));
   return qt;
 }
 
-Task<void> Catnap::PushSocketOp(QueueDesc qd, QToken qt, int fd, std::vector<Buffer> pinned,
-                                size_t already_written) {
-  size_t written = already_written;
-  size_t total = 0;
-  for (const Buffer& b : pinned) {
-    total += b.size();
-  }
-  while (written < total) {
-    // Rebuild the iovec past `written`.
+void Catnap::WriteUnsent(QueueState& q) {
+  while (!q.unsent.empty()) {
+    UnsentPush& push = q.unsent.front();
     iovec iov[kSgaMaxSegments];
     int iovcnt = 0;
-    size_t skip = written;
-    for (const Buffer& b : pinned) {
+    size_t skip = push.written;
+    size_t left = 0;
+    for (const Buffer& b : push.pinned) {
       if (skip >= b.size()) {
         skip -= b.size();
         continue;
       }
       iov[iovcnt++] = {const_cast<uint8_t*>(b.data()) + skip, b.size() - skip};
+      left += b.size() - skip;
       skip = 0;
     }
-    const ssize_t n = ::writev(fd, iov, iovcnt);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
+    const ssize_t n = ::writev(q.fd, iov, iovcnt);
+    if (n >= 0 && static_cast<size_t>(n) < left) {
+      push.written += static_cast<size_t>(n);  // short write: the socket is full
+      return;
     }
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
-      co_return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;
     }
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
+    QResult r;
+    r.status = n < 0 ? ErrnoToStatus(errno) : Status::kOk;
+    CompleteToken(push.qt, r);
+    q.unsent.pop_front();
   }
-  QResult r;
-  r.status = Status::kOk;
-  CompleteToken(qt, r);
 }
 
 Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
@@ -354,21 +264,8 @@ Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
   if (q == nullptr || q->kind != QKind::kUdp) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-  iovec iov[kSgaMaxSegments];
-  for (uint32_t i = 0; i < sga.num_segs; i++) {
-    iov[i] = {sga.segs[i].buf, sga.segs[i].len};
-  }
   sockaddr_in sa = ToSockaddr(to);
-  msghdr msg{};
-  msg.msg_name = &sa;
-  msg.msg_namelen = sizeof(sa);
-  msg.msg_iov = iov;
-  msg.msg_iovlen = sga.num_segs;
-  QResult r;
-  r.status = ::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk;
-  CompleteToken(qt, r);
-  return qt;
+  return CompleteNow(qd, OpCode::kPush, SendDatagram(q->fd, sga, &sa));
 }
 
 Result<QToken> Catnap::Pop(QueueDesc qd) {
@@ -409,52 +306,97 @@ Result<QToken> Catnap::Pop(QueueDesc qd) {
     CompleteToken(qt, r);
     return qt;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  sched_.Spawn(PopSocketOp(qd, qt, q->fd, q->type));
-  return qt;
+  return SubmitPending(*this, qd, *q, OpCode::kPop);
 }
 
-Task<void> Catnap::PopSocketOp(QueueDesc qd, QToken qt, int fd, SocketType type) {
-  for (;;) {
-    void* buf = alloc_.Alloc(kPopChunk);
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    ssize_t n;
-    if (type == SocketType::kDatagram) {
-      n = ::recvfrom(fd, buf, kPopChunk, 0, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    } else {
-      n = ::read(fd, buf, kPopChunk);
+// --- Waiting ops (LibOS::PendingOps) ---
+
+std::optional<QResult> Catnap::NextResult(QueueState& q, OpCode op) {
+  QResult r;
+  if (q.closing) {
+    r.status = Status::kCancelled;
+    return r;
+  }
+  sockaddr_in peer{};
+  socklen_t peer_len = sizeof(peer);
+  int err = 0;
+  if (op == OpCode::kAccept) {
+    const int fd = ::accept4(q.fd, reinterpret_cast<sockaddr*>(&peer), &peer_len, SOCK_NONBLOCK);
+    if (fd >= 0) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      r.new_qd = InstallFd(fd, QKind::kTcp, SocketType::kStream);
+      queues_[r.new_qd].connected = true;
+      r.remote = FromSockaddr(peer);
+      return r;
     }
+    err = errno;
+  } else if (op == OpCode::kConnect) {
+    // A connect in progress has no peer name yet; a failed one reports its error in SO_ERROR.
+    if (::getpeername(q.fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) == 0) {
+      q.connected = true;
+      r.remote = FromSockaddr(peer);
+      return r;
+    }
+    socklen_t err_len = sizeof(err);
+    ::getsockopt(q.fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
+    if (err == 0) {
+      return std::nullopt;
+    }
+  } else {
+    // Without a buffer nothing is read: the bytes stay in the kernel for the next pop.
+    void* buf = alloc_.Alloc(kPopChunk);
+    if (buf == nullptr) {
+      r.status = Status::kNoMemory;
+      return r;
+    }
+    const ssize_t n =
+        q.type == SocketType::kDatagram
+            ? ::recvfrom(q.fd, buf, kPopChunk, 0, reinterpret_cast<sockaddr*>(&peer), &peer_len)
+            : ::read(q.fd, buf, kPopChunk);
+    err = errno;
     if (n > 0) {
-      QResult r;
-      r.status = Status::kOk;
       r.sga = Sgarray::Of(buf, static_cast<uint32_t>(n));
-      if (type == SocketType::kDatagram) {
+      if (q.type == SocketType::kDatagram) {
         r.remote = FromSockaddr(peer);
       }
-      CompleteToken(qt, r);
-      co_return;
+      return r;
     }
     alloc_.Free(buf);
-    if (n == 0 && type == SocketType::kStream) {
-      QResult r;
+    if (n == 0) {
+      // A stream's end; an empty datagram carries nothing to pop.
+      if (q.type == SocketType::kDatagram) {
+        return std::nullopt;
+      }
       r.status = Status::kEndOfFile;
-      CompleteToken(qt, r);
-      co_return;
+      return r;
     }
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
-      co_return;
+  }
+  if (err == EAGAIN || err == EWOULDBLOCK) {
+    return std::nullopt;
+  }
+  r.status = ErrnoToStatus(err);
+  return r;
+}
+
+Task<void> Catnap::FastPathFiber() {
+  for (;;) {
+    // Catnap has no device events: every waiting queue retries its oldest op once per round.
+    next_round_.Notify();
+    ServeHookedQueues(*this);
+    size_t kept = 0;
+    for (const QueueDesc qd : unsent_queues_) {
+      QueueState* q = Find(qd);
+      if (q == nullptr) {
+        continue;  // closed: Close completed its pushes
+      }
+      WriteUnsent(*q);
+      if (!q->unsent.empty()) {
+        unsent_queues_[kept++] = qd;
+      }
     }
+    unsent_queues_.resize(kept);
     co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
   }
 }
 
@@ -490,14 +432,21 @@ Status Catnap::Truncate(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catnap::Close(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
+  QueueState* q = Find(qd);
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  if (it->second.fd >= 0) {
-    ::close(it->second.fd);
+  // Pending accepts, connects and pops, and unsent pushes, complete with kCancelled now.
+  // Nothing else refers to the queue afterwards, so it is torn down here.
+  q->closing = true;
+  ServePending(*this, qd, *q);
+  for (const UnsentPush& push : q->unsent) {
+    tokens_.Cancel(push.qt, Status::kCancelled);
   }
-  queues_.erase(it);
+  if (q->fd >= 0) {
+    ::close(q->fd);
+  }
+  queues_.erase(qd);
   return Status::kOk;
 }
 

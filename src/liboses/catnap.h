@@ -6,12 +6,22 @@
 // burns a core (the trade-off §7.3 measures). No memory-management integration is needed: POSIX
 // I/O is copy-based, so buffers are plain DMA-heap allocations handed across the API.
 //
+// No PDPIX op gets a coroutine. An accept, connect or socket pop that would block is a qtoken
+// in its queue's FIFO (LibOS::PendingOps). Catnap has no device events, so each waiting queue
+// hooks one Event the fast path notifies every round and retries its oldest op once per round.
+// A TCP push writes inline while its queue has no unsent push; the rest joins the queue's FIFO
+// of unsent pushes, which the fast path writes oldest first, apart from PendingOps so a blocked
+// push never holds up a pop. Close completes pending accepts, connects and pops, and unsent
+// pushes, with kCancelled, then closes the fd and erases the queue before it returns.
+//
 // Storage queues are files on the host filesystem with fsync-on-push durability, mirroring the
-// paper's Linux/ext4 comparison configuration.
+// paper's Linux/ext4 comparison configuration. Their pushes and pops complete synchronously.
 
 #ifndef SRC_LIBOSES_CATNAP_H_
 #define SRC_LIBOSES_CATNAP_H_
 
+#include <deque>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,27 +52,48 @@ class Catnap final : public LibOS {
   static constexpr size_t kPopChunk = 64 * 1024;
 
  private:
+  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  friend class LibOS;
+
   enum class QKind : uint8_t { kTcp, kTcpListener, kUdp, kFile };
+
+  // A TCP push the socket has not fully taken; PDPIX lets the app free its buffers at once.
+  struct UnsentPush {
+    std::vector<Buffer> pinned;
+    size_t written = 0;
+    QToken qt = kInvalidQToken;
+  };
 
   struct QueueState {
     QKind kind;
     int fd = -1;
     SocketType type = SocketType::kStream;
     bool connected = false;
-    uint64_t read_cursor = 0;  // files
+    bool closing = false;           // set inside Close, which completes `pending` and `unsent`
+    PendingOps pending;             // accepts, connects and pops waiting for the socket
+    std::deque<UnsentPush> unsent;  // TCP pushes, oldest first
+    uint64_t read_cursor = 0;       // files
   };
 
   QueueState* Find(QueueDesc qd);
+  // Allocates `op`'s qtoken on `qd`, completed with `status`.
+  QToken CompleteNow(QueueDesc qd, OpCode op, Status status);
 
-  Task<void> AcceptOp(QueueDesc qd, QToken qt, int fd);
-  Task<void> ConnectOp(QueueDesc qd, QToken qt, int fd);
-  Task<void> PopSocketOp(QueueDesc qd, QToken qt, int fd, SocketType type);
-  Task<void> PushSocketOp(QueueDesc qd, QToken qt, int fd, std::vector<Buffer> pinned,
-                          size_t already_written);
+  // Waiting ops (LibOS::PendingOps): one non-blocking syscall; nullopt while it would block.
+  std::optional<QResult> NextResult(QueueState& q, OpCode op);
+  Event& WaitEvent(QueueState& /*q*/, OpCode /*op*/) { return next_round_; }
+
+  // Writes `q`'s unsent pushes oldest first until the socket is full, completing each push's
+  // qtoken when its last byte is written.
+  void WriteUnsent(QueueState& q);
+
+  Task<void> FastPathFiber();
 
   QueueDesc InstallFd(int fd, QKind kind, SocketType type);
 
   std::unordered_map<QueueDesc, QueueState> queues_;
+  Event next_round_;                      // notified by the fast path once per round
+  std::vector<QueueDesc> unsent_queues_;  // queues with unsent pushes
 };
 
 }  // namespace demi

@@ -5,7 +5,7 @@
 // packet for that TCP connection) sets the stashed bit, making the coroutine runnable again.
 // A waiter is the `(callback, ctx, arg)` triple the timer wheel also stores: a fiber waits as
 // Scheduler::WakeWordCb on its ready word, and a libOS can hook a plain callback instead of
-// spawning a fiber (Catnip and Catmint record the queue whose pending ops the event may satisfy;
+// spawning a fiber (a network libOS records the queue whose pending ops the event may satisfy;
 // see LibOS::ServePending).
 // All waits are edge-triggered and may wake spuriously; callers always loop over a predicate.
 

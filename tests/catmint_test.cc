@@ -173,33 +173,6 @@ TEST_F(CatmintTest, CloseWithBlockedSendsCancelsThem) {
   EXPECT_EQ(ok + cancelled, 200);
 }
 
-// Close completes a pending accept with kCancelled before it returns.
-TEST_F(CatmintTest, CloseCancelsPendingAccept) {
-  auto sqd = server_->Socket(SocketType::kStream);
-  ASSERT_EQ(server_->Bind(*sqd, {server_->local_ip(), 910}), Status::kOk);
-  ASSERT_EQ(server_->Listen(*sqd, 4), Status::kOk);
-  auto acc = server_->Accept(*sqd);
-  ASSERT_TRUE(acc.ok());
-  server_->PollOnce();
-  ASSERT_FALSE(server_->IsDone(*acc));
-  ASSERT_EQ(server_->Close(*sqd), Status::kOk);
-  ASSERT_TRUE(server_->IsDone(*acc));
-  EXPECT_EQ(server_->TryTake(*acc)->status, Status::kCancelled);
-}
-
-// Local Close completes a pending pop with kCancelled before it returns: the peer never
-// sends anything and is not polled.
-TEST_F(CatmintTest, CloseCancelsPendingPopWithoutPeerTraffic) {
-  auto [cqd, sqd] = Establish(920);
-  auto pop = client_->Pop(cqd);
-  ASSERT_TRUE(pop.ok());
-  client_->PollOnce();
-  ASSERT_FALSE(client_->IsDone(*pop));
-  ASSERT_EQ(client_->Close(cqd), Status::kOk);
-  ASSERT_TRUE(client_->IsDone(*pop));
-  EXPECT_EQ(client_->TryTake(*pop)->status, Status::kCancelled);
-}
-
 // An exhausted heap fails the push with kNoMemory instead of aborting; once the heap heals,
 // the same push is echoed end to end.
 TEST_F(CatmintTest, PushFailsWithNoMemoryAndRecovers) {

@@ -11,10 +11,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
 #include "src/liboses/catnip.h"
@@ -176,27 +178,6 @@ TEST_F(CatnipPairTest, PopCompletesWithEofOnPeerClose) {
   EXPECT_EQ(r.status, Status::kEndOfFile);
 }
 
-// Close completes a pending TCP or UDP pop at once with kCancelled: it does not wait for the
-// peer's FIN, so the server is never polled after the handshake.
-TEST_F(CatnipPairTest, CloseCancelsPendingPopsWithoutPeerTraffic) {
-  const QueueDesc cqd = ConnectTcp(7002).second;
-  auto tcp_pop = client_.Pop(cqd);
-  ASSERT_TRUE(tcp_pop.ok());
-  client_.PollOnce();
-  ASSERT_FALSE(client_.IsDone(*tcp_pop));
-  ASSERT_EQ(client_.Close(cqd), Status::kOk);
-  ASSERT_TRUE(client_.IsDone(*tcp_pop));
-  EXPECT_EQ(client_.TryTake(*tcp_pop)->status, Status::kCancelled);
-
-  auto uqd = client_.Socket(SocketType::kDatagram);
-  ASSERT_TRUE(uqd.ok());
-  auto udp_pop = client_.Pop(*uqd);
-  ASSERT_TRUE(udp_pop.ok());
-  ASSERT_EQ(client_.Close(*uqd), Status::kOk);
-  ASSERT_TRUE(client_.IsDone(*udp_pop));
-  EXPECT_EQ(client_.TryTake(*udp_pop)->status, Status::kCancelled);
-}
-
 // A memory queue's pending pops get the items pushed before Close, then kEndOfFile.
 TEST_F(CatnipPairTest, CloseDrainsMemoryQueueThenEof) {
   auto mq = server_.MemoryQueue();
@@ -241,20 +222,6 @@ TEST_F(CatnipPairTest, TcpPopCompletesInThePollThatDrainsTheFrame) {
   auto r = server_.TryTake(*pop);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(SgaToString(server_, r->sga), "same poll");
-}
-
-// Close completes a pending accept with kCancelled before it returns, not on a later poll.
-TEST_F(CatnipPairTest, CloseCancelsPendingAccept) {
-  auto sqd = server_.Socket(SocketType::kStream);
-  ASSERT_EQ(server_.Bind(*sqd, {server_.local_ip(), 7004}), Status::kOk);
-  ASSERT_EQ(server_.Listen(*sqd, 4), Status::kOk);
-  auto acc = server_.Accept(*sqd);
-  ASSERT_TRUE(acc.ok());
-  server_.PollOnce();
-  ASSERT_FALSE(server_.IsDone(*acc));
-  ASSERT_EQ(server_.Close(*sqd), Status::kOk);
-  ASSERT_TRUE(server_.IsDone(*acc));
-  EXPECT_EQ(server_.TryTake(*acc)->status, Status::kCancelled);
 }
 
 // An accept armed before the client connects completes in the server poll that drains the
@@ -788,9 +755,67 @@ class CatnapPairTest : public ::testing::Test {
  protected:
   CatnapPairTest() : server_(clock_), client_(clock_) {}
 
+  // No op spawns a fiber: waiting accepts, connects, pops and unsent pushes all live in their
+  // queue's FIFOs, served by the fast path, the one fiber each libOS runs.
+  void TearDown() override {
+    EXPECT_EQ(server_.scheduler().stats().fibers_spawned, 1u);
+    EXPECT_EQ(client_.scheduler().stats().fibers_spawned, 1u);
+  }
+
   std::vector<LibOS*> World() { return {&server_, &client_}; }
   static SocketAddress Loopback(uint16_t port) {
     return {Ipv4Addr::FromOctets(127, 0, 0, 1), port};
+  }
+
+  // Opens a TCP connection over loopback; returns {server connection qd, client qd}.
+  std::pair<QueueDesc, QueueDesc> ConnectTcp() {
+    const uint16_t port = NextPort();
+    auto sqd = server_.Socket(SocketType::kStream);
+    EXPECT_EQ(server_.Bind(*sqd, Loopback(port)), Status::kOk);
+    EXPECT_EQ(server_.Listen(*sqd, 4), Status::kOk);
+    auto acc = server_.Accept(*sqd);
+    auto cqd = client_.Socket(SocketType::kStream);
+    auto conn = client_.Connect(*cqd, Loopback(port));
+    EXPECT_EQ(WaitStepped(client_, *conn, World()).status, Status::kOk);
+    return {WaitStepped(server_, *acc, World()).new_qd, *cqd};
+  }
+
+  // Pushes kBigPush patterned heap bytes, more than the loopback socket buffers hold, so the
+  // push short-writes and stays unsent.
+  static constexpr size_t kBigPush = 32 << 20;
+  QToken PushBig(QueueDesc cqd) {
+    auto* big = static_cast<uint8_t*>(client_.DmaMalloc(kBigPush));
+    for (size_t i = 0; i < kBigPush; i++) {
+      big[i] = static_cast<uint8_t>(i % 251);
+    }
+    auto push = client_.Push(cqd, Sgarray::Of(big, kBigPush));
+    client_.DmaFree(big);  // the unsent push holds its own reference
+    EXPECT_TRUE(push.ok());
+    EXPECT_FALSE(client_.IsDone(*push));
+    return *push;
+  }
+  static bool IsBigPattern(std::string_view bytes) {
+    for (size_t i = 0; i < bytes.size(); i++) {
+      if (static_cast<uint8_t>(bytes[i]) != i % 251) {
+        return false;
+      }
+    }
+    return bytes.size() == kBigPush;
+  }
+
+  // Pops from `qd` until `n` bytes have arrived.
+  std::string PopBytes(QueueDesc qd, size_t n) {
+    std::string got;
+    while (got.size() < n) {
+      auto pop = server_.Pop(qd);
+      QResult r = WaitStepped(server_, *pop, World());
+      if (r.status != Status::kOk) {
+        ADD_FAILURE() << "pop failed after " << got.size() << " bytes";
+        break;
+      }
+      got += SgaToString(server_, r.sga);
+    }
+    return got;
   }
 
   MonotonicClock clock_;
@@ -879,6 +904,211 @@ TEST_F(CatnapPairTest, FileQueueWithFsync) {
   EXPECT_EQ(SgaToString(server_, r.sga), "durable");
   ::unlink(path);
 }
+
+// Pending pops on one queue complete oldest first. A polling fiber per pop got this wrong:
+// once two pops had completed together, the next two reused their fiber slots last-in first-out.
+TEST_F(CatnapPairTest, PendingPopsCompleteOldestFirst) {
+  const uint16_t port = NextPort();
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(server_.Bind(*sqd, Loopback(port)), Status::kOk);
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(client_.Bind(*cqd, Loopback(0)), Status::kOk);
+  for (const std::vector<std::string>& round :
+       {std::vector<std::string>{"warm-0", "warm-1"}, std::vector<std::string>{"first", "second"}}) {
+    auto pop0 = server_.Pop(*sqd);
+    auto pop1 = server_.Pop(*sqd);
+    server_.PollOnce();
+    ASSERT_FALSE(server_.IsDone(*pop0));
+    for (const std::string& m : round) {
+      auto push = client_.PushTo(*cqd, MakeSga(client_, m), Loopback(port));
+      EXPECT_EQ(WaitStepped(client_, *push, World()).status, Status::kOk);
+    }
+    QResult r0 = WaitStepped(server_, *pop0, World());
+    QResult r1 = WaitStepped(server_, *pop1, World());
+    EXPECT_EQ(SgaToString(server_, r0.sga), round[0]);
+    EXPECT_EQ(SgaToString(server_, r1.sga), round[1]);
+  }
+}
+
+// A push issued while an earlier one is still being written joins it, behind it: the stream
+// carries all of the first push, then the second, and the second's qtoken completes last.
+TEST_F(CatnapPairTest, PushWaitsBehindAnUnsentPush) {
+  const auto [sconn, cqd] = ConnectTcp();
+  const QToken big = PushBig(cqd);
+  // Read some of it polling only the server, so the client's socket has room for the next push.
+  std::string got;
+  for (int i = 0; i < 4; i++) {
+    auto pop = server_.Pop(sconn);
+    QResult r = WaitStepped(server_, *pop, {&server_});
+    ASSERT_EQ(r.status, Status::kOk);
+    got += SgaToString(server_, r.sga);
+  }
+  auto small = client_.Push(cqd, MakeSga(client_, std::string(1000, 'b')));
+  ASSERT_TRUE(small.ok());
+  EXPECT_FALSE(client_.IsDone(*small));
+  got += PopBytes(sconn, kBigPush + 1000 - got.size());
+  ASSERT_EQ(got.size(), kBigPush + 1000);
+  EXPECT_TRUE(IsBigPattern(std::string_view(got).substr(0, kBigPush)));
+  EXPECT_EQ(got.substr(kBigPush), std::string(1000, 'b'));
+  EXPECT_EQ(WaitStepped(client_, big, World()).status, Status::kOk);
+  EXPECT_EQ(WaitStepped(client_, *small, World()).status, Status::kOk);
+}
+
+// Close completes unsent pushes with kCancelled before it returns.
+TEST_F(CatnapPairTest, CloseCancelsUnsentPushes) {
+  const QueueDesc cqd = ConnectTcp().second;
+  const QToken big = PushBig(cqd);
+  auto small = client_.Push(cqd, MakeSga(client_, "queued"));
+  ASSERT_TRUE(small.ok());
+  ASSERT_EQ(client_.Close(cqd), Status::kOk);
+  ASSERT_TRUE(client_.IsDone(big));
+  ASSERT_TRUE(client_.IsDone(*small));
+  EXPECT_EQ(client_.TryTake(big)->status, Status::kCancelled);
+  EXPECT_EQ(client_.TryTake(*small)->status, Status::kCancelled);
+}
+
+// An exhausted heap fails a push that must be pinned with kNoMemory instead of aborting; once
+// the heap heals, the same push arrives intact behind the unsent one.
+TEST_F(CatnapPairTest, PushFailsWithNoMemoryAndRecovers) {
+  const auto [sconn, cqd] = ConnectTcp();
+  const QToken big = PushBig(cqd);
+  FaultInjector faults;
+  FaultPlan all_allocs_fail;
+  all_allocs_fail.seed = 42;
+  all_allocs_fail.alloc_fail = 1.0;
+  client_.allocator().SetFaultInjector(&faults);
+  faults.Arm(all_allocs_fail);
+  // Not heap memory: pinning it copies it, and that allocation fails.
+  std::string msg = "hello";
+  const Sgarray sga = Sgarray::Of(msg.data(), static_cast<uint32_t>(msg.size()));
+  auto push = client_.Push(cqd, sga);
+  faults.Disarm();
+  client_.allocator().SetFaultInjector(nullptr);
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(client_.IsDone(*push));
+  EXPECT_EQ(client_.TryTake(*push)->status, Status::kNoMemory);
+  EXPECT_GT(faults.GetStats().alloc_failures, 0u);
+
+  auto retry = client_.Push(cqd, sga);
+  ASSERT_TRUE(retry.ok());
+  const std::string got = PopBytes(sconn, kBigPush + msg.size());
+  ASSERT_EQ(got.size(), kBigPush + msg.size());
+  EXPECT_TRUE(IsBigPattern(std::string_view(got).substr(0, kBigPush)));
+  EXPECT_EQ(got.substr(kBigPush), msg);
+  EXPECT_EQ(WaitStepped(client_, big, World()).status, Status::kOk);
+  EXPECT_EQ(WaitStepped(client_, *retry, World()).status, Status::kOk);
+}
+
+// --- Close on every network libOS ---
+
+struct NetPair {
+  std::unique_ptr<LibOS> server;
+  std::unique_ptr<LibOS> client;
+  SocketAddress listen;  // where the server listens
+};
+
+struct NetLibOs {
+  const char* name;
+  NetPair (*make)(SimNetwork& net, Clock& clock);
+};
+
+void PrintTo(const NetLibOs& os, std::ostream* out) { *out << os.name; }
+
+NetPair MakeCatnipPair(SimNetwork& net, Clock& clock) {
+  auto server = std::make_unique<Catnip>(
+      net, Catnip::Config{MacAddr{41}, Ipv4Addr::FromOctets(10, 0, 4, 1), TcpConfig{}, nullptr},
+      clock);
+  auto client = std::make_unique<Catnip>(
+      net, Catnip::Config{MacAddr{42}, Ipv4Addr::FromOctets(10, 0, 4, 2), TcpConfig{}, nullptr},
+      clock);
+  server->ethernet().arp().Insert(client->local_ip(), MacAddr{42});
+  client->ethernet().arp().Insert(server->local_ip(), MacAddr{41});
+  const SocketAddress listen{server->local_ip(), 7100};
+  return {std::move(server), std::move(client), listen};
+}
+
+NetPair MakeCatmintPair(SimNetwork& net, Clock& clock) {
+  auto server =
+      std::make_unique<Catmint>(net, Catmint::Config{MacAddr{43}, Ipv4Addr::FromOctets(10, 0, 4, 3)}, clock);
+  auto client =
+      std::make_unique<Catmint>(net, Catmint::Config{MacAddr{44}, Ipv4Addr::FromOctets(10, 0, 4, 4)}, clock);
+  server->AddPeer(client->local_ip(), MacAddr{44});
+  client->AddPeer(server->local_ip(), MacAddr{43});
+  const SocketAddress listen{server->local_ip(), 910};
+  return {std::move(server), std::move(client), listen};
+}
+
+NetPair MakeCatnapPair(SimNetwork&, Clock& clock) {
+  return {std::make_unique<Catnap>(clock), std::make_unique<Catnap>(clock),
+          {Ipv4Addr::FromOctets(127, 0, 0, 1), NextPort()}};
+}
+
+class NetCloseTest : public ::testing::TestWithParam<NetLibOs> {
+ protected:
+  NetCloseTest() : net_(LinkConfig{}, 11), pair_(GetParam().make(net_, clock_)) {}
+
+  LibOS& server() { return *pair_.server; }
+  LibOS& client() { return *pair_.client; }
+  std::vector<LibOS*> World() { return {pair_.server.get(), pair_.client.get()}; }
+
+  MonotonicClock clock_;
+  SimNetwork net_;
+  NetPair pair_;
+};
+
+// Close completes a pending accept with kCancelled before it returns, not on a later poll.
+TEST_P(NetCloseTest, CloseCancelsPendingAccept) {
+  auto sqd = server().Socket(SocketType::kStream);
+  ASSERT_EQ(server().Bind(*sqd, pair_.listen), Status::kOk);
+  ASSERT_EQ(server().Listen(*sqd, 4), Status::kOk);
+  auto acc = server().Accept(*sqd);
+  ASSERT_TRUE(acc.ok());
+  server().PollOnce();
+  ASSERT_FALSE(server().IsDone(*acc));
+  ASSERT_EQ(server().Close(*sqd), Status::kOk);
+  ASSERT_TRUE(server().IsDone(*acc));
+  EXPECT_EQ(server().TryTake(*acc)->status, Status::kCancelled);
+}
+
+// Close completes a pending TCP pop, and a UDP one where the libOS has datagrams, with
+// kCancelled before it returns: it does not wait for the peer, which is not polled after the
+// handshake.
+TEST_P(NetCloseTest, CloseCancelsPendingPops) {
+  auto sqd = server().Socket(SocketType::kStream);
+  ASSERT_EQ(server().Bind(*sqd, pair_.listen), Status::kOk);
+  ASSERT_EQ(server().Listen(*sqd, 4), Status::kOk);
+  auto acc = server().Accept(*sqd);
+  auto cqd = client().Socket(SocketType::kStream);
+  auto conn = client().Connect(*cqd, pair_.listen);
+  ASSERT_EQ(WaitStepped(client(), *conn, World()).status, Status::kOk);
+  ASSERT_EQ(WaitStepped(server(), *acc, World()).status, Status::kOk);
+  auto tcp_pop = client().Pop(*cqd);
+  ASSERT_TRUE(tcp_pop.ok());
+  client().PollOnce();
+  ASSERT_FALSE(client().IsDone(*tcp_pop));
+  ASSERT_EQ(client().Close(*cqd), Status::kOk);
+  ASSERT_TRUE(client().IsDone(*tcp_pop));
+  EXPECT_EQ(client().TryTake(*tcp_pop)->status, Status::kCancelled);
+
+  auto uqd = client().Socket(SocketType::kDatagram);
+  if (!uqd.ok()) {
+    EXPECT_EQ(uqd.error(), Status::kNotSupported);
+    return;
+  }
+  auto udp_pop = client().Pop(*uqd);
+  ASSERT_TRUE(udp_pop.ok());
+  ASSERT_EQ(client().Close(*uqd), Status::kOk);
+  ASSERT_TRUE(client().IsDone(*udp_pop));
+  EXPECT_EQ(client().TryTake(*udp_pop)->status, Status::kCancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNetLibOses, NetCloseTest,
+                         ::testing::Values(NetLibOs{"Catnip", &MakeCatnipPair},
+                                           NetLibOs{"Catmint", &MakeCatmintPair},
+                                           NetLibOs{"Catnap", &MakeCatnapPair}),
+                         [](const ::testing::TestParamInfo<NetLibOs>& p) {
+                           return std::string(p.param.name);
+                         });
 
 // --- Cattree (standalone storage libOS) ---
 
