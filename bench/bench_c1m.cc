@@ -127,7 +127,8 @@ struct C1mWorld {
     std::array<WireFrame, 64> burst;
     size_t total = 0;
     for (;;) {
-      const size_t n = client_nic.RxBurst(std::span<WireFrame>(burst.data(), burst.size()));
+      const size_t n =
+          client_nic.RxBurst(std::span<WireFrame>(burst.data(), burst.size()), clock.Now());
       for (size_t i = 0; i < n; i++) {
         const WireFrame& f = burst[i];
         if (f.size() < EthernetHeader::kSize + Ipv4Header::kSize) {
@@ -160,7 +161,7 @@ struct C1mWorld {
   // population must truly cost zero CPU for this to return.
   void PumpQuiet() {
     for (int i = 0; i < 50'000'000; i++) {
-      const size_t activity = eth.PollOnce() + sched.Poll() + CaptureClient();
+      const size_t activity = eth.PollOnce(clock.Now()) + sched.Poll() + CaptureClient();
       if (activity != 0) {
         continue;
       }

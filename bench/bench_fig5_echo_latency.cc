@@ -57,12 +57,12 @@ Histogram RawNicRtt() {
     // "Server": L2 forwarder echoing the frame (testpmd's io mode).
     bool done = false;
     while (!done) {
-      size_t n = server.RxBurst(rx);
+      size_t n = server.RxBurst(rx, clock.Now());
       for (size_t j = 0; j < n; j++) {
         std::span<const uint8_t> echo(rx[j]);
         (void)server.TxBurst(kClientMac, {&echo, 1});  // lossless sim link; benches measure the success path
       }
-      n = client.RxBurst(rx);
+      n = client.RxBurst(rx, clock.Now());
       done = n > 0;
     }
     if (i >= 200) {
@@ -99,7 +99,7 @@ Histogram RawRdmaRtt() {
     // Server pong.
     bool served = false;
     while (!served) {
-      const size_t n = server.PollCq(comps);
+      const size_t n = server.PollCq(comps, clock.Now());
       for (size_t j = 0; j < n; j++) {
         if (comps[j].type == RdmaCompletion::Type::kRecv) {
           std::span<const uint8_t> pong(srv_buf.data(), kMsgSize);
@@ -110,7 +110,7 @@ Histogram RawRdmaRtt() {
     }
     bool done = false;
     while (!done) {
-      const size_t n = client.PollCq(comps);
+      const size_t n = client.PollCq(comps, clock.Now());
       for (size_t j = 0; j < n; j++) {
         done |= comps[j].type == RdmaCompletion::Type::kRecv;
       }

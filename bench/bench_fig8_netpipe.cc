@@ -55,7 +55,7 @@ double RawNicGbps(size_t msg_size, uint64_t iters) {
     size_t echoed = 0;
     size_t returned = 0;
     while (returned < msg_size) {
-      size_t n = server.RxBurst(rx);
+      size_t n = server.RxBurst(rx, clock.Now());
       for (size_t j = 0; j < n; j++) {
         // Copy into the registered mbuf and retransmit (testpmd's io-mode forward).
         std::memcpy(echo_buf.data(), rx[j].data(), rx[j].size());
@@ -63,7 +63,7 @@ double RawNicGbps(size_t msg_size, uint64_t iters) {
         (void)server.TxBurst(kClientMac, {&echo, 1});  // lossless sim link; benches measure the success path
         echoed += rx[j].size();
       }
-      n = client.RxBurst(rx);
+      n = client.RxBurst(rx, clock.Now());
       for (size_t j = 0; j < n; j++) {
         returned += rx[j].size();
       }
@@ -96,7 +96,7 @@ double RawRdmaGbps(size_t msg_size, uint64_t iters) {
     (void)client.PostSend(1, kServerMac, 1, {&seg, 1}, 0);  // lossless sim link; benches measure the success path
     bool served = false;
     while (!served) {
-      const size_t n = server.PollCq(comps);
+      const size_t n = server.PollCq(comps, clock.Now());
       for (size_t j = 0; j < n; j++) {
         if (comps[j].type == RdmaCompletion::Type::kRecv) {
           std::span<const uint8_t> pong(srv_buf.data(), msg_size);
@@ -107,7 +107,7 @@ double RawRdmaGbps(size_t msg_size, uint64_t iters) {
     }
     bool done = false;
     while (!done) {
-      const size_t n = client.PollCq(comps);
+      const size_t n = client.PollCq(comps, clock.Now());
       for (size_t j = 0; j < n; j++) {
         done |= comps[j].type == RdmaCompletion::Type::kRecv;
       }

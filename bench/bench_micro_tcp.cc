@@ -15,14 +15,17 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/liboses/catnip.h"
 #include "src/net/ethernet.h"
 #include "src/net/headers.h"
 #include "src/net/tcp/tcp.h"
 #include "src/netsim/sim_network.h"
+#include "src/observability/metrics.h"
 
 namespace demi {
 namespace {
@@ -103,8 +106,8 @@ struct TcpFixture {
   }
 
   void Step() {
-    a_eth.PollOnce();
-    b_eth.PollOnce();
+    a_eth.PollOnce(clock.Now());
+    b_eth.PollOnce(clock.Now());
     a_sched.Poll();
     b_sched.Poll();
     clock.Advance(100);
@@ -154,11 +157,11 @@ void ReceiveNextSegment(TcpFixture& fx, Deliver&& deliver) {
   WireFrame frames[4];
   for (;;) {
     fx.clock.Advance(100);
-    if (fx.b_nic.RxBurst(frames) > 0) {
+    if (fx.b_nic.RxBurst(frames, fx.clock.Now()) > 0) {
       break;
     }
     fx.b_sched.Poll();
-    fx.a_eth.PollOnce();
+    fx.a_eth.PollOnce(fx.clock.Now());
     fx.a_sched.Poll();
   }
   // The NIC offloads checksums (none are written), so parse without verification.
@@ -167,7 +170,7 @@ void ReceiveNextSegment(TcpFixture& fx, Deliver&& deliver) {
   deliver(*iph, l4);
   fx.server->PopData();
   fx.b_sched.Poll();  // the timer wheel sends B's pending ack
-  fx.a_eth.PollOnce();
+  fx.a_eth.PollOnce(fx.clock.Now());
   fx.a_sched.Poll();
 }
 
@@ -189,8 +192,9 @@ void BM_TcpReceiveFastPath(benchmark::State& state) {
   for (auto _ : state) {
     // Time ONLY the receiver's processing of the captured segment.
     ReceiveNextSegment(fx, [&](const Ipv4Header& ip, std::span<const uint8_t> l4) {
+      const TimeNs now = fx.clock.Now();  // the poll's time, read before the timed call
       const auto t0 = std::chrono::steady_clock::now();
-      fx.b_tcp.OnIpv4Packet(ip, l4);  // <-- the timed fast path
+      fx.b_tcp.OnIpv4Packet(ip, l4, now);  // <-- the timed fast path
       state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
     });
   }
@@ -225,6 +229,77 @@ void BM_TcpInlinePush(benchmark::State& state) {
   state.SetLabel("inline run-to-completion push, 1400B");
 }
 BENCHMARK(BM_TcpInlinePush)->UseManualTime();
+
+// Frozen time at the price of a live clock read: Now() reads steady_clock as MonotonicClock
+// does, but returns a time that only the bench advances. An idle pair then stays idle (its
+// delayed-ack timer never comes due) while each poll pays what a live poll pays for a read.
+class FrozenHostClock final : public Clock {
+ public:
+  TimeNs Now() const override {
+    benchmark::DoNotOptimize(std::chrono::steady_clock::now());
+    return now_;
+  }
+  void Advance(DurationNs d) { now_ += d; }
+
+ private:
+  TimeNs now_ = kSecond;
+};
+
+// The fixed cost of one Catnip poll that finds nothing to do: the clock read, the timer
+// wheel's not-due Advance, the fast-path fiber's resume, an empty NIC burst and the
+// hooked-queue serve loop. The server has just received a 64 B segment and popped it, so its
+// delayed-ack timer is armed, as it is between most polls of a TCP echo server.
+void BM_CatnipIdlePoll(benchmark::State& state) {
+  FrozenHostClock clock;
+  SimNetwork net(LinkConfig{}, 1);
+  const Ipv4Addr server_ip = Ipv4Addr::FromOctets(10, 0, 0, 1);
+  const Ipv4Addr client_ip = Ipv4Addr::FromOctets(10, 0, 0, 2);
+  Catnip server(net, Catnip::Config{MacAddr{1}, server_ip, TcpConfig{}, nullptr}, clock);
+  Catnip client(net, Catnip::Config{MacAddr{2}, client_ip, TcpConfig{}, nullptr}, clock);
+  server.ethernet().arp().Insert(client_ip, MacAddr{2});
+  client.ethernet().arp().Insert(server_ip, MacAddr{1});
+  auto step_until = [&](QToken qt, LibOS& os) {
+    for (int i = 0; i < 100'000 && !os.IsDone(qt); i++) {
+      server.PollOnce();
+      client.PollOnce();
+      clock.Advance(100);
+    }
+    auto r = os.TryTake(qt);
+    if (!r.ok() || r->status != Status::kOk) {
+      std::fprintf(stderr, "BM_CatnipIdlePoll: setup op failed\n");
+      std::abort();
+    }
+    return *r;
+  };
+  const QueueDesc lqd = *server.Socket(SocketType::kStream);
+  (void)server.Bind(lqd, {server_ip, 80});  // a fresh fabric: the setup path succeeds
+  (void)server.Listen(lqd, 4);
+  const QToken accept = *server.Accept(lqd);
+  const QueueDesc cqd = *client.Socket(SocketType::kStream);
+  step_until(*client.Connect(cqd, {server_ip, 80}), client);
+  const QueueDesc sqd = step_until(accept, server).new_qd;
+  void* msg = client.DmaMalloc(64);
+  std::memset(msg, 'x', 64);
+  const QToken pop = *server.Pop(sqd);
+  (void)client.Push(cqd, Sgarray::Of(msg, 64));  // inline push: completes in the call
+  QResult r = step_until(pop, server);
+  server.FreeSga(r.sga);
+  client.DmaFree(msg);
+  clock.Advance(10 * kMicrosecond);  // every frame still on the wire lands
+  server.PollOnce();
+  client.PollOnce();
+  for (const MetricsRegistry::Sample& m : server.metrics().Snapshot()) {
+    if (m.name == "timerwheel.armed" && m.value != 1) {
+      std::fprintf(stderr, "BM_CatnipIdlePoll: expected only the delayed-ack timer armed\n");
+      std::abort();
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.PollOnce());
+  }
+  state.SetLabel("idle Catnip::PollOnce, delayed-ack timer armed, steady_clock read");
+}
+BENCHMARK(BM_CatnipIdlePoll);
 
 // Control: what one empty PauseTiming/ResumeTiming pair adds to an iteration.
 void BM_PauseResumeControl(benchmark::State& state) {
@@ -310,7 +385,7 @@ int RunQuickPerfSmoke() {
   TcpFixture capture;
   for (int i = 0; i < kCaptureSegments; i++) {
     ReceiveNextSegment(capture, [&capture](const Ipv4Header& ip, std::span<const uint8_t> l4) {
-      capture.b_tcp.OnIpv4Packet(ip, l4);
+      capture.b_tcp.OnIpv4Packet(ip, l4, capture.clock.Now());
     });
   }
   const uint64_t captured = capture.server->conn_stats().bytes_received / 64;

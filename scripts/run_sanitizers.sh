@@ -7,8 +7,9 @@
 # -DDEMI_SANITIZE=<name>; the chaos soak is shortened via DEMI_CHAOS_SEEDS so a full
 # sanitized sweep stays CI-friendly. The simulation itself is single-threaded by design, so
 # ThreadSanitizer runs a targeted job (build-tsan/) over just the tests that actually spawn
-# threads — the apps_test client/server echo pairs and the multi-worker ShardGroup suite
-# (real shard threads busy-polling a shared multi-queue NIC) — instead of the whole suite.
+# threads — the apps_test client/server echo pairs, the two-thread NIC ping-pong and the
+# multi-worker ShardGroup suite (real shard threads busy-polling a shared multi-queue NIC) —
+# instead of the whole suite.
 # A final targeted DemiSan tree (build-demisan/, -DDEMI_OWNERSHIP_CHECKS=ON) runs the
 # cross-tenant ownership death tests that skip themselves in every other build.
 
@@ -32,8 +33,13 @@ done
 echo "=== DEMI_SANITIZE=thread (targeted: threaded apps_test echo pairs + ShardGroup) ==="
 bdir="$ROOT/build-tsan"
 cmake -B "$bdir" -S "$ROOT" -DDEMI_SANITIZE=thread > /dev/null
-cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test > /dev/null
+cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test netsim_test \
+  > /dev/null
 "$bdir/tests/apps_test" --gtest_filter='*Threaded*'
+# One sender thread delivers into the rx queue another thread polls: the queue's published
+# earliest delivery time (stored under the queue lock, loaded without it so an idle poll skips
+# the lock) is the seam this run checks.
+"$bdir/tests/netsim_test" --gtest_filter='SimNetworkTest.CrossThreadPingPong'
 # The 2-worker shard runs: every cross-core seam (per-queue delivery locks, SPSC descriptor
 # rings, shared fabric stats) executes under TSan here. This filter includes the sharded
 # tenant suite (ShardGroupTest.ShardedEchoUnderTenantAccountsEveryShard: per-shard tenant

@@ -27,7 +27,7 @@ MiniRpcServer::MiniRpcServer(SimNetwork& network, MacAddr mac, Clock& clock, Han
 
 size_t MiniRpcServer::PollOnce() {
   WireFrame frames[32];
-  const size_t n = nic_.RxBurst(frames);
+  const size_t n = nic_.RxBurst(frames, clock_.Now());
   size_t served = 0;
   uint8_t resp_buf[1500];
   for (size_t i = 0; i < n; i++) {
@@ -93,7 +93,7 @@ std::vector<uint8_t> MiniRpcClient::Call(std::span<const uint8_t> request, Durat
       (void)nic_.TxBurst(server_, {&seg, 1});  // best-effort; this loop IS the retry path
       next_retransmit = clock_.Now() + rto;
     }
-    const size_t n = nic_.RxBurst(frames);
+    const size_t n = nic_.RxBurst(frames, clock_.Now());
     for (size_t i = 0; i < n; i++) {
       if (frames[i].size() < sizeof(RpcHeader)) {
         continue;
@@ -140,7 +140,7 @@ uint64_t MiniRpcClient::RunClosedLoopWindow(size_t request_size, size_t depth,
     if (pump_) {
       pump_();
     }
-    const size_t n = nic_.RxBurst(frames);
+    const size_t n = nic_.RxBurst(frames, clock_.Now());
     for (size_t i = 0; i < n; i++) {
       if (frames[i].size() < sizeof(RpcHeader)) {
         continue;

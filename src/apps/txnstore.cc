@@ -24,7 +24,7 @@ struct RawKvHeader {
 }  // namespace
 
 struct RawRdmaKvReplicaApp::Impl {
-  Impl(SimNetwork& network, MacAddr mac, Clock& clock) : device(network, mac, clock) {
+  Impl(SimNetwork& network, MacAddr mac, Clock& time) : clock(time), device(network, mac, time) {
     auto qp = device.CreateQp(kRawKvQp);
     DEMI_CHECK(qp.ok());
     recv_bufs.assign(kRawKvRecvDepth, std::vector<uint8_t>(kRawKvBufSize));
@@ -36,6 +36,7 @@ struct RawRdmaKvReplicaApp::Impl {
     device.RegisterMemory(tx_buf.data(), tx_buf.size());
   }
 
+  Clock& clock;
   SimRdmaDevice device;
   std::vector<std::vector<uint8_t>> recv_bufs;
   std::vector<uint8_t> tx_buf;
@@ -50,7 +51,7 @@ RawRdmaKvReplicaApp::~RawRdmaKvReplicaApp() = default;
 size_t RawRdmaKvReplicaApp::PollOnce() {
   Impl& im = *impl_;
   RdmaCompletion comps[16];
-  const size_t n = im.device.PollCq(comps);
+  const size_t n = im.device.PollCq(comps, im.clock.Now());
   size_t served = 0;
   for (size_t i = 0; i < n; i++) {
     if (comps[i].type != RdmaCompletion::Type::kRecv || comps[i].status != Status::kOk) {
@@ -128,11 +129,11 @@ bool RawRdmaTransport::Send(size_t peer, std::span<const uint8_t> bytes) {
   (void)device_.PostSend(kRawKvQp, replicas_[peer], kRawKvQp, {&seg, 1}, 0);  // deadline below
   const TimeNs deadline = clock_.Now() + timeout();
   RdmaCompletion comps[16];
-  while (clock_.Now() < deadline) {
+  for (TimeNs now = clock_.Now(); now < deadline; now = clock_.Now()) {
     if (pump_) {
       pump_();
     }
-    const size_t n = device_.PollCq(comps);
+    const size_t n = device_.PollCq(comps, now);
     for (size_t i = 0; i < n; i++) {
       if (comps[i].type != RdmaCompletion::Type::kRecv) {
         continue;

@@ -4,6 +4,21 @@
 // (paper §6.3). All protocol code in this repo therefore takes a Clock&, so tests can drive a
 // VirtualClock through loss/retransmission scenarios reproducibly while benchmarks use the
 // monotonic system clock.
+//
+// Who reads the clock, and when:
+//  - Scheduler::Poll reads it once per poll and keeps the value as the poll's time
+//    (Scheduler::poll_time). The timer wheel advances to it, and each libOS fast path hands it
+//    to the devices it polls (SimNic::RxBurst, SimRdmaDevice::PollCq,
+//    SimBlockDevice::PollCompletions) and to the TCP stack, which runs every segment of the
+//    burst, the burst-end acks and every timer callback on it. A poll therefore reads the
+//    clock once, whatever it finds to do. The poll's time is never later than the true time,
+//    so a frame or completion that falls due mid-poll shows up one poll later, never earlier.
+//  - App-facing TCP calls that send or arm a timer (Push, Close, an active Connect) run
+//    between polls and read the clock once on entry. A pop reads none: the delayed ack it may
+//    arm uses the last poll's time, at most one poll old.
+//  - SimNic::TxBurst stamps each frame's departure with a fresh read. A stamp taken at the
+//    start of the poll would shorten the simulated link by however long the poll had run, so
+//    the wire would model a different link.
 
 #ifndef SRC_COMMON_CLOCK_H_
 #define SRC_COMMON_CLOCK_H_

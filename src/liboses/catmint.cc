@@ -274,7 +274,9 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
 Task<void> Catmint::FastPathFiber() {
   RdmaCompletion comps[32];
   while (!shutdown_) {
-    const size_t n = device_.PollCq(comps);
+    // The poll's one clock read: the CQ poll and the disk run on it.
+    const TimeNs now = sched_.poll_time();
+    const size_t n = device_.PollCq(comps, now);
     for (size_t i = 0; i < n; i++) {
       if (comps[i].type == RdmaCompletion::Type::kRecv) {
         HandleMessage(comps[i]);
@@ -297,7 +299,7 @@ Task<void> Catmint::FastPathFiber() {
       need_repost_.Notify();
     }
     if (storage_ != nullptr) {
-      storage_->Poll();
+      storage_->Poll(now);
     }
     co_await Scheduler::Yield{};
   }

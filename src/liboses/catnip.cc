@@ -132,12 +132,14 @@ bool Catnip::ShedOp(TenantId tenant) {
 Task<void> Catnip::FastPathFiber() {
   uint32_t iterations = 0;
   while (!shutdown_) {
-    eth_.PollOnce();
+    // The poll's one clock read: the NIC burst, the TCP stack and the disk all run on it.
+    const TimeNs now = sched_.poll_time();
+    eth_.PollOnce(now);
     // Complete the ops this burst (or a timer fired this poll) made ready.
     ServeHookedQueues(*this);
     if (storage_ != nullptr) {
       // Catnip×Cattree: round-robin the fast path between NIC and disk completions (§5.5).
-      storage_->Poll();
+      storage_->Poll(now);
     }
     if (++iterations % kReapInterval == 0) {
       tcp_.Reap();

@@ -22,8 +22,9 @@ Cattree::~Cattree() {
 
 Task<void> Cattree::FastPathFiber() {
   while (!shutdown_) {
-    // Poll SPDK completion queues and wake blocked append/read coroutines (§6.4).
-    storage_.Poll();
+    // Poll SPDK completion queues and wake blocked append/read coroutines (§6.4), on the
+    // poll's time.
+    storage_.Poll(sched_.poll_time());
     co_await Scheduler::Yield{};
   }
 }

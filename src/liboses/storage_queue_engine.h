@@ -30,7 +30,8 @@ class StorageQueueEngine {
       : log_(disk, sched, partition, epoch), sched_(sched), alloc_(alloc), tokens_(tokens) {}
 
   LogDevice& log() { return log_; }
-  void Poll() { log_.PollDevice(); }
+  // `now` is the fast path's poll time (Scheduler::poll_time).
+  void Poll(TimeNs now) { log_.PollDevice(now); }
 
   // The libOS owns qtoken allocation and queue bookkeeping.
 

@@ -200,9 +200,9 @@ void EthernetLayer::HandleArp(std::span<const uint8_t> payload) {
   }
 }
 
-size_t EthernetLayer::PollOnce() {
+size_t EthernetLayer::PollOnce(TimeNs now) {
   // demilint: fastpath
-  const size_t n = nic_.RxBurst(queue_id_, rx_frames_);
+  const size_t n = nic_.RxBurst(queue_id_, rx_frames_, now);
   if (n > 0) {
     stats_.rx_bursts++;
     stats_.rx_burst_frames += n;
@@ -244,18 +244,18 @@ size_t EthernetLayer::PollOnce() {
       stats_.no_receiver++;
       continue;
     }
-    recv_it->second->OnIpv4Packet(*ip, payload.subspan(Ipv4Header::kSize,
-                                                       ip->total_length - Ipv4Header::kSize));
+    recv_it->second->OnIpv4Packet(
+        *ip, payload.subspan(Ipv4Header::kSize, ip->total_length - Ipv4Header::kSize), now);
   }
   if (n > 0) {
     for (auto& [proto, receiver] : receivers_) {
       (void)proto;
-      receiver->OnRxBurstEnd();
+      receiver->OnRxBurstEnd(now);
     }
   }
   if (tx_sched_.backlog_frames() > 0) {
-    // Weighted-DRR drain of throttled tenant frames that virtual time has unlocked.
-    tx_sched_.Drain(nic_.clock().Now(), [this](const TxScheduler::Frame& f) {
+    // Weighted-DRR drain of throttled tenant frames that time has unlocked.
+    tx_sched_.Drain(now, [this](const TxScheduler::Frame& f) {
       const Status st = TransmitFlattened(f.dst_mac, f.dst_ip, f.proto, f.l4_bytes);
       if (st != Status::kOk) {
         stats_.tx_errors++;  // drained frame lost on TX failure; L4 retransmission recovers

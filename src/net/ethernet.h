@@ -27,12 +27,15 @@ class Tracer;
 class Ipv4Receiver {
  public:
   virtual ~Ipv4Receiver() = default;
-  virtual void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4_payload) = 0;
+  // `now` is the poll's time (the one PollOnce was given): the receiver runs on it and does not
+  // read the clock.
+  virtual void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4_payload,
+                            TimeNs now) = 0;
   // Burst brackets: PollOnce() calls OnRxBurstBegin() before dispatching a non-empty RX burst
-  // and OnRxBurstEnd() after the last frame. Stacks use them to coalesce per-burst work (e.g.
+  // and OnRxBurstEnd(now) after the last frame. Stacks use them to coalesce per-burst work (e.g.
   // one pure ACK per connection per burst instead of one per segment). Default: no-ops.
   virtual void OnRxBurstBegin() {}
-  virtual void OnRxBurstEnd() {}
+  virtual void OnRxBurstEnd(TimeNs now) {}
 };
 
 class ArpCache {
@@ -87,9 +90,10 @@ class EthernetLayer {
                   std::span<const std::span<const uint8_t>> l4_segments,
                   TenantId tenant = kDefaultTenant);
 
-  // Polls the NIC once (one burst) and dispatches; returns frames processed. Also drains any
-  // TxScheduler backlog that virtual time has unlocked.
-  size_t PollOnce();
+  // Polls the NIC once (one burst) for frames due by `now` and dispatches them; returns frames
+  // processed. Also drains any TxScheduler backlog that `now` has unlocked. `now` is the
+  // caller's poll time (Scheduler::poll_time): the burst and its receivers read no clock.
+  size_t PollOnce(TimeNs now);
 
   ArpCache& arp() { return arp_cache_; }
   TxScheduler& tx_scheduler() { return tx_sched_; }
@@ -133,8 +137,11 @@ class EthernetLayer {
   Ipv4Addr local_ip_;
   bool checksum_offload_;
   size_t queue_id_;
-  // Reused RX frame ring, sized to the configured burst: one RxBurst fill per PollOnce
-  // without per-poll stack churn (frames keep their capacity across polls).
+  // Reused RX frame array, sized to the configured burst: one RxBurst fill per PollOnce
+  // without constructing frames per poll. The frames themselves are not reused: RxBurst
+  // move-assigns each delivered frame into its slot, freeing the buffer the slot held, so
+  // every frame costs one malloc (in the sender's TxBurst) and one free (at the next burst
+  // that fills its slot).
   std::vector<WireFrame> rx_frames_;
   ArpCache arp_cache_;
   std::unordered_map<uint32_t, Ipv4Receiver*> receivers_;  // keyed by IpProto

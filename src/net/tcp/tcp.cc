@@ -94,23 +94,26 @@ uint16_t TcpConnection::AdvertisedWindow() const {
 }
 
 // --- Timer plumbing -------------------------------------------------------------
+//
+// The callbacks run inside Scheduler::Poll, from the wheel it advanced to the poll's time:
+// that time is the `now` they run on.
 
 void TcpConnection::RetxTimerCb(void* ctx, uint64_t /*arg*/) {
   auto* conn = static_cast<TcpConnection*>(ctx);
   conn->hot_.retx_timer = kInvalidTimerId;  // this entry just fired
-  conn->OnRetxTimer(conn->stack_.clock().Now());
+  conn->OnRetxTimer(conn->stack_.scheduler().poll_time());
 }
 
 void TcpConnection::AckTimerCb(void* ctx, uint64_t /*arg*/) {
   auto* conn = static_cast<TcpConnection*>(ctx);
   conn->hot_.ack_timer = kInvalidTimerId;
-  conn->OnAckTimer(conn->stack_.clock().Now());
+  conn->OnAckTimer(conn->stack_.scheduler().poll_time());
 }
 
 void TcpConnection::StateTimerCb(void* ctx, uint64_t /*arg*/) {
   auto* conn = static_cast<TcpConnection*>(ctx);
   conn->hot_.state_timer = kInvalidTimerId;
-  conn->OnStateTimer(conn->stack_.clock().Now());
+  conn->OnStateTimer(conn->stack_.scheduler().poll_time());
 }
 
 void TcpConnection::ReschedRetx() {
@@ -215,14 +218,14 @@ void TcpConnection::OnRetxTimer(TimeNs now) {
   ReschedRetx();
 }
 
-void TcpConnection::OnAckTimer(TimeNs /*now*/) {
+void TcpConnection::OnAckTimer(TimeNs now) {
   if (hot_.state == TcpState::kClosed || !hot_.ack_needed) {
     return;  // piggybacked away or the connection died; nothing to do
   }
   if (cold_ != nullptr && !hot_.ack_immediate && stack_.config().delayed_acks) {
     cold_->stats.delayed_acks++;  // held to the timer; no data segment piggybacked it
   }
-  SendPureAck();
+  SendPureAck(now);
 }
 
 void TcpConnection::OnStateTimer(TimeNs now) {
@@ -239,7 +242,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         EnterClosed(Status::kTimedOut);
         return;
       }
-      if (SendControl(TcpFlags{.syn = true}, iss_, /*with_options=*/true) != Status::kOk) {
+      if (SendControl(TcpFlags{.syn = true}, iss_, /*with_options=*/true, now) != Status::kOk) {
         stack_.CountTxError();
       }
       if (cold_ != nullptr) {
@@ -259,7 +262,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         EnterClosed(Status::kTimedOut);
         return;
       }
-      if (SendControl(TcpFlags{.syn = true, .ack = true}, iss_, /*with_options=*/true) !=
+      if (SendControl(TcpFlags{.syn = true, .ack = true}, iss_, /*with_options=*/true, now) !=
           Status::kOk) {
         stack_.CountTxError();
       }
@@ -330,7 +333,8 @@ Status TcpConnection::Push(Buffer data) {
   c.unsent_bytes += data.size();
   c.unsent.push_back(std::move(data));
   // Fast path: transmit inline, run-to-completion (§5.2). Window-blocked leftovers drain from
-  // ProcessAck (new ack / window update) or the persist probe.
+  // ProcessAck (new ack / window update) or the persist probe. An app call runs between polls,
+  // so it reads the clock once here; every segment it sends is stamped with that time.
   const TimeNs now = stack_.clock().Now();
   TrySend(now);
   MaybeArmPersist(now);
@@ -347,11 +351,14 @@ std::optional<Buffer> TcpConnection::PopData() {
   cold_->ready_bytes -= b.size();
   // The receive window just opened; advertise it — urgently if it had slammed shut (the peer
   // may be persist-probing against a zero window), lazily otherwise (the next data segment or
-  // delayed ack carries the update).
+  // delayed ack carries the update). A pop reads no clock: it runs in the fast path's serve
+  // loop or in the app between polls, so the poll's time is at most one poll old and a delayed
+  // ack armed here may go out up to one poll early, which RFC 1122 allows.
+  const TimeNs now = stack_.scheduler().poll_time();
   if (window_was_closed) {
-    ScheduleAck();
+    ScheduleAck(now);
   } else {
-    ScheduleDelayedAck(stack_.clock().Now());
+    ScheduleDelayedAck(now);
   }
   return b;
 }
@@ -399,20 +406,19 @@ void TcpConnection::Abort() {
 
 // --- Open paths ------------------------------------------------------------------
 
-void TcpConnection::StartActiveOpen() {
+void TcpConnection::StartActiveOpen(TimeNs now) {
   EnsureCold();
   hot_.state = TcpState::kSynSent;
   hot_.snd_nxt = iss_ + 1;  // SYN consumes one sequence number
   hot_.rcv_wscale = stack_.config().window_scale;
-  if (SendControl(TcpFlags{.syn = true}, iss_, /*with_options=*/true) != Status::kOk) {
+  if (SendControl(TcpFlags{.syn = true}, iss_, /*with_options=*/true, now) != Status::kOk) {
     stack_.CountTxError();  // the retry timer below resends the SYN
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kConnectRetry,
-                stack_.clock().Now() + stack_.config().initial_rto);
+  ArmStateTimer(StateTimerKind::kConnectRetry, now + stack_.config().initial_rto);
 }
 
-void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener) {
+void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener, TimeNs now) {
   EnsureCold();
   hot_.state = TcpState::kSynReceived;
   pending_listener_ = listener;
@@ -434,13 +440,12 @@ void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener
     hot_.ts_recent_valid = true;
   }
   hot_.snd_wnd = syn.window;  // SYN windows are never scaled
-  if (SendControl(TcpFlags{.syn = true, .ack = true}, iss_, /*with_options=*/true) !=
+  if (SendControl(TcpFlags{.syn = true, .ack = true}, iss_, /*with_options=*/true, now) !=
       Status::kOk) {
     stack_.CountTxError();  // the retry timer below resends the SYN-ACK
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kSynAckRetry,
-                stack_.clock().Now() + stack_.config().initial_rto);
+  ArmStateTimer(StateTimerKind::kSynAckRetry, now + stack_.config().initial_rto);
 }
 
 void TcpConnection::CompleteCookieOpen(const TcpHeader& ack, const SynCookies::SynOptions& opts) {
@@ -470,20 +475,14 @@ void TcpConnection::CompleteCookieOpen(const TcpHeader& ack, const SynCookies::S
 
 // --- Segment TX ------------------------------------------------------------------
 
-uint32_t TcpConnection::NowTsval() const {
-  // 1 µs timestamp tick: fine-grained enough for µs RTTs, wraps in ~71 minutes (acceptable for
-  // the fabric's MSL; PAWS comparisons use wrapping arithmetic anyway).
-  return static_cast<uint32_t>(stack_.clock().Now() / 1000);
-}
-
-void TcpConnection::StampTimestamps(TcpHeader* hdr) const {
+void TcpConnection::StampTimestamps(TcpHeader* hdr, TimeNs now) const {
   if (hot_.ts_enabled) {
     hdr->timestamps_option =
-        TcpHeader::Timestamps{NowTsval(), hot_.ts_recent_valid ? hot_.ts_recent : 0};
+        TcpHeader::Timestamps{Tsval(now), hot_.ts_recent_valid ? hot_.ts_recent : 0};
   }
 }
 
-Status TcpConnection::SendControl(TcpFlags flags, SeqNum seq, bool with_options) {
+Status TcpConnection::SendControl(TcpFlags flags, SeqNum seq, bool with_options, TimeNs now) {
   TcpHeader hdr;
   hdr.src_port = local_.port;
   hdr.dst_port = remote_.port;
@@ -503,10 +502,10 @@ Status TcpConnection::SendControl(TcpFlags flags, SeqNum seq, bool with_options)
     hdr.window_scale_option = stack_.config().window_scale;
     if (stack_.config().timestamps) {
       // Offer (or confirm) RFC 7323 timestamps on the SYN/SYN-ACK.
-      hdr.timestamps_option = TcpHeader::Timestamps{NowTsval(), hot_.ts_recent};
+      hdr.timestamps_option = TcpHeader::Timestamps{Tsval(now), hot_.ts_recent};
     }
   } else {
-    StampTimestamps(&hdr);
+    StampTimestamps(&hdr, now);
   }
   return stack_.SendSegment(hdr, remote_.ip, {}, tenant_);
 }
@@ -521,7 +520,7 @@ void TcpConnection::SendDataSegment(InflightSegment& seg, TimeNs now) {
   hdr.flags.psh = !seg.data.empty();
   hdr.flags.fin = seg.fin;
   hdr.window = AdvertisedWindow();
-  StampTimestamps(&hdr);
+  StampTimestamps(&hdr, now);
   std::span<const uint8_t> slices[SegmentPayload::kMaxSlices];
   const size_t nslices = seg.data.Gather(slices);
   if (stack_.SendSegment(hdr, remote_.ip, {slices, nslices}, tenant_) != Status::kOk) {
@@ -609,7 +608,7 @@ void TcpConnection::TrySend(TimeNs now) {
 
 // --- Ack scheduling --------------------------------------------------------------
 
-void TcpConnection::ScheduleAck() {
+void TcpConnection::ScheduleAck(TimeNs now) {
   if (hot_.ack_needed && hot_.ack_immediate) {
     return;  // already scheduled urgently
   }
@@ -627,13 +626,13 @@ void TcpConnection::ScheduleAck() {
   } else {
     // Outside a burst (application-side window updates): a past-deadline wheel entry fires on
     // the next poll, batching repeated schedules from the same poll round into one ack.
-    ArmAckTimer(stack_.clock().Now());
+    ArmAckTimer(now);
   }
 }
 
 void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   if (!stack_.config().delayed_acks) {
-    ScheduleAck();  // ablation: ack every segment
+    ScheduleAck(now);  // ablation: ack every segment
     return;
   }
   if (hot_.ack_needed) {
@@ -644,12 +643,13 @@ void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   ArmAckTimer(now + kTcpDelayedAckTimeout);
 }
 
-void TcpConnection::SendPureAck() {
+void TcpConnection::SendPureAck(TimeNs now) {
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
   CancelAckTimer();
-  if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false) != Status::kOk) {
+  if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false, now) !=
+      Status::kOk) {
     stack_.CountTxError();  // a lost pure ack is recovered by the peer's retransmit
   }
 }
@@ -702,7 +702,7 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       hot_.snd_wnd = hdr.window;  // unscaled on SYN
       hot_.state = TcpState::kEstablished;
       CancelStateTimer();  // connect-retry no longer needed
-      if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false) !=
+      if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false, now) !=
           Status::kOk) {
         stack_.CountTxError();  // peer's SYN-ACK retransmit re-triggers this ack
       }
@@ -748,7 +748,7 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       if (cold_ != nullptr) {
         cold_->stats.paws_drops++;
       }
-      ScheduleAck();  // duplicate-looking segment: re-ack so the peer resynchronizes
+      ScheduleAck(now);  // duplicate-looking segment: re-ack so the peer resynchronizes
       return;
     }
     // Update ts_recent when the segment covers rcv_nxt (RFC 7323 §4.3's simplified rule).
@@ -785,7 +785,7 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
     if (hot_.ts_enabled && hdr.timestamps_option && hdr.timestamps_option->tsecr != 0) {
       // RTTM: tsecr echoes our clock at transmit time, valid even across retransmissions.
       const uint32_t echoed = hdr.timestamps_option->tsecr;
-      const uint32_t delta_us = NowTsval() - echoed;
+      const uint32_t delta_us = Tsval(now) - echoed;
       if (delta_us < 60u * 1000u * 1000u) {  // sanity: ignore >60 s (wrap artifacts)
         rtt_.OnSample(static_cast<DurationNs>(delta_us) * 1000);
         c.stats.ts_rtt_samples++;
@@ -899,7 +899,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
   if (!payload.empty()) {
     if (payload.size() > ReceiveCapacityLeft()) {
       // Receiver overrun: drop; the ack (without window) makes the sender back off.
-      ScheduleAck();
+      ScheduleAck(now);
       return;
     }
     if (seq == hot_.rcv_nxt) {
@@ -907,7 +907,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
       if (!buf.valid()) {
         // Heap exhausted: drop without advancing rcv_nxt; the un-acked sender retransmits.
         stack_.CountRxAllocDrop();
-        ScheduleAck();
+        ScheduleAck(now);
         return;
       }
       std::memcpy(buf.mutable_data(), payload.data(), payload.size());
@@ -958,7 +958,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
   }
 
   if (immediate) {
-    ScheduleAck();
+    ScheduleAck(now);
   } else {
     ScheduleDelayedAck(now);
   }
@@ -988,33 +988,33 @@ void TcpConnection::DrainReassembly() {
   }
 }
 
-void TcpConnection::HandleFinReached(TimeNs /*now*/) {
+void TcpConnection::HandleFinReached(TimeNs now) {
   switch (hot_.state) {
     case TcpState::kEstablished:
       hot_.state = TcpState::kCloseWait;
       break;
     case TcpState::kFinWait1:
       if (hot_.our_fin_acked) {
-        EnterTimeWait();
+        EnterTimeWait(now);
       } else {
         hot_.state = TcpState::kClosing;
       }
       break;
     case TcpState::kFinWait2:
-      EnterTimeWait();
+      EnterTimeWait(now);
       break;
     default:
       break;
   }
 }
 
-void TcpConnection::OnOurFinAcked(TimeNs /*now*/) {
+void TcpConnection::OnOurFinAcked(TimeNs now) {
   switch (hot_.state) {
     case TcpState::kFinWait1:
       hot_.state = TcpState::kFinWait2;
       break;
     case TcpState::kClosing:
-      EnterTimeWait();
+      EnterTimeWait(now);
       break;
     case TcpState::kLastAck:
       EnterClosed(Status::kOk);
@@ -1024,10 +1024,10 @@ void TcpConnection::OnOurFinAcked(TimeNs /*now*/) {
   }
 }
 
-void TcpConnection::EnterTimeWait() {
+void TcpConnection::EnterTimeWait(TimeNs now) {
   hot_.state = TcpState::kTimeWait;
   CancelStateTimer();  // a pending persist (if any) is moot now
-  ArmStateTimer(StateTimerKind::kTimeWait, stack_.clock().Now() + kTcpTimeWait);
+  ArmStateTimer(StateTimerKind::kTimeWait, now + kTcpTimeWait);
 }
 
 void TcpConnection::EnterClosed(Status error) {
@@ -1105,7 +1105,7 @@ Result<std::shared_ptr<TcpConnection>> TcpStack::Connect(SocketAddress remote) {
   auto conn = slab_.Make<TcpConnection>(*this, local, remote, NewIss());
   conns_.Insert(key, conn);
   stats_.conns_opened++;
-  conn->StartActiveOpen();
+  conn->StartActiveOpen(clock_.Now());  // an app call: one clock read for the SYN and its timer
   return conn;
 }
 
@@ -1185,7 +1185,8 @@ void TcpStack::SendRst(const TcpHeader& in, Ipv4Addr dst) {
   }
 }
 
-void TcpStack::SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t key) {
+void TcpStack::SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t key,
+                                   TimeNs now) {
   SynCookies::SynOptions opts;
   const uint32_t peer_mss =
       syn.mss_option ? *syn.mss_option : SynCookies::kMssTable[0];
@@ -1194,7 +1195,7 @@ void TcpStack::SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t 
   opts.peer_wscale =
       syn.window_scale_option ? *syn.window_scale_option : SynCookies::kNoWscale;
   opts.timestamps = syn.timestamps_option.has_value() && config_.timestamps;
-  const uint32_t cookie = cookies_.Encode(key, syn.seq, opts, clock_.Now());
+  const uint32_t cookie = cookies_.Encode(key, syn.seq, opts, now);
 
   TcpHeader hdr;
   hdr.src_port = syn.dst_port;
@@ -1209,8 +1210,8 @@ void TcpStack::SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t 
     hdr.window_scale_option = config_.window_scale;
   }
   if (opts.timestamps) {
-    hdr.timestamps_option = TcpHeader::Timestamps{
-        static_cast<uint32_t>(clock_.Now() / 1000), syn.timestamps_option->tsval};
+    hdr.timestamps_option =
+        TcpHeader::Timestamps{TcpConnection::Tsval(now), syn.timestamps_option->tsval};
   }
   stats_.syn_cookies_sent++;
   if (SendSegment(hdr, src, {}) != Status::kOk) {
@@ -1260,18 +1261,18 @@ bool TcpStack::TryCookieValidate(const TcpHeader& hdr, const Ipv4Header& ip,
 
 void TcpStack::OnRxBurstBegin() { in_burst_ = true; }
 
-void TcpStack::OnRxBurstEnd() {
+void TcpStack::OnRxBurstEnd(TimeNs now) {
   in_burst_ = false;
   for (TcpConnection* conn : pending_ack_conns_) {
     conn->hot_.ack_pending_listed = false;
     if (conn->hot_.state != TcpState::kClosed && conn->hot_.ack_needed) {
-      conn->SendPureAck();  // one coalesced pure ack per connection per burst
+      conn->SendPureAck(now);  // one coalesced pure ack per connection per burst
     }
   }
   pending_ack_conns_.clear();
 }
 
-void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
+void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4, TimeNs now) {
   // demilint: fastpath
   size_t hdr_len = 0;
   bool checksum_failed = false;
@@ -1291,7 +1292,7 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
   const uint64_t key = FlowTable::MakeKey(ip.src.value, hdr->src_port, hdr->dst_port);
   TcpConnection* conn = conns_.Find(key);
   if (conn != nullptr) {
-    conn->OnSegment(*hdr, payload, clock_.Now());
+    conn->OnSegment(*hdr, payload, now);
     return;
   }
   // demilint: end-fastpath
@@ -1304,7 +1305,7 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
       if (config_.syn_cookies) {
         // Stateless handshake: answer with a cookie SYN-ACK, allocate nothing until the
         // third ACK validates (docs/SCALING.md §2).
-        SendSynCookieSynAck(*hdr, ip.src, key);
+        SendSynCookieSynAck(*hdr, ip.src, key, now);
         return;
       }
       if (listener->ready_.size() + listener->syn_rcvd_count_ >= listener->backlog_ ||
@@ -1325,11 +1326,11 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
       auto new_conn = slab_.Make<TcpConnection>(*this, local, remote, NewIss());
       conns_.Insert(key, new_conn);
       stats_.conns_opened++;
-      new_conn->StartPassiveOpen(*hdr, listener);
+      new_conn->StartPassiveOpen(*hdr, listener, now);
       return;
     }
   } else if (config_.syn_cookies && hdr->flags.ack && !hdr->flags.rst && !hdr->flags.syn) {
-    if (TryCookieValidate(*hdr, ip, payload, key, clock_.Now())) {
+    if (TryCookieValidate(*hdr, ip, payload, key, now)) {
       return;
     }
   }

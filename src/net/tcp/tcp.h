@@ -269,8 +269,8 @@ class TcpConnection {
 
   // --- Stack-facing ---
   void OnSegment(const TcpHeader& hdr, std::span<const uint8_t> payload, TimeNs now);
-  void StartActiveOpen();
-  void StartPassiveOpen(const TcpHeader& syn, TcpListener* listener);
+  void StartActiveOpen(TimeNs now);
+  void StartPassiveOpen(const TcpHeader& syn, TcpListener* listener, TimeNs now);
   // Cookie-validated third ACK: the connection is born ESTABLISHED, hot-only.
   void CompleteCookieOpen(const TcpHeader& ack, const SynCookies::SynOptions& opts);
 
@@ -283,13 +283,15 @@ class TcpConnection {
   void OnOurFinAcked(TimeNs now);
   void TrySend(TimeNs now);
   void SendDataSegment(InflightSegment& seg, TimeNs now);
-  [[nodiscard]] Status SendControl(TcpFlags flags, SeqNum seq, bool with_options);
-  void ScheduleAck();                   // urgent: goes out at burst end or the next poll
+  [[nodiscard]] Status SendControl(TcpFlags flags, SeqNum seq, bool with_options, TimeNs now);
+  void ScheduleAck(TimeNs now);         // urgent: goes out at burst end or the next poll
   void ScheduleDelayedAck(TimeNs now);  // coalescing: arm (or keep) the delayed-ack deadline
-  void SendPureAck();
-  uint32_t NowTsval() const;
-  void StampTimestamps(TcpHeader* hdr) const;
-  void EnterTimeWait();
+  void SendPureAck(TimeNs now);
+  // RFC 7323 TSval for `now`: a 1 µs tick, fine-grained enough for µs RTTs; wraps in ~71
+  // minutes (acceptable for the fabric's MSL; PAWS comparisons use wrapping arithmetic).
+  static uint32_t Tsval(TimeNs now) { return static_cast<uint32_t>(now / 1000); }
+  void StampTimestamps(TcpHeader* hdr, TimeNs now) const;
+  void EnterTimeWait(TimeNs now);
   void EnterClosed(Status error);
   size_t EffectiveSendWindow() const;
   // MSS minus per-segment option overhead (timestamps consume 12 bytes of header on every
@@ -369,9 +371,10 @@ class TcpStack final : public Ipv4Receiver {
   Result<TcpListener*> Listen(uint16_t port, size_t backlog);
   void CloseListener(TcpListener* listener);
 
-  void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) override;
+  // `now` is the poll's time: every segment of a burst, and the burst-end acks, run on it.
+  void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4, TimeNs now) override;
   void OnRxBurstBegin() override;
-  void OnRxBurstEnd() override;
+  void OnRxBurstEnd(TimeNs now) override;
 
   // Destroys connections that are fully closed and released by the application.
   void Reap();
@@ -449,7 +452,7 @@ class TcpStack final : public Ipv4Receiver {
                      TenantId tenant = kDefaultTenant);
   void SendRst(const TcpHeader& in, Ipv4Addr dst);
   // Stateless SYN handling: answer with a cookie SYN-ACK, allocating nothing.
-  void SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t key);
+  void SendSynCookieSynAck(const TcpHeader& syn, Ipv4Addr src, uint64_t key, TimeNs now);
   // Tries to interpret a no-connection ACK as a returning SYN cookie; on success the
   // connection is created ESTABLISHED and delivered to the listener. Returns true if the
   // segment was consumed (even if dropped for backlog pressure — no RST for valid cookies).

@@ -66,7 +66,8 @@ Status UdpStack::SendTo(Socket& socket, SocketAddress dst, const Buffer& payload
                        std::span<const std::span<const uint8_t>>(segs, nsegs), socket.tenant_);
 }
 
-void UdpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
+void UdpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4,
+                            TimeNs /*now*/) {
   // demilint: fastpath
   // Without device RX offload the stack verifies the pseudo-header checksum in software; this
   // is what catches injected bit flips before they reach the application.

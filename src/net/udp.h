@@ -60,7 +60,7 @@ class UdpStack final : public Ipv4Receiver {
   // paper's stack, we do not implement IP fragmentation.
   [[nodiscard]] Status SendTo(Socket& socket, SocketAddress dst, const Buffer& payload);
 
-  void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) override;
+  void OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4, TimeNs now) override;
 
   struct Stats {
     uint64_t tx_datagrams = 0;

@@ -154,6 +154,7 @@ void SimNetwork::DeliverToPort(Port* port, WireFrame frame, TimeNs deliver_at) {
   // frame itself is published by q.mu, held here)
   q.inbound.push(PendingFrame{deliver_at, next_seq_.fetch_add(1, std::memory_order_relaxed),
                               std::move(frame)});
+  Port::PublishNextDeliverLocked(q);
 }
 
 SimNetwork::Stats SimNetwork::GetStats() const {
@@ -224,9 +225,15 @@ TimeNs SimNetwork::NextDeliveryTime() const {
   return earliest;
 }
 
+void SimNetwork::Port::PublishNextDeliverLocked(RxQueue& q) {
+  const TimeNs next = q.inbound.empty() ? UINT64_MAX : q.inbound.top().deliver_at;
+  // demilint: atomic(release under q.mu; pairs with PollQueue's acquire load, see RxQueue)
+  q.next_deliver_at.store(next, std::memory_order_release);
+}
+
 void SimNetwork::Port::MatureLocked(RxQueue& q, TimeNs now) {
-  PendingFrame batch[kFrameBurst];
   while (!q.inbound.empty() && q.inbound.top().deliver_at <= now) {
+    PendingFrame batch[kFrameBurst];
     size_t n = 0;
     while (n < kFrameBurst && !q.inbound.empty() && q.inbound.top().deliver_at <= now) {
       batch[n++] = std::move(const_cast<PendingFrame&>(q.inbound.top()));
@@ -239,12 +246,18 @@ void SimNetwork::Port::MatureLocked(RxQueue& q, TimeNs now) {
       for (size_t i = pushed; i < n; i++) {
         q.inbound.push(std::move(batch[i]));
       }
-      return;
+      break;
     }
   }
+  PublishNextDeliverLocked(q);
 }
 
 size_t SimNetwork::Port::DrainRing(RxQueue& q, std::span<WireFrame> out) {
+  // The shard that drains the ring is also the only one that fills it (MatureLocked runs from
+  // its own PollQueue), so an empty ring here is exact.
+  if (q.ring.EmptyApprox()) {
+    return 0;
+  }
   PendingFrame batch[kFrameBurst];
   size_t total = 0;
   while (total < out.size()) {
@@ -264,11 +277,12 @@ size_t SimNetwork::Port::DrainRing(RxQueue& q, std::span<WireFrame> out) {
 size_t SimNetwork::Port::PollQueue(size_t queue, std::span<WireFrame> out, TimeNs now) {
   DEMI_DCHECK(queue < queues_.size());
   RxQueue& q = *queues_[queue];
-  // Fast path: matured descriptors already on the ring satisfy the whole burst without the
-  // timing-stage lock.
+  // Matured descriptors already on the ring satisfy the whole burst without the timing-stage
+  // lock.
   size_t n = DrainRing(q, out);
-  if (n == out.size()) {
-    return n;
+  // demilint: atomic(acquire pairs with PublishNextDeliverLocked's release, see RxQueue)
+  if (n == out.size() || q.next_deliver_at.load(std::memory_order_acquire) > now) {
+    return n;  // nothing on the wire is due yet: no lock
   }
   {
     std::lock_guard<std::mutex> lock(q.mu);
@@ -278,19 +292,6 @@ size_t SimNetwork::Port::PollQueue(size_t queue, std::span<WireFrame> out, TimeN
   return n;
 }
 
-bool SimNetwork::Port::HasDeliverable(TimeNs now) const {
-  for (const auto& q : queues_) {
-    if (!q->ring.EmptyApprox()) {
-      return true;
-    }
-    std::lock_guard<std::mutex> lock(q->mu);
-    if (!q->inbound.empty() && q->inbound.top().deliver_at <= now) {
-      return true;
-    }
-  }
-  return false;
-}
-
 SimNic::SimNic(SimNetwork& network, MacAddr mac, Clock& clock, size_t num_queues)
     : network_(network), mac_(mac), clock_(clock),
       queue_stats_(num_queues == 0 ? 1 : num_queues) {
@@ -298,9 +299,9 @@ SimNic::SimNic(SimNetwork& network, MacAddr mac, Clock& clock, size_t num_queues
   DEMI_CHECK_MSG(port_ != nullptr, "MAC %s already attached", mac.ToString().c_str());
 }
 
-size_t SimNic::RxBurst(size_t queue, std::span<WireFrame> out) {
+size_t SimNic::RxBurst(size_t queue, std::span<WireFrame> out, TimeNs now) {
   DEMI_DCHECK(queue < queue_stats_.size());
-  const size_t n = port_->PollQueue(queue, out, clock_.Now());
+  const size_t n = port_->PollQueue(queue, out, now);
   PaddedStats& qs = queue_stats_[queue];
   qs.rx_frames += n;
   for (size_t i = 0; i < n; i++) {

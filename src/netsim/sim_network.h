@@ -177,11 +177,10 @@ class SimNetwork {
 
     // Pops up to `out.size()` frames whose delivery time has arrived from one rx queue.
     // Matured frames move wire-heap -> descriptor ring in bursts (one fence per burst) and
-    // repeat polls drain the ring without touching the timing lock at all.
+    // repeat polls drain the ring without touching the timing lock at all. A poll with nothing
+    // due returns without the lock and without constructing a frame: it checks the ring's
+    // indices and the queue's published earliest delivery time.
     size_t PollQueue(size_t queue, std::span<WireFrame> out, TimeNs now);
-
-    // True if any queue could deliver a frame at `now` (cheap peek).
-    bool HasDeliverable(TimeNs now) const;
 
     MacAddr mac() const { return mac_; }
     size_t num_queues() const { return queues_.size(); }
@@ -194,12 +193,20 @@ class SimNetwork {
       mutable std::mutex mu;  // guards `inbound` (the in-flight timing stage)
       std::priority_queue<PendingFrame, std::vector<PendingFrame>, std::greater<PendingFrame>>
           inbound;
+      // demilint: atomic(the earliest deliver_at in `inbound`, UINT64_MAX when it is empty;
+      // stored with release under `mu` by every writer of `inbound`, loaded with acquire
+      // outside it by the polling shard to skip the lock while nothing is due. A stale read
+      // is either too early, which costs one needless lock, or too late, which defers a frame
+      // to the next poll)
+      std::atomic<TimeNs> next_deliver_at{UINT64_MAX};
       SpscRing<PendingFrame> ring;  // matured frames; consumer = the owning shard, lock-free
     };
 
-    // Moves every frame whose deliver_at has passed from `q.inbound` into the ring in bursts.
-    // Caller holds q.mu.
+    // Moves every frame whose deliver_at has passed from `q.inbound` into the ring in bursts
+    // and republishes q.next_deliver_at. Caller holds q.mu.
     static void MatureLocked(RxQueue& q, TimeNs now);
+    // Publishes the earliest deliver_at of `q.inbound`. Caller holds q.mu.
+    static void PublishNextDeliverLocked(RxQueue& q);
     // Pops up to out.size() matured frames off the descriptor ring (no lock).
     static size_t DrainRing(RxQueue& q, std::span<WireFrame> out);
 
@@ -217,14 +224,18 @@ class SimNic {
  public:
   SimNic(SimNetwork& network, MacAddr mac, Clock& clock, size_t num_queues = 1);
 
-  // DPDK rte_rx_burst analogue: fills `out` with up to out.size() frames from one rx queue;
-  // returns count. Each queue must be polled by a single thread.
-  size_t RxBurst(size_t queue, std::span<WireFrame> out);
-  size_t RxBurst(std::span<WireFrame> out) { return RxBurst(0, out); }
+  // DPDK rte_rx_burst analogue: fills `out` with up to out.size() frames from one rx queue
+  // whose delivery time is at or before `now`; returns count. `now` is the caller's poll time
+  // (Scheduler::poll_time), so the burst reads no clock. Each queue must be polled by a single
+  // thread.
+  size_t RxBurst(size_t queue, std::span<WireFrame> out, TimeNs now);
+  size_t RxBurst(std::span<WireFrame> out, TimeNs now) { return RxBurst(0, out, now); }
 
   // DPDK rte_tx_burst analogue with gather: concatenates `segments` into one wire frame.
   // Zero-copy-sized segments must lie in DMA-registered memory (checked), mirroring the mempool
-  // requirement; returns kMessageTooLong if the frame exceeds the MTU.
+  // requirement; returns kMessageTooLong if the frame exceeds the MTU. The frame's departure
+  // is stamped with a fresh clock read, not a poll time: a stamp from the start of the poll
+  // would shorten the simulated link by however long the poll had run.
   [[nodiscard]] Status TxBurst(size_t queue, MacAddr dst,
                                std::span<const std::span<const uint8_t>> segments);
   [[nodiscard]] Status TxBurst(MacAddr dst, std::span<const std::span<const uint8_t>> segments) {

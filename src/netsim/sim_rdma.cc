@@ -176,15 +176,14 @@ Status SimRdmaDevice::PostWrite(uint32_t qp, MacAddr dst_mac, uint32_t dst_qp,
   return Status::kOk;
 }
 
-void SimRdmaDevice::ProcessInbound() {
-  WireFrame frames[32];
+void SimRdmaDevice::ProcessInbound(TimeNs now) {
   for (;;) {
-    const size_t n = port_->Poll(std::span<WireFrame>(frames, 32), clock_.Now());
-    if (n == 0) {
-      return;
-    }
+    const size_t n = port_->Poll(rx_frames_, now);
     for (size_t i = 0; i < n; i++) {
-      HandleFrame(frames[i]);
+      HandleFrame(rx_frames_[i]);
+    }
+    if (n < rx_frames_.size()) {
+      return;  // a short burst drained every frame due by `now`
     }
   }
 }
@@ -265,8 +264,8 @@ void SimRdmaDevice::HandleFrame(const WireFrame& frame) {
   }
 }
 
-size_t SimRdmaDevice::PollCq(std::span<RdmaCompletion> out) {
-  ProcessInbound();
+size_t SimRdmaDevice::PollCq(std::span<RdmaCompletion> out, TimeNs now) {
+  ProcessInbound(now);
   size_t n = 0;
   while (n < out.size() && !completions_.empty()) {
     out[n++] = completions_.front();

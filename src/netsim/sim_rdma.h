@@ -72,8 +72,9 @@ class SimRdmaDevice {
                    uint64_t remote_addr, std::span<const uint8_t> data, uint64_t wr_id);
 
   // --- Completion queue (ibv_poll_cq analogue) ---
-  // Processes deliverable inbound frames, then fills `out`. Returns completions written.
-  size_t PollCq(std::span<RdmaCompletion> out);
+  // Processes the inbound frames deliverable by `now` (the caller's poll time), then fills
+  // `out`. Returns completions written.
+  size_t PollCq(std::span<RdmaCompletion> out, TimeNs now);
 
   struct Stats {
     uint64_t sends = 0;
@@ -137,7 +138,7 @@ class SimRdmaDevice {
     SimRdmaDevice& dev_;
   };
 
-  void ProcessInbound();
+  void ProcessInbound(TimeNs now);
   void HandleFrame(const WireFrame& frame);
   bool IsRegistered(const void* ptr, size_t len) const;
 
@@ -158,6 +159,8 @@ class SimRdmaDevice {
   std::unordered_map<uint64_t, uint64_t> tx_seq_;  // (dst_mac^qp hash) -> next seq
 
   std::deque<RdmaCompletion> completions_;
+  // Reused inbound burst array: an empty poll constructs no frames.
+  std::vector<WireFrame> rx_frames_ = std::vector<WireFrame>(32);
   Stats stats_;
 };
 

@@ -70,7 +70,8 @@ Scheduler::FiberId Scheduler::Spawn(Task<void> task) {
 
 size_t Scheduler::Poll() {
   // demilint: fastpath
-  FireDueTimers();
+  poll_time_ = clock_.Now();
+  stats_.timer_fires += wheel_.Advance(poll_time_);
   stats_.polls++;
   size_t resumed = 0;
   const size_t num_blocks = blocks_.size();  // snapshot: fibers spawned mid-poll run next round
@@ -142,8 +143,6 @@ void Scheduler::SetResumePoint(std::coroutine_handle<> h) {
   DEMI_CHECK(running_fiber_ != kInvalidFiber);
   fibers_[running_fiber_].resume_point = h;
 }
-
-void Scheduler::FireDueTimers() { stats_.timer_fires += wheel_.Advance(clock_.Now()); }
 
 void Scheduler::ReleaseFiber(FiberId id) {
   stats_.fibers_completed++;

@@ -77,8 +77,9 @@ class Scheduler {  // demilint: shard-local
   void Shutdown();
 
   // Runs every currently-runnable fiber once (plus any fibers that become runnable during the
-  // round, on subsequent rounds of a future Poll). Fires due timers first. Returns the number of
-  // fiber resumptions performed.
+  // round, on subsequent rounds of a future Poll). Reads the clock once, keeps that value as
+  // the poll's time (poll_time()) and fires the timers it makes due before resuming anyone.
+  // Returns the number of fiber resumptions performed.
   size_t Poll();
 
   // Convenience: polls until `pred()` is true or `timeout` elapses (0 = no timeout).
@@ -111,7 +112,10 @@ class Scheduler {  // demilint: shard-local
   size_t NumLiveFibers() const { return live_fibers_; }
   size_t NumRunnable() const;
   Clock& clock() { return clock_; }
-  TimeNs Now() const { return clock_.Now(); }
+  // The time the current Poll read (between polls, the last one's; 0 before the first). The
+  // fast paths hand it to the devices they poll and to the TCP stack, so a poll reads the
+  // clock once however many layers it runs; it is never later than the true time.
+  TimeNs poll_time() const { return poll_time_; }
 
   // Cumulative scheduling counters (docs/OBSERVABILITY.md lists each as `sched.*`). Plain
   // increments on the poll path; registered into the owning libOS's MetricsRegistry as
@@ -217,10 +221,10 @@ class Scheduler {  // demilint: shard-local
 
   // Set by awaitables at suspension: where to resume this fiber next.
   void SetResumePoint(std::coroutine_handle<> h);
-  void FireDueTimers();
   void ReleaseFiber(FiberId id);
 
   Clock& clock_;
+  TimeNs poll_time_ = 0;
   std::deque<WakerBlock> blocks_;  // deque: Waker pointers must stay stable as fibers spawn
   std::vector<Fiber> fibers_;
   std::vector<FiberId> free_slots_;

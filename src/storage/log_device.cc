@@ -396,13 +396,10 @@ Status LogDevice::Truncate(uint64_t offset) {
   return Status::kOk;
 }
 
-void LogDevice::PollDevice() {
+void LogDevice::PollDevice(TimeNs now) {
   SimBlockDevice::Completion comps[16];
   for (;;) {
-    const size_t n = device_.PollCompletions(comps, part_.id);
-    if (n == 0) {
-      return;
-    }
+    const size_t n = device_.PollCompletions(comps, part_.id, now);
     for (size_t i = 0; i < n; i++) {
       auto it = waiting_.find(comps[i].cookie);
       if (it != waiting_.end()) {
@@ -412,6 +409,9 @@ void LogDevice::PollDevice() {
         waiting_.erase(it);
         outstanding_--;
       }
+    }
+    if (n < std::size(comps)) {
+      return;  // a short batch drained the queue; only a full one may have left more
     }
   }
 }

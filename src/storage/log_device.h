@@ -83,9 +83,9 @@ class LogDevice {
   // Logical garbage collection: records below `offset` become unreadable.
   [[nodiscard]] Status Truncate(uint64_t offset);
 
-  // Drains device completions and wakes blocked appenders/readers. Called from the owning
-  // libOS's fast-path coroutine.
-  void PollDevice();
+  // Drains the device completions due by `now` and wakes blocked appenders/readers. Called
+  // from the owning libOS's fast-path coroutine with the poll's time.
+  void PollDevice(TimeNs now);
 
   // True when asynchronous work is pending (drives fast-path polling decisions).
   bool HasPendingIo() const { return outstanding_ > 0; }

@@ -95,6 +95,8 @@ Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total
     }
   }
   pending_.push(std::move(p));
+  // demilint: atomic(under mu_; see inflight_ in the header)
+  inflight_.fetch_add(1, std::memory_order_release);
   stats_.writes++;
   stats_.bytes_written += total_bytes;
   if (tracer_ != nullptr) {
@@ -168,6 +170,8 @@ Status SimBlockDevice::SubmitRead(uint64_t lba, std::span<uint8_t> out, uint64_t
     }
   }
   pending_.push(std::move(p));
+  // demilint: atomic(under mu_; see inflight_ in the header)
+  inflight_.fetch_add(1, std::memory_order_release);
   stats_.reads++;
   stats_.bytes_read += out.size();
   if (tracer_ != nullptr) {
@@ -200,15 +204,23 @@ void SimBlockDevice::RetireDueLocked(TimeNs now) {
   }
 }
 
-size_t SimBlockDevice::PollCompletions(std::span<Completion> out, size_t queue) {
+size_t SimBlockDevice::PollCompletions(std::span<Completion> out, size_t queue, TimeNs now) {
+  // demilint: atomic(acquire pairs with the release updates under mu_; see inflight_)
+  if (inflight_.load(std::memory_order_acquire) == 0) {
+    return 0;  // idle device: nothing submitted is waiting for any poller
+  }
   std::lock_guard<std::mutex> lock(mu_);
   DEMI_CHECK(queue < ready_.size());
-  RetireDueLocked(clock_.Now());
+  RetireDueLocked(now);
   size_t n = 0;
   auto& q = ready_[queue];
   while (n < out.size() && !q.empty()) {
     out[n++] = q.front();
     q.pop_front();
+  }
+  if (n > 0) {
+    // demilint: atomic(under mu_; see inflight_ in the header)
+    inflight_.fetch_sub(n, std::memory_order_release);
   }
   return n;
 }

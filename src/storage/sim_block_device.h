@@ -14,6 +14,7 @@
 #ifndef SRC_STORAGE_SIM_BLOCK_DEVICE_H_
 #define SRC_STORAGE_SIM_BLOCK_DEVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -77,10 +78,11 @@ class SimBlockDevice {
   [[nodiscard]] Status SubmitRead(uint64_t lba, std::span<uint8_t> out, uint64_t cookie,
                                   size_t queue = 0);
 
-  // Polls for finished operations on `queue`; returns the number written to `out`. Due
-  // completions for other queues are moved to their ready lists (any poller advances the
-  // device; only the owning queue sees the cookie).
-  size_t PollCompletions(std::span<Completion> out, size_t queue = 0);
+  // Polls for operations on `queue` finished by `now` (the caller's poll time); returns the
+  // number written to `out`. Due completions for other queues are moved to their ready lists
+  // (any poller advances the device; only the owning queue sees the cookie). With no op in
+  // flight on any queue it returns 0 without taking the device lock.
+  size_t PollCompletions(std::span<Completion> out, size_t queue, TimeNs now);
 
   // Earliest pending completion time (0 if idle) for stepped VirtualClock tests. Spans every
   // queue: a conservative wake-up for any poller.
@@ -143,6 +145,10 @@ class SimBlockDevice {
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
   std::vector<std::deque<Completion>> ready_;  // per completion queue
   uint64_t next_seq_ = 0;
+  // demilint: atomic(ops submitted and not yet handed to a poller, on every queue; changed
+  // only under mu_ (release) and loaded with acquire outside it by PollCompletions to skip
+  // the lock on an idle device. A stale zero only defers a completion to the next poll)
+  std::atomic<size_t> inflight_{0};
   TimeNs device_free_at_ = 0;
   Stats stats_;
   Tracer* tracer_ = nullptr;

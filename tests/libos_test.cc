@@ -477,6 +477,79 @@ TEST(CatnipWaitTest, WaitAnyReturnsTokenCompletedAsDeadlinePasses) {
   }
 }
 
+// A manual clock that counts its reads.
+class CountingClock final : public Clock {
+ public:
+  TimeNs Now() const override {
+    reads_++;
+    return clock_.Now();
+  }
+  bool IsManual() const override { return true; }
+  void AdvanceTo(TimeNs t) override { clock_.AdvanceTo(t); }
+  void Advance(DurationNs d) { clock_.Advance(d); }
+  uint64_t reads() const { return reads_; }
+
+ private:
+  VirtualClock clock_;
+  mutable uint64_t reads_ = 0;
+};
+
+// A poll reads the clock once and every layer it runs (the NIC burst, the TCP stack, the
+// pop it completes) runs on that time. A push reads it once for the libOS and once for the
+// NIC's departure stamp on the simulated wire.
+TEST(CatnipClockTest, PollReadsTheClockOnce) {
+  CountingClock clock;
+  SimNetwork net(LinkConfig{}, 7);
+  Catnip server(net, {MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr},
+                clock);
+  Catnip client(net, {MacAddr{2}, Ipv4Addr::FromOctets(10, 0, 0, 2), TcpConfig{}, nullptr},
+                clock);
+  server.ethernet().arp().Insert(client.local_ip(), MacAddr{2});
+  client.ethernet().arp().Insert(server.local_ip(), MacAddr{1});
+  auto step_until = [&](QToken qt, LibOS& os) {
+    for (int i = 0; i < 10'000 && !os.IsDone(qt); i++) {
+      server.PollOnce();
+      client.PollOnce();
+      clock.Advance(100);
+    }
+    auto r = os.TryTake(qt);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? *r : QResult{};
+  };
+  auto lqd = server.Socket(SocketType::kStream);
+  ASSERT_EQ(server.Bind(*lqd, {server.local_ip(), 7100}), Status::kOk);
+  ASSERT_EQ(server.Listen(*lqd, 4), Status::kOk);
+  auto acc = server.Accept(*lqd);
+  auto cqd = client.Socket(SocketType::kStream);
+  auto conn = client.Connect(*cqd, {server.local_ip(), 7100});
+  ASSERT_EQ(step_until(*conn, client).status, Status::kOk);
+  const QueueDesc sqd = step_until(*acc, server).new_qd;
+  auto pop = server.Pop(sqd);
+  ASSERT_TRUE(pop.ok());
+  clock.Advance(10 * kMicrosecond);  // let the handshake's last frames land
+  server.PollOnce();
+  client.PollOnce();
+  ASSERT_FALSE(server.IsDone(*pop));
+
+  uint64_t before = clock.reads();
+  server.PollOnce();
+  EXPECT_EQ(clock.reads() - before, 1u) << "idle poll";
+
+  before = clock.reads();
+  auto push = client.Push(*cqd, MakeSga(client, std::string(64, 'x')));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(clock.reads() - before, 2u) << "64 B push";
+
+  clock.Advance(10 * kMicrosecond);  // the segment is due at the server
+  before = clock.reads();
+  server.PollOnce();
+  EXPECT_EQ(clock.reads() - before, 1u) << "poll that receives a segment and completes a pop";
+  ASSERT_TRUE(server.IsDone(*pop));
+  auto r = server.TryTake(*pop);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(SgaToString(server, r->sga), std::string(64, 'x'));
+}
+
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {
   EXPECT_EQ(server_.Push(999, Sgarray{}).error(), Status::kBadQueueDescriptor);
   EXPECT_EQ(server_.Pop(999).error(), Status::kBadQueueDescriptor);

@@ -24,7 +24,7 @@ bool DriveLogs(VirtualClock& clock, Scheduler& sched, const SimBlockDevice& dev,
                std::initializer_list<LogDevice*> logs, Done done) {
   for (int step = 0; step < 100000; step++) {
     for (LogDevice* log : logs) {
-      log->PollDevice();
+      log->PollDevice(clock.Now());
     }
     sched.Poll();
     if (done()) {

@@ -246,8 +246,9 @@ class NetPairTest : public ::testing::Test {
   // next event (packet delivery or timer).
   void Step() {
     size_t activity = 0;
-    activity += a_.eth.PollOnce();
-    activity += b_.eth.PollOnce();
+    const TimeNs now = clock_.Now();
+    activity += a_.eth.PollOnce(now);
+    activity += b_.eth.PollOnce(now);
     activity += a_.sched.Poll();
     activity += b_.sched.Poll();
     if (activity > 0) {
@@ -345,9 +346,9 @@ TEST_F(EthernetTest, ArpResolutionOnDemand) {
   bool got = false;
   for (int i = 0; i < 1000 && !got; i++) {
     clock_.Advance(2 * kMicrosecond);
-    a_.eth.PollOnce();
-    b_.eth.PollOnce();
-    c.eth.PollOnce();
+    a_.eth.PollOnce(clock_.Now());
+    b_.eth.PollOnce(clock_.Now());
+    c.eth.PollOnce(clock_.Now());
     got = (*bsock)->HasData();
   }
   ASSERT_TRUE(got);
@@ -623,7 +624,8 @@ TEST_P(TcpLossSweep, DataIntegrityUnderLoss) {
   b.eth.arp().Insert(a.eth.local_ip(), MacAddr{0xA1});
 
   auto step = [&] {
-    size_t activity = a.eth.PollOnce() + b.eth.PollOnce() + a.sched.Poll() + b.sched.Poll();
+    const TimeNs now = clock.Now();
+    size_t activity = a.eth.PollOnce(now) + b.eth.PollOnce(now) + a.sched.Poll() + b.sched.Poll();
     if (activity == 0) {
       TimeNs next = 0;
       for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
@@ -684,7 +686,8 @@ TEST(TcpDeterminismTest, IdenticalRunsProduceIdenticalStats) {
     auto listener = b.tcp.Listen(5, 4);
     auto client = a.tcp.Connect(SocketAddress{b.eth.local_ip(), 5});
     auto step = [&] {
-      if (a.eth.PollOnce() + b.eth.PollOnce() + a.sched.Poll() + b.sched.Poll() == 0) {
+      const TimeNs now = clock.Now();
+      if (a.eth.PollOnce(now) + b.eth.PollOnce(now) + a.sched.Poll() + b.sched.Poll() == 0) {
         TimeNs next = 0;
         for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
                          b.sched.NextTimerDeadline()}) {

@@ -40,9 +40,9 @@ TEST_F(SimNicTest, FrameArrivesAfterLatency) {
   ASSERT_EQ(a_.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
 
   WireFrame rx[4];
-  EXPECT_EQ(b_.RxBurst(rx), 0u);  // not yet: propagation delay
+  EXPECT_EQ(b_.RxBurst(rx, clock_.Now()), 0u);  // not yet: propagation delay
   clock_.Advance(net_.link().latency + 1 * kMicrosecond);
-  ASSERT_EQ(b_.RxBurst(rx), 1u);
+  ASSERT_EQ(b_.RxBurst(rx, clock_.Now()), 1u);
   EXPECT_EQ(std::memcmp(rx[0].data(), "hello", 5), 0);
 }
 
@@ -60,7 +60,7 @@ TEST_F(SimNicTest, GatherConcatenatesSegments) {
   ASSERT_EQ(a_.TxBurst(MacAddr{2}, segs), Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   WireFrame rx[1];
-  ASSERT_EQ(b_.RxBurst(rx), 1u);
+  ASSERT_EQ(b_.RxBurst(rx, clock_.Now()), 1u);
   EXPECT_EQ(rx[0].size(), 9u);
   EXPECT_EQ(std::memcmp(rx[0].data(), "head|tail", 9), 0);
 }
@@ -72,9 +72,9 @@ TEST_F(SimNicTest, BroadcastReachesAllButSender) {
   ASSERT_EQ(a_.TxBurst(MacAddr::Broadcast(), {&seg, 1}), Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   WireFrame rx[4];
-  EXPECT_EQ(b_.RxBurst(rx), 1u);
-  EXPECT_EQ(c.RxBurst(rx), 1u);
-  EXPECT_EQ(a_.RxBurst(rx), 0u);
+  EXPECT_EQ(b_.RxBurst(rx, clock_.Now()), 1u);
+  EXPECT_EQ(c.RxBurst(rx, clock_.Now()), 1u);
+  EXPECT_EQ(a_.RxBurst(rx, clock_.Now()), 0u);
 }
 
 TEST_F(SimNicTest, UnknownDestinationVanishes) {
@@ -83,7 +83,7 @@ TEST_F(SimNicTest, UnknownDestinationVanishes) {
   EXPECT_EQ(a_.TxBurst(MacAddr{99}, {&seg, 1}), Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   WireFrame rx[1];
-  EXPECT_EQ(b_.RxBurst(rx), 0u);
+  EXPECT_EQ(b_.RxBurst(rx, clock_.Now()), 0u);
 }
 
 // A burst-sized RxBurst must return only frames whose simulated delivery time has arrived:
@@ -104,11 +104,12 @@ TEST_F(SimNicTest, RxBurstHonorsPerFrameDeliveryTimes) {
   // frame 3 (sent at t=20 µs, due at ~21 µs) is still on the wire.
   clock_.Advance(net_.link().latency / 2);
   WireFrame rx[32];
-  EXPECT_EQ(b_.RxBurst(rx), 2u) << "burst returned a frame ahead of its delivery time";
+  EXPECT_EQ(b_.RxBurst(rx, clock_.Now()), 2u)
+      << "burst returned a frame ahead of its delivery time";
   EXPECT_EQ(std::memcmp(rx[0].data(), "f-one", 5), 0);
   EXPECT_EQ(std::memcmp(rx[1].data(), "f-two", 5), 0);
   clock_.Advance(net_.link().latency);
-  ASSERT_EQ(b_.RxBurst(rx), 1u);
+  ASSERT_EQ(b_.RxBurst(rx, clock_.Now()), 1u);
   EXPECT_EQ(std::memcmp(rx[0].data(), "f-three", 7), 0);
 }
 
@@ -120,7 +121,7 @@ TEST_F(SimNicTest, FramesStayInOrderOnCleanLink) {
   }
   clock_.Advance(1 * kMillisecond);
   WireFrame rx[64];
-  const size_t n = b_.RxBurst(rx);
+  const size_t n = b_.RxBurst(rx, clock_.Now());
   ASSERT_EQ(n, 50u);
   for (size_t i = 0; i < n; i++) {
     EXPECT_EQ(rx[i][0], static_cast<uint8_t>(i));
@@ -144,7 +145,7 @@ TEST(SimNetworkTest, LossDropsRoughlyAtConfiguredRate) {
   size_t received = 0;
   WireFrame rx[64];
   for (;;) {
-    const size_t n = b.RxBurst(rx);
+    const size_t n = b.RxBurst(rx, clock.Now());
     if (n == 0) {
       break;
     }
@@ -166,7 +167,7 @@ TEST(SimNetworkTest, DuplicationDeliversTwice) {
   ASSERT_EQ(a.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
   clock.Advance(1 * kMillisecond);
   WireFrame rx[4];
-  EXPECT_EQ(b.RxBurst(rx), 2u);
+  EXPECT_EQ(b.RxBurst(rx, clock.Now()), 2u);
 }
 
 TEST(SimNetworkTest, ReorderDelaysSomeFrames) {
@@ -184,7 +185,7 @@ TEST(SimNetworkTest, ReorderDelaysSomeFrames) {
   }
   clock.Advance(1 * kSecond);
   WireFrame rx[32];
-  const size_t n = b.RxBurst(rx);
+  const size_t n = b.RxBurst(rx, clock.Now());
   ASSERT_EQ(n, 20u);
   bool out_of_order = false;
   for (size_t i = 1; i < n; i++) {
@@ -209,9 +210,38 @@ TEST(SimNetworkTest, BandwidthAddsSerializationDelay) {
   ASSERT_EQ(a.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
   WireFrame rx[1];
   clock.Advance(999 * kMicrosecond);
-  EXPECT_EQ(b.RxBurst(rx), 0u);
+  EXPECT_EQ(b.RxBurst(rx, clock.Now()), 0u);
   clock.Advance(2 * kMicrosecond);
-  EXPECT_EQ(b.RxBurst(rx), 1u);
+  EXPECT_EQ(b.RxBurst(rx, clock.Now()), 1u);
+}
+
+// A receiver skips its rx-queue lock while the earliest frame on the wire is not yet due. A
+// frame queued behind a later-due one must lower that published time, or it would wait for
+// the earlier sender's frame.
+TEST(SimNetworkTest, FrameQueuedAfterALaterDueFrameArrivesOnTime) {
+  LinkConfig link;
+  link.bandwidth_bps = 8'000'000;  // 8 Mbps: 1000 bytes take 1 ms, 1 byte takes 1 us
+  VirtualClock clock;
+  SimNetwork net(link, 1);
+  SimNic a(net, MacAddr{1}, clock);
+  SimNic b(net, MacAddr{2}, clock);
+  SimNic c(net, MacAddr{3}, clock);
+  std::vector<uint8_t> kb(1000, 0xA);
+  std::span<const uint8_t> big(kb);
+  ASSERT_EQ(a.TxBurst(MacAddr{2}, {&big, 1}), Status::kOk);  // departs after 1 ms
+  const uint8_t one = 0xC;
+  std::span<const uint8_t> small(&one, 1);
+  ASSERT_EQ(c.TxBurst(MacAddr{2}, {&small, 1}), Status::kOk);  // its own line: due in 2 us
+  WireFrame rx[4];
+  EXPECT_EQ(b.RxBurst(rx, clock.Now()), 0u);  // neither is due
+  clock.Advance(10 * kMicrosecond);
+  ASSERT_EQ(b.RxBurst(rx, clock.Now()), 1u);
+  ASSERT_EQ(rx[0].size(), 1u);
+  EXPECT_EQ(rx[0][0], 0xC);
+  EXPECT_EQ(b.RxBurst(rx, clock.Now()), 0u);
+  clock.Advance(1 * kMillisecond);
+  ASSERT_EQ(b.RxBurst(rx, clock.Now()), 1u);
+  EXPECT_EQ(rx[0].size(), 1000u);
 }
 
 TEST(SimNetworkTest, RxQueueTailDrops) {
@@ -253,7 +283,7 @@ TEST(SimNetworkTest, CrossThreadPingPong) {
     WireFrame rx[8];
     int echoed = 0;
     while (echoed < kRounds) {
-      const size_t n = server.RxBurst(rx);
+      const size_t n = server.RxBurst(rx, clock.Now());
       for (size_t i = 0; i < n; i++) {
         std::span<const uint8_t> seg(rx[i]);
         ASSERT_EQ(server.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
@@ -269,7 +299,7 @@ TEST(SimNetworkTest, CrossThreadPingPong) {
     ASSERT_EQ(client.TxBurst(MacAddr{1}, {&seg, 1}), Status::kOk);
     size_t n = 0;
     while (n == 0) {
-      n = client.RxBurst(std::span<WireFrame>(rx, 1));
+      n = client.RxBurst(std::span<WireFrame>(rx, 1), clock.Now());
     }
     ASSERT_EQ(rx[0][0], static_cast<uint8_t>(r & 0xFF));
   }
@@ -315,14 +345,14 @@ TEST_F(SimRdmaTest, TwoSidedSendRecv) {
 
   // Sender sees a send completion.
   RdmaCompletion comps[4];
-  ASSERT_EQ(a_.PollCq(comps), 1u);
+  ASSERT_EQ(a_.PollCq(comps, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].type, RdmaCompletion::Type::kSend);
   EXPECT_EQ(comps[0].wr_id, 55u);
 
   // Receiver sees the message after the fabric delay.
-  EXPECT_EQ(b_.PollCq(comps), 0u);
+  EXPECT_EQ(b_.PollCq(comps, clock_.Now()), 0u);
   clock_.Advance(10 * kMicrosecond);
-  ASSERT_EQ(b_.PollCq(comps), 1u);
+  ASSERT_EQ(b_.PollCq(comps, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].type, RdmaCompletion::Type::kRecv);
   EXPECT_EQ(comps[0].wr_id, 77u);
   EXPECT_EQ(comps[0].byte_len, 5u);
@@ -346,7 +376,7 @@ TEST_F(SimRdmaTest, LargeMessageFragmentsAndReassembles) {
 
   clock_.Advance(1 * kMillisecond);
   RdmaCompletion comps[4];
-  ASSERT_EQ(b_.PollCq(comps), 1u);
+  ASSERT_EQ(b_.PollCq(comps, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].byte_len, size);
   EXPECT_EQ(std::memcmp(recv_buf.data(), msg.data(), size), 0);
 }
@@ -357,7 +387,7 @@ TEST_F(SimRdmaTest, RnrDropWhenNoRecvPosted) {
   ASSERT_EQ(a_.PostSend(qp_a_, MacAddr{20}, qp_b_, {&seg, 1}, 3), Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   RdmaCompletion comps[4];
-  EXPECT_EQ(b_.PollCq(comps), 0u);
+  EXPECT_EQ(b_.PollCq(comps, clock_.Now()), 0u);
   EXPECT_EQ(b_.stats().rnr_drops, 1u);
 }
 
@@ -370,7 +400,7 @@ TEST_F(SimRdmaTest, RecvBufferTooSmallCompletesWithError) {
   ASSERT_EQ(a_.PostSend(qp_a_, MacAddr{20}, qp_b_, {&seg, 1}, 9), Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   RdmaCompletion comps[4];
-  ASSERT_EQ(b_.PollCq(comps), 1u);
+  ASSERT_EQ(b_.PollCq(comps, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].status, Status::kMessageTooLong);
   EXPECT_EQ(b_.stats().recv_too_small, 1u);
 }
@@ -386,11 +416,11 @@ TEST_F(SimRdmaTest, OneSidedWriteLandsInRegisteredMemory) {
   clock_.Advance(10 * kMicrosecond);
   RdmaCompletion comps[4];
   // One-sided: no receiver completion, but memory updated after device processes the frame.
-  EXPECT_EQ(b_.PollCq(comps), 0u);
+  EXPECT_EQ(b_.PollCq(comps, clock_.Now()), 0u);
   EXPECT_EQ(window[8], 0xAB);
   EXPECT_EQ(window[9], 0xCD);
   // Sender got a write completion.
-  ASSERT_EQ(a_.PollCq(comps), 1u);
+  ASSERT_EQ(a_.PollCq(comps, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].type, RdmaCompletion::Type::kWrite);
 }
 
@@ -403,7 +433,7 @@ TEST_F(SimRdmaTest, WriteWithBadRkeyRejected) {
             Status::kOk);
   clock_.Advance(10 * kMicrosecond);
   RdmaCompletion comps[4];
-  b_.PollCq(comps);
+  b_.PollCq(comps, clock_.Now());
   EXPECT_EQ(b_.stats().bad_rkey_writes, 1u);
   EXPECT_EQ(window[0], 0);
 }
@@ -421,7 +451,7 @@ TEST_F(SimRdmaTest, ManyMessagesStayOrdered) {
   }
   clock_.Advance(1 * kMillisecond);
   RdmaCompletion comps[128];
-  const size_t n = b_.PollCq(comps);
+  const size_t n = b_.PollCq(comps, clock_.Now());
   ASSERT_EQ(n, 64u);
   for (size_t i = 0; i < n; i++) {
     EXPECT_EQ(comps[i].wr_id, i);  // recv buffers consumed FIFO, messages in order
@@ -550,7 +580,8 @@ TEST(MultiQueueNicTest, RssSteersFlowsToPredictedQueues) {
     WireFrame rx[kFlows];
     size_t got = 0;
     size_t n;
-    while ((n = receiver.RxBurst(q, std::span<WireFrame>(rx + got, kFlows - got))) > 0) {
+    while ((n = receiver.RxBurst(q, std::span<WireFrame>(rx + got, kFlows - got), clock.Now())) >
+           0) {
       got += n;
     }
     EXPECT_EQ(got, expected_per_queue[q]) << "queue " << q;
@@ -581,9 +612,9 @@ TEST(MultiQueueNicTest, NonIpv4LandsOnQueueZero) {
   ASSERT_EQ(sender.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
   clock.Advance(10 * kMicrosecond);
   WireFrame rx[4];
-  EXPECT_EQ(receiver.RxBurst(0, rx), 1u);
+  EXPECT_EQ(receiver.RxBurst(0, rx, clock.Now()), 1u);
   for (size_t q = 1; q < 4; q++) {
-    EXPECT_EQ(receiver.RxBurst(q, rx), 0u);
+    EXPECT_EQ(receiver.RxBurst(q, rx, clock.Now()), 0u);
   }
 }
 

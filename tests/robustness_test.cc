@@ -84,7 +84,7 @@ TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
   ASSERT_EQ(dev.SubmitWrite(lba, block, 999), Status::kOk);
   clock.Advance(kSecond);
   SimBlockDevice::Completion comps[4];
-  dev.PollCompletions(comps);
+  dev.PollCompletions(comps, 0, clock.Now());
 
   LogDevice recovered(dev, sched);
   ASSERT_EQ(recovered.Recover(), Status::kOk);
@@ -122,7 +122,7 @@ TEST(RdmaBoundaryTest, WriteSpanningRegionEndRejected) {
             Status::kOk);
   clock.Advance(kMillisecond);
   RdmaCompletion comps[4];
-  b.PollCq(comps);
+  b.PollCq(comps, clock.Now());
   EXPECT_EQ(b.stats().bad_rkey_writes, 1u);
   for (uint8_t byte : window) {
     ASSERT_EQ(byte, 0);
@@ -141,7 +141,7 @@ TEST(RdmaBoundaryTest, SendToDeadQpIsDroppedSilently) {
   ASSERT_EQ(a.PostSend(1, MacAddr{2}, 9, {&seg, 1}, 1), Status::kOk);
   clock.Advance(kMillisecond);
   RdmaCompletion comps[4];
-  EXPECT_EQ(b.PollCq(comps), 0u);  // no recv completion, no crash
+  EXPECT_EQ(b.PollCq(comps, clock.Now()), 0u);  // no recv completion, no crash
   EXPECT_EQ(b.stats().recvs, 0u);
 }
 
@@ -161,7 +161,7 @@ TEST(RdmaBoundaryTest, UnregisterInvalidatesRkey) {
             Status::kOk);
   clock.Advance(kMillisecond);
   RdmaCompletion comps[4];
-  b.PollCq(comps);
+  b.PollCq(comps, clock.Now());
   EXPECT_EQ(b.stats().bad_rkey_writes, 1u);
   EXPECT_EQ(window[0], 0);
 }

@@ -31,16 +31,34 @@ TEST_F(BlockDeviceTest, WriteThenReadRoundTrips) {
   std::vector<uint8_t> data(4096, 0x5A);
   ASSERT_EQ(dev_.SubmitWrite(3, data, 1), Status::kOk);
   SimBlockDevice::Completion comps[4];
-  EXPECT_EQ(dev_.PollCompletions(comps), 0u);  // async: latency not elapsed
+  EXPECT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 0u);  // async: latency not elapsed
   clock_.Advance(100 * kMicrosecond);
-  ASSERT_EQ(dev_.PollCompletions(comps), 1u);
+  ASSERT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 1u);
   EXPECT_EQ(comps[0].cookie, 1u);
 
   std::vector<uint8_t> out(4096, 0);
   ASSERT_EQ(dev_.SubmitRead(3, out, 2), Status::kOk);
   clock_.Advance(100 * kMicrosecond);
-  ASSERT_EQ(dev_.PollCompletions(comps), 1u);
+  ASSERT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 1u);
   EXPECT_EQ(out, data);
+}
+
+// Pollers skip the device lock while no op is in flight. The in-flight count spans every
+// queue, and another queue's poll must not hand out (or lose) this queue's completion.
+TEST_F(BlockDeviceTest, IdlePollsAreEmptyAndOtherQueuesKeepTheirCompletions) {
+  dev_.ConfigureQueues(2);
+  SimBlockDevice::Completion comps[4];
+  EXPECT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 0u);
+  EXPECT_EQ(dev_.PollCompletions(comps, 1, clock_.Now()), 0u);
+  std::vector<uint8_t> data(4096, 0x1);
+  ASSERT_EQ(dev_.SubmitWrite(5, data, /*cookie=*/7, /*queue=*/1), Status::kOk);
+  clock_.Advance(100 * kMicrosecond);
+  EXPECT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 0u);  // retires it onto queue 1
+  ASSERT_EQ(dev_.PollCompletions(comps, 1, clock_.Now()), 1u);
+  EXPECT_EQ(comps[0].cookie, 7u);
+  EXPECT_EQ(comps[0].status, Status::kOk);
+  EXPECT_EQ(dev_.PollCompletions(comps, 1, clock_.Now()), 0u);
+  EXPECT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 0u);
 }
 
 TEST_F(BlockDeviceTest, WriteLatencyModelHolds) {
@@ -84,7 +102,7 @@ TEST_F(BlockDeviceTest, CompletionsOrderedByTime) {
   ASSERT_EQ(dev_.SubmitWrite(2, data, 12), Status::kOk);
   clock_.Advance(1 * kMillisecond);
   SimBlockDevice::Completion comps[8];
-  const size_t n = dev_.PollCompletions(comps);
+  const size_t n = dev_.PollCompletions(comps, 0, clock_.Now());
   ASSERT_EQ(n, 3u);
   EXPECT_EQ(comps[0].cookie, 10u);
   EXPECT_EQ(comps[1].cookie, 11u);
@@ -147,7 +165,7 @@ class LogDeviceTest : public ::testing::Test {
     ASSERT_EQ(dev_.SubmitWrite(offset / bs, block, /*cookie=*/999), Status::kOk);
     clock_.Advance(kSecond);
     SimBlockDevice::Completion comps[4];
-    ASSERT_EQ(dev_.PollCompletions(comps), 1u);
+    ASSERT_EQ(dev_.PollCompletions(comps, 0, clock_.Now()), 1u);
   }
 
   VirtualClock clock_;

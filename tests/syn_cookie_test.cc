@@ -112,7 +112,8 @@ class SynCookieStackTest : public ::testing::Test {
   }
 
   void Step() {
-    const size_t activity = client_.eth.PollOnce() + server_.eth.PollOnce() +
+    const TimeNs now = clock_.Now();
+    const size_t activity = client_.eth.PollOnce(now) + server_.eth.PollOnce(now) +
                             client_.sched.Poll() + server_.sched.Poll();
     if (activity > 0) {
       return;
@@ -244,7 +245,7 @@ TEST_F(SynCookieStackTest, BogusAckToListenerPortIsRefusedWithRst) {
   ip.protocol = IpProto::kTcp;
   uint8_t bytes[TcpHeader::kBaseSize + TcpHeader::kMaxOptionBytes];
   ack.Serialize(bytes, ip.src, ip.dst, std::span<const uint8_t>{}, /*compute_checksum=*/false);
-  server_.tcp.OnIpv4Packet(ip, {bytes, ack.SerializedSize()});
+  server_.tcp.OnIpv4Packet(ip, {bytes, ack.SerializedSize()}, clock_.Now());
 
   EXPECT_EQ(server_.tcp.stats().no_connection, 1u);
   EXPECT_EQ(server_.tcp.stats().rst_sent, 1u);
@@ -272,7 +273,7 @@ TEST_F(SynCookieStackTest, HalfOpenFloodAllocatesNothing) {
     ip.src = Ipv4Addr{0x0B000000 | (i >> 14 << 8) | (i & 0xFF)};
     uint8_t bytes[TcpHeader::kBaseSize + TcpHeader::kMaxOptionBytes];
     syn.Serialize(bytes, ip.src, ip.dst, std::span<const uint8_t>{}, /*compute_checksum=*/false);
-    server_.tcp.OnIpv4Packet(ip, {bytes, syn.SerializedSize()});
+    server_.tcp.OnIpv4Packet(ip, {bytes, syn.SerializedSize()}, clock_.Now());
   }
 
   // Every SYN was answered statelessly; no TCB, no flow-table entry, no slab growth.

@@ -51,8 +51,9 @@ class TcpBatchingTest : public ::testing::Test {
   }
 
   void Step() {
+    const TimeNs now = clock_.Now();
     const size_t activity =
-        a_.eth.PollOnce() + b_.eth.PollOnce() + a_.sched.Poll() + b_.sched.Poll();
+        a_.eth.PollOnce(now) + b_.eth.PollOnce(now) + a_.sched.Poll() + b_.sched.Poll();
     if (activity > 0) {
       return;
     }
@@ -167,7 +168,7 @@ TEST_F(TcpBatchingTest, CoalescingOffSendsOneSegmentPerPush) {
   auto client = c.tcp.Connect(SocketAddress{b_.eth.local_ip(), 5001});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(RunUntil([&] {
-    c.eth.PollOnce();
+    c.eth.PollOnce(clock_.Now());
     c.sched.Poll();
     return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
   }));
@@ -183,7 +184,7 @@ TEST_F(TcpBatchingTest, CoalescingOffSendsOneSegmentPerPush) {
   }
   std::string got;
   RunUntil([&] {
-    c.eth.PollOnce();
+    c.eth.PollOnce(clock_.Now());
     c.sched.Poll();
     while (auto chunk = server->PopData()) {
       got.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
