@@ -1,8 +1,9 @@
 // Bulk zero-copy transfer over Catnip TCP into a Cattree log: the sender pushes a file as large
 // sgarray segments; the receiver splices the connection straight into its log partition
 // (demi_splice semantics — no payload memcpy between the NIC rx path and the disk's gather DMA).
-// Shows MSS segmentation, Cubic congestion-window growth, the splice batch pipeline overlapping
-// disk appends with reception, and the heap's UAF protection holding buffers until acked.
+// Shows MSS segmentation, Cubic congestion-window growth, the splice appending what arrived
+// while its previous append was on the disk, and the heap's UAF protection holding buffers
+// until acked.
 //
 // Default: 8 MB, prints goodput. `--check`: 64 MB self-check mode — asserts the receiver heap
 // stays flat across the transfer (zero-copy means no per-byte allocations), that the log never
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
   }
 
   // Receiver: splice the connection into the log — every popped view goes to the disk's gather
-  // DMA untouched; the appender fiber overlaps disk latency with continued reception.
+  // DMA untouched, and each append takes what arrived while the previous one was on the disk.
   auto file_qd = receiver.Open("transfer");
   auto splice_qt = receiver.Splice(accepted->new_qd, *file_qd);
   if (!file_qd.ok() || !splice_qt.ok()) {

@@ -11,6 +11,7 @@
 #define SRC_CORE_LIBOS_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -188,9 +189,9 @@ class LibOS {
   // the Event its oldest operation waits on; the hook only records the queue, and the libOS's
   // fast path calls ServeHookedQueues right after draining its device, so the event that makes
   // an operation ready completes it in the same poll, oldest first. Catnap has no device
-  // events: every waiting queue hooks one event that its fast path notifies each poll, so each
-  // retries its oldest operation once per poll. Every network libOS (Catnip, Catmint, Catnap)
-  // waits this way.
+  // events: every waiting queue hooks next_poll_, so each retries its oldest operation once per
+  // poll. Storage ops wait the same way, on the Event of their log I/O (StorageQueueEngine), so
+  // every libOS waits this way.
   //
   // A libOS `OS` using this declares `friend class LibOS` and gives its queue state `Q` a
   // `PendingOps pending` member and these private members:
@@ -209,10 +210,41 @@ class LibOS {
   // Allocates `op`'s qtoken on queue `qd` and queues it; it completes here if `q` is ready.
   template <typename OS, typename Q>
   QToken SubmitPending(OS& os, QueueDesc qd, Q& q, OpCode op, TenantId tenant = kDefaultTenant) {
-    const QToken qt = tokens_.Allocate(op, qd, tenant);
-    q.pending.ops.push_back(PendingOp{qt, op});
+    return SubmitPending(os, qd, q, PendingOp{tokens_.Allocate(op, qd, tenant), op});
+  }
+  // As above, for an op whose qtoken the libOS allocated (to tag the buffers it pins with it).
+  template <typename OS, typename Q>
+  QToken SubmitPending(OS& os, QueueDesc qd, Q& q, PendingOp op) {
+    q.pending.ops.push_back(op);
     ServePending(os, qd, q);
-    return qt;
+    return op.qt;
+  }
+
+  // Close's last step, once the libOS tore down queue `qd`'s device state: sets `closing`,
+  // completes the queue's ops and erases it. Only the oldest op can keep waiting, when its I/O
+  // is already on a device: the queue state then outlives the erase, and ServeHookedQueues
+  // completes that op once the I/O is done. The ops behind it never started: kCancelled.
+  template <typename OS, typename Map>
+  void CloseQueue(OS& os, Map& queues, QueueDesc qd) {
+    auto it = queues.find(qd);
+    auto& ops = it->second.pending.ops;
+    it->second.closing = true;
+    ServePending(os, qd, it->second);
+    if (!ops.empty()) {
+      const PendingOp busy = ops.front();
+      for (size_t i = 1; i < ops.size(); i++) {
+        tokens_.Cancel(ops[i].qt, Status::kCancelled);
+      }
+      auto keep = std::make_shared<typename Map::mapped_type>(std::move(it->second));
+      orphans_.push_back([this, &os, keep, busy] {
+        std::optional<QResult> r = os.NextResult(*keep, busy.op);
+        if (r.has_value()) {
+          CompleteToken(busy.qt, std::move(*r));
+        }
+        return r.has_value();
+      });
+    }
+    queues.erase(it);
   }
 
   // Completes `q`'s ops oldest first while NextResult yields a result, then hooks the
@@ -239,10 +271,14 @@ class LibOS {
     // demilint: end-fastpath
   }
 
-  // Serves every queue whose hook fired since the last call, skipping queues closed since.
+  // Serves every queue whose hook fired since the last call, skipping queues closed since, and
+  // completes the closed queues' ops whose I/O is done.
   template <typename OS>
   void ServeHookedQueues(OS& os) {
     // demilint: fastpath
+    if (!orphans_.empty()) {
+      std::erase_if(orphans_, [](const std::function<bool()>& complete) { return complete(); });
+    }
     for (size_t i = 0; i < hooked_queues_.size(); i++) {
       const QueueDesc qd = hooked_queues_[i];
       auto* q = os.Find(qd);
@@ -276,6 +312,11 @@ class LibOS {
   // Queues whose hook fired (see ServePending). A base member, so it outlives every event a
   // concrete libOS owns: TcpStack's destructor, for one, notifies its connections' events.
   std::vector<QueueDesc> hooked_queues_;
+  // For ops that wait on no device event: notified once per poll by the fast paths that have
+  // such ops (Catnap's, and Catnip's for a backlogged disk→net splice).
+  Event next_poll_;
+  // The ops CloseQueue left waiting for their I/O; each completes its op once it can.
+  std::vector<std::function<bool()>> orphans_;
 
   // Hook for concrete libOSes to propagate a freshly registered tenant's limits into their
   // datapath (e.g. Catnip configures the NIC TX scheduler's token bucket and DRR weight).

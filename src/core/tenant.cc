@@ -9,7 +9,6 @@ void TenantTable::Register(TenantId tenant, const TenantConfig& config) {
   Entry* e = FindEntry(tenant);
   if (e == nullptr) {
     entries_.push_back(Entry{tenant, config, TenantStats{}});
-    ids_.push_back(tenant);
   } else {
     e->config = config;
   }

@@ -67,7 +67,6 @@ class TenantTable {
 
   TenantStats GetStats(TenantId tenant) const;
   size_t NumRegistered() const { return entries_.size(); }
-  const std::vector<TenantId>& RegisteredIds() const { return ids_; }
 
   // Aggregates for fixed (unlabelled) metrics.
   uint64_t TotalAcceptAdmitted() const;
@@ -86,7 +85,6 @@ class TenantTable {
 
   // Linear scan: tenant counts are small (a handful per shard) and entries are hot in cache.
   std::vector<Entry> entries_;
-  std::vector<TenantId> ids_;
   bool any_watermark_ = false;
 };
 

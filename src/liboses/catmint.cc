@@ -60,12 +60,11 @@ Catmint::Catmint(SimNetwork& network, const Config& config, Clock& clock)
                            [this] { return stats_.connects_rejected; });
   metrics_.RegisterGauge("catmint.posted_recvs", "buffers", [this] { return posted_recvs_; });
   if (config.disk != nullptr) {
-    storage_ = std::make_unique<StorageQueueEngine>(*config.disk, sched_, alloc_, tokens_);
+    storage_ = std::make_unique<StorageQueueEngine>(*config.disk, sched_, alloc_);
     config.disk->RegisterMetrics(metrics_);
     storage_->log().RegisterMetrics(metrics_);
   }
   sched_.Spawn(FastPathFiber());
-  sched_.Spawn(FlowControlFiber());
 }
 
 Catmint::~Catmint() {
@@ -284,7 +283,11 @@ Task<void> Catmint::FastPathFiber() {
         posted_recvs_--;
       }
     }
-    // Complete the accepts, connects and pops these messages made ready.
+    if (storage_ != nullptr) {
+      storage_->Poll(now);
+    }
+    // Complete the accepts, connects and pops these messages made ready, and the file ops
+    // whose disk I/O completed.
     ServeHookedQueues(*this);
     // Credit updates arrive as one-sided writes, which by design raise no completion; the
     // sender learns about them only by reading its counter. Send the blocked pushes that
@@ -294,25 +297,16 @@ Task<void> Catmint::FastPathFiber() {
         TrySendBlocked(*conn);
       }
     }
-    // Flow control: unblock the repost fiber when the pool runs low (paper §6.2).
-    if (posted_recvs_ < config_.repost_threshold) {
-      need_repost_.Notify();
-    }
-    if (storage_ != nullptr) {
-      storage_->Poll(now);
+    // Flow control (paper §6.2): once pops consumed messages or the pool runs low, repost the
+    // free receive buffers and publish consumption to every connection's peer.
+    if (flow_control_due_ || posted_recvs_ < config_.repost_threshold) {
+      flow_control_due_ = false;
+      PostRecvBuffers();
+      for (auto& [id, conn] : conns_) {
+        PublishConsumed(*conn);
+      }
     }
     co_await Scheduler::Yield{};
-  }
-}
-
-Task<void> Catmint::FlowControlFiber() {
-  while (!shutdown_) {
-    PostRecvBuffers();
-    // Publish consumption updates for all connections with progress.
-    for (auto& [id, conn] : conns_) {
-      PublishConsumed(*conn);
-    }
-    co_await need_repost_.Wait();
   }
 }
 
@@ -393,12 +387,9 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kFile) {
-    if (storage_ == nullptr) {
-      return Status::kNotSupported;
-    }
     const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-    sched_.Spawn(storage_->PushOp(qt, sga));
-    return qt;
+    storage_->PinPush(*q->file, sga, qd, qt);
+    return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
   }
   if (q->kind != QKind::kConn) {
     return Status::kNotConnected;
@@ -452,15 +443,7 @@ Result<QToken> Catmint::Pop(QueueDesc qd) {
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  if (q->kind == QKind::kFile) {
-    if (storage_ == nullptr) {
-      return Status::kNotSupported;
-    }
-    const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-    storage_->Pop(q->file, qt);
-    return qt;
-  }
-  if (q->kind != QKind::kConn) {
+  if (q->kind != QKind::kConn && q->kind != QKind::kFile) {
     return Status::kNotConnected;
   }
   return SubmitPending(*this, qd, *q, OpCode::kPop);
@@ -470,6 +453,9 @@ Result<QToken> Catmint::Pop(QueueDesc qd) {
 
 std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
   // demilint: fastpath
+  if (q.kind == QKind::kFile) {
+    return storage_->NextResult(*q.file, op, q.closing);
+  }
   QResult r;
   if (q.closing) {
     r.status = Status::kCancelled;
@@ -499,7 +485,7 @@ std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
     r.sga = BufferToAppSga(std::move(conn.rx.front()));
     conn.rx.pop_front();
     conn.local_consumed++;
-    need_repost_.Notify();  // let the flow fiber publish the credit
+    flow_control_due_ = true;  // the fast path publishes the credit
     return r;
   }
   if (conn.remote_closed || conn.state == Connection::State::kClosed) {
@@ -512,6 +498,9 @@ std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
 
 Event& Catmint::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
+  if (q.kind == QKind::kFile) {
+    return storage_->WaitEvent(*q.file);
+  }
   if (op == OpCode::kAccept) {
     return q.listener->acceptable;
   }
@@ -552,10 +541,8 @@ Status Catmint::Close(QueueDesc qd) {
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  // Pending accepts, connects and pops complete with kCancelled now. Nothing else refers to the
-  // queue afterwards, so it is torn down here.
-  q->closing = true;
-  ServePending(*this, qd, *q);
+  // The queue is torn down here. Its pending ops complete with kCancelled now, except a file
+  // op whose log I/O is on the device, which completes once that I/O does.
   switch (q->kind) {
     case QKind::kConn: {
       Connection& conn = *q->conn;
@@ -570,13 +557,10 @@ Status Catmint::Close(QueueDesc qd) {
     case QKind::kListener:
       listeners_.erase(q->listener->port);
       break;
-    case QKind::kFile:
-      storage_->Close(*q->file);
-      break;
     default:
       break;
   }
-  queues_.erase(qd);
+  CloseQueue(*this, queues_, qd);
   return Status::kOk;
 }
 

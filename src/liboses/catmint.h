@@ -4,8 +4,8 @@
 // thin: it multiplexes PDPIX connections over one shared, well-known queue pair per device
 // (one QP per connection was unaffordably slow, §6.2) and adds message-based credit flow
 // control. The receiver advances the sender's window by *one-sided RDMA writes* into the
-// sender's registered credit counter, exactly as the paper describes; a flow-control fiber per
-// device keeps receive buffers posted and publishes consumption.
+// sender's registered credit counter, exactly as the paper describes; the fast path keeps
+// receive buffers posted and publishes consumption in the poll that consumed them.
 //
 // No PDPIX op gets a coroutine. A push sends inline while it has credits; otherwise it waits in
 // its connection's blocked-send queue, and the fast path's per-poll credit scan sends it once
@@ -17,10 +17,11 @@
 //
 // Close completes the queue's pending accepts, connects and pops, and the connection's
 // blocked pushes, with kCancelled, then tears the queue down before it returns; a peer's
-// close still reads as kEndOfFile. A file queue's pops not yet reading complete with
-// kCancelled; one whose read is in flight still gets its record (StorageQueueEngine::Close).
+// close still reads as kEndOfFile. A file queue's ops complete with kCancelled unless their
+// log I/O is already on the device; that op completes once the I/O does.
 //
-// Constructing with a SimBlockDevice yields the integrated Catmint×Cattree libOS.
+// Constructing with a SimBlockDevice yields the integrated Catmint×Cattree libOS; its file
+// pushes and pops wait in their queue's FIFO too, on their log I/O's Event.
 
 #ifndef SRC_LIBOSES_CATMINT_H_
 #define SRC_LIBOSES_CATMINT_H_
@@ -44,7 +45,7 @@ class Catmint final : public LibOS {
     size_t max_msg_size = 16 * 1024;  // paper: messages up to a configurable buffer size
     size_t send_window_msgs = 64;     // per-connection credits
     size_t recv_buffers = 256;        // device-level posted receives (shared by all conns)
-    size_t repost_threshold = 64;     // wake the flow fiber below this many posted buffers
+    size_t repost_threshold = 64;     // repost in the poll that finds fewer posted buffers
     SimBlockDevice* disk = nullptr;   // attach for Catmint×Cattree
   };
 
@@ -129,12 +130,12 @@ class Catmint final : public LibOS {
   struct QueueState {
     QKind kind = QKind::kUnbound;
     bool closing = false;  // set inside Close, which completes `pending` and erases the queue
-    PendingOps pending;    // accepts, connects and pops waiting for an event
+    PendingOps pending;    // accepts, connects, pops and file pushes waiting for an event
     uint16_t bound_port = 0;
     bool has_bound = false;
     std::unique_ptr<Listener> listener;
     std::shared_ptr<Connection> conn;
-    std::shared_ptr<StorageQueueEngine::File> file;
+    std::unique_ptr<StorageQueueEngine::File> file;
   };
 
   QueueState* Find(QueueDesc qd);
@@ -152,7 +153,6 @@ class Catmint final : public LibOS {
   size_t CreditsAvailable(const Connection& conn) const;
 
   Task<void> FastPathFiber();
-  Task<void> FlowControlFiber();
 
   // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
   // waiting on WaitEvent(q, op).
@@ -177,7 +177,7 @@ class Catmint final : public LibOS {
   std::vector<RecvSlot> recv_slots_;
   std::deque<size_t> free_slots_;
   size_t posted_recvs_ = 0;
-  Event need_repost_;
+  bool flow_control_due_ = false;  // a pop consumed a message: repost and publish credits
 
   std::unique_ptr<StorageQueueEngine> storage_;
   std::unordered_map<QueueDesc, QueueState> queues_;

@@ -382,7 +382,7 @@ std::optional<QResult> Catnap::NextResult(QueueState& q, OpCode op) {
 Task<void> Catnap::FastPathFiber() {
   for (;;) {
     // Catnap has no device events: every waiting queue retries its oldest op once per round.
-    next_round_.Notify();
+    next_poll_.Notify();
     ServeHookedQueues(*this);
     size_t kept = 0;
     for (const QueueDesc qd : unsent_queues_) {
@@ -436,17 +436,15 @@ Status Catnap::Close(QueueDesc qd) {
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  // Pending accepts, connects and pops, and unsent pushes, complete with kCancelled now.
+  // Unsent pushes, and pending accepts, connects and pops, complete with kCancelled now.
   // Nothing else refers to the queue afterwards, so it is torn down here.
-  q->closing = true;
-  ServePending(*this, qd, *q);
   for (const UnsentPush& push : q->unsent) {
     tokens_.Cancel(push.qt, Status::kCancelled);
   }
   if (q->fd >= 0) {
     ::close(q->fd);
   }
-  queues_.erase(qd);
+  CloseQueue(*this, queues_, qd);
   return Status::kOk;
 }
 

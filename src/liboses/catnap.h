@@ -81,7 +81,7 @@ class Catnap final : public LibOS {
 
   // Waiting ops (LibOS::PendingOps): one non-blocking syscall; nullopt while it would block.
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
-  Event& WaitEvent(QueueState& /*q*/, OpCode /*op*/) { return next_round_; }
+  Event& WaitEvent(QueueState& /*q*/, OpCode /*op*/) { return next_poll_; }
 
   // Writes `q`'s unsent pushes oldest first until the socket is full, completing each push's
   // qtoken when its last byte is written.
@@ -92,7 +92,6 @@ class Catnap final : public LibOS {
   QueueDesc InstallFd(int fd, QKind kind, SocketType type);
 
   std::unordered_map<QueueDesc, QueueState> queues_;
-  Event next_round_;                      // notified by the fast path once per round
   std::vector<QueueDesc> unsent_queues_;  // queues with unsent pushes
 };
 

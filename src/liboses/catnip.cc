@@ -1,5 +1,6 @@
 #include "src/liboses/catnip.h"
 
+#include <array>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -41,7 +42,7 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock, const Sh
   if (config.disk != nullptr) {
     PartitionedLog* plog = shard.plog;
     storage_ = std::make_unique<StorageQueueEngine>(
-        *config.disk, sched_, alloc_, tokens_,
+        *config.disk, sched_, alloc_,
         plog != nullptr ? plog->partition(shard.queue_id) : LogPartition{},
         plog != nullptr ? &plog->epoch() : nullptr);
     if (plog == nullptr) {
@@ -135,12 +136,13 @@ Task<void> Catnip::FastPathFiber() {
     // The poll's one clock read: the NIC burst, the TCP stack and the disk all run on it.
     const TimeNs now = sched_.poll_time();
     eth_.PollOnce(now);
-    // Complete the ops this burst (or a timer fired this poll) made ready.
-    ServeHookedQueues(*this);
     if (storage_ != nullptr) {
-      // Catnip×Cattree: round-robin the fast path between NIC and disk completions (§5.5).
+      // Catnip×Cattree: the fast path polls NIC and disk completions in turn (§5.5).
       storage_->Poll(now);
     }
+    // Complete the ops this poll's frames, disk completions or due timers made ready.
+    next_poll_.Notify();
+    ServeHookedQueues(*this);
     if (++iterations % kReapInterval == 0) {
       tcp_.Reap();
     }
@@ -299,12 +301,9 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
       return PushTo(qd, sga, q->udp_default_remote);
     }
     case QKind::kFile: {
-      if (storage_ == nullptr) {
-        return Status::kNotSupported;
-      }
       const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
-      sched_.Spawn(storage_->PushOp(qt, sga));
-      return qt;
+      storage_->PinPush(*q->file, sga, qd, qt);
+      return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
     }
     case QKind::kMemory: {
       const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
@@ -404,15 +403,8 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
     case QKind::kTcpConn:
     case QKind::kUdp:
     case QKind::kMemory:
+    case QKind::kFile:
       return SubmitPending(*this, qd, *q, OpCode::kPop, q->tenant);
-    case QKind::kFile: {
-      if (storage_ == nullptr) {
-        return Status::kNotSupported;
-      }
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      storage_->Pop(q->file, qt);
-      return qt;
-    }
     default:
       return Status::kNotConnected;
   }
@@ -422,6 +414,12 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
 
 std::optional<QResult> Catnip::NextResult(QueueState& q, OpCode op) {
   // demilint: fastpath
+  if (op == OpCode::kSplice) {
+    return q.kind == QKind::kFile ? SpliceToNet(q) : SpliceToDisk(q);
+  }
+  if (q.kind == QKind::kFile) {
+    return storage_->NextResult(*q.file, op, q.closing);
+  }
   QResult r;
   if (q.closing && q.kind != QKind::kMemory) {
     r.status = Status::kCancelled;
@@ -501,6 +499,18 @@ std::optional<QResult> Catnip::NextResult(QueueState& q, OpCode op) {
 
 Event& Catnip::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
+  if (op == OpCode::kSplice) {
+    // Its log I/O; else, to disk, the connection's data; to the network, a poll that may have
+    // drained the send backlog.
+    SpliceState& s = *q.splice;
+    if (s.io.state == LogDevice::Io::kBusy) {
+      return s.io.done;
+    }
+    return q.kind == QKind::kFile ? next_poll_ : s.conn->readable();
+  }
+  if (q.kind == QKind::kFile) {
+    return storage_->WaitEvent(*q.file);
+  }
   if (op == OpCode::kAccept) {
     return q.listener->acceptable();
   }
@@ -527,169 +537,134 @@ Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
   if (ShedOp(src->tenant)) {
     return Status::kQueueFull;
   }
-  if (src->kind == QKind::kTcpConn && dst->kind == QKind::kFile) {
-    const QToken qt = tokens_.Allocate(OpCode::kSplice, src_qd, src->tenant);
-    tracer_.Record(TraceEventType::kSpliceStart, static_cast<uint32_t>(src_qd),
-                   static_cast<uint64_t>(dst_qd));
-    splice_stats_.active++;
-    auto st = std::make_shared<SpliceState>();
-    sched_.Spawn(SpliceAppendFiber(st));
-    sched_.Spawn(SpliceNetToDiskOp(src_qd, qt, src->conn, std::move(st)));
-    return qt;
+  const bool to_disk = src->kind == QKind::kTcpConn && dst->kind == QKind::kFile;
+  if (!to_disk && !(src->kind == QKind::kFile && dst->kind == QKind::kTcpConn)) {
+    return Status::kNotSupported;  // only (TCP connection, file) pairs can splice
   }
-  if (src->kind == QKind::kFile && dst->kind == QKind::kTcpConn) {
-    const QToken qt = tokens_.Allocate(OpCode::kSplice, src_qd, src->tenant);
-    tracer_.Record(TraceEventType::kSpliceStart, static_cast<uint32_t>(src_qd),
-                   static_cast<uint64_t>(dst_qd));
-    splice_stats_.active++;
-    sched_.Spawn(SpliceDiskToNetOp(src_qd, qt, dst->conn, src->file->cursor));
-    return qt;
+  if (src->splice != nullptr) {
+    return Status::kInvalidArgument;  // one splice at a time per queue
   }
-  return Status::kNotSupported;  // only (TCP connection, file) pairs can splice
+  const QToken qt = tokens_.Allocate(OpCode::kSplice, src_qd, src->tenant);
+  tracer_.Record(TraceEventType::kSpliceStart, static_cast<uint32_t>(src_qd),
+                 static_cast<uint64_t>(dst_qd));
+  splice_stats_.active++;
+  src->splice = std::make_unique<SpliceState>(to_disk ? src->conn : dst->conn, src_qd, qt);
+  return SubmitPending(*this, src_qd, *src, PendingOp{qt, OpCode::kSplice});
 }
 
-// Producer half of a TCP→disk splice: drains ready views off the connection into bounded
-// batches and hands them to the appender. Never copies — the batch holds references to the
-// same heap objects the NIC delivered into.
-Task<void> Catnip::SpliceNetToDiskOp(QueueDesc src_qd, QToken qt,
-                                     std::shared_ptr<TcpConnection> conn,
-                                     std::shared_ptr<SpliceState> st) {
+// net→disk: whenever none of its appends is in flight, the splice takes the connection's ready
+// views, up to one batch, and gather-appends them as one log record — never copying them, the
+// device gathers the same heap objects the NIC delivered into. The views stay in the receive
+// queue, and in its window, until their record is durable; then the splice pops them. It ends
+// at the end of the stream, once its last record is durable.
+std::optional<QResult> Catnip::SpliceToDisk(QueueState& q) {
+  SpliceState& s = *q.splice;
+  TcpConnection& conn = *s.conn;
   for (;;) {
-    if (st->status != Status::kOk) {
-      break;  // the appender hit a terminal disk error
+    if (s.io.state == LogDevice::Io::kBusy) {
+      return std::nullopt;
     }
-    if (conn->HasReadyData()) {
-      SpliceBatch batch;
-      while (batch.bytes < kSpliceBatchBytes && batch.views.size() < kSpliceBatchMaxSlices &&
-             conn->HasReadyData()) {
-        auto data = conn->PopData();
-        DEMI_CHECK(data.has_value());
-        data->NoteOwner(src_qd, qt);
-        batch.bytes += data->size();
-        batch.views.push_back(std::move(*data));
+    if (s.io.state == LogDevice::Io::kDone) {
+      s.io.state = LogDevice::Io::kIdle;
+      s.result.status = s.io.status;
+      for (; s.batch > 0; s.batch--) {
+        const std::optional<Buffer> view = conn.PopData();
+        if (s.io.status == Status::kOk) {
+          s.result.bytes += view->size();
+          splice_stats_.bytes += view->size();
+        }
       }
-      while (st->batches.size() >= kSpliceMaxQueuedBatches && st->status == Status::kOk) {
-        co_await st->batch_space.Wait();  // pipeline full: let the appender drain
+      splice_stats_.records += s.io.status == Status::kOk ? 1 : 0;
+    }
+    if (s.result.status != Status::kOk) {
+      break;  // a terminal disk error
+    }
+    if (q.closing) {
+      s.result.status = Status::kCancelled;
+      break;
+    }
+    if (!conn.HasReadyData()) {
+      if (conn.EndOfStream()) {
+        break;  // FIN received and every byte consumed: clean end of the splice
       }
-      if (st->status != Status::kOk) {
+      if (conn.state() == TcpState::kClosed) {
+        s.result.status = conn.error();
         break;
       }
-      tracer_.Record(TraceEventType::kSpliceBatch, static_cast<uint32_t>(batch.views.size()),
-                     batch.bytes);
-      st->batches.push_back(std::move(batch));
-      st->batch_ready.Notify();
-      continue;
+      return std::nullopt;
     }
-    if (conn->EndOfStream()) {
-      break;  // FIN received and every byte consumed: clean end of the splice
+    const std::deque<Buffer>& ready = conn.ReadyData();
+    std::array<std::span<const uint8_t>, kSpliceBatchMaxSlices> slices;
+    size_t bytes = 0;
+    for (; bytes < kSpliceBatchBytes && s.batch < kSpliceBatchMaxSlices && s.batch < ready.size();
+         s.batch++) {
+      ready[s.batch].NoteOwner(s.qd, s.qt);
+      slices[s.batch] = {ready[s.batch].data(), ready[s.batch].size()};
+      bytes += ready[s.batch].size();
     }
-    if (conn->state() == TcpState::kClosed) {
-      if (st->status == Status::kOk && conn->error() != Status::kOk) {
-        st->status = conn->error();
-      }
-      break;
-    }
-    co_await conn->readable().Wait();
+    tracer_.Record(TraceEventType::kSpliceBatch, static_cast<uint32_t>(s.batch), bytes);
+    storage_->log().StartAppendSg(s.io, {slices.data(), s.batch});
   }
-  st->producer_done = true;
-  st->batch_ready.Notify();
-  while (!st->appender_done) {
-    co_await st->appender_finished.Wait();
-  }
-  splice_stats_.ops++;
-  splice_stats_.active--;
-  tracer_.Record(TraceEventType::kSpliceDone, st->status == Status::kOk ? 0 : 1, st->bytes);
-  QResult r;
-  r.status = st->status;
-  r.bytes = st->bytes;
-  CompleteToken(qt, r);
+  return FinishSplice(q);
 }
 
-// Consumer half: gather-appends each batch as one log record. While this coroutine awaits the
-// device, the producer keeps popping the connection — the pipelining that overlaps disk
-// latency with transmission.
-Task<void> Catnip::SpliceAppendFiber(std::shared_ptr<SpliceState> st) {
-  while (!(st->batches.empty() && st->producer_done)) {
-    if (st->batches.empty()) {
-      co_await st->batch_ready.Wait();
-      continue;
+// disk→net: reads one record at a time at the file cursor and pushes the payload view into the
+// connection, so the NIC transmits straight from log-read memory. Backpressure bounds the send
+// backlog so a slow receiver cannot balloon the heap: above kSpliceTxHighWater the next read
+// waits a poll. The splice ends at the log's tail and leaves the cursor where it stopped.
+std::optional<QResult> Catnip::SpliceToNet(QueueState& q) {
+  SpliceState& s = *q.splice;
+  TcpConnection& conn = *s.conn;
+  for (;;) {
+    if (s.io.state == LogDevice::Io::kBusy) {
+      return std::nullopt;
     }
-    SpliceBatch batch = std::move(st->batches.front());
-    st->batches.pop_front();
-    st->batch_space.Notify();
-    if (st->status != Status::kOk) {
-      continue;  // drain (and release) remaining batches after a terminal error
-    }
-    std::vector<std::span<const uint8_t>> slices;
-    slices.reserve(batch.views.size());
-    for (const Buffer& b : batch.views) {
-      slices.emplace_back(b.data(), b.size());
-    }
-    auto result = co_await storage_->log().AppendSg(slices);
-    if (!result.ok()) {
-      st->status = result.error();
-      st->batch_space.Notify();  // wake a producer parked on the full pipeline
-    } else {
-      st->bytes += batch.bytes;
-      st->records++;
-      splice_stats_.bytes += batch.bytes;
+    if (s.io.state == LogDevice::Io::kDone) {
+      s.io.state = LogDevice::Io::kIdle;
+      if (s.io.status != Status::kOk) {
+        if (s.io.status != Status::kEndOfFile) {
+          s.result.status = s.io.status;  // reaching the tail is the clean end of the splice
+        }
+        break;
+      }
+      q.file->cursor = s.io.record.next_cursor;
+      Buffer payload = std::move(s.io.record.payload);
+      if (conn.state() == TcpState::kClosed) {
+        s.result.status = conn.error() == Status::kOk ? Status::kConnectionReset : conn.error();
+        break;
+      }
+      payload.NoteOwner(s.qd, s.qt);
+      const uint64_t len = payload.size();
+      tracer_.Record(TraceEventType::kSpliceBatch, 1, len);
+      const Status push = conn.Push(std::move(payload));
+      if (push != Status::kOk) {
+        s.result.status = push;
+        break;
+      }
+      s.result.bytes += len;
+      splice_stats_.bytes += len;
       splice_stats_.records++;
     }
-    // batch.views destruct here: the TCP rx buffers release only after the record is durable.
+    if (q.closing) {
+      s.result.status = Status::kCancelled;
+      break;
+    }
+    if (conn.SendBacklogBytes() > kSpliceTxHighWater &&
+        conn.state() == TcpState::kEstablished) {
+      return std::nullopt;
+    }
+    storage_->log().StartRead(s.io, q.file->cursor, alloc_);
   }
-  st->appender_done = true;
-  st->appender_finished.Notify();
+  return FinishSplice(q);
 }
 
-// disk→net: read each record into one pooled allocation and push the payload view into the
-// connection; the NIC transmits straight from log-read memory. Backpressure bounds the send
-// backlog so a slow receiver cannot balloon the heap.
-Task<void> Catnip::SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
-                                     std::shared_ptr<TcpConnection> conn, uint64_t cursor) {
-  Status status = Status::kOk;
-  uint64_t total = 0;
-  uint64_t records = 0;
-  for (;;) {
-    auto result = co_await storage_->log().Read(cursor, alloc_);
-    if (!result.ok()) {
-      if (result.error() != Status::kEndOfFile) {
-        status = result.error();  // reaching the tail is the clean end of the splice
-      }
-      break;
-    }
-    cursor = result->next_cursor;
-    const uint64_t len = result->payload.size();
-    while (conn->SendBacklogBytes() > kSpliceTxHighWater &&
-           conn->state() == TcpState::kEstablished) {
-      co_await Scheduler::Yield{};
-    }
-    if (conn->state() == TcpState::kClosed) {
-      status = conn->error() == Status::kOk ? Status::kConnectionReset : conn->error();
-      break;
-    }
-    result->payload.NoteOwner(src_qd, qt);
-    tracer_.Record(TraceEventType::kSpliceBatch, 1, len);
-    const Status push = conn->Push(std::move(result->payload));
-    if (push != Status::kOk) {
-      status = push;
-      break;
-    }
-    total += len;
-    records++;
-  }
-  QueueState* q = Find(src_qd);
-  if (q != nullptr && q->kind == QKind::kFile) {
-    q->file->cursor = cursor;  // the next pop/splice on this queue resumes where we stopped
-  }
+QResult Catnip::FinishSplice(QueueState& q) {
+  const std::unique_ptr<SpliceState> s = std::move(q.splice);
   splice_stats_.ops++;
   splice_stats_.active--;
-  splice_stats_.bytes += total;
-  splice_stats_.records += records;
-  tracer_.Record(TraceEventType::kSpliceDone, status == Status::kOk ? 0 : 1, total);
-  QResult r;
-  r.status = status;
-  r.bytes = total;
-  CompleteToken(qt, r);
+  tracer_.Record(TraceEventType::kSpliceDone, s->result.status == Status::kOk ? 0 : 1,
+                 s->result.bytes);
+  return s->result;
 }
 
 // --- Storage and memory queues ---
@@ -738,11 +713,9 @@ Status Catnip::Close(QueueDesc qd) {
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  // Pending ops complete now: a memory queue's pops with its remaining items and then
-  // kEndOfFile, every other op with kCancelled. Nothing else refers to the queue afterwards,
-  // so it is torn down here.
-  q->closing = true;
-  ServePending(*this, qd, *q);
+  // The queue is torn down here. Its pending ops complete now: a memory queue's pops with its
+  // remaining items and then kEndOfFile, every other op with kCancelled, except one whose log
+  // I/O is on the device, which completes once that I/O does.
   switch (q->kind) {
     case QKind::kTcpConn:
       // Like POSIX close(): teardown proceeds whatever the connection's fate, so a close on an
@@ -756,13 +729,10 @@ Status Catnip::Close(QueueDesc qd) {
     case QKind::kUdp:
       udp_.Close(q->udp);
       break;
-    case QKind::kFile:
-      storage_->Close(*q->file);
-      break;
     default:
       break;
   }
-  queues_.erase(qd);
+  CloseQueue(*this, queues_, qd);
   return Status::kOk;
 }
 

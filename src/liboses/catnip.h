@@ -4,18 +4,19 @@
 // the NIC (and, when a disk is attached, the storage completion queue — the Catnip×Cattree
 // round-robin split of §5.5); push transmits inline run-to-completion.
 //
-// Accept, connect and network or memory pops never get a coroutine. Each completes inline when
-// its queue is already ready; otherwise its qtoken joins the queue's FIFO (LibOS::PendingOps)
-// and the queue hooks the Event its oldest op waits on: the listener's acceptable(), the
-// connection's established_event(), or the socket's, connection's or memory channel's
-// readable Event. The hook only records the queue. The fast path serves recorded queues right
-// after draining the NIC, so the frame that makes an op ready (a segment, a datagram, the
-// handshake's final ACK) completes it in the same poll, oldest op first.
+// No op gets a coroutine. Each completes inline when its queue is already ready; otherwise its
+// qtoken joins the queue's FIFO (LibOS::PendingOps) and the queue hooks the Event its oldest op
+// waits on: the listener's acceptable(), the connection's established_event(), the socket's,
+// connection's or memory channel's readable Event, or a file op's or splice's log I/O. The
+// hook only records the queue. The fast path serves recorded queues right after draining the
+// NIC and the disk, so the frame or disk completion that makes an op ready (a segment, a
+// datagram, the handshake's final ACK, a durable write) completes it in the same poll, oldest
+// op first.
 //
 // Close completes every pending accept, connect and TCP or UDP pop with kCancelled, and a
 // memory queue's pending pops with its remaining items and then kEndOfFile, then tears the
-// queue down before it returns. A file queue's pops not yet reading complete with kCancelled;
-// one whose read is in flight still gets its record (StorageQueueEngine::Close).
+// queue down before it returns. A file queue's ops, and a splice, complete with kCancelled
+// unless their log I/O is already on the device; that op completes once the I/O does.
 //
 // Constructing with a SimBlockDevice yields the integrated Catnip×Cattree libOS: network
 // sockets and storage queues share one scheduler and one DMA heap, enabling the paper's
@@ -74,11 +75,12 @@ class Catnip final : public LibOS {
   Result<QToken> Push(QueueDesc qd, const Sgarray& sga) override;
   Result<QToken> PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) override;
   Result<QToken> Pop(QueueDesc qd) override;
-  // Zero-copy splice (docs/STORAGE.md): TCP→file pops registered Buffer views off the
-  // connection and gather-DMAs them into the log (pipelined: the next batch is popped while
-  // the previous one is in flight on the disk); file→TCP reads each record into one pool
-  // allocation and pushes the payload view into the connection. Requires the integrated
-  // Catnip×Cattree build (a disk) and a (kTcpConn, kFile) queue pair in either order.
+  // Zero-copy splice (docs/STORAGE.md), an op on the source queue: TCP→file takes the
+  // connection's ready Buffer views whenever no append of its own is in flight and gather-DMAs
+  // them into the log as one record; file→TCP reads each record into one pool allocation and
+  // pushes the payload view into the connection. Requires the integrated Catnip×Cattree build
+  // (a disk) and a (kTcpConn, kFile) queue pair in either order; a queue runs one splice at a
+  // time (a second returns kInvalidArgument while the first runs).
   Result<QToken> Splice(QueueDesc src_qd, QueueDesc dst_qd) override;
   // Assigns a queue to an isolation domain: its qtokens, buffers, and TX frames are charged to
   // that tenant, and accepted connections inherit the listener's tenant.
@@ -133,35 +135,24 @@ class Catnip final : public LibOS {
     Event readable;
   };
 
-  // One in-flight unit of a TCP→disk splice: the popped views travel to the log untouched.
-  struct SpliceBatch {
-    std::vector<Buffer> views;
-    size_t bytes = 0;
-  };
-
-  // Shared between the popper (producer) and appender (consumer) coroutines of one splice op.
-  // The bounded batch queue is the pipeline: while the appender awaits disk durability for one
-  // batch, the producer keeps draining the connection, so disk latency overlaps transmission.
+  // A splice in progress, kept by its source queue: the connection it drains or feeds, and
+  // its log I/O.
   struct SpliceState {
-    std::deque<SpliceBatch> batches;
-    Event batch_ready;
-    Event batch_space;
-    Event appender_finished;
-    bool producer_done = false;
-    bool appender_done = false;
-    Status status = Status::kOk;
-    uint64_t bytes = 0;    // durable payload bytes
-    uint64_t records = 0;  // log records written
+    std::shared_ptr<TcpConnection> conn;
+    QueueDesc qd;  // the source queue and the splice's qtoken, for DemiSan owner notes
+    QToken qt;
+    LogDevice::Io io;
+    size_t batch = 0;  // to disk: the ready views the append in flight gathers
+    QResult result;    // status, and the payload bytes moved so far
   };
 
   // Batch sizing: bytes stay under the largest pooled size class even after MSS rounding and
-  // block alignment (so the reverse Read span allocation recycles, keeping the heap flat)
-  // and slices stay under the device SGL limit (so AppendSg never has to flatten —
+  // block alignment (so the reverse read's span allocation recycles, keeping the heap flat)
+  // and slices stay under the device SGL limit (so an SG append never has to flatten —
   // splice.bounce_bytes == 0 on the happy path). 48 kB also amortizes the device's per-op
-  // write latency enough that the append pipeline outruns a 10 Gbps wire.
+  // write latency enough that one append at a time outruns a 10 Gbps wire.
   static constexpr size_t kSpliceBatchBytes = 48 * 1024;
   static constexpr size_t kSpliceBatchMaxSlices = 64;
-  static constexpr size_t kSpliceMaxQueuedBatches = 8;
   // disk→net backpressure: pause reads while the connection's send backlog is above this.
   static constexpr size_t kSpliceTxHighWater = 256 * 1024;
 
@@ -185,7 +176,7 @@ class Catnip final : public LibOS {
     QKind kind = QKind::kTcpUnbound;
     bool closing = false;  // set inside Close, which completes `pending` and erases the queue
     TenantId tenant = kDefaultTenant;
-    PendingOps pending;  // accepts, connects and pops waiting for an event
+    PendingOps pending;  // accepts, connects, pops, file pushes and splices waiting for an event
     SocketAddress bound{};
     bool has_bound = false;
     TcpListener* listener = nullptr;
@@ -193,8 +184,9 @@ class Catnip final : public LibOS {
     UdpStack::Socket* udp = nullptr;
     SocketAddress udp_default_remote{};
     bool udp_connected = false;
-    std::shared_ptr<StorageQueueEngine::File> file;
+    std::unique_ptr<StorageQueueEngine::File> file;
     std::unique_ptr<MemChannel> mem;
+    std::unique_ptr<SpliceState> splice;
   };
 
   QueueState* Find(QueueDesc qd);
@@ -205,14 +197,12 @@ class Catnip final : public LibOS {
   void OnTenantRegistered(TenantId tenant, const TenantConfig& config) override;
   QueueDesc InstallConnQueue(std::shared_ptr<TcpConnection> conn);
 
-  // Op coroutines.
   Task<void> FastPathFiber();
-  Task<void> SpliceNetToDiskOp(QueueDesc src_qd, QToken qt,
-                               std::shared_ptr<TcpConnection> conn,
-                               std::shared_ptr<SpliceState> st);
-  Task<void> SpliceAppendFiber(std::shared_ptr<SpliceState> st);
-  Task<void> SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
-                               std::shared_ptr<TcpConnection> conn, uint64_t cursor);
+  // The two splice directions, as NextResult serves them on the source queue `q`, and the
+  // end both share.
+  std::optional<QResult> SpliceToDisk(QueueState& q);
+  std::optional<QResult> SpliceToNet(QueueState& q);
+  QResult FinishSplice(QueueState& q);
 
   // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
   // waiting on WaitEvent(q, op).

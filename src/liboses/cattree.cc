@@ -6,7 +6,7 @@ namespace demi {
 
 Cattree::Cattree(SimBlockDevice& disk, Clock& clock)
     : LibOS("cattree", clock, NullDmaRegistrar::Global()),
-      storage_(disk, sched_, alloc_, tokens_),
+      storage_(disk, sched_, alloc_),
       disk_(&disk) {
   disk_->RegisterMetrics(metrics_);
   disk_->SetTracer(&tracer_);
@@ -22,61 +22,64 @@ Cattree::~Cattree() {
 
 Task<void> Cattree::FastPathFiber() {
   while (!shutdown_) {
-    // Poll SPDK completion queues and wake blocked append/read coroutines (§6.4), on the
-    // poll's time.
+    // Poll SPDK completion queues on the poll's time (§6.4), then complete the pushes and pops
+    // whose I/O they finished.
     storage_.Poll(sched_.poll_time());
+    ServeHookedQueues(*this);
     co_await Scheduler::Yield{};
   }
 }
 
+Cattree::QueueState* Cattree::Find(QueueDesc qd) {
+  auto it = queues_.find(qd);
+  return it == queues_.end() ? nullptr : &it->second;
+}
+
 Result<QueueDesc> Cattree::Open(std::string_view path) {
   const QueueDesc qd = next_qd_++;
-  queues_[qd] = storage_.OpenFile();
+  queues_[qd].file = storage_.OpenFile();
   return qd;
 }
 
 Status Cattree::Seek(QueueDesc qd, uint64_t offset) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
+  QueueState* q = Find(qd);
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  return storage_.Seek(*it->second, offset);
+  return storage_.Seek(*q->file, offset);
 }
 
 Status Cattree::Truncate(QueueDesc qd, uint64_t offset) {
-  if (queues_.count(qd) == 0) {
+  if (Find(qd) == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   return storage_.Truncate(offset);
 }
 
 Status Cattree::Close(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
+  if (Find(qd) == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  storage_.Close(*it->second);
-  queues_.erase(it);
+  CloseQueue(*this, queues_, qd);
   return Status::kOk;
 }
 
 Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
-  if (queues_.count(qd) == 0) {
+  QueueState* q = Find(qd);
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-  sched_.Spawn(storage_.PushOp(qt, sga));
-  return qt;
+  storage_.PinPush(*q->file, sga, qd, qt);
+  return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
 }
 
 Result<QToken> Cattree::Pop(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
+  QueueState* q = Find(qd);
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  storage_.Pop(it->second, qt);
-  return qt;
+  return SubmitPending(*this, qd, *q, OpCode::kPop);
 }
 
 }  // namespace demi

@@ -1,12 +1,16 @@
 // Cattree: the standalone SPDK storage library OS (paper §6.4), over the simulated block
 // device. PDPIX queues map onto an abstract log: open() returns a queue with a read cursor,
 // push appends durably, pop reads at the cursor, seek/truncate move the cursor and GC the log.
-// Network calls return kNotSupported — pair with Catnip/Catmint for the integrated libOSes.
+// Pushes and pops wait as qtokens in their queue's FIFO (LibOS::PendingOps), served by the
+// storage engine; the one fast-path fiber polls the disk, then serves the queues whose I/O
+// completed. Network calls return kNotSupported — pair with Catnip/Catmint for the integrated
+// libOSes.
 
 #ifndef SRC_LIBOSES_CATTREE_H_
 #define SRC_LIBOSES_CATTREE_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "src/core/libos.h"
@@ -35,11 +39,25 @@ class Cattree final : public LibOS {
   StorageQueueEngine& storage() { return storage_; }
 
  private:
+  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  friend class LibOS;
+
+  struct QueueState {
+    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
+    PendingOps pending;    // pushes and pops, oldest first
+    std::unique_ptr<StorageQueueEngine::File> file;
+  };
+
   Task<void> FastPathFiber();
+  QueueState* Find(QueueDesc qd);
+  std::optional<QResult> NextResult(QueueState& q, OpCode op) {
+    return storage_.NextResult(*q.file, op, q.closing);
+  }
+  Event& WaitEvent(QueueState& q, OpCode /*op*/) { return storage_.WaitEvent(*q.file); }
 
   StorageQueueEngine storage_;
   SimBlockDevice* disk_;  // external device: tracer detached at destruction
-  std::unordered_map<QueueDesc, std::shared_ptr<StorageQueueEngine::File>> queues_;
+  std::unordered_map<QueueDesc, QueueState> queues_;
   bool shutdown_ = false;
 };
 

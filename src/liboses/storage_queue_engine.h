@@ -3,15 +3,19 @@
 //
 // Maps PDPIX queues onto the abstract log: each open() returns a queue with its own read
 // cursor; push appends records (durable on completion), pops read successive records at the
-// cursor one read at a time, seek/truncate move the cursor and garbage-collect.
+// cursor, seek/truncate move the cursor and garbage-collect. A file queue's pushes and pops wait
+// like network ops, as qtokens in the queue's LibOS::PendingOps FIFO: the libOS's NextResult and
+// WaitEvent call the engine's. The queue serves them oldest first, one at a time; each starts
+// its log I/O when it reaches the head and completes in the poll that drains that I/O.
 
 #ifndef SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 #define SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 
-#include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/libos.h"
@@ -25,68 +29,107 @@ class StorageQueueEngine {
   // owns (multi-worker Catnip×Cattree; see src/storage/partitioned_log.h). The defaults give
   // the classic whole-device single-worker log.
   StorageQueueEngine(SimBlockDevice& disk, Scheduler& sched, PoolAllocator& alloc,
-                     QTokenTable& tokens, const LogPartition& partition = {},
-                     std::atomic<uint64_t>* epoch = nullptr)
-      : log_(disk, sched, partition, epoch), sched_(sched), alloc_(alloc), tokens_(tokens) {}
+                     const LogPartition& partition = {}, std::atomic<uint64_t>* epoch = nullptr)
+      : log_(disk, sched, partition, epoch), alloc_(alloc) {}
 
   LogDevice& log() { return log_; }
-  // `now` is the fast path's poll time (Scheduler::poll_time).
+
+  // Drains the disk on `now`, the fast path's poll time. The libOS serves its hooked queues
+  // right after, so the completion that finishes an op's I/O completes the op in the same poll.
   void Poll(TimeNs now) { log_.PollDevice(now); }
 
-  // The libOS owns qtoken allocation and queue bookkeeping.
-
-  // Appends the sga as one record; completes `qt` when durable. The application's buffers are
-  // pinned HERE, synchronously at push time — a coroutine body only runs at its first resume,
-  // by which point PDPIX allows the app to have freed the memory (UAF semantics).
-  Task<void> PushOp(QToken qt, const Sgarray& sga) {
-    std::vector<Buffer> pinned;
-    pinned.reserve(sga.num_segs);
-    for (uint32_t i = 0; i < sga.num_segs; i++) {
-      Buffer buf = Buffer::TryFromApp(alloc_, sga.segs[i].buf, sga.segs[i].len);
-      if (!buf.valid()) {
-        return FailOp(qt, Status::kNoMemory);  // heap exhausted: ENOMEM via the qtoken
-      }
-      buf.NoteOwner(/*qd=*/-1, qt);  // DemiSan: the engine does not know the qd, the qt suffices
-      pinned.push_back(std::move(buf));
-    }
-    return PushOpPinned(qt, std::move(pinned));  // parameters move into the frame immediately
-  }
-
-  // One open file queue: its read cursor and its pops, oldest first. The libOS's queue and the
-  // read fiber share it, so a Close with a read in flight frees nothing the read still touches.
+  // One open file queue: its read cursor, the log I/O of its oldest op, and the segments its
+  // queued pushes pinned, oldest first.
   struct File {
     uint64_t cursor = 0;
-    std::deque<QToken> pops;
-    bool reading = false;  // a read fiber is serving `pops`; the front one's read is in flight
+    LogDevice::Io io;
+    struct Push {
+      std::vector<Buffer> segs;
+      Status status = Status::kOk;  // kNoMemory: the heap could not pin them
+    };
+    std::deque<Push> pushes;
   };
 
-  std::shared_ptr<File> OpenFile() {
-    auto file = std::make_shared<File>();
+  std::unique_ptr<File> OpenFile() {
+    auto file = std::make_unique<File>();
     file->cursor = log_.head();
     return file;
   }
 
-  // Queues a pop. One read at a time serves a file's pops, oldest first, each from the cursor
-  // the previous read left, so pops issued back to back return successive records.
-  void Pop(const std::shared_ptr<File>& file, QToken qt) {
-    file->pops.push_back(qt);
-    if (!file->reading) {
-      file->reading = true;
-      sched_.Spawn(ReadFiber(file));
+  // Pins the segments of push `qt` on queue `qd` at Push time: PDPIX lets the application free
+  // them at once. The libOS queues the push right after.
+  void PinPush(File& file, const Sgarray& sga, QueueDesc qd, QToken qt) {
+    File::Push& push = file.pushes.emplace_back();
+    for (uint32_t i = 0; i < sga.num_segs; i++) {
+      Buffer buf = Buffer::TryFromApp(alloc_, sga.segs[i].buf, sga.segs[i].len);
+      if (!buf.valid()) {
+        push.segs.clear();
+        push.status = Status::kNoMemory;  // heap exhausted: ENOMEM via the qtoken
+        return;
+      }
+      buf.NoteOwner(qd, qt);
+      push.segs.push_back(std::move(buf));
     }
   }
 
-  // The queue is closing: its pops complete with kCancelled now, except one whose read is in
-  // flight, which still completes with that read's record.
-  void Close(File& file) {
-    const size_t keep = std::min<size_t>(file.reading ? 1 : 0, file.pops.size());
-    for (size_t i = keep; i < file.pops.size(); i++) {
-      QResult qr;
-      qr.status = Status::kCancelled;
-      tokens_.Complete(file.pops[i], qr);
+  // The result of `file`'s oldest op, a push or a pop: it starts the op's append or read if
+  // none is in flight, and returns nullopt while that I/O runs (the op waits on WaitEvent).
+  // Once the queue is `closing`, an op that has not started completes with kCancelled.
+  std::optional<QResult> NextResult(File& file, OpCode op, bool closing) {
+    // demilint: fastpath
+    LogDevice::Io& io = file.io;
+    QResult r;
+    if (io.state == LogDevice::Io::kIdle) {
+      if (closing || (op == OpCode::kPush && file.pushes.front().status != Status::kOk)) {
+        r.status = closing ? Status::kCancelled : file.pushes.front().status;
+        if (op == OpCode::kPush) {
+          file.pushes.pop_front();
+        }
+        return r;
+      }
+      if (op == OpCode::kPop) {
+        log_.StartRead(io, file.cursor, alloc_);
+      } else {
+        // The pinned segments go to the log as one slice list; the append copies them once,
+        // straight into the block image the device writes.
+        const std::vector<Buffer>& segs = file.pushes.front().segs;
+        std::array<std::span<const uint8_t>, kSgaMaxSegments> slices;
+        for (size_t i = 0; i < segs.size(); i++) {
+          slices[i] = {segs[i].data(), segs[i].size()};
+        }
+        log_.StartAppend(io, {slices.data(), segs.size()});
+      }
     }
-    file.pops.resize(keep);
+    if (io.state == LogDevice::Io::kBusy) {
+      return std::nullopt;
+    }
+    io.state = LogDevice::Io::kIdle;
+    r.status = io.status;
+    if (op == OpCode::kPush) {
+      file.pushes.pop_front();  // durable: the pinned segments go back to the heap
+      return r;
+    }
+    if (r.status != Status::kOk) {
+      return r;
+    }
+    file.cursor = io.record.next_cursor;
+    // The read's view shares its allocation with header and block bytes, and the app frees
+    // what it pops, so the payload is copied once into a whole allocation of its own.
+    const Buffer payload = std::move(io.record.payload);
+    Buffer buf = Buffer::TryAllocate(alloc_, payload.size());
+    if (!buf.valid()) {
+      r.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
+      return r;                      // caller may Seek back and re-pop once memory frees up
+    }
+    if (!payload.empty()) {
+      std::memcpy(buf.mutable_data(), payload.data(), payload.size());
+    }
+    r.sga = BufferToAppSga(std::move(buf));
+    return r;
+    // demilint: end-fastpath
   }
+
+  Event& WaitEvent(File& file) { return file.io.done; }
 
   [[nodiscard]] Status Seek(File& file, uint64_t offset) {
     if (offset < log_.head() || offset > log_.tail()) {
@@ -99,64 +142,8 @@ class StorageQueueEngine {
   [[nodiscard]] Status Truncate(uint64_t offset) { return log_.Truncate(offset); }
 
  private:
-  // Completes `qt` with a failure status on the next scheduler round (ops are spawned, so the
-  // failure must still arrive asynchronously through the qtoken like any other completion).
-  Task<void> FailOp(QToken qt, Status status) {
-    QResult qr;
-    qr.status = status;
-    tokens_.Complete(qt, qr);
-    co_return;
-  }
-
-  Task<void> PushOpPinned(QToken qt, std::vector<Buffer> pinned) {
-    // The pinned segments go to the log as one slice list; Append copies them once, straight
-    // into the block image the device writes.
-    std::vector<std::span<const uint8_t>> slices;
-    slices.reserve(pinned.size());
-    for (const Buffer& b : pinned) {
-      slices.emplace_back(b.data(), b.size());
-    }
-    auto result = co_await log_.Append(slices);
-    QResult qr;
-    qr.status = result.error();
-    tokens_.Complete(qt, qr);
-  }
-
-  // Serves `file`'s pops in turn: reads the record at the cursor, completes the oldest pop with
-  // an app-owned copy of its payload and advances the cursor; exits once no pop is left.
-  Task<void> ReadFiber(std::shared_ptr<File> file) {
-    while (!file->pops.empty()) {
-      auto result = co_await log_.Read(file->cursor, alloc_);
-      const QToken qt = file->pops.front();
-      file->pops.pop_front();
-      QResult qr;
-      if (!result.ok()) {
-        qr.status = result.error();
-        tokens_.Complete(qt, qr);
-        continue;
-      }
-      file->cursor = result->next_cursor;
-      // The read's view shares its allocation with header and block bytes, and the app frees
-      // what it pops, so the payload is copied once into a whole allocation of its own.
-      Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
-      if (!buf.valid()) {
-        qr.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
-        tokens_.Complete(qt, qr);       // caller may Seek back and re-pop once memory frees up
-        continue;
-      }
-      if (!result->payload.empty()) {
-        std::memcpy(buf.mutable_data(), result->payload.data(), result->payload.size());
-      }
-      qr.sga = BufferToAppSga(std::move(buf));
-      tokens_.Complete(qt, qr);
-    }
-    file->reading = false;
-  }
-
   LogDevice log_;
-  Scheduler& sched_;
   PoolAllocator& alloc_;
-  QTokenTable& tokens_;
 };
 
 }  // namespace demi

@@ -739,6 +739,12 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
     default:
       break;
   }
+  if (hdr.flags.syn) {
+    // A SYN in a synchronized state, such as a SYN-ACK retransmitted because our handshake ACK
+    // was lost: re-ack it (RFC 793 §3.9), or a peer waiting for that ACK times out.
+    ScheduleAck(now);
+    return;
+  }
 
   if (hot_.ts_enabled && hdr.timestamps_option) {
     // PAWS (RFC 7323 §5): reject segments whose timestamp regressed strictly before ts_recent

@@ -135,6 +135,9 @@ class TcpConnection {
   // Returns the next chunk of in-order received data, or nullopt if none is ready.
   std::optional<Buffer> PopData();
   bool HasReadyData() const { return cold_ != nullptr && !cold_->ready.empty(); }
+  // The data PopData returns next, oldest first; valid while HasReadyData(). A zero-copy
+  // consumer may reference it in place, still counted against the receive window.
+  const std::deque<Buffer>& ReadyData() const { return cold_->ready; }
   // True once the peer's FIN is reached AND all data before it has been popped.
   bool EndOfStream() const {
     return hot_.remote_fin_received && (cold_ == nullptr || cold_->ready.empty());
@@ -438,7 +441,6 @@ class TcpStack final : public Ipv4Receiver {
   // consults it per SYN, and Accept/teardown release the admission slots. Null (the default)
   // disables tenant admission entirely.
   void SetTenantTable(TenantTable* tenants) { tenants_ = tenants; }
-  TenantTable* tenant_table() { return tenants_; }
 
  private:
   friend class TcpConnection;

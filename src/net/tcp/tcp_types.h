@@ -4,7 +4,6 @@
 #define SRC_NET_TCP_TCP_TYPES_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "src/common/clock.h"
 
@@ -39,23 +38,6 @@ enum class TcpState : uint8_t {
   kCloseWait,
   kLastAck,
 };
-
-constexpr std::string_view TcpStateName(TcpState s) {
-  switch (s) {
-    case TcpState::kClosed: return "CLOSED";
-    case TcpState::kListen: return "LISTEN";
-    case TcpState::kSynSent: return "SYN_SENT";
-    case TcpState::kSynReceived: return "SYN_RCVD";
-    case TcpState::kEstablished: return "ESTABLISHED";
-    case TcpState::kFinWait1: return "FIN_WAIT_1";
-    case TcpState::kFinWait2: return "FIN_WAIT_2";
-    case TcpState::kClosing: return "CLOSING";
-    case TcpState::kTimeWait: return "TIME_WAIT";
-    case TcpState::kCloseWait: return "CLOSE_WAIT";
-    case TcpState::kLastAck: return "LAST_ACK";
-  }
-  return "?";
-}
 
 enum class CongestionAlgorithm : uint8_t { kCubic, kNewReno, kFixedWindow };
 

@@ -78,7 +78,6 @@ class TxScheduler {
   const Stats& stats() const { return stats_; }
   TenantTxStats GetTenantTxStats(TenantId tenant) const;
   size_t backlog_frames() const { return backlog_frames_; }
-  size_t num_configured() const { return states_.size(); }
 
  private:
   struct TenantState {

@@ -250,7 +250,6 @@ class SimNic {
 
   // The registrar applications' allocators must be wired to for zero-copy TX.
   DmaRegistrar& registrar() { return registrar_; }
-  bool IsDmaCapable(const void* ptr, size_t len) const { return registrar_.Covers(ptr, len); }
 
   struct Stats {
     uint64_t tx_frames = 0;

@@ -69,24 +69,15 @@ bool SimRdmaDevice::IsRegistered(const void* ptr, size_t len) const {
 Result<uint32_t> SimRdmaDevice::CreateQp(uint32_t desired) {
   uint32_t qp = desired != 0 ? desired : next_qp_++;
   auto [it, inserted] = qps_.try_emplace(qp);
-  if (!inserted && it->second.live) {
+  if (!inserted) {
     return Status::kAddressInUse;
   }
-  it->second.live = true;
   return qp;
-}
-
-void SimRdmaDevice::DestroyQp(uint32_t qp) {
-  auto it = qps_.find(qp);
-  if (it != qps_.end()) {
-    it->second.live = false;
-    it->second.recv_queue.clear();
-  }
 }
 
 Status SimRdmaDevice::PostRecv(uint32_t qp, void* buf, uint32_t len, uint64_t wr_id) {
   auto it = qps_.find(qp);
-  if (it == qps_.end() || !it->second.live) {
+  if (it == qps_.end()) {
     return Status::kBadQueueDescriptor;
   }
   DEMI_CHECK_MSG(IsRegistered(buf, len), "recv buffer not in registered memory");
@@ -98,7 +89,7 @@ Status SimRdmaDevice::PostSend(uint32_t qp, MacAddr dst_mac, uint32_t dst_qp,
                                std::span<const std::span<const uint8_t>> segments,
                                uint64_t wr_id) {
   auto it = qps_.find(qp);
-  if (it == qps_.end() || !it->second.live) {
+  if (it == qps_.end()) {
     return Status::kBadQueueDescriptor;
   }
   size_t total = 0;
@@ -151,7 +142,7 @@ Status SimRdmaDevice::PostWrite(uint32_t qp, MacAddr dst_mac, uint32_t dst_qp,
                                 uint64_t remote_rkey, uint64_t remote_addr,
                                 std::span<const uint8_t> data, uint64_t wr_id) {
   auto it = qps_.find(qp);
-  if (it == qps_.end() || !it->second.live) {
+  if (it == qps_.end()) {
     return Status::kBadQueueDescriptor;
   }
   DEMI_CHECK_MSG(data.size() <= MaxFragPayload(), "one-sided writes limited to one fragment");
@@ -223,7 +214,7 @@ void SimRdmaDevice::HandleFrame(const WireFrame& frame) {
 
   // Two-sided send: first fragment claims a posted receive buffer.
   auto qp_it = qps_.find(hdr.dst_qp);
-  if (qp_it == qps_.end() || !qp_it->second.live) {
+  if (qp_it == qps_.end()) {
     return;
   }
   QueuePair& qp = qp_it->second;

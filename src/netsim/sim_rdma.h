@@ -54,7 +54,6 @@ class SimRdmaDevice {
   // Creates a QP with a specific number (well-known QPs avoid out-of-band negotiation) or the
   // next free one if `desired` is 0.
   Result<uint32_t> CreateQp(uint32_t desired = 0);
-  void DestroyQp(uint32_t qp);
 
   // --- Work requests ---
   // Posts a receive buffer; incoming messages consume buffers FIFO. The buffer must be
@@ -97,7 +96,6 @@ class SimRdmaDevice {
     uint64_t wr_id;
   };
   struct QueuePair {
-    bool live = false;
     std::deque<RecvWr> recv_queue;
   };
   struct FlowKey {

@@ -25,7 +25,6 @@ SchedulerContextGuard::~SchedulerContextGuard() {
 }
 
 Scheduler* Scheduler::Current() { return g_current.sched; }
-Scheduler::FiberId Scheduler::CurrentFiber() { return g_current.fiber; }
 
 Scheduler::~Scheduler() { Shutdown(); }
 

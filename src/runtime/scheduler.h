@@ -134,11 +134,6 @@ class Scheduler {  // demilint: shard-local
   };
   const Stats& stats() const { return stats_; }
 
-  // Times this fiber slot has been resumed (cumulative across slot reuse).
-  uint64_t FiberRunCount(FiberId id) const {
-    return id < fibers_.size() ? fibers_[id].runs : 0;
-  }
-
   // Attaches a tracer for kFiberScheduled/kFiberBlocked/kFiberYielded/kFiberCompleted and
   // kTimerWheelCascade events; nullptr detaches. The tracer must outlive the scheduler.
   void SetTracer(Tracer* tracer) {
@@ -148,7 +143,6 @@ class Scheduler {  // demilint: shard-local
 
   // --- Called from inside a running fiber (via thread-local current context) ---
   static Scheduler* Current();
-  static FiberId CurrentFiber();
 
   // Waker for the currently running fiber.
   Waker CurrentWaker();

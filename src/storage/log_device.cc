@@ -131,18 +131,6 @@ LogDevice::LogDevice(SimBlockDevice& device, Scheduler& scheduler, const LogPart
   tail_block_cache_.assign(block_size_, 0);
 }
 
-Task<void> LogDevice::AcquireAppendLock() {
-  while (append_locked_) {
-    co_await append_lock_released_.Wait();
-  }
-  append_locked_ = true;
-}
-
-void LogDevice::ReleaseAppendLock() {
-  append_locked_ = false;
-  append_lock_released_.Notify();
-}
-
 std::array<uint8_t, LogDevice::kHeaderSize> LogDevice::MakeHeader(uint32_t payload_len,
                                                                   uint32_t payload_crc) {
   // demilint: atomic(relaxed is sufficient: the single modification order of the shared
@@ -160,230 +148,249 @@ std::array<uint8_t, LogDevice::kHeaderSize> LogDevice::MakeHeader(uint32_t paylo
   return hdr;
 }
 
-Task<Status> LogDevice::SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
-                                          std::span<const std::span<const uint8_t>> write_from) {
-  IoWait wait;
-  const uint64_t cookie = next_cookie_++;
-  for (;;) {
-    const Status s = read_into.empty()
-                         ? device_.SubmitWritev(lba, write_from, cookie, part_.id)
-                         : device_.SubmitRead(lba, read_into, cookie, part_.id);
-    if (s == Status::kOk) {
-      break;
-    }
-    if (s != Status::kQueueFull) {
-      co_return s;
-    }
-    co_await Scheduler::Yield{};  // device queue full: let the poller drain completions
-  }
-  outstanding_++;
-  waiting_[cookie] = &wait;
-  while (!wait.done) {
-    co_await wait.event.Wait();
-  }
-  co_return wait.status;
+void LogDevice::StartAppend(Io& io, std::span<const std::span<const uint8_t>> slices) {
+  QueueAppend(io, slices, /*sg=*/false);
 }
 
-Task<Status> LogDevice::SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
-                                      std::span<const std::span<const uint8_t>> write_from) {
-  DurationNs backoff = retry_.initial_backoff;
-  for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(lba, read_into, write_from);
-    if (s != Status::kIoError) {
-      co_return s;  // success, or a non-retryable submission error
-    }
-    if (attempt >= retry_.max_retries) {
-      stats_.io_terminal_errors++;
-      co_return s;  // budget spent: the terminal error propagates to the qtoken
-    }
-    stats_.io_retries++;
-    co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, kMaxRetryBackoff);
+void LogDevice::StartAppendSg(Io& io, std::span<const std::span<const uint8_t>> slices) {
+  QueueAppend(io, slices, /*sg=*/true);
+}
+
+void LogDevice::QueueAppend(Io& io, std::span<const std::span<const uint8_t>> slices, bool sg) {
+  DEMI_CHECK(io.state != Io::kBusy);
+  io.state = Io::kBusy;
+  io.alloc_ = nullptr;
+  io.sg_ = sg;
+  io.iov_.assign(slices.begin(), slices.end());
+  appends_.push_back(&io);
+  StartQueuedAppends();
+}
+
+void LogDevice::StartQueuedAppends() {
+  while (writer_ == nullptr && !appends_.empty()) {
+    writer_ = appends_.front();
+    appends_.pop_front();
+    Compose(*writer_);
   }
 }
 
-Task<Result<uint64_t>> LogDevice::Append(std::span<const std::span<const uint8_t>> slices) {
-  const Result<PayloadSummary> payload = Summarize(slices);
+void LogDevice::Compose(Io& io) {
+  const Result<PayloadSummary> payload = Summarize(io.iov_);
   if (!payload.ok()) {
-    co_return payload.error();
+    Finish(io, payload.error());
+    return;
   }
-  co_await AcquireAppendLock();
-  // RAII is awkward across co_return paths here; release explicitly on every exit.
-  const uint64_t record_offset = tail_;
-  const uint64_t new_tail = tail_ + AlignUp(kHeaderSize + payload->len, kAlign);
-  if (new_tail > part_bytes_) {
-    ReleaseAppendLock();
-    co_return Status::kNoBufferSpace;
+  io.len_ = payload->len;
+  // A packed record goes right after the previous one. An SG record is block-aligned: a leading
+  // pad marker fills the current tail block (its image comes from the cache, never from
+  // payload), and a trailing pad fills out the last block, so after the append the tail-block
+  // cache is simply empty. That is what keeps the SG path zero-copy — no payload byte is ever
+  // staged host-side to rebuild a shared block.
+  const uint64_t rec_aligned = AlignUp(kHeaderSize + io.len_, kAlign);
+  const uint64_t gap1 = io.sg_ ? (block_size_ - tail_ % block_size_) % block_size_ : 0;
+  io.offset = tail_ + gap1;
+  const uint64_t gap2 =
+      io.sg_ ? (block_size_ - (io.offset + rec_aligned) % block_size_) % block_size_ : 0;
+  io.new_tail_ = io.offset + rec_aligned + gap2;
+  if (io.new_tail_ > part_bytes_) {
+    Finish(io, Status::kNoBufferSpace);
+    return;
   }
-
-  // Compose the affected block range: the (possibly partial) tail block comes from the cache so
-  // previously appended bytes in the same block are preserved. The cache itself is only updated
-  // after the device acknowledges the write — a retried or terminally failed attempt must not
-  // leave phantom bytes in the next append's block image.
-  const uint64_t first_block = tail_ / block_size_;
-  const size_t nblocks = static_cast<size_t>((new_tail - 1) / block_size_ - first_block + 1);
-  std::vector<uint8_t> io(nblocks * block_size_, 0);
-  std::memcpy(io.data(), tail_block_cache_.data(), block_size_);
-  uint8_t* dst = io.data() + (tail_ - first_block * block_size_);
-  const auto hdr = MakeHeader(payload->len, payload->crc);
-  std::memcpy(dst, hdr.data(), kHeaderSize);
-  dst += kHeaderSize;
-  for (const auto& s : slices) {
-    if (!s.empty()) {
-      std::memcpy(dst, s.data(), s.size());
-      dst += s.size();
-    }
-  }
-
-  const std::span<const uint8_t> image[] = {io};
-  const Status s = co_await SubmitAndWait(DeviceLba(tail_), {}, image);
-  if (s != Status::kOk) {
-    ReleaseAppendLock();
-    co_return s;
-  }
-
-  // Acknowledged: commit the new partial last block to the cache and advance the tail.
-  std::memcpy(tail_block_cache_.data(), io.data() + (nblocks - 1) * block_size_, block_size_);
-  tail_ = new_tail;
-  ReleaseAppendLock();
-  co_return record_offset;
-}
-
-Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8_t>> slices) {
-  const Result<PayloadSummary> payload = Summarize(slices);
-  if (!payload.ok()) {
-    co_return payload.error();
-  }
-  const uint32_t payload_len = payload->len;
-  co_await AcquireAppendLock();
-
-  // Block-align the record: a leading pad marker fills the current tail block (its image comes
-  // from the cache, never from payload), and a trailing pad fills out the last block, so after
-  // the append the tail-block cache is simply empty. That is what keeps this path zero-copy —
-  // no payload byte is ever staged host-side to rebuild a shared block.
-  const uint64_t gap1 = (block_size_ - tail_ % block_size_) % block_size_;
-  const uint64_t record_off = tail_ + gap1;
-  const uint64_t rec_aligned = AlignUp(kHeaderSize + payload_len, kAlign);
-  const uint64_t gap2 = (block_size_ - (record_off + rec_aligned) % block_size_) % block_size_;
-  const uint64_t new_tail = record_off + rec_aligned + gap2;
-  if (new_tail > part_bytes_) {
-    ReleaseAppendLock();
-    co_return Status::kNoBufferSpace;
-  }
-
-  const auto hdr = MakeHeader(payload_len, payload->crc);
-
-  std::vector<std::span<const uint8_t>> iov;
-  iov.reserve(slices.size() + 3);
-
-  std::vector<uint8_t> lead;
-  if (gap1 > 0) {
-    lead = tail_block_cache_;
-    const size_t in_off = static_cast<size_t>(tail_ % block_size_);
-    std::fill(lead.begin() + in_off, lead.end(), 0);
-    PutPad(lead.data() + in_off, gap1);
-    iov.emplace_back(lead.data(), lead.size());
-  }
-  iov.emplace_back(hdr.data(), hdr.size());
-
-  // Flatten only if the slice list exceeds the device SGL limit (counted: this is the one
-  // bounce path, and splice batches are sized to never hit it).
-  std::vector<uint8_t> flat;
-  const size_t budget = SimBlockDevice::kMaxWritevSegments - iov.size() - 1;
-  if (slices.size() > budget) {
-    flat.reserve(payload_len);
-    for (const auto& s : slices) {
-      flat.insert(flat.end(), s.begin(), s.end());
-    }
-    stats_.bounce_bytes += flat.size();
-    iov.emplace_back(flat.data(), flat.size());
-  } else {
-    for (const auto& s : slices) {
+  const auto hdr = MakeHeader(io.len_, payload->crc);
+  const size_t in_off = static_cast<size_t>(tail_ % block_size_);
+  const uint64_t first_byte = tail_ - in_off;
+  if (!io.sg_) {
+    // Compose the affected block range: the (possibly partial) tail block comes from the cache
+    // so previously appended bytes in the same block are preserved. The cache itself is only
+    // updated after the device acknowledges the write — a retried or terminally failed attempt
+    // must not leave phantom bytes in the next append's block image.
+    const uint64_t nblocks = (io.new_tail_ - 1) / block_size_ - tail_ / block_size_ + 1;
+    io.image_.assign(nblocks * block_size_, 0);
+    std::memcpy(io.image_.data(), tail_block_cache_.data(), block_size_);
+    uint8_t* dst = io.image_.data() + in_off;
+    std::memcpy(dst, hdr.data(), kHeaderSize);
+    dst += kHeaderSize;
+    for (const auto& s : io.iov_) {
       if (!s.empty()) {
-        iov.emplace_back(s.data(), s.size());
+        std::memcpy(dst, s.data(), s.size());
+        dst += s.size();
       }
     }
+    io.iov_.assign(1, std::span<const uint8_t>(io.image_));
+    StartDeviceIo(io, DeviceLba(first_byte));
+    return;
   }
 
-  // Trailer: zero fill to 8-byte alignment, then a pad marker covering the rest of the block.
-  std::vector<uint8_t> trailer(static_cast<size_t>(new_tail - record_off - kHeaderSize -
-                                                   payload_len),
-                               0);
+  // The lead block (the cached tail block closed by a pad marker) and the header: one entry.
+  io.image_.clear();
+  if (gap1 > 0) {
+    io.image_.assign(tail_block_cache_.begin(), tail_block_cache_.begin() + in_off);
+    io.image_.resize(block_size_, 0);
+    PutPad(io.image_.data() + in_off, gap1);
+  }
+  io.image_.insert(io.image_.end(), hdr.begin(), hdr.end());
+  // Flatten only if the slice list exceeds the device SGL limit (counted: this is the one
+  // bounce path, and splice batches are sized to never hit it). The trailer follows: zero fill
+  // to 8-byte alignment, then a pad marker covering the rest of the block.
+  io.trailer_.clear();
+  if (io.iov_.size() > SimBlockDevice::kMaxWritevSegments - 2) {
+    for (const auto& s : io.iov_) {
+      io.trailer_.insert(io.trailer_.end(), s.begin(), s.end());
+    }
+    stats_.bounce_bytes += io.trailer_.size();
+    io.iov_.clear();
+  } else {
+    std::erase_if(io.iov_, [](std::span<const uint8_t> s) { return s.empty(); });
+  }
+  const size_t fill_at = io.trailer_.size();
+  io.trailer_.resize(fill_at + rec_aligned + gap2 - kHeaderSize - io.len_, 0);
   if (gap2 > 0) {
-    PutPad(trailer.data() + (rec_aligned - kHeaderSize - payload_len), gap2);
+    PutPad(io.trailer_.data() + fill_at + (rec_aligned - kHeaderSize - io.len_), gap2);
   }
-  if (!trailer.empty()) {
-    iov.emplace_back(trailer.data(), trailer.size());
+  io.iov_.insert(io.iov_.begin(), std::span<const uint8_t>(io.image_));
+  if (!io.trailer_.empty()) {
+    io.iov_.emplace_back(io.trailer_);
   }
-
-  const uint64_t first_byte = gap1 > 0 ? tail_ - tail_ % block_size_ : tail_;
-  const Status s = co_await SubmitAndWait(DeviceLba(first_byte), {}, iov);
-  if (s != Status::kOk) {
-    ReleaseAppendLock();
-    co_return s;
-  }
-
-  stats_.sg_appends++;
-  stats_.pad_bytes += (new_tail - tail_) - (kHeaderSize + payload_len);
-  tail_ = new_tail;  // block-aligned: the tail block is fresh and the cache all zeros
-  std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
-  ReleaseAppendLock();
-  co_return record_off;
+  StartDeviceIo(io, DeviceLba(first_byte));
 }
 
-Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor, PoolAllocator& alloc) {
-  for (;;) {
-    if (cursor < head_) {
-      co_return Status::kInvalidArgument;
-    }
-    if (cursor >= tail_) {
-      co_return Status::kEndOfFile;
-    }
-    // Read the block(s) holding the header (it can straddle a block boundary) into pool
-    // memory; a payload that ends inside them is served from this one read.
-    const uint64_t first_block = cursor / block_size_;
-    const uint64_t end_block =
-        std::min((cursor + kHeaderSize - 1) / block_size_ + 1, part_.num_blocks);
-    Buffer io = Buffer::TryAllocate(alloc, (end_block - first_block) * block_size_);
-    if (!io.valid()) {
-      co_return Status::kNoMemory;
-    }
-    Status s = co_await SubmitAndWait(DeviceLba(cursor), {io.mutable_data(), io.size()}, {});
-    if (s != Status::kOk) {
-      co_return s;
-    }
-    const size_t in_off = static_cast<size_t>(cursor % block_size_);
-    const Unit unit = DecodeUnit({io.data() + in_off, io.size() - in_off}, cursor, tail_);
+void LogDevice::StartRead(Io& io, uint64_t cursor, PoolAllocator& alloc) {
+  DEMI_CHECK(io.state != Io::kBusy);
+  io.state = Io::kBusy;
+  io.alloc_ = &alloc;
+  io.cursor_ = cursor;
+  ReadUnit(io);
+}
+
+void LogDevice::ReadUnit(Io& io) {
+  const uint64_t cursor = io.cursor_;
+  if (cursor < head_) {
+    Finish(io, Status::kInvalidArgument);
+    return;
+  }
+  if (cursor >= tail_) {
+    Finish(io, Status::kEndOfFile);
+    return;
+  }
+  // Read the block(s) holding the header (it can straddle a block boundary); a payload that
+  // ends inside them is served from this one read.
+  io.payload_ = false;
+  ReadBlocks(io, cursor, cursor + kHeaderSize);
+}
+
+void LogDevice::ReadBlocks(Io& io, uint64_t from, uint64_t to) {
+  const uint64_t first_block = from / block_size_;
+  const uint64_t end_block = std::min((to - 1) / block_size_ + 1, part_.num_blocks);
+  io.buf_ = Buffer::TryAllocate(*io.alloc_, (end_block - first_block) * block_size_);
+  if (!io.buf_.valid()) {
+    Finish(io, Status::kNoMemory);
+    return;
+  }
+  StartDeviceIo(io, DeviceLba(from));
+}
+
+void LogDevice::OnRead(Io& io) {
+  const uint64_t payload_start = io.cursor_ + kHeaderSize;
+  size_t view_off = static_cast<size_t>(payload_start % block_size_);
+  if (!io.payload_) {
+    const size_t in_off = static_cast<size_t>(io.cursor_ % block_size_);
+    const Unit unit =
+        DecodeUnit({io.buf_.data() + in_off, io.buf_.size() - in_off}, io.cursor_, tail_);
     if (unit.kind == Unit::kCorrupt) {
-      co_return Status::kProtocolError;
+      Finish(io, Status::kProtocolError);
+      return;
     }
     if (unit.kind == Unit::kPad) {
-      cursor = unit.next;  // alignment filler between records
-      continue;
+      io.cursor_ = unit.next;  // alignment filler between records
+      ReadUnit(io);
+      return;
     }
-
-    const uint64_t payload_start = cursor + kHeaderSize;
-    size_t view_off = in_off + kHeaderSize;
-    if (payload_start + unit.len > end_block * block_size_) {
+    io.len_ = unit.len;
+    io.crc_ = unit.payload_crc;
+    io.next_ = unit.next;
+    view_off = in_off + kHeaderSize;
+    if (payload_start + unit.len > io.cursor_ - in_off + io.buf_.size()) {
       // One pool allocation covers every block the payload touches; the device DMAs into it
       // and the returned view slices the payload out of it — no host-side payload copy.
-      const uint64_t span_first = payload_start / block_size_;
-      const uint64_t span_last = (payload_start + unit.len - 1) / block_size_;
-      io = Buffer::TryAllocate(alloc, (span_last - span_first + 1) * block_size_);
-      if (!io.valid()) {
-        co_return Status::kNoMemory;
-      }
-      s = co_await SubmitAndWait(DeviceLba(payload_start), {io.mutable_data(), io.size()}, {});
-      if (s != Status::kOk) {
-        co_return s;
-      }
-      view_off = static_cast<size_t>(payload_start % block_size_);
+      io.payload_ = true;
+      ReadBlocks(io, payload_start, payload_start + unit.len);
+      return;
     }
-    if (Crc32(io.data() + view_off, unit.len) != unit.payload_crc) {
-      co_return Status::kProtocolError;
-    }
-    co_return ReadResult{io.Slice(view_off, unit.len), unit.next};
   }
+  if (Crc32(io.buf_.data() + view_off, io.len_) != io.crc_) {
+    Finish(io, Status::kProtocolError);
+    return;
+  }
+  io.record = ReadResult{io.buf_.Slice(view_off, io.len_), io.next_};
+  Finish(io, Status::kOk);
+}
+
+void LogDevice::StartDeviceIo(Io& io, uint64_t lba) {
+  io.lba_ = lba;
+  io.attempt_ = 0;
+  Submit(io);
+}
+
+void LogDevice::Submit(Io& io) {
+  const uint64_t cookie = next_cookie_++;
+  const Status s =
+      io.alloc_ != nullptr
+          ? device_.SubmitRead(io.lba_, {io.buf_.mutable_data(), io.buf_.size()}, cookie, part_.id)
+          : device_.SubmitWritev(io.lba_, io.iov_, cookie, part_.id);
+  if (s == Status::kOk) {
+    waiting_[cookie] = &io;
+  } else if (s == Status::kQueueFull) {
+    refused_.push_back(&io);  // the device queue drains as completions are polled
+  } else {
+    Finish(io, s);  // a non-retryable submission error
+  }
+}
+
+void LogDevice::OnDeviceComplete(Io& io, Status status, TimeNs now) {
+  if (status == Status::kIoError) {
+    if (io.attempt_ >= retry_.max_retries) {
+      stats_.io_terminal_errors++;  // budget spent: the terminal error propagates to the Io
+    } else {
+      // Back off on the wheel, doubling per failed attempt, then resubmit the same I/O.
+      stats_.io_retries++;
+      const DurationNs backoff = std::min<DurationNs>(
+          retry_.initial_backoff << std::min<uint32_t>(io.attempt_++, 20), kMaxRetryBackoff);
+      const auto resubmit = [](void* log, uint64_t arg) {
+        static_cast<LogDevice*>(log)->Submit(*reinterpret_cast<Io*>(static_cast<uintptr_t>(arg)));
+      };
+      scheduler_.ArmTimer(now + backoff, resubmit, this, reinterpret_cast<uintptr_t>(&io));
+      return;
+    }
+  }
+  if (status != Status::kOk) {
+    Finish(io, status);
+  } else if (io.alloc_ != nullptr) {
+    OnRead(io);
+  } else {
+    // Acknowledged: commit the new tail block to the cache and advance the tail. A packed
+    // append's last image block is the new partial block; an SG record ends block-aligned, so
+    // its tail block is fresh.
+    if (io.sg_) {
+      stats_.sg_appends++;
+      stats_.pad_bytes += (io.new_tail_ - tail_) - (kHeaderSize + io.len_);
+      std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
+    } else {
+      std::memcpy(tail_block_cache_.data(), io.image_.data() + io.image_.size() - block_size_,
+                  block_size_);
+    }
+    tail_ = io.new_tail_;
+    Finish(io, Status::kOk);
+  }
+}
+
+void LogDevice::Finish(Io& io, Status status) {
+  io.status = status;
+  io.state = Io::kDone;
+  io.buf_ = Buffer();  // a read's record, if any, holds its own view
+  if (writer_ == &io) {
+    writer_ = nullptr;
+  }
+  io.done.Notify();
 }
 
 Status LogDevice::Truncate(uint64_t offset) {
@@ -398,22 +405,26 @@ Status LogDevice::Truncate(uint64_t offset) {
 
 void LogDevice::PollDevice(TimeNs now) {
   SimBlockDevice::Completion comps[16];
-  for (;;) {
-    const size_t n = device_.PollCompletions(comps, part_.id, now);
+  size_t n = 0;
+  do {  // only a full batch may have left more
+    n = device_.PollCompletions(comps, part_.id, now);
     for (size_t i = 0; i < n; i++) {
       auto it = waiting_.find(comps[i].cookie);
       if (it != waiting_.end()) {
-        it->second->done = true;
-        it->second->status = comps[i].status;
-        it->second->event.Notify();
+        Io& io = *it->second;
         waiting_.erase(it);
-        outstanding_--;
+        OnDeviceComplete(io, comps[i].status, now);
       }
     }
-    if (n < std::size(comps)) {
-      return;  // a short batch drained the queue; only a full one may have left more
+  } while (n == std::size(comps));
+  if (!refused_.empty()) {
+    std::vector<Io*> refused;
+    refused.swap(refused_);
+    for (Io* io : refused) {
+      Submit(*io);
     }
   }
+  StartQueuedAppends();
 }
 
 uint64_t LogDevice::ScanPartition(const SimBlockDevice& device, const LogPartition& partition,

@@ -1,9 +1,10 @@
 // LogDevice: the abstract log Cattree maps PDPIX queues onto (paper §6.4).
 //
 // An append-only record log over SimBlockDevice. push appends records; pop reads from a cursor;
-// truncate garbage-collects logically. Appends resolve when the underlying device write
-// completes (durability), which Cattree awaits from an application coroutine while the fast-path
-// coroutine polls device completions — the SPDK interaction pattern the paper describes.
+// truncate garbage-collects logically. The log is driven the way Cattree drives SPDK: Start*
+// submits an append or a read without a coroutine, and PollDevice, called from the owning
+// libOS's fast path, finishes it — multi-block reads, pad skips and retries included — and
+// notifies the one Event of its Io. An append finishes when the device write is durable.
 //
 // On-device format (docs/STORAGE.md): a sequence of records, each
 //   [magic u32][payload_len u32][epoch u64][payload_crc u32][header_crc u32]
@@ -23,6 +24,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -31,7 +33,6 @@
 #include "src/memory/buffer.h"
 #include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/storage/sim_block_device.h"
 
 namespace demi {
@@ -61,35 +62,63 @@ class LogDevice {
     uint64_t next_cursor = 0;
   };
 
+  // One append or read, from Start* until PollDevice finishes it. Its owner keeps it in place
+  // while it is kBusy, and with it the slices an append gathers and the allocator a read
+  // draws on; `done` is notified as it turns kDone.
+  class Io {
+   public:
+    enum State : uint8_t { kIdle, kBusy, kDone };
+
+    State state = kIdle;          // the owner sets kIdle again once it took a kDone result
+    Status status = Status::kOk;  // the result, once kDone
+    uint64_t offset = 0;          // a done append: the record's byte offset
+    ReadResult record;            // a done read: the record
+    Event done;
+
+   private:
+    friend class LogDevice;
+    PoolAllocator* alloc_ = nullptr;  // a read: the allocator it draws on; null for an append
+    bool sg_ = false;                 // an append placed and written as StartAppendSg says
+    uint64_t lba_ = 0;                // the current device I/O's first block
+    uint32_t attempt_ = 0;            // its failed attempts so far
+    // An append's payload slices, then its gather list over image_, slices and trailer_.
+    std::vector<std::span<const uint8_t>> iov_;
+    std::vector<uint8_t> image_;    // the packed block image, or the SG lead block and header
+    std::vector<uint8_t> trailer_;  // SG: the flattened payload (if any), zero fill, pad marker
+    uint64_t new_tail_ = 0;
+    uint32_t len_ = 0;  // the record's payload bytes
+    uint32_t crc_ = 0;  // a read: the payload CRC its header holds
+    uint64_t cursor_ = 0;  // a read: the unit it is reading
+    uint64_t next_ = 0;    // a read: the unit after that record
+    bool payload_ = false;  // a read: buf_ holds the payload's blocks, not the header's
+    Buffer buf_;            // a read: what the device reads into
+  };
+
   // Appends one record whose payload is the concatenation of `slices`, packed right after the
   // previous record: the slices are copied once, into the block image that also carries the
-  // partial tail block. Resumes when the write is durable; returns the record's byte offset.
-  // Appends from multiple coroutines are serialized internally.
-  Task<Result<uint64_t>> Append(std::span<const std::span<const uint8_t>> slices);
+  // partial tail block. Appends go to the device one at a time, in the order they started; a
+  // done `io` holds the record's offset.
+  void StartAppend(Io& io, std::span<const std::span<const uint8_t>> slices);
 
-  // As Append, but written via the device's gather DMA — the payload bytes are never copied
-  // host-side. The record is placed on a block boundary (pad markers fill the gaps) so the
-  // tail-block cache never needs payload bytes. Slices must stay valid until the task
-  // completes (the awaiting splice op holds the Buffer references).
-  Task<Result<uint64_t>> AppendSg(std::span<const std::span<const uint8_t>> slices);
+  // As StartAppend, but written via the device's gather DMA — the payload bytes are never
+  // copied host-side. The record is placed on a block boundary (pad markers fill the gaps) so
+  // the tail-block cache never needs payload bytes.
+  void StartAppendSg(Io& io, std::span<const std::span<const uint8_t>> slices);
 
   // Reads the record at `cursor` (skipping pad markers); fails with kEndOfFile at the tail,
   // kProtocolError on a corrupt unit or CRC, kInvalidArgument below the GC head and kNoMemory
   // when `alloc` can't cover the read. A payload inside the block(s) holding its header comes
   // back as a slice of that one read; a longer one as a view over a single allocation spanning
   // its blocks (the disk→NIC splice path pushes it without a copy).
-  Task<Result<ReadResult>> Read(uint64_t cursor, PoolAllocator& alloc);
+  void StartRead(Io& io, uint64_t cursor, PoolAllocator& alloc);
 
   // Logical garbage collection: records below `offset` become unreadable.
   [[nodiscard]] Status Truncate(uint64_t offset);
 
-  // Drains the device completions due by `now` and wakes blocked appenders/readers. Called
-  // from the owning libOS's fast-path coroutine with the poll's time.
+  // Drains the device completions due by `now`, advances the I/Os they belong to and starts
+  // the next queued append once the write in flight is done. Called from the owning libOS's
+  // fast path with the poll's time.
   void PollDevice(TimeNs now);
-
-  // True when asynchronous work is pending (drives fast-path polling decisions).
-  bool HasPendingIo() const { return outstanding_ > 0; }
-  TimeNs NextCompletionTime() const { return device_.NextCompletionTime(); }
 
   uint64_t head() const { return head_; }
   uint64_t tail() const { return tail_; }
@@ -115,9 +144,9 @@ class LogDevice {
   static void SeedEpochPast(std::atomic<uint64_t>& epoch, uint64_t max_epoch);
 
   // Bounded exponential backoff (doubling, capped at kMaxRetryBackoff) applied to transient
-  // device I/O errors (injected faults, flaky media). After 1 + max_retries failed attempts the
-  // last error becomes terminal and propagates to the caller — and from there through Cattree
-  // to the waiting qtoken.
+  // device I/O errors (injected faults, flaky media): each backoff is a wheel timer that
+  // resubmits the I/O. After 1 + max_retries failed attempts the last error becomes terminal
+  // and propagates to the Io — and from there through Cattree to the waiting qtoken.
   struct RetryPolicy {
     uint32_t max_retries = 6;
     DurationNs initial_backoff = 10 * kMicrosecond;
@@ -144,25 +173,25 @@ class LogDevice {
   static constexpr size_t kHeaderSize = 24;
 
  private:
-  struct IoWait {
-    bool done = false;
-    Status status = Status::kOk;  // completion status from the device
-    Event event;
-  };
-
-  // One submission attempt: retries while the device queue is full, then awaits the completion
-  // and returns its status. A read fills `read_into`; a write (`read_into` empty) gathers
-  // `write_from`.
-  Task<Status> SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
-                                 std::span<const std::span<const uint8_t>> write_from);
-  // SubmitOnceAndWait with transient-error retry per retry_policy(); returns the terminal
-  // status once the op succeeds or the budget is spent.
-  Task<Status> SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
-                             std::span<const std::span<const uint8_t>> write_from);
-  Task<void> AcquireAppendLock();
-  void ReleaseAppendLock();
+  void QueueAppend(Io& io, std::span<const std::span<const uint8_t>> slices, bool sg);
+  // Composes and submits the appends at the head of appends_ while no write is in flight.
+  void StartQueuedAppends();
+  // Places the append at the tail, builds its record and submits it.
+  void Compose(Io& io);
+  // Reads the block(s) holding the header of the unit at io.cursor_.
+  void ReadUnit(Io& io);
+  // Reads every block holding partition bytes [from, to) into one allocation, io.buf_.
+  void ReadBlocks(Io& io, uint64_t from, uint64_t to);
+  // Decodes a read's blocks: skips a pad, reads a long payload's blocks, or finishes.
+  void OnRead(Io& io);
+  // Starts a fresh device I/O at `lba` with a full retry budget.
+  void StartDeviceIo(Io& io, uint64_t lba);
+  // One attempt of io's device I/O; a kQueueFull refusal is resubmitted at the next PollDevice.
+  void Submit(Io& io);
+  void OnDeviceComplete(Io& io, Status status, TimeNs now);
+  void Finish(Io& io, Status status);
   // Composes the 24-byte record header for `payload_len` bytes with `crc`, stamping a fresh
-  // epoch: the only code that writes a header. Must run under the append lock so
+  // epoch: the only code that writes a header. Only the one composing append calls it, so
   // per-partition epochs stay strictly increasing.
   std::array<uint8_t, kHeaderSize> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
   uint64_t DeviceLba(uint64_t byte_offset) const {
@@ -184,12 +213,11 @@ class LogDevice {
   uint64_t tail_ = 0;  // next append offset (partition-relative)
   std::vector<uint8_t> tail_block_cache_;  // in-memory copy of the partial tail block
 
-  bool append_locked_ = false;
-  Event append_lock_released_;
-
+  Io* writer_ = nullptr;      // the append whose write is in flight: one at a time
+  std::deque<Io*> appends_;   // appends waiting for it, oldest first
+  std::vector<Io*> refused_;  // I/Os the device refused with kQueueFull
   uint64_t next_cookie_ = 1;
-  size_t outstanding_ = 0;
-  std::unordered_map<uint64_t, IoWait*> waiting_;
+  std::unordered_map<uint64_t, Io*> waiting_;  // device I/Os in flight, by cookie
   RetryPolicy retry_;
   Stats stats_;
 };

@@ -67,7 +67,22 @@ TimeNs SimBlockDevice::CompletionTimeFor(size_t bytes, bool is_read) {
   return device_free_at_ + (is_read ? kReadLatency : kWriteLatency);
 }
 
-Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total_bytes) {
+Status SimBlockDevice::SubmitWrite(uint64_t lba, std::span<const uint8_t> data, uint64_t cookie,
+                                   size_t queue) {
+  return SubmitWritev(lba, {&data, 1}, cookie, queue);
+}
+
+Status SimBlockDevice::SubmitWritev(uint64_t lba, std::span<const std::span<const uint8_t>> iov,
+                                    uint64_t cookie, size_t queue) {
+  std::lock_guard<std::mutex> lock(mu_);
+  DEMI_CHECK(queue < ready_.size());
+  if (iov.size() > kMaxWritevSegments) {
+    return Status::kMessageTooLong;
+  }
+  size_t total_bytes = 0;
+  for (const auto& seg : iov) {
+    total_bytes += seg.size();
+  }
   if (total_bytes % config_.block_size != 0 || total_bytes == 0) {
     return Status::kInvalidArgument;
   }
@@ -78,6 +93,15 @@ Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total
   if (pending_.size() >= kQueueDepth) {
     stats_.queue_full_rejections++;
     return Status::kQueueFull;
+  }
+  Pending p;
+  p.cookie = cookie;
+  p.queue = queue;
+  // Gather at submit time: this models the controller DMAing each registered slice straight
+  // from the heap — the captured image is device state, not a host bounce buffer.
+  p.write_data.reserve(total_bytes);
+  for (const auto& seg : iov) {
+    p.write_data.insert(p.write_data.end(), seg.begin(), seg.end());
   }
   p.complete_at = CompletionTimeFor(total_bytes, /*is_read=*/false);
   p.seq = next_seq_++;
@@ -103,40 +127,6 @@ Status SimBlockDevice::SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total
     tracer_->Record(TraceEventType::kDiskSubmit, 0, total_bytes);
   }
   return Status::kOk;
-}
-
-Status SimBlockDevice::SubmitWrite(uint64_t lba, std::span<const uint8_t> data, uint64_t cookie,
-                                   size_t queue) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DEMI_CHECK(queue < ready_.size());
-  Pending p;
-  p.cookie = cookie;
-  p.queue = queue;
-  p.write_data.assign(data.begin(), data.end());
-  return SubmitWriteLocked(lba, std::move(p), data.size());
-}
-
-Status SimBlockDevice::SubmitWritev(uint64_t lba, std::span<const std::span<const uint8_t>> iov,
-                                    uint64_t cookie, size_t queue) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DEMI_CHECK(queue < ready_.size());
-  if (iov.size() > kMaxWritevSegments) {
-    return Status::kMessageTooLong;
-  }
-  Pending p;
-  p.cookie = cookie;
-  p.queue = queue;
-  size_t total = 0;
-  for (const auto& seg : iov) {
-    total += seg.size();
-  }
-  // Gather at submit time: this models the controller DMAing each registered slice straight
-  // from the heap — the captured image is device state, not a host bounce buffer.
-  p.write_data.reserve(total);
-  for (const auto& seg : iov) {
-    p.write_data.insert(p.write_data.end(), seg.begin(), seg.end());
-  }
-  return SubmitWriteLocked(lba, std::move(p), total);
 }
 
 Status SimBlockDevice::SubmitRead(uint64_t lba, std::span<uint8_t> out, uint64_t cookie,

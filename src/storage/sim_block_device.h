@@ -135,7 +135,6 @@ class SimBlockDevice {
   };
 
   TimeNs CompletionTimeFor(size_t bytes, bool is_read);
-  [[nodiscard]] Status SubmitWriteLocked(uint64_t lba, Pending&& p, size_t total_bytes);
   // Moves every due pending op to its queue's ready list (applies media effects).
   void RetireDueLocked(TimeNs now);
 

@@ -1219,6 +1219,24 @@ TEST(CattreeTest, LogQueueSemantics) {
   }
 }
 
+// A push completes in the poll that drains its write's completion.
+TEST(CattreeTest, PushCompletesInThePollThatDrainsItsWrite) {
+  VirtualClock clock;
+  SimBlockDevice disk(SimBlockDevice::Config{}, clock);
+  Cattree os(disk, clock);
+  auto qd = os.Open("log");
+  ASSERT_TRUE(qd.ok());
+  auto push = os.Push(*qd, MakeSga(os, "record"));
+  ASSERT_TRUE(push.ok());
+  for (int i = 0; i < 4 && disk.NextCompletionTime() == 0; i++) {
+    os.PollOnce();  // lets a libOS that submits the write from a later poll do so
+  }
+  ASSERT_NE(disk.NextCompletionTime(), 0) << "the push never reached the device";
+  clock.SetTime(disk.NextCompletionTime());
+  os.PollOnce();
+  EXPECT_TRUE(os.IsDone(*push));
+}
+
 TEST(CattreeTest, TruncateGarbageCollects) {
   MonotonicClock clock;
   SimBlockDevice disk(SimBlockDevice::Config{}, clock);
@@ -1273,7 +1291,14 @@ class StoragePopTest : public ::testing::TestWithParam<StorageLibOs> {
   StoragePopTest()
       : net_(LinkConfig{}, 29),
         disk_(SimBlockDevice::Config{}, clock_),
-        os_(GetParam().make(net_, disk_, clock_)) {}
+        os_(GetParam().make(net_, disk_, clock_)),
+        fibers_at_setup_(os_->scheduler().stats().fibers_spawned) {}
+
+  // No file push or pop spawns a fiber: each waits in its queue's FIFO, served by the fast
+  // path, the one fiber the libOS runs.
+  void TearDown() override {
+    EXPECT_EQ(os_->scheduler().stats().fibers_spawned, fibers_at_setup_);
+  }
 
   // Opens a file queue holding `records`, each pushed and durable.
   QueueDesc OpenWith(const std::vector<std::string>& records) {
@@ -1287,11 +1312,83 @@ class StoragePopTest : public ::testing::TestWithParam<StorageLibOs> {
     return *qd;
   }
 
+  // Pushes `records` back to back on `qd`, then waits for all of them.
+  void PushAll(QueueDesc qd, const std::vector<std::string>& records) {
+    std::vector<QToken> pushes;
+    for (const std::string& rec : records) {
+      auto push = os_->Push(qd, MakeSga(*os_, rec));
+      ASSERT_TRUE(push.ok());
+      pushes.push_back(*push);
+    }
+    std::vector<QResult> results;
+    ASSERT_EQ(os_->WaitAll(pushes, &results, kSecond), Status::kOk);
+    for (const QResult& r : results) {
+      EXPECT_EQ(r.status, Status::kOk);
+    }
+  }
+
+  // Pops `n` records from a fresh queue on the log.
+  std::vector<std::string> ReadBack(size_t n) {
+    auto qd = os_->Open("log");
+    EXPECT_TRUE(qd.ok());
+    std::vector<std::string> seen;
+    for (size_t i = 0; i < n; i++) {
+      auto pop = os_->Pop(*qd);
+      auto r = os_->Wait(*pop, kSecond);
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r->status, Status::kOk);
+      seen.push_back(SgaToString(*os_, r->sga));
+    }
+    return seen;
+  }
+
   MonotonicClock clock_;
   SimNetwork net_;
   SimBlockDevice disk_;
   std::unique_ptr<LibOS> os_;
+  uint64_t fibers_at_setup_;
 };
+
+// Pushes issued back to back reach the log in push order, one record each.
+TEST_P(StoragePopTest, PipelinedPushesLandInPushOrder) {
+  auto qd = os_->Open("log");
+  ASSERT_TRUE(qd.ok());
+  PushAll(*qd, {"x", "y"});
+  PushAll(*qd, {"a", "b", "c"});
+  EXPECT_EQ(ReadBack(5), (std::vector<std::string>{"x", "y", "a", "b", "c"}));
+}
+
+// A pop queued behind an unfinished push on the same queue reads after that push.
+TEST_P(StoragePopTest, PopQueuedBehindAPushReadsItsRecord) {
+  auto qd = os_->Open("log");
+  ASSERT_TRUE(qd.ok());
+  auto push = os_->Push(*qd, MakeSga(*os_, "first"));
+  auto pop = os_->Pop(*qd);
+  ASSERT_TRUE(push.ok() && pop.ok());
+  EXPECT_EQ(os_->Wait(*push, kSecond)->status, Status::kOk);
+  auto r = os_->Wait(*pop, kSecond);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->status, Status::kOk);
+  EXPECT_EQ(SgaToString(*os_, r->sga), "first");
+}
+
+// Close completes the ops that have not started with kCancelled before it returns; the push
+// whose write is on the device completes later, durable.
+TEST_P(StoragePopTest, CloseCancelsQueuedOpsAndFinishesTheWriteInFlight) {
+  auto qd = os_->Open("log");
+  ASSERT_TRUE(qd.ok());
+  auto on_device = os_->Push(*qd, MakeSga(*os_, "durable"));
+  auto queued = os_->Push(*qd, MakeSga(*os_, "cancelled"));
+  auto pop = os_->Pop(*qd);
+  ASSERT_TRUE(on_device.ok() && queued.ok() && pop.ok());
+  ASSERT_EQ(os_->Close(*qd), Status::kOk);
+  EXPECT_TRUE(os_->IsDone(*queued));
+  EXPECT_TRUE(os_->IsDone(*pop));
+  EXPECT_EQ(os_->TryTake(*queued)->status, Status::kCancelled);
+  EXPECT_EQ(os_->TryTake(*pop)->status, Status::kCancelled);
+  EXPECT_EQ(os_->Wait(*on_device, kSecond)->status, Status::kOk);
+  EXPECT_EQ(ReadBack(1), (std::vector<std::string>{"durable"}));
+}
 
 // Pops issued back to back read successive records, oldest pop first.
 TEST_P(StoragePopTest, PipelinedPopsReadSuccessiveRecords) {

@@ -1,4 +1,4 @@
-// The virtual-clock loop the log tests drive LogDevice coroutines with: poll the logs' device
+// The virtual-clock loop the log tests drive LogDevice I/Os with: poll the logs' device
 // completions and the scheduler, then jump the clock to the next device completion or timer
 // deadline (a retry backoff), until the caller's condition holds.
 
@@ -42,12 +42,14 @@ bool DriveLogs(VirtualClock& clock, Scheduler& sched, const SimBlockDevice& dev,
   return done();
 }
 
+inline bool IsDone(const LogDevice::Io& io) { return io.state == LogDevice::Io::kDone; }
+
 inline std::span<const uint8_t> Bytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
 }
 
-// `payload` as the one-slice list LogDevice::Append takes. Pass the result as a temporary in
-// the co_await expression so it lives until the append completes.
+// `payload` as the one-slice list LogDevice::StartAppend takes; the log copies the list, so a
+// temporary will do. `payload` itself must outlive the append.
 inline std::array<std::span<const uint8_t>, 1> OneSlice(const std::string& payload) {
   return {Bytes(payload)};
 }

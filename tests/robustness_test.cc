@@ -61,13 +61,10 @@ TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
   LogDevice log(dev, sched);
 
   auto append = [&](const std::string& payload) {
-    bool done = false;
-    sched.Spawn([](LogDevice* dst, std::string p, bool* done_out) -> Task<void> {
-      auto r = co_await dst->Append(OneSlice(p));
-      EXPECT_TRUE(r.ok());
-      *done_out = true;
-    }(&log, payload, &done));
-    ASSERT_TRUE(DriveLogs(clock, sched, dev, {&log}, [&] { return done; }));
+    LogDevice::Io io;
+    log.StartAppend(io, OneSlice(payload));
+    ASSERT_TRUE(DriveLogs(clock, sched, dev, {&log}, [&] { return IsDone(io); }));
+    EXPECT_EQ(io.status, Status::kOk);
   };
   append("good-one");
   append("good-two");

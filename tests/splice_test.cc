@@ -31,68 +31,48 @@ class SpliceLogTest : public ::testing::Test {
  protected:
   SpliceLogTest() : dev_(SimBlockDevice::Config{}, clock_), sched_(clock_), log_(dev_, sched_) {}
 
-  void RunUntil(const bool& done) {
-    ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return done; }))
+  void RunUntil(const LogDevice::Io& io) {
+    ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return IsDone(io); }))
         << "log operation did not finish";
   }
 
-  // Synchronous wrapper around AppendSg for a set of slices backed by `parts`.
+  // Synchronous wrapper around StartAppendSg for a set of slices backed by `parts`.
   Status AppendSgSync(const std::vector<std::string>& parts, uint64_t* offset_out = nullptr) {
-    bool done = false;
-    Status status = Status::kInternal;
-    uint64_t offset = UINT64_MAX;
-    sched_.Spawn([](LogDevice* log, const std::vector<std::string>* data, bool* done_out,
-                    Status* st, uint64_t* off) -> Task<void> {
-      std::vector<std::span<const uint8_t>> slices;
-      slices.reserve(data->size());
-      for (const std::string& s : *data) {
-        slices.push_back(Bytes(s));
-      }
-      auto r = co_await log->AppendSg(slices);
-      *st = r.ok() ? Status::kOk : r.error();
-      if (r.ok()) {
-        *off = *r;
-      }
-      *done_out = true;
-    }(&log_, &parts, &done, &status, &offset));
-    RunUntil(done);
-    if (offset_out != nullptr) {
-      *offset_out = offset;
+    std::vector<std::span<const uint8_t>> slices;
+    slices.reserve(parts.size());
+    for (const std::string& s : parts) {
+      slices.push_back(Bytes(s));
     }
-    return status;
+    LogDevice::Io io;
+    log_.StartAppendSg(io, slices);
+    RunUntil(io);
+    if (offset_out != nullptr) {
+      *offset_out = io.status == Status::kOk ? io.offset : UINT64_MAX;
+    }
+    return io.status;
   }
 
   Status AppendSync(const std::string& payload) {
-    bool done = false;
-    Status status = Status::kInternal;
-    sched_.Spawn([](LogDevice* log, std::string data, bool* done_out, Status* st) -> Task<void> {
-      auto r = co_await log->Append(OneSlice(data));
-      *st = r.ok() ? Status::kOk : r.error();
-      *done_out = true;
-    }(&log_, payload, &done, &status));
-    RunUntil(done);
-    return status;
+    LogDevice::Io io;
+    log_.StartAppend(io, OneSlice(payload));
+    RunUntil(io);
+    return io.status;
   }
 
   // Reads the record at *cursor (advancing it); empty string on any error, with the status in
   // *status_out.
   std::string ReadSync(uint64_t* cursor, Status* status_out = nullptr) {
-    bool done = false;
-    Status status = Status::kInternal;
+    LogDevice::Io io;
+    log_.StartRead(io, *cursor, alloc_);
+    RunUntil(io);
     std::string payload;
-    sched_.Spawn([](LogDevice* log, PoolAllocator* alloc, uint64_t* cur, bool* done_out,
-                    Status* st, std::string* out) -> Task<void> {
-      auto r = co_await log->Read(*cur, *alloc);
-      *st = r.ok() ? Status::kOk : r.error();
-      if (r.ok()) {
-        out->assign(reinterpret_cast<const char*>(r->payload.data()), r->payload.size());
-        *cur = r->next_cursor;
-      }
-      *done_out = true;
-    }(&log_, &alloc_, cursor, &done, &status, &payload));
-    RunUntil(done);
+    if (io.status == Status::kOk) {
+      payload.assign(reinterpret_cast<const char*>(io.record.payload.data()),
+                     io.record.payload.size());
+      *cursor = io.record.next_cursor;
+    }
     if (status_out != nullptr) {
-      *status_out = status;
+      *status_out = io.status;
     }
     return payload;
   }
@@ -155,23 +135,22 @@ TEST_F(SpliceLogTest, ReadReturnsViewOverOneAllocation) {
 
   NullDmaRegistrar reg;
   PoolAllocator alloc(reg);
-  bool done = false;
   Status status = Status::kInternal;
-  sched_.Spawn([](LogDevice* log, PoolAllocator* a, const std::string* want, bool* done_out,
-                  Status* st) -> Task<void> {
-    auto r = co_await log->Read(log->head(), *a);
-    if (!r.ok()) {
-      *st = r.error();
+  {
+    LogDevice::Io io;
+    log_.StartRead(io, log_.head(), alloc);
+    RunUntil(io);
+    const Buffer& got = io.record.payload;
+    if (io.status != Status::kOk) {
+      status = io.status;
     } else {
-      const bool match = r->payload.size() == want->size() &&
-                         std::memcmp(r->payload.data(), want->data(), want->size()) == 0;
+      const bool match = got.size() == payload.size() &&
+                         std::memcmp(got.data(), payload.data(), payload.size()) == 0;
       // The whole payload lies inside the one pool object the device read into.
-      const bool one_allocation = a->ObjectSize(r->payload.data()) >= r->payload.size();
-      *st = match && one_allocation ? Status::kOk : Status::kInternal;
+      const bool one_allocation = alloc.ObjectSize(got.data()) >= got.size();
+      status = match && one_allocation ? Status::kOk : Status::kInternal;
     }
-    *done_out = true;  // the Buffer view dies here; the pool must drain back to zero
-  }(&log_, &alloc, &payload, &done, &status));
-  RunUntil(done);
+  }  // the Buffer view dies here; the pool must drain back to zero
   EXPECT_EQ(status, Status::kOk);
   EXPECT_EQ(alloc.GetStats().live_objects, 0u) << "the zc view must release its allocation";
 }
@@ -245,15 +224,10 @@ TEST(PartitionedLogTest, EpochStitchedRecoveryPreservesCrossPartitionOrder) {
 
   // Interleave appends across the two partitions; the shared epoch must order them globally.
   auto append = [&](LogDevice& log, const std::string& payload) {
-    bool done = false;
-    Status status = Status::kInternal;
-    sched.Spawn([](LogDevice* l, std::string data, bool* d, Status* st) -> Task<void> {
-      auto r = co_await l->Append(OneSlice(data));
-      *st = r.ok() ? Status::kOk : r.error();
-      *d = true;
-    }(&log, payload, &done, &status));
-    DriveLogs(clock, sched, dev, {&log0, &log1}, [&] { return done; });
-    ASSERT_EQ(status, Status::kOk);
+    LogDevice::Io io;
+    log.StartAppend(io, OneSlice(payload));
+    DriveLogs(clock, sched, dev, {&log0, &log1}, [&] { return IsDone(io); });
+    ASSERT_EQ(io.status, Status::kOk);
   };
   const std::vector<std::pair<int, std::string>> writes = {
       {0, "a0"}, {1, "b0"}, {1, "b1"}, {0, "a1"}, {0, "a2"}, {1, "b2"}};
@@ -287,15 +261,10 @@ TEST(PartitionedLogTest, PartitionsAreCapacityIsolated) {
   EXPECT_EQ(log0.CapacityBytes(), 8 * cfg.block_size);
 
   auto append = [&](const std::string& payload) {
-    bool done = false;
-    Status status = Status::kInternal;
-    sched.Spawn([](LogDevice* l, std::string data, bool* d, Status* st) -> Task<void> {
-      auto r = co_await l->Append(OneSlice(data));
-      *st = r.ok() ? Status::kOk : r.error();
-      *d = true;
-    }(&log0, payload, &done, &status));
-    DriveLogs(clock, sched, dev, {&log0}, [&] { return done; });
-    return status;
+    LogDevice::Io io;
+    log0.StartAppend(io, OneSlice(payload));
+    DriveLogs(clock, sched, dev, {&log0}, [&] { return IsDone(io); });
+    return IsDone(io) ? io.status : Status::kInternal;
   };
   // Fill partition 0 until it rejects; it must reject from ITS capacity, never spill into
   // partition 1's block range.
@@ -349,6 +318,13 @@ class CatnipSpliceTest : public ::testing::Test {
                 clock_) {
     server_.ethernet().arp().Insert(client_.local_ip(), MacAddr{2});
     client_.ethernet().arp().Insert(server_.local_ip(), MacAddr{1});
+  }
+
+  // No splice, file push or pop spawns a fiber: each is an op in its source queue's FIFO,
+  // served by the fast path, the one fiber each libOS runs.
+  void TearDown() override {
+    EXPECT_EQ(server_.scheduler().stats().fibers_spawned, 1u);
+    EXPECT_EQ(client_.scheduler().stats().fibers_spawned, 1u);
   }
 
   std::vector<LibOS*> World() { return {&server_, &client_}; }
@@ -482,6 +458,41 @@ TEST_F(CatnipSpliceTest, DiskToNetSpliceStreamsTheLog) {
   EXPECT_EQ(splice_r.bytes, expected.size());
 }
 
+// Closing the source queue while the splice's append is on the disk: the splice completes once
+// that record is durable, with kCancelled and the bytes it made durable.
+TEST_F(CatnipSpliceTest, CloseDuringAnAppendEndsTheSpliceOnceItIsDurable) {
+  auto [cqd, sconn] = Connect();
+  auto fqd = server_.Open("relay-log");
+  ASSERT_TRUE(fqd.ok());
+  auto splice_qt = server_.Splice(sconn, *fqd);
+  ASSERT_TRUE(splice_qt.ok());
+  const std::vector<uint8_t> chunk = PatternChunk(0, 1000);
+  void* buf = client_.DmaMalloc(chunk.size());
+  ASSERT_NE(buf, nullptr);
+  std::memcpy(buf, chunk.data(), chunk.size());
+  ASSERT_TRUE(client_.Push(cqd, Sgarray::Of(buf, static_cast<uint32_t>(chunk.size()))).ok());
+  client_.DmaFree(buf);
+  for (int i = 0; i < 100000 && disk_.NextCompletionTime() == 0; i++) {
+    client_.PollOnce();
+    server_.PollOnce();
+  }
+  ASSERT_NE(disk_.NextCompletionTime(), 0) << "the splice never started its append";
+
+  ASSERT_EQ(server_.Close(sconn), Status::kOk);
+  EXPECT_FALSE(server_.IsDone(*splice_qt));
+  QResult r = WaitStepped(server_, *splice_qt, World(), /*max_steps=*/200'000);
+  EXPECT_EQ(r.status, Status::kCancelled);
+  EXPECT_EQ(r.bytes, chunk.size());
+  auto rqd = server_.Open("relay-log");
+  ASSERT_TRUE(rqd.ok());
+  auto pop_qt = server_.Pop(*rqd);
+  ASSERT_TRUE(pop_qt.ok());
+  QResult rec = WaitStepped(server_, *pop_qt, World());
+  ASSERT_EQ(rec.status, Status::kOk);
+  EXPECT_EQ(rec.sga.segs[0].len, chunk.size());
+  server_.FreeSga(rec.sga);
+}
+
 TEST_F(CatnipSpliceTest, SpliceRejectsUnsupportedQueuePairs) {
   auto [cqd, sconn] = Connect();
   auto fqd = server_.Open("log");
@@ -493,6 +504,9 @@ TEST_F(CatnipSpliceTest, SpliceRejectsUnsupportedQueuePairs) {
   EXPECT_EQ(file_file.error(), Status::kNotSupported);
   auto bad = server_.Splice(999, *fqd);
   EXPECT_EQ(bad.error(), Status::kBadQueueDescriptor);
+  // A queue runs one splice at a time.
+  ASSERT_TRUE(server_.Splice(sconn, *fqd).ok());
+  EXPECT_EQ(server_.Splice(sconn, *fqd).error(), Status::kInvalidArgument);
   // A diskless Catnip has no log to splice with.
   auto client_sock = client_.Socket(SocketType::kStream);
   ASSERT_TRUE(client_sock.ok());

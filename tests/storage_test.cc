@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -109,50 +110,39 @@ TEST_F(BlockDeviceTest, CompletionsOrderedByTime) {
   EXPECT_EQ(comps[2].cookie, 12u);
 }
 
-// LogDevice tests drive coroutines on a scheduler with a background poller fiber, the way
-// Cattree does.
+// LogDevice tests start I/Os and poll the device the way Cattree's fast path does.
 class LogDeviceTest : public ::testing::Test {
  protected:
   LogDeviceTest()
       : dev_(SimBlockDevice::Config{}, clock_), sched_(clock_), log_(dev_, sched_) {}
 
-  // Runs the scheduler until `done` while advancing the virtual clock to device completions.
-  void RunUntil(const bool& done) {
-    ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return done; }))
+  // Polls the log until `io` is done while advancing the virtual clock to device completions.
+  void RunUntil(const LogDevice::Io& io) {
+    ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return IsDone(io); }))
         << "log operation did not finish";
   }
 
   uint64_t AppendSync(const std::string& payload, Status* status_out = nullptr) {
-    bool done = false;
-    uint64_t offset = UINT64_MAX;
-    sched_.Spawn([](LogDevice* log, std::string data, bool* done_out, uint64_t* offset_out,
-                    Status* st) -> Task<void> {
-      auto r = co_await log->Append(OneSlice(data));
-      if (st != nullptr) {
-        *st = r.error();
-      }
-      if (r.ok()) {
-        *offset_out = *r;
-      }
-      *done_out = true;
-    }(&log_, payload, &done, &offset, status_out));
-    RunUntil(done);
-    return offset;
+    LogDevice::Io io;
+    log_.StartAppend(io, OneSlice(payload));
+    RunUntil(io);
+    if (status_out != nullptr) {
+      *status_out = io.status;
+    }
+    return io.status == Status::kOk ? io.offset : UINT64_MAX;
   }
 
   // Reads the record at `cursor` of `log` (the fixture's by default).
   Result<LogDevice::ReadResult> ReadSync(uint64_t cursor, LogDevice* log = nullptr) {
     log = log != nullptr ? log : &log_;
-    bool done = false;
-    Result<LogDevice::ReadResult> result = Status::kInternal;
-    sched_.Spawn([](LogDevice* l, PoolAllocator* alloc, uint64_t at, bool* done_out,
-                    Result<LogDevice::ReadResult>* out) -> Task<void> {
-      *out = co_await l->Read(at, *alloc);
-      *done_out = true;
-    }(log, &alloc_, cursor, &done, &result));
-    EXPECT_TRUE(DriveLogs(clock_, sched_, dev_, {log}, [&] { return done; }))
+    LogDevice::Io io;
+    log->StartRead(io, cursor, alloc_);
+    EXPECT_TRUE(DriveLogs(clock_, sched_, dev_, {log}, [&] { return IsDone(io); }))
         << "log operation did not finish";
-    return result;
+    if (io.status != Status::kOk) {
+      return io.status;
+    }
+    return std::move(io.record);
   }
 
   // Overwrites media bytes behind the log's back (a torn or corrupted write): `bytes` go at
@@ -253,13 +243,11 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
   LogDevice recovered(dev_, sched_);
   ASSERT_EQ(recovered.Recover(), Status::kOk);
 
-  bool done = false;
-  sched_.Spawn([](LogDevice* log, bool* done_out) -> Task<void> {
-    auto r = co_await log->Append(OneSlice("after-crash"));
-    EXPECT_TRUE(r.ok());
-    *done_out = true;
-  }(&recovered, &done));
-  ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&recovered}, [&] { return done; }));
+  const std::string after = "after-crash";
+  LogDevice::Io io;
+  recovered.StartAppend(io, OneSlice(after));
+  ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&recovered}, [&] { return IsDone(io); }));
+  EXPECT_EQ(io.status, Status::kOk);
 
   uint64_t cursor = 0;
   std::vector<std::string> seen;
@@ -273,21 +261,25 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
 }
 
 TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
-  // Several application coroutines appending at once must not interleave corruptly.
+  // Several appends started at once must not interleave corruptly, and reach the log in the
+  // order they started.
   constexpr int kAppenders = 8;
-  int finished = 0;
+  std::array<LogDevice::Io, kAppenders> ios;
+  std::vector<std::string> payloads;
   for (int i = 0; i < kAppenders; i++) {
-    sched_.Spawn([](LogDevice* log, int id, int* finished_out) -> Task<void> {
-      std::string payload = "appender-" + std::to_string(id);
-      auto r = co_await log->Append(OneSlice(payload));
-      EXPECT_TRUE(r.ok());
-      (*finished_out)++;
-    }(&log_, i, &finished));
+    payloads.push_back("appender-" + std::to_string(i));
   }
-  DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return finished == kAppenders; });
-  ASSERT_EQ(finished, kAppenders);
+  for (int i = 0; i < kAppenders; i++) {
+    log_.StartAppend(ios[i], OneSlice(payloads[i]));
+  }
+  DriveLogs(clock_, sched_, dev_, {&log_},
+            [&] { return std::all_of(ios.begin(), ios.end(), IsDone); });
+  for (const LogDevice::Io& io : ios) {
+    ASSERT_TRUE(IsDone(io));
+    EXPECT_EQ(io.status, Status::kOk);
+  }
 
-  // All records readable, each exactly once.
+  // All records readable, each exactly once, in submission order.
   uint64_t cursor = 0;
   std::vector<std::string> seen;
   for (int i = 0; i < kAppenders; i++) {
@@ -296,10 +288,7 @@ TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
     seen.push_back(Str(r->payload));
     cursor = r->next_cursor;
   }
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kAppenders; i++) {
-    EXPECT_NE(std::find(seen.begin(), seen.end(), "appender-" + std::to_string(i)), seen.end());
-  }
+  EXPECT_EQ(seen, payloads);
 }
 
 TEST_F(LogDeviceTest, FillsToCapacityThenRejects) {
@@ -374,15 +363,13 @@ uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
 // or to either placement (packed or block-aligned) cannot pass unnoticed.
 TEST_F(LogDeviceTest, MediaFormatIsPinned) {
   AppendSync("packed-one");
-  bool done = false;
-  sched_.Spawn([](LogDevice* log, bool* done_out) -> Task<void> {
-    const std::string a = "gathered-";
-    const std::string b = "slices";
-    const std::array<std::span<const uint8_t>, 2> slices = {Bytes(a), Bytes(b)};
-    EXPECT_TRUE((co_await log->AppendSg(slices)).ok());
-    *done_out = true;
-  }(&log_, &done));
-  RunUntil(done);
+  const std::string a = "gathered-";
+  const std::string b = "slices";
+  const std::array<std::span<const uint8_t>, 2> slices = {Bytes(a), Bytes(b)};
+  LogDevice::Io io;
+  log_.StartAppendSg(io, slices);
+  RunUntil(io);
+  EXPECT_EQ(io.status, Status::kOk);
   AppendSync("packed-two");
   AppendSync("");
 
