@@ -16,6 +16,12 @@
 
 namespace demi {
 
+EchoServerApp::~EchoServerApp() {
+  for (auto& [qt, r] : logging_) {
+    os_.FreeSga(r.sga);
+  }
+}
+
 EchoServerApp::EchoServerApp(LibOS& os, const EchoServerOptions& options)
     : os_(os), options_(options) {
   if (options.log_to_disk) {
@@ -66,18 +72,22 @@ void EchoServerApp::HandlePop(size_t index, QResult& r) {
   stats_.requests++;
   stats_.bytes += r.sga.TotalBytes();
   if (log_qd_ != kInvalidQd) {
-    // Persist before replying (Figure 7): one durable log append per message. This Wait blocks
-    // only on our own libOS (the disk lives with us), so Pump stays composable.
+    // Persist before replying (Figure 7): one durable log append per message. The log push
+    // takes its pop's slot and the message waits in logging_; Pump echoes it once the push
+    // completes, so the server keeps serving other connections meanwhile.
     auto log_qt = os_.Push(log_qd_, r.sga);
     if (log_qt.ok()) {
-      auto log_r = os_.Wait(*log_qt);
-      if (!log_r.ok() || log_r->status != Status::kOk) {
-        stats_.log_failures++;  // degrade: echo anyway, message just isn't durable
-      }
-    } else {
-      stats_.log_failures++;
+      tokens_[index] = *log_qt;
+      logging_.emplace(*log_qt, r);
+      return;
     }
+    stats_.log_failures++;  // degrade: echo anyway, message just isn't durable
   }
+  Echo(index, r);
+}
+
+void EchoServerApp::Echo(size_t index, QResult& r) {
+  const QueueDesc qd = r.qd;
   // Echo the same buffers back; UAF protection lets us free right after push.
   Result<QToken> push_qt = options_.type == SocketType::kStream
                                ? os_.Push(qd, r.sga)
@@ -115,7 +125,8 @@ size_t EchoServerApp::Pump() {
       if (!os_.IsDone(tokens_[i])) {
         continue;
       }
-      auto result = os_.TryTake(tokens_[i]);
+      const QToken qt = tokens_[i];
+      auto result = os_.TryTake(qt);
       if (!result.ok()) {
         continue;
       }
@@ -124,6 +135,13 @@ size_t EchoServerApp::Pump() {
       } else if (result->opcode == OpCode::kPop) {
         HandlePop(i, *result);
         served++;
+      } else if (result->opcode == OpCode::kPush && result->qd == log_qd_) {
+        // A message's log push finished: echo it.
+        auto logged = logging_.extract(qt);
+        if (result->status != Status::kOk) {
+          stats_.log_failures++;  // degrade: echo anyway, message just isn't durable
+        }
+        Echo(i, logged.mapped());
       } else if (result->opcode == OpCode::kPush) {
         RearmPop(i, result->qd);  // a slow-path echo push finished
       }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/libos.h"
@@ -22,8 +23,8 @@ class ShardGroup;
 struct EchoServerOptions {
   SocketAddress listen;
   SocketType type = SocketType::kStream;
-  // If non-empty, open a storage queue and push every message to it (synchronously, before
-  // replying) — the Figure 7 configuration. Requires a libOS with storage support.
+  // If set, open a storage queue and push every message to it, echoing each once its push is
+  // durable — the Figure 7 configuration. Requires a libOS with storage support.
   bool log_to_disk = false;
   std::string log_path = "echo.log";
   // Isolation domain the listening socket (and thus every accepted connection) is charged to.
@@ -44,6 +45,9 @@ struct EchoServerStats {
 class EchoServerApp {
  public:
   EchoServerApp(LibOS& os, const EchoServerOptions& options);
+  ~EchoServerApp();
+  EchoServerApp(const EchoServerApp&) = delete;
+  EchoServerApp& operator=(const EchoServerApp&) = delete;
 
   // Processes every completed token once; returns the number of requests served this call.
   size_t Pump();
@@ -53,6 +57,8 @@ class EchoServerApp {
  private:
   void HandleAccept(size_t index, QResult& r);
   void HandlePop(size_t index, QResult& r);
+  // Pushes popped message `r` back to its sender from the same buffers, then frees them.
+  void Echo(size_t index, QResult& r);
   // Replaces tokens_[index] with a fresh pop on `qd`, or drops the connection.
   void RearmPop(size_t index, QueueDesc qd);
 
@@ -61,6 +67,8 @@ class EchoServerApp {
   EchoServerStats stats_;
   QueueDesc log_qd_ = kInvalidQd;
   std::vector<QToken> tokens_;
+  // Messages whose log push is in flight, by its qtoken; each echoes once the push completes.
+  std::unordered_map<QToken, QResult> logging_;
 };
 
 // Runs until `stop` becomes true. Serves any number of concurrent connections.

@@ -10,6 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <deque>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/core/shard_group.h"
@@ -178,18 +180,113 @@ void DrainFrames(std::vector<uint8_t>& acc, FrameFn&& fn) {
 }  // namespace
 
 struct MiniKvServerApp::Impl {
-  explicit Impl(LibOS& os) : store(os) {}
-  KvHeapStore store;
-  QueueDesc aof_qd = kInvalidQd;
+  Impl(LibOS& libos, MiniKvStats& app_stats) : os(libos), stats(app_stats), store(libos) {}
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+  ~Impl() {
+    for (auto& [qd, cs] : conns) {
+      for (const Reply& reply : cs.replies) {
+        if (reply.buf != nullptr) {
+          os.DmaFree(reply.buf);
+        }
+      }
+    }
+  }
+
+  // A reply that waits on its connection: a SET's until its AOF push is durable, and any
+  // reply behind one, so replies leave in request order.
+  struct Reply {
+    QToken aof = kInvalidQToken;  // a SET: its AOF push, whose result sets the reply's status
+    void* buf = nullptr;          // the encoded reply, once known, in a buffer the reply owns
+    uint32_t len = 0;
+  };
   struct ConnState {
     std::vector<uint8_t> acc;
+    std::deque<Reply> replies;  // oldest first
+    bool ended = false;         // its pops ended: close it once the replies are out
   };
+
+  // Sends `sga` on `qd` now, or, behind a reply that waits, queues a copy: the copy holds no
+  // store value that a later SET may free.
+  void Respond(QueueDesc qd, ConnState& cs, const Sgarray& sga) {
+    if (cs.replies.empty()) {
+      (void)os.Push(qd, sga);
+      return;
+    }
+    Reply& reply = cs.replies.emplace_back();
+    reply.len = static_cast<uint32_t>(sga.TotalBytes());
+    reply.buf = os.DmaMalloc(reply.len);
+    uint8_t* dst = static_cast<uint8_t*>(reply.buf);
+    for (uint32_t i = 0; i < sga.num_segs; i++) {
+      std::memcpy(dst, sga.segs[i].buf, sga.segs[i].len);
+      dst += sga.segs[i].len;
+    }
+    deferred++;
+  }
+
+  void RespondStatus(QueueDesc qd, ConnState& cs, KvStatus status) {
+    uint8_t hdr[4 + kRespHeader];
+    const size_t n = KvEncodeResponse(status, "", hdr, sizeof(hdr));
+    void* out = os.DmaMalloc(n);
+    std::memcpy(out, hdr, n);
+    Respond(qd, cs, Sgarray::Of(out, static_cast<uint32_t>(n)));
+    os.DmaFree(out);
+  }
+
+  // Sends `cs`'s replies, oldest first, until one waits for a SET that is not durable yet. A
+  // connection whose pops ended closes once its last reply is out; returns whether it did.
+  bool Flush(QueueDesc qd, ConnState& cs) {
+    while (!cs.replies.empty()) {
+      Reply& reply = cs.replies.front();
+      if (reply.aof != kInvalidQToken) {
+        if (!os.IsDone(reply.aof)) {
+          return false;
+        }
+        // A terminal append failure (e.g. disk retry budget exhausted under injected faults)
+        // degrades to a kError reply: the value is live in memory but the client knows it
+        // isn't durable.
+        auto r = os.TryTake(reply.aof);
+        const bool durable = r.ok() && r->status == Status::kOk;
+        if (!durable) {
+          stats.aof_failures++;
+        }
+        uint8_t hdr[4 + kRespHeader];
+        reply.len = static_cast<uint32_t>(KvEncodeResponse(
+            durable ? KvStatus::kOk : KvStatus::kError, "", hdr, sizeof(hdr)));
+        reply.buf = os.DmaMalloc(reply.len);
+        std::memcpy(reply.buf, hdr, reply.len);
+      }
+      (void)os.Push(qd, Sgarray::Of(reply.buf, reply.len));
+      os.DmaFree(reply.buf);
+      cs.replies.pop_front();
+      deferred--;
+    }
+    if (cs.ended) {
+      (void)os.Close(qd);
+    }
+    return cs.ended;
+  }
+
+  // Ends `qd` once its pops end: at once, or after its waiting replies.
+  void End(QueueDesc qd) {
+    auto it = conns.find(qd);
+    it->second.ended = true;
+    if (Flush(qd, it->second)) {
+      conns.erase(it);
+    }
+  }
+
+  LibOS& os;
+  MiniKvStats& stats;
+  KvHeapStore store;
+  QueueDesc aof_qd = kInvalidQd;
   std::unordered_map<QueueDesc, ConnState> conns;
   std::vector<QToken> tokens;
+  size_t deferred = 0;  // replies waiting, across connections
 };
 
 MiniKvServerApp::MiniKvServerApp(LibOS& os, const MiniKvOptions& options)
-    : os_(os), options_(options), impl_(std::make_unique<Impl>(os)) {
+    : os_(os), options_(options), impl_(std::make_unique<Impl>(os, stats_)) {
   if (options.persist) {
     auto aof = os.Open(options.aof_path);
     DEMI_CHECK_MSG(aof.ok(), "minikv: cannot open AOF queue");
@@ -208,6 +305,11 @@ MiniKvServerApp::~MiniKvServerApp() = default;
 
 size_t MiniKvServerApp::Pump() {
   Impl& im = *impl_;
+  if (im.deferred > 0) {
+    for (auto it = im.conns.begin(); it != im.conns.end();) {
+      it = im.Flush(it->first, it->second) ? im.conns.erase(it) : std::next(it);
+    }
+  }
   size_t served = 0;
   bool progress = true;
   while (progress) {
@@ -241,8 +343,7 @@ size_t MiniKvServerApp::Pump() {
       // Pop on a connection.
       const QueueDesc qd = r.qd;
       if (r.status != Status::kOk) {
-        os_.Close(qd);
-        im.conns.erase(qd);
+        im.End(qd);
         im.tokens.erase(im.tokens.begin() + static_cast<long>(index));
         break;
       }
@@ -256,53 +357,38 @@ size_t MiniKvServerApp::Pump() {
       DrainFrames(cs.acc, [&](std::span<const uint8_t> frame) {
         served++;
         KvRequestView req;
-        uint8_t hdr[4 + kRespHeader];
         if (!KvParseRequest(frame, &req)) {
-          const size_t n = KvEncodeResponse(KvStatus::kError, "", hdr, sizeof(hdr));
-          void* out = os_.DmaMalloc(n);
-          std::memcpy(out, hdr, n);
-          auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-          os_.DmaFree(out);
-          (void)push;
+          im.RespondStatus(qd, cs, KvStatus::kError);
           return;
         }
         switch (req.op) {
           case KvOp::kSet: {
             stats_.sets++;
             im.store.Set(req.key, req.value);
-            KvStatus set_status = KvStatus::kOk;
-            if (im.aof_qd != kInvalidQd) {
-              // Durable before acknowledged: append the raw request frame (fsync-equivalent).
-              // A terminal append failure (e.g. disk retry budget exhausted under injected
-              // faults) degrades to a kError reply — the value is live in memory but the client
-              // knows it isn't durable.
-              void* rec = os_.DmaMalloc(frame.size());
-              if (rec == nullptr) {
-                set_status = KvStatus::kError;
-              } else {
-                std::memcpy(rec, frame.data(), frame.size());
-                auto aof_push =
-                    os_.Push(im.aof_qd, Sgarray::Of(rec, static_cast<uint32_t>(frame.size())));
-                os_.DmaFree(rec);
-                if (!aof_push.ok()) {
-                  set_status = KvStatus::kError;
-                } else {
-                  auto aof_r = os_.Wait(*aof_push);
-                  if (!aof_r.ok() || aof_r->status != Status::kOk) {
-                    set_status = KvStatus::kError;
-                  }
-                }
-              }
-              if (set_status != KvStatus::kOk) {
-                stats_.aof_failures++;
+            if (im.aof_qd == kInvalidQd) {
+              im.RespondStatus(qd, cs, KvStatus::kOk);
+              break;
+            }
+            // Durable before acknowledged: append the raw request frame (fsync-equivalent);
+            // the reply waits for the push, so the server serves other requests meanwhile.
+            QToken aof = kInvalidQToken;
+            void* rec = os_.DmaMalloc(frame.size());
+            if (rec != nullptr) {
+              std::memcpy(rec, frame.data(), frame.size());
+              auto aof_push =
+                  os_.Push(im.aof_qd, Sgarray::Of(rec, static_cast<uint32_t>(frame.size())));
+              os_.DmaFree(rec);
+              if (aof_push.ok()) {
+                aof = *aof_push;
               }
             }
-            const size_t n = KvEncodeResponse(set_status, "", hdr, sizeof(hdr));
-            void* out = os_.DmaMalloc(n);
-            std::memcpy(out, hdr, n);
-            auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-            os_.DmaFree(out);
-            (void)push;
+            if (aof == kInvalidQToken) {
+              stats_.aof_failures++;
+              im.RespondStatus(qd, cs, KvStatus::kError);
+              break;
+            }
+            cs.replies.push_back(Impl::Reply{aof});
+            im.deferred++;
             break;
           }
           case KvOp::kGet: {
@@ -322,38 +408,26 @@ size_t MiniKvServerApp::Pump() {
               sga.num_segs = 2;
               sga.segs[0] = {out, 4 + kRespHeader};
               sga.segs[1] = {vptr, vlen};
-              auto push = os_.Push(qd, sga);
+              im.Respond(qd, cs, sga);
               os_.DmaFree(out);  // header freed; the stored value stays owned by the store
-              (void)push;
             } else {
-              const size_t n = KvEncodeResponse(KvStatus::kNotFound, "", hdr, sizeof(hdr));
-              void* out = os_.DmaMalloc(n);
-              std::memcpy(out, hdr, n);
-              auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-              os_.DmaFree(out);
-              (void)push;
+              im.RespondStatus(qd, cs, KvStatus::kNotFound);
             }
             break;
           }
           case KvOp::kDel: {
             stats_.dels++;
-            const KvStatus st = im.store.Del(req.key) ? KvStatus::kOk : KvStatus::kNotFound;
-            const size_t n = KvEncodeResponse(st, "", hdr, sizeof(hdr));
-            void* out = os_.DmaMalloc(n);
-            std::memcpy(out, hdr, n);
-            auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-            os_.DmaFree(out);
-            (void)push;
+            im.RespondStatus(qd, cs, im.store.Del(req.key) ? KvStatus::kOk : KvStatus::kNotFound);
             break;
           }
         }
       });
+      (void)im.Flush(qd, cs);
       auto pop_qt = os_.Pop(qd);
       if (pop_qt.ok()) {
         im.tokens[index] = *pop_qt;
       } else {
-        os_.Close(qd);
-        im.conns.erase(qd);
+        im.End(qd);
         im.tokens.erase(im.tokens.begin() + static_cast<long>(index));
       }
       break;

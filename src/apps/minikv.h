@@ -4,8 +4,13 @@
 // values stored in the DMA-capable heap and served zero-copy (Redis's keys/values are immutable
 // — no update in place — so UAF protection alone makes zero-copy GETs/SETs safe, §4.1), and an
 // optional append-only file: every SET is pushed to a storage queue and fsync'd before the
-// reply, the Figure 11 persistence configuration. Its benchmark client (the redis-benchmark
-// equivalent) is the load driver's KvCodec (src/apps/load_driver.h).
+// reply, the Figure 11 persistence configuration. The reply waits on the push's qtoken, not in
+// a Wait, so the server serves other requests (and the log writes the SETs queued meanwhile
+// together) until it completes; each connection keeps its replies in request order. As in
+// Redis, the store applies a SET at once, so a GET on another connection can read its value
+// before the SET is durable; no client is told a SET succeeded before it is. Its benchmark
+// client (the redis-benchmark equivalent) is the load driver's KvCodec
+// (src/apps/load_driver.h).
 //
 // Wire protocol (length-framed so it runs over byte streams and message transports alike):
 //   request  := [u32 frame_len][u8 op][u16 klen][u32 vlen][key][value]

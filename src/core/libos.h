@@ -10,6 +10,7 @@
 #ifndef SRC_CORE_LIBOS_H_
 #define SRC_CORE_LIBOS_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -198,6 +199,9 @@ class LibOS {
   //   Q* Find(QueueDesc qd);                               null once the queue closed
   //   std::optional<QResult> NextResult(Q& q, OpCode op);  op's result, nullopt while it waits
   //   Event& WaitEvent(Q& q, OpCode op);                    the event op waits on
+  // and, if its file pushes share device writes (group commit), for CloseQueue:
+  //   size_t CloseOnDevice(Q& q);  drops the ops behind the oldest that never reached a device
+  //                                and returns how many of the oldest ops are on one
   struct PendingOp {
     QToken qt;
     OpCode op;
@@ -221,36 +225,36 @@ class LibOS {
   }
 
   // Close's last step, once the libOS tore down queue `qd`'s device state: sets `closing`,
-  // completes the queue's ops and erases it. Only the oldest op can keep waiting, when its I/O
-  // is already on a device: the queue state then outlives the erase, and ServeHookedQueues
-  // completes that op once the I/O is done. The ops behind it never started: kCancelled.
+  // completes the queue's ops and erases it. The oldest ops can keep waiting when their I/O is
+  // already on a device (the oldest one, or several file pushes sharing one write): the queue
+  // state then outlives the erase, and ServeHookedQueues completes them once the I/O is done.
+  // The ops behind them never started: kCancelled.
   template <typename OS, typename Map>
   void CloseQueue(OS& os, Map& queues, QueueDesc qd) {
     auto it = queues.find(qd);
-    auto& ops = it->second.pending.ops;
-    it->second.closing = true;
-    ServePending(os, qd, it->second);
+    auto& q = it->second;
+    auto& ops = q.pending.ops;
+    q.closing = true;
+    ServePending(os, qd, q);
     if (!ops.empty()) {
-      const PendingOp busy = ops.front();
-      for (size_t i = 1; i < ops.size(); i++) {
+      size_t on_device = 1;
+      if constexpr (requires { os.CloseOnDevice(q); }) {
+        on_device = std::max<size_t>(on_device, os.CloseOnDevice(q));
+      }
+      for (size_t i = on_device; i < ops.size(); i++) {
         tokens_.Cancel(ops[i].qt, Status::kCancelled);
       }
-      auto keep = std::make_shared<typename Map::mapped_type>(std::move(it->second));
-      orphans_.push_back([this, &os, keep, busy] {
-        std::optional<QResult> r = os.NextResult(*keep, busy.op);
-        if (r.has_value()) {
-          CompleteToken(busy.qt, std::move(*r));
-        }
-        return r.has_value();
-      });
+      ops.resize(on_device);
+      auto keep = std::make_shared<typename Map::mapped_type>(std::move(q));
+      orphans_.push_back([this, &os, keep] { return CompleteReady(os, *keep); });
     }
     queues.erase(it);
   }
 
-  // Completes `q`'s ops oldest first while NextResult yields a result, then hooks the
-  // WaitEvent of the oldest op left, unless a hook is already armed.
+  // Completes `q`'s ops oldest first while NextResult yields a result; returns whether none is
+  // left.
   template <typename OS, typename Q>
-  void ServePending(OS& os, QueueDesc qd, Q& q) {
+  bool CompleteReady(OS& os, Q& q) {
     // demilint: fastpath
     std::vector<PendingOp>& ops = q.pending.ops;
     size_t served = 0;
@@ -262,10 +266,26 @@ class LibOS {
       CompleteToken(ops[served].qt, std::move(*r));
     }
     ops.erase(ops.begin(), ops.begin() + static_cast<ptrdiff_t>(served));
-    if (ops.empty() || q.pending.hook_armed) {
+    return ops.empty();
+    // demilint: end-fastpath
+  }
+
+  // Whether an op queued on `q` now waits behind one that reads (a pop or a splice): a file
+  // push must not reach the log before such an op has read.
+  template <typename Q>
+  static bool QueuedBehindRead(const Q& q) {
+    return !q.pending.ops.empty() && q.pending.ops.back().op != OpCode::kPush;
+  }
+
+  // Completes `q`'s ops oldest first while NextResult yields a result, then hooks the
+  // WaitEvent of the oldest op left, unless a hook is already armed.
+  template <typename OS, typename Q>
+  void ServePending(OS& os, QueueDesc qd, Q& q) {
+    // demilint: fastpath
+    if (CompleteReady(os, q) || q.pending.hook_armed) {
       return;
     }
-    os.WaitEvent(q, ops.front().op)
+    os.WaitEvent(q, q.pending.ops.front().op)
         .OnNotify(&LibOS::OnQueueHooked, &hooked_queues_, static_cast<uint64_t>(qd));
     q.pending.hook_armed = true;
     // demilint: end-fastpath

@@ -388,7 +388,7 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
   }
   if (q->kind == QKind::kFile) {
     const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-    storage_->PinPush(*q->file, sga, qd, qt);
+    storage_->PinPush(*q->file, sga, qd, qt, QueuedBehindRead(*q));
     return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
   }
   if (q->kind != QKind::kConn) {
@@ -499,7 +499,7 @@ std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
 Event& Catmint::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
   if (q.kind == QKind::kFile) {
-    return storage_->WaitEvent(*q.file);
+    return storage_->WaitEvent(*q.file, op);
   }
   if (op == OpCode::kAccept) {
     return q.listener->acceptable;

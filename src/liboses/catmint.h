@@ -82,7 +82,7 @@ class Catmint final : public LibOS {
   const Stats& stats() const { return stats_; }
 
  private:
-  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   static constexpr uint32_t kWellKnownQp = 1;
@@ -158,6 +158,10 @@ class Catmint final : public LibOS {
   // waiting on WaitEvent(q, op).
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
   Event& WaitEvent(QueueState& q, OpCode op);
+  // Close: a file queue's pushes in the log's write in flight complete with it.
+  size_t CloseOnDevice(QueueState& q) {
+    return q.kind == QKind::kFile ? storage_->CloseFile(*q.file) : 0;
+  }
 
   QueueDesc InstallConnQueue(std::shared_ptr<Connection> conn);
 

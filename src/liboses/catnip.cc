@@ -302,7 +302,7 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
     }
     case QKind::kFile: {
       const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
-      storage_->PinPush(*q->file, sga, qd, qt);
+      storage_->PinPush(*q->file, sga, qd, qt, QueuedBehindRead(*q));
       return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
     }
     case QKind::kMemory: {
@@ -509,7 +509,7 @@ Event& Catnip::WaitEvent(QueueState& q, OpCode op) {
     return q.kind == QKind::kFile ? next_poll_ : s.conn->readable();
   }
   if (q.kind == QKind::kFile) {
-    return storage_->WaitEvent(*q.file);
+    return storage_->WaitEvent(*q.file, op);
   }
   if (op == OpCode::kAccept) {
     return q.listener->acceptable();

@@ -111,7 +111,7 @@ class Catnip final : public LibOS {
   // ShardGroup (src/core/shard_group.h, paper §7 multi-worker mode) builds each worker's
   // shard through the ShardWiring constructor below.
   friend class ShardGroup;
-  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   // How one shard attaches to the resources its ShardGroup shares. A standalone Catnip uses
@@ -208,6 +208,10 @@ class Catnip final : public LibOS {
   // waiting on WaitEvent(q, op).
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
   Event& WaitEvent(QueueState& q, OpCode op);
+  // Close: a file queue's pushes in the log's write in flight complete with it.
+  size_t CloseOnDevice(QueueState& q) {
+    return q.kind == QKind::kFile ? storage_->CloseFile(*q.file) : 0;
+  }
 
   std::unique_ptr<SimNic> owned_nic_;  // null when ShardWiring::nic is used
   SimNic& nic_;

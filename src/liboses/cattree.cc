@@ -70,7 +70,7 @@ Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
     return Status::kBadQueueDescriptor;
   }
   const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-  storage_.PinPush(*q->file, sga, qd, qt);
+  storage_.PinPush(*q->file, sga, qd, qt, QueuedBehindRead(*q));
   return SubmitPending(*this, qd, *q, PendingOp{qt, OpCode::kPush});
 }
 

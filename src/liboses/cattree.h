@@ -39,7 +39,7 @@ class Cattree final : public LibOS {
   StorageQueueEngine& storage() { return storage_; }
 
  private:
-  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   struct QueueState {
@@ -53,7 +53,8 @@ class Cattree final : public LibOS {
   std::optional<QResult> NextResult(QueueState& q, OpCode op) {
     return storage_.NextResult(*q.file, op, q.closing);
   }
-  Event& WaitEvent(QueueState& q, OpCode /*op*/) { return storage_.WaitEvent(*q.file); }
+  Event& WaitEvent(QueueState& q, OpCode op) { return storage_.WaitEvent(*q.file, op); }
+  size_t CloseOnDevice(QueueState& q) { return storage_.CloseFile(*q.file); }
 
   StorageQueueEngine storage_;
   SimBlockDevice* disk_;  // external device: tracer detached at destruction

@@ -5,8 +5,11 @@
 // cursor; push appends records (durable on completion), pops read successive records at the
 // cursor, seek/truncate move the cursor and garbage-collect. A file queue's pushes and pops wait
 // like network ops, as qtokens in the queue's LibOS::PendingOps FIFO: the libOS's NextResult and
-// WaitEvent call the engine's. The queue serves them oldest first, one at a time; each starts
-// its log I/O when it reaches the head and completes in the poll that drains that I/O.
+// WaitEvent call the engine's. The queue completes them oldest first, each in the poll that
+// drains its I/O. A push hands its append to the log as soon as its segments are pinned, so the
+// log's group commit writes the pushes queued meanwhile, from every file, as one write. A pop
+// reads when it reaches the head; a push queued behind a pop (or a splice) waits for it, and
+// starts when it reaches the head itself.
 
 #ifndef SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 #define SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
@@ -38,14 +41,15 @@ class StorageQueueEngine {
   // right after, so the completion that finishes an op's I/O completes the op in the same poll.
   void Poll(TimeNs now) { log_.PollDevice(now); }
 
-  // One open file queue: its read cursor, the log I/O of its oldest op, and the segments its
-  // queued pushes pinned, oldest first.
+  // One open file queue: its read cursor, the read of its oldest op when that is a pop, and
+  // its queued pushes, oldest first, each with the segments it pinned and its own append.
   struct File {
     uint64_t cursor = 0;
-    LogDevice::Io io;
+    LogDevice::Io read;
     struct Push {
       std::vector<Buffer> segs;
       Status status = Status::kOk;  // kNoMemory: the heap could not pin them
+      LogDevice::Io append;         // kIdle until the log has it
     };
     std::deque<Push> pushes;
   };
@@ -57,8 +61,12 @@ class StorageQueueEngine {
   }
 
   // Pins the segments of push `qt` on queue `qd` at Push time: PDPIX lets the application free
-  // them at once. The libOS queues the push right after.
-  void PinPush(File& file, const Sgarray& sga, QueueDesc qd, QToken qt) {
+  // them at once. The libOS queues the push right after. The append goes to the log now unless
+  // the push queues behind a read (`behind_read`: a pop or a splice on this queue) or behind a
+  // push the log does not have yet; it then starts once it reaches the head of the queue.
+  void PinPush(File& file, const Sgarray& sga, QueueDesc qd, QToken qt, bool behind_read) {
+    const bool held = behind_read || (!file.pushes.empty() &&
+                                       file.pushes.back().append.state == LogDevice::Io::kIdle);
     File::Push& push = file.pushes.emplace_back();
     for (uint32_t i = 0; i < sga.num_segs; i++) {
       Buffer buf = Buffer::TryFromApp(alloc_, sga.segs[i].buf, sga.segs[i].len);
@@ -70,14 +78,18 @@ class StorageQueueEngine {
       buf.NoteOwner(qd, qt);
       push.segs.push_back(std::move(buf));
     }
+    if (!held) {
+      StartAppend(push);
+    }
   }
 
   // The result of `file`'s oldest op, a push or a pop: it starts the op's append or read if
-  // none is in flight, and returns nullopt while that I/O runs (the op waits on WaitEvent).
-  // Once the queue is `closing`, an op that has not started completes with kCancelled.
+  // the log does not have it yet, and returns nullopt while that I/O runs (the op waits on
+  // WaitEvent). Once the queue is `closing`, an op that has not reached the device completes
+  // with kCancelled.
   std::optional<QResult> NextResult(File& file, OpCode op, bool closing) {
     // demilint: fastpath
-    LogDevice::Io& io = file.io;
+    LogDevice::Io& io = op == OpCode::kPop ? file.read : file.pushes.front().append;
     QResult r;
     if (io.state == LogDevice::Io::kIdle) {
       if (closing || (op == OpCode::kPush && file.pushes.front().status != Status::kOk)) {
@@ -90,17 +102,10 @@ class StorageQueueEngine {
       if (op == OpCode::kPop) {
         log_.StartRead(io, file.cursor, alloc_);
       } else {
-        // The pinned segments go to the log as one slice list; the append copies them once,
-        // straight into the block image the device writes.
-        const std::vector<Buffer>& segs = file.pushes.front().segs;
-        std::array<std::span<const uint8_t>, kSgaMaxSegments> slices;
-        for (size_t i = 0; i < segs.size(); i++) {
-          slices[i] = {segs[i].data(), segs[i].size()};
-        }
-        log_.StartAppend(io, {slices.data(), segs.size()});
+        StartAppend(file.pushes.front());  // it queued behind a read
       }
     }
-    if (io.state == LogDevice::Io::kBusy) {
+    if (io.state == LogDevice::Io::kBusy && !(closing && log_.CancelAppend(io))) {
       return std::nullopt;
     }
     io.state = LogDevice::Io::kIdle;
@@ -129,7 +134,26 @@ class StorageQueueEngine {
     // demilint: end-fastpath
   }
 
-  Event& WaitEvent(File& file) { return file.io.done; }
+  Event& WaitEvent(File& file, OpCode op) {
+    return op == OpCode::kPop ? file.read.done : file.pushes.front().append.done;
+  }
+
+  // Close, once NextResult has completed the closing queue's oldest ops that were done or never
+  // started: drops the pushes whose append never reached the device, and returns how many
+  // pushes are left, oldest first — those in the write in flight, which complete with its result.
+  size_t CloseFile(File& file) {
+    // Appends reach the log in queue order, so the pushes in the write in flight come first.
+    size_t on_device = 0;
+    for (File::Push& push : file.pushes) {
+      if (push.append.state == LogDevice::Io::kBusy && !log_.CancelAppend(push.append)) {
+        on_device++;
+      }
+    }
+    while (file.pushes.size() > on_device) {
+      file.pushes.pop_back();
+    }
+    return on_device;
+  }
 
   [[nodiscard]] Status Seek(File& file, uint64_t offset) {
     if (offset < log_.head() || offset > log_.tail()) {
@@ -142,6 +166,16 @@ class StorageQueueEngine {
   [[nodiscard]] Status Truncate(uint64_t offset) { return log_.Truncate(offset); }
 
  private:
+  // The pinned segments go to the log as one slice list; the append copies them once, straight
+  // into the block image the device writes.
+  void StartAppend(File::Push& push) {
+    std::array<std::span<const uint8_t>, kSgaMaxSegments> slices;
+    for (size_t i = 0; i < push.segs.size(); i++) {
+      slices[i] = {push.segs[i].data(), push.segs[i].size()};
+    }
+    log_.StartAppend(push.append, {slices.data(), push.segs.size()});
+  }
+
   LogDevice log_;
   PoolAllocator& alloc_;
 };

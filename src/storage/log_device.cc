@@ -167,47 +167,62 @@ void LogDevice::QueueAppend(Io& io, std::span<const std::span<const uint8_t>> sl
 }
 
 void LogDevice::StartQueuedAppends() {
-  while (writer_ == nullptr && !appends_.empty()) {
-    writer_ = appends_.front();
-    appends_.pop_front();
-    Compose(*writer_);
+  while (batch_.empty() && !appends_.empty()) {
+    if (appends_.front()->sg_) {
+      Io& io = *appends_.front();
+      appends_.pop_front();
+      ComposeSg(io);
+    } else {
+      ComposeBatch();
+    }
   }
 }
 
-void LogDevice::Compose(Io& io) {
-  const Result<PayloadSummary> payload = Summarize(io.iov_);
-  if (!payload.ok()) {
-    Finish(io, payload.error());
-    return;
+bool LogDevice::CancelAppend(Io& io) {
+  const auto it = std::find(appends_.begin(), appends_.end(), &io);
+  if (it == appends_.end()) {
+    return false;
   }
-  io.len_ = payload->len;
-  // A packed record goes right after the previous one. An SG record is block-aligned: a leading
-  // pad marker fills the current tail block (its image comes from the cache, never from
-  // payload), and a trailing pad fills out the last block, so after the append the tail-block
-  // cache is simply empty. That is what keeps the SG path zero-copy — no payload byte is ever
-  // staged host-side to rebuild a shared block.
-  const uint64_t rec_aligned = AlignUp(kHeaderSize + io.len_, kAlign);
-  const uint64_t gap1 = io.sg_ ? (block_size_ - tail_ % block_size_) % block_size_ : 0;
-  io.offset = tail_ + gap1;
-  const uint64_t gap2 =
-      io.sg_ ? (block_size_ - (io.offset + rec_aligned) % block_size_) % block_size_ : 0;
-  io.new_tail_ = io.offset + rec_aligned + gap2;
-  if (io.new_tail_ > part_bytes_) {
-    Finish(io, Status::kNoBufferSpace);
-    return;
-  }
-  const auto hdr = MakeHeader(io.len_, payload->crc);
+  appends_.erase(it);
+  Finish(io, Status::kCancelled);
+  return true;
+}
+
+void LogDevice::ComposeBatch() {
+  // The image starts with the (possibly partial) tail block from the cache, so previously
+  // appended bytes in the same block are preserved. The cache itself is only updated after the
+  // device acknowledges the write — a retried or terminally failed attempt must not leave
+  // phantom bytes in the next write's image. Every image byte past the cached prefix is written
+  // below: headers, payloads, alignment pads and the zero fill after the last record.
   const size_t in_off = static_cast<size_t>(tail_ % block_size_);
   const uint64_t first_byte = tail_ - in_off;
-  if (!io.sg_) {
-    // Compose the affected block range: the (possibly partial) tail block comes from the cache
-    // so previously appended bytes in the same block are preserved. The cache itself is only
-    // updated after the device acknowledges the write — a retried or terminally failed attempt
-    // must not leave phantom bytes in the next append's block image.
-    const uint64_t nblocks = (io.new_tail_ - 1) / block_size_ - tail_ / block_size_ + 1;
-    io.image_.assign(nblocks * block_size_, 0);
-    std::memcpy(io.image_.data(), tail_block_cache_.data(), block_size_);
-    uint8_t* dst = io.image_.data() + in_off;
+  if (image_.size() < block_size_) {
+    image_.resize(block_size_);
+  }
+  std::memcpy(image_.data(), tail_block_cache_.data(), in_off);
+  uint64_t end = tail_;
+  while (!appends_.empty() && !appends_.front()->sg_) {
+    Io& io = *appends_.front();
+    appends_.pop_front();
+    const Result<PayloadSummary> payload = Summarize(io.iov_);
+    if (!payload.ok()) {
+      Finish(io, payload.error());
+      continue;
+    }
+    const uint64_t rec_aligned = AlignUp(kHeaderSize + payload->len, kAlign);
+    if (end + rec_aligned > part_bytes_) {
+      Finish(io, Status::kNoBufferSpace);  // a later, shorter record may still fit
+      continue;
+    }
+    io.len_ = payload->len;
+    io.offset = end;
+    end += rec_aligned;
+    const size_t image_bytes = static_cast<size_t>(AlignUp(end - first_byte, block_size_));
+    if (image_.size() < image_bytes) {
+      image_.resize(image_bytes);
+    }
+    const auto hdr = MakeHeader(io.len_, payload->crc);
+    uint8_t* dst = image_.data() + (io.offset - first_byte);
     std::memcpy(dst, hdr.data(), kHeaderSize);
     dst += kHeaderSize;
     for (const auto& s : io.iov_) {
@@ -216,10 +231,43 @@ void LogDevice::Compose(Io& io) {
         dst += s.size();
       }
     }
-    io.iov_.assign(1, std::span<const uint8_t>(io.image_));
-    StartDeviceIo(io, DeviceLba(first_byte));
+    std::memset(dst, 0, rec_aligned - kHeaderSize - io.len_);
+    batch_.push_back(&io);
+  }
+  if (batch_.empty()) {
     return;
   }
+  const size_t image_bytes = static_cast<size_t>(AlignUp(end - first_byte, block_size_));
+  std::memset(image_.data() + (end - first_byte), 0, image_bytes - (end - first_byte));
+  batch_tail_ = end;
+  Io& lead = *batch_.front();
+  lead.iov_.assign(1, std::span<const uint8_t>(image_.data(), image_bytes));
+  StartDeviceIo(lead, DeviceLba(first_byte));
+}
+
+void LogDevice::ComposeSg(Io& io) {
+  const Result<PayloadSummary> payload = Summarize(io.iov_);
+  if (!payload.ok()) {
+    Finish(io, payload.error());
+    return;
+  }
+  io.len_ = payload->len;
+  // An SG record is block-aligned: a leading pad marker fills the current tail block (its image
+  // comes from the cache, never from payload), and a trailing pad fills out the last block, so
+  // after the append the tail-block cache is simply empty. That is what keeps the SG path
+  // zero-copy — no payload byte is ever staged host-side to rebuild a shared block.
+  const uint64_t rec_aligned = AlignUp(kHeaderSize + io.len_, kAlign);
+  const uint64_t gap1 = (block_size_ - tail_ % block_size_) % block_size_;
+  io.offset = tail_ + gap1;
+  const uint64_t gap2 = (block_size_ - (io.offset + rec_aligned) % block_size_) % block_size_;
+  const uint64_t new_tail = io.offset + rec_aligned + gap2;
+  if (new_tail > part_bytes_) {
+    Finish(io, Status::kNoBufferSpace);
+    return;
+  }
+  const auto hdr = MakeHeader(io.len_, payload->crc);
+  const size_t in_off = static_cast<size_t>(tail_ % block_size_);
+  const uint64_t first_byte = tail_ - in_off;
 
   // The lead block (the cached tail block closed by a pad marker) and the header: one entry.
   io.image_.clear();
@@ -251,6 +299,8 @@ void LogDevice::Compose(Io& io) {
   if (!io.trailer_.empty()) {
     io.iov_.emplace_back(io.trailer_);
   }
+  batch_.push_back(&io);
+  batch_tail_ = new_tail;
   StartDeviceIo(io, DeviceLba(first_byte));
 }
 
@@ -342,7 +392,7 @@ void LogDevice::Submit(Io& io) {
   } else if (s == Status::kQueueFull) {
     refused_.push_back(&io);  // the device queue drains as completions are polled
   } else {
-    Finish(io, s);  // a non-retryable submission error
+    EndDeviceIo(io, s);  // a non-retryable submission error
   }
 }
 
@@ -362,34 +412,43 @@ void LogDevice::OnDeviceComplete(Io& io, Status status, TimeNs now) {
       return;
     }
   }
-  if (status != Status::kOk) {
-    Finish(io, status);
-  } else if (io.alloc_ != nullptr) {
-    OnRead(io);
-  } else {
-    // Acknowledged: commit the new tail block to the cache and advance the tail. A packed
-    // append's last image block is the new partial block; an SG record ends block-aligned, so
-    // its tail block is fresh.
-    if (io.sg_) {
-      stats_.sg_appends++;
-      stats_.pad_bytes += (io.new_tail_ - tail_) - (kHeaderSize + io.len_);
-      std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
-    } else {
-      std::memcpy(tail_block_cache_.data(), io.image_.data() + io.image_.size() - block_size_,
-                  block_size_);
+  if (status != Status::kOk || io.alloc_ == nullptr) {
+    if (status == Status::kOk) {
+      // Acknowledged: commit the new tail block to the cache and advance the tail. A batch
+      // image's last block is the new partial block; an SG record ends block-aligned, so its
+      // tail block is fresh.
+      if (io.sg_) {
+        stats_.sg_appends++;
+        stats_.pad_bytes += (batch_tail_ - tail_) - (kHeaderSize + io.len_);
+        std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
+      } else {
+        const std::span<const uint8_t> image = io.iov_.front();
+        std::memcpy(tail_block_cache_.data(), image.data() + image.size() - block_size_,
+                    block_size_);
+      }
+      tail_ = batch_tail_;
     }
-    tail_ = io.new_tail_;
-    Finish(io, Status::kOk);
+    EndDeviceIo(io, status);
+  } else {
+    OnRead(io);
   }
+}
+
+void LogDevice::EndDeviceIo(Io& io, Status status) {
+  if (io.alloc_ != nullptr) {
+    Finish(io, status);
+    return;
+  }
+  for (Io* append : batch_) {
+    Finish(*append, status);
+  }
+  batch_.clear();
 }
 
 void LogDevice::Finish(Io& io, Status status) {
   io.status = status;
   io.state = Io::kDone;
   io.buf_ = Buffer();  // a read's record, if any, holds its own view
-  if (writer_ == &io) {
-    writer_ = nullptr;
-  }
   io.done.Notify();
 }
 

@@ -6,6 +6,13 @@
 // libOS's fast path, finishes it — multi-block reads, pad skips and retries included — and
 // notifies the one Event of its Io. An append finishes when the device write is durable.
 //
+// Group commit: one write is in flight at a time. Appends started meanwhile wait in a FIFO;
+// when the write completes, every packed append at the head of the FIFO is composed into one
+// block image, packed exactly as sequential appends would be (each record with its own header
+// and epoch), and written at once. The batch is whatever queued while the last write was in
+// flight. A scatter-gather append writes alone. Every Io in a write finishes, with its result,
+// in the PollDevice that drains it.
+//
 // On-device format (docs/STORAGE.md): a sequence of records, each
 //   [magic u32][payload_len u32][epoch u64][payload_crc u32][header_crc u32]
 //   [payload bytes][zero padding to 8-byte alignment]
@@ -81,11 +88,11 @@ class LogDevice {
     bool sg_ = false;                 // an append placed and written as StartAppendSg says
     uint64_t lba_ = 0;                // the current device I/O's first block
     uint32_t attempt_ = 0;            // its failed attempts so far
-    // An append's payload slices, then its gather list over image_, slices and trailer_.
+    // An append's payload slices; once composed, the first append of a write holds that
+    // write's gather list (the batch image, or SG's image_, slices and trailer_).
     std::vector<std::span<const uint8_t>> iov_;
-    std::vector<uint8_t> image_;    // the packed block image, or the SG lead block and header
+    std::vector<uint8_t> image_;    // SG: the lead block and header
     std::vector<uint8_t> trailer_;  // SG: the flattened payload (if any), zero fill, pad marker
-    uint64_t new_tail_ = 0;
     uint32_t len_ = 0;  // the record's payload bytes
     uint32_t crc_ = 0;  // a read: the payload CRC its header holds
     uint64_t cursor_ = 0;  // a read: the unit it is reading
@@ -96,13 +103,13 @@ class LogDevice {
 
   // Appends one record whose payload is the concatenation of `slices`, packed right after the
   // previous record: the slices are copied once, into the block image that also carries the
-  // partial tail block. Appends go to the device one at a time, in the order they started; a
-  // done `io` holds the record's offset.
+  // partial tail block and the other appends of its write. Records reach the device in the
+  // order their appends started; a done `io` holds the record's offset.
   void StartAppend(Io& io, std::span<const std::span<const uint8_t>> slices);
 
-  // As StartAppend, but written via the device's gather DMA — the payload bytes are never
-  // copied host-side. The record is placed on a block boundary (pad markers fill the gaps) so
-  // the tail-block cache never needs payload bytes.
+  // As StartAppend, but written alone via the device's gather DMA — the payload bytes are
+  // never copied host-side. The record is placed on a block boundary (pad markers fill the
+  // gaps) so the tail-block cache never needs payload bytes.
   void StartAppendSg(Io& io, std::span<const std::span<const uint8_t>> slices);
 
   // Reads the record at `cursor` (skipping pad markers); fails with kEndOfFile at the tail,
@@ -112,11 +119,16 @@ class LogDevice {
   // its blocks (the disk→NIC splice path pushes it without a copy).
   void StartRead(Io& io, uint64_t cursor, PoolAllocator& alloc);
 
+  // Takes back an append that still waits in the FIFO, not yet composed into a write: it
+  // finishes with kCancelled and leaves nothing on the media. Returns false, and leaves `io`
+  // alone, when its write is already on the device.
+  bool CancelAppend(Io& io);
+
   // Logical garbage collection: records below `offset` become unreadable.
   [[nodiscard]] Status Truncate(uint64_t offset);
 
   // Drains the device completions due by `now`, advances the I/Os they belong to and starts
-  // the next queued append once the write in flight is done. Called from the owning libOS's
+  // the next write, of every append queued, once the write in flight is done. Called from the owning libOS's
   // fast path with the poll's time.
   void PollDevice(TimeNs now);
 
@@ -174,10 +186,14 @@ class LogDevice {
 
  private:
   void QueueAppend(Io& io, std::span<const std::span<const uint8_t>> slices, bool sg);
-  // Composes and submits the appends at the head of appends_ while no write is in flight.
+  // Composes and submits the next write while none is in flight: the packed appends at the
+  // head of appends_, or the SG append there.
   void StartQueuedAppends();
-  // Places the append at the tail, builds its record and submits it.
-  void Compose(Io& io);
+  // Places the packed appends at the head of appends_ one after another from the tail,
+  // composes them into image_ and submits it as one write.
+  void ComposeBatch();
+  // Places the SG append block-aligned at the tail, builds its gather list and submits it.
+  void ComposeSg(Io& io);
   // Reads the block(s) holding the header of the unit at io.cursor_.
   void ReadUnit(Io& io);
   // Reads every block holding partition bytes [from, to) into one allocation, io.buf_.
@@ -190,9 +206,11 @@ class LogDevice {
   void Submit(Io& io);
   void OnDeviceComplete(Io& io, Status status, TimeNs now);
   void Finish(Io& io, Status status);
+  // Ends `io`'s device I/O with `status`: a read finishes; a write finishes every append in it.
+  void EndDeviceIo(Io& io, Status status);
   // Composes the 24-byte record header for `payload_len` bytes with `crc`, stamping a fresh
-  // epoch: the only code that writes a header. Only the one composing append calls it, so
-  // per-partition epochs stay strictly increasing.
+  // epoch: the only code that writes a header. Records are composed one at a time, in FIFO
+  // order, so per-partition epochs stay strictly increasing.
   std::array<uint8_t, kHeaderSize> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
   uint64_t DeviceLba(uint64_t byte_offset) const {
     return part_.first_block + byte_offset / block_size_;
@@ -213,8 +231,10 @@ class LogDevice {
   uint64_t tail_ = 0;  // next append offset (partition-relative)
   std::vector<uint8_t> tail_block_cache_;  // in-memory copy of the partial tail block
 
-  Io* writer_ = nullptr;      // the append whose write is in flight: one at a time
-  std::deque<Io*> appends_;   // appends waiting for it, oldest first
+  std::vector<Io*> batch_;    // the appends in the write in flight (one write at a time)
+  uint64_t batch_tail_ = 0;   // the tail once that write is durable
+  std::vector<uint8_t> image_;  // the batch write's block image, reused from write to write
+  std::deque<Io*> appends_;   // appends waiting for the next write, oldest first
   std::vector<Io*> refused_;  // I/Os the device refused with kQueueFull
   uint64_t next_cookie_ = 1;
   std::unordered_map<uint64_t, Io*> waiting_;  // device I/Os in flight, by cookie

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,9 +24,13 @@
 #include "src/apps/minirpc.h"
 #include "src/apps/txnstore.h"
 #include "src/apps/udp_relay.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
 #include "src/liboses/catnip.h"
+#include "src/memory/pool_allocator.h"
+#include "src/storage/log_device.h"
+#include "tests/log_driver.h"
 
 namespace demi {
 namespace {
@@ -215,6 +221,199 @@ TEST(EchoAppTest, PosixEchoBaseline) {
   EXPECT_EQ(result.latency.count(), 200u);
 }
 
+// A Catnip×Cattree server and a Catnip client on one VirtualClock, stepped from one thread. The
+// link has no bandwidth limit, so a frame arrives exactly kLinkLatency after it left: a client
+// that receives at t knows the server sent at t - kLinkLatency.
+struct SteppedWorld {
+  static constexpr DurationNs kLinkLatency = LinkConfig{}.latency;
+
+  explicit SteppedWorld(uint64_t seed)
+      : net(Link(), seed),
+        disk(SimBlockDevice::Config{}, clock),
+        server(net, Catnip::Config{kServerMac, kServerIp, TcpConfig{}, &disk}, clock),
+        client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock) {
+    server.ethernet().arp().Insert(kClientIp, kClientMac);
+    client.ethernet().arp().Insert(kServerIp, kServerMac);
+    // A server app that waited inside Pump would poll only the server; this keeps time moving
+    // under such an app, so it fails these tests rather than hanging them.
+    server.SetExternalPump([this] { AdvanceClock(); });
+  }
+
+  static LinkConfig Link() {
+    LinkConfig link;
+    link.bandwidth_bps = 0;
+    return link;
+  }
+
+  // Moves virtual time to the earliest pending event: a frame, a timer or a disk completion.
+  void AdvanceClock() {
+    TimeNs next = 0;
+    for (const TimeNs t : {net.NextDeliveryTime(), server.scheduler().NextTimerDeadline(),
+                           client.scheduler().NextTimerDeadline(), disk.NextCompletionTime()}) {
+      if (t != 0 && (next == 0 || t < next)) {
+        next = t;
+      }
+    }
+    if (next > clock.Now()) {
+      clock.SetTime(next);
+    } else {
+      clock.Advance(kMicrosecond);
+    }
+  }
+
+  // One round: the server polls and `pump` serves, the client polls, then time moves on.
+  template <typename Pump>
+  void Step(Pump&& pump) {
+    server.PollOnce();
+    pump();
+    client.PollOnce();
+    AdvanceClock();
+  }
+
+  template <typename Pump>
+  QueueDesc Connect(uint16_t port, Pump&& pump) {
+    auto qd = client.Socket(SocketType::kStream);
+    EXPECT_TRUE(qd.ok());
+    auto qt = client.Connect(*qd, {kServerIp, port});
+    EXPECT_TRUE(qt.ok());
+    for (int i = 0; i < 10000 && !client.IsDone(*qt); i++) {
+      Step(pump);
+    }
+    EXPECT_EQ(client.TryTake(*qt)->status, Status::kOk);
+    return *qd;
+  }
+
+  // Pushes `bytes` on client queue `qd`; a TCP push completes at once.
+  void Send(QueueDesc qd, const std::string& bytes) {
+    void* buf = client.DmaMalloc(bytes.size());
+    std::memcpy(buf, bytes.data(), bytes.size());
+    auto push = client.Push(qd, Sgarray::Of(buf, static_cast<uint32_t>(bytes.size())));
+    client.DmaFree(buf);
+    ASSERT_TRUE(push.ok());
+    ASSERT_EQ(client.TryTake(*push)->status, Status::kOk);
+  }
+
+  VirtualClock clock;
+  SimNetwork net;
+  SimBlockDevice disk;
+  Catnip server;
+  Catnip client;
+};
+
+// A MiniKv client connection on a SteppedWorld: records each reply's status and arrival time.
+struct KvConn {
+  struct Reply {
+    KvStatus status;
+    TimeNs at;
+  };
+
+  KvConn(SteppedWorld& world, QueueDesc conn_qd) : w(world), qd(conn_qd) {
+    auto p = w.client.Pop(qd);
+    EXPECT_TRUE(p.ok());
+    pop = *p;
+  }
+
+  // Sends a SET and returns its request frame, the record the server appends to its AOF.
+  std::string Set(const std::string& key, const std::string& value) {
+    std::string req(4 + 7 + key.size() + value.size(), '\0');
+    KvEncodeRequest(KvOp::kSet, key, value, reinterpret_cast<uint8_t*>(req.data()), req.size());
+    w.Send(qd, req);
+    return req.substr(4);
+  }
+
+  void Get(const std::string& key) {
+    std::string req(4 + 7 + key.size(), '\0');
+    KvEncodeRequest(KvOp::kGet, key, "", reinterpret_cast<uint8_t*>(req.data()), req.size());
+    w.Send(qd, req);
+  }
+
+  void Harvest() {
+    if (!w.client.IsDone(pop)) {
+      return;
+    }
+    auto r = w.client.TryTake(pop);
+    ASSERT_EQ(r->status, Status::kOk);
+    for (uint32_t i = 0; i < r->sga.num_segs; i++) {
+      const auto* p = static_cast<const uint8_t*>(r->sga.segs[i].buf);
+      rx.insert(rx.end(), p, p + r->sga.segs[i].len);
+    }
+    w.client.FreeSga(r->sga);
+    pop = *w.client.Pop(qd);
+    size_t off = 0;
+    while (rx.size() - off >= 4) {
+      uint32_t len = 0;
+      std::memcpy(&len, rx.data() + off, 4);
+      if (rx.size() - off - 4 < len) {
+        break;
+      }
+      KvResponseView resp;
+      EXPECT_TRUE(KvParseResponse({rx.data() + off + 4, len}, &resp));
+      replies.push_back({resp.status, w.clock.Now()});
+      off += 4 + len;
+    }
+    rx.erase(rx.begin(), rx.begin() + static_cast<long>(off));
+  }
+
+  SteppedWorld& w;
+  QueueDesc qd;
+  QToken pop = kInvalidQToken;
+  std::vector<uint8_t> rx;
+  std::vector<Reply> replies;
+};
+
+// The AOF records on `disk`'s media, as the whole-device log lays them out.
+std::vector<std::string> AofRecords(const SimBlockDevice& disk) {
+  std::vector<LogDevice::RecordInfo> infos;
+  LogDevice::ScanPartition(disk, LogPartition{}, &infos);
+  std::vector<std::string> out;
+  for (const LogDevice::RecordInfo& info : infos) {
+    std::string payload(info.len, '\0');
+    disk.RawRead(info.offset + LogDevice::kHeaderSize,
+                 {reinterpret_cast<uint8_t*>(payload.data()), payload.size()});
+    out.push_back(std::move(payload));
+  }
+  return out;
+}
+
+// The Figure 7 server logs each message before echoing it, without waiting inside Pump: Pump
+// returns before the log write completes, and the echo leaves only once it has.
+TEST(EchoAppTest, LoggingPumpReturnsBeforeTheWriteCompletes) {
+  SteppedWorld w(21);
+  EchoServerOptions opts{{kServerIp, 9004}, SocketType::kStream};
+  opts.log_to_disk = true;
+  EchoServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  const QueueDesc qd = w.Connect(9004, pump);
+  auto pop = w.client.Pop(qd);
+  ASSERT_TRUE(pop.ok());
+  const std::string msg(64, 'e');
+  w.Send(qd, msg);
+  TimeNs durable_at = 0;
+  for (int i = 0; i < 10000 && durable_at == 0; i++) {
+    w.server.PollOnce();
+    if (app.Pump() > 0) {
+      durable_at = w.disk.NextCompletionTime();
+      ASSERT_NE(durable_at, 0) << "the log write is not on the device";
+      EXPECT_LT(w.clock.Now(), durable_at) << "Pump waited for the log write";
+    }
+    w.client.PollOnce();
+    w.AdvanceClock();
+  }
+  ASSERT_NE(durable_at, 0) << "the server never served the message";
+  for (int i = 0; i < 10000 && !w.client.IsDone(*pop); i++) {
+    w.Step(pump);
+  }
+  ASSERT_TRUE(w.client.IsDone(*pop));
+  EXPECT_GE(w.clock.Now() - SteppedWorld::kLinkLatency, durable_at)
+      << "the echo left before the message was durable";
+  auto r = w.client.TryTake(*pop);
+  ASSERT_EQ(r->sga.num_segs, 1u);
+  EXPECT_EQ(std::string(static_cast<const char*>(r->sga.segs[0].buf), r->sga.segs[0].len), msg);
+  w.client.FreeSga(r->sga);
+  EXPECT_EQ(app.stats().log_failures, 0u);
+  EXPECT_EQ(AofRecords(w.disk), std::vector<std::string>{msg});
+}
+
 TEST(EchoAppTest, CatnipCattreeEchoWithLogging) {
   MonotonicClock clock;
   SimNetwork net(LinkConfig{}, 4);
@@ -295,6 +494,172 @@ TEST(MiniKvTest, PersistentSetsOverCatnipCattree) {
   server_thread.join();
   EXPECT_EQ(result.latency.count(), 300u);
   EXPECT_EQ(kv_stats.sets, 300u);
+}
+
+// Steps `w` until `done()`, recording for every AOF record the poll time at which it was first
+// on the media. The scan runs after every server poll, before time moves on: right after the
+// server's pump in each step, and inside any Wait the server app makes.
+template <typename Done>
+bool RunKv(SteppedWorld& w, MiniKvServerApp& app, std::deque<KvConn>& conns,
+           std::map<std::string, TimeNs>* durable_at, Done&& done) {
+  const auto scan = [&] {
+    if (durable_at != nullptr) {
+      for (std::string& rec : AofRecords(w.disk)) {
+        durable_at->emplace(std::move(rec), w.clock.Now());
+      }
+    }
+  };
+  w.server.SetExternalPump([&] {
+    scan();
+    w.AdvanceClock();
+  });
+  for (int i = 0; i < 100000 && !done(); i++) {
+    w.server.PollOnce();
+    (void)app.Pump();
+    scan();
+    w.client.PollOnce();
+    for (KvConn& c : conns) {
+      c.Harvest();
+    }
+    w.AdvanceClock();
+  }
+  w.server.SetExternalPump([&w] { w.AdvanceClock(); });
+  return done();
+}
+
+// SETs pipelined on two connections: the server keeps serving while their AOF pushes are in
+// flight, the log writes the pushes queued meanwhile together, and no SET's reply leaves before
+// the write that made it durable completed. A crash right after the last ack loses nothing:
+// a fresh log recovered from the same media reads back every acknowledged SET's frame.
+TEST(MiniKvTest, PipelinedSetsAreAckedOnlyOnceDurable) {
+  SteppedWorld w(22);
+  MiniKvOptions opts{{kServerIp, 9102}};
+  opts.persist = true;
+  MiniKvServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(w, w.Connect(9102, pump));
+  conns.emplace_back(w, w.Connect(9102, pump));
+  constexpr size_t kSets = 12;
+  std::vector<std::vector<std::string>> frames(2);
+  for (size_t i = 0; i < kSets; i++) {
+    for (size_t c = 0; c < 2; c++) {
+      frames[c].push_back(conns[c].Set("k" + std::to_string(c) + "-" + std::to_string(i),
+                                       std::string(40 + 37 * i, static_cast<char>('a' + i))));
+    }
+  }
+  conns[0].Get("k0-0");  // queued behind unfinished SETs: its reply still comes after theirs
+  const uint64_t writes_before = w.disk.GetStats().writes;
+  std::map<std::string, TimeNs> durable_at;
+  ASSERT_TRUE(RunKv(w, app, conns, &durable_at, [&] {
+    return conns[0].replies.size() == kSets + 1 && conns[1].replies.size() == kSets;
+  }));
+  for (size_t c = 0; c < 2; c++) {
+    for (size_t i = 0; i < kSets; i++) {
+      SCOPED_TRACE("connection " + std::to_string(c) + ", SET " + std::to_string(i));
+      const KvConn::Reply& reply = conns[c].replies[i];
+      EXPECT_EQ(reply.status, KvStatus::kOk);
+      const auto it = durable_at.find(frames[c][i]);
+      ASSERT_NE(it, durable_at.end()) << "acknowledged but never on the media";
+      EXPECT_GE(reply.at - SteppedWorld::kLinkLatency, it->second)
+          << "the reply left before its write completed";
+    }
+  }
+  EXPECT_EQ(conns[0].replies[kSets].status, KvStatus::kOk);
+  EXPECT_GE(conns[0].replies[kSets].at, conns[0].replies[kSets - 1].at);
+  EXPECT_LT(w.disk.GetStats().writes - writes_before, 2 * kSets) << "no write carried two SETs";
+
+  Scheduler sched(w.clock);
+  PoolAllocator alloc;
+  LogDevice fresh(w.disk, sched);
+  ASSERT_EQ(fresh.Recover(), Status::kOk);
+  std::set<std::string> recovered;
+  for (uint64_t cursor = 0; cursor < fresh.tail();) {
+    LogDevice::Io io;
+    fresh.StartRead(io, cursor, alloc);
+    ASSERT_TRUE(DriveLogs(w.clock, sched, w.disk, {&fresh}, [&] { return IsDone(io); }));
+    ASSERT_EQ(io.status, Status::kOk);
+    recovered.emplace(reinterpret_cast<const char*>(io.record.payload.data()),
+                      io.record.payload.size());
+    cursor = io.record.next_cursor;
+  }
+  for (const std::vector<std::string>& conn_frames : frames) {
+    for (const std::string& frame : conn_frames) {
+      EXPECT_TRUE(recovered.contains(frame)) << "an acknowledged SET was lost";
+    }
+  }
+}
+
+// A torn write that exhausts the retry budget fails every SET whose record it carried: each
+// gets kError, none kOk. The log carries on afterwards.
+TEST(MiniKvTest, TornBatchWriteFailsEverySetInIt) {
+  SteppedWorld w(23);
+  LogDevice::RetryPolicy policy;
+  policy.max_retries = 2;
+  w.server.storage()->log().set_retry_policy(policy);
+  MiniKvOptions opts{{kServerIp, 9103}};
+  opts.persist = true;
+  MiniKvServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(w, w.Connect(9103, pump));
+  KvConn& conn = conns.front();
+  const std::string before = conn.Set("before", "durable");
+  ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] { return conn.replies.size() == 1; }));
+
+  FaultPlan plan;
+  plan.disk_torn = 1.0;
+  FaultInjector faults(plan);
+  w.disk.SetFaultInjector(&faults);
+  constexpr size_t kTorn = 6;
+  for (size_t i = 0; i < kTorn; i++) {
+    (void)conn.Set("torn-" + std::to_string(i), std::string(100, 't'));
+  }
+  ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] { return conn.replies.size() == 1 + kTorn; }));
+  w.disk.SetFaultInjector(nullptr);
+  const std::string after = conn.Set("after", "durable");
+  ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] { return conn.replies.size() == 2 + kTorn; }));
+
+  EXPECT_EQ(conn.replies.front().status, KvStatus::kOk);
+  for (size_t i = 1; i <= kTorn; i++) {
+    EXPECT_EQ(conn.replies[i].status, KvStatus::kError) << "torn SET " << i - 1;
+  }
+  EXPECT_EQ(conn.replies.back().status, KvStatus::kOk);
+  EXPECT_EQ(app.stats().aof_failures, kTorn);
+  // Each failed write made 1 + max_retries attempts; fewer writes than SETs means a batch.
+  EXPECT_LT(faults.GetStats().disk_torn_writes, kTorn * (1 + policy.max_retries));
+  EXPECT_EQ(AofRecords(w.disk), (std::vector<std::string>{before, after}));
+}
+
+// perfbench tears a kv-aof server down right after its preload. Tearing down a MiniKv server
+// and its Catnip×Cattree libOS while AOF pushes are on the device and their replies deferred
+// frees everything once (run under -DDEMI_SANITIZE=address).
+TEST(MiniKvTest, TeardownWithAofPushesOnTheDevice) {
+  auto w = std::make_unique<SteppedWorld>(24);
+  MiniKvOptions opts{{kServerIp, 9104}};
+  opts.persist = true;
+  auto app = std::make_unique<MiniKvServerApp>(w->server, opts);
+  const auto pump = [&] { (void)app->Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(*w, w->Connect(9104, pump));
+  for (int i = 0; i < 8; i++) {
+    (void)conns.front().Set("key-" + std::to_string(i), std::string(300, 'v'));
+  }
+  conns.front().Get("key-0");
+  for (int i = 0; i < 10000 && app->stats().gets == 0; i++) {
+    w->server.PollOnce();
+    (void)app->Pump();
+    if (app->stats().gets == 0) {
+      w->client.PollOnce();
+      w->AdvanceClock();
+    }
+  }
+  ASSERT_EQ(app->stats().sets, 8u);
+  EXPECT_NE(w->disk.NextCompletionTime(), 0) << "no AOF write on the device";
+  EXPECT_TRUE(conns.front().replies.empty());
+  conns.clear();
+  app.reset();
+  w.reset();
 }
 
 TEST(MiniKvTest, PosixServerAndClient) {

@@ -95,12 +95,6 @@ struct ChaosWorld {
     net.SetFaultInjector(&faults);
     disk.SetFaultInjector(&faults);
     faults.Arm(plan);
-    // In-app Wait() calls (e.g. the miniKV AOF append) poll only the server's scheduler; the
-    // pump keeps the rest of the world — peer stack and virtual time — moving underneath them.
-    server.SetExternalPump([this] {
-      client.PollOnce();
-      AdvanceClock();
-    });
   }
 
   static SimBlockDevice::Config DiskConfig() {

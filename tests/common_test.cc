@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/bitops.h"
 #include "src/common/clock.h"
+#include "src/common/crc32.h"
 #include "src/common/histogram.h"
 #include "src/common/random.h"
 #include "src/common/spsc_ring.h"
@@ -80,6 +82,47 @@ TEST(BitopsTest, PowerOfTwoHelpers) {
   EXPECT_FALSE(IsPowerOfTwo(48));
   EXPECT_EQ(NextPowerOfTwo(3), 4u);
   EXPECT_EQ(NextPowerOfTwo(64), 64u);
+}
+
+// The byte-at-a-time CRC-32 (IEEE, reflected) that Crc32's slice-by-8 loop must reproduce.
+uint32_t Crc32Bytewise(const uint8_t* data, size_t len, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; i++) {
+    c ^= data[i];
+    for (int k = 0; k < 8; k++) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Every length from 0 to 4,200 bytes at every start offset 0-7 (so each alignment of the
+// 8-byte loop and each tail length), whole and split in two chained calls.
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  std::vector<uint8_t> buf(4200 + 8);
+  Rng rng(42);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t off = 0; off < 8; off++) {
+    for (size_t len = 0; len <= 4200; len++) {
+      const uint8_t* p = buf.data() + off;
+      const uint32_t want = Crc32Bytewise(p, len);
+      ASSERT_EQ(Crc32(p, len), want) << "offset " << off << " length " << len;
+      const size_t cut = len / 3;
+      ASSERT_EQ(Crc32(p + cut, len - cut, Crc32(p, cut)), want)
+          << "chained at " << cut << ", offset " << off << " length " << len;
+    }
+  }
+  for (const uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
+    EXPECT_EQ(Crc32(buf.data() + 3, 1021, seed), Crc32Bytewise(buf.data() + 3, 1021, seed));
+  }
 }
 
 TEST(SpscRingTest, PushPopSingleThread) {

@@ -1390,6 +1390,40 @@ TEST_P(StoragePopTest, CloseCancelsQueuedOpsAndFinishesTheWriteInFlight) {
   EXPECT_EQ(ReadBack(1), (std::vector<std::string>{"durable"}));
 }
 
+// Close while one write carries three pushes (group commit): the three complete later, with
+// that write's result, and their records read back; a push still in the log's FIFO behind
+// them never started, so Close cancels it (checked under -DDEMI_SANITIZE=address too).
+TEST_P(StoragePopTest, CloseWithABatchOnTheDeviceCompletesEveryPushInIt) {
+  auto qd = os_->Open("log");
+  ASSERT_TRUE(qd.ok());
+  auto alone = os_->Push(*qd, MakeSga(*os_, "alone"));
+  ASSERT_TRUE(alone.ok());
+  std::vector<QToken> batch;
+  for (const char* rec : {"batch-0", "batch-1", "batch-2"}) {
+    auto push = os_->Push(*qd, MakeSga(*os_, rec));
+    ASSERT_TRUE(push.ok());
+    batch.push_back(*push);
+  }
+  // The poll that drains the first write composes the three queued appends into the next.
+  ASSERT_EQ(os_->Wait(*alone, kSecond)->status, Status::kOk);
+  EXPECT_EQ(disk_.GetStats().writes, 2u);
+  auto cancelled = os_->Push(*qd, MakeSga(*os_, "cancelled"));
+  ASSERT_TRUE(cancelled.ok());
+  ASSERT_EQ(os_->Close(*qd), Status::kOk);
+  EXPECT_TRUE(os_->IsDone(*cancelled));
+  EXPECT_EQ(os_->TryTake(*cancelled)->status, Status::kCancelled);
+  for (const QToken qt : batch) {
+    EXPECT_FALSE(os_->IsDone(qt));
+  }
+  std::vector<QResult> results;
+  ASSERT_EQ(os_->WaitAll(batch, &results, kSecond), Status::kOk);
+  for (const QResult& r : results) {
+    EXPECT_EQ(r.status, Status::kOk);
+  }
+  EXPECT_EQ(disk_.GetStats().writes, 2u);
+  EXPECT_EQ(ReadBack(4), (std::vector<std::string>{"alone", "batch-0", "batch-1", "batch-2"}));
+}
+
 // Pops issued back to back read successive records, oldest pop first.
 TEST_P(StoragePopTest, PipelinedPopsReadSuccessiveRecords) {
   const QueueDesc qd = OpenWith({"rec-0", "rec-1", "rec-2"});

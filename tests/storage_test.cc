@@ -291,6 +291,47 @@ TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
   EXPECT_EQ(seen, payloads);
 }
 
+// Group commit: packed appends started while a write is in flight reach the device as one
+// more write, and leave exactly the bytes, offsets and epochs the same appends leave when made
+// one at a time.
+TEST_F(LogDeviceTest, GroupCommitWritesTheSameBytes) {
+  const std::vector<std::string> payloads = {
+      "first",      std::string(5000, 'x'), "",  "fourth-record",
+      std::string(4071, 'y'), "z",          std::string(9000, 'w')};
+  std::vector<LogDevice::Io> ios(payloads.size());
+  for (size_t i = 0; i < payloads.size(); i++) {
+    log_.StartAppend(ios[i], OneSlice(payloads[i]));
+  }
+  ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_},
+                        [&] { return std::all_of(ios.begin(), ios.end(), IsDone); }));
+  EXPECT_EQ(dev_.GetStats().writes, 2u);  // the first append alone, then the other six
+
+  SimBlockDevice one_by_one_dev(SimBlockDevice::Config{}, clock_);
+  LogDevice one_by_one(one_by_one_dev, sched_);
+  for (size_t i = 0; i < payloads.size(); i++) {
+    SCOPED_TRACE(i);
+    LogDevice::Io io;
+    one_by_one.StartAppend(io, OneSlice(payloads[i]));
+    ASSERT_TRUE(DriveLogs(clock_, sched_, one_by_one_dev, {&one_by_one},
+                          [&] { return IsDone(io); }));
+    ASSERT_EQ(ios[i].status, Status::kOk);
+    ASSERT_EQ(io.status, Status::kOk);
+    EXPECT_EQ(ios[i].offset, io.offset);
+    auto r = ReadSync(ios[i].offset);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(Str(r->payload), payloads[i]);
+  }
+  EXPECT_EQ(one_by_one_dev.GetStats().writes, payloads.size());
+  ASSERT_EQ(log_.tail(), one_by_one.tail());
+  const size_t bs = dev_.config().block_size;
+  std::vector<uint8_t> batched((log_.tail() + bs - 1) / bs * bs);
+  std::vector<uint8_t> sequential(batched.size());
+  dev_.RawRead(0, batched);
+  one_by_one_dev.RawRead(0, sequential);
+  EXPECT_TRUE(batched == sequential);
+  EXPECT_EQ(log_.stats().last_epoch, one_by_one.stats().last_epoch);
+}
+
 TEST_F(LogDeviceTest, FillsToCapacityThenRejects) {
   std::string chunk(4096 - 16, 'c');
   Status st = Status::kOk;
