@@ -161,7 +161,9 @@ struct C1mWorld {
   // population must truly cost zero CPU for this to return.
   void PumpQuiet() {
     for (int i = 0; i < 50'000'000; i++) {
-      const size_t activity = eth.PollOnce(clock.Now()) + sched.Poll() + CaptureClient();
+      size_t activity = eth.PollOnce(clock.Now());
+      sched.Poll();
+      activity += CaptureClient();
       if (activity != 0) {
         continue;
       }

@@ -259,7 +259,7 @@ class FrozenHostClock final : public Clock {
 };
 
 // The fixed cost of one Catnip poll that finds nothing to do: the clock read, the timer
-// wheel's not-due Advance, the fast-path fiber's resume, an empty NIC burst and the
+// wheel's not-due Advance, the call into the fast path, an empty NIC burst and the
 // hooked-queue serve loop. The server has just received a 64 B segment and popped it, so its
 // delayed-ack timer is armed, as it is between most polls of a TCP echo server.
 void BM_CatnipIdlePoll(benchmark::State& state) {

@@ -1,8 +1,6 @@
-// Bit-manipulation helpers used by the scheduler's waker blocks and the allocator's
-// reference-count bitmaps.
-//
-// The scheduler must find runnable coroutines in a few nanoseconds; following the paper (§5.4)
-// we iterate over set bits with Lemire's tzcnt-based technique rather than scanning bit by bit.
+// Bit-manipulation helpers: the timer wheel's occupancy scan finds its next occupied slot with
+// tzcnt (std::countr_zero) rather than scanning bit by bit, and the SPSC ring sizes itself to a
+// power of two.
 
 #ifndef SRC_COMMON_BITOPS_H_
 #define SRC_COMMON_BITOPS_H_
@@ -11,17 +9,6 @@
 #include <cstdint>
 
 namespace demi {
-
-// Calls `fn(index)` for every set bit in `bits`, lowest first. Lemire's iteration: strip the
-// lowest set bit each round using `bits & (bits - 1)`, locating it with tzcnt (std::countr_zero).
-template <typename Fn>
-inline void ForEachSetBit(uint64_t bits, Fn&& fn) {
-  while (bits != 0) {
-    const int index = std::countr_zero(bits);
-    fn(index);
-    bits &= bits - 1;
-  }
-}
 
 // Returns the index of the lowest set bit, or -1 if none.
 inline int LowestSetBit(uint64_t bits) {

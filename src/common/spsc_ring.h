@@ -1,9 +1,9 @@
 // Single-producer single-consumer lock-free ring buffer.
 //
 // This is the transport primitive of the simulated kernel-bypass fabric: a SimNic's rx/tx queues
-// are SPSC rings shared between the device (producer) and the libOS fast-path coroutine
-// (consumer), mirroring the descriptor rings a DPDK PMD polls. The ring is wait-free for both
-// sides and safe across two threads.
+// are SPSC rings shared between the device (producer) and the libOS fast path (consumer),
+// mirroring the descriptor rings a DPDK PMD polls. The ring is wait-free for both sides and
+// safe across two threads.
 
 #ifndef SRC_COMMON_SPSC_RING_H_
 #define SRC_COMMON_SPSC_RING_H_

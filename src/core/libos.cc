@@ -8,18 +8,7 @@ void LibOS::InitObservability() {
 
   const Scheduler::Stats& ss = sched_.stats();
   metrics_.RegisterCounter("sched.polls", "polls", [&ss] { return ss.polls; });
-  metrics_.RegisterCounter("sched.resumptions", "resumes", [&ss] { return ss.resumptions; });
-  metrics_.RegisterCounter("sched.fibers_spawned", "fibers", [&ss] { return ss.fibers_spawned; });
-  metrics_.RegisterCounter("sched.fibers_completed", "fibers",
-                           [&ss] { return ss.fibers_completed; });
   metrics_.RegisterCounter("sched.timer_fires", "timers", [&ss] { return ss.timer_fires; });
-  metrics_.RegisterCounter("sched.stale_wakes", "wakes", [&ss] { return ss.stale_wakes; });
-  metrics_.RegisterCounter("sched.blocks_scanned", "blocks", [&ss] { return ss.blocks_scanned; });
-  metrics_.RegisterCounter("sched.blocks_skipped", "blocks", [&ss] { return ss.blocks_skipped; });
-  metrics_.RegisterCounter("sched.yields", "yields", [&ss] { return ss.yields; });
-  metrics_.RegisterCounter("sched.fiber_blocks", "blocks", [&ss] { return ss.fiber_blocks; });
-  metrics_.RegisterGauge("sched.live_fibers", "fibers", [this] { return sched_.NumLiveFibers(); });
-  metrics_.RegisterGauge("sched.runnable", "fibers", [this] { return sched_.NumRunnable(); });
 
   const TimerWheel& wheel = sched_.timer_wheel();
   metrics_.RegisterGauge("timerwheel.armed", "timers", [&wheel] { return wheel.armed(); });
@@ -100,11 +89,10 @@ Status LibOS::RegisterTenant(TenantId tenant, const TenantConfig& config) {
 }
 
 size_t LibOS::DrainPendingTokens() {
-  // Give in-flight work a bounded chance to complete normally first: each round runs the
-  // fast-path poll plus every runnable coroutine once.
+  // Give in-flight work a bounded chance to complete normally first: each round is one poll.
   constexpr size_t kMaxDrainRounds = 64;
   for (size_t round = 0; round < kMaxDrainRounds && tokens_.NumPending() > 0; round++) {
-    sched_.Poll();
+    PollOnce();
   }
   // Force-dispose what is left. Completed-but-unclaimed pops carry app-owned sga buffers that
   // must go back to the heap, or shutdown leaks them (and DemiSan flags the imbalance).
@@ -132,7 +120,7 @@ Result<QResult> LibOS::Wait(QToken qt, DurationNs timeout) {
       }
       return r;
     }
-    sched_.Poll();
+    PollOnce();
     RunExternalPump();
     wait_poll_rounds_->Inc();
     if (deadline != 0 && clock_.Now() >= deadline && !tokens_.IsDone(qt)) {
@@ -172,7 +160,7 @@ bool LibOS::WaitAnyLoop(std::span<const QToken> qts, DurationNs timeout, OnDone&
     if (deadline != 0 && clock_.Now() >= deadline) {
       return false;
     }
-    sched_.Poll();
+    PollOnce();
     RunExternalPump();
     wait_poll_rounds_->Inc();
   }

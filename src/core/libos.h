@@ -1,10 +1,10 @@
 // LibOS: the abstract Demikernel datapath library OS (paper §5).
 //
 // Every concrete libOS (Catnap, Catnip, Catmint, Cattree and the network×storage integrations)
-// shares this PDPIX surface and the common machinery: a cooperative coroutine scheduler, a
+// shares this PDPIX surface and the common machinery: a poll clock with a timer wheel, a
 // DMA-capable heap with UAF protection, and a qtoken table. wait/wait_any/wait_all are
-// implemented here — they run the scheduler (fast-path + background coroutines) until the
-// requested tokens complete, which is how application threads donate cycles to the datapath OS
+// implemented here — they poll (due timers, then the libOS's fast path) until the requested
+// tokens complete, which is how application threads donate cycles to the datapath OS
 // (cooperative scheduling, §3.2).
 
 #ifndef SRC_CORE_LIBOS_H_
@@ -75,7 +75,7 @@ class LibOS {
   }
 
   // --- wait_*: PDPIX's epoll replacement (§4.2) ---
-  // Blocks the calling thread, donating it to the libOS scheduler, until `qt` completes.
+  // Blocks the calling thread, donating it to the libOS's polls, until `qt` completes.
   // timeout 0 = wait forever.
   Result<QResult> Wait(QToken qt, DurationNs timeout = 0);
   // Waits for any of `qts`; `index_out` receives the position that completed.
@@ -138,9 +138,16 @@ class LibOS {
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
-  // Runs one scheduler round (fast-path poll + runnable coroutines) without blocking. µs-scale
-  // apps call this (or wait) at least every millisecond per the system model (§3.2).
-  size_t PollOnce() { return sched_.Poll(); }
+  // Runs one poll without blocking: reads the clock and fires the timers it makes due, then
+  // runs the fast path on that time. µs-scale apps call this (or wait) at least every
+  // millisecond per the system model (§3.2). Returns 1, the one fast path it ran.
+  size_t PollOnce() {
+    // demilint: fastpath
+    sched_.Poll();
+    FastPath(sched_.poll_time());
+    return 1;
+    // demilint: end-fastpath
+  }
 
   // Shutdown aid: polls until every issued qtoken completes (bounded rounds), then force-drains
   // whatever is left, freeing popped sga buffers so the heap stays balanced. Returns the number
@@ -181,7 +188,7 @@ class LibOS {
     InitObservability();
   }
 
-  // Completes a qtoken inline (fast path) or from a coroutine.
+  // Completes a qtoken, inline at submission or from the fast path.
   void CompleteToken(QToken qt, QResult result) { tokens_.Complete(qt, std::move(result)); }
 
   // --- Waiting for a device event (§5.2, §5.4) ---
@@ -320,8 +327,7 @@ class LibOS {
   const char* name_;
   std::function<void()> external_pump_;
   Clock& clock_;
-  // Observability members precede the scheduler: the scheduler traces fiber teardown from its
-  // destructor, so the tracer must be destroyed after it.
+  // Observability members precede the scheduler: the wheel holds a pointer to the tracer.
   MetricsRegistry metrics_;
   Tracer tracer_;
   Scheduler sched_;
@@ -337,6 +343,11 @@ class LibOS {
   Event next_poll_;
   // The ops CloseQueue left waiting for their I/O; each completes its op once it can.
   std::vector<std::function<bool()>> orphans_;
+
+  // One poll of the libOS's devices on the poll's time `now`: drain the NIC, CQ or disk, then
+  // complete the ops that made ready (ServeHookedQueues). Nothing it runs polls: hooks only
+  // record queues and completions only mark qtokens, so a poll never nests in another.
+  virtual void FastPath(TimeNs now) = 0;
 
   // Hook for concrete libOSes to propagate a freshly registered tenant's limits into their
   // datapath (e.g. Catnip configures the NIC TX scheduler's token bucket and DRR weight).

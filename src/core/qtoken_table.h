@@ -2,8 +2,8 @@
 //
 // A qtoken encodes (slot | generation<<32): slots recycle, generations catch stale tokens.
 // The paper allocates the waiting coroutine only when the application calls wait (§5.2); here
-// the table itself is the cheap part allocated at op submission, and completion either happens
-// inline on the fast path or from a libOS coroutine.
+// no op gets a coroutine at all. The table entry is the one thing allocated at op submission,
+// and completion happens either inline at submission or from the libOS's fast path.
 //
 // Lifecycle checking (docs/STATIC_ANALYSIS.md): every qtoken moves through
 // alloc -> pending -> completed -> harvested, and each slot remembers the generation it most

@@ -64,12 +64,9 @@ Catmint::Catmint(SimNetwork& network, const Config& config, Clock& clock)
     config.disk->RegisterMetrics(metrics_);
     storage_->log().RegisterMetrics(metrics_);
   }
-  sched_.Spawn(FastPathFiber());
 }
 
 Catmint::~Catmint() {
-  shutdown_ = true;
-  sched_.Shutdown();  // release fiber-held buffers/connections while the heap is alive
   for (auto& slot : recv_slots_) {
     alloc_.Free(slot.buf);
   }
@@ -270,43 +267,39 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
   }
 }
 
-Task<void> Catmint::FastPathFiber() {
-  RdmaCompletion comps[32];
-  while (!shutdown_) {
-    // The poll's one clock read: the CQ poll and the disk run on it.
-    const TimeNs now = sched_.poll_time();
-    const size_t n = device_.PollCq(comps, now);
-    for (size_t i = 0; i < n; i++) {
-      if (comps[i].type == RdmaCompletion::Type::kRecv) {
-        HandleMessage(comps[i]);
-        free_slots_.push_back(comps[i].wr_id);
-        posted_recvs_--;
-      }
+void Catmint::FastPath(TimeNs now) {
+  // `now` is the poll's one clock read: the CQ poll and the disk run on it.
+  const size_t n = device_.PollCq(completions_, now);
+  for (size_t i = 0; i < n; i++) {
+    const RdmaCompletion& c = completions_[i];
+    if (c.type == RdmaCompletion::Type::kRecv) {
+      HandleMessage(c);
+      free_slots_.push_back(c.wr_id);
+      posted_recvs_--;
     }
-    if (storage_ != nullptr) {
-      storage_->Poll(now);
+  }
+  if (storage_ != nullptr) {
+    storage_->Poll(now);
+  }
+  // Complete the accepts, connects and pops these messages made ready, and the file ops
+  // whose disk I/O completed.
+  ServeHookedQueues(*this);
+  // Credit updates arrive as one-sided writes, which by design raise no completion; the
+  // sender learns about them only by reading its counter. Send the blocked pushes that
+  // returned credits (or a just-established connection) now allow.
+  for (auto& [id, conn] : conns_) {
+    if (!conn->blocked_sends.empty()) {
+      TrySendBlocked(*conn);
     }
-    // Complete the accepts, connects and pops these messages made ready, and the file ops
-    // whose disk I/O completed.
-    ServeHookedQueues(*this);
-    // Credit updates arrive as one-sided writes, which by design raise no completion; the
-    // sender learns about them only by reading its counter. Send the blocked pushes that
-    // returned credits (or a just-established connection) now allow.
+  }
+  // Flow control (paper §6.2): once pops consumed messages or the pool runs low, repost the
+  // free receive buffers and publish consumption to every connection's peer.
+  if (flow_control_due_ || posted_recvs_ < config_.repost_threshold) {
+    flow_control_due_ = false;
+    PostRecvBuffers();
     for (auto& [id, conn] : conns_) {
-      if (!conn->blocked_sends.empty()) {
-        TrySendBlocked(*conn);
-      }
+      PublishConsumed(*conn);
     }
-    // Flow control (paper §6.2): once pops consumed messages or the pool runs low, repost the
-    // free receive buffers and publish consumption to every connection's peer.
-    if (flow_control_due_ || posted_recvs_ < config_.repost_threshold) {
-      flow_control_due_ = false;
-      PostRecvBuffers();
-      for (auto& [id, conn] : conns_) {
-        PublishConsumed(*conn);
-      }
-    }
-    co_await Scheduler::Yield{};
   }
 }
 

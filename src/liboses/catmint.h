@@ -7,7 +7,7 @@
 // sender's registered credit counter, exactly as the paper describes; the fast path keeps
 // receive buffers posted and publishes consumption in the poll that consumed them.
 //
-// No PDPIX op gets a coroutine. A push sends inline while it has credits; otherwise it waits in
+// No PDPIX op blocks. A push sends inline while it has credits; otherwise it waits in
 // its connection's blocked-send queue, and the fast path's per-poll credit scan sends it once
 // the peer's one-sided write returns credits. Accept, connect and pop complete inline when
 // their queue is ready; otherwise the qtoken joins the queue's FIFO (LibOS::PendingOps) and the
@@ -152,7 +152,7 @@ class Catmint final : public LibOS {
   void PostRecvBuffers();
   size_t CreditsAvailable(const Connection& conn) const;
 
-  Task<void> FastPathFiber();
+  void FastPath(TimeNs now) override;
 
   // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
   // waiting on WaitEvent(q, op).
@@ -182,10 +182,11 @@ class Catmint final : public LibOS {
   std::deque<size_t> free_slots_;
   size_t posted_recvs_ = 0;
   bool flow_control_due_ = false;  // a pop consumed a message: repost and publish credits
+  // The fast path's CQ poll batch: a member, so a poll does not construct 32 completions.
+  RdmaCompletion completions_[32];
 
   std::unique_ptr<StorageQueueEngine> storage_;
   std::unordered_map<QueueDesc, QueueState> queues_;
-  bool shutdown_ = false;
   Stats stats_;
 };
 

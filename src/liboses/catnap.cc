@@ -68,12 +68,9 @@ uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~uint64_t{7}; }
 
 }  // namespace
 
-Catnap::Catnap(Clock& clock) : LibOS("catnap", clock, NullDmaRegistrar::Global()) {
-  sched_.Spawn(FastPathFiber());
-}
+Catnap::Catnap(Clock& clock) : LibOS("catnap", clock, NullDmaRegistrar::Global()) {}
 
 Catnap::~Catnap() {
-  sched_.Shutdown();
   for (auto& [qd, q] : queues_) {
     if (q.fd >= 0) {
       ::close(q.fd);
@@ -379,25 +376,22 @@ std::optional<QResult> Catnap::NextResult(QueueState& q, OpCode op) {
   return r;
 }
 
-Task<void> Catnap::FastPathFiber() {
-  for (;;) {
-    // Catnap has no device events: every waiting queue retries its oldest op once per round.
-    next_poll_.Notify();
-    ServeHookedQueues(*this);
-    size_t kept = 0;
-    for (const QueueDesc qd : unsent_queues_) {
-      QueueState* q = Find(qd);
-      if (q == nullptr) {
-        continue;  // closed: Close completed its pushes
-      }
-      WriteUnsent(*q);
-      if (!q->unsent.empty()) {
-        unsent_queues_[kept++] = qd;
-      }
+void Catnap::FastPath(TimeNs /*now*/) {
+  // Catnap has no device events: every waiting queue retries its oldest op once per poll.
+  next_poll_.Notify();
+  ServeHookedQueues(*this);
+  size_t kept = 0;
+  for (const QueueDesc qd : unsent_queues_) {
+    QueueState* q = Find(qd);
+    if (q == nullptr) {
+      continue;  // closed: Close completed its pushes
     }
-    unsent_queues_.resize(kept);
-    co_await Scheduler::Yield{};
+    WriteUnsent(*q);
+    if (!q->unsent.empty()) {
+      unsent_queues_[kept++] = qd;
+    }
   }
+  unsent_queues_.resize(kept);
 }
 
 Result<QueueDesc> Catnap::Open(std::string_view path) {

@@ -6,9 +6,9 @@
 // burns a core (the trade-off §7.3 measures). No memory-management integration is needed: POSIX
 // I/O is copy-based, so buffers are plain DMA-heap allocations handed across the API.
 //
-// No PDPIX op gets a coroutine. An accept, connect or socket pop that would block is a qtoken
+// No PDPIX op blocks. An accept, connect or socket pop that would block is a qtoken
 // in its queue's FIFO (LibOS::PendingOps). Catnap has no device events, so each waiting queue
-// hooks one Event the fast path notifies every round and retries its oldest op once per round.
+// hooks one Event the fast path notifies every poll and retries its oldest op once per poll.
 // A TCP push writes inline while its queue has no unsent push; the rest joins the queue's FIFO
 // of unsent pushes, which the fast path writes oldest first, apart from PendingOps so a blocked
 // push never holds up a pop. Close completes pending accepts, connects and pops, and unsent
@@ -87,7 +87,7 @@ class Catnap final : public LibOS {
   // qtoken when its last byte is written.
   void WriteUnsent(QueueState& q);
 
-  Task<void> FastPathFiber();
+  void FastPath(TimeNs now) override;
 
   QueueDesc InstallFd(int fd, QKind kind, SocketType type);
 

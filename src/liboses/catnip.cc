@@ -70,18 +70,12 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock, const Sh
     metrics_.RegisterCounter("splice.bounce_bytes", "bytes",
                              [this] { return storage_->log().stats().bounce_bytes; });
   }
-  sched_.Spawn(FastPathFiber());
 }
 
 Catnip::~Catnip() {
-  shutdown_ = true;
   if (disk_ != nullptr) {
     disk_->SetTracer(nullptr);  // the external device may outlive this libOS's tracer
   }
-  // Destroy fiber frames first: they hold Buffers and connection references that must release
-  // into a still-live heap (the base-class allocator outlives derived members but not fibers
-  // destroyed by the base-class scheduler's own destructor).
-  sched_.Shutdown();
   alloc_.UnregisterAll();
 }
 
@@ -130,23 +124,18 @@ bool Catnip::ShedOp(TenantId tenant) {
   return true;
 }
 
-Task<void> Catnip::FastPathFiber() {
-  uint32_t iterations = 0;
-  while (!shutdown_) {
-    // The poll's one clock read: the NIC burst, the TCP stack and the disk all run on it.
-    const TimeNs now = sched_.poll_time();
-    eth_.PollOnce(now);
-    if (storage_ != nullptr) {
-      // Catnip×Cattree: the fast path polls NIC and disk completions in turn (§5.5).
-      storage_->Poll(now);
-    }
-    // Complete the ops this poll's frames, disk completions or due timers made ready.
-    next_poll_.Notify();
-    ServeHookedQueues(*this);
-    if (++iterations % kReapInterval == 0) {
-      tcp_.Reap();
-    }
-    co_await Scheduler::Yield{};
+void Catnip::FastPath(TimeNs now) {
+  // `now` is the poll's one clock read: the NIC burst, the TCP stack and the disk all run on it.
+  eth_.PollOnce(now);
+  if (storage_ != nullptr) {
+    // Catnip×Cattree: the fast path polls NIC and disk completions in turn (§5.5).
+    storage_->Poll(now);
+  }
+  // Complete the ops this poll's frames, disk completions or due timers made ready.
+  next_poll_.Notify();
+  ServeHookedQueues(*this);
+  if (sched_.stats().polls % kReapInterval == 0) {
+    tcp_.Reap();
   }
 }
 

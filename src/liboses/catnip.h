@@ -1,10 +1,10 @@
 // Catnip: the DPDK library OS (paper §6.3), here over the simulated poll-mode NIC.
 //
-// Implements PDPIX over the full userspace UDP/TCP stacks. A single fast-path coroutine polls
-// the NIC (and, when a disk is attached, the storage completion queue — the Catnip×Cattree
-// round-robin split of §5.5); push transmits inline run-to-completion.
+// Implements PDPIX over the full userspace UDP/TCP stacks. Each PollOnce runs the fast path,
+// which polls the NIC (and, when a disk is attached, the storage completion queue — the
+// Catnip×Cattree round-robin split of §5.5); push transmits inline run-to-completion.
 //
-// No op gets a coroutine. Each completes inline when its queue is already ready; otherwise its
+// No op blocks. Each completes inline when its queue is already ready; otherwise its
 // qtoken joins the queue's FIFO (LibOS::PendingOps) and the queue hooks the Event its oldest op
 // waits on: the listener's acceptable(), the connection's established_event(), the socket's,
 // connection's or memory channel's readable Event, or a file op's or splice's log I/O. The
@@ -127,7 +127,7 @@ class Catnip final : public LibOS {
   };
   Catnip(SimNetwork& network, const Config& config, Clock& clock, const ShardWiring& shard);
 
-  // Reap closed TCP state every kReapInterval fast-path iterations.
+  // Reap closed TCP state every kReapInterval polls.
   static constexpr uint32_t kReapInterval = 1024;
 
   struct MemChannel {
@@ -197,7 +197,7 @@ class Catnip final : public LibOS {
   void OnTenantRegistered(TenantId tenant, const TenantConfig& config) override;
   QueueDesc InstallConnQueue(std::shared_ptr<TcpConnection> conn);
 
-  Task<void> FastPathFiber();
+  void FastPath(TimeNs now) override;
   // The two splice directions, as NextResult serves them on the source queue `q`, and the
   // end both share.
   std::optional<QResult> SpliceToDisk(QueueState& q);
@@ -221,7 +221,6 @@ class Catnip final : public LibOS {
   std::unique_ptr<StorageQueueEngine> storage_;
   SimBlockDevice* disk_ = nullptr;  // external device: tracer detached at destruction
   std::unordered_map<QueueDesc, QueueState> queues_;
-  bool shutdown_ = false;
   SpliceStats splice_stats_;
 };
 

@@ -11,23 +11,17 @@ Cattree::Cattree(SimBlockDevice& disk, Clock& clock)
   disk_->RegisterMetrics(metrics_);
   disk_->SetTracer(&tracer_);
   storage_.log().RegisterMetrics(metrics_);
-  sched_.Spawn(FastPathFiber());
 }
 
 Cattree::~Cattree() {
-  shutdown_ = true;
   disk_->SetTracer(nullptr);  // the external device may outlive this libOS's tracer
-  sched_.Shutdown();  // release fiber-held buffers while the heap is alive
 }
 
-Task<void> Cattree::FastPathFiber() {
-  while (!shutdown_) {
-    // Poll SPDK completion queues on the poll's time (§6.4), then complete the pushes and pops
-    // whose I/O they finished.
-    storage_.Poll(sched_.poll_time());
-    ServeHookedQueues(*this);
-    co_await Scheduler::Yield{};
-  }
+void Cattree::FastPath(TimeNs now) {
+  // Poll SPDK completion queues on the poll's time (§6.4), then complete the pushes and pops
+  // whose I/O they finished.
+  storage_.Poll(now);
+  ServeHookedQueues(*this);
 }
 
 Cattree::QueueState* Cattree::Find(QueueDesc qd) {

@@ -2,8 +2,8 @@
 // device. PDPIX queues map onto an abstract log: open() returns a queue with a read cursor,
 // push appends durably, pop reads at the cursor, seek/truncate move the cursor and GC the log.
 // Pushes and pops wait as qtokens in their queue's FIFO (LibOS::PendingOps), served by the
-// storage engine; the one fast-path fiber polls the disk, then serves the queues whose I/O
-// completed. Network calls return kNotSupported — pair with Catnip/Catmint for the integrated
+// storage engine; each PollOnce runs the fast path, which polls the disk, then serves the
+// queues whose I/O completed. Network calls return kNotSupported — pair with Catnip/Catmint for the integrated
 // libOSes.
 
 #ifndef SRC_LIBOSES_CATTREE_H_
@@ -48,7 +48,7 @@ class Cattree final : public LibOS {
     std::unique_ptr<StorageQueueEngine::File> file;
   };
 
-  Task<void> FastPathFiber();
+  void FastPath(TimeNs now) override;
   QueueState* Find(QueueDesc qd);
   std::optional<QResult> NextResult(QueueState& q, OpCode op) {
     return storage_.NextResult(*q.file, op, q.closing);
@@ -59,7 +59,6 @@ class Cattree final : public LibOS {
   StorageQueueEngine storage_;
   SimBlockDevice* disk_;  // external device: tracer detached at destruction
   std::unordered_map<QueueDesc, QueueState> queues_;
-  bool shutdown_ = false;
 };
 
 }  // namespace demi

@@ -861,8 +861,8 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
     hot_.snd_una = ack;  // hot-only connection (nothing inflight to reconcile)
   }
   if (acked_new || window_grew) {
-    // The window opened or freed: drain queued data now (this replaces the old sender fiber's
-    // wakeup) and re-evaluate the zero-window persist timer.
+    // The window opened or freed: drain queued data now and re-evaluate the zero-window
+    // persist timer.
     TrySend(now);
     MaybeArmPersist(now);
   }

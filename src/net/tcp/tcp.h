@@ -8,7 +8,7 @@
 //    4-tuple — one hash, short linear probes, no per-packet allocation.
 //  - Protocol timers (retransmit, delayed ack, handshake retry / persist / TIME_WAIT) are O(1)
 //    timing-wheel entries (src/runtime/timer_wheel.h), not per-connection coroutines: an idle
-//    established connection owns *zero* fibers and at most three wheel entries.
+//    established connection owns at most three wheel entries.
 //  - Connection state is split hot/cold: the first cache line of TcpConnection (HotState) holds
 //    everything a pure-ack round trip touches; queues, reassembly, congestion state and events
 //    (ColdState) are allocated on first use. A cookie-accepted connection that never transfers
@@ -303,7 +303,7 @@ class TcpConnection {
   uint16_t AdvertisedWindow() const;
   size_t ReceiveCapacityLeft() const;
 
-  // --- Timer plumbing (the three wheel entries replacing the old per-connection fibers) ---
+  // --- Timer plumbing (the three wheel entries per connection) ---
   // Re-arms the retransmit timer at inflight.front()'s deadline (cancels it when idle).
   void ReschedRetx();
   void ArmAckTimer(TimeNs deadline);

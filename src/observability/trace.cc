@@ -15,14 +15,6 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "qtoken_issued";
     case TraceEventType::kQTokenRedeemed:
       return "qtoken_redeemed";
-    case TraceEventType::kFiberScheduled:
-      return "fiber_scheduled";
-    case TraceEventType::kFiberBlocked:
-      return "fiber_blocked";
-    case TraceEventType::kFiberYielded:
-      return "fiber_yielded";
-    case TraceEventType::kFiberCompleted:
-      return "fiber_completed";
     case TraceEventType::kPacketTx:
       return "packet_tx";
     case TraceEventType::kPacketRx:

@@ -24,10 +24,6 @@ namespace demi {
 enum class TraceEventType : uint8_t {
   kQTokenIssued,     // arg1 = queue descriptor, arg2 = qtoken
   kQTokenRedeemed,   // arg1 = queue descriptor, arg2 = qtoken
-  kFiberScheduled,   // arg1 = fiber id, arg2 = cumulative runs of that fiber
-  kFiberBlocked,     // arg1 = fiber id
-  kFiberYielded,     // arg1 = fiber id
-  kFiberCompleted,   // arg1 = fiber id
   kPacketTx,         // arg1 = ip protocol, arg2 = L4 bytes
   kPacketRx,         // arg1 = ip protocol, arg2 = L4 bytes
   kRetransmit,       // arg1 = local port, arg2 = sequence number
@@ -107,7 +103,7 @@ class Tracer {
   // Oldest-first copy of the held events; clears the ring.
   std::vector<TraceEvent> Drain();
 
-  // One line per held event: "+123456ns  fiber_scheduled  arg1=3 arg2=17".
+  // One line per held event: "+123456ns  packet_rx  arg1=6 arg2=64".
   std::string ExportText() const;
   // Chrome trace_event JSON ("i"-phase instant events, ts in µs relative to the first event).
   std::string ExportChromeJson() const;

@@ -1,22 +1,16 @@
-// Blocking primitives built on one-shot callbacks.
+// Event: one-shot callbacks that run at the next Notify().
 //
-// Event follows the paper's design: a blocked coroutine stashes a pointer to its readiness flag
-// with the event source; whoever triggers the event (e.g., the fast-path coroutine receiving a
-// packet for that TCP connection) sets the stashed bit, making the coroutine runnable again.
-// A waiter is the `(callback, ctx, arg)` triple the timer wheel also stores: a fiber waits as
-// Scheduler::WakeWordCb on its ready word, and a libOS can hook a plain callback instead of
-// spawning a fiber (a network libOS records the queue whose pending ops the event may satisfy;
-// see LibOS::ServePending).
-// All waits are edge-triggered and may wake spuriously; callers always loop over a predicate.
+// A waiter is the `(callback, ctx, arg)` triple the timer wheel also stores. A libOS hooks the
+// Event an op waits on with a callback that only records the op's queue (see
+// LibOS::ServePending); its fast path then serves the recorded queues in the same poll.
+// Notifies are edge-triggered: a waiter registered after a Notify waits for the next one, so
+// callers re-check their predicate before they register.
 
 #ifndef SRC_RUNTIME_EVENT_H_
 #define SRC_RUNTIME_EVENT_H_
 
-#include <coroutine>
 #include <vector>
 
-#include "src/common/logging.h"
-#include "src/runtime/scheduler.h"
 #include "src/runtime/timer_wheel.h"
 
 namespace demi {
@@ -50,28 +44,12 @@ class Event {
 
   bool HasWaiters() const { return !waiters_.empty(); }
 
-  // co_await event.Wait(): blocks the current fiber until the next Notify().
-  struct WaitAwaitable {
-    Event* event;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      Scheduler* s = Scheduler::Current();
-      DEMI_CHECK(s != nullptr);
-      s->SetResumePointForAwait(h);
-      event->OnWake(s->CurrentWaker());
-    }
-    void await_resume() const noexcept {}
-  };
-  WaitAwaitable Wait() { return WaitAwaitable{this}; }
-
  private:
   struct Waiter {
     Callback cb;
     void* ctx;
     uint64_t arg;
   };
-
-  void OnWake(const Waker& w) { OnNotify(&Scheduler::WakeWordCb, w.word_, w.mask_); }
 
   std::vector<Waiter> waiters_;
 };

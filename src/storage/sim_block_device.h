@@ -3,7 +3,7 @@
 // Substitution for an Intel Optane SSD driven through SPDK (DESIGN.md §2): an asynchronous,
 // block-addressed submit/poll interface with a fixed latency model tuned to the paper's
 // 3D-XPoint device (~10 µs writes). Cattree drives this exactly as it would drive SPDK:
-// submit, yield, poll completions from the fast-path coroutine.
+// submit, then poll completions from the fast path.
 //
 // Multi-queue: like an NVMe controller, the device exposes N completion queues
 // (ConfigureQueues). Each submitter tags its ops with a queue id and polls only that queue, so

@@ -113,7 +113,7 @@ class CatmintTinyPoolTest : public CatmintTest {
   static Catmint::Config TinyPool() {
     Catmint::Config cfg;
     cfg.recv_buffers = 8;       // tiny device receive pool
-    cfg.repost_threshold = 4;   // flow fiber reposts aggressively
+    cfg.repost_threshold = 4;   // the fast path reposts aggressively
     cfg.send_window_msgs = 4;   // small credits too
     return cfg;
   }
@@ -121,8 +121,8 @@ class CatmintTinyPoolTest : public CatmintTest {
 };
 
 TEST_F(CatmintTinyPoolTest, SustainedTrafficSurvivesTinyReceivePool) {
-  // With only 8 posted receive buffers and 4 credits, the §6.2 flow-control coroutine must keep
-  // reposting fast enough that no message is lost to RNR.
+  // With only 8 posted receive buffers and 4 credits, the fast path's §6.2 flow control must
+  // keep reposting fast enough that no message is lost to RNR.
   auto [cqd, sqd] = Establish(800);
   constexpr int kMessages = 500;
   int received = 0;

@@ -116,7 +116,7 @@ struct ChaosWorld {
   }
 
   // Advances virtual time to the earliest pending event (frame delivery, scheduler timer, disk
-  // completion), or by 1 µs when fibers are merely yielding to each other.
+  // completion), or by 1 µs when no event is pending in the future.
   void AdvanceClock() {
     TimeNs next = 0;
     const auto consider = [&next](TimeNs t) {

@@ -55,20 +55,6 @@ TEST(ResultTest, CopyAndAssign) {
   EXPECT_EQ(*b, "hello");
 }
 
-TEST(BitopsTest, ForEachSetBitVisitsAll) {
-  std::vector<int> seen;
-  ForEachSetBit(0b1010'0101ULL, [&](int i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<int>{0, 2, 5, 7}));
-}
-
-TEST(BitopsTest, ForEachSetBitEmptyAndFull) {
-  int count = 0;
-  ForEachSetBit(0, [&](int) { count++; });
-  EXPECT_EQ(count, 0);
-  ForEachSetBit(~0ULL, [&](int) { count++; });
-  EXPECT_EQ(count, 64);
-}
-
 TEST(BitopsTest, LowestSetBit) {
   EXPECT_EQ(LowestSetBit(0), -1);
   EXPECT_EQ(LowestSetBit(1), 0);

@@ -550,6 +550,38 @@ TEST(CatnipClockTest, PollReadsTheClockOnce) {
   EXPECT_EQ(SgaToString(server, r->sga), std::string(64, 'x'));
 }
 
+// A poll fires its due timers before it runs the fast path, so an op that a timer completes is
+// done in that same poll: a connect nobody answers completes with kTimedOut in the PollOnce
+// whose clock reaches its last SYN retry's deadline, not one poll later.
+TEST(CatnipClockTest, ConnectTimesOutInThePollThatFiresItsLastRetry) {
+  VirtualClock clock;
+  SimNetwork net(LinkConfig{}, 7);
+  Catnip os(net, {MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr}, clock);
+  const Ipv4Addr nobody = Ipv4Addr::FromOctets(10, 0, 0, 9);
+  os.ethernet().arp().Insert(nobody, MacAddr{9});
+  auto cqd = os.Socket(SocketType::kStream);
+  ASSERT_TRUE(cqd.ok());
+  auto conn = os.Connect(*cqd, {nobody, 7200});
+  ASSERT_TRUE(conn.ok());
+  // The first SYN waits one RTO and each of the kTcpMaxSynRetries retransmissions twice as
+  // long as the one before; the timer after the last retransmission ends the connect.
+  const TimeNs last_deadline = TcpConfig{}.initial_rto * ((TimeNs{2} << kTcpMaxSynRetries) - 1);
+  int polls = 0;
+  while (!os.IsDone(*conn)) {
+    const TimeNs next = os.scheduler().NextTimerDeadline();
+    ASSERT_NE(next, 0u) << "no timer is left, yet the connect is still pending";
+    ASSERT_LE(next, last_deadline);
+    clock.AdvanceTo(next);
+    os.PollOnce();
+    polls++;
+  }
+  EXPECT_EQ(clock.Now(), last_deadline);
+  EXPECT_EQ(polls, kTcpMaxSynRetries + 1);
+  auto r = os.TryTake(*conn);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->status, Status::kTimedOut);
+}
+
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {
   EXPECT_EQ(server_.Push(999, Sgarray{}).error(), Status::kBadQueueDescriptor);
   EXPECT_EQ(server_.Pop(999).error(), Status::kBadQueueDescriptor);
@@ -827,13 +859,6 @@ TEST_F(CatmintPairTest, PopSeesEofAfterPeerClose) {
 class CatnapPairTest : public ::testing::Test {
  protected:
   CatnapPairTest() : server_(clock_), client_(clock_) {}
-
-  // No op spawns a fiber: waiting accepts, connects, pops and unsent pushes all live in their
-  // queue's FIFOs, served by the fast path, the one fiber each libOS runs.
-  void TearDown() override {
-    EXPECT_EQ(server_.scheduler().stats().fibers_spawned, 1u);
-    EXPECT_EQ(client_.scheduler().stats().fibers_spawned, 1u);
-  }
 
   std::vector<LibOS*> World() { return {&server_, &client_}; }
   static SocketAddress Loopback(uint16_t port) {
@@ -1291,14 +1316,7 @@ class StoragePopTest : public ::testing::TestWithParam<StorageLibOs> {
   StoragePopTest()
       : net_(LinkConfig{}, 29),
         disk_(SimBlockDevice::Config{}, clock_),
-        os_(GetParam().make(net_, disk_, clock_)),
-        fibers_at_setup_(os_->scheduler().stats().fibers_spawned) {}
-
-  // No file push or pop spawns a fiber: each waits in its queue's FIFO, served by the fast
-  // path, the one fiber the libOS runs.
-  void TearDown() override {
-    EXPECT_EQ(os_->scheduler().stats().fibers_spawned, fibers_at_setup_);
-  }
+        os_(GetParam().make(net_, disk_, clock_)) {}
 
   // Opens a file queue holding `records`, each pushed and durable.
   QueueDesc OpenWith(const std::vector<std::string>& records) {
@@ -1346,7 +1364,6 @@ class StoragePopTest : public ::testing::TestWithParam<StorageLibOs> {
   SimNetwork net_;
   SimBlockDevice disk_;
   std::unique_ptr<LibOS> os_;
-  uint64_t fibers_at_setup_;
 };
 
 // Pushes issued back to back reach the log in push order, one record each.

@@ -52,7 +52,7 @@ namespace {
 TEST(MetricsRegistry, RegisterAndSnapshot) {
   MetricsRegistry reg;
   Counter& c = reg.RegisterCounter("tcp.segments_rx", "segments");
-  Gauge& g = reg.RegisterGauge("sched.runnable", "fibers");
+  Gauge& g = reg.RegisterGauge("heap.live_objects", "objects");
   uint64_t sampled = 7;
   reg.RegisterCounter("eth.ipv4_rx", "packets", [&] { return sampled; });
 
@@ -69,7 +69,7 @@ TEST(MetricsRegistry, RegisterAndSnapshot) {
   ASSERT_EQ(samples.size(), 3u);
   // Sorted by (component, name).
   EXPECT_EQ(samples[0].name, "eth.ipv4_rx");
-  EXPECT_EQ(samples[1].name, "sched.runnable");
+  EXPECT_EQ(samples[1].name, "heap.live_objects");
   EXPECT_EQ(samples[2].name, "tcp.segments_rx");
   EXPECT_EQ(samples[0].value, 7);
   EXPECT_EQ(samples[1].value, -3);
@@ -193,7 +193,7 @@ TEST(Tracer, RingWrapsAndKeepsNewestInOrder) {
   EXPECT_EQ(tracer.capacity(), 8u);
 
   for (uint64_t i = 0; i < 20; i++) {
-    tracer.Record(TraceEventType::kFiberScheduled, static_cast<uint32_t>(i), i);
+    tracer.Record(TraceEventType::kPacketRx, static_cast<uint32_t>(i), i);
   }
 
   EXPECT_EQ(tracer.size(), 8u);
@@ -300,18 +300,20 @@ TEST(LibOSObservability, CatnipRegistersMetricsAcrossComponents) {
 }
 
 TEST(LibOSObservability, SchedulerTraceFlowsThroughLibOSTracer) {
-  MonotonicClock clock;
+  VirtualClock clock;
   SimNetwork net(LinkConfig{}, 1);
   Catnip::Config cfg{MacAddr{0xB2}, Ipv4Addr::FromOctets(10, 0, 0, 2), TcpConfig{}, nullptr};
   Catnip os(net, cfg, clock);
 
   os.tracer().Enable(256);
-  for (int i = 0; i < 32; i++) {
-    os.PollOnce();  // fast-path fiber yields -> fiber_scheduled / fiber_yielded events
-  }
+  // A timer 1 ms out sits on the wheel's second level; the poll that nears its deadline
+  // cascades it down a level -> a timerwheel_cascade event.
+  os.scheduler().ArmTimer(kMillisecond, [](void*, uint64_t) {}, nullptr, 0);
+  clock.AdvanceTo(kMillisecond - 10 * kMicrosecond);
+  os.PollOnce();
   EXPECT_GT(os.tracer().size(), 0u);
   const std::string text = os.tracer().ExportText();
-  EXPECT_NE(text.find("fiber_scheduled"), std::string::npos);
+  EXPECT_NE(text.find("timerwheel_cascade"), std::string::npos);
 }
 
 }  // namespace

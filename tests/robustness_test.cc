@@ -1,6 +1,6 @@
 // Failure-injection and hard-edge tests across modules: heap misuse aborts (UAF protection is
 // only as good as its enforcement), torn-write log recovery, RDMA device boundary violations,
-// deep coroutine nesting, and timer ordering.
+// and timer ordering.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "src/memory/buffer.h"
 #include "src/memory/pool_allocator.h"
 #include "src/netsim/sim_rdma.h"
-#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
 #include "src/common/random.h"
 #include "src/netsim/pcap_writer.h"
@@ -163,98 +162,26 @@ TEST(RdmaBoundaryTest, UnregisterInvalidatesRkey) {
   EXPECT_EQ(window[0], 0);
 }
 
-// --- Coroutine runtime hard edges ---
-
-TEST(RuntimeEdgeTest, MoveOnlyTaskResultsPropagate) {
-  VirtualClock clock;
-  Scheduler sched(clock);
-  std::unique_ptr<int> out;
-  sched.Spawn([](std::unique_ptr<int>* result_out) -> Task<void> {
-    auto inner = []() -> Task<std::unique_ptr<int>> { co_return std::make_unique<int>(99); };
-    *result_out = co_await inner();
-  }(&out));
-  sched.PollUntil([&] { return sched.NumLiveFibers() == 0; });
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 99);
-}
-
-TEST(RuntimeEdgeTest, DeeplyNestedTasksWithYields) {
-  VirtualClock clock;
-  Scheduler sched(clock);
-  int result = 0;
-  // Each level yields once before recursing: exercises resume-point tracking through a stack of
-  // suspended frames.
-  struct Recur {
-    static Task<int> Go(int depth) {
-      co_await Scheduler::Yield{};
-      if (depth == 0) {
-        co_return 1;
-      }
-      const int below = co_await Go(depth - 1);
-      co_return below + 1;
-    }
-  };
-  sched.Spawn([](int* out) -> Task<void> { *out = co_await Recur::Go(50); }(&result));
-  sched.PollUntil([&] { return sched.NumLiveFibers() == 0; });
-  EXPECT_EQ(result, 51);
-}
+// --- Timers ---
 
 TEST(RuntimeEdgeTest, TimersFireInDeadlineOrder) {
   VirtualClock clock;
   Scheduler sched(clock);
   std::vector<int> order;
+  struct Fired {
+    static void Record(void* ctx, uint64_t id) {
+      static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(id));
+    }
+  };
   for (int i : {5, 1, 3, 2, 4}) {
-    sched.Spawn([](Scheduler* s, std::vector<int>* out, int id) -> Task<void> {
-      co_await s->SleepUntil(static_cast<TimeNs>(id) * 100);
-      out->push_back(id);
-    }(&sched, &order, i));
+    sched.ArmTimer(static_cast<TimeNs>(i) * 100, &Fired::Record, &order, static_cast<uint64_t>(i));
   }
-  sched.Poll();  // all block on timers
+  sched.Poll();  // none due yet
   for (int t = 1; t <= 5; t++) {
     clock.SetTime(static_cast<TimeNs>(t) * 100);
     sched.Poll();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(RuntimeEdgeTest, ShutdownReleasesBlockedFiberResources) {
-  // The teardown-order contract: Shutdown() destroys frames, releasing their buffer references
-  // into a still-live allocator (the bug class ASAN caught in Catmint's early teardown).
-  VirtualClock clock;
-  PoolAllocator alloc;
-  auto sched = std::make_unique<Scheduler>(clock);
-  Event never;
-  sched->Spawn([](PoolAllocator* heap, Event* e) -> Task<void> {
-    Buffer held = Buffer::Allocate(*heap, 2048);
-    co_await e->Wait();  // blocks forever holding the buffer
-    (void)held;
-  }(&alloc, &never));
-  sched->Poll();
-  EXPECT_EQ(alloc.GetStats().live_objects, 1u);
-  sched->Shutdown();  // frame destroyed -> Buffer released
-  EXPECT_EQ(alloc.GetStats().live_objects, 0u);
-  sched.reset();
-}
-
-TEST(RuntimeEdgeTest, EventNotifyBeforeWaitIsNotLost) {
-  // Edge-triggered events with the predicate-loop discipline: a notify that lands before the
-  // waiter registers must not deadlock the waiter, because the waiter re-checks its predicate.
-  VirtualClock clock;
-  Scheduler sched(clock);
-  Event event;
-  bool flag = false;
-  bool done = false;
-  // Producer sets the flag and notifies immediately.
-  flag = true;
-  event.Notify();  // nobody waiting: no-op
-  sched.Spawn([](Event* e, bool* flag_in, bool* done_out) -> Task<void> {
-    while (!*flag_in) {
-      co_await e->Wait();
-    }
-    *done_out = true;
-  }(&event, &flag, &done));
-  sched.Poll();
-  EXPECT_TRUE(done);  // predicate observed without any further notify
 }
 
 // --- Buffer edge cases ---

@@ -320,13 +320,6 @@ class CatnipSpliceTest : public ::testing::Test {
     client_.ethernet().arp().Insert(server_.local_ip(), MacAddr{1});
   }
 
-  // No splice, file push or pop spawns a fiber: each is an op in its source queue's FIFO,
-  // served by the fast path, the one fiber each libOS runs.
-  void TearDown() override {
-    EXPECT_EQ(server_.scheduler().stats().fibers_spawned, 1u);
-    EXPECT_EQ(client_.scheduler().stats().fibers_spawned, 1u);
-  }
-
   std::vector<LibOS*> World() { return {&server_, &client_}; }
 
   // Establishes a client connection to server_:7100; returns {client qd, server conn qd}.
