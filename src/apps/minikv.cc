@@ -8,10 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/core/shard_group.h"
@@ -22,6 +24,11 @@ namespace {
 
 constexpr size_t kReqHeader = 1 + 2 + 4;   // op, klen, vlen
 constexpr size_t kRespHeader = 1 + 4;      // status, vlen
+// The AOF rewrite's estimate of what a log record adds to its frame: a header and alignment,
+// rounded up (docs/STORAGE.md).
+constexpr uint64_t kAofRecordOverhead = 32;
+// The rewrite keeps at most this many bytes of its records queued on the log at once.
+constexpr uint64_t kRewriteQueuedBytes = 64 * 1024;
 
 void PutLe32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
 uint32_t GetLe32(const uint8_t* p) {
@@ -126,9 +133,11 @@ class KvHeapStore {
     std::memcpy(ptr, value.data(), value.size());
     auto [it, inserted] = map_.try_emplace(std::string(key));
     if (!inserted) {
+      frame_bytes_ -= kReqHeader + key.size() + it->second.len;
       os_.DmaFree(it->second.ptr);
     }
     it->second = Value{ptr, static_cast<uint32_t>(value.size())};
+    frame_bytes_ += kReqHeader + key.size() + value.size();
   }
 
   bool Get(std::string_view key, void** ptr, uint32_t* len) const {
@@ -146,10 +155,23 @@ class KvHeapStore {
     if (it == map_.end()) {
       return false;
     }
+    frame_bytes_ -= kReqHeader + key.size() + it->second.len;
     os_.DmaFree(it->second.ptr);
     map_.erase(it);
     return true;
   }
+
+  std::vector<std::string> Keys() const {
+    std::vector<std::string> keys;
+    keys.reserve(map_.size());
+    for (const auto& [k, v] : map_) {
+      keys.push_back(k);
+    }
+    return keys;
+  }
+  size_t size() const { return map_.size(); }
+  // The live set as SET request frames: what one record per key holds.
+  uint64_t frame_bytes() const { return frame_bytes_; }
 
  private:
   struct Value {
@@ -158,6 +180,7 @@ class KvHeapStore {
   };
   LibOS& os_;
   std::unordered_map<std::string, Value> map_;
+  uint64_t frame_bytes_ = 0;
 };
 
 // Extracts complete length-prefixed frames from an accumulation buffer.
@@ -193,10 +216,10 @@ struct MiniKvServerApp::Impl {
     }
   }
 
-  // A reply that waits on its connection: a SET's until its AOF push is durable, and any
-  // reply behind one, so replies leave in request order.
+  // A reply that waits on its connection: a SET's or a DEL's until its AOF push is durable,
+  // and any reply behind one, so replies leave in request order.
   struct Reply {
-    QToken aof = kInvalidQToken;  // a SET: its AOF push, whose result sets the reply's status
+    QToken aof = kInvalidQToken;  // a SET or DEL: its AOF push, whose result sets the status
     void* buf = nullptr;          // the encoded reply, once known, in a buffer the reply owns
     uint32_t len = 0;
   };
@@ -206,11 +229,20 @@ struct MiniKvServerApp::Impl {
     bool ended = false;         // its pops ended: close it once the replies are out
   };
 
+  // Pushes a reply. Catnip completes a TCP push inline, so its qtoken is redeemed at once; one
+  // still in flight is redeemed by a later Pump.
+  void Send(QueueDesc qd, const Sgarray& sga) {
+    auto push = os.Push(qd, sga);
+    if (push.ok() && !os.TryTake(*push).ok()) {
+      sends.push_back(*push);
+    }
+  }
+
   // Sends `sga` on `qd` now, or, behind a reply that waits, queues a copy: the copy holds no
   // store value that a later SET may free.
   void Respond(QueueDesc qd, ConnState& cs, const Sgarray& sga) {
     if (cs.replies.empty()) {
-      (void)os.Push(qd, sga);
+      Send(qd, sga);
       return;
     }
     Reply& reply = cs.replies.emplace_back();
@@ -233,8 +265,31 @@ struct MiniKvServerApp::Impl {
     os.DmaFree(out);
   }
 
-  // Sends `cs`'s replies, oldest first, until one waits for a SET that is not durable yet. A
-  // connection whose pops ended closes once its last reply is out; returns whether it did.
+  // Durable before acknowledged: appends the raw request frame (fsync-equivalent), and the
+  // reply waits for the push, so the server serves other requests meanwhile.
+  void LogThenRespond(QueueDesc qd, ConnState& cs, std::span<const uint8_t> frame) {
+    QToken aof = kInvalidQToken;
+    void* rec = os.DmaMalloc(frame.size());
+    if (rec != nullptr) {
+      std::memcpy(rec, frame.data(), frame.size());
+      auto aof_push = os.Push(aof_qd, Sgarray::Of(rec, static_cast<uint32_t>(frame.size())));
+      os.DmaFree(rec);
+      if (aof_push.ok()) {
+        aof = *aof_push;
+      }
+    }
+    if (aof == kInvalidQToken) {
+      stats.aof_failures++;
+      RespondStatus(qd, cs, KvStatus::kError);
+      return;
+    }
+    cs.replies.push_back(Reply{aof});
+    deferred++;
+  }
+
+  // Sends `cs`'s replies, oldest first, until one waits for an AOF push that is not durable
+  // yet. A connection whose pops ended closes once its last reply is out; returns whether it
+  // did.
   bool Flush(QueueDesc qd, ConnState& cs) {
     while (!cs.replies.empty()) {
       Reply& reply = cs.replies.front();
@@ -247,7 +302,9 @@ struct MiniKvServerApp::Impl {
         // isn't durable.
         auto r = os.TryTake(reply.aof);
         const bool durable = r.ok() && r->status == Status::kOk;
-        if (!durable) {
+        if (durable) {
+          NoteAppended(*r);
+        } else {
           stats.aof_failures++;
         }
         uint8_t hdr[4 + kRespHeader];
@@ -256,7 +313,7 @@ struct MiniKvServerApp::Impl {
         reply.buf = os.DmaMalloc(reply.len);
         std::memcpy(reply.buf, hdr, reply.len);
       }
-      (void)os.Push(qd, Sgarray::Of(reply.buf, reply.len));
+      Send(qd, Sgarray::Of(reply.buf, reply.len));
       os.DmaFree(reply.buf);
       cs.replies.pop_front();
       deferred--;
@@ -276,13 +333,126 @@ struct MiniKvServerApp::Impl {
     }
   }
 
+  // --- AOF rewrite (Redis's BGREWRITEAOF, run from the poll loop; docs/STORAGE.md) ---
+
+  // A durable AOF push's result: where its record went and what the log has left.
+  void NoteAppended(const QResult& r) {
+    if (!aof_seen) {
+      aof_seen = true;
+      aof_base = r.offset;
+    }
+    aof_last = std::max(aof_last, r.offset);
+    aof_free = r.bytes;
+  }
+
+  // Starts a rewrite once the AOF appended twice the live set and half the log since the last
+  // one, or sooner, once the free space is about to stop holding a copy of the live set. A
+  // rewrite starts only while one copy still fits.
+  bool RewriteDue() const {
+    if (!aof_seen || store.size() == 0) {
+      return false;
+    }
+    const uint64_t live = store.frame_bytes() + store.size() * kAofRecordOverhead;
+    const uint64_t appended = aof_last - aof_base;
+    const uint64_t log_bytes = appended + aof_free;  // what the AOF may span
+    const bool grown = appended >= 2 * live && appended >= log_bytes / 2;
+    const bool tight = aof_free < live + live / 4;
+    return (grown || tight) && aof_free >= live;
+  }
+
+  // One step of the rewrite: redeems its done appends and issues the next records, until the
+  // bytes it has queued reach kRewriteQueuedBytes. Once every record is durable, truncates the
+  // AOF at the rewrite's first record.
+  void PumpRewrite() {
+    if (rewrite.keys.empty()) {  // no rewrite runs
+      if (!RewriteDue()) {
+        return;
+      }
+      rewrite.keys = store.Keys();
+    }
+    std::erase_if(rewrite.pushes, [this](const std::pair<QToken, uint32_t>& push) {
+      auto r = os.TryTake(push.first);
+      if (!r.ok()) {
+        return false;
+      }
+      rewrite.queued -= push.second;
+      if (r->status == Status::kOk) {
+        NoteAppended(*r);
+        rewrite.first = std::min(rewrite.first, r->offset);
+      } else {
+        rewrite.failed = true;
+      }
+      return true;
+    });
+    while (!rewrite.failed && rewrite.next < rewrite.keys.size() &&
+           rewrite.queued < kRewriteQueuedBytes) {
+      AppendLiveKey(rewrite.keys[rewrite.next++]);
+    }
+    if (!rewrite.pushes.empty() || (!rewrite.failed && rewrite.next < rewrite.keys.size())) {
+      return;
+    }
+    if (!rewrite.failed && rewrite.first != UINT64_MAX &&
+        os.Truncate(aof_qd, rewrite.first) == Status::kOk) {
+      aof_base = rewrite.first;
+      stats.aof_rewrites++;
+    }
+    rewrite = Rewrite{};
+  }
+
+  // Appends one SET record for `key` with its current value, the value segment zero-copy from
+  // the store. A key deleted since the rewrite started gets none.
+  void AppendLiveKey(const std::string& key) {
+    void* vptr = nullptr;
+    uint32_t vlen = 0;
+    if (!store.Get(key, &vptr, &vlen)) {
+      return;
+    }
+    const uint32_t hdr_len = static_cast<uint32_t>(kReqHeader + key.size());
+    uint8_t* hdr = static_cast<uint8_t*>(os.DmaMalloc(hdr_len));
+    if (hdr == nullptr) {
+      rewrite.failed = true;
+      return;
+    }
+    hdr[0] = static_cast<uint8_t>(KvOp::kSet);
+    PutLe16(hdr + 1, static_cast<uint16_t>(key.size()));
+    PutLe32(hdr + 3, vlen);
+    PutBytes(hdr + kReqHeader, key);
+    Sgarray sga = Sgarray::Of(hdr, hdr_len);
+    if (vlen > 0) {
+      sga.segs[sga.num_segs++] = {vptr, vlen};
+    }
+    auto push = os.Push(aof_qd, sga);
+    os.DmaFree(hdr);
+    if (!push.ok()) {
+      rewrite.failed = true;
+      return;
+    }
+    rewrite.pushes.emplace_back(*push, hdr_len + vlen);
+    rewrite.queued += hdr_len + vlen;
+  }
+
   LibOS& os;
   MiniKvStats& stats;
   KvHeapStore store;
   QueueDesc aof_qd = kInvalidQd;
   std::unordered_map<QueueDesc, ConnState> conns;
   std::vector<QToken> tokens;
+  std::vector<QToken> sends;  // reply pushes not done when issued
   size_t deferred = 0;  // replies waiting, across connections
+
+  // What the AOF's push results reported, in log bytes.
+  bool aof_seen = false;
+  uint64_t aof_base = 0;  // the oldest record still needed: the first, then a rewrite's first
+  uint64_t aof_last = 0;  // the newest record
+  uint64_t aof_free = 0;  // the log's free bytes
+  struct Rewrite {
+    bool failed = false;                // an append failed: no truncate
+    std::vector<std::string> keys;      // the keys live when it started; empty: none runs
+    size_t next = 0;                    // the next of `keys` to append
+    std::vector<std::pair<QToken, uint32_t>> pushes;  // its appends in flight, with bytes
+    uint64_t queued = 0;                // their bytes
+    uint64_t first = UINT64_MAX;        // its first record's offset
+  } rewrite;
 };
 
 MiniKvServerApp::MiniKvServerApp(LibOS& os, const MiniKvOptions& options)
@@ -305,6 +475,12 @@ MiniKvServerApp::~MiniKvServerApp() = default;
 
 size_t MiniKvServerApp::Pump() {
   Impl& im = *impl_;
+  if (!im.sends.empty()) {
+    std::erase_if(im.sends, [this](QToken qt) { return os_.TryTake(qt).ok(); });
+  }
+  if (im.aof_qd != kInvalidQd) {
+    im.PumpRewrite();
+  }
   if (im.deferred > 0) {
     for (auto it = im.conns.begin(); it != im.conns.end();) {
       it = im.Flush(it->first, it->second) ? im.conns.erase(it) : std::next(it);
@@ -367,28 +543,9 @@ size_t MiniKvServerApp::Pump() {
             im.store.Set(req.key, req.value);
             if (im.aof_qd == kInvalidQd) {
               im.RespondStatus(qd, cs, KvStatus::kOk);
-              break;
+            } else {
+              im.LogThenRespond(qd, cs, frame);
             }
-            // Durable before acknowledged: append the raw request frame (fsync-equivalent);
-            // the reply waits for the push, so the server serves other requests meanwhile.
-            QToken aof = kInvalidQToken;
-            void* rec = os_.DmaMalloc(frame.size());
-            if (rec != nullptr) {
-              std::memcpy(rec, frame.data(), frame.size());
-              auto aof_push =
-                  os_.Push(im.aof_qd, Sgarray::Of(rec, static_cast<uint32_t>(frame.size())));
-              os_.DmaFree(rec);
-              if (aof_push.ok()) {
-                aof = *aof_push;
-              }
-            }
-            if (aof == kInvalidQToken) {
-              stats_.aof_failures++;
-              im.RespondStatus(qd, cs, KvStatus::kError);
-              break;
-            }
-            cs.replies.push_back(Impl::Reply{aof});
-            im.deferred++;
             break;
           }
           case KvOp::kGet: {
@@ -417,7 +574,13 @@ size_t MiniKvServerApp::Pump() {
           }
           case KvOp::kDel: {
             stats_.dels++;
-            im.RespondStatus(qd, cs, im.store.Del(req.key) ? KvStatus::kOk : KvStatus::kNotFound);
+            if (!im.store.Del(req.key)) {
+              im.RespondStatus(qd, cs, KvStatus::kNotFound);
+            } else if (im.aof_qd == kInvalidQd) {
+              im.RespondStatus(qd, cs, KvStatus::kOk);
+            } else {
+              im.LogThenRespond(qd, cs, frame);  // a replay must not bring the key back
+            }
             break;
           }
         }

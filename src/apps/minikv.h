@@ -3,12 +3,16 @@
 // Mirrors the structure of the paper's Redis port (§7.5): a single event loop over wait_any,
 // values stored in the DMA-capable heap and served zero-copy (Redis's keys/values are immutable
 // — no update in place — so UAF protection alone makes zero-copy GETs/SETs safe, §4.1), and an
-// optional append-only file: every SET is pushed to a storage queue and fsync'd before the
-// reply, the Figure 11 persistence configuration. The reply waits on the push's qtoken, not in
-// a Wait, so the server serves other requests (and the log writes the SETs queued meanwhile
-// together) until it completes; each connection keeps its replies in request order. As in
-// Redis, the store applies a SET at once, so a GET on another connection can read its value
-// before the SET is durable; no client is told a SET succeeded before it is. Its benchmark
+// optional append-only file: every SET and every DEL of a live key is pushed to a storage
+// queue and fsync'd before the reply, the Figure 11 persistence configuration. The reply waits
+// on the push's qtoken, not in a Wait, so the server serves other requests (and the log writes
+// the SETs queued meanwhile together) until it completes; each connection keeps its replies in
+// request order. As in Redis, the store applies a SET at once, so a GET on another connection
+// can read its value before the SET is durable; no client is told a SET succeeded before it
+// is. The server redeems every qtoken it is handed, reply pushes included. As Redis's
+// BGREWRITEAOF does, it rewrites the AOF from the poll loop once it has grown well past the
+// live set — one SET record per live key — and truncates the log behind the rewrite, so the
+// circular log reuses the space (docs/STORAGE.md). Its benchmark
 // client (the redis-benchmark equivalent) is the load driver's KvCodec
 // (src/apps/load_driver.h).
 //
@@ -64,7 +68,8 @@ struct MiniKvStats {
   uint64_t dels = 0;
   uint64_t hits = 0;
   uint64_t connections = 0;
-  uint64_t aof_failures = 0;  // SETs answered kError because the AOF append failed terminally
+  uint64_t aof_failures = 0;  // SETs and DELs answered kError: their AOF append failed
+  uint64_t aof_rewrites = 0;  // AOF rewrites completed (each truncated the AOF behind it)
 };
 
 // Pumpable PDPIX MiniKv server (see EchoServerApp for the pump pattern).

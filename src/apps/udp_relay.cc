@@ -37,6 +37,7 @@ UdpRelayApp::UdpRelayApp(LibOS& os, const RelayOptions& options)
 }
 
 size_t UdpRelayApp::Pump() {
+  std::erase_if(pushes_, [this](QToken qt) { return os_.TryTake(qt).ok(); });
   size_t forwarded = 0;
   while (os_.IsDone(pop_)) {
     auto r = os_.TryTake(pop_);
@@ -47,7 +48,11 @@ size_t UdpRelayApp::Pump() {
       // Forward the received buffers as-is (zero-copy relay) and free immediately.
       auto push = os_.PushTo(sock_, r->sga, options_.target);
       os_.FreeSga(r->sga);
-      (void)push;
+      // Catnip completes a datagram push inline; one still in flight is redeemed by a later
+      // Pump.
+      if (push.ok() && !os_.TryTake(*push).ok()) {
+        pushes_.push_back(*push);
+      }
     }
     auto next = os_.Pop(sock_);
     DEMI_CHECK(next.ok());

@@ -15,6 +15,7 @@
 #define SRC_APPS_UDP_RELAY_H_
 
 #include <atomic>
+#include <vector>
 
 #include "src/core/libos.h"
 
@@ -43,6 +44,7 @@ class UdpRelayApp {
   RelayStats stats_;
   QueueDesc sock_ = kInvalidQd;
   QToken pop_ = kInvalidQToken;
+  std::vector<QToken> pushes_;  // forwarding pushes not done when issued
 };
 
 void RunUdpRelay(LibOS& os, const RelayOptions& options, std::atomic<bool>& stop,

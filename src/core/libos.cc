@@ -35,7 +35,7 @@ void LibOS::InitObservability() {
   wait_calls_ = &metrics_.RegisterCounter("core.wait_calls", "calls");
   wait_poll_rounds_ = &metrics_.RegisterCounter("core.wait_poll_rounds", "rounds");
   wait_ns_ = &metrics_.RegisterHistogram("core.wait_ns", "ns");
-  metrics_.RegisterGauge("core.tokens_pending", "tokens", [this] { return tokens_.NumPending(); });
+  metrics_.RegisterGauge("core.tokens_pending", "tokens", [this] { return tokens_.NumInUse(); });
 
   metrics_.RegisterGauge("tenant.registered", "tenants",
                          [this] { return tenants_.NumRegistered(); });

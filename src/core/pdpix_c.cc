@@ -75,6 +75,7 @@ demi_qresult_t ToC(const QResult& r) {
   out.remote = {r.remote.ip.value, r.remote.port};
   out.new_qd = r.new_qd;
   out.bytes = r.bytes;
+  out.offset = r.offset;
   return out;
 }
 

@@ -56,7 +56,8 @@ typedef struct demi_qresult {
   demi_sgarray_t sga;      /* pop: app-owned buffers */
   demi_sockaddr_t remote;  /* accept/pop(udp): peer */
   demi_qd_t new_qd;        /* accept: connection queue */
-  uint64_t bytes;          /* splice: total payload bytes moved */
+  uint64_t bytes;          /* splice: total payload bytes moved; file push: log bytes free */
+  uint64_t offset;         /* file push: the record's log offset (for demi_truncate) */
 } demi_qresult_t;
 
 /* Queue creation and management. type: 0 = stream (SOCK_STREAM), 1 = datagram (SOCK_DGRAM). */

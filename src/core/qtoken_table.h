@@ -152,6 +152,7 @@ class QTokenTable {  // demilint: shard-local
     return e == nullptr ? kInvalidQd : e->result.qd;
   }
 
+  // Issued tokens whose op is not done yet (a scan: DrainPendingTokens' shutdown loop).
   size_t NumPending() const {
     size_t n = 0;
     for (const auto& e : entries_) {
@@ -162,15 +163,8 @@ class QTokenTable {  // demilint: shard-local
     return n;
   }
 
-  size_t NumInUse() const {
-    size_t n = 0;
-    for (const auto& e : entries_) {
-      if (e->in_use) {
-        n++;
-      }
-    }
-    return n;
-  }
+  // Issued tokens not redeemed yet, done or not: every slot but the free ones.
+  size_t NumInUse() const { return entries_.size() - free_.size(); }
 
   // Inflight (allocated, not yet consumed) qtokens charged to `tenant`. Backs the
   // load-shedding watermark (docs/TENANCY.md).

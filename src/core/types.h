@@ -72,8 +72,11 @@ struct QResult {
   SocketAddress remote;
   // accept: descriptor of the new connection queue.
   QueueDesc new_qd = kInvalidQd;
-  // splice: total payload bytes moved end to end before the op completed.
+  // splice: total payload bytes moved end to end before the op completed. file push: the
+  // bytes its log still has free once the record is durable.
   uint64_t bytes = 0;
+  // file push: the record's log offset, which truncate takes.
+  uint64_t offset = 0;
 };
 
 }  // namespace demi

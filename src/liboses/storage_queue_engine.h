@@ -2,14 +2,15 @@
 // Cattree libOS and the integrated network×storage libOSes (Catnip×Cattree, Catmint×Cattree).
 //
 // Maps PDPIX queues onto the abstract log: each open() returns a queue with its own read
-// cursor; push appends records (durable on completion), pops read successive records at the
-// cursor, seek/truncate move the cursor and garbage-collect. A file queue's pushes and pops wait
-// like network ops, as qtokens in the queue's LibOS::PendingOps FIFO: the libOS's NextResult and
-// WaitEvent call the engine's. The queue completes them oldest first, each in the poll that
-// drains its I/O. A push hands its append to the log as soon as its segments are pinned, so the
-// log's group commit writes the pushes queued meanwhile, from every file, as one write. A pop
-// reads when it reaches the head; a push queued behind a pop (or a splice) waits for it, and
-// starts when it reaches the head itself.
+// cursor; push appends records (durable on completion; the result carries the record's offset,
+// which truncate takes, and the log's free bytes), pops read successive records at the cursor,
+// seek/truncate move the cursor and free the log below an offset. A file queue's pushes and
+// pops wait like network ops, as qtokens in the queue's LibOS::PendingOps FIFO: the libOS's
+// NextResult and WaitEvent call the engine's. The queue completes them oldest first, each in
+// the poll that drains its I/O. A push hands its append to the log as soon as its segments are
+// pinned, so the log's group commit writes the pushes queued meanwhile, from every file, as one
+// write. A pop reads when it reaches the head; a push queued behind a pop (or a splice) waits
+// for it, and starts when it reaches the head itself.
 
 #ifndef SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 #define SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
@@ -111,6 +112,8 @@ class StorageQueueEngine {
     io.state = LogDevice::Io::kIdle;
     r.status = io.status;
     if (op == OpCode::kPush) {
+      r.offset = io.offset;
+      r.bytes = log_.FreeBytes();
       file.pushes.pop_front();  // durable: the pinned segments go back to the heap
       return r;
     }

@@ -1,10 +1,11 @@
 // LogDevice: the abstract log Cattree maps PDPIX queues onto (paper §6.4).
 //
-// An append-only record log over SimBlockDevice. push appends records; pop reads from a cursor;
-// truncate garbage-collects logically. The log is driven the way Cattree drives SPDK: Start*
-// submits an append or a read without a coroutine, and PollDevice, called from the owning
-// libOS's fast path, finishes it — multi-block reads, pad skips and retries included — and
-// notifies the one Event of its Io. An append finishes when the device write is durable.
+// A circular record log over SimBlockDevice. push appends records; pop reads from a cursor;
+// truncate frees the space below an offset for later appends. The log is driven the way
+// Cattree drives SPDK: Start* submits an append or a read without a coroutine, and PollDevice,
+// called from the owning libOS's fast path, finishes it — multi-block reads, pad skips and
+// retries included — and notifies the one Event of its Io. An append finishes when the device
+// write is durable.
 //
 // Group commit: one write is in flight at a time. Appends started meanwhile wait in a FIFO;
 // when the write completes, every packed append at the head of the FIFO is composed into one
@@ -16,10 +17,19 @@
 // On-device format (docs/STORAGE.md): a sequence of records, each
 //   [magic u32][payload_len u32][epoch u64][payload_crc u32][header_crc u32]
 //   [payload bytes][zero padding to 8-byte alignment]
-// plus 8-byte pad markers ([pad magic u32][skip u32]) that block-align scatter-gather records.
-// Recovery scans from offset 0 and accepts a record only if both CRCs verify and its epoch is
-// strictly greater than the previous record's — a torn write (prefix on media, error returned)
-// can forge magic+length but not the payload CRC, so recovery stops at the last durable record.
+// plus 8-byte pad markers ([pad magic u32][skip u32]) that block-align scatter-gather records
+// and skip the space before the partition end that the next unit does not fit in.
+// Recovery accepts a record only if both CRCs verify and its epoch is strictly greater than the
+// previous record's — a torn write (prefix on media, error returned) can forge magic+length but
+// not the payload CRC, so recovery stops at the last durable record.
+//
+// Wrap-around: offsets are logical and only grow; a unit's media offset is its offset modulo
+// the partition size. No unit and no write crosses the partition end: a pad marker in a write
+// of its own skips to the end, and placement resumes at the start. An append that would
+// overwrite a byte at or above the head (not yet truncated) fails with kNoBufferSpace. A log
+// that never wrapped is laid out exactly as an append-only one. Recovery of a wrapped partition
+// starts at the oldest valid epoch: the older lap's units that survive after the newest lap
+// (docs/STORAGE.md).
 //
 // Partitioning: a LogDevice may own a contiguous block range of a shared device (LogPartition)
 // with an allocation epoch shared across all partitions; see PartitionedLog for the coordinator
@@ -78,7 +88,7 @@ class LogDevice {
 
     State state = kIdle;          // the owner sets kIdle again once it took a kDone result
     Status status = Status::kOk;  // the result, once kDone
-    uint64_t offset = 0;          // a done append: the record's byte offset
+    uint64_t offset = 0;          // a done append: the record's (logical) byte offset
     ReadResult record;            // a done read: the record
     Event done;
 
@@ -124,7 +134,8 @@ class LogDevice {
   // alone, when its write is already on the device.
   bool CancelAppend(Io& io);
 
-  // Logical garbage collection: records below `offset` become unreadable.
+  // Garbage collection: records below `offset` become unreadable, and their space is free
+  // for appends.
   [[nodiscard]] Status Truncate(uint64_t offset);
 
   // Drains the device completions due by `now`, advances the I/Os they belong to and starts
@@ -136,19 +147,24 @@ class LogDevice {
   uint64_t tail() const { return tail_; }
   const LogPartition& partition() const { return part_; }
   uint64_t CapacityBytes() const { return part_bytes_; }
+  // What appends may still take before the tail catches up with the head.
+  uint64_t FreeBytes() const { return part_bytes_ - (tail_ - head_); }
 
   // Rebuilds head_/tail_ by scanning this partition (crash-recovery path, synchronous). Only
   // CRC-verified records with strictly increasing epochs count; a torn prefix is not recovered.
+  // The head is the oldest record recovered: what was truncated but not yet overwritten comes
+  // back too, as truncation is not written to the media.
   [[nodiscard]] Status Recover();
 
   // One recovered record's location (shared by Recover and PartitionedLog::RecoverAll).
   struct RecordInfo {
-    uint64_t offset = 0;  // partition-relative byte offset of the header
+    uint64_t offset = 0;  // partition-relative byte offset of the header on the media
     uint32_t len = 0;     // payload bytes
     uint64_t epoch = 0;
   };
   // Synchronous media scan of `partition` applying the recovery rules; appends accepted
-  // records to `out` (may be null) and returns the rebuilt tail offset.
+  // records to `out` (may be null) oldest first, and returns the rebuilt (logical) tail
+  // offset. The oldest record is in lap 0, so its media offset is also its logical one.
   static uint64_t ScanPartition(const SimBlockDevice& device, const LogPartition& partition,
                                 std::vector<RecordInfo>* out);
   // Moves `epoch` past `max_epoch`, the largest recovered epoch, so appends after recovery keep
@@ -194,6 +210,12 @@ class LogDevice {
   void ComposeBatch();
   // Places the SG append block-aligned at the tail, builds its gather list and submits it.
   void ComposeSg(Io& io);
+  // Where a unit of `bytes` that would start at `start` (>= tail_, in tail_'s lap) goes.
+  enum class Placement { kFits, kWrap, kFull };
+  Placement Place(uint64_t start, uint64_t bytes) const;
+  // Submits wrap_: a pad marker from the tail to the partition end, which moves the tail to
+  // the next lap's start.
+  void ComposeWrap();
   // Reads the block(s) holding the header of the unit at io.cursor_.
   void ReadUnit(Io& io);
   // Reads every block holding partition bytes [from, to) into one allocation, io.buf_.
@@ -213,7 +235,14 @@ class LogDevice {
   // order, so per-partition epochs stay strictly increasing.
   std::array<uint8_t, kHeaderSize> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
   uint64_t DeviceLba(uint64_t byte_offset) const {
-    return part_.first_block + byte_offset / block_size_;
+    return part_.first_block + byte_offset % part_bytes_ / block_size_;
+  }
+  // The end of the lap that holds `offset` (the next lap's start).
+  uint64_t LapEnd(uint64_t offset) const { return (offset / part_bytes_ + 1) * part_bytes_; }
+  // Whether a write that ends at `end` overwrites no byte at or above the head: writes cover
+  // whole blocks.
+  bool Fits(uint64_t end) const {
+    return (end + block_size_ - 1) / block_size_ * block_size_ - head_ <= part_bytes_;
   }
 
   SimBlockDevice& device_;
@@ -227,11 +256,12 @@ class LogDevice {
   std::atomic<uint64_t> local_epoch_{1};
   std::atomic<uint64_t>* epoch_;  // shared across partitions, or &local_epoch_
 
-  uint64_t head_ = 0;  // oldest readable byte (partition-relative)
-  uint64_t tail_ = 0;  // next append offset (partition-relative)
+  uint64_t head_ = 0;  // oldest readable byte (logical)
+  uint64_t tail_ = 0;  // next append offset (logical)
   std::vector<uint8_t> tail_block_cache_;  // in-memory copy of the partial tail block
 
   std::vector<Io*> batch_;    // the appends in the write in flight (one write at a time)
+  Io wrap_;                   // the write that closes a lap
   uint64_t batch_tail_ = 0;   // the tail once that write is durable
   std::vector<uint8_t> image_;  // the batch write's block image, reused from write to write
   std::deque<Io*> appends_;   // appends waiting for the next write, oldest first

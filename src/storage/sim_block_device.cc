@@ -1,5 +1,7 @@
 #include "src/storage/sim_block_device.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -10,9 +12,23 @@
 
 namespace demi {
 
+namespace {
+
+// The OS hands out an anonymous mapping's pages zero-filled on first touch, so the media needs
+// no fill at construction and an unwritten block costs no memory.
+uint8_t* MapMedia(size_t bytes) {
+  void* media = ::mmap(nullptr, std::max<size_t>(bytes, 1), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  DEMI_CHECK_MSG(media != MAP_FAILED, "SimBlockDevice: cannot map the media");
+  return static_cast<uint8_t*>(media);
+}
+
+}  // namespace
+
 SimBlockDevice::SimBlockDevice(const Config& config, Clock& clock)
-    : config_(config), clock_(clock), media_(config.block_size * config.num_blocks, 0),
-      ready_(1) {}
+    : config_(config), clock_(clock), media_(MapMedia(CapacityBytes())), ready_(1) {}
+
+SimBlockDevice::~SimBlockDevice() { ::munmap(media_, std::max<size_t>(CapacityBytes(), 1)); }
 
 void SimBlockDevice::ConfigureQueues(size_t num_queues) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -179,10 +195,10 @@ void SimBlockDevice::RetireDueLocked(TimeNs now) {
     const size_t offset = p.lba * config_.block_size;
     if (p.is_read) {
       if (p.status == Status::kOk) {
-        std::memcpy(p.read_target.data(), media_.data() + offset, p.read_target.size());
+        std::memcpy(p.read_target.data(), media_ + offset, p.read_target.size());
       }
     } else if (p.media_bytes > 0) {
-      std::memcpy(media_.data() + offset, p.write_data.data(), p.media_bytes);
+      std::memcpy(media_ + offset, p.write_data.data(), p.media_bytes);
     }
     if (p.status != Status::kOk) {
       stats_.io_errors++;
@@ -227,8 +243,8 @@ TimeNs SimBlockDevice::NextCompletionTime() const {
 
 void SimBlockDevice::RawRead(uint64_t byte_offset, std::span<uint8_t> out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  DEMI_CHECK(byte_offset + out.size() <= media_.size());
-  std::memcpy(out.data(), media_.data() + byte_offset, out.size());
+  DEMI_CHECK(byte_offset + out.size() <= CapacityBytes());
+  std::memcpy(out.data(), media_ + byte_offset, out.size());
 }
 
 }  // namespace demi

@@ -54,7 +54,12 @@ class SimBlockDevice {
   // limit; callers with more slices must coalesce — LogDevice counts those as bounce bytes).
   static constexpr size_t kMaxWritevSegments = 128;
 
+  // The media is an anonymous zero-filled mapping: a block costs memory only once it is
+  // written, and an unwritten block reads as zeros.
   SimBlockDevice(const Config& config, Clock& clock);
+  ~SimBlockDevice();
+  SimBlockDevice(const SimBlockDevice&) = delete;
+  SimBlockDevice& operator=(const SimBlockDevice&) = delete;
 
   // Sizes the completion-queue set (NVMe queue pairs). Must be called before any I/O is
   // submitted on queues >= 1; existing completions must be drained first. Queue 0 always
@@ -140,7 +145,7 @@ class SimBlockDevice {
 
   Config config_;
   Clock& clock_;
-  std::vector<uint8_t> media_;
+  uint8_t* media_;  // CapacityBytes() of mapped media, zero until written
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> pending_;
   std::vector<std::deque<Completion>> ready_;  // per completion queue
   uint64_t next_seq_ = 0;

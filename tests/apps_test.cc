@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "src/apps/minirpc.h"
 #include "src/apps/txnstore.h"
 #include "src/apps/udp_relay.h"
+#include "src/common/random.h"
 #include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
@@ -227,9 +229,9 @@ TEST(EchoAppTest, PosixEchoBaseline) {
 struct SteppedWorld {
   static constexpr DurationNs kLinkLatency = LinkConfig{}.latency;
 
-  explicit SteppedWorld(uint64_t seed)
+  explicit SteppedWorld(uint64_t seed, SimBlockDevice::Config disk_config = {})
       : net(Link(), seed),
-        disk(SimBlockDevice::Config{}, clock),
+        disk(disk_config, clock),
         server(net, Catnip::Config{kServerMac, kServerIp, TcpConfig{}, &disk}, clock),
         client(net, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock) {
     server.ethernet().arp().Insert(kClientIp, kClientMac);
@@ -321,9 +323,12 @@ struct KvConn {
     return req.substr(4);
   }
 
-  void Get(const std::string& key) {
+  void Get(const std::string& key) { Send(KvOp::kGet, key); }
+  void Del(const std::string& key) { Send(KvOp::kDel, key); }
+
+  void Send(KvOp op, const std::string& key) {
     std::string req(4 + 7 + key.size(), '\0');
-    KvEncodeRequest(KvOp::kGet, key, "", reinterpret_cast<uint8_t*>(req.data()), req.size());
+    KvEncodeRequest(op, key, "", reinterpret_cast<uint8_t*>(req.data()), req.size());
     w.Send(qd, req);
   }
 
@@ -662,6 +667,124 @@ TEST(MiniKvTest, TeardownWithAofPushesOnTheDevice) {
   w.reset();
 }
 
+// Serving requests leaves no qtoken behind on the server: after warm-up, 2,000 mixed GETs and
+// SETs (SET replies wait for the AOF; GET replies queue behind them or leave at once) leave the
+// token table where it was. Each reply push's qtoken is redeemed, as every AOF push's is.
+TEST(MiniKvTest, ServingRequestsLeavesNoQTokenBehind) {
+  SteppedWorld w(25);
+  MiniKvOptions opts{{kServerIp, 9105}};
+  opts.persist = true;
+  MiniKvServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(w, w.Connect(9105, pump));
+  conns.emplace_back(w, w.Connect(9105, pump));
+  size_t sent = 0;
+  const auto serve = [&](size_t requests) {
+    for (size_t i = 0; i < requests; i++, sent++) {
+      KvConn& c = conns[sent % 2];
+      const std::string key = "k" + std::to_string(sent % 37);
+      if (sent % 3 == 0) {
+        (void)c.Set(key, std::string(16 + sent % 200, 'v'));
+      } else {
+        c.Get(key);
+      }
+      if (i % 8 == 7 || i + 1 == requests) {
+        ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] {
+          return conns[0].replies.size() + conns[1].replies.size() == sent + 1;
+        }));
+      }
+    }
+  };
+  serve(50);
+  const size_t in_use = w.server.tokens().NumInUse();
+  serve(2000);
+  EXPECT_EQ(app.stats().sets + app.stats().gets, 2050u);
+  EXPECT_EQ(w.server.tokens().NumInUse(), in_use) << "the server dropped qtokens";
+}
+
+// The AOF reclaims its space: a server that SETs (and DELs) three times its small disk's
+// capacity rewrites its AOF from the poll loop and truncates behind each rewrite, so the
+// circular log never fills and no SET fails. A replay of the media in epoch order gives every
+// acknowledged key its last acknowledged value and brings no deleted key back.
+TEST(MiniKvTest, AofRewriteKeepsASmallDiskFromFilling) {
+  SimBlockDevice::Config disk;
+  disk.num_blocks = 64;  // 256 KB
+  SteppedWorld w(26, disk);
+  MiniKvOptions opts{{kServerIp, 9106}};
+  opts.persist = true;
+  MiniKvServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(w, w.Connect(9106, pump));
+  KvConn& conn = conns.front();
+  const LogDevice& log = w.server.storage()->log();
+
+  struct Request {
+    KvOp op;
+    std::string key;
+    std::string value;
+  };
+  std::map<std::string, std::optional<std::string>> acked;  // nullopt: deleted
+  Rng rng(26);
+  std::vector<Request> pending;
+  size_t replied = 0;
+  while (log.tail() < 3 * log.CapacityBytes()) {
+    for (int i = 0; i < 8; i++) {
+      Request& req = pending.emplace_back();
+      req.key = "key-" + std::to_string(rng.NextBounded(24));
+      if (rng.NextBounded(10) == 0) {
+        req.op = KvOp::kDel;
+        conn.Del(req.key);
+      } else {
+        req.op = KvOp::kSet;
+        req.value = std::string(100 + rng.NextBounded(800), static_cast<char>('a' + i));
+        (void)conn.Set(req.key, req.value);
+      }
+    }
+    ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] { return conn.replies.size() == replied + 8; }));
+    for (const Request& req : pending) {
+      const KvStatus status = conn.replies[replied++].status;
+      if (req.op == KvOp::kSet) {
+        ASSERT_EQ(status, KvStatus::kOk) << "SET " << replied - 1 << " failed";
+        acked[req.key] = req.value;
+      } else if (status == KvStatus::kOk) {
+        acked[req.key] = std::nullopt;
+      } else {
+        ASSERT_EQ(status, KvStatus::kNotFound);
+      }
+    }
+    pending.clear();
+  }
+  EXPECT_EQ(app.stats().aof_failures, 0u);
+  EXPECT_GE(app.stats().aof_rewrites, 3u);
+
+  std::map<std::string, std::string> replayed;
+  for (const std::string& rec : AofRecords(w.disk)) {
+    KvRequestView req;
+    ASSERT_TRUE(KvParseRequest({reinterpret_cast<const uint8_t*>(rec.data()), rec.size()}, &req));
+    if (req.op == KvOp::kDel) {
+      replayed.erase(std::string(req.key));
+    } else {
+      ASSERT_EQ(req.op, KvOp::kSet);
+      replayed[std::string(req.key)] = std::string(req.value);
+    }
+  }
+  size_t live = 0;
+  for (const auto& [key, value] : acked) {
+    SCOPED_TRACE(key);
+    const auto it = replayed.find(key);
+    if (!value.has_value()) {
+      EXPECT_TRUE(it == replayed.end()) << "a deleted key came back";
+      continue;
+    }
+    live++;
+    ASSERT_TRUE(it != replayed.end()) << "an acknowledged SET was lost";
+    EXPECT_TRUE(it->second == *value) << "the replay holds a stale value";
+  }
+  EXPECT_EQ(replayed.size(), live);
+}
+
 TEST(MiniKvTest, PosixServerAndClient) {
   std::atomic<bool> stop{false};
   const uint16_t port = NextPort();
@@ -792,6 +915,45 @@ TEST(UdpRelayTest, CatnipRelayForwards) {
   EXPECT_EQ(result.errors, 0u);
   EXPECT_EQ(result.latency.count(), 500u);
   EXPECT_GE(rstats.forwarded, 550u);
+}
+
+// Forwarding leaves no qtoken behind on the relay: after warm-up, 2,000 datagrams leave its
+// token table where it was. Each forwarding push's qtoken is redeemed.
+TEST(UdpRelayTest, ForwardingLeavesNoQTokenBehind) {
+  SteppedWorld w(27);
+  UdpRelayApp relay(w.server, RelayOptions{{kServerIp, 9200}, {kClientIp, 9201}});
+  auto sock = w.client.Socket(SocketType::kDatagram);
+  ASSERT_TRUE(sock.ok());
+  ASSERT_EQ(w.client.Bind(*sock, {kClientIp, 9201}), Status::kOk);
+  auto pop = w.client.Pop(*sock);
+  ASSERT_TRUE(pop.ok());
+  size_t received = 0;
+  const auto forward = [&](size_t datagrams) {
+    for (size_t i = 0; i < datagrams; i++) {
+      void* buf = w.client.DmaMalloc(64);
+      std::memset(buf, static_cast<int>(i), 64);
+      auto push = w.client.PushTo(*sock, Sgarray::Of(buf, 64), {kServerIp, 9200});
+      w.client.DmaFree(buf);
+      ASSERT_TRUE(push.ok());
+      ASSERT_TRUE(w.client.TryTake(*push).ok());
+      for (int step = 0; step < 1000 && !w.client.IsDone(*pop); step++) {
+        w.Step([&] { (void)relay.Pump(); });
+      }
+      auto r = w.client.TryTake(*pop);
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(r->status, Status::kOk);
+      w.client.FreeSga(r->sga);
+      received++;
+      pop = w.client.Pop(*sock);
+      ASSERT_TRUE(pop.ok());
+    }
+  };
+  forward(20);
+  const size_t in_use = w.server.tokens().NumInUse();
+  forward(2000);
+  EXPECT_EQ(received, 2020u);
+  EXPECT_EQ(relay.stats().forwarded, 2020u);
+  EXPECT_EQ(w.server.tokens().NumInUse(), in_use) << "the relay dropped qtokens";
 }
 
 TEST(UdpRelayTest, PosixRelayVariants) {

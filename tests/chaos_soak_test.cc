@@ -604,11 +604,15 @@ void RunMiniKvScenario(uint64_t seed) {
         std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(frame.data()), frame.size()),
         &req))
         << "torn/corrupt record survived in the AOF";
-    ASSERT_EQ(req.op, KvOp::kSet);
-    replayed[std::string(req.key)] = std::string(req.value);
+    ASSERT_NE(req.op, KvOp::kGet);
+    if (req.op == KvOp::kDel) {
+      replayed.erase(std::string(req.key));
+    } else {
+      replayed[std::string(req.key)] = std::string(req.value);
+    }
   }
-  // The deleted key was acknowledged before deletion; replay includes it by design (an AOF of
-  // SETs only), so compare against the pre-delete expectation.
+  // The AOF logs the DEL too: replay must not bring the deleted key back.
+  expected.erase(victim);
   EXPECT_EQ(replayed.size(), expected.size());
   for (const auto& [key, value] : expected) {
     auto it = replayed.find(key);

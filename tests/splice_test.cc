@@ -248,6 +248,67 @@ TEST(PartitionedLogTest, EpochStitchedRecoveryPreservesCrossPartitionOrder) {
   }
 }
 
+// RecoverAll still orders records by epoch when a partition wrapped: partition 0 fills its 8
+// blocks with one-block records, truncates and wraps over its oldest three, while partition 1
+// appends between them. Recovery returns every surviving record in append order.
+TEST(PartitionedLogTest, RecoverAllOrdersRecordsAcrossAWrappedPartition) {
+  VirtualClock clock;
+  SimBlockDevice::Config cfg;
+  cfg.num_blocks = 16;
+  SimBlockDevice dev(cfg, clock);
+  Scheduler sched(clock);
+  PartitionedLog plog(dev, 2);
+  LogDevice log0(dev, sched, plog.partition(0), &plog.epoch());
+  LogDevice log1(dev, sched, plog.partition(1), &plog.epoch());
+  std::vector<std::pair<uint32_t, std::string>> appended;
+  std::vector<uint64_t> offsets0;
+  auto append = [&](uint32_t part, std::string payload) {
+    LogDevice& log = part == 0 ? log0 : log1;
+    LogDevice::Io io;
+    log.StartAppend(io, OneSlice(payload));
+    ASSERT_TRUE(DriveLogs(clock, sched, dev, {&log0, &log1}, [&] { return IsDone(io); }));
+    ASSERT_EQ(io.status, Status::kOk);
+    if (part == 0) {
+      offsets0.push_back(io.offset);
+    }
+    appended.emplace_back(part, std::move(payload));
+  };
+  const size_t one_block = cfg.block_size - LogDevice::kHeaderSize;
+  for (int i = 0; i < 8; i++) {
+    append(0, std::string(one_block, static_cast<char>('a' + i)));
+    append(1, "b" + std::to_string(i));
+  }
+  ASSERT_EQ(log0.Truncate(offsets0[3]), Status::kOk);
+  for (int i = 8; i < 11; i++) {
+    append(1, "b" + std::to_string(i));
+    append(0, std::string(one_block, static_cast<char>('a' + i)));
+  }
+  EXPECT_EQ(offsets0.back(), 10 * cfg.block_size) << "partition 0 is on its second lap";
+
+  std::vector<PartitionedLog::StitchedRecord> records;
+  plog.RecoverAll(&records);
+  // The second lap overwrote partition 0's first three records.
+  std::vector<std::pair<uint32_t, std::string>> expected;
+  int overwritten = 0;
+  for (const auto& rec : appended) {
+    if (rec.first == 0 && overwritten < 3) {
+      overwritten++;
+      continue;
+    }
+    expected.push_back(rec);
+  }
+  ASSERT_EQ(records.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); i++) {
+    EXPECT_EQ(records[i].partition, expected[i].first) << "record " << i;
+    const std::vector<uint8_t> payload = plog.ReadPayload(records[i]);
+    EXPECT_TRUE(std::string(payload.begin(), payload.end()) == expected[i].second)
+        << "record " << i;
+    if (i > 0) {
+      EXPECT_GT(records[i].epoch, records[i - 1].epoch);
+    }
+  }
+}
+
 TEST(PartitionedLogTest, PartitionsAreCapacityIsolated) {
   VirtualClock clock;
   SimBlockDevice::Config cfg;

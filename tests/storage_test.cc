@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/crc32.h"
+#include "src/faults/fault_injector.h"
 #include "src/memory/pool_allocator.h"
 #include "src/runtime/scheduler.h"
 #include "src/storage/log_device.h"
@@ -418,6 +423,177 @@ TEST_F(LogDeviceTest, MediaFormatIsPinned) {
   std::vector<uint8_t> media(log_.tail());
   dev_.RawRead(0, media);
   EXPECT_EQ(Fnv1a(media), 0x21D743D751316BD8u);
+}
+
+
+// The process's resident set, from /proc/self/statm.
+size_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    EXPECT_EQ(std::fscanf(f, "%lu %lu", &size, &resident), 2);
+    std::fclose(f);
+  }
+  return resident * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// The media costs memory only where it was written: a 1 GiB device adds next to nothing to the
+// resident set, and its unwritten blocks read as zeros through the device and RawRead alike.
+TEST(SparseMediaTest, UnwrittenBlocksCostNoMemoryAndReadAsZeros) {
+  VirtualClock clock;
+  SimBlockDevice::Config cfg;
+  cfg.num_blocks = (size_t{1} << 30) / cfg.block_size;
+  const size_t before = ResidentBytes();
+  SimBlockDevice dev(cfg, clock);
+  EXPECT_LT(ResidentBytes() - std::min(before, ResidentBytes()), size_t{16} << 20);
+  EXPECT_EQ(dev.CapacityBytes(), size_t{1} << 30);
+
+  std::vector<uint8_t> block(cfg.block_size, 0xAB);
+  ASSERT_EQ(dev.SubmitWrite(7, block, /*cookie=*/1), Status::kOk);
+  std::vector<uint8_t> read(2 * cfg.block_size, 0xCD);
+  ASSERT_EQ(dev.SubmitRead(cfg.num_blocks - 2, read, /*cookie=*/2), Status::kOk);
+  clock.Advance(kSecond);
+  SimBlockDevice::Completion comps[4];
+  ASSERT_EQ(dev.PollCompletions(comps, 0, clock.Now()), 2u);
+  EXPECT_TRUE(std::all_of(read.begin(), read.end(), [](uint8_t b) { return b == 0; }));
+  std::vector<uint8_t> raw(3 * cfg.block_size, 0xEF);
+  dev.RawRead(6 * cfg.block_size, raw);
+  for (size_t i = 0; i < raw.size(); i++) {
+    ASSERT_EQ(raw[i], i / cfg.block_size == 1 ? 0xAB : 0) << "byte " << i;
+  }
+}
+
+// The circular log on a 16-block partition, with records of 1,528 bytes on the media.
+class WrapLogTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kBlocks = 16;
+  static constexpr size_t kRecord = 1528;  // 24 B header + 1,504 B payload
+  static constexpr size_t kLap0 = kBlocks * 4096 / kRecord;  // records before the wrap: 42
+
+  WrapLogTest() : dev_(Config(), clock_), sched_(clock_), log_(dev_, sched_) {}
+
+  static SimBlockDevice::Config Config() {
+    SimBlockDevice::Config cfg;
+    cfg.num_blocks = kBlocks;
+    return cfg;
+  }
+
+  static std::string Payload(size_t i, size_t len = kRecord - LogDevice::kHeaderSize) {
+    return std::string(len, static_cast<char>('a' + i % 26));
+  }
+
+  LogDevice::Io& Append(LogDevice& log, const std::string& payload) {
+    ios_.emplace_back();
+    LogDevice::Io& io = ios_.back();
+    log.StartAppend(io, OneSlice(payload));
+    EXPECT_TRUE(DriveLogs(clock_, sched_, dev_, {&log}, [&] { return IsDone(io); }));
+    return io;
+  }
+
+  // Reads every record from `log`'s head to its tail (a pad may lead to it).
+  std::vector<std::string> ReadAll(LogDevice& log) {
+    std::vector<std::string> out;
+    for (uint64_t cursor = log.head(); cursor < log.tail();) {
+      LogDevice::Io io;
+      log.StartRead(io, cursor, alloc_);
+      EXPECT_TRUE(DriveLogs(clock_, sched_, dev_, {&log}, [&] { return IsDone(io); }));
+      if (io.status != Status::kOk) {
+        EXPECT_EQ(io.status, Status::kEndOfFile) << "cursor " << cursor;
+        break;
+      }
+      out.push_back(Str(io.record.payload));
+      cursor = io.record.next_cursor;
+    }
+    return out;
+  }
+
+  VirtualClock clock_;
+  SimBlockDevice dev_;
+  Scheduler sched_;
+  LogDevice log_;
+  PoolAllocator alloc_;
+  std::deque<LogDevice::Io> ios_;
+  std::vector<std::string> payloads_;
+};
+
+// Truncate frees space: a full log takes appends again once its head moves, they go to the
+// partition's start, and offsets keep growing. An append that would overwrite a byte not yet
+// truncated still fails.
+TEST_F(WrapLogTest, TruncateFreesSpaceAndAppendsWrap) {
+  std::vector<uint64_t> offsets;
+  for (size_t i = 0; i < kLap0; i++) {
+    payloads_.push_back(Payload(i));
+    ASSERT_EQ(Append(log_, payloads_.back()).status, Status::kOk);
+    offsets.push_back(ios_.back().offset);
+  }
+  EXPECT_EQ(Append(log_, Payload(kLap0)).status, Status::kNoBufferSpace);
+  ASSERT_EQ(log_.Truncate(offsets[3]), Status::kOk);  // frees the partition's first block
+  EXPECT_EQ(log_.FreeBytes(), log_.CapacityBytes() - (log_.tail() - offsets[3]));
+  payloads_.push_back(Payload(kLap0));
+  LogDevice::Io& wrapped = Append(log_, payloads_.back());
+  ASSERT_EQ(wrapped.status, Status::kOk);
+  EXPECT_EQ(wrapped.offset, log_.CapacityBytes()) << "the record starts the second lap";
+  // The pad after record 41 skips to the partition end; a reader follows it.
+  const std::vector<std::string> live(payloads_.begin() + 3, payloads_.end());
+  EXPECT_EQ(ReadAll(log_), live);
+  // Two more records would reach into record 3, which is not truncated.
+  payloads_.push_back(Payload(kLap0 + 1));
+  ASSERT_EQ(Append(log_, payloads_.back()).status, Status::kOk);
+  EXPECT_EQ(Append(log_, Payload(kLap0 + 2)).status, Status::kNoBufferSpace);
+  EXPECT_EQ(log_.tail() - log_.head(), log_.CapacityBytes() - log_.FreeBytes());
+}
+
+// Recovery of a wrapped partition after a torn write at the wrap point: the first write of the
+// second lap tears, so its record is not recovered; recovery starts at the oldest intact record
+// the tear left of the first lap, follows the pad to the partition end, and the recovered log
+// takes appends at the second lap's start.
+TEST_F(WrapLogTest, RecoveryAfterATornWriteAtTheWrapPoint) {
+  for (size_t i = 0; i < kLap0; i++) {
+    payloads_.push_back(Payload(i));
+    ASSERT_EQ(Append(log_, payloads_.back()).status, Status::kOk);
+  }
+  ASSERT_EQ(log_.Truncate(ios_[3].offset), Status::kOk);
+  LogDevice::RetryPolicy no_retries;
+  no_retries.max_retries = 0;
+  log_.set_retry_policy(no_retries);
+  // One block of record, so no tear (a prefix of it) can hold it whole.
+  const std::string torn = Payload(99, 4096 - LogDevice::kHeaderSize);
+  LogDevice::Io io;
+  log_.StartAppend(io, OneSlice(torn));  // the wrap write is submitted now, without faults
+  FaultPlan plan;
+  plan.disk_torn = 1.0;
+  FaultInjector faults(plan);
+  dev_.SetFaultInjector(&faults);
+  ASSERT_TRUE(DriveLogs(clock_, sched_, dev_, {&log_}, [&] { return IsDone(io); }));
+  dev_.SetFaultInjector(nullptr);
+  EXPECT_EQ(io.status, Status::kIoError);
+  EXPECT_EQ(faults.GetStats().disk_torn_writes, 1u);
+  EXPECT_EQ(log_.tail(), log_.CapacityBytes()) << "the wrap write is durable";
+
+  LogDevice recovered(dev_, sched_);
+  ASSERT_EQ(recovered.Recover(), Status::kOk);
+  EXPECT_EQ(recovered.tail(), recovered.CapacityBytes());
+  const std::vector<std::string> read = ReadAll(recovered);
+  // The tear wrote a prefix of the partition's first block: every record from the first one
+  // past that block is intact, and so is what the prefix did not reach.
+  ASSERT_GE(read.size(), kLap0 - 3);
+  EXPECT_TRUE(std::equal(read.begin(), read.end(), payloads_.end() - read.size()));
+  EXPECT_EQ(recovered.head(), (kLap0 - read.size()) * kRecord);
+
+  // Truncation is not on the media, so the recovered log truncates again; appends then
+  // continue at the second lap's start, after the first lap's records.
+  ASSERT_EQ(recovered.Truncate(3 * kRecord), Status::kOk);
+  payloads_.push_back(Payload(kLap0));
+  LogDevice::Io& after = Append(recovered, payloads_.back());
+  ASSERT_EQ(after.status, Status::kOk);
+  EXPECT_EQ(after.offset, recovered.CapacityBytes());
+  const std::vector<std::string> expected(payloads_.begin() + 3, payloads_.end());
+  EXPECT_EQ(ReadAll(recovered), expected);
+  LogDevice again(dev_, sched_);
+  ASSERT_EQ(again.Recover(), Status::kOk);
+  EXPECT_EQ(ReadAll(again), expected);
 }
 
 }  // namespace

@@ -30,6 +30,9 @@ invariants the compiler cannot see:
                      makes the ordering sufficient — "it compiles" is not a memory model.
   nodiscard-status   every Status-returning declaration in a src/ header carries
                      [[nodiscard]]; Result<T> must be class-level [[nodiscard]].
+  dropped-qtoken     no `(void)`-cast call to a PDPIX op that returns a qtoken (Push,
+                     PushTo, Pop, Accept, Connect) in src/: PDPIX hands every such op a
+                     qtoken the application must redeem, or its table slot leaks.
   metric-drift       every metric registered in src/ appears in the docs/OBSERVABILITY.md
                      reference table with the same (name, kind, unit), and every table row
                      is registered so (both directions).
@@ -126,6 +129,11 @@ RE_MEMORY_ORDER = re.compile(r"std::memory_order_(?:relaxed|consume|acquire|rele
 
 # nodiscard-status: a Status-returning declaration/definition line in a header.
 RE_STATUS_DECL = re.compile(r"^\s*(?:virtual\s+|static\s+|inline\s+|constexpr\s+)*Status\s+\w+\s*\(")
+
+# dropped-qtoken: a `(void)` cast discarding the qtoken of a PDPIX op, called bare or through
+# an object (`(void)os.Push(...)`, `(void)os_->Pop(...)`).
+RE_DROPPED_QTOKEN = re.compile(
+    r"\(\s*void\s*\)\s*(?:[A-Za-z_][\w:]*\s*(?:\.|->)\s*)*(?:Push|PushTo|Pop|Accept|Connect)\s*\(")
 
 # metric-drift: a registration is Register<Kind>("name" [+ label], "unit", ...) — the kind is
 # in the method name, and a labelled family (`"tenant.mem_used" + label`) is checked once.
@@ -381,6 +389,13 @@ def lint_file(path, rel, text, shard_local_names=None):
                 if not prev.endswith("[[nodiscard]]"):
                     emit(idx, "nodiscard-status",
                          "Status-returning declaration without [[nodiscard]]")
+
+    # --- dropped-qtoken: every qtoken a PDPIX op hands out is redeemed ---
+    for idx, line in enumerate(code, start=1):
+        if RE_DROPPED_QTOKEN.search(line):
+            emit(idx, "dropped-qtoken",
+                 "qtoken of a PDPIX op discarded with (void): redeem it (TryTake once done) "
+                 "or its token-table slot leaks")
 
     # --- include style ---
     for idx, raw in enumerate(lines, start=1):
