@@ -31,7 +31,7 @@ void BM_TimerFire(benchmark::State& state) {
     clock.Advance(10);
     sched.Poll();
   }
-  if (sched.stats().timer_fires != static_cast<uint64_t>(state.iterations())) {
+  if (sched.timer_wheel().stats().fires != static_cast<uint64_t>(state.iterations())) {
     state.SkipWithError("a poll did not fire its timer");
   }
 }

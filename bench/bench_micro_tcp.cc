@@ -258,61 +258,109 @@ class FrozenHostClock final : public Clock {
   TimeNs now_ = kSecond;
 };
 
-// The fixed cost of one Catnip poll that finds nothing to do: the clock read, the timer
-// wheel's not-due Advance, the call into the fast path, an empty NIC burst and the
-// hooked-queue serve loop. The server has just received a 64 B segment and popped it, so its
-// delayed-ack timer is armed, as it is between most polls of a TCP echo server.
-void BM_CatnipIdlePoll(benchmark::State& state) {
+// A connected Catnip client and server on one frozen-clock fabric, with the server's accepted
+// queue `sqd` and the client's `cqd`; `msg` is a 64 B client heap buffer.
+struct CatnipPair {
   FrozenHostClock clock;
-  SimNetwork net(LinkConfig{}, 1);
-  const Ipv4Addr server_ip = Ipv4Addr::FromOctets(10, 0, 0, 1);
-  const Ipv4Addr client_ip = Ipv4Addr::FromOctets(10, 0, 0, 2);
-  Catnip server(net, Catnip::Config{MacAddr{1}, server_ip, TcpConfig{}, nullptr}, clock);
-  Catnip client(net, Catnip::Config{MacAddr{2}, client_ip, TcpConfig{}, nullptr}, clock);
-  server.ethernet().arp().Insert(client_ip, MacAddr{2});
-  client.ethernet().arp().Insert(server_ip, MacAddr{1});
-  auto step_until = [&](QToken qt, LibOS& os) {
+  SimNetwork net{LinkConfig{}, 1};
+  Ipv4Addr server_ip = Ipv4Addr::FromOctets(10, 0, 0, 1);
+  Ipv4Addr client_ip = Ipv4Addr::FromOctets(10, 0, 0, 2);
+  Catnip server{net, Catnip::Config{MacAddr{1}, server_ip, TcpConfig{}, nullptr}, clock};
+  Catnip client{net, Catnip::Config{MacAddr{2}, client_ip, TcpConfig{}, nullptr}, clock};
+  QueueDesc sqd = 0;
+  QueueDesc cqd = 0;
+  void* msg = nullptr;
+
+  explicit CatnipPair(const char* bench) : bench_(bench) {
+    server.ethernet().arp().Insert(client_ip, MacAddr{2});
+    client.ethernet().arp().Insert(server_ip, MacAddr{1});
+    const QueueDesc lqd = *server.Socket(SocketType::kStream);
+    (void)server.Bind(lqd, {server_ip, 80});  // a fresh fabric: the setup path succeeds
+    (void)server.Listen(lqd, 4);
+    const QToken accept = *server.Accept(lqd);
+    cqd = *client.Socket(SocketType::kStream);
+    StepUntil(*client.Connect(cqd, {server_ip, 80}), client);
+    sqd = StepUntil(accept, server).new_qd;
+    msg = client.DmaMalloc(64);
+    std::memset(msg, 'x', 64);
+  }
+  ~CatnipPair() { client.DmaFree(msg); }
+
+  // Polls both sides until `qt` completes on `os`, and takes its (successful) result.
+  QResult StepUntil(QToken qt, LibOS& os) {
     for (int i = 0; i < 100'000 && !os.IsDone(qt); i++) {
       server.PollOnce();
       client.PollOnce();
       clock.Advance(100);
     }
+    return Take(qt, os);
+  }
+  QResult Take(QToken qt, LibOS& os) {
     auto r = os.TryTake(qt);
     if (!r.ok() || r->status != Status::kOk) {
-      std::fprintf(stderr, "BM_CatnipIdlePoll: setup op failed\n");
+      std::fprintf(stderr, "%s: an op failed\n", bench_);
       std::abort();
     }
     return *r;
-  };
-  const QueueDesc lqd = *server.Socket(SocketType::kStream);
-  (void)server.Bind(lqd, {server_ip, 80});  // a fresh fabric: the setup path succeeds
-  (void)server.Listen(lqd, 4);
-  const QToken accept = *server.Accept(lqd);
-  const QueueDesc cqd = *client.Socket(SocketType::kStream);
-  step_until(*client.Connect(cqd, {server_ip, 80}), client);
-  const QueueDesc sqd = step_until(accept, server).new_qd;
-  void* msg = client.DmaMalloc(64);
-  std::memset(msg, 'x', 64);
-  const QToken pop = *server.Pop(sqd);
-  (void)client.Push(cqd, Sgarray::Of(msg, 64));  // inline push: completes in the call
-  QResult r = step_until(pop, server);
-  server.FreeSga(r.sga);
-  client.DmaFree(msg);
-  clock.Advance(10 * kMicrosecond);  // every frame still on the wire lands
-  server.PollOnce();
-  client.PollOnce();
-  for (const MetricsRegistry::Sample& m : server.metrics().Snapshot()) {
+  }
+
+ private:
+  const char* bench_;
+};
+
+// The fixed cost of one Catnip poll that finds nothing to do: the clock read, the timer
+// wheel's not-due Advance, the call into the fast path, an empty NIC burst and the
+// hooked-queue serve loop. The server has just received a 64 B segment and popped it, so its
+// delayed-ack timer is armed, as it is between most polls of a TCP echo server.
+void BM_CatnipIdlePoll(benchmark::State& state) {
+  CatnipPair p("BM_CatnipIdlePoll");
+  const QToken pop = *p.server.Pop(p.sqd);
+  (void)p.client.Push(p.cqd, Sgarray::Of(p.msg, 64));  // inline push: completes in the call
+  QResult r = p.StepUntil(pop, p.server);
+  p.server.FreeSga(r.sga);
+  p.clock.Advance(10 * kMicrosecond);  // every frame still on the wire lands
+  p.server.PollOnce();
+  p.client.PollOnce();
+  for (const MetricsRegistry::Sample& m : p.server.metrics().Snapshot()) {
     if (m.name == "timerwheel.armed" && m.value != 1) {
       std::fprintf(stderr, "BM_CatnipIdlePoll: expected only the delayed-ack timer armed\n");
       std::abort();
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.PollOnce());
+    benchmark::DoNotOptimize(p.server.PollOnce());
   }
   state.SetLabel("idle Catnip::PollOnce, delayed-ack timer armed, steady_clock read");
 }
 BENCHMARK(BM_CatnipIdlePoll);
+
+// One server poll that receives a 64 B segment and completes a pop armed before the data
+// arrived: the NIC burst, TCP receive, the wake-up of the pop's queue and ServeHookedQueues,
+// which completes the pop. Untimed around it: the pop and the client's push, then the
+// delayed ack's round trip, so every timed poll starts from the same state.
+void BM_CatnipHookedPop(benchmark::State& state) {
+  CatnipPair p("BM_CatnipHookedPop");
+  for (auto _ : state) {
+    const QToken pop = *p.server.Pop(p.sqd);  // no data yet: the pop waits, hooked
+    (void)p.client.Push(p.cqd, Sgarray::Of(p.msg, 64));
+    p.clock.Advance(10 * kMicrosecond);  // the segment lands
+    const auto t0 = std::chrono::steady_clock::now();
+    p.server.PollOnce();  // <-- the timed poll
+    state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
+    if (!p.server.IsDone(pop)) {
+      std::fprintf(stderr, "BM_CatnipHookedPop: the poll did not complete the pop\n");
+      std::abort();
+    }
+    QResult r = p.Take(pop, p.server);
+    p.server.FreeSga(r.sga);
+    p.clock.Advance(kTcpDelayedAckTimeout + 10 * kMicrosecond);
+    p.server.PollOnce();  // the delayed ack goes out
+    p.clock.Advance(10 * kMicrosecond);
+    p.client.PollOnce();  // and reaches the client
+  }
+  state.SetLabel("Catnip::PollOnce that receives 64 B and completes a hooked pop");
+}
+BENCHMARK(BM_CatnipHookedPop)->UseManualTime();
 
 // Control: what one empty PauseTiming/ResumeTiming pair adds to an iteration.
 void BM_PauseResumeControl(benchmark::State& state) {

@@ -83,9 +83,9 @@ struct World {
       }
     };
     consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(victim_client.scheduler().NextTimerDeadline());
-    consider(flood_client.scheduler().NextTimerDeadline());
+    consider(server.scheduler().timer_wheel().NextDeadline());
+    consider(victim_client.scheduler().timer_wheel().NextDeadline());
+    consider(flood_client.scheduler().timer_wheel().NextDeadline());
     if (next > clock.Now()) {
       clock.SetTime(next);
     } else {

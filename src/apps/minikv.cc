@@ -347,17 +347,22 @@ struct MiniKvServerApp::Impl {
 
   // Starts a rewrite once the AOF appended twice the live set and half the log since the last
   // one, or sooner, once the free space is about to stop holding a copy of the live set. A
-  // rewrite starts only while one copy still fits.
+  // rewrite starts only while one copy still fits. With the live set above 4/9 of the log,
+  // the free space is that tight right after a rewrite, so it counts only once the appends
+  // since the last rewrite used up half the room that rewrite left above a copy.
   bool RewriteDue() const {
     if (!aof_seen || store.size() == 0) {
       return false;
     }
     const uint64_t live = store.frame_bytes() + store.size() * kAofRecordOverhead;
+    if (aof_free < live) {
+      return false;
+    }
     const uint64_t appended = aof_last - aof_base;
     const uint64_t log_bytes = appended + aof_free;  // what the AOF may span
     const bool grown = appended >= 2 * live && appended >= log_bytes / 2;
-    const bool tight = aof_free < live + live / 4;
-    return (grown || tight) && aof_free >= live;
+    const bool tight = aof_free < live + live / 4 && aof_last - rewrite_end >= aof_free - live;
+    return grown || tight;
   }
 
   // One step of the rewrite: redeems its done appends and issues the next records, until the
@@ -394,6 +399,7 @@ struct MiniKvServerApp::Impl {
     if (!rewrite.failed && rewrite.first != UINT64_MAX &&
         os.Truncate(aof_qd, rewrite.first) == Status::kOk) {
       aof_base = rewrite.first;
+      rewrite_end = aof_last;
       stats.aof_rewrites++;
     }
     rewrite = Rewrite{};
@@ -445,6 +451,7 @@ struct MiniKvServerApp::Impl {
   uint64_t aof_base = 0;  // the oldest record still needed: the first, then a rewrite's first
   uint64_t aof_last = 0;  // the newest record
   uint64_t aof_free = 0;  // the log's free bytes
+  uint64_t rewrite_end = 0;  // the newest record when the last rewrite finished
   struct Rewrite {
     bool failed = false;                // an append failed: no truncate
     std::vector<std::string> keys;      // the keys live when it started; empty: none runs

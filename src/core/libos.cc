@@ -6,11 +6,9 @@ void LibOS::InitObservability() {
   sched_.SetTracer(&tracer_);
   tokens_.SetTracer(&tracer_);
 
-  const Scheduler::Stats& ss = sched_.stats();
-  metrics_.RegisterCounter("sched.polls", "polls", [&ss] { return ss.polls; });
-  metrics_.RegisterCounter("sched.timer_fires", "timers", [&ss] { return ss.timer_fires; });
-
   const TimerWheel& wheel = sched_.timer_wheel();
+  metrics_.RegisterCounter("sched.polls", "polls", [this] { return sched_.polls(); });
+  metrics_.RegisterCounter("sched.timer_fires", "timers", [&wheel] { return wheel.stats().fires; });
   metrics_.RegisterGauge("timerwheel.armed", "timers", [&wheel] { return wheel.armed(); });
   metrics_.RegisterCounter("timerwheel.arms", "timers", [&wheel] { return wheel.stats().arms; });
   metrics_.RegisterCounter("timerwheel.fires", "timers", [&wheel] { return wheel.stats().fires; });

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -26,8 +25,8 @@
 #include "src/memory/pool_allocator.h"
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
-#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/wait_list.h"
 
 namespace demi {
 
@@ -193,19 +192,20 @@ class LibOS {
 
   // --- Waiting for a device event (§5.2, §5.4) ---
   // An operation that must wait (a pop with no data, an accept with no connection, a connect
-  // still handshaking) is a qtoken in a FIFO on its queue, not a coroutine. The queue hooks
-  // the Event its oldest operation waits on; the hook only records the queue, and the libOS's
-  // fast path calls ServeHookedQueues right after draining its device, so the event that makes
-  // an operation ready completes it in the same poll, oldest first. Catnap has no device
-  // events: every waiting queue hooks next_poll_, so each retries its oldest operation once per
-  // poll. Storage ops wait the same way, on the Event of their log I/O (StorageQueueEngine), so
-  // every libOS waits this way.
+  // still handshaking) is a qtoken in a FIFO on its queue, not a coroutine. The queue's link
+  // joins the WaitList of the event its oldest operation waits on; the event's Notify moves it
+  // to this libOS's ready list, and the fast path calls ServeHookedQueues right after draining
+  // its device, so the event that makes an operation ready completes it in the same poll,
+  // oldest first. Catnap has no device events: every waiting queue waits on next_poll_, so
+  // each retries its oldest operation once per poll. Storage ops wait the same way, on the
+  // list of their log I/O (StorageQueueEngine), so every libOS waits this way.
   //
-  // A libOS `OS` using this declares `friend class LibOS` and gives its queue state `Q` a
-  // `PendingOps pending` member and these private members:
-  //   Q* Find(QueueDesc qd);                               null once the queue closed
+  // A libOS `OS` using this declares `friend class LibOS` and keeps its queues in
+  //   std::unordered_map<QueueDesc, Q> queues_;
+  // where the queue state `Q` has `bool closing` and `PendingOps pending` members, and has
+  // these private members:
   //   std::optional<QResult> NextResult(Q& q, OpCode op);  op's result, nullopt while it waits
-  //   Event& WaitEvent(Q& q, OpCode op);                    the event op waits on
+  //   WaitList& WaitEvent(Q& q, OpCode op);                 the list op waits on
   // and, if its file pushes share device writes (group commit), for CloseQueue:
   //   size_t CloseOnDevice(Q& q);  drops the ops behind the oldest that never reached a device
   //                                and returns how many of the oldest ops are on one
@@ -215,8 +215,16 @@ class LibOS {
   };
   struct PendingOps {
     std::vector<PendingOp> ops;  // oldest first
-    bool hook_armed = false;     // a hook is registered on the oldest op's event
+    WaitLink link;               // on the oldest op's WaitEvent, or on the ready list
   };
+
+  // PDPIX's lookup of queue `qd`: null unless it is open. A closed queue whose I/O is still on
+  // a device stays in `queues_` until that I/O completes, but is gone to the application.
+  template <typename OS>
+  static auto* FindQueue(OS& os, QueueDesc qd) {
+    auto it = os.queues_.find(qd);
+    return it == os.queues_.end() || it->second.closing ? nullptr : &it->second;
+  }
 
   // Allocates `op`'s qtoken on queue `qd` and queues it; it completes here if `q` is ready.
   template <typename OS, typename Q>
@@ -231,31 +239,29 @@ class LibOS {
     return op.qt;
   }
 
-  // Close's last step, once the libOS tore down queue `qd`'s device state: sets `closing`,
-  // completes the queue's ops and erases it. The oldest ops can keep waiting when their I/O is
-  // already on a device (the oldest one, or several file pushes sharing one write): the queue
-  // state then outlives the erase, and ServeHookedQueues completes them once the I/O is done.
-  // The ops behind them never started: kCancelled.
-  template <typename OS, typename Map>
-  void CloseQueue(OS& os, Map& queues, QueueDesc qd) {
-    auto it = queues.find(qd);
-    auto& q = it->second;
+  // Close's last step, once the libOS tore down queue `qd`'s device state: sets `closing` and
+  // completes the queue's ops. The oldest ops can keep waiting when their I/O is already on a
+  // device (the oldest one, or several file pushes sharing one write); the ops behind them
+  // never started: kCancelled. The queue then stays in `queues_`, hooked like any other, and
+  // ServeHookedQueues erases it once those ops complete; with none left it goes at once.
+  template <typename OS>
+  void CloseQueue(OS& os, QueueDesc qd) {
+    auto& q = os.queues_.find(qd)->second;
     auto& ops = q.pending.ops;
     q.closing = true;
     ServePending(os, qd, q);
-    if (!ops.empty()) {
-      size_t on_device = 1;
-      if constexpr (requires { os.CloseOnDevice(q); }) {
-        on_device = std::max<size_t>(on_device, os.CloseOnDevice(q));
-      }
-      for (size_t i = on_device; i < ops.size(); i++) {
-        tokens_.Cancel(ops[i].qt, Status::kCancelled);
-      }
-      ops.resize(on_device);
-      auto keep = std::make_shared<typename Map::mapped_type>(std::move(q));
-      orphans_.push_back([this, &os, keep] { return CompleteReady(os, *keep); });
+    if (ops.empty()) {
+      os.queues_.erase(qd);
+      return;
     }
-    queues.erase(it);
+    size_t on_device = 1;
+    if constexpr (requires { os.CloseOnDevice(q); }) {
+      on_device = std::max<size_t>(on_device, os.CloseOnDevice(q));
+    }
+    for (size_t i = on_device; i < ops.size(); i++) {
+      tokens_.Cancel(ops[i].qt, Status::kCancelled);
+    }
+    ops.resize(on_device);
   }
 
   // Completes `q`'s ops oldest first while NextResult yields a result; returns whether none is
@@ -284,37 +290,32 @@ class LibOS {
     return !q.pending.ops.empty() && q.pending.ops.back().op != OpCode::kPush;
   }
 
-  // Completes `q`'s ops oldest first while NextResult yields a result, then hooks the
-  // WaitEvent of the oldest op left, unless a hook is already armed.
+  // Completes `q`'s ops oldest first while NextResult yields a result, then links `q` on the
+  // WaitEvent of the oldest op left, unless its link is already on a list.
   template <typename OS, typename Q>
   void ServePending(OS& os, QueueDesc qd, Q& q) {
     // demilint: fastpath
-    if (CompleteReady(os, q) || q.pending.hook_armed) {
+    if (CompleteReady(os, q) || q.pending.link.linked()) {
       return;
     }
     os.WaitEvent(q, q.pending.ops.front().op)
-        .OnNotify(&LibOS::OnQueueHooked, &hooked_queues_, static_cast<uint64_t>(qd));
-    q.pending.hook_armed = true;
+        .Add(q.pending.link, ready_, static_cast<uint64_t>(qd));
     // demilint: end-fastpath
   }
 
-  // Serves every queue whose hook fired since the last call, skipping queues closed since, and
-  // completes the closed queues' ops whose I/O is done.
+  // Serves every queue on the ready list, oldest first, and erases each closed queue whose
+  // last op completed.
   template <typename OS>
   void ServeHookedQueues(OS& os) {
     // demilint: fastpath
-    if (!orphans_.empty()) {
-      std::erase_if(orphans_, [](const std::function<bool()>& complete) { return complete(); });
-    }
-    for (size_t i = 0; i < hooked_queues_.size(); i++) {
-      const QueueDesc qd = hooked_queues_[i];
-      auto* q = os.Find(qd);
-      if (q != nullptr) {
-        q->pending.hook_armed = false;  // the hook is one-shot: it fired
-        ServePending(os, qd, *q);
+    while (WaitLink* link = ready_.PopFront()) {
+      const auto qd = static_cast<QueueDesc>(link->key());
+      auto& q = os.queues_.find(qd)->second;  // a queue's link goes with it
+      ServePending(os, qd, q);
+      if (q.closing && q.pending.ops.empty()) {
+        os.queues_.erase(qd);
       }
     }
-    hooked_queues_.clear();
     // demilint: end-fastpath
   }
 
@@ -335,18 +336,15 @@ class LibOS {
   QTokenTable tokens_;
   TenantTable tenants_;
   QueueDesc next_qd_ = 3;  // 0..2 reserved out of POSIX habit
-  // Queues whose hook fired (see ServePending). A base member, so it outlives every event a
-  // concrete libOS owns: TcpStack's destructor, for one, notifies its connections' events.
-  std::vector<QueueDesc> hooked_queues_;
+  // The queues whose event fired, to serve next (ServeHookedQueues).
+  WaitList ready_;
   // For ops that wait on no device event: notified once per poll by the fast paths that have
   // such ops (Catnap's, and Catnip's for a backlogged disk→net splice).
-  Event next_poll_;
-  // The ops CloseQueue left waiting for their I/O; each completes its op once it can.
-  std::vector<std::function<bool()>> orphans_;
+  WaitList next_poll_;
 
   // One poll of the libOS's devices on the poll's time `now`: drain the NIC, CQ or disk, then
-  // complete the ops that made ready (ServeHookedQueues). Nothing it runs polls: hooks only
-  // record queues and completions only mark qtokens, so a poll never nests in another.
+  // complete the ops that made ready (ServeHookedQueues). Nothing it runs polls: a Notify only
+  // moves queue links and completions only mark qtokens, so a poll never nests in another.
   virtual void FastPath(TimeNs now) = 0;
 
   // Hook for concrete libOSes to propagate a freshly registered tenant's limits into their
@@ -354,14 +352,6 @@ class LibOS {
   virtual void OnTenantRegistered(TenantId /*tenant*/, const TenantConfig& /*config*/) {}
 
  private:
-  // The hook ServePending registers: `ctx` is hooked_queues_, `arg` the queue descriptor.
-  static void OnQueueHooked(void* ctx, uint64_t qd) {
-    // demilint: fastpath
-    // demilint: allow(fastpath-alloc) one entry per armed hook; clear() keeps the capacity
-    static_cast<std::vector<QueueDesc>*>(ctx)->push_back(static_cast<QueueDesc>(qd));
-    // demilint: end-fastpath
-  }
-
   // Registers the common instruments (sched.*, heap.*, core.*) and wires the tracer into the
   // scheduler and qtoken table; concrete libOSes register their stacks on top.
   void InitObservability();

@@ -31,7 +31,6 @@
 #include "src/common/affinity.h"
 #include "src/core/types.h"
 #include "src/observability/trace.h"
-#include "src/runtime/event.h"
 
 namespace demi {
 

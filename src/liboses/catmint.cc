@@ -73,10 +73,6 @@ Catmint::~Catmint() {
   alloc_.UnregisterAll();
 }
 
-Catmint::QueueState* Catmint::Find(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  return it == queues_.end() ? nullptr : &it->second;
-}
 
 void Catmint::PostRecvBuffers() {
   const size_t slot_size = sizeof(MsgHeader) + config_.max_msg_size;
@@ -310,12 +306,12 @@ Result<QueueDesc> Catmint::Socket(SocketType type) {
     return Status::kNotSupported;  // RDMA messaging is connection-oriented
   }
   const QueueDesc qd = next_qd_++;
-  queues_[qd] = QueueState{};
+  queues_[qd];
   return qd;
 }
 
 Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
@@ -325,7 +321,7 @@ Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
 }
 
 Status Catmint::Listen(QueueDesc qd, int backlog) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kUnbound || !q->has_bound) {
     return Status::kInvalidArgument;
   }
@@ -342,15 +338,14 @@ Status Catmint::Listen(QueueDesc qd, int backlog) {
 
 QueueDesc Catmint::InstallConnQueue(std::shared_ptr<Connection> conn) {
   const QueueDesc qd = next_qd_++;
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = QKind::kConn;
   q.conn = std::move(conn);
-  queues_[qd] = std::move(q);
   return qd;
 }
 
 Result<QToken> Catmint::Accept(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kListener) {
     return Status::kBadQueueDescriptor;
   }
@@ -358,7 +353,7 @@ Result<QToken> Catmint::Accept(QueueDesc qd) {
 }
 
 Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
@@ -375,7 +370,7 @@ Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
 }
 
 Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -432,7 +427,7 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
 }
 
 Result<QToken> Catmint::Pop(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -489,7 +484,7 @@ std::optional<QResult> Catmint::NextResult(QueueState& q, OpCode op) {
   // demilint: end-fastpath
 }
 
-Event& Catmint::WaitEvent(QueueState& q, OpCode op) {
+WaitList& Catmint::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
   if (q.kind == QKind::kFile) {
     return storage_->WaitEvent(*q.file, op);
@@ -506,15 +501,14 @@ Result<QueueDesc> Catmint::Open(std::string_view path) {
     return Status::kNotSupported;
   }
   const QueueDesc qd = next_qd_++;
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = QKind::kFile;
   q.file = storage_->OpenFile();
-  queues_[qd] = std::move(q);
   return qd;
 }
 
 Status Catmint::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -522,7 +516,7 @@ Status Catmint::Seek(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -530,7 +524,7 @@ Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catmint::Close(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -553,7 +547,7 @@ Status Catmint::Close(QueueDesc qd) {
     default:
       break;
   }
-  CloseQueue(*this, queues_, qd);
+  CloseQueue(*this, qd);
   return Status::kOk;
 }
 

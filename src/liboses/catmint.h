@@ -11,8 +11,8 @@
 // its connection's blocked-send queue, and the fast path's per-poll credit scan sends it once
 // the peer's one-sided write returns credits. Accept, connect and pop complete inline when
 // their queue is ready; otherwise the qtoken joins the queue's FIFO (LibOS::PendingOps) and the
-// queue hooks the listener's `acceptable`, or the connection's `established` or `readable`
-// Event. The fast path serves hooked queues right after draining the completion queue, so the
+// queue waits on the listener's `acceptable`, or the connection's `established` or `readable`
+// wait list. The fast path serves woken queues right after draining the completion queue, so the
 // message that makes an op ready completes it in the same poll, oldest op first.
 //
 // Close completes the queue's pending accepts, connects and pops, and the connection's
@@ -21,7 +21,7 @@
 // log I/O is already on the device; that op completes once the I/O does.
 //
 // Constructing with a SimBlockDevice yields the integrated Catmint×Cattree libOS; its file
-// pushes and pops wait in their queue's FIFO too, on their log I/O's Event.
+// pushes and pops wait in their queue's FIFO too, on their log I/O's wait list.
 
 #ifndef SRC_LIBOSES_CATMINT_H_
 #define SRC_LIBOSES_CATMINT_H_
@@ -82,7 +82,7 @@ class Catmint final : public LibOS {
   const Stats& stats() const { return stats_; }
 
  private:
-  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
+  // LibOS reads queues_ and calls NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   static constexpr uint32_t kWellKnownQp = 1;
@@ -92,7 +92,7 @@ class Catmint final : public LibOS {
     uint16_t port = 0;
     size_t backlog = 64;
     std::deque<std::shared_ptr<Connection>> pending;
-    Event acceptable;
+    WaitList acceptable;
   };
 
   struct PendingSend {
@@ -121,15 +121,15 @@ class Catmint final : public LibOS {
     uint64_t last_reported_consumed = 0;
 
     std::deque<Buffer> rx;
-    Event readable;
-    Event established;
+    WaitList readable;
+    WaitList established;
   };
 
   enum class QKind : uint8_t { kUnbound, kListener, kConn, kFile };
 
   struct QueueState {
     QKind kind = QKind::kUnbound;
-    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
+    bool closing = false;  // set by Close: the queue is gone to PDPIX (LibOS::CloseQueue)
     PendingOps pending;    // accepts, connects, pops and file pushes waiting for an event
     uint16_t bound_port = 0;
     bool has_bound = false;
@@ -138,7 +138,6 @@ class Catmint final : public LibOS {
     std::unique_ptr<StorageQueueEngine::File> file;
   };
 
-  QueueState* Find(QueueDesc qd);
   std::shared_ptr<Connection> NewConnection(MacAddr peer_mac);
   void SendControl(uint8_t type, MacAddr dst, uint32_t src_conn, uint32_t dst_conn,
                    uint16_t port, const Connection* conn);
@@ -157,7 +156,7 @@ class Catmint final : public LibOS {
   // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
   // waiting on WaitEvent(q, op).
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
-  Event& WaitEvent(QueueState& q, OpCode op);
+  WaitList& WaitEvent(QueueState& q, OpCode op);
   // Close: a file queue's pushes in the log's write in flight complete with it.
   size_t CloseOnDevice(QueueState& q) {
     return q.kind == QKind::kFile ? storage_->CloseFile(*q.file) : 0;

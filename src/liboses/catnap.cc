@@ -78,10 +78,6 @@ Catnap::~Catnap() {
   }
 }
 
-Catnap::QueueState* Catnap::Find(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  return it == queues_.end() ? nullptr : &it->second;
-}
 
 QToken Catnap::CompleteNow(QueueDesc qd, OpCode op, Status status) {
   const QToken qt = tokens_.Allocate(op, qd);
@@ -93,11 +89,10 @@ QToken Catnap::CompleteNow(QueueDesc qd, OpCode op, Status status) {
 
 QueueDesc Catnap::InstallFd(int fd, QKind kind, SocketType type) {
   const QueueDesc qd = next_qd_++;
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = kind;
   q.fd = fd;
   q.type = type;
-  queues_[qd] = q;
   return qd;
 }
 
@@ -117,7 +112,7 @@ Result<QueueDesc> Catnap::Socket(SocketType type) {
 }
 
 Status Catnap::Bind(QueueDesc qd, SocketAddress local) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->fd < 0) {
     return Status::kBadQueueDescriptor;
   }
@@ -129,7 +124,7 @@ Status Catnap::Bind(QueueDesc qd, SocketAddress local) {
 }
 
 Status Catnap::Listen(QueueDesc qd, int backlog) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kTcp) {
     return Status::kBadQueueDescriptor;
   }
@@ -141,7 +136,7 @@ Status Catnap::Listen(QueueDesc qd, int backlog) {
 }
 
 Result<QToken> Catnap::Accept(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
@@ -149,7 +144,7 @@ Result<QToken> Catnap::Accept(QueueDesc qd) {
 }
 
 Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -164,7 +159,7 @@ Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
 }
 
 Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -257,7 +252,7 @@ void Catnap::WriteUnsent(QueueState& q) {
 }
 
 Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kUdp) {
     return Status::kBadQueueDescriptor;
   }
@@ -266,7 +261,7 @@ Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
 }
 
 Result<QToken> Catnap::Pop(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -382,7 +377,7 @@ void Catnap::FastPath(TimeNs /*now*/) {
   ServeHookedQueues(*this);
   size_t kept = 0;
   for (const QueueDesc qd : unsent_queues_) {
-    QueueState* q = Find(qd);
+    QueueState* q = FindQueue(*this, qd);
     if (q == nullptr) {
       continue;  // closed: Close completed its pushes
     }
@@ -404,7 +399,7 @@ Result<QueueDesc> Catnap::Open(std::string_view path) {
 }
 
 Status Catnap::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -413,7 +408,7 @@ Status Catnap::Seek(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catnap::Truncate(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -426,7 +421,7 @@ Status Catnap::Truncate(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catnap::Close(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -438,7 +433,7 @@ Status Catnap::Close(QueueDesc qd) {
   if (q->fd >= 0) {
     ::close(q->fd);
   }
-  CloseQueue(*this, queues_, qd);
+  CloseQueue(*this, qd);
   return Status::kOk;
 }
 

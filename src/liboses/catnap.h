@@ -8,7 +8,7 @@
 //
 // No PDPIX op blocks. An accept, connect or socket pop that would block is a qtoken
 // in its queue's FIFO (LibOS::PendingOps). Catnap has no device events, so each waiting queue
-// hooks one Event the fast path notifies every poll and retries its oldest op once per poll.
+// waits on one list the fast path notifies every poll and retries its oldest op once per poll.
 // A TCP push writes inline while its queue has no unsent push; the rest joins the queue's FIFO
 // of unsent pushes, which the fast path writes oldest first, apart from PendingOps so a blocked
 // push never holds up a pop. Close completes pending accepts, connects and pops, and unsent
@@ -52,7 +52,7 @@ class Catnap final : public LibOS {
   static constexpr size_t kPopChunk = 64 * 1024;
 
  private:
-  // LibOS::ServePending calls Find, NextResult and WaitEvent.
+  // LibOS reads queues_ and calls NextResult and WaitEvent.
   friend class LibOS;
 
   enum class QKind : uint8_t { kTcp, kTcpListener, kUdp, kFile };
@@ -75,13 +75,12 @@ class Catnap final : public LibOS {
     uint64_t read_cursor = 0;       // files
   };
 
-  QueueState* Find(QueueDesc qd);
   // Allocates `op`'s qtoken on `qd`, completed with `status`.
   QToken CompleteNow(QueueDesc qd, OpCode op, Status status);
 
   // Waiting ops (LibOS::PendingOps): one non-blocking syscall; nullopt while it would block.
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
-  Event& WaitEvent(QueueState& /*q*/, OpCode /*op*/) { return next_poll_; }
+  WaitList& WaitEvent(QueueState& /*q*/, OpCode /*op*/) { return next_poll_; }
 
   // Writes `q`'s unsent pushes oldest first until the socket is full, completing each push's
   // qtoken when its last byte is written.

@@ -79,10 +79,6 @@ Catnip::~Catnip() {
   alloc_.UnregisterAll();
 }
 
-Catnip::QueueState* Catnip::Find(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  return it == queues_.end() ? nullptr : &it->second;
-}
 
 void Catnip::OnTenantRegistered(TenantId tenant, const TenantConfig& config) {
   // Propagate the bandwidth policy to the NIC boundary: the TX scheduler enforces the token
@@ -92,7 +88,7 @@ void Catnip::OnTenantRegistered(TenantId tenant, const TenantConfig& config) {
 }
 
 Status Catnip::SetQueueTenant(QueueDesc qd, TenantId tenant) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -134,7 +130,7 @@ void Catnip::FastPath(TimeNs now) {
   // Complete the ops this poll's frames, disk completions or due timers made ready.
   next_poll_.Notify();
   ServeHookedQueues(*this);
-  if (sched_.stats().polls % kReapInterval == 0) {
+  if (sched_.polls() % kReapInterval == 0) {
     tcp_.Reap();
   }
 }
@@ -142,24 +138,23 @@ void Catnip::FastPath(TimeNs now) {
 // --- Queue creation ---
 
 Result<QueueDesc> Catnip::Socket(SocketType type) {
-  const QueueDesc qd = NewQd();
-  QueueState q;
-  if (type == SocketType::kStream) {
-    q.kind = QKind::kTcpUnbound;
-  } else {
+  UdpStack::Socket* udp = nullptr;
+  if (type == SocketType::kDatagram) {
     auto sock = udp_.Bind(0);
     if (!sock.ok()) {
       return sock.error();
     }
-    q.kind = QKind::kUdp;
-    q.udp = *sock;
+    udp = *sock;
   }
-  queues_[qd] = std::move(q);
+  const QueueDesc qd = NewQd();
+  QueueState& q = queues_[qd];
+  q.kind = udp == nullptr ? QKind::kTcpUnbound : QKind::kUdp;
+  q.udp = udp;
   return qd;
 }
 
 Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -171,8 +166,7 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
     }
     udp_.Close(q->udp);
     q->udp = *sock;
-    q->pending.hook_armed = false;  // the hook went with the old socket: re-arm on the new one
-    ServePending(*this, qd, *q);
+    ServePending(*this, qd, *q);  // the old socket's list unlinked a waiting pop: wait on the new one
     return Status::kOk;
   }
   if (q->kind != QKind::kTcpUnbound) {
@@ -184,7 +178,7 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
 }
 
 Status Catnip::Listen(QueueDesc qd, int backlog) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -203,16 +197,15 @@ Status Catnip::Listen(QueueDesc qd, int backlog) {
 
 QueueDesc Catnip::InstallConnQueue(std::shared_ptr<TcpConnection> conn) {
   const QueueDesc qd = NewQd();
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = QKind::kTcpConn;
   q.tenant = conn->tenant();  // accepted connections inherit the listener's tenant
   q.conn = std::move(conn);
-  queues_[qd] = std::move(q);
   return qd;
 }
 
 Result<QToken> Catnip::Accept(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
@@ -220,7 +213,7 @@ Result<QToken> Catnip::Accept(QueueDesc qd) {
 }
 
 Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -251,7 +244,7 @@ Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
 // --- Push ---
 
 Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -325,7 +318,7 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
 }
 
 Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -381,7 +374,7 @@ Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
 // --- Pop ---
 
 Result<QToken> Catnip::Pop(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -486,7 +479,7 @@ std::optional<QResult> Catnip::NextResult(QueueState& q, OpCode op) {
   // demilint: end-fastpath
 }
 
-Event& Catnip::WaitEvent(QueueState& q, OpCode op) {
+WaitList& Catnip::WaitEvent(QueueState& q, OpCode op) {
   // demilint: fastpath
   if (op == OpCode::kSplice) {
     // Its log I/O; else, to disk, the connection's data; to the network, a poll that may have
@@ -515,8 +508,8 @@ Event& Catnip::WaitEvent(QueueState& q, OpCode op) {
 // --- Splice (docs/STORAGE.md) ---
 
 Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
-  QueueState* src = Find(src_qd);
-  QueueState* dst = Find(dst_qd);
+  QueueState* src = FindQueue(*this, src_qd);
+  QueueState* dst = FindQueue(*this, dst_qd);
   if (src == nullptr || dst == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -663,15 +656,14 @@ Result<QueueDesc> Catnip::Open(std::string_view path) {
     return Status::kNotSupported;
   }
   const QueueDesc qd = NewQd();
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = QKind::kFile;
   q.file = storage_->OpenFile();
-  queues_[qd] = std::move(q);
   return qd;
 }
 
 Status Catnip::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -679,7 +671,7 @@ Status Catnip::Seek(QueueDesc qd, uint64_t offset) {
 }
 
 Status Catnip::Truncate(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr || q->kind != QKind::kFile) {
     return Status::kBadQueueDescriptor;
   }
@@ -688,17 +680,16 @@ Status Catnip::Truncate(QueueDesc qd, uint64_t offset) {
 
 Result<QueueDesc> Catnip::MemoryQueue() {
   const QueueDesc qd = NewQd();
-  QueueState q;
+  QueueState& q = queues_[qd];
   q.kind = QKind::kMemory;
   q.mem = std::make_unique<MemChannel>();
-  queues_[qd] = std::move(q);
   return qd;
 }
 
 // --- Close ---
 
 Status Catnip::Close(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -721,7 +712,7 @@ Status Catnip::Close(QueueDesc qd) {
     default:
       break;
   }
-  CloseQueue(*this, queues_, qd);
+  CloseQueue(*this, qd);
   return Status::kOk;
 }
 

@@ -5,11 +5,11 @@
 // Catnip×Cattree round-robin split of §5.5); push transmits inline run-to-completion.
 //
 // No op blocks. Each completes inline when its queue is already ready; otherwise its
-// qtoken joins the queue's FIFO (LibOS::PendingOps) and the queue hooks the Event its oldest op
-// waits on: the listener's acceptable(), the connection's established_event(), the socket's,
-// connection's or memory channel's readable Event, or a file op's or splice's log I/O. The
-// hook only records the queue. The fast path serves recorded queues right after draining the
-// NIC and the disk, so the frame or disk completion that makes an op ready (a segment, a
+// qtoken joins the queue's FIFO (LibOS::PendingOps) and the queue waits on the WaitList of its
+// oldest op's event: the listener's acceptable(), the connection's established_event(), the
+// socket's, connection's or memory channel's readable list, or a file op's or splice's log
+// I/O. The event's Notify moves the queue to the ready list, which the fast path serves right
+// after draining the NIC and the disk, so the frame or disk completion that makes an op ready (a segment, a
 // datagram, the handshake's final ACK, a durable write) completes it in the same poll, oldest
 // op first.
 //
@@ -111,7 +111,7 @@ class Catnip final : public LibOS {
   // ShardGroup (src/core/shard_group.h, paper §7 multi-worker mode) builds each worker's
   // shard through the ShardWiring constructor below.
   friend class ShardGroup;
-  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
+  // LibOS reads queues_ and calls NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   // How one shard attaches to the resources its ShardGroup shares. A standalone Catnip uses
@@ -132,7 +132,7 @@ class Catnip final : public LibOS {
 
   struct MemChannel {
     std::deque<Buffer> items;
-    Event readable;
+    WaitList readable;
   };
 
   // A splice in progress, kept by its source queue: the connection it drains or feeds, and
@@ -174,7 +174,7 @@ class Catnip final : public LibOS {
 
   struct QueueState {
     QKind kind = QKind::kTcpUnbound;
-    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
+    bool closing = false;  // set by Close: the queue is gone to PDPIX (LibOS::CloseQueue)
     TenantId tenant = kDefaultTenant;
     PendingOps pending;  // accepts, connects, pops, file pushes and splices waiting for an event
     SocketAddress bound{};
@@ -189,7 +189,6 @@ class Catnip final : public LibOS {
     std::unique_ptr<SpliceState> splice;
   };
 
-  QueueState* Find(QueueDesc qd);
   QueueDesc NewQd() { return next_qd_++; }
   // Load shedding at submission: true (and counted/traced) when the tenant is over its
   // inflight-qtoken watermark; the caller returns kQueueFull without allocating a qtoken.
@@ -207,7 +206,7 @@ class Catnip final : public LibOS {
   // Waiting ops (LibOS::PendingOps): the result of `op` on `q`, or nullopt while it must keep
   // waiting on WaitEvent(q, op).
   std::optional<QResult> NextResult(QueueState& q, OpCode op);
-  Event& WaitEvent(QueueState& q, OpCode op);
+  WaitList& WaitEvent(QueueState& q, OpCode op);
   // Close: a file queue's pushes in the log's write in flight complete with it.
   size_t CloseOnDevice(QueueState& q) {
     return q.kind == QKind::kFile ? storage_->CloseFile(*q.file) : 0;

@@ -24,10 +24,6 @@ void Cattree::FastPath(TimeNs now) {
   ServeHookedQueues(*this);
 }
 
-Cattree::QueueState* Cattree::Find(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  return it == queues_.end() ? nullptr : &it->second;
-}
 
 Result<QueueDesc> Cattree::Open(std::string_view path) {
   const QueueDesc qd = next_qd_++;
@@ -36,7 +32,7 @@ Result<QueueDesc> Cattree::Open(std::string_view path) {
 }
 
 Status Cattree::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -44,22 +40,22 @@ Status Cattree::Seek(QueueDesc qd, uint64_t offset) {
 }
 
 Status Cattree::Truncate(QueueDesc qd, uint64_t offset) {
-  if (Find(qd) == nullptr) {
+  if (FindQueue(*this, qd) == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   return storage_.Truncate(offset);
 }
 
 Status Cattree::Close(QueueDesc qd) {
-  if (Find(qd) == nullptr) {
+  if (FindQueue(*this, qd) == nullptr) {
     return Status::kBadQueueDescriptor;
   }
-  CloseQueue(*this, queues_, qd);
+  CloseQueue(*this, qd);
   return Status::kOk;
 }
 
 Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
@@ -69,7 +65,7 @@ Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
 }
 
 Result<QToken> Cattree::Pop(QueueDesc qd) {
-  QueueState* q = Find(qd);
+  QueueState* q = FindQueue(*this, qd);
   if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }

@@ -37,23 +37,24 @@ class Cattree final : public LibOS {
   Result<QToken> Pop(QueueDesc qd) override;
 
   StorageQueueEngine& storage() { return storage_; }
+  // Open queues, and closed ones whose I/O is still on the device.
+  size_t num_queues() const { return queues_.size(); }
 
  private:
-  // LibOS::ServePending calls Find, NextResult and WaitEvent; CloseQueue, CloseOnDevice.
+  // LibOS reads queues_ and calls NextResult and WaitEvent; CloseQueue, CloseOnDevice.
   friend class LibOS;
 
   struct QueueState {
-    bool closing = false;  // set inside Close, which completes `pending` and erases the queue
+    bool closing = false;  // set by Close: the queue is gone to PDPIX (LibOS::CloseQueue)
     PendingOps pending;    // pushes and pops, oldest first
     std::unique_ptr<StorageQueueEngine::File> file;
   };
 
   void FastPath(TimeNs now) override;
-  QueueState* Find(QueueDesc qd);
   std::optional<QResult> NextResult(QueueState& q, OpCode op) {
     return storage_.NextResult(*q.file, op, q.closing);
   }
-  Event& WaitEvent(QueueState& q, OpCode op) { return storage_.WaitEvent(*q.file, op); }
+  WaitList& WaitEvent(QueueState& q, OpCode op) { return storage_.WaitEvent(*q.file, op); }
   size_t CloseOnDevice(QueueState& q) { return storage_.CloseFile(*q.file); }
 
   StorageQueueEngine storage_;

@@ -38,7 +38,7 @@ class StorageQueueEngine {
 
   LogDevice& log() { return log_; }
 
-  // Drains the disk on `now`, the fast path's poll time. The libOS serves its hooked queues
+  // Drains the disk on `now`, the fast path's poll time. The libOS serves its woken queues
   // right after, so the completion that finishes an op's I/O completes the op in the same poll.
   void Poll(TimeNs now) { log_.PollDevice(now); }
 
@@ -137,7 +137,7 @@ class StorageQueueEngine {
     // demilint: end-fastpath
   }
 
-  Event& WaitEvent(File& file, OpCode op) {
+  WaitList& WaitEvent(File& file, OpCode op) {
     return op == OpCode::kPop ? file.read.done : file.pushes.front().append.done;
   }
 

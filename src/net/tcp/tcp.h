@@ -39,8 +39,8 @@
 #include "src/net/tcp/tcb_slab.h"
 #include "src/net/tcp/tcp_types.h"
 #include "src/observability/trace.h"
-#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/wait_list.h"
 
 namespace demi {
 
@@ -153,8 +153,8 @@ class TcpConnection {
   SocketAddress local() const { return local_; }
   SocketAddress remote() const { return remote_; }
 
-  Event& readable() { return EnsureCold().readable; }
-  Event& established_event() { return EnsureCold().established; }
+  WaitList& readable() { return EnsureCold().readable; }
+  WaitList& established_event() { return EnsureCold().established; }
 
   // The libOS dropped its queue descriptor: the stack may reap once fully closed.
   void ReleaseByApp() { hot_.app_released = true; }
@@ -265,8 +265,8 @@ class TcpConnection {
     std::map<uint32_t, Buffer> reassembly;  // seq (absolute) -> payload
     size_t reassembly_bytes = 0;
     std::unique_ptr<CongestionControl> cc;
-    Event readable;
-    Event established;
+    WaitList readable;
+    WaitList established;
     ConnStats stats;
   };
 
@@ -344,7 +344,7 @@ class TcpListener {
   // nullptr when none is ready. Defined in tcp.cc: it reaches back into the stack's
   // TenantTable.
   std::shared_ptr<TcpConnection> Accept();
-  Event& acceptable() { return acceptable_; }
+  WaitList& acceptable() { return acceptable_; }
   uint16_t port() const { return port_; }
   // Isolation domain for connections accepted through this listener.
   TenantId tenant() const { return tenant_; }
@@ -359,7 +359,7 @@ class TcpListener {
   TenantId tenant_ = kDefaultTenant;
   TcpStack* stack_ = nullptr;
   std::deque<std::shared_ptr<TcpConnection>> ready_;
-  Event acceptable_;
+  WaitList acceptable_;
 };
 
 class TcpStack final : public Ipv4Receiver {

@@ -12,7 +12,7 @@
 #include "src/common/status.h"
 #include "src/memory/buffer.h"
 #include "src/net/ethernet.h"
-#include "src/runtime/event.h"
+#include "src/runtime/wait_list.h"
 
 namespace demi {
 
@@ -38,14 +38,14 @@ class UdpStack final : public Ipv4Receiver {
       rx_.pop_front();
       return d;
     }
-    Event& readable() { return readable_; }
+    WaitList& readable() { return readable_; }
 
    private:
     friend class UdpStack;
     uint16_t local_port_ = 0;
     TenantId tenant_ = kDefaultTenant;
     std::deque<Datagram> rx_;
-    Event readable_;
+    WaitList readable_;
     size_t max_queued_ = 1024;
   };
 

@@ -1,23 +1,18 @@
 #include "src/runtime/timer_wheel.h"
 
+#include <algorithm>
+
 #include "src/common/bitops.h"
 #include "src/common/logging.h"
 
 namespace demi {
 
-TimerWheel::TimerWheel() {
-  for (auto& level : heads_) {
-    for (uint32_t& head : level) {
-      head = kNil;
-    }
-  }
-}
+TimerWheel::TimerWheel() { std::fill_n(&heads_[0][0], kLevels * kSlotsPerLevel, kNil); }
 
 uint32_t TimerWheel::AllocEntry() {
   if (free_head_ != kNil) {
     const uint32_t idx = free_head_;
     free_head_ = pool_[idx].next;
-    pool_[idx].next = kNil;
     return idx;
   }
   const uint32_t idx = static_cast<uint32_t>(pool_.size());
@@ -27,24 +22,19 @@ uint32_t TimerWheel::AllocEntry() {
 }
 
 void TimerWheel::FreeEntry(uint32_t idx) {
+  Unlink(idx);
   Entry& e = pool_[idx];
   e.gen++;  // invalidate outstanding TimerIds; wrap is harmless
   e.cb = nullptr;
   e.ctx = nullptr;
-  e.linked = false;
-  e.prev = kNil;
   e.next = free_head_;
   free_head_ = idx;
 }
 
 uint32_t* TimerWheel::HeadOf(const Entry& e) {
-  if (e.level == kLevelFiring) {
-    return &firing_head_;
-  }
-  if (e.level == kLevelOverflow) {
-    return &overflow_head_;
-  }
-  return &heads_[e.level][e.slot];
+  return e.level == kLevelFiring     ? &firing_head_
+         : e.level == kLevelOverflow ? &overflow_head_
+                                     : &heads_[e.level][e.slot];
 }
 
 void TimerWheel::LinkInto(uint32_t idx, uint8_t level, uint8_t slot) {
@@ -135,7 +125,6 @@ bool TimerWheel::Cancel(TimerId id) {
   if (!e.linked || e.gen != static_cast<uint32_t>(id >> 32)) {
     return false;  // already fired, already cancelled, or a recycled entry: safe no-op
   }
-  Unlink(idx);
   FreeEntry(idx);
   armed_--;
   stats_.cancels++;
@@ -253,7 +242,6 @@ size_t TimerWheel::FireCurrentSlot(TimeNs now) {
         const Callback cb = e.cb;
         void* ctx = e.ctx;
         const uint64_t arg = e.arg;
-        Unlink(idx);
         FreeEntry(idx);  // free first: the callback may re-arm and reuse this entry
         armed_--;
         stats_.fires++;

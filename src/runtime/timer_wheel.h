@@ -1,10 +1,8 @@
 // Hierarchical timing wheel (Varghese & Lauck) for O(1) timer arm/cancel at
 // million-connection scale (docs/SCALING.md).
 //
-// The scheduler used to keep every pending timer in a binary heap: O(log n) per arm and no
-// cancellation at all, so each TCP connection's retransmit/delayed-ack/TIME_WAIT timers stayed
-// in the heap until their deadline even when long since satisfied. At ~1M connections that heap
-// is tens of millions of dead entries churning the cache. The wheel replaces it:
+// A heap would cost O(log n) per arm and keep each satisfied TCP retransmit, delayed-ack and
+// TIME_WAIT timer until its deadline: tens of millions of dead entries at ~1M connections.
 //
 //   - 4 levels x 256 slots, tick = 1024 ns (kTickShift = 10). Level L spans 256^(L+1) ticks,
 //     so the wheel covers 2^32 ticks ~= 73 minutes; deadlines beyond that sit in a small
@@ -111,7 +109,7 @@ class TimerWheel {  // demilint: shard-local
   };
 
   uint32_t AllocEntry();
-  void FreeEntry(uint32_t idx);
+  void FreeEntry(uint32_t idx);  // unlinks the entry and returns it to the pool
   uint32_t* HeadOf(const Entry& e);
   void LinkInto(uint32_t idx, uint8_t level, uint8_t slot);
   void Unlink(uint32_t idx);

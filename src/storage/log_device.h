@@ -4,7 +4,7 @@
 // truncate frees the space below an offset for later appends. The log is driven the way
 // Cattree drives SPDK: Start* submits an append or a read without a coroutine, and PollDevice,
 // called from the owning libOS's fast path, finishes it — multi-block reads, pad skips and
-// retries included — and notifies the one Event of its Io. An append finishes when the device
+// retries included — and notifies its Io's `done` wait list. An append finishes when the device
 // write is durable.
 //
 // Group commit: one write is in flight at a time. Appends started meanwhile wait in a FIFO;
@@ -48,8 +48,8 @@
 
 #include "src/common/status.h"
 #include "src/memory/buffer.h"
-#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/wait_list.h"
 #include "src/storage/sim_block_device.h"
 
 namespace demi {
@@ -90,7 +90,7 @@ class LogDevice {
     Status status = Status::kOk;  // the result, once kDone
     uint64_t offset = 0;          // a done append: the record's (logical) byte offset
     ReadResult record;            // a done read: the record
-    Event done;
+    WaitList done;
 
    private:
     friend class LogDevice;

@@ -250,8 +250,9 @@ struct SteppedWorld {
   // Moves virtual time to the earliest pending event: a frame, a timer or a disk completion.
   void AdvanceClock() {
     TimeNs next = 0;
-    for (const TimeNs t : {net.NextDeliveryTime(), server.scheduler().NextTimerDeadline(),
-                           client.scheduler().NextTimerDeadline(), disk.NextCompletionTime()}) {
+    for (const TimeNs t : {net.NextDeliveryTime(), server.scheduler().timer_wheel().NextDeadline(),
+                           client.scheduler().timer_wheel().NextDeadline(),
+                           disk.NextCompletionTime()}) {
       if (t != 0 && (next == 0 || t < next)) {
         next = t;
       }
@@ -701,6 +702,40 @@ TEST(MiniKvTest, ServingRequestsLeavesNoQTokenBehind) {
   serve(2000);
   EXPECT_EQ(app.stats().sets + app.stats().gets, 2050u);
   EXPECT_EQ(w.server.tokens().NumInUse(), in_use) << "the server dropped qtokens";
+}
+
+// A live set of ~46% of the log leaves, after a rewrite, less free space than the rewrite
+// trigger wants. The next rewrite still waits for new SETs to use up part of the room above a
+// copy of the live set, so the server rewrites in proportion to the bytes clients SET, not
+// once per SET; and no SET fails.
+TEST(MiniKvTest, AofRewritesKeepPaceWithSetsWhenTheLiveSetIsNearHalfTheLog) {
+  SimBlockDevice::Config disk;
+  disk.num_blocks = 64;  // 256 KB
+  SteppedWorld w(27, disk);
+  MiniKvOptions opts{{kServerIp, 9107}};
+  opts.persist = true;
+  MiniKvServerApp app(w.server, opts);
+  const auto pump = [&] { (void)app.Pump(); };
+  std::deque<KvConn> conns;
+  conns.emplace_back(w, w.Connect(9107, pump));
+  KvConn& conn = conns.front();
+  const uint64_t capacity = w.server.storage()->log().CapacityBytes();
+  constexpr size_t kKeys = 60;
+  const size_t value_bytes = capacity * 46 / 100 / kKeys - 48;  // 48: header, key and record
+  uint64_t set_bytes = 0;
+  for (size_t i = 0; set_bytes < 4 * capacity; i++) {
+    (void)conn.Set("key-" + std::to_string(i % kKeys), std::string(value_bytes, 'a' + i % 26));
+    ASSERT_TRUE(RunKv(w, app, conns, nullptr, [&] { return conn.replies.size() == i + 1; }));
+    ASSERT_EQ(conn.replies[i].status, KvStatus::kOk) << "SET " << i << " failed";
+    set_bytes += value_bytes;
+  }
+  EXPECT_EQ(app.stats().aof_failures, 0u);
+  // What a rewrite leaves above a copy of the live set; each rewrite must wait for SETs to
+  // fill a quarter of it, at least.
+  const uint64_t room = capacity - 2 * (capacity * 46 / 100);
+  EXPECT_GE(app.stats().aof_rewrites, 1u);
+  EXPECT_LE(app.stats().aof_rewrites, 1 + set_bytes / (room / 4))
+      << set_bytes << " B of SETs, " << room << " B of room";
 }
 
 // The AOF reclaims its space: a server that SETs (and DELs) three times its small disk's

@@ -125,8 +125,8 @@ struct ChaosWorld {
       }
     };
     consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
+    consider(server.scheduler().timer_wheel().NextDeadline());
+    consider(client.scheduler().timer_wheel().NextDeadline());
     consider(disk.NextCompletionTime());
     if (next > clock.Now()) {
       clock.SetTime(next);

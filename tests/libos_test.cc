@@ -568,7 +568,7 @@ TEST(CatnipClockTest, ConnectTimesOutInThePollThatFiresItsLastRetry) {
   const TimeNs last_deadline = TcpConfig{}.initial_rto * ((TimeNs{2} << kTcpMaxSynRetries) - 1);
   int polls = 0;
   while (!os.IsDone(*conn)) {
-    const TimeNs next = os.scheduler().NextTimerDeadline();
+    const TimeNs next = os.scheduler().timer_wheel().NextDeadline();
     ASSERT_NE(next, 0u) << "no timer is left, yet the connect is still pending";
     ASSERT_LE(next, last_deadline);
     clock.AdvanceTo(next);
@@ -1208,6 +1208,69 @@ INSTANTIATE_TEST_SUITE_P(AllNetLibOses, NetCloseTest,
                            return std::string(p.param.name);
                          });
 
+// The wait lists' lifetimes on every network libOS: a queue and the device event it waits on
+// may die in either order (checked under -DDEMI_SANITIZE=address).
+using NetWaitTest = NetCloseTest;
+
+// Opens a TCP connection to `listen`; returns {server connection qd, client qd}.
+std::pair<QueueDesc, QueueDesc> Connect(LibOS& server, LibOS& client, SocketAddress listen,
+                                        std::vector<LibOS*> world) {
+  auto lqd = server.Socket(SocketType::kStream);
+  EXPECT_EQ(server.Bind(*lqd, listen), Status::kOk);
+  EXPECT_EQ(server.Listen(*lqd, 4), Status::kOk);
+  auto acc = server.Accept(*lqd);
+  auto cqd = client.Socket(SocketType::kStream);
+  auto conn = client.Connect(*cqd, listen);
+  EXPECT_EQ(WaitStepped(client, *conn, world).status, Status::kOk);
+  return {WaitStepped(server, *acc, world).new_qd, *cqd};
+}
+
+// A queue closed while its pop waits: the peer's data and FIN then wake the connection's
+// waiters, among which the closed queue no longer is, and the libOS keeps serving.
+TEST_P(NetWaitTest, EventNotifiedAfterItsQueueClosed) {
+  const auto [sqd, cqd] = Connect(server(), client(), pair_.listen, World());
+  auto pop = client().Pop(cqd);
+  ASSERT_TRUE(pop.ok());
+  client().PollOnce();
+  ASSERT_EQ(client().Close(cqd), Status::kOk);
+  EXPECT_EQ(client().TryTake(*pop)->status, Status::kCancelled);
+  auto push = server().Push(sqd, MakeSga(server(), "late"));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(WaitStepped(server(), *push, World()).status, Status::kOk);
+  ASSERT_EQ(server().Close(sqd), Status::kOk);
+  auto fresh = client().Socket(SocketType::kStream);  // the libOS still serves new queues
+  ASSERT_TRUE(fresh.ok());
+  for (int i = 0; i < 1000; i++) {
+    server().PollOnce();
+    client().PollOnce();
+  }
+  EXPECT_EQ(client().Close(*fresh), Status::kOk);
+}
+
+// Both libOSes are destroyed, the server first, while pops wait on their connections:
+// Catnip's TCP stack wakes its connections' waiters as it dies, after the queues are gone.
+TEST_P(NetWaitTest, LibOSesDestroyedWithPopsWaiting) {
+  const auto [sqd, cqd] = Connect(server(), client(), pair_.listen, World());
+  auto server_pop = server().Pop(sqd);
+  auto client_pop = client().Pop(cqd);
+  ASSERT_TRUE(server_pop.ok() && client_pop.ok());
+  server().PollOnce();
+  client().PollOnce();
+  ASSERT_FALSE(server().IsDone(*server_pop));
+  ASSERT_FALSE(client().IsDone(*client_pop));
+  pair_.server.reset();
+  client().PollOnce();
+  pair_.client.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNetLibOses, NetWaitTest,
+                         ::testing::Values(NetLibOs{"Catnip", &MakeCatnipPair},
+                                           NetLibOs{"Catmint", &MakeCatmintPair},
+                                           NetLibOs{"Catnap", &MakeCatnapPair}),
+                         [](const ::testing::TestParamInfo<NetLibOs>& p) {
+                           return std::string(p.param.name);
+                         });
+
 // --- Cattree (standalone storage libOS) ---
 
 TEST(CattreeTest, LogQueueSemantics) {
@@ -1260,6 +1323,32 @@ TEST(CattreeTest, PushCompletesInThePollThatDrainsItsWrite) {
   clock.SetTime(disk.NextCompletionTime());
   os.PollOnce();
   EXPECT_TRUE(os.IsDone(*push));
+}
+
+// A queue closed while its push is on the device is gone to PDPIX at once, but stays in the
+// libOS, waiting on the push's write, until the push completes durable; then it leaves.
+TEST(CattreeTest, ClosedQueueLeavesOnceItsPushOnTheDeviceCompletes) {
+  VirtualClock clock;
+  SimBlockDevice disk(SimBlockDevice::Config{}, clock);
+  Cattree os(disk, clock);
+  auto qd = os.Open("log");
+  ASSERT_TRUE(qd.ok());
+  auto push = os.Push(*qd, MakeSga(os, "record"));
+  ASSERT_TRUE(push.ok());
+  for (int i = 0; i < 4 && disk.NextCompletionTime() == 0; i++) {
+    os.PollOnce();
+  }
+  ASSERT_NE(disk.NextCompletionTime(), 0) << "the push never reached the device";
+  ASSERT_EQ(os.Close(*qd), Status::kOk);
+  EXPECT_EQ(os.Close(*qd), Status::kBadQueueDescriptor);
+  EXPECT_EQ(os.Pop(*qd).error(), Status::kBadQueueDescriptor);
+  EXPECT_FALSE(os.IsDone(*push));
+  EXPECT_EQ(os.num_queues(), 1u);
+  clock.SetTime(disk.NextCompletionTime());
+  os.PollOnce();
+  ASSERT_TRUE(os.IsDone(*push));
+  EXPECT_EQ(os.TryTake(*push)->status, Status::kOk);
+  EXPECT_EQ(os.num_queues(), 0u);
 }
 
 TEST(CattreeTest, TruncateGarbageCollects) {

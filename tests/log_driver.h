@@ -31,7 +31,7 @@ bool DriveLogs(VirtualClock& clock, Scheduler& sched, const SimBlockDevice& dev,
       return true;
     }
     TimeNs next = dev.NextCompletionTime();
-    const TimeNs timer = sched.NextTimerDeadline();
+    const TimeNs timer = sched.timer_wheel().NextDeadline();
     if (timer != 0 && (next == 0 || timer < next)) {
       next = timer;
     }

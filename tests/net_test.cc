@@ -261,8 +261,8 @@ class NetPairTest : public ::testing::Test {
       }
     };
     consider(net_.NextDeliveryTime());
-    consider(a_.sched.NextTimerDeadline());
-    consider(b_.sched.NextTimerDeadline());
+    consider(a_.sched.timer_wheel().NextDeadline());
+    consider(b_.sched.timer_wheel().NextDeadline());
     if (next > clock_.Now()) {
       clock_.SetTime(next);
     } else {
@@ -630,8 +630,8 @@ TEST_P(TcpLossSweep, DataIntegrityUnderLoss) {
     b.sched.Poll();
     if (activity == 0) {
       TimeNs next = 0;
-      for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
-                       b.sched.NextTimerDeadline()}) {
+      for (TimeNs t : {net.NextDeliveryTime(), a.sched.timer_wheel().NextDeadline(),
+                       b.sched.timer_wheel().NextDeadline()}) {
         if (t != 0 && (next == 0 || t < next)) {
           next = t;
         }
@@ -694,8 +694,8 @@ TEST(TcpDeterminismTest, IdenticalRunsProduceIdenticalStats) {
       b.sched.Poll();
       if (activity == 0) {
         TimeNs next = 0;
-        for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
-                         b.sched.NextTimerDeadline()}) {
+        for (TimeNs t : {net.NextDeliveryTime(), a.sched.timer_wheel().NextDeadline(),
+                         b.sched.timer_wheel().NextDeadline()}) {
           if (t != 0 && (next == 0 || t < next)) {
             next = t;
           }

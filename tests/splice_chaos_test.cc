@@ -115,8 +115,8 @@ struct SpliceWorld {
       }
     };
     consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
+    consider(server.scheduler().timer_wheel().NextDeadline());
+    consider(client.scheduler().timer_wheel().NextDeadline());
     consider(disk.NextCompletionTime());
     if (next > clock.Now()) {
       clock.SetTime(next);

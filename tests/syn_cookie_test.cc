@@ -120,8 +120,8 @@ class SynCookieStackTest : public ::testing::Test {
       return;
     }
     TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), client_.sched.NextTimerDeadline(),
-                     server_.sched.NextTimerDeadline()}) {
+    for (TimeNs t : {net_.NextDeliveryTime(), client_.sched.timer_wheel().NextDeadline(),
+                     server_.sched.timer_wheel().NextDeadline()}) {
       if (t != 0 && (next == 0 || t < next)) {
         next = t;
       }

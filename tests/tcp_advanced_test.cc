@@ -52,8 +52,8 @@ class TcpAdvancedTest : public ::testing::Test {
       return;
     }
     TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.NextTimerDeadline(),
-                     b_.sched.NextTimerDeadline()}) {
+    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.timer_wheel().NextDeadline(),
+                     b_.sched.timer_wheel().NextDeadline()}) {
       if (t != 0 && (next == 0 || t < next)) {
         next = t;
       }
@@ -381,7 +381,7 @@ TEST(TcpDeadPeerTest, RetransmitLimitAbortsTheConnection) {
       b.sched.Poll();
     }
     if (n == 0) {
-      const TimeNs next = a.sched.NextTimerDeadline();
+      const TimeNs next = a.sched.timer_wheel().NextDeadline();
       if (next > clock.Now()) {
         clock.SetTime(next);
       } else {

@@ -59,8 +59,8 @@ class TcpBatchingTest : public ::testing::Test {
       return;
     }
     TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.NextTimerDeadline(),
-                     b_.sched.NextTimerDeadline()}) {
+    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.timer_wheel().NextDeadline(),
+                     b_.sched.timer_wheel().NextDeadline()}) {
       if (t != 0 && (next == 0 || t < next)) {
         next = t;
       }

@@ -91,8 +91,8 @@ struct NoisyWorld {
       }
     };
     consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
+    consider(server.scheduler().timer_wheel().NextDeadline());
+    consider(client.scheduler().timer_wheel().NextDeadline());
     if (next > clock.Now()) {
       clock.SetTime(next);
     } else {

@@ -447,15 +447,14 @@ TEST(TimerWheel, SchedulerArmCancelIntegration) {
   FireLog log;
   const TimerId keep = sched.ArmTimer(2 * kMillisecond, &FireLog::Record, &log, 1);
   const TimerId drop = sched.ArmTimer(1 * kMillisecond, &FireLog::Record, &log, 2);
-  EXPECT_EQ(sched.NextTimerDeadline(), 1 * kMillisecond);
+  EXPECT_EQ(sched.timer_wheel().NextDeadline(), 1 * kMillisecond);
   EXPECT_TRUE(sched.CancelTimer(drop));
-  EXPECT_EQ(sched.NextTimerDeadline(), 2 * kMillisecond);
+  EXPECT_EQ(sched.timer_wheel().NextDeadline(), 2 * kMillisecond);
   clock.AdvanceTo(2 * kMillisecond);
   sched.Poll();
   ASSERT_EQ(log.args.size(), 1u);
   EXPECT_EQ(log.args[0], 1u);
   EXPECT_FALSE(sched.CancelTimer(keep));  // already fired
-  EXPECT_EQ(sched.stats().timer_fires, 1u);
   EXPECT_EQ(sched.timer_wheel().stats().fires, 1u);
 }
 
