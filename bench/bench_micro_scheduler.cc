@@ -39,10 +39,11 @@ BENCHMARK(BM_TimerFire);
 
 void NoopTimer(void* /*ctx*/, uint64_t /*arg*/) {}
 
-// The per-poll cost of an armed wheel with nothing due, the state an established TCP connection
-// keeps it in: an RTO (+1 ms) and a delayed ack (+500 us) pending, the virtual clock moving 1 us
-// per Advance. Both are re-armed every 256 us, as the connection's traffic would, so neither
-// fires; the re-arm is amortized into the per-Advance time.
+// The per-poll cost of an armed wheel with nothing due: an RTO (+1 ms) and a delayed ack
+// (+500 us) pending, the virtual clock moving 1 us per Advance. Both are re-armed every 256 us,
+// so neither fires; the re-arm is amortized into the per-Advance time. Most Advances take the
+// O(1) exit below the wheel's cached work bound; the full pass runs when the delayed ack's
+// level-1 window opens and cascades it, at most once per re-arm period.
 void BM_WheelAdvanceArmedNotDue(benchmark::State& state) {
   TimerWheel wheel;
   TimeNs now = 0;

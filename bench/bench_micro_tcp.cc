@@ -258,8 +258,10 @@ class FrozenHostClock final : public Clock {
   TimeNs now_ = kSecond;
 };
 
-// A connected Catnip client and server on one frozen-clock fabric, with the server's accepted
-// queue `sqd` and the client's `cqd`; `msg` is a 64 B client heap buffer.
+// A Catnip client and server on one frozen-clock fabric, with the server's queue `sqd` and
+// the client's `cqd`: a connected TCP pair (the server's accepted queue), or with
+// SocketType::kDatagram a UDP socket bound to the server's port 80 and an unbound client
+// socket. `msg` is a 64 B client heap buffer.
 struct CatnipPair {
   FrozenHostClock clock;
   SimNetwork net{LinkConfig{}, 1};
@@ -271,9 +273,18 @@ struct CatnipPair {
   QueueDesc cqd = 0;
   void* msg = nullptr;
 
-  explicit CatnipPair(const char* bench) : bench_(bench) {
+  explicit CatnipPair(const char* bench, SocketType type = SocketType::kStream)
+      : bench_(bench) {
     server.ethernet().arp().Insert(client_ip, MacAddr{2});
     client.ethernet().arp().Insert(server_ip, MacAddr{1});
+    msg = client.DmaMalloc(64);
+    std::memset(msg, 'x', 64);
+    if (type == SocketType::kDatagram) {
+      sqd = *server.Socket(SocketType::kDatagram);
+      (void)server.Bind(sqd, {server_ip, 80});
+      cqd = *client.Socket(SocketType::kDatagram);
+      return;
+    }
     const QueueDesc lqd = *server.Socket(SocketType::kStream);
     (void)server.Bind(lqd, {server_ip, 80});  // a fresh fabric: the setup path succeeds
     (void)server.Listen(lqd, 4);
@@ -281,8 +292,6 @@ struct CatnipPair {
     cqd = *client.Socket(SocketType::kStream);
     StepUntil(*client.Connect(cqd, {server_ip, 80}), client);
     sqd = StepUntil(accept, server).new_qd;
-    msg = client.DmaMalloc(64);
-    std::memset(msg, 'x', 64);
   }
   ~CatnipPair() { client.DmaFree(msg); }
 
@@ -361,6 +370,30 @@ void BM_CatnipHookedPop(benchmark::State& state) {
   state.SetLabel("Catnip::PollOnce that receives 64 B and completes a hooked pop");
 }
 BENCHMARK(BM_CatnipHookedPop)->UseManualTime();
+
+// The UDP form of BM_CatnipHookedPop: one server poll that receives a 64 B datagram and
+// completes a pop armed before it arrived, through the UDP socket's wait list. No TCP and no
+// timer is involved; the client's push completes in the call.
+void BM_CatnipHookedPopUdp(benchmark::State& state) {
+  CatnipPair p("BM_CatnipHookedPopUdp", SocketType::kDatagram);
+  for (auto _ : state) {
+    const QToken pop = *p.server.Pop(p.sqd);  // no datagram yet: the pop waits, hooked
+    const QToken push = *p.client.PushTo(p.cqd, Sgarray::Of(p.msg, 64), {p.server_ip, 80});
+    p.clock.Advance(10 * kMicrosecond);  // the datagram lands
+    const auto t0 = std::chrono::steady_clock::now();
+    p.server.PollOnce();  // <-- the timed poll
+    state.SetIterationTime(Seconds(std::chrono::steady_clock::now() - t0));
+    if (!p.server.IsDone(pop) || !p.client.IsDone(push)) {
+      std::fprintf(stderr, "BM_CatnipHookedPopUdp: the push or the pop did not complete\n");
+      std::abort();
+    }
+    QResult r = p.Take(pop, p.server);
+    p.server.FreeSga(r.sga);
+    (void)p.Take(push, p.client);
+  }
+  state.SetLabel("Catnip::PollOnce that receives a 64 B datagram and completes a hooked pop");
+}
+BENCHMARK(BM_CatnipHookedPopUdp)->UseManualTime();
 
 // Control: what one empty PauseTiming/ResumeTiming pair adds to an iteration.
 void BM_PauseResumeControl(benchmark::State& state) {

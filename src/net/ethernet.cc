@@ -48,7 +48,9 @@ void EthernetLayer::RegisterMetrics(MetricsRegistry& registry) {
 }
 
 void EthernetLayer::RegisterReceiver(IpProto proto, Ipv4Receiver* receiver) {
-  receivers_[static_cast<uint32_t>(proto)] = receiver;
+  Ipv4Receiver** slot = ReceiverSlot(proto);
+  DEMI_CHECK(slot != nullptr);
+  *slot = receiver;
 }
 
 Status EthernetLayer::TransmitFlattened(MacAddr dst_mac, Ipv4Addr dst_ip, IpProto proto,
@@ -206,9 +208,10 @@ size_t EthernetLayer::PollOnce(TimeNs now) {
   if (n > 0) {
     stats_.rx_bursts++;
     stats_.rx_burst_frames += n;
-    for (auto& [proto, receiver] : receivers_) {
-      (void)proto;
-      receiver->OnRxBurstBegin();
+    for (Ipv4Receiver* receiver : receivers_) {
+      if (receiver != nullptr) {
+        receiver->OnRxBurstBegin();
+      }
     }
   }
   for (size_t i = 0; i < n; i++) {
@@ -239,18 +242,19 @@ size_t EthernetLayer::PollOnce(TimeNs now) {
       tracer_->Record(TraceEventType::kPacketRx, static_cast<uint32_t>(ip->protocol),
                       ip->total_length - Ipv4Header::kSize);
     }
-    auto recv_it = receivers_.find(static_cast<uint32_t>(ip->protocol));
-    if (recv_it == receivers_.end()) {
+    Ipv4Receiver** slot = ReceiverSlot(ip->protocol);
+    if (slot == nullptr || *slot == nullptr) {
       stats_.no_receiver++;
       continue;
     }
-    recv_it->second->OnIpv4Packet(
+    (*slot)->OnIpv4Packet(
         *ip, payload.subspan(Ipv4Header::kSize, ip->total_length - Ipv4Header::kSize), now);
   }
   if (n > 0) {
-    for (auto& [proto, receiver] : receivers_) {
-      (void)proto;
-      receiver->OnRxBurstEnd(now);
+    for (Ipv4Receiver* receiver : receivers_) {
+      if (receiver != nullptr) {
+        receiver->OnRxBurstEnd(now);
+      }
     }
   }
   if (tx_sched_.backlog_frames() > 0) {

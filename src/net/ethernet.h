@@ -8,6 +8,7 @@
 #ifndef SRC_NET_ETHERNET_H_
 #define SRC_NET_ETHERNET_H_
 
+#include <array>
 #include <deque>
 #include <span>
 #include <unordered_map>
@@ -144,7 +145,14 @@ class EthernetLayer {
   // that fills its slot).
   std::vector<WireFrame> rx_frames_;
   ArpCache arp_cache_;
-  std::unordered_map<uint32_t, Ipv4Receiver*> receivers_;  // keyed by IpProto
+  // One slot per IpProto (TCP, UDP): dispatch is a compare, not a hash lookup.
+  std::array<Ipv4Receiver*, 2> receivers_{};
+  // The slot for `proto`, or nullptr for a protocol with no IpProto value.
+  Ipv4Receiver** ReceiverSlot(IpProto proto) {
+    return proto == IpProto::kTcp   ? &receivers_[0]
+           : proto == IpProto::kUdp ? &receivers_[1]
+                                    : nullptr;
+  }
 
   struct PendingPacket {
     IpProto proto;

@@ -48,11 +48,10 @@ TcpConnection::TcpConnection(TcpStack& stack, SocketAddress local, SocketAddress
 }
 
 TcpConnection::~TcpConnection() {
-  // An application-held connection can outlive the stack; EnterClosed already cancelled every
-  // timer then, so only touch the scheduler if something is still armed.
-  if (hot_.retx_timer != kInvalidTimerId || hot_.ack_timer != kInvalidTimerId ||
-      hot_.state_timer != kInvalidTimerId) {
-    CancelAllTimers();
+  // An application-held connection can outlive the stack; EnterClosed already cancelled the
+  // timer then, so only touch the scheduler if it is still armed.
+  if (hot_.timer != kInvalidTimerId) {
+    ClearTimers();
   }
 }
 
@@ -95,78 +94,78 @@ uint16_t TcpConnection::AdvertisedWindow() const {
 
 // --- Timer plumbing -------------------------------------------------------------
 //
-// The callbacks run inside Scheduler::Poll, from the wheel it advanced to the poll's time:
-// that time is the `now` they run on.
+// The callback runs inside Scheduler::Poll, from the wheel it advanced to the poll's time:
+// that time is the `now` it runs on.
 
-void TcpConnection::RetxTimerCb(void* ctx, uint64_t /*arg*/) {
+void TcpConnection::TimerCb(void* ctx, uint64_t /*arg*/) {
   auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.retx_timer = kInvalidTimerId;  // this entry just fired
-  conn->OnRetxTimer(conn->stack_.scheduler().poll_time());
+  conn->hot_.timer = kInvalidTimerId;  // this entry just fired
+  conn->OnTimer(conn->stack_.scheduler().poll_time());
 }
 
-void TcpConnection::AckTimerCb(void* ctx, uint64_t /*arg*/) {
-  auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.ack_timer = kInvalidTimerId;
-  conn->OnAckTimer(conn->stack_.scheduler().poll_time());
-}
-
-void TcpConnection::StateTimerCb(void* ctx, uint64_t /*arg*/) {
-  auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.state_timer = kInvalidTimerId;
-  conn->OnStateTimer(conn->stack_.scheduler().poll_time());
-}
-
-void TcpConnection::ReschedRetx() {
-  Scheduler& sched = stack_.scheduler();
-  if (hot_.retx_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.retx_timer);
-    hot_.retx_timer = kInvalidTimerId;
+void TcpConnection::NoteDeadline(TimeNs deadline) {
+  if (hot_.timer != kInvalidTimerId) {
+    if (deadline >= hot_.timer_at) {
+      return;  // the armed entry fires first and re-arms for this one
+    }
+    stack_.scheduler().CancelTimer(hot_.timer);
+  } else if (deadline == kNoDeadline) {
+    return;
   }
-  if (hot_.state != TcpState::kClosed && cold_ != nullptr && !cold_->inflight.empty()) {
-    hot_.retx_timer =
-        sched.ArmTimer(cold_->inflight.front().rto_deadline, &RetxTimerCb, this, 0);
-  }
+  hot_.timer = stack_.scheduler().ArmTimer(deadline, &TimerCb, this, 0);
+  hot_.timer_at = deadline;
 }
 
-void TcpConnection::ArmAckTimer(TimeNs deadline) {
-  Scheduler& sched = stack_.scheduler();
-  if (hot_.ack_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.ack_timer);
-  }
-  hot_.ack_timer = sched.ArmTimer(deadline, &AckTimerCb, this, 0);
+TimeNs TcpConnection::RetxDeadline() const {
+  return hot_.state != TcpState::kClosed && cold_ != nullptr && !cold_->inflight.empty()
+             ? cold_->inflight.front().rto_deadline
+             : kNoDeadline;
 }
 
-void TcpConnection::CancelAckTimer() {
-  if (hot_.ack_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.ack_timer);
-    hot_.ack_timer = kInvalidTimerId;
+TimeNs TcpConnection::RetxWake(TimeNs now) const {
+  const TimeNs retx = RetxDeadline();
+  // On a us-RTT path the RTO is min_rto, two delayed-ack timeouts, and the peer's reply lands
+  // long before it; the reply's delayed ack, due one timeout later, would be an earlier
+  // deadline and cost a cancel and a re-arm. Waking one timeout from now makes it a store. A
+  // backed-off RTO further away is armed as is: the early wake costs at most one extra fire.
+  if (retx - now <= 2 * kTcpDelayedAckTimeout) {
+    return std::min(retx, now + kTcpDelayedAckTimeout);
   }
+  return retx;
 }
 
-void TcpConnection::ArmStateTimer(StateTimerKind kind, TimeNs deadline) {
-  Scheduler& sched = stack_.scheduler();
-  if (hot_.state_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.state_timer);
-  }
-  hot_.state_timer = sched.ArmTimer(deadline, &StateTimerCb, this, 0);
+TimeNs TcpConnection::StateDeadline() const {
+  return hot_.state_timer_kind != StateTimerKind::kNone ? state_deadline_ : kNoDeadline;
+}
+
+void TcpConnection::SetStateDeadline(StateTimerKind kind, TimeNs deadline) {
   hot_.state_timer_kind = kind;
+  state_deadline_ = deadline;
+  NoteDeadline(deadline);
 }
 
-void TcpConnection::CancelStateTimer() {
-  if (hot_.state_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.state_timer);
-    hot_.state_timer = kInvalidTimerId;
-  }
+void TcpConnection::ClearTimers() {
+  hot_.ack_deadline = kNoDeadline;
   hot_.state_timer_kind = StateTimerKind::kNone;
+  if (hot_.timer != kInvalidTimerId) {
+    stack_.scheduler().CancelTimer(hot_.timer);
+    hot_.timer = kInvalidTimerId;
+  }
 }
 
-void TcpConnection::CancelAllTimers() {
-  if (hot_.retx_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.retx_timer);
-    hot_.retx_timer = kInvalidTimerId;
+void TcpConnection::OnTimer(TimeNs now) {
+  // Retransmit first: the segment carries any pending ack, which then need not go alone.
+  if (RetxDeadline() <= now) {
+    OnRetxTimer(now);
   }
-  CancelAckTimer();
-  CancelStateTimer();
+  if (hot_.ack_deadline <= now) {
+    hot_.ack_deadline = kNoDeadline;
+    OnAckTimer(now);
+  }
+  if (StateDeadline() <= now) {
+    OnStateTimer(now);
+  }
+  NoteDeadline(std::min({RetxWake(now), hot_.ack_deadline, StateDeadline()}));
 }
 
 void TcpConnection::MaybeArmPersist(TimeNs now) {
@@ -179,22 +178,15 @@ void TcpConnection::MaybeArmPersist(TimeNs now) {
   if (need) {
     if (hot_.state_timer_kind != StateTimerKind::kPersist) {
       // Zero-window persist (RFC 1122 4.2.2.17): wait an RTO, then force a 1-byte probe.
-      ArmStateTimer(StateTimerKind::kPersist, now + rtt_.rto());
+      SetStateDeadline(StateTimerKind::kPersist, now + rtt_.rto());
     }
   } else if (hot_.state_timer_kind == StateTimerKind::kPersist) {
-    CancelStateTimer();
+    hot_.state_timer_kind = StateTimerKind::kNone;
   }
 }
 
 void TcpConnection::OnRetxTimer(TimeNs now) {
-  if (hot_.state == TcpState::kClosed || cold_ == nullptr || cold_->inflight.empty()) {
-    return;
-  }
   InflightSegment& front = cold_->inflight.front();
-  if (front.rto_deadline > now) {
-    ReschedRetx();  // deadline was refreshed after this entry was armed
-    return;
-  }
   // RTO fired. A zero-window stall is a *persist* situation, not a dead peer: keep probing
   // without counting toward the abort limit (RFC 1122 4.2.2.17 — the connection stays open
   // as long as the receiver keeps acking).
@@ -215,7 +207,6 @@ void TcpConnection::OnRetxTimer(TimeNs now) {
   cold_->stats.retransmits++;
   stack_.TraceRetransmit(local_.port, front.seq);
   cold_->cc->OnTimeout(now);
-  ReschedRetx();
 }
 
 void TcpConnection::OnAckTimer(TimeNs now) {
@@ -250,7 +241,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
       }
       stack_.TraceRetransmit(local_.port, iss_);
       const unsigned shift = std::min<unsigned>(hot_.hs_attempts, 16);
-      ArmStateTimer(StateTimerKind::kConnectRetry, now + (cfg.initial_rto << shift));
+      SetStateDeadline(StateTimerKind::kConnectRetry, now + (cfg.initial_rto << shift));
       return;
     }
     case StateTimerKind::kSynAckRetry: {
@@ -271,7 +262,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
       }
       stack_.TraceRetransmit(local_.port, iss_);
       const unsigned shift = std::min<unsigned>(hot_.hs_attempts, 16);
-      ArmStateTimer(StateTimerKind::kSynAckRetry, now + (cfg.initial_rto << shift));
+      SetStateDeadline(StateTimerKind::kSynAckRetry, now + (cfg.initial_rto << shift));
       return;
     }
     case StateTimerKind::kPersist: {
@@ -294,7 +285,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         cold_->bytes_inflight += 1;
         SendDataSegment(seg, now);
         cold_->inflight.push_back(std::move(seg));
-        ReschedRetx();
+        NoteDeadline(RetxWake(now));
       }
       return;
     }
@@ -415,7 +406,7 @@ void TcpConnection::StartActiveOpen(TimeNs now) {
     stack_.CountTxError();  // the retry timer below resends the SYN
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kConnectRetry, now + stack_.config().initial_rto);
+  SetStateDeadline(StateTimerKind::kConnectRetry, now + stack_.config().initial_rto);
 }
 
 void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener, TimeNs now) {
@@ -445,7 +436,7 @@ void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener
     stack_.CountTxError();  // the retry timer below resends the SYN-ACK
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kSynAckRetry, now + stack_.config().initial_rto);
+  SetStateDeadline(StateTimerKind::kSynAckRetry, now + stack_.config().initial_rto);
 }
 
 void TcpConnection::CompleteCookieOpen(const TcpHeader& ack, const SynCookies::SynOptions& opts) {
@@ -536,7 +527,7 @@ void TcpConnection::SendDataSegment(InflightSegment& seg, TimeNs now) {
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
-  CancelAckTimer();
+  hot_.ack_deadline = kNoDeadline;
 }
 
 void TcpConnection::TrySend(TimeNs now) {
@@ -602,7 +593,7 @@ void TcpConnection::TrySend(TimeNs now) {
     sent_any = true;
   }
   if (sent_any) {
-    ReschedRetx();
+    NoteDeadline(RetxWake(now));
   }
 }
 
@@ -615,7 +606,7 @@ void TcpConnection::ScheduleAck(TimeNs now) {
   // Newly needed, or escalating an armed delayed ack.
   hot_.ack_needed = true;
   hot_.ack_immediate = true;
-  CancelAckTimer();
+  hot_.ack_deadline = kNoDeadline;
   if (stack_.in_burst_) {
     // Coalesce within the RX burst: one pure ack per connection at burst end, however many
     // segments this burst delivered.
@@ -624,9 +615,10 @@ void TcpConnection::ScheduleAck(TimeNs now) {
       stack_.pending_ack_conns_.push_back(this);
     }
   } else {
-    // Outside a burst (application-side window updates): a past-deadline wheel entry fires on
-    // the next poll, batching repeated schedules from the same poll round into one ack.
-    ArmAckTimer(now);
+    // Outside a burst (application-side window updates): a past deadline fires on the next
+    // poll, batching repeated schedules from the same poll round into one ack.
+    hot_.ack_deadline = now;
+    NoteDeadline(now);
   }
 }
 
@@ -640,14 +632,15 @@ void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   }
   hot_.ack_needed = true;
   hot_.ack_immediate = false;
-  ArmAckTimer(now + kTcpDelayedAckTimeout);
+  hot_.ack_deadline = now + kTcpDelayedAckTimeout;
+  NoteDeadline(hot_.ack_deadline);
 }
 
 void TcpConnection::SendPureAck(TimeNs now) {
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
-  CancelAckTimer();
+  hot_.ack_deadline = kNoDeadline;
   if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false, now) !=
       Status::kOk) {
     stack_.CountTxError();  // a lost pure ack is recovered by the peer's retransmit
@@ -701,7 +694,7 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       }
       hot_.snd_wnd = hdr.window;  // unscaled on SYN
       hot_.state = TcpState::kEstablished;
-      CancelStateTimer();  // connect-retry no longer needed
+      hot_.state_timer_kind = StateTimerKind::kNone;  // connect-retry no longer needed
       if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false, now) !=
           Status::kOk) {
         stack_.CountTxError();  // peer's SYN-ACK retransmit re-triggers this ack
@@ -720,7 +713,7 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       hot_.snd_una = SeqNum{hdr.ack};
       hot_.snd_wnd = static_cast<uint32_t>(hdr.window) << hot_.snd_wscale;
       hot_.state = TcpState::kEstablished;
-      CancelStateTimer();  // SYN-ACK retry no longer needed
+      hot_.state_timer_kind = StateTimerKind::kNone;  // SYN-ACK retry no longer needed
       EnsureCold().established.Notify();
       if (pending_listener_ != nullptr) {
         TcpListener* l = pending_listener_;
@@ -842,7 +835,7 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
       hot_.our_fin_acked = true;
       OnOurFinAcked(now);
     }
-    ReschedRetx();
+    NoteDeadline(RetxWake(now));
   } else if (ack == hot_.snd_una && cold_ != nullptr && !cold_->inflight.empty() &&
              !hdr.flags.syn && !hdr.flags.fin) {
     cold_->stats.dup_acks_seen++;
@@ -855,7 +848,7 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
       stack_.TraceRetransmit(local_.port, seg.seq);
       cold_->cc->OnFastRetransmit(now);
       hot_.dup_acks = 0;
-      ReschedRetx();
+      NoteDeadline(RetxWake(now));
     }
   } else if (ack > hot_.snd_una) {
     hot_.snd_una = ack;  // hot-only connection (nothing inflight to reconcile)
@@ -1032,8 +1025,7 @@ void TcpConnection::OnOurFinAcked(TimeNs now) {
 
 void TcpConnection::EnterTimeWait(TimeNs now) {
   hot_.state = TcpState::kTimeWait;
-  CancelStateTimer();  // a pending persist (if any) is moot now
-  ArmStateTimer(StateTimerKind::kTimeWait, now + kTcpTimeWait);
+  SetStateDeadline(StateTimerKind::kTimeWait, now + kTcpTimeWait);  // replaces any persist
 }
 
 void TcpConnection::EnterClosed(Status error) {
@@ -1052,7 +1044,7 @@ void TcpConnection::EnterClosed(Status error) {
       stack_.tenants_->ReleaseAccept(tenant_);
     }
   }
-  CancelAllTimers();
+  ClearTimers();
   hot_.ack_needed = false;  // a listed burst-flush entry becomes a no-op
   hot_.ack_immediate = false;
   if (cold_ != nullptr) {

@@ -6,9 +6,10 @@
 //    segments are processed run-to-completion and the blocked application is woken directly.
 //    Demultiplexing goes through an open-addressed flow table (flow_table.h) keyed by the packed
 //    4-tuple — one hash, short linear probes, no per-packet allocation.
-//  - Protocol timers (retransmit, delayed ack, handshake retry / persist / TIME_WAIT) are O(1)
-//    timing-wheel entries (src/runtime/timer_wheel.h), not per-connection coroutines: an idle
-//    established connection owns at most three wheel entries.
+//  - Protocol timers (retransmit, delayed ack, handshake retry / persist / TIME_WAIT) are plain
+//    deadlines in the TCB behind one O(1) timing-wheel entry per connection
+//    (src/runtime/timer_wheel.h), armed at or before the earliest of them. A later deadline is
+//    only a store; the entry fires, handles what is due and re-arms ("let it fire and check").
 //  - Connection state is split hot/cold: the first cache line of TcpConnection (HotState) holds
 //    everything a pure-ack round trip touches; queues, reassembly, congestion state and events
 //    (ColdState) are allocated on first use. A cookie-accepted connection that never transfers
@@ -209,8 +210,10 @@ class TcpConnection {
     bool retransmitted = false;
   };
 
-  // What the single state timer is armed for; the kinds are mutually exclusive by TCP state
-  // (handshake retry before ESTABLISHED, persist while established, TIME_WAIT after).
+  static constexpr TimeNs kNoDeadline = UINT64_MAX;
+
+  // What the state deadline is for; the kinds are mutually exclusive by TCP state (handshake
+  // retry before ESTABLISHED, persist while established, TIME_WAIT after).
   enum class StateTimerKind : uint8_t {
     kNone,
     kConnectRetry,  // active open: SYN retransmission with doubling timeout
@@ -222,11 +225,11 @@ class TcpConnection {
   // The first cache line: every field a pure-ack round trip on an established connection
   // reads or writes (docs/SCALING.md §3 documents the layout and byte budget).
   struct HotState {
-    TimerId retx_timer = kInvalidTimerId;   // RTO for inflight.front()
-    TimerId ack_timer = kInvalidTimerId;    // delayed/pending pure ack
-    TimerId state_timer = kInvalidTimerId;  // handshake retry / persist / TIME_WAIT
-    SeqNum snd_una;                         // oldest unacked
-    SeqNum snd_nxt;                         // next to send
+    TimerId timer = kInvalidTimerId;    // the connection's one wheel entry
+    TimeNs timer_at = 0;                // its deadline: no live deadline is earlier
+    TimeNs ack_deadline = kNoDeadline;  // delayed/pending pure ack
+    SeqNum snd_una;                     // oldest unacked
+    SeqNum snd_nxt;                     // next to send
     SeqNum rcv_nxt;
     uint32_t snd_wnd = 0;     // peer-advertised, scaled
     uint32_t ts_recent = 0;   // latest valid peer tsval (echoed as tsecr)
@@ -237,7 +240,7 @@ class TcpConnection {
     uint8_t dup_acks = 0;
     uint8_t consecutive_retx = 0;    // saturating; reset by every new ack
     uint8_t hs_attempts = 0;         // handshake retransmissions so far
-    StateTimerKind state_timer_kind = StateTimerKind::kNone;
+    StateTimerKind state_timer_kind = StateTimerKind::kNone;  // kNone: no state deadline
     uint8_t full_segs_since_ack = 0;  // full-MSS segments received since we last sent an ack
     bool app_released : 1 = false;
     bool fin_queued : 1 = false;
@@ -303,22 +306,26 @@ class TcpConnection {
   uint16_t AdvertisedWindow() const;
   size_t ReceiveCapacityLeft() const;
 
-  // --- Timer plumbing (the three wheel entries per connection) ---
-  // Re-arms the retransmit timer at inflight.front()'s deadline (cancels it when idle).
-  void ReschedRetx();
-  void ArmAckTimer(TimeNs deadline);
-  void CancelAckTimer();
-  void ArmStateTimer(StateTimerKind kind, TimeNs deadline);
-  void CancelStateTimer();
-  void CancelAllTimers();
-  // Arms (or cancels) the zero-window persist probe after any send-side progress point.
+  // --- Timer plumbing (three deadlines, one wheel entry per connection) ---
+  // The retransmit deadline is inflight.front()'s; the ack and state deadlines are fields.
+  // Setting or clearing one is a store; NoteDeadline re-arms the entry only when a deadline
+  // lands before the one it is armed for, so a timer never fires late.
+  void NoteDeadline(TimeNs deadline);
+  TimeNs RetxDeadline() const;   // kNoDeadline when nothing is in flight
+  TimeNs RetxWake(TimeNs now) const;  // when the entry must wake for the retransmit deadline
+  TimeNs StateDeadline() const;  // kNoDeadline when state_timer_kind is kNone
+  void SetStateDeadline(StateTimerKind kind, TimeNs deadline);
+  // Clears every deadline and cancels the entry (the connection closed).
+  void ClearTimers();
+  // Sets (or clears) the zero-window persist deadline after any send-side progress point.
   void MaybeArmPersist(TimeNs now);
+  // The entry fired: handles each due deadline (retransmit, then ack, then state) and re-arms
+  // at the next one.
+  static void TimerCb(void* ctx, uint64_t arg);
+  void OnTimer(TimeNs now);
   void OnRetxTimer(TimeNs now);
   void OnAckTimer(TimeNs now);
   void OnStateTimer(TimeNs now);
-  static void RetxTimerCb(void* ctx, uint64_t arg);
-  static void AckTimerCb(void* ctx, uint64_t arg);
-  static void StateTimerCb(void* ctx, uint64_t arg);
 
   uint64_t FlowKey() const;
 
@@ -329,6 +336,7 @@ class TcpConnection {
   TenantId tenant_ = kDefaultTenant;
   Status error_ = Status::kOk;
   TcpListener* pending_listener_ = nullptr;  // stateful passive open: deliver on ESTABLISHED
+  TimeNs state_deadline_ = 0;  // valid while hot_.state_timer_kind != kNone
   SeqNum iss_;
   SeqNum irs_;
   SeqNum fin_seq_;         // sequence of our FIN once sent

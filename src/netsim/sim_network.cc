@@ -43,6 +43,12 @@ SimNetwork::Port* SimNetwork::FindPort(MacAddr mac) const {
 }
 
 void SimNetwork::Deliver(MacAddr src, MacAddr dst, WireFrame frame, TimeNs now) {
+  DeliverResolved(src, FindPort(src), dst, dst.IsBroadcast() ? nullptr : FindPort(dst),
+                  std::move(frame), now);
+}
+
+void SimNetwork::DeliverResolved(MacAddr src, Port* src_port, MacAddr dst, Port* dst_port,
+                                 WireFrame frame, TimeNs now) {
   // demilint: atomic(relaxed stats bump; see AtomicStats in the header)
   stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
   // demilint: atomic(acquire pairs with the release in EnablePcap so a sender that sees
@@ -57,7 +63,6 @@ void SimNetwork::Deliver(MacAddr src, MacAddr dst, WireFrame frame, TimeNs now) 
   // Sender-side serialization delay: the frame occupies the source's line for bytes/line-rate.
   // Tracked under the source port's own lock — senders on different ports don't serialize.
   TimeNs depart = now;
-  Port* src_port = FindPort(src);
   if (src_port != nullptr && link_.bandwidth_bps != 0) {
     const DurationNs serialize =
         static_cast<DurationNs>(frame.size()) * 8ULL * kSecond / link_.bandwidth_bps;
@@ -121,7 +126,6 @@ void SimNetwork::Deliver(MacAddr src, MacAddr dst, WireFrame frame, TimeNs now) 
     return;
   }
 
-  Port* dst_port = FindPort(dst);
   if (dst_port == nullptr) {
     return;  // no such host: frame vanishes, like a real switch with no matching port
   }
@@ -302,7 +306,7 @@ SimNic::SimNic(SimNetwork& network, MacAddr mac, Clock& clock, size_t num_queues
 size_t SimNic::RxBurst(size_t queue, std::span<WireFrame> out, TimeNs now) {
   DEMI_DCHECK(queue < queue_stats_.size());
   const size_t n = port_->PollQueue(queue, out, now);
-  PaddedStats& qs = queue_stats_[queue];
+  QueueState& qs = queue_stats_[queue];
   qs.rx_frames += n;
   for (size_t i = 0; i < n; i++) {
     qs.rx_bytes += out[i].size();
@@ -313,7 +317,7 @@ size_t SimNic::RxBurst(size_t queue, std::span<WireFrame> out, TimeNs now) {
 Status SimNic::TxBurst(size_t queue, MacAddr dst,
                        std::span<const std::span<const uint8_t>> segments) {
   DEMI_DCHECK(queue < queue_stats_.size());
-  PaddedStats& qs = queue_stats_[queue];
+  QueueState& qs = queue_stats_[queue];
   size_t total = 0;
   for (const auto& seg : segments) {
     total += seg.size();
@@ -335,13 +339,21 @@ Status SimNic::TxBurst(size_t queue, MacAddr dst,
   }
   qs.tx_frames++;
   qs.tx_bytes += frame.size();
-  network_.Deliver(mac_, dst, std::move(frame), clock_.Now());
+  SimNetwork::Port* dst_port = nullptr;
+  if (!dst.IsBroadcast()) {
+    if (qs.last_dst_port == nullptr || qs.last_dst != dst) {
+      qs.last_dst = dst;
+      qs.last_dst_port = network_.FindPort(dst);  // an unknown MAC stays uncached
+    }
+    dst_port = qs.last_dst_port;
+  }
+  network_.DeliverResolved(mac_, port_, dst, dst_port, std::move(frame), clock_.Now());
   return Status::kOk;
 }
 
 SimNic::Stats SimNic::stats() const {
   Stats total;
-  for (const PaddedStats& qs : queue_stats_) {
+  for (const QueueState& qs : queue_stats_) {
     total.tx_frames += qs.tx_frames;
     total.tx_bytes += qs.tx_bytes;
     total.rx_frames += qs.rx_frames;

@@ -144,7 +144,14 @@ class SimNetwork {
     std::atomic<uint64_t> port_lock_contention{0};   // demilint: atomic(see struct comment)
   };
 
+  friend class SimNic;
+  // The port attached with `mac`, or nullptr. Ports are never removed, so a device may cache
+  // the result.
   Port* FindPort(MacAddr mac) const;
+  // Deliver with both ends resolved: `src_port` is FindPort(src), `dst_port` is FindPort(dst)
+  // for a unicast `dst` (nullptr: no such host) and ignored for broadcast.
+  void DeliverResolved(MacAddr src, Port* src_port, MacAddr dst, Port* dst_port,
+                       WireFrame frame, TimeNs now);
   void DeliverToPort(Port* port, WireFrame frame, TimeNs deliver_at);
 
   LinkConfig link_;
@@ -294,15 +301,20 @@ class SimNic {
     uint64_t next_key_ = 1;
   };
 
-  // Cache-line padded so two shards bumping adjacent queues' counters don't false-share.
-  struct alignas(64) PaddedStats : Stats {};
+  // One queue pair's counters and its last unicast destination's port (resolved once, not
+  // per frame). Owned by the queue's shard; cache-line padded so two shards bumping adjacent
+  // queues' counters don't false-share.
+  struct alignas(64) QueueState : Stats {
+    MacAddr last_dst;
+    SimNetwork::Port* last_dst_port = nullptr;
+  };
 
   SimNetwork& network_;
   SimNetwork::Port* port_;
   MacAddr mac_;
   Clock& clock_;
   RangeRegistrar registrar_;
-  std::vector<PaddedStats> queue_stats_;
+  std::vector<QueueState> queue_stats_;
 };
 
 }  // namespace demi

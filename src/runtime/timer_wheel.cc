@@ -80,16 +80,20 @@ void TimerWheel::Place(uint32_t idx, bool cascading) {
   const uint64_t true_tick = e.deadline >> kTickShift;
   const uint64_t tick = true_tick > cur_tick_ ? true_tick : cur_tick_;
   const uint64_t delta = tick - cur_tick_;
-  if (delta >= (1ULL << (kLevelBits * kLevels))) {
+  if (delta >= kHorizonTicks) {
     LinkInto(idx, kLevelOverflow, 0);
+    work_tick_ = std::min(work_tick_, tick - kHorizonTicks + 1);
     return;
   }
   int level = 0;
   while (delta >= (1ULL << (kLevelBits * (level + 1)))) {
     level++;
   }
-  const auto slot = static_cast<uint8_t>((tick >> (kLevelBits * level)) & kSlotMask);
+  const int shift = kLevelBits * level;
+  const auto slot = static_cast<uint8_t>((tick >> shift) & kSlotMask);
   LinkInto(idx, static_cast<uint8_t>(level), slot);
+  // The slot's window start: the entry's own tick on L0, where it cascades on L1+.
+  work_tick_ = std::min(work_tick_, (tick >> shift) << shift);
   if (cascading) {
     stats_.cascades++;
     if (tracer_ != nullptr) {
@@ -128,6 +132,9 @@ bool TimerWheel::Cancel(TimerId id) {
   FreeEntry(idx);
   armed_--;
   stats_.cancels++;
+  if (armed_ == 0) {
+    work_tick_ = UINT64_MAX;
+  }
   return true;
 }
 
@@ -181,7 +188,8 @@ uint64_t TimerWheel::EarliestTickLowerBound() const {
     best = tick_lb < best ? tick_lb : best;
   }
   for (uint32_t i = overflow_head_; i != kNil; i = pool_[i].next) {
-    const uint64_t tick = pool_[i].deadline >> kTickShift;
+    // The first tick at which the entry is within the horizon, where CascadeTo files it.
+    const uint64_t tick = (pool_[i].deadline >> kTickShift) - kHorizonTicks + 1;
     best = tick < best ? tick : best;
   }
   return best;
@@ -282,7 +290,7 @@ void TimerWheel::CascadeTo(uint64_t from_tick) {
   while (idx != kNil) {
     const uint32_t next = pool_[idx].next;
     const uint64_t tick = pool_[idx].deadline >> kTickShift;
-    if (tick < cur_tick_ + (1ULL << (kLevelBits * kLevels))) {
+    if (tick < cur_tick_ + kHorizonTicks) {
       Unlink(idx);
       Place(idx, /*cascading=*/true);
     }
@@ -294,24 +302,27 @@ void TimerWheel::CascadeTo(uint64_t from_tick) {
 size_t TimerWheel::Advance(TimeNs now) {
   // demilint: fastpath
   const uint64_t target = now >> kTickShift;
-  if (armed_ == 0) {
-    cur_tick_ = target;  // empty wheel: just teleport the cursor
+  if (target < work_tick_) {
+    // Nothing fires or cascades before work_tick_: only the cursor moves (never backward).
+    cur_tick_ = std::max(cur_tick_, target);
     return 0;
   }
+  stats_.scans++;
   size_t fired = FireCurrentSlot(now);
-  while (cur_tick_ < target) {
+  for (;;) {
     const uint64_t next = EarliestTickLowerBound();
+    if (cur_tick_ >= target || next > target) {
+      // Every slot up to `target` is empty, so the cursor may land there without cascading.
+      cur_tick_ = std::max(cur_tick_, target);
+      work_tick_ = next;
+      return fired;
+    }
+    DEMI_DCHECK(next > cur_tick_);
     const uint64_t from = cur_tick_;
-    cur_tick_ = next < target ? next : target;
-    DEMI_DCHECK(cur_tick_ >= from);
+    cur_tick_ = next;
     CascadeTo(from);
     fired += FireCurrentSlot(now);
-    if (armed_ == 0) {
-      cur_tick_ = target;
-      break;
-    }
   }
-  return fired;
   // demilint: end-fastpath
 }
 

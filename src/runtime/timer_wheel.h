@@ -14,6 +14,10 @@
 //     word at a time, give the earliest occupied slot, and the cursor teleports between
 //     occupied ticks. Virtual-clock tests jump tens of seconds in one step; nothing iterates
 //     10M empty ticks.
+//   - A not-due Advance is O(1): the wheel keeps a lower bound on the earliest tick at which
+//     any entry needs work (fires, or cascades down a level), and while now's tick is below
+//     it Advance only moves the cursor. Arm lowers the bound, Cancel leaves it (still a
+//     bound), and a full Advance pass recomputes it from the occupancy bitmaps.
 //   - Timers never fire early. The tick quantizes *placement*, not the deadline: each entry
 //     keeps its exact nanosecond deadline, NextDeadline() reports it exactly (stepped-mode
 //     tests advance a VirtualClock to precisely that instant), and a sub-tick-future entry
@@ -61,7 +65,8 @@ class TimerWheel {  // demilint: shard-local
 
   // Fires every pending timer with deadline <= now and moves the wheel position to now's
   // tick, cascading higher-level slots as their windows open. Returns the number of timers
-  // fired. Cost is proportional to timers fired/cascaded, not to elapsed ticks.
+  // fired. Cost is proportional to timers fired/cascaded, not to elapsed ticks, and O(1) when
+  // now's tick is below the cached work bound.
   size_t Advance(TimeNs now);
 
   // Exact earliest pending deadline (may be in the past if armed-but-unfired), or 0 if no
@@ -77,6 +82,7 @@ class TimerWheel {  // demilint: shard-local
     uint64_t fires = 0;     // callbacks invoked
     uint64_t cancels = 0;   // Cancel() calls that removed a pending timer
     uint64_t cascades = 0;  // entries re-filed from a higher level (or overflow) downward
+    uint64_t scans = 0;     // Advance() calls past the work bound: full pass with the scan
   };
   const Stats& stats() const { return stats_; }
 
@@ -91,6 +97,7 @@ class TimerWheel {  // demilint: shard-local
   static constexpr uint32_t kSlotsPerLevel = 1u << kLevelBits;
   static constexpr uint32_t kSlotMask = kSlotsPerLevel - 1;
   static constexpr uint32_t kOccupancyWords = kSlotsPerLevel / 64;
+  static constexpr uint64_t kHorizonTicks = 1ULL << (kLevelBits * kLevels);
   // Where an entry is filed when not in a wheel slot.
   static constexpr uint8_t kLevelFiring = 0xFF;    // detached into the current firing batch
   static constexpr uint8_t kLevelOverflow = 0xFE;  // deadline beyond the wheel horizon
@@ -114,7 +121,8 @@ class TimerWheel {  // demilint: shard-local
   void LinkInto(uint32_t idx, uint8_t level, uint8_t slot);
   void Unlink(uint32_t idx);
   // Files entry `idx` (already unlinked) into the slot matching its deadline, relative to the
-  // current cursor. `cascading` selects stats/trace accounting.
+  // current cursor, and lowers the work bound to the tick at which that slot needs work.
+  // `cascading` selects stats/trace accounting.
   void Place(uint32_t idx, bool cascading);
   // Detaches the current L0 slot and runs every entry with deadline <= now; sub-tick-future
   // entries are re-parked in place. Loops until a pass fires nothing, so a callback that arms
@@ -125,8 +133,9 @@ class TimerWheel {  // demilint: shard-local
   void CascadeTo(uint64_t from_tick);
   // First occupied slot of `level` in firing order (cursor-relative circular scan), or -1.
   int FirstOccupiedSlot(int level) const;
-  // Lower bound (in ticks) on the earliest pending entry, or UINT64_MAX if none pending.
-  // Exact for L0; window starts for L1+; true ticks for overflow entries.
+  // Lower bound (in ticks) on the earliest tick at which a pending entry needs work, or
+  // UINT64_MAX if none is pending: exact for L0, the slot's window start for L1+ (where the
+  // entry cascades), and for an overflow entry the tick at which it comes within the horizon.
   uint64_t EarliestTickLowerBound() const;
 
   std::vector<Entry> pool_;
@@ -134,6 +143,9 @@ class TimerWheel {  // demilint: shard-local
   size_t armed_ = 0;
 
   uint64_t cur_tick_ = 0;
+  // Lower bound on EarliestTickLowerBound(); UINT64_MAX when the wheel is empty. An Advance
+  // whose tick is below it has nothing to fire or cascade.
+  uint64_t work_tick_ = UINT64_MAX;
   uint32_t heads_[kLevels][kSlotsPerLevel];  // kNil-filled by the constructor
   uint64_t occupancy_[kLevels][kOccupancyWords] = {};
 

@@ -582,6 +582,84 @@ TEST(CatnipClockTest, ConnectTimesOutInThePollThatFiresItsLastRetry) {
   EXPECT_EQ(r->status, Status::kTimedOut);
 }
 
+uint64_t MetricValue(const LibOS& os, std::string_view name) {
+  for (const auto& s : os.metrics().Snapshot()) {
+    if (s.name == name) {
+      return static_cast<uint64_t>(s.value);
+    }
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return 0;
+}
+
+// The timer ledger of a TCP echo: each connection keeps one wheel entry armed at or before
+// its earliest deadline, and a deadline that moves later is only a store. A seeded 64 B echo
+// on the virtual clock, 1 us per poll round, so the counts below are exact: after warm-up,
+// 1,000 echoes arm 16 timers and cancel none, where one wheel entry per deadline used to
+// cost 4 arms and 4 cancels per echo.
+TEST(CatnipTimerLedgerTest, TcpEchoArmsOneTimerPerDelayedAckTimeoutAndCancelsNone) {
+  VirtualClock clock;
+  SimNetwork net(LinkConfig{}, 7);
+  Catnip server(net, {MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr},
+                clock);
+  Catnip client(net, {MacAddr{2}, Ipv4Addr::FromOctets(10, 0, 0, 2), TcpConfig{}, nullptr},
+                clock);
+  server.ethernet().arp().Insert(client.local_ip(), MacAddr{2});
+  client.ethernet().arp().Insert(server.local_ip(), MacAddr{1});
+  auto step_until = [&](QToken qt, LibOS& os) {
+    for (int i = 0; i < 10'000 && !os.IsDone(qt); i++) {
+      clock.Advance(kMicrosecond);
+      server.PollOnce();
+      client.PollOnce();
+    }
+    auto r = os.TryTake(qt);
+    EXPECT_TRUE(r.ok() && r->status == Status::kOk);
+    return r.ok() ? *r : QResult{};
+  };
+  auto lqd = server.Socket(SocketType::kStream);
+  ASSERT_EQ(server.Bind(*lqd, {server.local_ip(), 7300}), Status::kOk);
+  ASSERT_EQ(server.Listen(*lqd, 4), Status::kOk);
+  auto acc = server.Accept(*lqd);
+  auto cqd = client.Socket(SocketType::kStream);
+  auto conn = client.Connect(*cqd, {server.local_ip(), 7300});
+  step_until(*conn, client);
+  const QueueDesc sqd = step_until(*acc, server).new_qd;
+  const std::string msg(64, 'e');
+  auto echo = [&] {
+    auto push = client.Push(*cqd, MakeSga(client, msg));
+    auto pop = server.Pop(sqd);
+    QResult req = step_until(*pop, server);
+    (void)client.TryTake(*push);  // an inline push completes in the call
+    auto reply = server.Push(sqd, req.sga);
+    auto back = client.Pop(*cqd);
+    QResult resp = step_until(*back, client);
+    (void)server.TryTake(*reply);
+    server.FreeSga(req.sga);
+    ASSERT_EQ(SgaToString(client, resp.sga), msg);
+  };
+  for (int i = 0; i < 100; i++) {
+    echo();
+  }
+  auto wheel_ops = [&](std::string_view name) {
+    return MetricValue(server, name) + MetricValue(client, name);
+  };
+  const uint64_t arms0 = wheel_ops("timerwheel.arms");
+  const uint64_t fires0 = wheel_ops("timerwheel.fires");
+  const uint64_t cancels0 = wheel_ops("timerwheel.cancels");
+  const TimeNs t0 = clock.Now();
+  for (int i = 0; i < 1000; i++) {
+    echo();
+  }
+  // Four poll rounds per echo: 4 ms of virtual time, eight delayed-ack timeouts, and on each
+  // side one fire and one re-arm per timeout. No deadline ever moves earlier.
+  EXPECT_EQ(clock.Now() - t0, 4 * kMillisecond);
+  EXPECT_EQ(wheel_ops("timerwheel.arms") - arms0, 16u);
+  EXPECT_EQ(wheel_ops("timerwheel.fires") - fires0, 16u);
+  EXPECT_EQ(wheel_ops("timerwheel.cancels") - cancels0, 0u);
+  EXPECT_LE(MetricValue(server, "timerwheel.armed"), 1u);
+  EXPECT_LE(MetricValue(client, "timerwheel.armed"), 1u);
+}
+
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {
   EXPECT_EQ(server_.Push(999, Sgarray{}).error(), Status::kBadQueueDescriptor);
   EXPECT_EQ(server_.Pop(999).error(), Status::kBadQueueDescriptor);

@@ -352,5 +352,125 @@ TEST(TcpKarnTest, CumulativeAckOverRetransmitTakesNoRttSample) {
   Fixture().Run();
 }
 
+// --- One timer per connection ---
+//
+// A connection keeps its retransmit, ack and state deadlines as plain fields behind one wheel
+// entry armed at or before the earliest of them. When it fires it handles every due deadline
+// once, retransmit first, then the ack, then the state timer; a deadline that moves earlier
+// than the entry re-arms it. (Every state-timer kind implies nothing in flight, so a
+// retransmit and a state deadline are never pending together; each test pairs two that can.)
+
+// A retransmit and a delayed ack due in one poll: the retransmission carries the ack, so one
+// segment goes out and no pure ack follows it.
+TEST_F(TcpBatchingTest, RetransmitAndDelayedAckDueInOnePollSendOneSegment) {
+  auto [client, server] = EstablishPair();
+  StartDroppingFrames();
+  const TimeNs t0 = clock_.Now();
+  const DurationNs rto = client->rtt_estimator().rto();
+  PushString(a_, client, "lost");  // inline push; the frame is dropped
+  StopDroppingFrames();
+  PushString(b_, server, "reply");  // reaches the client, which holds its ack 500 us
+  ASSERT_TRUE(RunUntil([&] { return client->conn_stats().bytes_received >= 5; }));
+  ASSERT_LT(clock_.Now() + kTcpDelayedAckTimeout, t0 + rto);
+  ASSERT_EQ(client->conn_stats().retransmits, 0u);
+
+  const uint64_t tx_before = a_.tcp.stats().segments_tx;
+  clock_.SetTime(t0 + rto);  // the RTO, with the ack long due
+  a_.sched.Poll();
+  EXPECT_EQ(client->conn_stats().retransmits, 1u);
+  EXPECT_EQ(a_.tcp.stats().segments_tx - tx_before, 1u) << "the ack went out on its own";
+  EXPECT_EQ(client->conn_stats().delayed_acks, 0u);
+  EXPECT_EQ(DrainString(server, 4), "lost");
+  EXPECT_EQ(DrainString(client, 5), "reply");
+}
+
+// A delayed ack and the TIME_WAIT expiry due in one poll: the ack goes out once, then the
+// connection closes once. The ack answers the peer's retransmitted FIN; closing first would
+// drop it.
+TEST_F(TcpBatchingTest, DelayedAckAndTimeWaitDueInOnePollAckThenClose) {
+  auto [client, server] = EstablishPair();
+  PushString(b_, server, "rtt");  // an RTT sample: the server's FIN retransmits in ~1.5 ms
+  EXPECT_EQ(DrainString(client, 3), "rtt");
+  ASSERT_TRUE(RunUntil([&] { return server->BytesInFlight() == 0; }));
+  ASSERT_EQ(client->Close(), Status::kOk);
+  ASSERT_TRUE(RunUntil([&] { return client->state() == TcpState::kFinWait2; }));
+  ASSERT_EQ(server->Close(), Status::kOk);  // the FIN is on the wire before the drops start
+  StartDroppingFrames();
+  ASSERT_TRUE(RunUntil([&] { return client->state() == TcpState::kTimeWait; }));
+  const TimeNs time_wait_at = clock_.Now();  // the client's last ack was dropped
+  StopDroppingFrames();
+  const uint64_t rx_before = client->conn_stats().segments_received;
+  ASSERT_TRUE(RunUntil([&] { return client->conn_stats().segments_received > rx_before; }));
+  ASSERT_EQ(client->state(), TcpState::kTimeWait);  // the FIN again: an ack is held 500 us
+  ASSERT_LT(clock_.Now() + kTcpDelayedAckTimeout, time_wait_at + kTcpTimeWait);
+
+  const uint64_t tx_before = a_.tcp.stats().segments_tx;
+  const uint64_t delayed_before = client->conn_stats().delayed_acks;
+  clock_.SetTime(time_wait_at + kTcpTimeWait);
+  a_.sched.Poll();
+  EXPECT_EQ(a_.tcp.stats().segments_tx - tx_before, 1u);
+  EXPECT_EQ(client->conn_stats().delayed_acks - delayed_before, 1u);
+  EXPECT_EQ(client->state(), TcpState::kClosed);
+  EXPECT_EQ(client->error(), Status::kOk);
+  ASSERT_TRUE(RunUntil([&] { return server->state() == TcpState::kClosed; }));
+  EXPECT_EQ(server->error(), Status::kOk);
+}
+
+// A delayed ack escalated to immediate outside an RX burst is an earlier deadline: popping
+// from a zero window must send the window update on the next poll, not 500 us later when the
+// delayed ack the entry is armed for comes due.
+TEST(TcpOneTimerTest, WindowUpdateAfterZeroWindowPopGoesOutOnTheNextPoll) {
+  class Fixture : public TcpBatchingTest {
+   public:
+    Fixture() : TcpBatchingTest(LinkConfig{}, TcpConfig{}, SmallWindow()) {}
+    void TestBody() override {}  // instantiated directly, not through the gtest registry
+    static TcpConfig SmallWindow() {
+      TcpConfig c;
+      c.recv_buffer_bytes = 1000;
+      return c;
+    }
+    void Run() {
+      auto [client, server] = EstablishPair();
+      PushString(a_, client, std::string(1000, 'w'));  // sub-MSS: the ack may be delayed
+      ASSERT_TRUE(RunUntil([&] { return server->conn_stats().bytes_received >= 1000; }));
+      const uint64_t tx_before = b_.tcp.stats().segments_tx;
+      ASSERT_TRUE(server->PopData().has_value());  // the window was closed: ack now
+      clock_.Advance(kMicrosecond);
+      b_.sched.Poll();
+      EXPECT_EQ(b_.tcp.stats().segments_tx - tx_before, 1u) << "the window update waited";
+      EXPECT_EQ(server->conn_stats().delayed_acks, 0u);
+    }
+  };
+  Fixture().Run();
+}
+
+// An RTO that shrinks after the first RTT sample gives a retransmit deadline earlier than the
+// one the entry is armed for (the handshake's 10 ms connect retry): it must re-arm, and the
+// retransmission fires exactly at its own deadline.
+TEST_F(TcpBatchingTest, RetransmitFiresOnTheShrunkRtoNotTheArmedDeadline) {
+  auto [client, server] = EstablishPair();
+  PushString(a_, client, "warm");  // the ack's RTT sample shrinks the RTO below its initial 10 ms
+  EXPECT_EQ(DrainString(server, 4), "warm");
+  ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
+  const DurationNs rto = client->rtt_estimator().rto();
+  ASSERT_LT(rto, TcpConfig{}.initial_rto);
+  const TimeNs t0 = clock_.Now();
+  ASSERT_GT(a_.sched.timer_wheel().NextDeadline(), t0 + rto) << "the entry is not armed later";
+
+  StartDroppingFrames();
+  PushString(a_, client, "lost");
+  StopDroppingFrames();
+  // Step the clock from one wheel deadline to the next: none lies past the RTO.
+  while (client->conn_stats().retransmits == 0) {
+    const TimeNs next = a_.sched.timer_wheel().NextDeadline();
+    ASSERT_GT(next, clock_.Now());
+    ASSERT_LE(next, t0 + rto);
+    clock_.SetTime(next);
+    a_.sched.Poll();
+  }
+  EXPECT_EQ(clock_.Now(), t0 + rto);
+  EXPECT_EQ(DrainString(server, 4), "lost");
+}
+
 }  // namespace
 }  // namespace demi

@@ -439,6 +439,86 @@ TEST(TimerWheel, OnlyOccupiedL1SlotIsCursorSlot) {
   EXPECT_EQ(wheel.Advance(next_lap), 1u);
 }
 
+// A not-due Advance is O(1): below the cached work bound it only moves the cursor, without the
+// occupancy scan (stats().scans counts the full passes). An L1 entry's bound is its slot's
+// window start, where it must cascade, not its deadline: the first full pass comes exactly
+// there, the next at the L0 tick it cascaded into, and an Arm below the bound lowers it.
+TEST(TimerWheel, NotDueAdvanceSkipsTheScanUntilTheL1WindowOpens) {
+  TimerWheel wheel;
+  FireLog log;
+  const TimeNs deadline = 300 * kTick + 500;  // L1 slot 1: its window opens at tick 256
+  wheel.Arm(deadline, &FireLog::Record, &log, 1);
+  for (uint64_t tick = 1; tick < 256; tick++) {
+    ASSERT_EQ(wheel.Advance(tick * kTick + 7), 0u);
+  }
+  EXPECT_EQ(wheel.stats().scans, 0u);
+  EXPECT_EQ(wheel.stats().cascades, 0u);
+
+  EXPECT_EQ(wheel.Advance(256 * kTick), 0u);  // the window opens: cascade into L0 tick 300
+  EXPECT_EQ(wheel.stats().scans, 1u);
+  EXPECT_EQ(wheel.stats().cascades, 1u);
+
+  wheel.Arm(280 * kTick + 3, &FireLog::Record, &log, 2);  // below the bound: lowers it
+  for (uint64_t tick = 257; tick < 280; tick++) {
+    ASSERT_EQ(wheel.Advance(tick * kTick), 0u);
+  }
+  EXPECT_EQ(wheel.stats().scans, 1u);
+  EXPECT_EQ(wheel.Advance(280 * kTick + 3), 1u);
+  EXPECT_EQ(log.args, std::vector<uint64_t>{2});
+  EXPECT_EQ(wheel.stats().scans, 2u);
+
+  for (uint64_t tick = 281; tick < 300; tick++) {
+    ASSERT_EQ(wheel.Advance(tick * kTick), 0u);
+  }
+  EXPECT_EQ(wheel.stats().scans, 2u);
+  EXPECT_EQ(wheel.Advance(deadline - 1), 0u);  // its tick, sub-tick early: a pass, no fire
+  EXPECT_EQ(wheel.stats().scans, 3u);
+  EXPECT_EQ(wheel.Advance(deadline), 1u);
+  EXPECT_EQ(log.args, (std::vector<uint64_t>{2, 1}));
+  EXPECT_EQ(wheel.stats().scans, 4u);
+
+  // Empty again: every Advance is the O(1) exit.
+  EXPECT_EQ(wheel.Advance(deadline + 10 * kSecond), 0u);
+  EXPECT_EQ(wheel.stats().scans, 4u);
+}
+
+// An overflow entry's bound is the tick at which it comes within the wheel's ~73-minute
+// horizon: Advances before that skip the scan, the first one past it files the entry into the
+// wheel, and it still fires exactly on time. A timer armed meanwhile lowers the bound.
+TEST(TimerWheel, NotDueAdvanceWithAnOverflowEntry) {
+  TimerWheel wheel;
+  FireLog log;
+  const TimeNs horizon = (TimeNs{1} << 32) * kTick;
+  const TimeNs deadline = 2 * 3600 * kSecond + 12345;  // two hours: overflow
+  wheel.Arm(deadline, &FireLog::Record, &log, 5);
+  const TimeNs in_range = deadline - horizon + kTick;  // the entry's tick is now in range
+  TimeNs now = 0;
+  for (; now + 60 * kSecond < in_range; now += 60 * kSecond) {
+    ASSERT_EQ(wheel.Advance(now), 0u);
+  }
+  EXPECT_EQ(wheel.stats().scans, 0u);
+  EXPECT_EQ(wheel.NextDeadline(), deadline);
+
+  // A near timer lowers the bound and fires on time; the overflow entry stays put.
+  wheel.Arm(now + 5 * kMillisecond, &FireLog::Record, &log, 6);
+  EXPECT_EQ(wheel.Advance(now + 5 * kMillisecond - 1), 0u);
+  EXPECT_EQ(wheel.Advance(now + 5 * kMillisecond), 1u);
+  EXPECT_EQ(log.args, std::vector<uint64_t>{6});
+  const uint64_t scans = wheel.stats().scans;
+  const uint64_t cascades = wheel.stats().cascades;
+
+  EXPECT_EQ(wheel.Advance(in_range), 0u);  // into range: filed into the wheel
+  EXPECT_EQ(wheel.stats().scans, scans + 1);
+  EXPECT_GT(wheel.stats().cascades, cascades);
+  EXPECT_EQ(wheel.NextDeadline(), deadline);
+  for (now = in_range; now < deadline; now += 97 * kSecond) {
+    ASSERT_EQ(wheel.Advance(now), 0u) << "early fire at now=" << now;
+  }
+  EXPECT_EQ(wheel.Advance(deadline - 1), 0u);
+  EXPECT_EQ(wheel.Advance(deadline), 1u);
+  EXPECT_EQ(log.args, (std::vector<uint64_t>{6, 5}));
+}
+
 // Scheduler integration: sleeps ride the wheel with unchanged PollUntil/VirtualClock
 // semantics, and the cancellable ArmTimer/CancelTimer API works end to end.
 TEST(TimerWheel, SchedulerArmCancelIntegration) {
