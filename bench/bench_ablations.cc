@@ -1,6 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out (beyond those embedded in the
-// figure benches: Cubic-vs-fixed in fig8, polling-vs-blockable in micro_scheduler, zero-copy
-// threshold in micro_memory):
+// other benches: polling-vs-blockable in micro_scheduler, zero-copy threshold in micro_memory):
 //   1. NIC checksum offload on/off — what software checksums cost the Catnip TCP echo path.
 //   2. Delayed acks on/off — the latency/segment-count trade of RFC 1122 ack holding.
 //   3. Catmint send-window credits — how small credit windows throttle pipelined messaging.

@@ -35,13 +35,10 @@ constexpr MacAddr kClientMac{0xB2};
 
 struct CatnipPair {
   explicit CatnipPair(const LinkConfig& link = LinkConfig{}, SimBlockDevice* server_disk = nullptr,
-                      TcpConfig tcp = TcpConfig{},
-                      size_t rx_burst_frames = EthernetLayer::kDefaultRxBurst)
+                      TcpConfig tcp = TcpConfig{})
       : net(link, 1) {
     Catnip::Config scfg{kServerMac, kServerIp, tcp, server_disk};
     Catnip::Config ccfg{kClientMac, kClientIp, tcp, nullptr};
-    scfg.rx_burst_frames = rx_burst_frames;
-    ccfg.rx_burst_frames = rx_burst_frames;
     server = std::make_unique<Catnip>(net, scfg, clock);
     client = std::make_unique<Catnip>(net, ccfg, clock);
     server->ethernet().arp().Insert(kClientIp, kClientMac);

@@ -5,13 +5,6 @@
 // perftest). The reproduction must show the same ordering and roughly those overhead factors:
 // raw device > Demikernel libOS, with the libOS within ~tens of percent, converging as
 // messages grow.
-//
-// Also includes the congestion-control ablation (--no-cc shape): Catnip TCP with a fixed window
-// instead of Cubic, showing what the congestion machinery costs on a clean fabric.
-//
-// The CatnipTCP-nobatch column disables the batched datapath (MSS coalescing of queued sub-MSS
-// views, RFC 1122 delayed acks, burst RX) — it reproduces the pre-batching numbers so the
-// batching win at large message sizes is directly readable off one table.
 
 #include <cstring>
 #include <vector>
@@ -125,8 +118,8 @@ void Main() {
               "paper @256kB: testpmd 40.3, perftest 37.7, Catnip UDP 33.3, Catmint 31.5, "
               "Catnip TCP 29.7 Gbps — libOS within 17-26% of raw",
               /*latency_columns=*/false);
-  std::printf("%-10s %12s %12s %12s %12s %12s %14s %16s\n", "size(B)", "rawNIC", "rawRDMA",
-              "CatnipTCP", "CatnipUDP", "Catmint", "CatnipTCP-nocc", "CatnipTCP-nobatch");
+  std::printf("%-10s %12s %12s %12s %12s %12s\n", "size(B)", "rawNIC", "rawRDMA", "CatnipTCP",
+              "CatnipUDP", "Catmint");
 
   for (size_t size : kSizes) {
     const uint64_t iters = ItersFor(size);
@@ -139,25 +132,6 @@ void Main() {
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5501}, SocketType::kStream},
                         size, iters);
       catnip_tcp = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
-    }
-    double catnip_nocc = 0;
-    {
-      TcpConfig tcp;
-      tcp.congestion = CongestionAlgorithm::kFixedWindow;
-      CatnipPair pair(LinkConfig{}, nullptr, tcp);
-      auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5502}, SocketType::kStream},
-                        size, iters);
-      catnip_nocc = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
-    }
-    double catnip_nobatch = 0;
-    {
-      TcpConfig tcp;
-      tcp.coalesce_segments = false;
-      tcp.delayed_acks = false;
-      CatnipPair pair(LinkConfig{}, nullptr, tcp, /*rx_burst_frames=*/1);
-      auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5505}, SocketType::kStream},
-                        size, iters);
-      catnip_nobatch = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
     double catnip_udp = 0;
     if (size <= 1400) {  // our UDP does not implement IP fragmentation (like the paper's stack
@@ -173,10 +147,10 @@ void Main() {
       auto r = DuetEcho({*pair.server, *pair.client, {kServerIp, 5504}}, size, iters);
       catmint = ToGbps(size * 2, static_cast<DurationNs>(r.latency.Mean()));
     }
-    std::printf("%-10zu %12.2f %12.2f %12.2f %12s %12.2f %14.2f %16.2f\n", size, raw_nic,
-                raw_rdma, catnip_tcp,
+    std::printf("%-10zu %12.2f %12.2f %12.2f %12s %12.2f\n", size, raw_nic, raw_rdma,
+                catnip_tcp,
                 size <= 1400 ? std::to_string(catnip_udp).substr(0, 5).c_str() : "n/a",
-                catmint, catnip_nocc, catnip_nobatch);
+                catmint);
   }
   std::printf("(Gbps; ping-pong: bytes one way per half-RTT. UDP n/a above one MTU — no IP "
               "fragmentation, as in the paper's stack)\n");

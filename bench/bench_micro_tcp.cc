@@ -95,7 +95,7 @@ BENCHMARK(BM_Crc32Throughput)->Arg(710)->Arg(4096)->Arg(49152);
 
 // Full established-connection fixture over the fabric on a VirtualClock.
 struct TcpFixture {
-  explicit TcpFixture(TcpConfig cfg = TcpConfig{})
+  TcpFixture()
       : net(LinkConfig{.latency = 0}, 1),
         a_nic(net, MacAddr{1}, clock),
         b_nic(net, MacAddr{2}, clock),
@@ -105,8 +105,8 @@ struct TcpFixture {
         b_sched(clock),
         a_eth(a_nic, Ipv4Addr::FromOctets(10, 0, 0, 1)),
         b_eth(b_nic, Ipv4Addr::FromOctets(10, 0, 0, 2)),
-        a_tcp(a_eth, a_sched, a_alloc, clock, cfg),
-        b_tcp(b_eth, b_sched, b_alloc, clock, cfg) {
+        a_tcp(a_eth, a_sched, a_alloc, clock),
+        b_tcp(b_eth, b_sched, b_alloc, clock) {
     a_eth.arp().Insert(Ipv4Addr::FromOctets(10, 0, 0, 2), MacAddr{2});
     b_eth.arp().Insert(Ipv4Addr::FromOctets(10, 0, 0, 1), MacAddr{1});
     auto listener = b_tcp.Listen(80, 8);
@@ -414,57 +414,6 @@ void BM_ClockPairControl(benchmark::State& state) {
   state.SetLabel("empty steady_clock pair");
 }
 BENCHMARK(BM_ClockPairControl)->UseManualTime();
-
-// Sustained sub-MSS sender under backlog: 64 pushes of 512 B against a window pinned below
-// the burst, so the send window binds and a queue of sub-MSS views forms — the case the
-// batching datapath targets. arg 0 = batching off (one segment per Push, immediate acks: the
-// pre-batching datapath), arg 1 = batching on (MSS coalescing + RFC 1122 delayed acks).
-// Read the UserCounters, not the time column: batching cuts wire frames roughly in half
-// (data_segs/burst, ack_frames/burst). The time column is inflated for the batched arm by
-// virtual-clock idle-stepping while the receiver holds acks against the artificially pinned
-// window — the classic delayed-ack stall, which Cubic's real (growing) window avoids; fig8
-// measures the realistic end-to-end effect.
-void BM_TcpSmallMsgBurst(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  TcpConfig cfg;
-  cfg.coalesce_segments = batched;
-  cfg.delayed_acks = batched;
-  // Pin the window below the burst size (both arms identically) so the send window binds and
-  // a queue of sub-MSS views forms — with Cubic, steady-state cwnd outgrows any fixed burst
-  // and the inline run-to-completion push would mask the coalescer entirely.
-  cfg.congestion = CongestionAlgorithm::kFixedWindow;
-  cfg.fixed_window_bytes = 8 * 1024;
-  TcpFixture fx(cfg);
-  constexpr size_t kMsgs = 64;
-  constexpr size_t kMsgBytes = 512;
-  for (auto _ : state) {
-    const uint64_t target = fx.server->conn_stats().bytes_received + kMsgs * kMsgBytes;
-    for (size_t i = 0; i < kMsgs; i++) {
-      void* p = fx.a_alloc.Alloc(kMsgBytes);
-      (void)fx.client->Push(Buffer::FromApp(fx.a_alloc, p, kMsgBytes));  // lossless sim link; benches measure the success path
-      fx.a_alloc.Free(p);
-    }
-    while (fx.server->conn_stats().bytes_received < target) {
-      fx.Step();
-    }
-    while (fx.server->HasReadyData()) {
-      fx.server->PopData();
-    }
-    for (int i = 0; i < 4; i++) {
-      fx.Step();  // drain acks so the next burst starts window-open
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kMsgs));
-  const double bursts = static_cast<double>(state.iterations());
-  state.counters["data_segs/burst"] =
-      bursts == 0 ? 0 : static_cast<double>(fx.client->conn_stats().segments_sent) / bursts;
-  state.counters["ack_frames/burst"] =
-      bursts == 0 ? 0 : static_cast<double>(fx.client->conn_stats().segments_received) / bursts;
-  state.counters["coalesced/burst"] =
-      bursts == 0 ? 0 : static_cast<double>(fx.client->conn_stats().coalesced_segments) / bursts;
-  state.SetLabel(batched ? "coalescing+delayed acks (default)" : "batching off (ablation)");
-}
-BENCHMARK(BM_TcpSmallMsgBurst)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // --quick perf smoke for ctest: sustained in-order segment rounds for a fixed wall-time
 // budget, measured in TCP segments processed per second (data + acks, client's view).

@@ -11,7 +11,8 @@
 # multi-worker ShardGroup suite (real shard threads busy-polling a shared multi-queue NIC) —
 # instead of the whole suite.
 # A final targeted DemiSan tree (build-demisan/, -DDEMI_OWNERSHIP_CHECKS=ON) runs the
-# cross-tenant ownership death tests that skip themselves in every other build.
+# cross-tenant ownership death tests that skip themselves in every other build, and the TCP
+# and libOS suites under its buffer generation checks.
 
 set -euo pipefail
 
@@ -67,15 +68,22 @@ echo "=== DEMI_OWNERSHIP_CHECKS=ON (DemiSan: ownership + thread-affinity + qtoke
 # tests/affinity_test.cc AffinityDeathTest.*) GTEST_SKIP or compile themselves out in normal
 # builds; this tree is where they actually abort. The shard/chaos suites then run end to end
 # under the affinity tags as the zero-false-positive soak: any wrong-thread touch of a bound
-# heap, flow table, TCB slab, or qtoken table aborts the run.
+# heap, flow table, TCB slab, or qtoken table aborts the run. The TCP and libOS suites run
+# whole: TCP pins every pushed buffer through its send queue until the peer acks it, and the
+# generation check on each Buffer access catches a view read after its buffer recycled.
 bdir="$ROOT/build-demisan"
 cmake -B "$bdir" -S "$ROOT" -DDEMI_OWNERSHIP_CHECKS=ON > /dev/null
 cmake --build "$bdir" -j "$JOBS" --target tenant_test affinity_test shard_test \
-  tenant_chaos_test splice_chaos_test > /dev/null
+  tenant_chaos_test splice_chaos_test net_test tcp_batching_test tcp_advanced_test \
+  libos_test > /dev/null
 "$bdir/tests/tenant_test" --gtest_filter='TenantDemiSan*'
 "$bdir/tests/affinity_test"
 "$bdir/tests/shard_test" --gtest_filter='ShardGroup*'
 "$bdir/tests/tenant_chaos_test"
 "$bdir/tests/splice_chaos_test"
+"$bdir/tests/net_test"
+"$bdir/tests/tcp_batching_test"
+"$bdir/tests/tcp_advanced_test"
+"$bdir/tests/libos_test"
 
 echo "All sanitizer sweeps passed."

@@ -16,7 +16,7 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock, const Sh
       owned_nic_(shard.nic != nullptr ? nullptr
                                       : std::make_unique<SimNic>(network, config.mac, clock)),
       nic_(shard.nic != nullptr ? *shard.nic : *owned_nic_),
-      eth_(nic_, config.ip, config.checksum_offload, config.rx_burst_frames, shard.queue_id),
+      eth_(nic_, config.ip, config.checksum_offload, shard.queue_id),
       udp_(eth_, alloc_),
       tcp_(eth_, sched_, alloc_, clock, config.tcp) {
   alloc_.SetRegistrar(nic_.registrar());

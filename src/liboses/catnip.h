@@ -53,9 +53,6 @@ class Catnip final : public LibOS {
     // NIC checksum offload (default on, as DPDK deployments configure); off = software
     // checksums (ablation).
     bool checksum_offload = true;
-    // Frames the fast path drains from the NIC per scheduler round (DPDK rx_burst nb_pkts);
-    // 1 reproduces the pre-batching frame-per-poll datapath for ablation.
-    size_t rx_burst_frames = EthernetLayer::kDefaultRxBurst;
   };
 
   Catnip(SimNetwork& network, const Config& config, Clock& clock);

@@ -11,12 +11,12 @@
 namespace demi {
 
 EthernetLayer::EthernetLayer(SimNic& nic, Ipv4Addr local_ip, bool checksum_offload,
-                             size_t rx_burst_frames, size_t queue_id)
+                             size_t queue_id)
     : nic_(nic),
       local_ip_(local_ip),
       checksum_offload_(checksum_offload),
       queue_id_(queue_id),
-      rx_frames_(rx_burst_frames == 0 ? 1 : rx_burst_frames) {}
+      rx_frames_(kDefaultRxBurst) {}
 
 void EthernetLayer::RegisterMetrics(MetricsRegistry& registry) {
   registry.RegisterCounter("eth.ipv4_rx", "packets", [this] { return stats_.ipv4_rx; });

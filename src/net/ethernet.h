@@ -57,20 +57,18 @@ class ArpCache {
 
 class EthernetLayer {
  public:
+  // Frames PollOnce drains from the NIC per call (DPDK's rx_burst nb_pkts).
   static constexpr size_t kDefaultRxBurst = 32;
 
   // `checksum_offload` models the NIC's TX/RX checksum offload (on by default, as every
   // datacenter DPDK deployment configures): the stacks skip software IP/TCP/UDP checksums and
   // trust RX validation. Turn off for the software-checksum ablation.
-  // `rx_burst_frames` is the RxBurst size PollOnce drains per call (DPDK's rx_burst nb_pkts);
-  // 1 reproduces the pre-batching frame-per-poll datapath for ablation.
   // `queue_id` selects which of the NIC's RSS queue pairs this layer polls and transmits on;
   // a sharded stack instantiates one EthernetLayer per queue pair over a shared SimNic.
   EthernetLayer(SimNic& nic, Ipv4Addr local_ip, bool checksum_offload = true,
-                size_t rx_burst_frames = kDefaultRxBurst, size_t queue_id = 0);
+                size_t queue_id = 0);
 
   bool checksum_offload() const { return checksum_offload_; }
-  size_t rx_burst_frames() const { return rx_frames_.size(); }
   size_t queue_id() const { return queue_id_; }
 
   Ipv4Addr local_ip() const { return local_ip_; }

@@ -12,19 +12,6 @@ constexpr size_t kInitialWindowSegments = 10;  // RFC 6928
 constexpr size_t kMinWindowSegments = 2;
 }  // namespace
 
-std::unique_ptr<CongestionControl> CongestionControl::Create(CongestionAlgorithm algo, size_t mss,
-                                                             size_t fixed_window) {
-  switch (algo) {
-    case CongestionAlgorithm::kCubic:
-      return std::make_unique<CubicCongestion>(mss);
-    case CongestionAlgorithm::kNewReno:
-      return std::make_unique<NewRenoCongestion>(mss);
-    case CongestionAlgorithm::kFixedWindow:
-      return std::make_unique<FixedWindowCongestion>(fixed_window);
-  }
-  return nullptr;
-}
-
 // --- Cubic ---
 
 CubicCongestion::CubicCongestion(size_t mss)
@@ -79,33 +66,6 @@ void CubicCongestion::OnTimeout(TimeNs now) {
   ssthresh_ = std::max<size_t>(cwnd_ / 2, kMinWindowSegments * mss_);
   cwnd_ = kMinWindowSegments * mss_;  // collapse to slow start
   epoch_start_ = 0;
-}
-
-// --- NewReno ---
-
-NewRenoCongestion::NewRenoCongestion(size_t mss)
-    : mss_(mss), cwnd_(kInitialWindowSegments * mss), ssthresh_(SIZE_MAX / 2) {}
-
-void NewRenoCongestion::OnAck(size_t bytes_acked, TimeNs now) {
-  if (cwnd_ < ssthresh_) {
-    cwnd_ += bytes_acked;
-    return;
-  }
-  ack_accum_ += bytes_acked;
-  if (ack_accum_ >= cwnd_) {
-    ack_accum_ -= cwnd_;
-    cwnd_ += mss_;  // one MSS per RTT
-  }
-}
-
-void NewRenoCongestion::OnFastRetransmit(TimeNs) {
-  ssthresh_ = std::max<size_t>(cwnd_ / 2, kMinWindowSegments * mss_);
-  cwnd_ = ssthresh_;
-}
-
-void NewRenoCongestion::OnTimeout(TimeNs) {
-  ssthresh_ = std::max<size_t>(cwnd_ / 2, kMinWindowSegments * mss_);
-  cwnd_ = kMinWindowSegments * mss_;
 }
 
 }  // namespace demi

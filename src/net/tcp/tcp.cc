@@ -14,29 +14,6 @@ namespace demi {
 static_assert(sizeof(TcpConnection) <= TcbSlab::kSlotBytes - 64,
               "TcpConnection outgrew its slab slot budget");
 
-// ============================== SegmentPayload ====================================
-
-void SegmentPayload::TrimFront(size_t n) {
-  bytes_ -= n;
-  size_t keep = 0;
-  for (size_t i = 0; i < count_; i++) {
-    if (n >= slices_[i].size()) {
-      n -= slices_[i].size();
-      slices_[i] = Buffer{};  // fully covered: drop the reference (buffer may recycle)
-      continue;
-    }
-    if (n > 0) {
-      slices_[i].TrimFront(n);
-      n = 0;
-    }
-    if (keep != i) {
-      slices_[keep] = std::move(slices_[i]);
-    }
-    keep++;
-  }
-  count_ = keep;
-}
-
 // ============================== TcpConnection =====================================
 
 TcpConnection::TcpConnection(TcpStack& stack, SocketAddress local, SocketAddress remote,
@@ -57,9 +34,7 @@ TcpConnection::~TcpConnection() {
 
 TcpConnection::ColdState& TcpConnection::EnsureCold() {
   if (cold_ == nullptr) {
-    cold_ = std::make_unique<ColdState>();
-    cold_->cc = CongestionControl::Create(stack_.config().congestion, hot_.mss,
-                                          stack_.config().fixed_window_bytes);
+    cold_ = std::make_unique<ColdState>(hot_.mss);
   }
   return *cold_;
 }
@@ -77,7 +52,7 @@ size_t TcpConnection::EffectiveSendWindow() const {
   if (cold_ == nullptr) {
     return 0;
   }
-  const size_t wnd = std::min<size_t>(cold_->cc->cwnd(), hot_.snd_wnd);
+  const size_t wnd = std::min<size_t>(cold_->cc.cwnd(), hot_.snd_wnd);
   return wnd > cold_->bytes_inflight ? wnd - cold_->bytes_inflight : 0;
 }
 
@@ -173,7 +148,7 @@ void TcpConnection::MaybeArmPersist(TimeNs now) {
       hot_.state == TcpState::kEstablished || hot_.state == TcpState::kCloseWait ||
       hot_.state == TcpState::kFinWait1 || hot_.state == TcpState::kLastAck ||
       hot_.state == TcpState::kClosing;
-  const bool need = data_state && cold_ != nullptr && !cold_->unsent.empty() &&
+  const bool need = data_state && cold_ != nullptr && cold_->unsent_bytes > 0 &&
                     hot_.snd_wnd == 0 && cold_->bytes_inflight == 0;
   if (need) {
     if (hot_.state_timer_kind != StateTimerKind::kPersist) {
@@ -186,7 +161,6 @@ void TcpConnection::MaybeArmPersist(TimeNs now) {
 }
 
 void TcpConnection::OnRetxTimer(TimeNs now) {
-  InflightSegment& front = cold_->inflight.front();
   // RTO fired. A zero-window stall is a *persist* situation, not a dead peer: keep probing
   // without counting toward the abort limit (RFC 1122 4.2.2.17 — the connection stays open
   // as long as the receiver keeps acking).
@@ -201,12 +175,10 @@ void TcpConnection::OnRetxTimer(TimeNs now) {
       return;
     }
   }
-  front.retransmitted = true;
   rtt_.Backoff();
-  SendDataSegment(front, now);  // also refreshes rto_deadline via current rto
+  ResendFront(now);  // also refreshes rto_deadline via current rto
   cold_->stats.retransmits++;
-  stack_.TraceRetransmit(local_.port, front.seq);
-  cold_->cc->OnTimeout(now);
+  cold_->cc.OnTimeout(now);
 }
 
 void TcpConnection::OnAckTimer(TimeNs now) {
@@ -269,22 +241,10 @@ void TcpConnection::OnStateTimer(TimeNs now) {
       if (hot_.state == TcpState::kClosed || cold_ == nullptr) {
         return;
       }
-      if (!cold_->unsent.empty() && hot_.snd_wnd == 0 && cold_->bytes_inflight == 0) {
+      if (cold_->unsent_bytes > 0 && hot_.snd_wnd == 0 && cold_->bytes_inflight == 0) {
         // Force a 1-byte probe through the closed window; once inflight, the normal RTO path
         // (exempt from the abort count while snd_wnd == 0) sustains the probing.
-        Buffer& front = cold_->unsent.front();
-        InflightSegment seg;
-        seg.seq = hot_.snd_nxt;
-        seg.data.Append(front.Slice(0, 1));
-        front.TrimFront(1);
-        if (front.empty()) {
-          cold_->unsent.pop_front();
-        }
-        cold_->unsent_bytes -= 1;
-        hot_.snd_nxt = hot_.snd_nxt + 1;
-        cold_->bytes_inflight += 1;
-        SendDataSegment(seg, now);
-        cold_->inflight.push_back(std::move(seg));
+        SendNextSegment(1, now);
         NoteDeadline(RetxWake(now));
       }
       return;
@@ -322,7 +282,7 @@ Status TcpConnection::Push(Buffer data) {
   }
   ColdState& c = EnsureCold();
   c.unsent_bytes += data.size();
-  c.unsent.push_back(std::move(data));
+  c.send_queue.push_back(std::move(data));
   // Fast path: transmit inline, run-to-completion (§5.2). Window-blocked leftovers drain from
   // ProcessAck (new ack / window update) or the persist probe. An app call runs between polls,
   // so it reads the clock once here; every segment it sends is stamped with that time.
@@ -501,33 +461,84 @@ Status TcpConnection::SendControl(TcpFlags flags, SeqNum seq, bool with_options,
   return stack_.SendSegment(hdr, remote_.ip, {}, tenant_);
 }
 
-void TcpConnection::SendDataSegment(InflightSegment& seg, TimeNs now) {
+size_t TcpConnection::SendDataSegment(InflightSegment& seg, SendCursor* at, size_t budget,
+                                      TimeNs now) {
+  ColdState& c = *cold_;
+  std::span<const uint8_t> slices[kTcpMaxSegmentSlices];
+  size_t nslices = 0;
+  size_t filled = 0;
+  while (filled < budget && nslices < kTcpMaxSegmentSlices && at->view < c.send_queue.size()) {
+    const Buffer& view = c.send_queue[at->view];
+    const size_t take = std::min(view.size() - at->off, budget - filled);
+    slices[nslices++] = {view.data() + at->off, take};
+    filled += take;
+    at->off += take;
+    if (at->off == view.size()) {
+      at->view++;
+      at->off = 0;
+    }
+  }
+  seg.len = static_cast<uint32_t>(filled);
   TcpHeader hdr;
   hdr.src_port = local_.port;
   hdr.dst_port = remote_.port;
   hdr.seq = seg.seq.v;
   hdr.ack = hot_.rcv_nxt.v;
   hdr.flags.ack = true;
-  hdr.flags.psh = !seg.data.empty();
+  hdr.flags.psh = filled > 0;
   hdr.flags.fin = seg.fin;
   hdr.window = AdvertisedWindow();
   StampTimestamps(&hdr, now);
-  std::span<const uint8_t> slices[SegmentPayload::kMaxSlices];
-  const size_t nslices = seg.data.Gather(slices);
   if (stack_.SendSegment(hdr, remote_.ip, {slices, nslices}, tenant_) != Status::kOk) {
     stack_.CountTxError();  // segment stays inflight; the RTO path retransmits it
   }
   seg.sent_at = now;
   seg.rto_deadline = now + rtt_.rto();
-  if (cold_ != nullptr) {
-    cold_->stats.segments_sent++;
-    cold_->stats.bytes_sent += seg.data.size();
-  }
+  c.stats.segments_sent++;
+  c.stats.bytes_sent += filled;
   // This segment carried the ack: drop any pending pure-ack obligation (piggybacking).
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
   hot_.ack_deadline = kNoDeadline;
+  return nslices;
+}
+
+void TcpConnection::SendNextSegment(size_t budget, TimeNs now) {
+  ColdState& c = *cold_;
+  InflightSegment& seg = c.inflight.emplace_back();
+  seg.seq = hot_.snd_nxt;
+  if (SendDataSegment(seg, &c.next, budget, now) > 1) {
+    c.stats.coalesced_segments++;
+  }
+  c.unsent_bytes -= seg.len;
+  hot_.snd_nxt = hot_.snd_nxt + seg.len;
+  c.bytes_inflight += seg.len;
+}
+
+void TcpConnection::ResendFront(TimeNs now) {
+  InflightSegment& front = cold_->inflight.front();
+  front.retransmitted = true;
+  SendCursor start;  // the front segment starts at the front of the send queue
+  SendDataSegment(front, &start, front.len, now);
+  stack_.TraceRetransmit(local_.port, front.seq);
+}
+
+void TcpConnection::DropAcked(size_t n) {
+  ColdState& c = *cold_;
+  while (n > 0) {
+    Buffer& front = c.send_queue.front();
+    if (n < front.size()) {
+      front.TrimFront(n);  // narrows the view; the buffer stays pinned by it
+      if (c.next.view == 0) {
+        c.next.off -= n;
+      }
+      return;
+    }
+    n -= front.size();
+    c.send_queue.pop_front();  // drops the libOS reference: UAF-protected buffer may recycle
+    c.next.view--;             // the cursor lies past this view: snd_nxt >= the ack
+  }
 }
 
 void TcpConnection::TrySend(TimeNs now) {
@@ -540,56 +551,26 @@ void TcpConnection::TrySend(TimeNs now) {
     return;  // nothing queued: hot-only connections have nothing to send
   }
   ColdState& c = *cold_;
-  const bool coalesce = stack_.config().coalesce_segments;
   bool sent_any = false;
-  while (!c.unsent.empty()) {
+  // Each segment gathers queued views (or parts of them) until it fills to MSS/window or runs
+  // out of gather slots.
+  while (c.unsent_bytes > 0) {
     const size_t window = EffectiveSendWindow();
     if (window == 0) {
       break;
     }
-    const size_t budget = std::min(EffectiveMss(), window);
-    InflightSegment seg;
-    seg.seq = hot_.snd_nxt;
-    size_t filled = 0;
-    // Gather queued buffers (or leading slices of them) until the segment fills to MSS/window
-    // or runs out of gather slots; with coalescing off, one Push buffer per segment.
-    while (!c.unsent.empty() && filled < budget && !seg.data.full()) {
-      Buffer& front = c.unsent.front();
-      const size_t take = std::min(front.size(), budget - filled);
-      if (take == front.size()) {
-        // Whole buffer fits in this segment: move it, avoiding a second reference (which
-        // would spill into the allocator's overflow table).
-        seg.data.Append(std::move(front));
-        c.unsent.pop_front();
-      } else {
-        seg.data.Append(front.Slice(0, take));
-        front.TrimFront(take);
-      }
-      filled += take;
-      if (!coalesce) {
-        break;
-      }
-    }
-    c.unsent_bytes -= filled;
-    hot_.snd_nxt = hot_.snd_nxt + static_cast<uint32_t>(filled);
-    c.bytes_inflight += filled;
-    if (seg.data.num_slices() > 1) {
-      c.stats.coalesced_segments++;
-    }
-    SendDataSegment(seg, now);
-    c.inflight.push_back(std::move(seg));
+    SendNextSegment(std::min(EffectiveMss(), window), now);
     sent_any = true;
   }
-  // FIN rides after all data has been carved into segments.
-  if (hot_.fin_queued && !hot_.fin_sent && c.unsent.empty()) {
-    InflightSegment seg;
+  // FIN rides after all data has been sent.
+  if (hot_.fin_queued && !hot_.fin_sent && c.unsent_bytes == 0) {
+    InflightSegment& seg = c.inflight.emplace_back();
     seg.seq = hot_.snd_nxt;
     seg.fin = true;
     fin_seq_ = hot_.snd_nxt;
     hot_.fin_sent = true;
     hot_.snd_nxt = hot_.snd_nxt + 1;
-    SendDataSegment(seg, now);
-    c.inflight.push_back(std::move(seg));
+    SendDataSegment(seg, &c.next, 0, now);
     sent_any = true;
   }
   if (sent_any) {
@@ -798,7 +779,7 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
     // the path RTT.) Timestamp RTTM above is retransmission-safe and exempt.
     bool ack_covers_retx = false;
     for (const InflightSegment& seg : c.inflight) {
-      const uint32_t seg_len = static_cast<uint32_t>(seg.data.size()) + (seg.fin ? 1 : 0);
+      const uint32_t seg_len = seg.len + (seg.fin ? 1 : 0);
       if (ack < seg.seq + seg_len) {
         break;  // past the fully-covered prefix
       }
@@ -807,30 +788,33 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
         break;
       }
     }
+    size_t acked_bytes = 0;  // payload bytes of the acked range (a FIN is not one)
     while (!c.inflight.empty()) {
       InflightSegment& seg = c.inflight.front();
-      const uint32_t seg_len = static_cast<uint32_t>(seg.data.size()) + (seg.fin ? 1 : 0);
+      const uint32_t seg_len = seg.len + (seg.fin ? 1 : 0);
       if (ack >= seg.seq + seg_len) {
         if (!seg.retransmitted && !ack_covers_retx && !sampled) {
           rtt_.OnSample(now - seg.sent_at);
           sampled = true;
         }
-        c.bytes_inflight -= seg.data.size();
-        c.inflight.pop_front();  // drops the libOS reference: UAF-protected buffer may recycle
+        acked_bytes += seg.len;
+        c.inflight.pop_front();
       } else if (ack > seg.seq) {
         const auto covered = static_cast<uint32_t>(ack - seg.seq);
-        seg.data.TrimFront(covered);
+        acked_bytes += covered;
         seg.seq = ack;
-        c.bytes_inflight -= covered;
+        seg.len -= covered;
         break;
       } else {
         break;
       }
     }
+    c.bytes_inflight -= acked_bytes;
+    DropAcked(acked_bytes);
     hot_.snd_una = ack;
     hot_.dup_acks = 0;
     hot_.consecutive_retx = 0;
-    c.cc->OnAck(newly_acked, now);
+    c.cc.OnAck(newly_acked, now);
     if (hot_.fin_sent && !hot_.our_fin_acked && ack >= fin_seq_ + 1) {
       hot_.our_fin_acked = true;
       OnOurFinAcked(now);
@@ -841,12 +825,9 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
     cold_->stats.dup_acks_seen++;
     if (++hot_.dup_acks == 3) {
       // Fast retransmit.
-      InflightSegment& seg = cold_->inflight.front();
-      seg.retransmitted = true;
-      SendDataSegment(seg, now);
+      ResendFront(now);
       cold_->stats.fast_retransmits++;
-      stack_.TraceRetransmit(local_.port, seg.seq);
-      cold_->cc->OnFastRetransmit(now);
+      cold_->cc.OnFastRetransmit(now);
       hot_.dup_acks = 0;
       NoteDeadline(RetxWake(now));
     }
@@ -1050,7 +1031,8 @@ void TcpConnection::EnterClosed(Status error) {
   if (cold_ != nullptr) {
     // Drop all buffer references (releases UAF-deferred application frees).
     cold_->inflight.clear();
-    cold_->unsent.clear();
+    cold_->send_queue.clear();
+    cold_->next = SendCursor{};
     cold_->unsent_bytes = 0;
     cold_->bytes_inflight = 0;
     // Wake application waiters so they observe the close.
@@ -1157,8 +1139,8 @@ Status TcpStack::SendSegment(const TcpHeader& hdr, Ipv4Addr dst,
   const size_t hdr_len = hdr.SerializedSize();
   stats_.segments_tx++;
   // Gather [tcp hdr | payload slices...]; the ethernet layer prepends its own header slot.
-  DEMI_CHECK(payload_slices.size() <= SegmentPayload::kMaxSlices);
-  std::span<const uint8_t> segs[1 + SegmentPayload::kMaxSlices];
+  DEMI_CHECK(payload_slices.size() <= kTcpMaxSegmentSlices);
+  std::span<const uint8_t> segs[1 + kTcpMaxSegmentSlices];
   segs[0] = {hdr_bytes, hdr_len};
   size_t n = 1;
   for (const auto& slice : payload_slices) {

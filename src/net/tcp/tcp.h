@@ -16,9 +16,11 @@
 //    data never allocates its cold half.
 //  - With `TcpConfig::syn_cookies` on, SYN handling is stateless (syn_cookies.h): the TCB is
 //    deferred until the third ACK proves the handshake, so a SYN flood allocates nothing.
-//  - For full zero-copy the send path keeps a ring of application buffer *views* (Buffer slices)
-//    rather than copying into a byte buffer; segments hold references until cumulatively acked,
-//    which is what makes UAF protection necessary and sufficient (§5.3, §6.3).
+//  - For full zero-copy the send path keeps one queue of the application's pushed buffer
+//    *views* rather than copying into a byte buffer. A segment in flight is a byte range over
+//    that queue, gathered into at most kTcpMaxSegmentSlices spans when it is (re)sent; a view
+//    stays in the queue, pinning its buffer, until it is cumulatively acked, which is what
+//    makes UAF protection necessary and sufficient (§5.3, §6.3).
 
 #ifndef SRC_NET_TCP_TCP_H_
 #define SRC_NET_TCP_TCP_H_
@@ -83,40 +85,9 @@ class RttEstimator {
   DurationNs rto_;
 };
 
-// One wire segment's zero-copy payload: up to kMaxSlices gathered Buffer views. Coalescing
-// sub-MSS pushes into full-MSS segments preserves zero-copy by carrying several application
-// buffer slices per segment; each slice pins its buffer until cumulatively acked (§5.3, §6.3).
-class SegmentPayload {
- public:
-  // The NIC TX gather list holds 8 entries: [eth+ip hdr | tcp hdr | payload slices...].
-  static constexpr size_t kMaxSlices = 6;
-
-  size_t size() const { return bytes_; }
-  bool empty() const { return bytes_ == 0; }
-  size_t num_slices() const { return count_; }
-  bool full() const { return count_ == kMaxSlices; }
-
-  void Append(Buffer b) {
-    bytes_ += b.size();
-    slices_[count_++] = std::move(b);
-  }
-
-  // Drops `n` leading bytes (partial cumulative-ack trim), releasing fully-covered slices.
-  void TrimFront(size_t n);
-
-  // Copies the live slices' spans into `out[0..kMaxSlices)`; returns the slice count.
-  size_t Gather(std::span<const uint8_t>* out) const {
-    for (size_t i = 0; i < count_; i++) {
-      out[i] = {slices_[i].data(), slices_[i].size()};
-    }
-    return count_;
-  }
-
- private:
-  Buffer slices_[kMaxSlices];
-  size_t count_ = 0;
-  size_t bytes_ = 0;
-};
+// A data segment's payload is gathered from at most this many send-queue spans: the NIC TX
+// gather list holds 8 entries, [eth+ip hdr | tcp hdr | payload spans...].
+inline constexpr size_t kTcpMaxSegmentSlices = 6;
 
 class TcpConnection {
  public:
@@ -191,7 +162,7 @@ class TcpConnection {
   size_t SendBacklogBytes() const {
     return cold_ == nullptr ? 0 : cold_->unsent_bytes + cold_->bytes_inflight;
   }
-  size_t cwnd() const { return cold_ == nullptr ? 0 : cold_->cc->cwnd(); }
+  size_t cwnd() const { return cold_ == nullptr ? 0 : cold_->cc.cwnd(); }
   // Wire payload budget per segment (MSS minus negotiated option overhead); what the
   // coalescer fills to and the "full-sized segment" threshold of the ack policy.
   size_t effective_mss() const { return EffectiveMss(); }
@@ -201,13 +172,22 @@ class TcpConnection {
  private:
   friend class TcpStack;
 
+  // A segment in flight: no payload of its own, its `len` bytes sit at `seq` in the send
+  // queue (the front record's at the queue's front, since the queue starts at snd_una).
   struct InflightSegment {
     SeqNum seq;
-    SegmentPayload data;  // empty for bare FIN
-    bool fin = false;
+    uint32_t len = 0;  // payload bytes; 0 for a bare FIN
     TimeNs sent_at = 0;
     TimeNs rto_deadline = 0;
+    bool fin = false;
     bool retransmitted = false;
+  };
+
+  // A byte position in the send queue: view index and offset into that view. Either the
+  // offset lies inside the view, or the position is the queue's end (view == size, off 0).
+  struct SendCursor {
+    size_t view = 0;
+    size_t off = 0;
   };
 
   static constexpr TimeNs kNoDeadline = UINT64_MAX;
@@ -259,7 +239,11 @@ class TcpConnection {
   // Everything else: allocated on first data (or first app wait), ~3 KB once the deques are
   // warm. A half-open or idle cookie-accepted connection never pays for it.
   struct ColdState {
-    std::deque<Buffer> unsent;
+    explicit ColdState(size_t mss) : cc(mss) {}
+
+    // Every pushed view from snd_una on: the in-flight bytes first, then the unsent ones.
+    std::deque<Buffer> send_queue;
+    SendCursor next;  // snd_nxt's position in send_queue
     size_t unsent_bytes = 0;
     std::deque<InflightSegment> inflight;
     size_t bytes_inflight = 0;
@@ -267,7 +251,7 @@ class TcpConnection {
     size_t ready_bytes = 0;
     std::map<uint32_t, Buffer> reassembly;  // seq (absolute) -> payload
     size_t reassembly_bytes = 0;
-    std::unique_ptr<CongestionControl> cc;
+    CubicCongestion cc;
     WaitList readable;
     WaitList established;
     ConnStats stats;
@@ -288,7 +272,16 @@ class TcpConnection {
   void HandleFinReached(TimeNs now);
   void OnOurFinAcked(TimeNs now);
   void TrySend(TimeNs now);
-  void SendDataSegment(InflightSegment& seg, TimeNs now);
+  // Sends the next segment, up to `budget` unsent bytes at the cursor, and records it in flight.
+  void SendNextSegment(size_t budget, TimeNs now);
+  // The one segment sender: sends `seg` with up to `budget` payload bytes gathered from the send
+  // queue at `*at` (at most kTcpMaxSegmentSlices spans), sets seg.len and its timestamps,
+  // advances `*at` past the payload, and returns the span count.
+  size_t SendDataSegment(InflightSegment& seg, SendCursor* at, size_t budget, TimeNs now);
+  // Resends the front in-flight segment, which starts at the front of the send queue.
+  void ResendFront(TimeNs now);
+  // Releases `n` cumulatively acked bytes from the front of the send queue.
+  void DropAcked(size_t n);
   [[nodiscard]] Status SendControl(TcpFlags flags, SeqNum seq, bool with_options, TimeNs now);
   void ScheduleAck(TimeNs now);         // urgent: goes out at burst end or the next poll
   void ScheduleDelayedAck(TimeNs now);  // coalescing: arm (or keep) the delayed-ack deadline

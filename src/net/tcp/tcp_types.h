@@ -39,8 +39,6 @@ enum class TcpState : uint8_t {
   kLastAck,
 };
 
-enum class CongestionAlgorithm : uint8_t { kCubic, kNewReno, kFixedWindow };
-
 // Fixed protocol constants. The simulated fabric runs at µs RTTs, so the RFC timers are scaled
 // down accordingly (the classical 200 ms RTO floor would stall every loss for an eternity).
 inline constexpr DurationNs kTcpMaxRto = 4 * kSecond;
@@ -67,18 +65,10 @@ struct TcpConfig {
   // RFC 1122 delayed acks (see kTcpDelayedAckTimeout); off = ack every segment (ablation).
   bool delayed_acks = true;
 
-  // Coalesce queued sub-MSS buffer views into full-MSS wire segments (zero-copy gather; each
-  // segment carries multiple Buffer slices). Off = one segment per Push (the pre-batching
-  // behavior, kept for ablation).
-  bool coalesce_segments = true;
-
   // RFC 7323 timestamps: negotiated on SYN; provides retransmission-safe RTT samples (RTTM)
   // and PAWS sequence protection. tsval granularity is 1 µs here (µs-scale RTTs would round
   // to zero at the classical 1 ms tick).
   bool timestamps = true;
-
-  CongestionAlgorithm congestion = CongestionAlgorithm::kCubic;
-  size_t fixed_window_bytes = 1 << 20;  // used by kFixedWindow (ablation)
 
   // Stateless SYN cookies (docs/SCALING.md §2): listeners answer SYNs without allocating any
   // connection state; the TCB materializes only when the third ACK returns a valid cookie.

@@ -178,22 +178,6 @@ TEST(CongestionTest, CubicGrowsAfterRecovery) {
   EXPECT_GT(cc.cwnd(), after_loss);  // cubic regrowth toward and past w_max
 }
 
-TEST(CongestionTest, NewRenoAdditiveIncrease) {
-  NewRenoCongestion cc(1000);
-  cc.OnFastRetransmit(kSecond);  // leave slow start
-  const size_t w = cc.cwnd();
-  cc.OnAck(w, 2 * kSecond);  // one full window of acks
-  EXPECT_EQ(cc.cwnd(), w + 1000);
-}
-
-TEST(CongestionTest, FixedWindowNeverMoves) {
-  FixedWindowCongestion cc(8192);
-  cc.OnTimeout(1);
-  cc.OnFastRetransmit(2);
-  cc.OnAck(100000, 3);
-  EXPECT_EQ(cc.cwnd(), 8192u);
-}
-
 TEST(RttEstimatorTest, TracksSamplesAndBacksOff) {
   TcpConfig cfg;
   RttEstimator est(cfg);

@@ -1,6 +1,6 @@
 // Advanced TCP state-machine and feature tests: close choreography in every order, RFC 7323
-// timestamps (negotiation, RTTM, PAWS), zero-window persistence, congestion-algorithm
-// configuration, listener lifecycle, window scaling with large windows, and pcap capture.
+// timestamps (negotiation, RTTM, PAWS), zero-window persistence, listener lifecycle, window
+// scaling with large windows, and pcap capture.
 //
 // All tests run two full stacks in deterministic stepped mode on a shared VirtualClock.
 
@@ -282,28 +282,6 @@ TEST_F(TcpTinyWindowTest, ZeroWindowStallsAndRecovers) {
       500000));
   EXPECT_EQ(out, data);
   (void)buffered;
-}
-
-// --- Congestion configuration ---
-
-class TcpNewRenoTest : public TcpAdvancedTest {
- protected:
-  static TcpConfig Reno() {
-    TcpConfig cfg;
-    cfg.congestion = CongestionAlgorithm::kNewReno;
-    return cfg;
-  }
-  TcpNewRenoTest() : TcpAdvancedTest(LinkConfig{.loss = 0.03}, Reno(), Reno()) {}
-};
-
-TEST_F(TcpNewRenoTest, LossyTransferUnderNewReno) {
-  auto [client, server] = EstablishPair();
-  std::string data(64 * 1024, 0);
-  for (size_t i = 0; i < data.size(); i++) {
-    data[i] = static_cast<char>(255 - i % 251);
-  }
-  PushString(a_, client, data);
-  EXPECT_EQ(DrainString(server, data.size()), data);
 }
 
 TEST_F(TcpAdvancedTest, LargeWindowScalingMovesMoreThan64K) {

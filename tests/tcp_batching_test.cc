@@ -1,15 +1,18 @@
 // Batched-datapath and ack-policy tests: MSS coalescing (zero-copy gather), RFC 1122 delayed
-// acks, immediate acks on out-of-order arrivals, and the Karn's-algorithm fix for RTT samples
-// taken from cumulative acks that cover a retransmitted segment.
+// acks, immediate acks on out-of-order arrivals, the Karn's-algorithm fix for RTT samples
+// taken from cumulative acks that cover a retransmitted segment, and the send queue that
+// holds each pushed view once (in-flight segments are byte ranges over it).
 //
 // All tests run two full stacks in deterministic stepped mode on a shared VirtualClock,
-// mirroring tcp_advanced_test; this fixture additionally exposes the EthernetLayer knobs
-// (software checksums, RX burst size) so multi-slice gather TX is checksummed end to end.
+// mirroring tcp_advanced_test; this fixture additionally exposes the EthernetLayer's software
+// checksums so multi-slice gather TX is checksummed end to end.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -22,11 +25,11 @@ namespace {
 
 struct Host {
   Host(SimNetwork& net, VirtualClock& clock, MacAddr mac, Ipv4Addr ip, TcpConfig cfg,
-       bool checksum_offload, size_t rx_burst)
+       bool checksum_offload)
       : nic(net, mac, clock),
         alloc(nic.registrar()),
         sched(clock),
-        eth(nic, ip, checksum_offload, rx_burst),
+        eth(nic, ip, checksum_offload),
         tcp(eth, sched, alloc, clock, cfg) {}
 
   SimNic nic;
@@ -39,13 +42,12 @@ struct Host {
 class TcpBatchingTest : public ::testing::Test {
  protected:
   explicit TcpBatchingTest(LinkConfig link = LinkConfig{}, TcpConfig a_cfg = TcpConfig{},
-                           TcpConfig b_cfg = TcpConfig{}, bool checksum_offload = false,
-                           size_t rx_burst = EthernetLayer::kDefaultRxBurst)
+                           TcpConfig b_cfg = TcpConfig{}, bool checksum_offload = false)
       : net_(link, 11),
         a_(net_, clock_, MacAddr{0xA}, Ipv4Addr::FromOctets(10, 2, 2, 1), a_cfg,
-           checksum_offload, rx_burst),
+           checksum_offload),
         b_(net_, clock_, MacAddr{0xB}, Ipv4Addr::FromOctets(10, 2, 2, 2), b_cfg,
-           checksum_offload, rx_burst) {
+           checksum_offload) {
     a_.eth.arp().Insert(b_.eth.local_ip(), MacAddr{0xB});
     b_.eth.arp().Insert(a_.eth.local_ip(), MacAddr{0xA});
   }
@@ -155,51 +157,10 @@ TEST_F(TcpBatchingTest, CoalescesSubMssPushesIntoFewerSegments) {
   EXPECT_LT(client->conn_stats().segments_sent, segments_for_filler + 12);
 }
 
-TEST_F(TcpBatchingTest, CoalescingOffSendsOneSegmentPerPush) {
-  TcpConfig off;
-  off.coalesce_segments = false;
-  auto listener = b_.tcp.Listen(5001, 4);
-  ASSERT_TRUE(listener.ok());
-  // The fixture's a_ uses the default (coalescing) config, so drive the ablation from a fresh
-  // host on the same fabric.
-  Host c(net_, clock_, MacAddr{0xC}, Ipv4Addr::FromOctets(10, 2, 2, 3), off,
-         /*checksum_offload=*/false, EthernetLayer::kDefaultRxBurst);
-  c.eth.arp().Insert(b_.eth.local_ip(), MacAddr{0xB});
-  b_.eth.arp().Insert(c.eth.local_ip(), MacAddr{0xC});
-  auto client = c.tcp.Connect(SocketAddress{b_.eth.local_ip(), 5001});
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(RunUntil([&] {
-    c.eth.PollOnce(clock_.Now());
-    c.sched.Poll();
-    return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
-  }));
-  auto server = (*listener)->Accept();
-  std::string expected;
-  for (int i = 0; i < 6; i++) {
-    const std::string msg(50, static_cast<char>('p' + i));
-    void* app = c.alloc.Alloc(msg.size());
-    std::memcpy(app, msg.data(), msg.size());
-    ASSERT_EQ((*client)->Push(Buffer::FromApp(c.alloc, app, msg.size())), Status::kOk);
-    c.alloc.Free(app);
-    expected += msg;
-  }
-  std::string got;
-  RunUntil([&] {
-    c.eth.PollOnce(clock_.Now());
-    c.sched.Poll();
-    while (auto chunk = server->PopData()) {
-      got.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
-    }
-    return got.size() >= expected.size();
-  });
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ((*client)->conn_stats().coalesced_segments, 0u);
-  EXPECT_GE((*client)->conn_stats().segments_sent, 6u);
-}
-
 // Byte-exactness of gathered multi-slice segments under a lossy link, with software checksums
-// verifying every slice boundary. Retransmissions re-gather the same slices (possibly trimmed
-// by partial acks), so this exercises SegmentPayload::TrimFront and the multi-slice checksum.
+// verifying every slice boundary. Retransmissions re-gather the same byte range from the send
+// queue (possibly trimmed by partial acks), so this exercises the partial-ack trim and the
+// multi-slice checksum.
 TEST(TcpBatchingLossTest, CoalescingByteExactUnderLoss) {
   class Fixture : public TcpBatchingTest {
    public:
@@ -470,6 +431,176 @@ TEST_F(TcpBatchingTest, RetransmitFiresOnTheShrunkRtoNotTheArmedDeadline) {
   }
   EXPECT_EQ(clock_.Now(), t0 + rto);
   EXPECT_EQ(DrainString(server, 4), "lost");
+}
+
+// --- One send queue: in-flight segments are byte ranges over the pushed views ---
+
+// A push longer than one segment is sent as byte ranges over its one view: no segment takes a
+// second reference to the buffer (which would spill into the allocator's side refcount table),
+// the bytes arrive exact, and the app's freed buffer stays pinned until the peer acks it and
+// then recycles. Run on a clean link, then on a lossy one where retransmissions resend ranges.
+TEST(TcpSendQueueTest, MultiSegmentPushesTakeNoExtraBufferReferences) {
+  class Fixture : public TcpBatchingTest {
+   public:
+    explicit Fixture(LinkConfig link) : TcpBatchingTest(link) {}
+    void TestBody() override {}  // instantiated directly, not through the gtest registry
+    void Run() {
+      auto [client, server] = EstablishPair();
+      for (const size_t size : {size_t{4096}, size_t{64 * 1024}}) {
+        SCOPED_TRACE(size);
+        std::string data(size, '\0');
+        for (size_t i = 0; i < size; i++) {
+          data[i] = static_cast<char>(i * 13 + size);
+        }
+        const uint64_t segments_before = client->conn_stats().segments_sent;
+        void* app = a_.alloc.Alloc(size);
+        std::memcpy(app, data.data(), size);
+        ASSERT_EQ(client->Push(Buffer::FromApp(a_.alloc, app, size)), Status::kOk);
+        a_.alloc.Free(app);
+        EXPECT_EQ(a_.alloc.GetStats().overflow_refs, 0u) << "right after the push";
+        EXPECT_EQ(a_.alloc.GetStats().deferred_frees, 1u) << "the freed buffer stays pinned";
+        std::string got;
+        size_t most_overflow_refs = 0;
+        ASSERT_TRUE(RunUntil([&] {
+          most_overflow_refs = std::max(most_overflow_refs, a_.alloc.GetStats().overflow_refs);
+          while (auto chunk = server->PopData()) {
+            got.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
+          }
+          return got.size() >= size && client->SendBacklogBytes() == 0;
+        }));
+        EXPECT_EQ(most_overflow_refs, 0u);
+        EXPECT_EQ(got, data);
+        EXPECT_GE(client->conn_stats().segments_sent - segments_before, 3u);
+        EXPECT_EQ(a_.alloc.GetStats().deferred_frees, 0u) << "acked: the buffer recycles";
+      }
+      if (net_.link().loss > 0) {
+        EXPECT_GT(client->conn_stats().retransmits + client->conn_stats().fast_retransmits, 0u)
+            << "the lossy link should have forced a retransmission";
+      }
+    }
+  };
+  LinkConfig lossy;
+  lossy.loss = 0.05;  // seeded: deterministic drop pattern
+  for (const LinkConfig& link : {LinkConfig{}, lossy}) {
+    SCOPED_TRACE(link.loss);
+    Fixture(link).Run();
+  }
+}
+
+// A cumulative ack that ends inside the front segment leaves the rest of that segment in
+// flight. Both resend paths, the RTO (first input) and the fast retransmit (second), must
+// resend exactly that rest from the front of the send queue, and the stream must complete.
+// B's stack is bypassed: the test takes A's frames off B's NIC and crafts the acks itself.
+TEST(TcpSendQueueTest, PartiallyAckedFrontSegmentResendsItsRest) {
+  class Fixture : public TcpBatchingTest {
+   public:
+    void TestBody() override {}  // instantiated directly, not through the gtest registry
+
+    struct Segment {
+      WireFrame frame;
+      Ipv4Header ip;
+      TcpHeader tcp;
+      std::span<const uint8_t> l4;
+      std::span<const uint8_t> payload;
+    };
+
+    // Runs A alone, stepping the clock to its next event, until `n` frames reach B's NIC;
+    // takes them off the NIC unprocessed.
+    std::vector<Segment> TakeFromBNic(size_t n) {
+      std::vector<Segment> out;
+      WireFrame burst[8];
+      for (int i = 0; i < 100000 && out.size() < n; i++) {
+        const size_t got = b_.nic.RxBurst(burst, clock_.Now());
+        for (size_t j = 0; j < got; j++) {
+          Segment& s = out.emplace_back();
+          s.frame = std::move(burst[j]);
+          const auto ip = Ipv4Header::Parse(std::span<const uint8_t>(s.frame).subspan(14));
+          EXPECT_TRUE(ip.has_value());
+          s.ip = *ip;
+          s.l4 = std::span<const uint8_t>(s.frame).subspan(14 + Ipv4Header::kSize,
+                                                           s.ip.total_length - Ipv4Header::kSize);
+          size_t hdr_len = 0;
+          const auto tcp = TcpHeader::Parse(s.l4, s.ip.src, s.ip.dst, &hdr_len);
+          EXPECT_TRUE(tcp.has_value());
+          s.tcp = *tcp;
+          s.payload = s.l4.subspan(hdr_len);
+        }
+        a_.eth.PollOnce(clock_.Now());
+        a_.sched.Poll();
+        TimeNs next = 0;
+        for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.timer_wheel().NextDeadline()}) {
+          if (t != 0 && (next == 0 || t < next)) {
+            next = t;
+          }
+        }
+        if (next > clock_.Now()) {
+          clock_.SetTime(next);
+        } else {
+          clock_.Advance(kMicrosecond);
+        }
+      }
+      return out;
+    }
+
+    void AckToA(const Segment& from_a, uint32_t ack) {
+      TcpHeader hdr;
+      hdr.src_port = from_a.tcp.dst_port;
+      hdr.dst_port = from_a.tcp.src_port;
+      hdr.seq = from_a.tcp.ack;
+      hdr.ack = ack;
+      hdr.flags.ack = true;
+      hdr.window = 0xFFFF;
+      Ipv4Header ip;
+      ip.src = b_.eth.local_ip();
+      ip.dst = a_.eth.local_ip();
+      ip.protocol = IpProto::kTcp;
+      uint8_t bytes[TcpHeader::kBaseSize + TcpHeader::kMaxOptionBytes];
+      hdr.Serialize(bytes, ip.src, ip.dst, std::span<const uint8_t>{});
+      a_.tcp.OnIpv4Packet(ip, {bytes, hdr.SerializedSize()}, clock_.Now());
+    }
+
+    void Run(bool fast_retransmit) {
+      auto [client, server] = EstablishPair();
+      const size_t mss = client->effective_mss();
+      std::string data(3 * mss, '\0');
+      for (size_t i = 0; i < data.size(); i++) {
+        data[i] = static_cast<char>(i * 7 + 3);
+      }
+      PushString(a_, client, data);  // window open: three full segments go out inline
+      const std::vector<Segment> sent = TakeFromBNic(3);
+      ASSERT_EQ(sent.size(), 3u);
+      const uint32_t seq0 = sent[0].tcp.seq;
+      ASSERT_EQ(sent[0].payload.size(), mss);
+
+      constexpr uint32_t kAcked = 500;
+      AckToA(sent[0], seq0 + kAcked);
+      EXPECT_EQ(client->BytesInFlight(), data.size() - kAcked);
+      if (fast_retransmit) {
+        for (int i = 0; i < 3; i++) {
+          AckToA(sent[0], seq0 + kAcked);  // duplicates of the partial ack
+        }
+      }
+      // The RTO input gets there by stepping A's clock to the segment's deadline.
+      const std::vector<Segment> resent = TakeFromBNic(1);
+      ASSERT_EQ(resent.size(), 1u);
+      EXPECT_EQ(resent[0].tcp.seq, seq0 + kAcked);
+      EXPECT_EQ(std::string(resent[0].payload.begin(), resent[0].payload.end()),
+                data.substr(kAcked, mss - kAcked));
+      EXPECT_EQ(client->conn_stats().fast_retransmits, fast_retransmit ? 1u : 0u);
+      EXPECT_EQ(client->conn_stats().retransmits, fast_retransmit ? 0u : 1u);
+
+      // Hand B the three original segments: the stream completes byte-exact.
+      for (const Segment& s : sent) {
+        b_.tcp.OnIpv4Packet(s.ip, s.l4, clock_.Now());
+      }
+      EXPECT_EQ(DrainString(server, data.size()), data);
+      EXPECT_TRUE(RunUntil([&] { return client->SendBacklogBytes() == 0; }));
+    }
+  };
+  for (const bool fast_retransmit : {false, true}) {
+    SCOPED_TRACE(fast_retransmit ? "fast retransmit" : "RTO");
+    Fixture().Run(fast_retransmit);
+  }
 }
 
 }  // namespace
